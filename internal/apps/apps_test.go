@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nowomp/internal/adapt"
+	"nowomp/internal/dsm"
 	"nowomp/internal/omp"
 )
 
@@ -100,6 +101,34 @@ func TestNBFMatchesReference(t *testing.T) {
 		}
 		if res.Checksum != want {
 			t.Fatalf("procs=%d: checksum %g, want %g", procs, res.Checksum, want)
+		}
+	}
+}
+
+// TestNBFOddPartnersOddBlockBoundary is the regression test for the
+// partner-list layout: at these scales Partners is odd (5, 11, 13, 17)
+// and six processes put block boundaries on odd atoms, so an unpadded
+// int32 list splits a DSM word between two initialising processes and
+// the word-race check panics. Every protocol must run them bit-exact.
+func TestNBFOddPartnersOddBlockBoundary(t *testing.T) {
+	for _, scale := range []float64{0.065, 0.14, 0.17, 0.22} {
+		cfg := DefaultNBF().Scaled(scale)
+		if cfg.Partners%2 == 0 {
+			t.Fatalf("scale %g: Partners = %d, the test needs it odd", scale, cfg.Partners)
+		}
+		want := NBFReference(cfg)
+		for _, proto := range []dsm.ProtocolKind{dsm.Tmk, dsm.HLRC, dsm.Hybrid} {
+			rt, err := omp.New(omp.Config{Hosts: 8, Procs: 6, Protocol: proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunNBF(rt, cfg)
+			if err != nil {
+				t.Fatalf("scale %g %s: %v", scale, proto, err)
+			}
+			if res.Checksum != want {
+				t.Errorf("scale %g %s: checksum %g, want %g (must match bit for bit)", scale, proto, res.Checksum, want)
+			}
 		}
 	}
 }

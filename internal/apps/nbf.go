@@ -132,7 +132,13 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			return Result{}, err
 		}
 	}
-	partners, err := omp.Alloc[int32](rt, "nbf.partners", n*k)
+	// Atom i's partners sit at [i*stride, i*stride+k). The list is
+	// int32, two to a DSM word, and each process initialises its own
+	// block of atoms: with an odd k an odd block boundary would split a
+	// word between two writers — a sub-word race — so an odd k is padded
+	// to an even stride. An even k keeps stride == k, byte for byte.
+	stride := k + k%2
+	partners, err := omp.Alloc[int32](rt, "nbf.partners", n*stride)
 	if err != nil {
 		return Result{}, err
 	}
@@ -150,13 +156,13 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			}
 			frc[d].WriteRange(p.Mem(), lo, buf)
 		}
-		plist := make([]int32, (hi-lo)*k)
+		plist := make([]int32, (hi-lo)*stride)
 		for i := lo; i < hi; i++ {
 			for m := 0; m < k; m++ {
-				plist[(i-lo)*k+m] = nbfPartner(i, m, n, window)
+				plist[(i-lo)*stride+m] = nbfPartner(i, m, n, window)
 			}
 		}
-		partners.WriteRange(p.Mem(), lo*k, plist)
+		partners.WriteRange(p.Mem(), lo*stride, plist)
 		p.ChargeUnits((hi-lo)*(k+6), InitCostPerElement)
 	})
 
@@ -173,8 +179,8 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			pos[0].ReadRange(p.Mem(), lo, hi, px)
 			pos[1].ReadRange(p.Mem(), lo, hi, py)
 			pos[2].ReadRange(p.Mem(), lo, hi, pz)
-			plist := make([]int32, cnt*k)
-			partners.ReadRange(p.Mem(), lo*k, hi*k, plist)
+			plist := make([]int32, cnt*stride)
+			partners.ReadRange(p.Mem(), lo*stride, hi*stride, plist)
 			// Partner positions are irregular random reads: the bundled
 			// fault-aware reader resolves each index once and serves all
 			// three components straight from page memory (faulting
@@ -185,7 +191,7 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			for i := 0; i < cnt; i++ {
 				var sx, sy, sz float64
 				xi, yi, zi := px[i], py[i], pz[i]
-				row := plist[i*k : i*k+k]
+				row := plist[i*stride : i*stride+k]
 				for _, jj := range row {
 					xj, yj, zj := pv.Get3(int(jj))
 					dx, dy, dz := nbfForce(xi, yi, zi, xj, yj, zj)

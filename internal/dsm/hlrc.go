@@ -84,7 +84,7 @@ func (hp *hlrcProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 	if meta.owner == h.id {
 		panic(fmt.Sprintf("dsm: hlrc: home %d of page %d/%d has no valid copy", h.id, pk.region, pk.page))
 	}
-	data, applied := hp.fetchHomePage(h, pk, meta.owner, clk)
+	data, applied := c.copyPageFrom(h, c.Host(meta.owner), pk, "home", clk)
 	st := &h.pages[pk.region][pk.page]
 	c.releasePage(st.data)
 	st.data = data
@@ -92,77 +92,74 @@ func (hp *hlrcProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 	st.valid = true
 }
 
-// fetchHomePage copies the home's page to the requester, recording the
-// traffic and charging the requester-observed fetch cost.
-func (hp *hlrcProtocol) fetchHomePage(h *Host, pk pageKey, home HostID, clk *simtime.Clock) ([]byte, int32) {
-	return hp.c.copyPageFrom(h, hp.c.Host(home), pk, "home", clk)
-}
-
-// takeDiff diffs the writer's page against its twin and consumes the
-// twin/dirty state, charging diff creation to clk. Returns nil when
-// the page is unchanged.
-func (hp *hlrcProtocol) takeDiff(h *Host, pk pageKey, clk *simtime.Clock) *page.Diff {
-	c := hp.c
-	st := &h.pages[pk.region][pk.page]
-	d := page.Make(st.twin, st.data)
-	c.releasePage(st.twin)
-	st.twin = nil
-	st.dirty = false
-	if d == nil {
-		return nil
-	}
-	c.stats.DiffsCreated.Add(1)
-	clk.Advance(c.costs.DiffCreate(h.machine, page.Size))
-	return d
-}
-
-// pushDiff ships a taken diff to the home and applies it there,
-// charging the one-way push to clk and recording the push and the
-// home's ack on the fabric. For a writer that is its own home only the
-// sequence commit remains.
-func (hp *hlrcProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Diff, s int32, clk *simtime.Clock) {
-	c := hp.c
-	if home != h.id {
-		hh := c.Host(home)
-		wire := d.WireSize()
-		c.fabric.Record(h.machine, hh.machine, wire+msgHeader)
-		c.fabric.Record(hh.machine, h.machine, msgHeader)
-		clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
-		c.stats.HomeFlushes.Add(1)
-		c.stats.HomeFlushBytes.Add(int64(wire))
-		hp.applyAtHome(h.id, hh, pk, d, s)
-	} else {
-		// The writer is the home: its copy already carries the words;
-		// just commit the sequence number.
+// pushToHome ships the diff a taken mask describes to the page's home
+// and applies it there, charging the one-way push to clk and recording
+// the push and the home's ack on the fabric. For a writer that is its
+// own home only the sequence commit remains: its copy already carries
+// the words. Shared by the two home-based protocols.
+func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, s int32, clk *simtime.Clock) {
+	if home == h.id {
 		st := &h.pages[pk.region][pk.page]
 		st.appliedSeq = s
 		st.valid = true
+		return
 	}
+	hh := c.Host(home)
+	wire := m.WireSize()
+	c.fabric.Record(h.machine, hh.machine, wire+msgHeader)
+	c.fabric.Record(hh.machine, h.machine, msgHeader)
+	clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
+	c.stats.HomeFlushes.Add(1)
+	c.stats.HomeFlushBytes.Add(int64(wire))
+	c.applyAtHome(h, hh, pk, m, s)
 }
 
-// applyAtHome applies a pushed diff to the home's copy. If the home
-// has the page dirty in its own open interval, the incoming words must
-// be disjoint from the home's own modified words — an overlap is the
-// sub-word race the Tmk paths panic on, and must be caught *before*
-// the apply destroys the evidence — and the diff is applied to the
-// twin as well, so the home's eventual flush carries only its own
-// words.
-func (hp *hlrcProtocol) applyAtHome(from HostID, hh *Host, pk pageKey, d *page.Diff, s int32) {
+// applyAtHome applies a pushed diff to the home's copy: the masked
+// words go straight from the writer's live page (see takeMask) into
+// the home's. If the home has the page dirty in its own open interval,
+// the incoming words must be disjoint from the home's own modified
+// words — an overlap is the sub-word race the Tmk paths panic on, and
+// must be caught *before* the apply destroys the evidence — and the
+// words go into the twin as well, so the home's eventual flush carries
+// only its own. A hybrid home holding the page elided (dirty, no twin)
+// has no diffable evidence — its sole-writer proof already failed if a
+// remote diff arrives — so the check is skipped and the words merge
+// (they are disjoint in a race-free program).
+func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32) {
 	st := &hh.pages[pk.region][pk.page]
 	if st.data == nil {
-		panic(fmt.Sprintf("dsm: hlrc: home %d of page %d/%d holds no copy", hh.id, pk.region, pk.page))
+		panic(fmt.Sprintf("dsm: %s: home %d of page %d/%d holds no copy", c.proto.Kind(), hh.id, pk.region, pk.page))
 	}
+	src := from.pages[pk.region][pk.page].data
 	if st.dirty && st.twin != nil {
-		if own := page.Make(st.twin, st.data); own != nil {
-			if w, ok := d.FirstOverlap(own); ok {
-				panic(hp.c.wordRaceMessage(from, hh.id, pk, w, "without synchronisation"))
-			}
+		own := page.Scan(st.twin, st.data)
+		if w, ok := m.FirstOverlap(&own); ok {
+			panic(c.wordRaceMessage(from.id, hh.id, pk, w, "without synchronisation"))
 		}
-		d.Apply(st.twin)
+		m.Copy(st.twin, src)
 	}
-	d.Apply(st.data)
+	m.Copy(st.data, src)
 	st.appliedSeq = s
 	st.valid = true
+}
+
+// mergeOverHomePage brings a stale dirty copy current when no diff
+// window can patch it: the home's current page is fetched and becomes
+// both the new twin and the new copy, and the host's own modified
+// words are overlaid from the old copy (they are disjoint from the
+// committed words in a race-free program).
+func (c *Cluster) mergeOverHomePage(h *Host, pk pageKey, home HostID, clk *simtime.Clock) {
+	st := &h.pages[pk.region][pk.page]
+	old := st.data
+	own := page.Scan(st.twin, old)
+	c.releasePage(st.twin)
+
+	data, applied := c.copyPageFrom(h, c.Host(home), pk, "home", clk)
+	st.twin = c.pagePool.Copy(data)
+	st.data = data
+	own.Copy(st.data, old)
+	c.releasePage(old)
+	st.appliedSeq = applied
 }
 
 // closePage commits interval s for one page at a barrier: every
@@ -175,25 +172,25 @@ func (hp *hlrcProtocol) closePage(pk pageKey, writers []HostID, s int32, active 
 	home := pm.owner
 	prevLatest := pm.latestSeq()
 
-	var made []writerDiff
+	var buf [4]writerMask // more concurrent writers of one page spill to the heap
+	made := buf[:0]
 	for _, w := range writers {
-		h := c.Host(w)
 		clk := simtime.NewClock(0)
-		d := hp.takeDiff(h, pk, clk)
+		m := c.takeMask(c.Host(w), pk, clk)
 		flush[w] += clk.Now()
-		if d != nil {
-			made = append(made, writerDiff{writer: w, diff: d})
+		if !m.Empty() {
+			made = append(made, writerMask{writer: w, mask: m})
 		}
 	}
 	c.checkWordRaces(pk, made)
 	if len(made) == 0 {
 		return // twins consumed, nothing changed
 	}
-	for _, wd := range made {
-		h := c.Host(wd.writer)
+	for i := range made {
+		wm := &made[i]
 		clk := simtime.NewClock(0)
-		hp.pushDiff(h, pk, home, wd.diff, s, clk)
-		flush[wd.writer] += clk.Now()
+		c.pushToHome(c.Host(wm.writer), pk, home, &wm.mask, s, clk)
+		flush[wm.writer] += clk.Now()
 	}
 	pm.baseSeq = s // latestSeq: the home is current as of s
 
@@ -234,13 +231,12 @@ func (hp *hlrcProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 		st := &h.pages[pk.region][pk.page]
 		wasCurrent := st.appliedSeq >= prevLatest
 
-		d := hp.takeDiff(h, pk, clk)
-		if d == nil {
+		m := c.takeMask(h, pk, clk)
+		if m.Empty() {
 			continue
 		}
-		hp.pushDiff(h, pk, pm.owner, d, s, clk)
+		c.pushToHome(h, pk, pm.owner, &m, s, clk)
 		if pm.owner != h.id {
-			st := &h.pages[pk.region][pk.page]
 			if wasCurrent {
 				st.appliedSeq = s // current: old value plus own writes
 			} else {
@@ -250,7 +246,7 @@ func (hp *hlrcProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 		pm.baseSeq = s
 		c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
 		made++
-		c.checkDirtyPeerRaces(h.id, pk, d)
+		c.checkDirtyPeerRaces(h.id, pk, &m)
 	}
 	if made > 0 && shouldPrune(len(c.releaseLog)) {
 		c.pruneReleaseLog()
@@ -262,8 +258,7 @@ func (hp *hlrcProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 // a stale clean copy goes invalid (the next fault pulls the page from
 // the home), a stale dirty copy is merged in place — the home's
 // current page is fetched, becomes the new twin, and the host's own
-// modified words are overlaid (disjoint from the committed words in a
-// race-free program).
+// modified words are overlaid (mergeOverHomePage).
 func (hp *hlrcProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 	c := hp.c
 	meta := c.dir.meta(pk.region, pk.page)
@@ -276,16 +271,7 @@ func (hp *hlrcProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Cl
 		st.valid = false
 		return
 	}
-	own := page.Make(st.twin, st.data)
-	c.releasePage(st.twin)
-	c.releasePage(st.data)
-
-	data, applied := hp.fetchHomePage(h, pk, meta.owner, clk)
-	st = &h.pages[pk.region][pk.page]
-	st.twin = c.pagePool.Copy(data)
-	st.data = data
-	own.Apply(st.data)
-	st.appliedSeq = applied
+	c.mergeOverHomePage(h, pk, meta.owner, clk)
 }
 
 // runGCLocked is trivial under HLRC: homes are always current, so the

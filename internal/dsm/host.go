@@ -55,9 +55,10 @@ type Host struct {
 	// write order; interval close consumes it.
 	written []pageKey
 	// diffs holds the diffs this host created, keyed by page, ascending
-	// in seq (Tmk protocol only: HLRC pushes diffs to the page's home
-	// at interval close and retains nothing). Readers fetch from here;
-	// GC clears it.
+	// in seq (Tmk protocol only: the home-based protocols apply a diff
+	// at the page's home at interval close, straight from the writer's
+	// page, and the writer retains nothing). Readers fetch from here; GC
+	// clears it.
 	diffs     map[pageKey][]seqDiff
 	diffBytes int
 	// syncSeq is the newest interval sequence this host has fully

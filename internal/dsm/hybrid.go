@@ -59,10 +59,15 @@ type hybridProtocol struct {
 }
 
 // chainEntry is one retained diff: the interval it committed, the
-// writer that authored it, and the diff itself.
+// writer that authored it, its wire size (what the window bounds and
+// the transfer pricing count) and the diff itself. diff is nil for an
+// entry of a page or more on the wire: any window containing it is at
+// least a page too, and window transfers are only ever chosen below
+// one page, so its payload could never be served.
 type chainEntry struct {
 	seq    int32
 	writer HostID
+	wire   int
 	diff   *page.Diff
 }
 
@@ -108,12 +113,16 @@ func (hy *hybridProtocol) chain(pk pageKey) *homeChain {
 }
 
 // retain appends a committed diff to the page's window, dropping the
-// oldest intervals when the bounds are exceeded.
-func (hy *hybridProtocol) retain(ch *homeChain, seq int32, w HostID, d *page.Diff) {
-	ch.entries = append(ch.entries, chainEntry{seq: seq, writer: w, diff: d})
-	wire := d.WireSize()
-	ch.bytes += wire
-	hy.retained += wire
+// oldest intervals when the bounds are exceeded. The payload is packed
+// from src, the writer's live page (see takeMask).
+func (hy *hybridProtocol) retain(ch *homeChain, seq int32, w HostID, m *page.Mask, src []byte) {
+	e := chainEntry{seq: seq, writer: w, wire: m.WireSize()}
+	if e.wire < page.Size {
+		e.diff = m.Pack(src)
+	}
+	ch.entries = append(ch.entries, e)
+	ch.bytes += e.wire
+	hy.retained += e.wire
 	for len(ch.entries) > maxChainEntries || ch.bytes > maxChainBytes {
 		// Drop the oldest interval whole: the floor must never split
 		// the entries of one close.
@@ -123,7 +132,7 @@ func (hy *hybridProtocol) retain(ch *homeChain, seq int32, w HostID, d *page.Dif
 		}
 		i := 0
 		for i < len(ch.entries) && ch.entries[i].seq == s {
-			n := ch.entries[i].diff.WireSize()
+			n := ch.entries[i].wire
 			ch.bytes -= n
 			hy.retained -= n
 			i++
@@ -141,7 +150,7 @@ func (hy *hybridProtocol) advance(ch *homeChain, seq int32) {
 	}
 	i := 0
 	for i < len(ch.entries) && ch.entries[i].seq <= ch.floor {
-		n := ch.entries[i].diff.WireSize()
+		n := ch.entries[i].wire
 		ch.bytes -= n
 		hy.retained -= n
 		i++
@@ -168,7 +177,7 @@ func (hy *hybridProtocol) keepOnly(ch *homeChain, w HostID) {
 	for _, e := range ch.entries {
 		if e.writer == w && e.seq > floor {
 			kept = append(kept, e)
-			bytes += e.diff.WireSize()
+			bytes += e.wire
 		}
 	}
 	hy.retained += bytes - ch.bytes
@@ -197,7 +206,7 @@ func (ch *homeChain) window(after int32) ([]chainEntry, int) {
 	win := ch.entries[i:]
 	wire := 0
 	for _, e := range win {
-		wire += e.diff.WireSize()
+		wire += e.wire
 	}
 	return win, wire
 }
@@ -304,68 +313,6 @@ func (hy *hybridProtocol) fetchWindow(h, src *Host, win []chainEntry, wire int, 
 	c.stats.DiffBytes.Add(int64(wire))
 }
 
-// takeDiff diffs the writer's page against its twin and consumes the
-// twin/dirty state, charging diff creation to clk. Returns nil when
-// the page is unchanged.
-func (hy *hybridProtocol) takeDiff(h *Host, pk pageKey, clk *simtime.Clock) *page.Diff {
-	c := hy.c
-	st := &h.pages[pk.region][pk.page]
-	d := page.Make(st.twin, st.data)
-	c.releasePage(st.twin)
-	st.twin = nil
-	st.dirty = false
-	if d == nil {
-		return nil
-	}
-	c.stats.DiffsCreated.Add(1)
-	clk.Advance(c.costs.DiffCreate(h.machine, page.Size))
-	return d
-}
-
-// pushDiff ships a taken diff to the home and applies it there (as
-// HLRC does); a writer that is its own home only commits the sequence.
-func (hy *hybridProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Diff, s int32, clk *simtime.Clock) {
-	c := hy.c
-	if home != h.id {
-		hh := c.Host(home)
-		wire := d.WireSize()
-		c.fabric.Record(h.machine, hh.machine, wire+msgHeader)
-		c.fabric.Record(hh.machine, h.machine, msgHeader)
-		clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
-		c.stats.HomeFlushes.Add(1)
-		c.stats.HomeFlushBytes.Add(int64(wire))
-		hy.applyAtHome(h.id, hh, pk, d, s)
-	} else {
-		st := &h.pages[pk.region][pk.page]
-		st.appliedSeq = s
-		st.valid = true
-	}
-}
-
-// applyAtHome applies a pushed diff to the home's copy, with the same
-// pre-apply race check as HLRC when the home itself has the page dirty
-// with a twin. An elided home (dirty, no twin) has no diffable
-// evidence — its sole-writer proof already failed if a remote diff
-// arrives — so the check is skipped and the words merge (they are
-// disjoint in a race-free program).
-func (hy *hybridProtocol) applyAtHome(from HostID, hh *Host, pk pageKey, d *page.Diff, s int32) {
-	st := &hh.pages[pk.region][pk.page]
-	if st.data == nil {
-		panic(fmt.Sprintf("dsm: hybrid: home %d of page %d/%d holds no copy", hh.id, pk.region, pk.page))
-	}
-	if st.dirty && st.twin != nil {
-		if own := page.Make(st.twin, st.data); own != nil {
-			if w, ok := d.FirstOverlap(own); ok {
-				panic(hy.c.wordRaceMessage(from, hh.id, pk, w, "without synchronisation"))
-			}
-		}
-		d.Apply(st.twin)
-	}
-	d.Apply(st.data)
-	st.appliedSeq = s
-	st.valid = true
-}
-
 // closePage commits interval s for one page at a barrier (or a forced
 // interval close), observing the writers for the classifier and
 // dispatching to the sole-writer or concurrent-writer path.
@@ -415,15 +362,15 @@ func (hy *hybridProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Ho
 		// The writer's copy misses interim commits: push its diff to
 		// the home as HLRC would, then the writer goes invalid.
 		clk := simtime.NewClock(0)
-		d := hy.takeDiff(h, pk, clk)
+		m := c.takeMask(h, pk, clk)
 		flush[w] += clk.Now()
-		if d == nil {
+		if m.Empty() {
 			return
 		}
 		clk = simtime.NewClock(0)
-		hy.pushDiff(h, pk, home, d, s, clk)
+		c.pushToHome(h, pk, home, &m, s, clk)
 		flush[w] += clk.Now()
-		hy.retain(ch, s, w, d)
+		hy.retain(ch, s, w, &m, st.data)
 		pm.baseSeq = s
 		st.valid = false
 		hy.invalidateStale(pk, home, s, active)
@@ -436,12 +383,12 @@ func (hy *hybridProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Ho
 	// copy must survive an unchanged close). Pages proven single-writer
 	// skip this work through the elided branch above instead.
 	clk := simtime.NewClock(0)
-	d := hy.takeDiff(h, pk, clk)
+	m := c.takeMask(h, pk, clk)
 	flush[w] += clk.Now()
-	if d == nil {
+	if m.Empty() {
 		return
 	}
-	wire := d.WireSize()
+	wire := m.WireSize()
 
 	// Home flip: free when the writer's diff is dense (windows are
 	// worthless for this page) or the window holds only the writer's
@@ -459,10 +406,10 @@ func (hy *hybridProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Ho
 	}
 	if home != w {
 		clk := simtime.NewClock(0)
-		hy.pushDiff(h, pk, home, d, s, clk)
+		c.pushToHome(h, pk, home, &m, s, clk)
 		flush[w] += clk.Now()
 	}
-	hy.retain(ch, s, w, d)
+	hy.retain(ch, s, w, &m, st.data)
 	st.appliedSeq = s
 	pm.baseSeq = s
 	hy.invalidateStale(pk, w, s, active)
@@ -479,7 +426,8 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 	prevLatest := pm.latestSeq()
 
 	elided := false
-	var made []writerDiff
+	var buf [4]writerMask // more concurrent writers of one page spill to the heap
+	made := buf[:0]
 	for _, w := range writers {
 		h := c.Host(w)
 		st := &h.pages[pk.region][pk.page]
@@ -493,21 +441,21 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 			continue
 		}
 		clk := simtime.NewClock(0)
-		d := hy.takeDiff(h, pk, clk)
+		m := c.takeMask(h, pk, clk)
 		flush[w] += clk.Now()
-		if d != nil {
-			made = append(made, writerDiff{writer: w, diff: d})
+		if !m.Empty() {
+			made = append(made, writerMask{writer: w, mask: m})
 		}
 	}
 	c.checkWordRaces(pk, made)
 	if len(made) == 0 && !elided {
 		return
 	}
-	for _, wd := range made {
-		h := c.Host(wd.writer)
+	for i := range made {
+		wm := &made[i]
 		clk := simtime.NewClock(0)
-		hy.pushDiff(h, pk, home, wd.diff, s, clk)
-		flush[wd.writer] += clk.Now()
+		c.pushToHome(c.Host(wm.writer), pk, home, &wm.mask, s, clk)
+		flush[wm.writer] += clk.Now()
 	}
 	if elided {
 		// The elided writer's words are not in any diff: the window
@@ -519,8 +467,9 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 		}
 		hy.advance(ch, s)
 	} else {
-		for _, wd := range made {
-			hy.retain(ch, s, wd.writer, wd.diff)
+		for i := range made {
+			wm := &made[i]
+			hy.retain(ch, s, wm.writer, &wm.mask, c.Host(wm.writer).pages[pk.region][pk.page].data)
 		}
 	}
 	pm.baseSeq = s
@@ -621,11 +570,11 @@ func (hy *hybridProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 		}
 
 		wasCurrent := st.appliedSeq >= prevLatest
-		d := hy.takeDiff(h, pk, clk)
-		if d == nil {
+		m := c.takeMask(h, pk, clk)
+		if m.Empty() {
 			continue
 		}
-		wire := d.WireSize()
+		wire := m.WireSize()
 		homeSt := &c.Host(pm.owner).pages[pk.region][pk.page]
 		elidedHome := homeSt.dirty && homeSt.twin == nil
 		if wasCurrent && pm.owner != h.id && !elidedHome && (ch.onlyWriter(h.id) || wire >= denseFlipWire) {
@@ -633,10 +582,9 @@ func (hy *hybridProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 			hy.keepOnly(ch, h.id)
 			c.stats.HomeMigrations.Add(1)
 		}
-		hy.pushDiff(h, pk, pm.owner, d, s, clk)
-		hy.retain(ch, s, h.id, d)
+		c.pushToHome(h, pk, pm.owner, &m, s, clk)
+		hy.retain(ch, s, h.id, &m, st.data)
 		if pm.owner != h.id {
-			st := &h.pages[pk.region][pk.page]
 			if wasCurrent {
 				st.appliedSeq = s
 			} else {
@@ -646,7 +594,7 @@ func (hy *hybridProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 		pm.baseSeq = s
 		c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
 		made++
-		c.checkDirtyPeerRaces(h.id, pk, d)
+		c.checkDirtyPeerRaces(h.id, pk, &m)
 	}
 	if made > 0 && shouldPrune(len(c.releaseLog)) {
 		c.pruneReleaseLog()
@@ -690,15 +638,7 @@ func (hy *hybridProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.
 			return
 		}
 	}
-	own := page.Make(st.twin, st.data)
-	c.releasePage(st.twin)
-	c.releasePage(st.data)
-	data, applied := c.copyPageFrom(h, c.Host(meta.owner), pk, "home", clk)
-	st = &h.pages[pk.region][pk.page]
-	st.twin = c.pagePool.Copy(data)
-	st.data = data
-	own.Apply(st.data)
-	st.appliedSeq = applied
+	c.mergeOverHomePage(h, pk, meta.owner, clk)
 }
 
 // runGCLocked prunes stale copies and normalises sequence numbers as

@@ -142,11 +142,38 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 	return res
 }
 
-// writerDiff pairs a diff produced at one interval close with its
-// writer, for the word-race check.
-type writerDiff struct {
+// takeMask closes h's writes to one page: the page is scanned against
+// its twin, the twin is released and the dirty state consumed, and if
+// any word changed the diff is counted and its creation charged to
+// clk.
+//
+// With the twin gone, the mask stands for the diff only as long as
+// nothing writes the page: whoever needs the words (Mask.Copy into the
+// home's copy, Mask.Pack into a retained diff) reads them from the
+// writer's live st.data. That is sound because no user code runs
+// between take and use — at a barrier every process is parked, and on
+// a flush path the running process is the writer itself, inside the
+// flush — and because the only protocol writes in between are other
+// writers' words landing on a home's copy, which checkWordRaces has
+// by then proven disjoint from the mask.
+func (c *Cluster) takeMask(h *Host, pk pageKey, clk *simtime.Clock) page.Mask {
+	st := &h.pages[pk.region][pk.page]
+	m := page.Scan(st.twin, st.data)
+	c.releasePage(st.twin)
+	st.twin = nil
+	st.dirty = false
+	if !m.Empty() {
+		c.stats.DiffsCreated.Add(1)
+		clk.Advance(c.costs.DiffCreate(h.machine, page.Size))
+	}
+	return m
+}
+
+// writerMask pairs the mask of a diff produced at one interval close
+// with its writer, for the word-race check and the push that follows.
+type writerMask struct {
 	writer HostID
-	diff   *page.Diff
+	mask   page.Mask
 }
 
 // checkWordRaces verifies that the diffs of concurrent writers of one
@@ -158,10 +185,10 @@ type writerDiff struct {
 // corruption into a diagnosable panic. The message names the region
 // and the first conflicting word so the owner of the layout can find
 // the offending elements.
-func (c *Cluster) checkWordRaces(pk pageKey, made []writerDiff) {
+func (c *Cluster) checkWordRaces(pk pageKey, made []writerMask) {
 	for i := 0; i < len(made); i++ {
 		for j := i + 1; j < len(made); j++ {
-			if w, ok := made[i].diff.FirstOverlap(made[j].diff); ok {
+			if w, ok := made[i].mask.FirstOverlap(&made[j].mask); ok {
 				panic(c.wordRaceMessage(made[i].writer, made[j].writer, pk, w,
 					"in the same interval"))
 			}

@@ -216,20 +216,17 @@ func (c *Cluster) ReleaseLock(id int, h *Host, clk *simtime.Clock) {
 // common modified word is a lost update in the making. The caller
 // holds the directory write lock, which serialises all interval
 // closes.
-func (c *Cluster) checkDirtyPeerRaces(writer HostID, pk pageKey, d *page.Diff) {
+func (c *Cluster) checkDirtyPeerRaces(writer HostID, pk pageKey, m *page.Mask) {
 	for _, h2 := range c.hosts {
 		if h2.id == writer || !h2.active {
 			continue
 		}
 		st2 := &h2.pages[pk.region][pk.page]
-		var d2 *page.Diff
-		if st2.dirty && st2.twin != nil {
-			d2 = page.Make(st2.twin, st2.data)
-		}
-		if d2 == nil {
+		if !st2.dirty || st2.twin == nil {
 			continue
 		}
-		if w, ok := d.FirstOverlap(d2); ok {
+		m2 := page.Scan(st2.twin, st2.data)
+		if w, ok := m.FirstOverlap(&m2); ok {
 			panic(c.wordRaceMessage(writer, h2.id, pk, w, "without synchronisation"))
 		}
 	}

@@ -167,25 +167,17 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 		pm.mode = ModeMulti
 	}
 
-	var made []writerDiff
+	var buf [4]writerMask // more concurrent writers of one page spill to the heap
+	made := buf[:0]
 	if multi {
 		for _, w := range writers {
 			h := c.Host(w)
-			st := &h.pages[pk.region][pk.page]
-			d := page.Make(st.twin, st.data)
-			c.releasePage(st.twin)
-			st.twin = nil
-			st.dirty = false
-			if d != nil {
-				h.diffs[pk] = append(h.diffs[pk], seqDiff{seq: s, diff: d})
-				h.diffBytes += d.WireSize()
-				c.stats.DiffsCreated.Add(1)
-				pm.addNotice(w, s)
-				flush[w] += c.costs.DiffCreate(h.machine, page.Size)
-				made = append(made, writerDiff{writer: w, diff: d})
-				if shouldPrune(len(h.diffs[pk])) {
-					c.pruneDiffChain(h, pk)
-				}
+			clk := simtime.NewClock(0)
+			m := c.takeMask(h, pk, clk)
+			flush[w] += clk.Now()
+			if !m.Empty() {
+				t.keepDiff(h, pk, pm, &m, s)
+				made = append(made, writerMask{writer: w, mask: m})
 			}
 		}
 		c.checkWordRaces(pk, made)
@@ -210,8 +202,8 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 	// diff exchange away). In the multi path "produced a notice" means
 	// a diff was made this close — membership in made.
 	noticed := func(id HostID) bool {
-		for _, wd := range made {
-			if wd.writer == id {
+		for i := range made {
+			if made[i].writer == id {
 				return true
 			}
 		}
@@ -241,6 +233,19 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 	}
 }
 
+// keepDiff retains the diff h just took for interval s on its own
+// chain — Tmk writers keep their diffs until a collection, so this is
+// where the payload is materialised — and posts the write notice.
+func (t *tmkProtocol) keepDiff(h *Host, pk pageKey, pm *pageMeta, m *page.Mask, s int32) {
+	c := t.c
+	h.diffs[pk] = append(h.diffs[pk], seqDiff{seq: s, diff: m.Pack(h.pages[pk.region][pk.page].data)})
+	h.diffBytes += m.WireSize()
+	pm.addNotice(h.id, s)
+	if shouldPrune(len(h.diffs[pk])) {
+		c.pruneDiffChain(h, pk)
+	}
+}
+
 // flushIntervalLocked closes h's open interval as a lock release does:
 // pages written since the interval opened become diffs with fresh write
 // notices, and affected pages go on the release log so later acquirers
@@ -262,31 +267,20 @@ func (t *tmkProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 			pm.baseSeq = prevLatest
 			pm.mode = ModeMulti
 		}
+		m := c.takeMask(h, pk, clk)
+		if m.Empty() {
+			continue
+		}
 		st := &h.pages[pk.region][pk.page]
-		d := page.Make(st.twin, st.data)
-		c.releasePage(st.twin)
-		st.twin = nil
-		st.dirty = false
-		if d != nil {
-			h.diffs[pk] = append(h.diffs[pk], seqDiff{seq: s, diff: d})
-			h.diffBytes += d.WireSize()
-			c.stats.DiffsCreated.Add(1)
-			pm.addNotice(h.id, s)
-			c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
-			if st.appliedSeq >= prevLatest {
-				st.appliedSeq = s // current: old value plus own writes
-			} else {
-				st.valid = false // concurrent writers under other locks
-			}
-			clk.Advance(c.costs.DiffCreate(h.machine, page.Size))
-			made++
-			if shouldPrune(len(h.diffs[pk])) {
-				c.pruneDiffChain(h, pk)
-			}
+		if st.appliedSeq >= prevLatest {
+			st.appliedSeq = s // current: old value plus own writes
+		} else {
+			st.valid = false // concurrent writers under other locks
 		}
-		if d != nil {
-			c.checkDirtyPeerRaces(h.id, pk, d)
-		}
+		t.keepDiff(h, pk, pm, &m, s)
+		c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
+		made++
+		c.checkDirtyPeerRaces(h.id, pk, &m)
 	}
 	if made > 0 && shouldPrune(len(c.releaseLog)) {
 		c.pruneReleaseLog()

@@ -2,87 +2,171 @@ package page
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 )
 
-// Run is a maximal contiguous range of modified words within a page.
-type Run struct {
-	// Word is the index of the first modified word.
-	Word uint16
-	// Data holds the new contents, a multiple of WordBytes long.
-	Data []byte
+// Mask is the set of words of a page that differ between its twin and
+// its current contents: bit w%64 of lane w/64 is set when word w
+// changed. It is a 64-byte value that lives on the stack; everything
+// the protocols need from a diff — its wire size, its first overlap
+// with another writer's, and its application — derives from the mask
+// and the writer's live page, so a payload is only materialised (Pack)
+// where a diff outlives the interval close that made it.
+type Mask [Words / 64]uint64
+
+// groupWords is how many words Scan compares per step: it loads them
+// through a fixed-size array pointer, so one length check covers all
+// the loads, and a group with no difference costs a single test.
+const groupWords = 8
+
+// Scan compares current against twin as 8-byte words in one pass and
+// returns the mask of the words that differ. Both slices must be
+// exactly one page; they need no alignment (the loads are
+// encoding/binary's, which compile to plain unaligned moves).
+func Scan(twin, current []byte) Mask {
+	mustPage(twin)
+	mustPage(current)
+	tp, cp := (*[Size]byte)(twin), (*[Size]byte)(current)
+	var m Mask
+	for g := 0; g < Words/groupWords; g++ {
+		t := (*[groupWords * WordBytes]byte)(tp[g*groupWords*WordBytes:])
+		c := (*[groupWords * WordBytes]byte)(cp[g*groupWords*WordBytes:])
+		x0 := word(t, 0) ^ word(c, 0)
+		x1 := word(t, 1) ^ word(c, 1)
+		x2 := word(t, 2) ^ word(c, 2)
+		x3 := word(t, 3) ^ word(c, 3)
+		x4 := word(t, 4) ^ word(c, 4)
+		x5 := word(t, 5) ^ word(c, 5)
+		x6 := word(t, 6) ^ word(c, 6)
+		x7 := word(t, 7) ^ word(c, 7)
+		if x0|x1|x2|x3|x4|x5|x6|x7 == 0 {
+			continue
+		}
+		b := nonzero(x0) | nonzero(x1)<<1 | nonzero(x2)<<2 | nonzero(x3)<<3 |
+			nonzero(x4)<<4 | nonzero(x5)<<5 | nonzero(x6)<<6 | nonzero(x7)<<7
+		m[g/groupWords] |= b << (uint(g%groupWords) * groupWords)
+	}
+	return m
 }
 
-// Diff is the set of words of a page that changed between its twin and
-// its current contents. The zero value is an empty diff.
-type Diff struct {
-	Runs []Run
+// word loads the w-th word of a group.
+func word(b *[groupWords * WordBytes]byte, w int) uint64 {
+	return binary.LittleEndian.Uint64(b[w*WordBytes : (w+1)*WordBytes])
+}
+
+// nonzero returns 1 if x != 0 and 0 otherwise, without a branch.
+func nonzero(x uint64) uint64 { return (x | -x) >> 63 }
+
+// Empty reports whether no word changed.
+func (m *Mask) Empty() bool {
+	var any uint64
+	for _, lane := range m {
+		any |= lane
+	}
+	return any == 0
 }
 
 // runHeaderBytes is the wire size of a run header: word index plus word
-// count, two bytes each (TreadMarks encodes diffs as such run lists).
+// count, two bytes each (TreadMarks encodes diffs as lists of maximal
+// runs of modified words).
 const runHeaderBytes = 4
 
-// maxRuns is the most runs one page can diff into: changed and
-// unchanged words strictly alternating.
-const maxRuns = Words / 2
+// DataBytes returns the number of payload bytes the mask selects.
+func (m *Mask) DataBytes() int {
+	n := 0
+	for _, lane := range m {
+		n += bits.OnesCount64(lane)
+	}
+	return n * WordBytes
+}
+
+// WireSize returns the encoded size in bytes of the diff the mask
+// describes: payload plus a header per maximal run plus a fixed diff
+// header, zero for an empty mask. This is what the network is charged
+// when the diff travels. A run starts at every set bit whose
+// predecessor (carried across lanes) is clear.
+func (m *Mask) WireSize() int {
+	words, runs := 0, 0
+	var carry uint64
+	for _, lane := range m {
+		words += bits.OnesCount64(lane)
+		runs += bits.OnesCount64(lane &^ (lane<<1 | carry))
+		carry = lane >> 63
+	}
+	if words == 0 {
+		return 0
+	}
+	return runHeaderBytes + runs*runHeaderBytes + words*WordBytes
+}
+
+// FirstOverlap returns the lowest word index set in both masks, and
+// whether one exists. The DSM's word-race diagnostics use it to name
+// the conflicting word in their panic messages.
+func (m *Mask) FirstOverlap(o *Mask) (int, bool) {
+	for i := range m {
+		if common := m[i] & o[i]; common != 0 {
+			return i<<6 | bits.TrailingZeros64(common), true
+		}
+	}
+	return 0, false
+}
+
+// eachRun calls f with the byte range [lo, hi) of every run of set
+// bits, in ascending order. Runs are split at lane boundaries, which
+// no caller minds: they only copy.
+func (m *Mask) eachRun(f func(lo, hi int)) {
+	for i, lane := range m {
+		base := i * 64
+		for lane != 0 {
+			start := bits.TrailingZeros64(lane)
+			n := bits.TrailingZeros64(^(lane >> uint(start))) // 64 when the run reaches the lane's end
+			f((base+start)*WordBytes, (base+start+n)*WordBytes)
+			if start+n >= 64 {
+				break
+			}
+			lane &^= (1<<uint(n) - 1) << uint(start)
+		}
+	}
+}
+
+// Copy writes the masked words of src into dst; both must be exactly
+// one page. With src the writer's live page this is the whole of
+// "apply the diff at the home", with no intermediate payload.
+func (m *Mask) Copy(dst, src []byte) {
+	mustPage(dst)
+	mustPage(src)
+	m.eachRun(func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
+}
+
+// Pack materialises the diff: the masked words of src (exactly one
+// page), concatenated in ascending order into one buffer.
+func (m *Mask) Pack(src []byte) *Diff {
+	mustPage(src)
+	payload := make([]byte, m.DataBytes())
+	off := 0
+	m.eachRun(func(lo, hi int) { off += copy(payload[off:], src[lo:hi]) })
+	return &Diff{Mask: *m, payload: payload}
+}
+
+// Diff is a materialised diff: the mask of modified words and their
+// new contents, packed. A nil *Diff is an empty diff. Diffs are
+// immutable once made and may be shared between hosts.
+type Diff struct {
+	Mask    Mask
+	payload []byte
+}
 
 // Make scans current against twin and returns their diff, or nil if
 // the page is unchanged. Both slices must be exactly one page.
-//
-// The scan compares whole 8-byte words as uint64 loads — one compare
-// per word instead of a bytes.Equal call per word — and the run
-// payloads share a single backing buffer, so a Make costs at most
-// three allocations (Diff, run headers, payload) however fragmented
-// the modifications are.
 func Make(twin, current []byte) *Diff {
-	mustPage(twin)
-	mustPage(current)
-
-	// First pass: find the run boundaries and the payload total. The
-	// boundary scratch lives on the stack.
-	var starts, ends [maxRuns]uint16
-	n := 0
-	total := 0
-	w := 0
-	for w < Words {
-		off := w * WordBytes
-		if binary.LittleEndian.Uint64(twin[off:]) == binary.LittleEndian.Uint64(current[off:]) {
-			w++
-			continue
-		}
-		start := w
-		for w < Words {
-			off = w * WordBytes
-			if binary.LittleEndian.Uint64(twin[off:]) == binary.LittleEndian.Uint64(current[off:]) {
-				break
-			}
-			w++
-		}
-		starts[n], ends[n] = uint16(start), uint16(w)
-		n++
-		total += (w - start) * WordBytes
-	}
-	if n == 0 {
+	m := Scan(twin, current)
+	if m.Empty() {
 		return nil
 	}
-
-	// Second pass: copy the payloads into one shared backing buffer.
-	backing := make([]byte, total)
-	runs := make([]Run, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		lo, hi := int(starts[i])*WordBytes, int(ends[i])*WordBytes
-		data := backing[off : off+(hi-lo) : off+(hi-lo)]
-		copy(data, current[lo:hi])
-		runs[i] = Run{Word: starts[i], Data: data}
-		off += hi - lo
-	}
-	return &Diff{Runs: runs}
+	return m.Pack(current)
 }
 
-// Apply writes the diff's runs into dst, which must be exactly one
+// Apply writes the diff's words into dst, which must be exactly one
 // page. Applying diffs from concurrent writers of a race-free program
 // is order-independent because their modified words are disjoint;
 // applying diffs from successive intervals must happen in interval
@@ -92,98 +176,26 @@ func (d *Diff) Apply(dst []byte) {
 	if d == nil {
 		return
 	}
-	for _, r := range d.Runs {
-		off := int(r.Word) * WordBytes
-		if off+len(r.Data) > Size {
-			panic(fmt.Sprintf("page: diff run at word %d with %d bytes overflows page", r.Word, len(r.Data)))
-		}
-		copy(dst[off:], r.Data)
-	}
+	off := 0
+	d.Mask.eachRun(func(lo, hi int) { off += copy(dst[lo:hi], d.payload[off:]) })
 }
 
-// WireSize returns the encoded size of the diff in bytes: payload plus
-// per-run headers plus a fixed diff header. This is the payload charged
-// to the network when a diff is fetched.
+// WireSize returns the encoded size of the diff in bytes (see
+// Mask.WireSize); a nil diff has none.
 func (d *Diff) WireSize() int {
 	if d == nil {
 		return 0
 	}
-	n := runHeaderBytes // diff header: page id + run count
-	for _, r := range d.Runs {
-		n += runHeaderBytes + len(r.Data)
-	}
-	return n
-}
-
-// DataBytes returns the number of payload bytes carried by the diff.
-func (d *Diff) DataBytes() int {
-	if d == nil {
-		return 0
-	}
-	n := 0
-	for _, r := range d.Runs {
-		n += len(r.Data)
-	}
-	return n
+	return d.Mask.WireSize()
 }
 
 // Overlaps reports whether two diffs modify any common word. Race-free
 // programs produce non-overlapping diffs within one interval; the DSM
 // asserts this in tests.
 func (d *Diff) Overlaps(o *Diff) bool {
-	_, ok := d.FirstOverlap(o)
-	return ok
-}
-
-// maskWords is the size of a per-page word bitset in uint64 lanes.
-const maskWords = Words / 64
-
-// FirstOverlap returns the lowest word index modified by both diffs,
-// and whether one exists. The DSM's word-race diagnostics use it to
-// name the conflicting word in their panic messages.
-//
-// Both diffs rasterise into 64-byte stack bitsets ([Words/64]uint64,
-// not the [Words]bool mask this used to allocate per call); the lowest
-// common word is the first set bit of their intersection.
-func (d *Diff) FirstOverlap(o *Diff) (int, bool) {
 	if d == nil || o == nil {
-		return 0, false
+		return false
 	}
-	var a, b [maskWords]uint64
-	for _, r := range d.Runs {
-		end := int(r.Word) + len(r.Data)/WordBytes
-		for w := int(r.Word); w < end; w++ {
-			a[w>>6] |= 1 << uint(w&63)
-		}
-	}
-	for _, r := range o.Runs {
-		end := int(r.Word) + len(r.Data)/WordBytes
-		for w := int(r.Word); w < end; w++ {
-			b[w>>6] |= 1 << uint(w&63)
-		}
-	}
-	for i := 0; i < maskWords; i++ {
-		if common := a[i] & b[i]; common != 0 {
-			return i<<6 | bits.TrailingZeros64(common), true
-		}
-	}
-	return 0, false
-}
-
-// Clone returns a deep copy of the diff. Like Make, the copy's run
-// payloads share one backing buffer.
-func (d *Diff) Clone() *Diff {
-	if d == nil {
-		return nil
-	}
-	backing := make([]byte, d.DataBytes())
-	c := &Diff{Runs: make([]Run, len(d.Runs))}
-	off := 0
-	for i, r := range d.Runs {
-		data := backing[off : off+len(r.Data) : off+len(r.Data)]
-		copy(data, r.Data)
-		c.Runs[i] = Run{Word: r.Word, Data: data}
-		off += len(r.Data)
-	}
-	return c
+	_, ok := d.Mask.FirstOverlap(&o.Mask)
+	return ok
 }

@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,12 @@ import (
 func fill(b []byte, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	r.Read(b)
+}
+
+// twin copies a page through a freelist, as the DSM does.
+func twin(data []byte) []byte {
+	var fl Freelist
+	return fl.Copy(data)
 }
 
 func TestCount(t *testing.T) {
@@ -35,7 +42,8 @@ func TestCountNegativePanics(t *testing.T) {
 func TestTwinIsIndependentCopy(t *testing.T) {
 	p := make([]byte, Size)
 	fill(p, 1)
-	tw := Twin(p)
+	var fl Freelist
+	tw := fl.Copy(p)
 	if !bytes.Equal(tw, p) {
 		t.Fatal("twin must equal page at creation")
 	}
@@ -48,7 +56,7 @@ func TestTwinIsIndependentCopy(t *testing.T) {
 func TestMakeNilOnUnchanged(t *testing.T) {
 	p := make([]byte, Size)
 	fill(p, 2)
-	if d := Make(Twin(p), p); d != nil {
+	if d := Make(twin(p), p); d != nil {
 		t.Fatalf("diff of unchanged page = %v, want nil", d)
 	}
 }
@@ -56,7 +64,7 @@ func TestMakeNilOnUnchanged(t *testing.T) {
 func TestDiffRoundTrip(t *testing.T) {
 	p := make([]byte, Size)
 	fill(p, 3)
-	tw := Twin(p)
+	tw := twin(p)
 	// Scatter writes: single word, a run, and the last word.
 	p[0] = ^p[0]
 	for i := 100 * WordBytes; i < 140*WordBytes; i++ {
@@ -68,7 +76,7 @@ func TestDiffRoundTrip(t *testing.T) {
 	if d == nil {
 		t.Fatal("expected non-nil diff")
 	}
-	got := Twin(tw) // fresh copy of the pristine page
+	got := twin(tw) // fresh copy of the pristine page
 	d.Apply(got)
 	if !bytes.Equal(got, p) {
 		t.Fatal("twin + diff != current page")
@@ -77,31 +85,31 @@ func TestDiffRoundTrip(t *testing.T) {
 
 func TestDiffRunCoalescing(t *testing.T) {
 	p := make([]byte, Size)
-	tw := Twin(p)
-	// Two adjacent words then a gap then one word: expect 2 runs.
+	tw := twin(p)
+	// Two adjacent words then a gap then one word: two runs on the wire.
 	copy(p[0:16], bytes.Repeat([]byte{1}, 16))
 	p[64*WordBytes] = 9
 	d := Make(tw, p)
-	if len(d.Runs) != 2 {
-		t.Fatalf("got %d runs, want 2: %+v", len(d.Runs), d.Runs)
+	if want := (Mask{0: 0b11, 1: 1}); d.Mask != want {
+		t.Fatalf("mask = %x, want words 0, 1 and 64", d.Mask)
 	}
-	if d.Runs[0].Word != 0 || len(d.Runs[0].Data) != 16 {
-		t.Errorf("run 0 = word %d len %d, want word 0 len 16", d.Runs[0].Word, len(d.Runs[0].Data))
+	if d.Mask.DataBytes() != 3*WordBytes {
+		t.Errorf("payload = %d bytes, want %d", d.Mask.DataBytes(), 3*WordBytes)
 	}
-	if d.Runs[1].Word != 64 || len(d.Runs[1].Data) != WordBytes {
-		t.Errorf("run 1 = word %d len %d, want word 64 len 8", d.Runs[1].Word, len(d.Runs[1].Data))
+	if want := runHeaderBytes + 2*runHeaderBytes + 3*WordBytes; d.WireSize() != want {
+		t.Errorf("wire size = %d, want %d (two runs)", d.WireSize(), want)
 	}
 }
 
 func TestWireSizeBounds(t *testing.T) {
 	p := make([]byte, Size)
-	tw := Twin(p)
+	tw := twin(p)
 	for i := range p {
 		p[i] = 0xaa
 	}
 	d := Make(tw, p)
-	if d.DataBytes() != Size {
-		t.Fatalf("full-page diff payload = %d, want %d", d.DataBytes(), Size)
+	if d.Mask.DataBytes() != Size {
+		t.Fatalf("full-page diff payload = %d, want %d", d.Mask.DataBytes(), Size)
 	}
 	if d.WireSize() != Size+2*runHeaderBytes {
 		t.Fatalf("full-page diff wire size = %d, want %d", d.WireSize(), Size+2*runHeaderBytes)
@@ -117,22 +125,22 @@ func TestDisjointWritersMerge(t *testing.T) {
 	// Writer A modifies the first half, writer B the second half,
 	// both starting from the same base (the multiple-writer scenario
 	// on a partition-straddling page).
-	a, b := Twin(base), Twin(base)
+	a, b := twin(base), twin(base)
 	for i := 0; i < Size/2; i++ {
 		a[i] ^= 0x0f
 	}
 	for i := Size / 2; i < Size; i++ {
 		b[i] ^= 0xf0
 	}
-	da := Make(Twin(base), a)
-	db := Make(Twin(base), b)
+	da := Make(twin(base), a)
+	db := Make(twin(base), b)
 	if da.Overlaps(db) {
 		t.Fatal("disjoint writers must produce non-overlapping diffs")
 	}
-	m1 := Twin(base)
+	m1 := twin(base)
 	da.Apply(m1)
 	db.Apply(m1)
-	m2 := Twin(base)
+	m2 := twin(base)
 	db.Apply(m2)
 	da.Apply(m2)
 	if !bytes.Equal(m1, m2) {
@@ -152,32 +160,13 @@ func TestDisjointWritersMerge(t *testing.T) {
 
 func TestOverlapsDetectsConflict(t *testing.T) {
 	base := make([]byte, Size)
-	a, b := Twin(base), Twin(base)
+	a, b := twin(base), twin(base)
 	a[8] = 1
 	b[9] = 2 // same word as a's write (word 1)
-	da := Make(Twin(base), a)
-	db := Make(Twin(base), b)
+	da := Make(twin(base), a)
+	db := Make(twin(base), b)
 	if !da.Overlaps(db) {
 		t.Fatal("same-word writers must overlap")
-	}
-}
-
-func TestClone(t *testing.T) {
-	p := make([]byte, Size)
-	fill(p, 5)
-	tw := Twin(p)
-	p[42] ^= 1
-	d := Make(tw, p)
-	c := d.Clone()
-	c.Runs[0].Data[0] ^= 0xff
-	out1, out2 := Twin(tw), Twin(tw)
-	d.Apply(out1)
-	c.Apply(out2)
-	if bytes.Equal(out1, out2) {
-		t.Fatal("clone must be deep: mutating the clone changed the original")
-	}
-	if (*Diff)(nil).Clone() != nil {
-		t.Fatal("nil diff clone must be nil")
 	}
 }
 
@@ -187,17 +176,17 @@ func TestDiffReconstructionProperty(t *testing.T) {
 	f := func(seed int64, writes []uint16) bool {
 		p := make([]byte, Size)
 		fill(p, seed)
-		tw := Twin(p)
+		tw := twin(p)
 		for _, w := range writes {
 			p[int(w)%Size] ^= byte(w >> 8)
 		}
 		d := Make(tw, p)
-		got := Twin(tw)
+		got := twin(tw)
 		d.Apply(got)
 		if !bytes.Equal(got, p) {
 			return false
 		}
-		return d.WireSize() >= d.DataBytes()
+		return d == nil || d.WireSize() >= d.Mask.DataBytes()
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
@@ -205,35 +194,30 @@ func TestDiffReconstructionProperty(t *testing.T) {
 	}
 }
 
-// Property: diff payload is always a multiple of the word size and runs
-// are sorted, non-adjacent and in-bounds.
+// Property: a diff exists exactly when the page changed, its payload
+// is one word per mask bit, and its wire size lies between one run
+// holding every word and one run per word.
 func TestDiffShapeProperty(t *testing.T) {
 	f := func(seed int64, writes []uint16) bool {
 		p := make([]byte, Size)
 		fill(p, seed)
-		tw := Twin(p)
+		tw := twin(p)
 		for _, w := range writes {
 			p[int(w)%Size] ^= 0xff
 		}
 		d := Make(tw, p)
 		if d == nil {
-			return len(writes) == 0 || bytes.Equal(tw, p)
+			return bytes.Equal(tw, p)
 		}
-		prevEnd := -1
-		for _, r := range d.Runs {
-			if len(r.Data) == 0 || len(r.Data)%WordBytes != 0 {
-				return false
-			}
-			if int(r.Word) <= prevEnd { // must leave a gap, else runs coalesce
-				return false
-			}
-			end := int(r.Word) + len(r.Data)/WordBytes
-			if end > Words {
-				return false
-			}
-			prevEnd = end
+		words := 0
+		for _, lane := range d.Mask {
+			words += bits.OnesCount64(lane)
 		}
-		return true
+		if words == 0 || d.Mask.DataBytes() != words*WordBytes {
+			return false
+		}
+		wire := d.WireSize()
+		return wire >= 2*runHeaderBytes+d.Mask.DataBytes() && wire <= runHeaderBytes+words*(runHeaderBytes+WordBytes)
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
@@ -241,39 +225,87 @@ func TestDiffShapeProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkDiffMakeSparse(b *testing.B) {
-	p := make([]byte, Size)
-	fill(p, 7)
-	tw := Twin(p)
-	p[100] ^= 1
-	p[2000] ^= 1
+// benchPage returns a twin and a current page with every step-th word
+// modified (step 64: sparse, one word per mask lane; step 1: dense).
+func benchPage(seed int64, step int) (tw, cur []byte) {
+	cur = make([]byte, Size)
+	fill(cur, seed)
+	tw = twin(cur)
+	for w := 0; w < Words; w += step {
+		cur[w*WordBytes] ^= 1
+	}
+	return tw, cur
+}
+
+var (
+	sinkMask Mask
+	sinkDiff *Diff
+)
+
+func BenchmarkScanSparse(b *testing.B) {
+	tw, p := benchPage(7, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Make(tw, p)
+		sinkMask = Scan(tw, p)
+	}
+}
+
+func BenchmarkScanDense(b *testing.B) {
+	tw, p := benchPage(7, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkMask = Scan(tw, p)
+	}
+}
+
+// BenchmarkMaskCopyDense is the home-based close: scan, price, apply
+// straight from the writer's page.
+func BenchmarkMaskCopyDense(b *testing.B) {
+	tw, p := benchPage(7, 1)
+	dst := twin(tw)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := Scan(tw, p)
+		if m.WireSize() == 0 {
+			b.Fatal("empty mask")
+		}
+		m.Copy(dst, p)
+	}
+}
+
+// BenchmarkMakeSparse and BenchmarkMakeDense are the retained diff
+// (Scan + Pack), as Tmk's chains and hybrid's windows keep it.
+func BenchmarkMakeSparse(b *testing.B) {
+	tw, p := benchPage(7, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDiff = Make(tw, p)
+	}
+}
+
+func BenchmarkMakeDense(b *testing.B) {
+	tw, p := benchPage(7, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDiff = Make(tw, p)
 	}
 }
 
 func BenchmarkDiffApplyFull(b *testing.B) {
-	p := make([]byte, Size)
-	fill(p, 8)
-	tw := Twin(p)
-	for i := range p {
-		p[i] ^= 0x5a
-	}
+	tw, p := benchPage(8, 1)
 	d := Make(tw, p)
-	dst := Twin(tw)
+	dst := twin(tw)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.Apply(dst)
 	}
 }
 
-func BenchmarkDiffFirstOverlap(b *testing.B) {
+func BenchmarkMaskFirstOverlap(b *testing.B) {
 	p := make([]byte, Size)
 	fill(p, 9)
-	tw := Twin(p)
 	// Two moderately dense writers with one common word near the end:
-	// the bitset walk has to cover most of the mask before it hits.
+	// the walk has to cover most of the mask before it hits.
 	a := append([]byte(nil), p...)
 	for i := 0; i < Size; i += 64 {
 		a[i] ^= 1
@@ -284,48 +316,46 @@ func BenchmarkDiffFirstOverlap(b *testing.B) {
 	}
 	a[Size-8] ^= 1
 	c[Size-8] ^= 1
-	da := Make(tw, a)
-	dc := Make(tw, c)
+	ma, mc := Scan(p, a), Scan(p, c)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := da.FirstOverlap(dc); !ok {
+		if _, ok := ma.FirstOverlap(&mc); !ok {
 			b.Fatal("expected an overlap")
 		}
 	}
 }
 
 // TestHotPathAllocationPins pins the allocation counts of the codec
-// hot paths, so an accidental heap escape (a reverted stack scratch
-// buffer, a boxed scalar) fails loudly instead of surfacing as a GC
+// hot paths, so an accidental heap escape (the mask leaving the stack,
+// a run callback boxed) fails loudly instead of surfacing as a GC
 // regression in the bench matrix.
 func TestHotPathAllocationPins(t *testing.T) {
-	p := make([]byte, Size)
-	fill(p, 10)
-	tw := Twin(p)
-	mod := append([]byte(nil), p...)
-	for i := 0; i < Size; i += 128 {
-		mod[i] ^= 1
-	}
-	other := append([]byte(nil), p...)
+	tw, mod := benchPage(10, 16)
+	other := append([]byte(nil), tw...)
 	for i := 64; i < Size; i += 128 {
 		other[i] ^= 1
 	}
+	dst := twin(tw)
 	d := Make(tw, mod)
 	od := Make(tw, other)
 
-	if n := testing.AllocsPerRun(200, func() { d.Apply(p) }); n != 0 {
-		t.Errorf("Diff.Apply allocates %v times per run, want 0", n)
+	pins := []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Scan", 0, func() { sinkMask = Scan(tw, mod) }},
+		{"Mask.WireSize", 0, func() { m := Scan(tw, mod); _ = m.WireSize() }},
+		{"Mask.FirstOverlap", 0, func() { a, b := Scan(tw, mod), Scan(tw, other); a.FirstOverlap(&b) }},
+		{"Mask.Copy", 0, func() { m := Scan(tw, mod); m.Copy(dst, mod) }},
+		{"Diff.Apply", 0, func() { d.Apply(dst) }},
+		{"Diff.Overlaps", 0, func() { d.Overlaps(od) }},
+		// A materialised diff is its header and one payload buffer.
+		{"Make", 2, func() { sinkDiff = Make(tw, mod) }},
 	}
-	if n := testing.AllocsPerRun(200, func() { d.FirstOverlap(od) }); n != 0 {
-		t.Errorf("Diff.FirstOverlap allocates %v times per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { d.Overlaps(od) }); n != 0 {
-		t.Errorf("Diff.Overlaps allocates %v times per run, want 0", n)
-	}
-	// Make's scratch (run boundaries) lives on the stack; only the Diff
-	// header, the run slice and the single payload backing buffer may
-	// allocate.
-	if n := testing.AllocsPerRun(200, func() { Make(tw, mod) }); n > 3 {
-		t.Errorf("Diff.Make allocates %v times per run, want <= 3", n)
+	for _, pin := range pins {
+		if n := testing.AllocsPerRun(200, pin.f); n > pin.max {
+			t.Errorf("%s allocates %v times per run, want <= %v", pin.name, n, pin.max)
+		}
 	}
 }

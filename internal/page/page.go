@@ -1,16 +1,14 @@
 // Package page implements the 4 KB shared-memory page primitives of the
 // TreadMarks protocol: twins (pristine copies taken at the first write
-// of an interval) and word-granularity diffs (run-length encodings of
-// the words that changed between a twin and the current page). Diffs
-// are what make the multiple-writer protocol possible: two processes
-// may modify disjoint words of the same page concurrently, and their
-// diffs merge without conflict at the next synchronisation.
+// of an interval) and word-granularity diffs (the mask of the words
+// that changed between a twin and the current page, plus their new
+// contents where the diff has to be kept). Diffs are what make the
+// multiple-writer protocol possible: two processes may modify disjoint
+// words of the same page concurrently, and their diffs merge without
+// conflict at the next synchronisation.
 package page
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 const (
 	// Size is the shared-memory page size in bytes, matching the 4 KB
@@ -36,57 +34,22 @@ func Count(bytes int) int {
 	return (bytes + Size - 1) / Size
 }
 
-// pool recycles page-sized buffers: twins live for one interval and
-// page copies are dropped at every refetch and garbage collection, so
-// the hot paths would otherwise allocate a fresh 4 KB block per event.
-// Pooling is invisible to the simulation — every Get is immediately
-// and fully overwritten (Twin copies a whole page, Zeroed clears) — so
-// results stay bit-exact no matter which buffer comes back.
-var pool = sync.Pool{New: func() any { return new([Size]byte) }}
-
-// Twin returns a pristine copy of the page taken before the first write
-// of an interval (also the general "copy one page" allocator: fetches
-// duplicate a remote copy through it). The input must be exactly one
-// page. The buffer may be recycled; pass it to Release when provably
-// dropping the last reference.
-func Twin(data []byte) []byte {
-	mustPage(data)
-	t := pool.Get().(*[Size]byte)
-	copy(t[:], data)
-	return t[:]
-}
-
-// Zeroed returns a zero-filled page.
-func Zeroed() []byte {
-	t := pool.Get().(*[Size]byte)
-	clear(t[:])
-	return t[:]
-}
-
-// Release returns a page buffer obtained from Twin or Zeroed to the
-// pool. nil is a no-op; so is a buffer of the wrong shape (a caller
-// holding a foreign slice simply leaves it to the garbage collector).
-// The caller must hold the only remaining reference.
-func Release(b []byte) {
-	if len(b) != Size || cap(b) != Size {
-		return
-	}
-	pool.Put((*[Size]byte)(b))
-}
-
 func mustPage(b []byte) {
 	if len(b) != Size {
 		panic(fmt.Sprintf("page: got %d bytes, want exactly %d", len(b), Size))
 	}
 }
 
-// Freelist is a single-owner page-buffer recycler. The shared pool
-// above pays a synchronised Get/Put per twin, which the DSM hot path
-// performs once per written page per interval — millions of times at
-// full scale. A cluster whose events are serialised (the discrete-event
-// engine runs exactly one process at a time) can recycle through a
-// plain stack instead. Buffers are interchangeable with the shared
-// pool's; each must be released to exactly one of the two.
+// Freelist is a single-owner page-buffer recycler: twins live for one
+// interval and page copies are dropped at every refetch and garbage
+// collection, so the DSM hot path would otherwise allocate a fresh
+// 4 KB block per event — millions of times at full scale. A cluster
+// whose events are serialised (the discrete-event engine runs exactly
+// one process at a time) recycles through a plain stack, with no
+// synchronisation. Recycling is invisible to the simulation — every
+// buffer handed out is immediately and fully overwritten (Copy copies
+// a whole page, Zeroed clears) — so results stay bit-exact no matter
+// which buffer comes back.
 type Freelist struct {
 	free []*[Size]byte
 }
@@ -100,8 +63,11 @@ func (f *Freelist) get() *[Size]byte {
 	return new([Size]byte)
 }
 
-// Copy returns a recycled buffer holding a copy of the page, the
-// freelist counterpart of Twin.
+// Copy returns a recycled buffer holding a copy of the page: a twin
+// (the pristine copy taken before the first write of an interval) or a
+// fetched duplicate of a remote copy. The input must be exactly one
+// page. Pass the buffer to Release when provably dropping the last
+// reference.
 func (f *Freelist) Copy(data []byte) []byte {
 	mustPage(data)
 	t := f.get()
@@ -116,8 +82,10 @@ func (f *Freelist) Zeroed() []byte {
 	return t[:]
 }
 
-// Release returns a buffer to the freelist. As with the pooled
-// Release, nil and foreign slices are no-ops.
+// Release returns a buffer to the freelist. nil is a no-op; so is a
+// buffer of the wrong shape (a caller holding a foreign slice simply
+// leaves it to the garbage collector). The caller must hold the only
+// remaining reference.
 func (f *Freelist) Release(b []byte) {
 	if len(b) != Size || cap(b) != Size {
 		return
