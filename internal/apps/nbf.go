@@ -166,20 +166,21 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 		p.ChargeUnits((hi-lo)*(k+6), InitCostPerElement)
 	})
 
+	// The force phase's seven work slices are fully overwritten before
+	// they are read, every iteration, so they are reused across
+	// iterations.
+	var floats scratch[float64]
+	var lists scratch[int32]
 	for it := 0; it < cfg.Iters; it++ {
 		// Force phase: irregular reads of partner positions.
 		rt.For("nbf.force", 0, n, func(p *omp.Proc, lo, hi int) {
 			cnt := hi - lo
-			fx := make([]float64, cnt)
-			fy := make([]float64, cnt)
-			fz := make([]float64, cnt)
-			px := make([]float64, cnt)
-			py := make([]float64, cnt)
-			pz := make([]float64, cnt)
+			fx, fy, fz := floats.get(cnt), floats.get(cnt), floats.get(cnt)
+			px, py, pz := floats.get(cnt), floats.get(cnt), floats.get(cnt)
 			pos[0].ReadRange(p.Mem(), lo, hi, px)
 			pos[1].ReadRange(p.Mem(), lo, hi, py)
 			pos[2].ReadRange(p.Mem(), lo, hi, pz)
-			plist := make([]int32, cnt*stride)
+			plist := lists.get(cnt * stride)
 			partners.ReadRange(p.Mem(), lo*stride, hi*stride, plist)
 			// Partner positions are irregular random reads: the bundled
 			// fault-aware reader resolves each index once and serves all
@@ -205,6 +206,8 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			frc[1].WriteRange(p.Mem(), lo, fy)
 			frc[2].WriteRange(p.Mem(), lo, fz)
 			p.ChargeUnits(cnt*k, cfg.PairCost)
+			floats.put(fx, fy, fz, px, py, pz)
+			lists.put(plist)
 		})
 
 		// Integration phase: each process updates its own positions.

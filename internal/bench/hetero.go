@@ -285,11 +285,7 @@ func heteroRun(opt Options, sc heteroScenario, sched omp.Schedule, extraIters in
 	net0 := rt.Cluster().Fabric().Snapshot()
 	for it := 0; it < iters; it++ {
 		rt.For("hetero.work", 0, n, func(p *omp.Proc, lo, hi int) {
-			buf := make([]float64, hi-lo)
-			for i := range buf {
-				buf[i] = 1
-			}
-			out.WriteRange(p.Mem(), lo, buf)
+			fillOnes(out, p.Mem(), lo, hi)
 			p.ChargeUnits(hi-lo, heteroUnit)
 		}, opts...)
 	}

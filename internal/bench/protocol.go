@@ -10,6 +10,7 @@ import (
 	"nowomp/internal/machine"
 	"nowomp/internal/omp"
 	"nowomp/internal/page"
+	"nowomp/internal/shmem"
 	"nowomp/internal/simnet"
 	"nowomp/internal/simtime"
 )
@@ -248,6 +249,20 @@ func Protocols(opt Options) ([]ProtoRow, error) {
 	return rows, nil
 }
 
+// fillOnes sets out[lo,hi) to 1 in place, span by span: the pages
+// write-fault and twin in the order a WriteRange of a staged slice
+// would take them, without allocating that slice on every claimed
+// chunk of the loop benches.
+func fillOnes(out *shmem.Array[float64], m shmem.Context, lo, hi int) {
+	for lo < hi {
+		span := out.WriteSpan(m, lo, hi)
+		for i := range span {
+			span[i] = 1
+		}
+		lo += len(span)
+	}
+}
+
 // protoLoopRun measures the uniform loop for one matrix cell,
 // mirroring the hetero experiment's kernel so the two matrices are
 // comparable.
@@ -302,11 +317,7 @@ func protoLoopRun(opt Options, sc protoScenario, sched omp.Schedule, proto dsm.P
 	st0 := rt.Cluster().Stats().Snapshot()
 	for it := 0; it < iters; it++ {
 		rt.For("proto.work", 0, n, func(p *omp.Proc, lo, hi int) {
-			buf := make([]float64, hi-lo)
-			for i := range buf {
-				buf[i] = 1
-			}
-			out.WriteRange(p.Mem(), lo, buf)
+			fillOnes(out, p.Mem(), lo, hi)
 			p.ChargeUnits(hi-lo, heteroUnit)
 		}, opts...)
 	}

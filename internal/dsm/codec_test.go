@@ -145,8 +145,9 @@ func dirtyWord(c *Cluster, h *Host, pk pageKey, word int) {
 // page. Under HLRC a diff is scanned, priced and applied at the home
 // straight from the writer's page: nothing outlives the close, so
 // nothing may be allocated — on the barrier path, on the lock-release
-// path, or applying onto a home that is itself dirty. Under Tmk the
-// writer keeps the diff: its header and its one payload buffer.
+// path, on the write fault that opens the next interval, or applying
+// onto a home that is itself dirty. Under Tmk the writer keeps the
+// diff: its header and its one payload buffer.
 func TestCloseAllocationPins(t *testing.T) {
 	setup := func(proto ProtocolKind) (*Cluster, *Host, pageKey) {
 		c, err := New(Config{MaxHosts: 2, Adaptive: true, Protocol: proto})
@@ -197,6 +198,19 @@ func TestCloseAllocationPins(t *testing.T) {
 	c, w, pk = setup(HLRC)
 	if n := testing.AllocsPerRun(200, release(c, w, pk)); n != 0 {
 		t.Errorf("hlrc lock-release flush allocates %v times per page, want 0", n)
+	}
+	// The write fault that opens each interval: twin from the page
+	// pool, dirty-list entry into the capacity the last close left.
+	c, w, pk = setup(HLRC)
+	word := make([]byte, page.WordBytes)
+	if n := testing.AllocsPerRun(200, func() {
+		word[0]++
+		w.Write(pk.region, 0, word, clk)
+		if c.proto.flushIntervalLocked(w, clk) != 1 {
+			t.Fatal("flush made no diff")
+		}
+	}); n != 0 {
+		t.Errorf("hlrc write fault plus flush allocates %v times per interval, want 0", n)
 	}
 	c, w, pk = setup(HLRC)
 	home := c.Host(0)

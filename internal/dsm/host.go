@@ -52,8 +52,11 @@ type Host struct {
 
 	pages [][]pageState // [region][page]
 	// written lists the pages dirtied in the open interval, in first-
-	// write order; interval close consumes it.
-	written []pageKey
+	// write order; interval close consumes it. writtenSpare is the
+	// previous interval's list, kept for its capacity (see
+	// takeWritten).
+	written      []pageKey
+	writtenSpare []pageKey
 	// diffs holds the diffs this host created, keyed by page, ascending
 	// in seq (Tmk protocol only: the home-based protocols apply a diff
 	// at the page's home at interval close, straight from the writer's
@@ -299,10 +302,12 @@ func (h *Host) localDiffs(pk pageKey) []seqDiff {
 
 // takeWritten consumes and returns the open interval's dirty-page list.
 // Called by interval-close code with the directory write lock held and
-// the host's process parked.
+// the host's process parked. The two lists alternate, so the next
+// interval's write faults append into capacity that is already there;
+// the returned list is the caller's until the host's next close.
 func (h *Host) takeWritten() []pageKey {
 	w := h.written
-	h.written = nil
+	h.written, h.writtenSpare = h.writtenSpare[:0], w
 	return w
 }
 

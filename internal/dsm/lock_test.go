@@ -133,7 +133,8 @@ func TestUpgradeInPlaceKeepsDiffsOwnWrites(t *testing.T) {
 		// cover word 1 only — overlapping host 0's open word-0 write
 		// would panic the race check.
 		putU64(c, 1, r.ID, 8, 7, clk1)
-		p.Park("sit out host 0's lock section", func() (simtime.Seconds, bool) { return 5.0, true })
+		var sitOut engine.WaitList
+		p.ParkOn(&sitOut, "sit out host 0's lock section", func() (simtime.Seconds, bool) { return 5.0, true })
 		clk1.AdvanceTo(5.0)
 		c.AcquireLock(3, c.Host(1), clk1)
 		putU64(c, 1, r.ID, 8, 8, clk1)

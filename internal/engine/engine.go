@@ -1,13 +1,15 @@
 // Package engine implements the deterministic discrete-event
 // scheduler at the heart of the simulated NOW runtime. Every simulated
 // process — an OpenMP team process running a parallel construct, a
-// task-region worker, a lock requester — runs as a coroutine: a real
-// goroutine that executes only while it holds the engine's token and
-// parks at every blocking point. Exactly one coroutine runs at any
-// instant; when it parks or exits, the engine wakes the runnable
-// (parked, wake-condition satisfied) proc with the lowest virtual
-// time, breaking ties by proc id (the host id for team processes, the
-// team slot for task workers) and then by registration order.
+// task-region worker, a lock requester — runs on a runtime coroutine
+// (iter.Pull): Run resumes the elected proc with next, a parking proc
+// hands the token back with yield, and each is one coroswitch on the
+// calling thread — no run queue, no wakeup of an idle P, no futex.
+// Exactly one coroutine runs at any instant; when it parks or exits,
+// the engine wakes the runnable (parked, wake-condition satisfied)
+// proc with the lowest virtual time, breaking ties by proc id (the
+// host id for team processes, the team slot for task workers) and
+// then by registration order.
 //
 // The wake rule is the standard conservative discrete-event argument:
 // the proc with the minimum virtual time can never be invalidated by
@@ -25,7 +27,7 @@
 // registration order) instead of re-evaluating every proc's wake
 // condition per dispatch. A proc enters the heap when its condition
 // first reports ready and stays there with that key until dispatched.
-// Three mechanisms keep the heap truthful without global re-scans:
+// Two rules keep the heap truthful without global re-scans:
 //
 //   - Wait lists. A proc whose condition depends on a shared resource
 //     parks on that resource's WaitList (lock queues, the task
@@ -40,16 +42,12 @@
 //     that drifted later (a parked clock advanced) re-sorts. This
 //     covers every condition that can only be *invalidated* or
 //     *delayed* by other procs' actions, with no notification needed.
-//   - Polled parks. A plain Park with no wait list keeps the legacy
-//     contract: its condition is re-evaluated before every election.
-//     Used by tests and any caller that cannot name the resource it
-//     waits on.
 //
 // The common "park then immediately re-elect the same proc" case — an
 // uncontended lock claim in a dynamic loop, say — short-circuits in
-// Park: if the parking proc's condition already holds and no heap
-// entry precedes its key, it keeps the token with no channel
-// round-trip and no election. This is exact, not heuristic: the
+// ParkOn: if the parking proc's condition already holds and no heap
+// entry precedes its key, it keeps the token with no coroutine
+// switch and no election. This is exact, not heuristic: the
 // outcome equals the full election's (asserted by a property test
 // against a reference linear-scan implementation).
 //
@@ -61,18 +59,20 @@
 // never as a silently different schedule.
 //
 // A panic — a proc's own, re-thrown by Run, or the deadlock
-// diagnostic — abandons the engine: the remaining parked procs stay
-// blocked on their resume channels for the life of the process, along
-// with whatever their wake closures capture. The simulation is
-// unrecoverable at that point; an embedder that recovers the panic
-// must treat the runtime as dead and accept one leaked goroutine per
-// parked proc.
+// diagnostic — abandons the engine: before Run panics it stops every
+// live proc's coroutine, so each parked proc unwinds from its park
+// (deferred calls run, one proc at a time), its goroutine exits and
+// what its closures capture becomes garbage. An embedder that recovers
+// the panic must treat the runtime as dead, but it leaks nothing.
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"strings"
+	"sync"
 
 	"nowomp/internal/simtime"
 )
@@ -92,60 +92,109 @@ type WakeFunc func() (at simtime.Seconds, ok bool)
 type Engine struct {
 	procs   []*Proc
 	running *Proc
-	events  chan event
 	live    int
+	// failure is the wrapped panic of a proc that died, for Run to
+	// re-throw.
+	failure string
 
 	// heap holds the ready procs, a binary min-heap on
 	// (key, id, order).
 	heap []*Proc
-	// polled holds the procs parked without a wait list; they are
-	// re-evaluated before every election.
-	polled []*Proc
-	// recheck holds the procs flagged for re-evaluation (notified,
-	// freshly parked, or polled), deduplicated by Proc.flagged.
+	// recheck holds the procs flagged for re-evaluation (notified or
+	// freshly parked), deduplicated by Proc.flagged.
 	recheck []*Proc
 }
 
-type eventKind int
+// errAbandoned unwinds a parked proc of an abandoned engine; Proc.run
+// swallows it.
+var errAbandoned = errors.New("engine: abandoned after a panic")
 
-const (
-	evParked eventKind = iota
-	evExited
-	evPanicked
-)
+// coroutine is an iter.Pull coroutine that runs one proc body after
+// another: next resumes it until the proc it carries parks or exits;
+// yield is that proc's side of the switch and reports false once stop
+// has abandoned the coroutine. Between procs it waits on the idle
+// list — process-wide, since every construct forks a fresh engine, and
+// never longer than the most procs ever live at once. Reuse saves a
+// goroutine creation per proc and, under go1.24's race detector, the
+// race context that every finished coroutine leaks. The runtime insists
+// that a coroutine is resumed under the thread-lock state it was
+// created under, so engines must not be driven both from goroutines
+// that hold runtime.LockOSThread and from goroutines that do not.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc
+}
 
-// event is the proc-to-scheduler half of the coroutine handshake.
-type event struct {
-	p    *Proc
-	kind eventKind
-	pv   any // evPanicked: the wrapped panic
+var idle struct {
+	sync.Mutex
+	cos []*coroutine
+}
+
+// carry returns a coroutine, idle or new, that runs p's body next.
+func carry(p *Proc) *coroutine {
+	var co *coroutine
+	idle.Lock()
+	if n := len(idle.cos); n > 0 {
+		co, idle.cos = idle.cos[n-1], idle.cos[:n-1]
+	}
+	idle.Unlock()
+	if co == nil {
+		co = new(coroutine)
+		co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+			co.yield = yield
+			for {
+				co.p.run()
+				// Idle from here: let go of the proc, and with it the
+				// engine, the bodies' closures and the cluster they hold.
+				co.p = nil
+				if !yield(struct{}{}) {
+					return
+				}
+			}
+		})
+	}
+	co.p = p
+	return co
+}
+
+// run executes the proc's body and records how it ended.
+func (p *Proc) run() {
+	defer func() {
+		// An abandoned proc (done before its body returned) unwinds on
+		// errAbandoned; whatever it throws, the engine has its failure.
+		if v := recover(); v != nil && !p.done {
+			p.e.failure = fmt.Sprintf("engine: %s panicked: %v\n%s", p.name, v, debug.Stack())
+		}
+	}()
+	p.fn(p)
 }
 
 // Proc is one simulated process registered with an engine.
 type Proc struct {
-	e      *Engine
-	name   string
-	id     int
-	order  int
-	clk    *simtime.Clock
-	resume chan struct{}
+	e     *Engine
+	name  string
+	id    int
+	order int
+	clk   *simtime.Clock
+	fn    func(*Proc)
+	co    *coroutine
 
 	parked bool
-	done   bool
+	done   bool // fn returned and Run took note, or abandoned
 	reason string
 	wake   WakeFunc
 	wokeAt simtime.Seconds
 
 	// key is the wake instant this proc is heaped under while ready.
 	key simtime.Seconds
-	// heapIdx / polledIdx / listIdx are the proc's positions in the
-	// engine's ready heap, the polled set and its wait list; -1 when
-	// absent.
-	heapIdx   int
-	polledIdx int
-	list      *WaitList
-	listIdx   int
-	flagged   bool
+	// heapIdx / listIdx are the proc's positions in the engine's ready
+	// heap and its wait list; -1 when absent.
+	heapIdx int
+	list    *WaitList
+	listIdx int
+	flagged bool
 }
 
 // WaitList is the set of procs parked on one resource (a lock's
@@ -162,19 +211,13 @@ type WaitList struct {
 // Notify marks every proc parked on the list for re-evaluation before
 // the next election. It must be called after any mutation that can
 // turn a listed proc's wake condition true or move its wake instant
-// earlier; calling it when nothing changed is harmless. Conditions
-// that can only go false or move later need no notification — the
-// election revalidates the heap top.
+// earlier; a spurious call is harmless. Conditions that can only go
+// false or move later need no notification — the election revalidates
+// the heap top.
 func (wl *WaitList) Notify() {
 	for _, p := range wl.procs {
 		p.e.flag(p)
 	}
-}
-
-func (wl *WaitList) add(p *Proc) {
-	p.list = wl
-	p.listIdx = len(wl.procs)
-	wl.procs = append(wl.procs, p)
 }
 
 func (wl *WaitList) remove(p *Proc) {
@@ -190,83 +233,82 @@ func (wl *WaitList) remove(p *Proc) {
 
 // New returns an empty engine.
 func New() *Engine {
-	return &Engine{events: make(chan event)}
+	return &Engine{}
 }
 
-// Go registers a proc and starts its coroutine. The coroutine begins
-// parked ("start"), runnable at its clock's current instant, and first
-// executes when the engine elects it; fn runs entirely under the
+// Go registers a proc on a coroutine. The proc begins parked ("start")
+// on the ready heap, runnable at its clock's current instant, and
+// first executes when the engine elects it; fn runs entirely under the
 // engine's token. Go may be called before Run or by the currently
 // running proc (a task region adding workers for a joined host).
 func (e *Engine) Go(name string, id int, clk *simtime.Clock, fn func(*Proc)) *Proc {
 	p := &Proc{
-		e:         e,
-		name:      name,
-		id:        id,
-		order:     len(e.procs),
-		clk:       clk,
-		resume:    make(chan struct{}),
-		parked:    true,
-		reason:    "start",
-		heapIdx:   -1,
-		polledIdx: -1,
-		listIdx:   -1,
+		e:       e,
+		name:    name,
+		id:      id,
+		order:   len(e.procs),
+		clk:     clk,
+		fn:      fn,
+		parked:  true,
+		reason:  "start",
+		heapIdx: -1,
+		listIdx: -1,
 	}
+	p.co = carry(p)
 	e.procs = append(e.procs, p)
 	e.live++
-	e.polledAdd(p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if v := recover(); v != nil {
-				e.events <- event{p: p, kind: evPanicked,
-					pv: fmt.Sprintf("engine: %s panicked: %v\n%s", p.name, v, debug.Stack())}
-				return
-			}
-			e.events <- event{p: p, kind: evExited}
-		}()
-		fn(p)
-	}()
+	e.heapPush(p, clk.Now())
 	return p
 }
 
 // Run drives the procs to completion: it repeatedly elects the
 // runnable proc with the lowest (virtual time, id) and hands it the
 // token until every proc has exited. The calling goroutine is the
-// scheduler; it must not be one of the procs. A panic in a proc is
+// scheduler; it must not be one of this engine's procs (a proc of
+// another engine may drive it: coroutines nest). A panic in a proc is
 // re-thrown here with the proc's original stack attached.
 func (e *Engine) Run() {
 	for e.live > 0 {
-		p := e.next()
+		p := e.elect()
 		if p == nil {
-			panic(e.deadlockMessage())
+			msg := e.deadlockMessage()
+			e.abandon()
+			panic(msg)
 		}
 		e.dispatch(p)
-		p.resume <- struct{}{}
-		ev := <-e.events
+		p.co.next()
 		e.running = nil
-		switch ev.kind {
-		case evParked:
-			// The proc registered itself (wait list or polled set)
-			// and flagged itself for evaluation before it sent the
-			// event; nothing to do here.
-		case evExited:
-			ev.p.done = true
-			e.live--
-		case evPanicked:
-			panic(ev.pv)
+		if p.co.p == p {
+			continue // parked: on its wait list, flagged for evaluation
+		}
+		p.done = true
+		e.live--
+		idle.Lock()
+		idle.cos = append(idle.cos, p.co)
+		idle.Unlock()
+		if e.failure != "" {
+			e.abandon()
+			panic(e.failure)
 		}
 	}
 }
 
-// next elects the runnable proc with the minimal (wake instant, id,
-// registration order): polled procs are re-evaluated, pending
-// notifications are applied, then the heap top is revalidated until
-// it is truthful.
-func (e *Engine) next() *Proc {
-	for _, p := range e.polled {
-		e.flag(p)
+// abandon releases the procs of an engine that is about to panic:
+// stopping a live proc's coroutine unwinds a parked proc from its park
+// and discards one that never started.
+func (e *Engine) abandon() {
+	for _, p := range e.procs {
+		if !p.done {
+			p.done = true
+			p.co.stop()
+		}
 	}
+}
+
+// elect picks the runnable proc with the minimal (wake instant, id,
+// registration order): pending notifications are applied, then the
+// heap top is revalidated until it is truthful.
+func (e *Engine) elect() *Proc {
 	e.drain()
 	for len(e.heap) > 0 {
 		p := e.heap[0]
@@ -288,9 +330,6 @@ func (e *Engine) next() *Proc {
 // hands it the token.
 func (e *Engine) dispatch(p *Proc) {
 	e.heapDelete(p)
-	if p.polledIdx >= 0 {
-		e.polledRemove(p)
-	}
 	if p.list != nil {
 		p.list.remove(p)
 	}
@@ -362,43 +401,26 @@ func (e *Engine) deadlockMessage() string {
 // the running proc.
 func (e *Engine) Running() *Proc { return e.running }
 
-// Park blocks the calling proc until wake reports ready and the
+// ParkOn blocks the calling proc until wake reports ready and the
 // engine elects it, and returns the instant the wake fired at. reason
-// is the wait description shown by the deadlock diagnostic. A nil
-// wake means "ready at the proc's own clock". The condition is
-// re-evaluated before every election; parks tied to a nameable
-// resource should use ParkOn instead, which re-evaluates only when
-// the resource's wait list is notified.
-func (p *Proc) Park(reason string, wake WakeFunc) simtime.Seconds {
-	return p.park(reason, wake, nil)
-}
-
-// ParkOn is Park for a proc whose wake condition depends on one
-// shared resource: the proc registers on the resource's wait list and
-// its condition is re-evaluated only when the list is notified (or
-// when its heap entry is revalidated at an election). Every mutation
-// that can make the condition true or move its instant earlier must
-// Notify the list, or the engine may (loudly) report a deadlock.
+// is the wait description shown by the deadlock diagnostic. A nil wake
+// means "ready at the proc's own clock". The proc registers on wl, the
+// wait list of the resource its condition depends on, and the
+// condition is re-evaluated only when the list is notified (or when
+// its heap entry is revalidated at an election). Every mutation that
+// can make the condition true or move its instant earlier must Notify
+// the list, or the engine may (loudly) report a deadlock.
 func (p *Proc) ParkOn(wl *WaitList, reason string, wake WakeFunc) simtime.Seconds {
-	return p.park(reason, wake, wl)
-}
-
-func (p *Proc) park(reason string, wake WakeFunc, wl *WaitList) simtime.Seconds {
 	e := p.e
 	p.reason = reason
 	p.wake = wake
 	// Fast path: the parking proc's condition already holds and no
 	// ready proc precedes it, so the election it is about to trigger
-	// would hand the token straight back. Keep the token: no channel
-	// round-trip, no goroutine switch. The scheduler goroutine is
-	// blocked in its event receive throughout, so mutating the ready
-	// structures from here is safe — it is the same single thread of
-	// control, handed over memory-visibly at the next event send.
+	// would hand the token straight back. Keep the token: no coroutine
+	// switch. Run is suspended inside next throughout, so mutating the
+	// ready structures from here is the same single thread of control.
 	if e.running == p {
 		if at, ok := p.evalWake(); ok {
-			for _, q := range e.polled {
-				e.flag(q)
-			}
 			e.drain()
 			if !e.topBeats(at, p) {
 				p.wokeAt = at
@@ -407,14 +429,16 @@ func (p *Proc) park(reason string, wake WakeFunc, wl *WaitList) simtime.Seconds 
 		}
 	}
 	p.parked = true
-	if wl != nil {
-		wl.add(p)
-	} else {
-		e.polledAdd(p)
-	}
+	p.list, p.listIdx = wl, len(wl.procs)
+	wl.procs = append(wl.procs, p)
 	e.flag(p)
-	e.events <- event{p: p, kind: evParked}
-	<-p.resume
+	if !p.co.yield(struct{}{}) {
+		// Abandoned, here or (a deferred call parking while its proc
+		// unwinds) before it got here: leave the list, which may
+		// outlive the engine, and unwind.
+		wl.remove(p)
+		panic(errAbandoned)
+	}
 	return p.wokeAt
 }
 
@@ -429,19 +453,10 @@ func (e *Engine) topBeats(at simtime.Seconds, p *Proc) bool {
 		return false
 	}
 	q := e.heap[0]
-	if q.key != at {
-		return q.key < at
-	}
-	if q.id != p.id {
-		return q.id < p.id
-	}
-	return q.order < p.order
+	return before(q.key, q.id, q.order, at, p.id, p.order)
 }
 
-// ID returns the proc's tiebreak id.
-func (p *Proc) ID() int { return p.id }
-
-// SetID changes the proc's tiebreak id. The task runtime uses it when
+// SetID replaces the proc's tiebreak id. The task runtime uses it when
 // an adaptation reassigns team slots. Only the running proc (or the
 // scheduler between dispatches) may call it.
 func (p *Proc) SetID(id int) {
@@ -453,22 +468,20 @@ func (p *Proc) SetID(id int) {
 	}
 }
 
-// Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name }
+// before orders two election keys: (wake instant, id, registration
+// order).
+func before(ka simtime.Seconds, ida, oa int, kb simtime.Seconds, idb, ob int) bool {
+	if ka != kb {
+		return ka < kb
+	}
+	if ida != idb {
+		return ida < idb
+	}
+	return oa < ob
+}
 
-// Clock returns the proc's virtual clock.
-func (p *Proc) Clock() *simtime.Clock { return p.clk }
-
-// heapLess orders ready procs by (wake instant, id, registration
-// order) — the engine's full election key.
 func (e *Engine) heapLess(a, b *Proc) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.id != b.id {
-		return a.id < b.id
-	}
-	return a.order < b.order
+	return before(a.key, a.id, a.order, b.key, b.id, b.order)
 }
 
 func (e *Engine) heapPush(p *Proc, key simtime.Seconds) {
@@ -531,19 +544,4 @@ func (e *Engine) heapSwap(i, j int) {
 	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
 	e.heap[i].heapIdx = i
 	e.heap[j].heapIdx = j
-}
-
-func (e *Engine) polledAdd(p *Proc) {
-	p.polledIdx = len(e.polled)
-	e.polled = append(e.polled, p)
-}
-
-func (e *Engine) polledRemove(p *Proc) {
-	i := p.polledIdx
-	last := len(e.polled) - 1
-	e.polled[i] = e.polled[last]
-	e.polled[i].polledIdx = i
-	e.polled[last] = nil
-	e.polled = e.polled[:last]
-	p.polledIdx = -1
 }

@@ -1,11 +1,18 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
+	"weak"
 
 	"nowomp/internal/simtime"
 )
+
+// never is the wake condition of a proc nobody will ever release.
+func never() (simtime.Seconds, bool) { return 0, false }
 
 // TestWakeOrderLowestVirtualTime: procs are elected strictly by their
 // wake instant, regardless of registration order.
@@ -46,30 +53,32 @@ func TestWakeOrderTiebreakByID(t *testing.T) {
 
 // TestParkWakesInVirtualTimeOrder: a parked proc resumes only when its
 // wake condition holds and it has the minimal (instant, id) key; the
-// wake instant is returned by Park.
+// wake instant is returned by ParkOn.
 func TestParkWakesInVirtualTimeOrder(t *testing.T) {
 	e := New()
 	var order []string
+	var token, turn WaitList
 	ready := false
 	clkA := simtime.NewClock(0)
 	e.Go("a", 0, clkA, func(p *Proc) {
-		at := p.Park("token from b", func() (simtime.Seconds, bool) {
+		at := p.ParkOn(&token, "token from b", func() (simtime.Seconds, bool) {
 			if !ready {
 				return 0, false
 			}
 			return 4.0, true
 		})
 		if at != 4.0 {
-			t.Errorf("Park returned %v, want 4.0", at)
+			t.Errorf("ParkOn returned %v, want 4.0", at)
 		}
 		order = append(order, "a")
 	})
 	clkB := simtime.NewClock(2.0)
 	e.Go("b", 1, clkB, func(p *Proc) {
 		ready = true
+		token.Notify()
 		clkB.AdvanceTo(9.0)
 		// After b parks again at 9.0, a (ready at 4.0) must run first.
-		p.Park("later turn", func() (simtime.Seconds, bool) { return clkB.Now(), true })
+		p.ParkOn(&turn, "later turn", func() (simtime.Seconds, bool) { return clkB.Now(), true })
 		order = append(order, "b")
 	})
 	e.Run()
@@ -83,12 +92,12 @@ func TestParkWakesInVirtualTimeOrder(t *testing.T) {
 // wait reasons.
 func TestDeadlockPanicsNamingProcs(t *testing.T) {
 	e := New()
-	never := func() (simtime.Seconds, bool) { return 0, false }
+	var wl WaitList
 	e.Go("reader", 0, simtime.NewClock(1.5), func(p *Proc) {
-		p.Park("lock 7", never)
+		p.ParkOn(&wl, "lock 7", never)
 	})
 	e.Go("writer", 1, simtime.NewClock(2.5), func(p *Proc) {
-		p.Park("barrier arrival", never)
+		p.ParkOn(&wl, "barrier arrival", never)
 	})
 	defer func() {
 		v := recover()
@@ -163,5 +172,180 @@ func TestRunningIsTheTokenHolder(t *testing.T) {
 	}
 	if e.Running() != nil {
 		t.Fatal("Running() non-nil after Run")
+	}
+}
+
+// pingPong registers two procs that alternate via a pair of semaphores
+// for the given number of rounds each, so every park is contended and
+// the fast path never applies: 2*rounds full switches.
+func pingPong(e *Engine, rounds int) {
+	wls := new([2]WaitList)
+	sems := &[2]int{1, 0}
+	for p := 0; p < 2; p++ {
+		mine, theirs := p, 1-p
+		clk := simtime.NewClock(0)
+		e.Go(fmt.Sprintf("p%d", p), p, clk, func(ep *Proc) {
+			for i := 0; i < rounds; i++ {
+				at := clk.Now()
+				ep.ParkOn(&wls[mine], "turn", func() (simtime.Seconds, bool) {
+					if sems[mine] == 0 {
+						return 0, false
+					}
+					return at, true
+				})
+				sems[mine]--
+				clk.Advance(0.25)
+				sems[theirs]++
+				wls[theirs].Notify()
+			}
+		})
+	}
+}
+
+// schedLatencySamples counts the goroutine-became-runnable events the
+// Go scheduler has recorded: one per goroutine handed to a run queue.
+func schedLatencySamples() uint64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// TestSwitchStaysOutOfTheScheduler pins the switch mechanism by count,
+// not by clock: a proc switch is a coroutine switch on the calling
+// thread, so 100 000 of them must leave the scheduler's run-queue
+// latency histogram (nearly) untouched. A goroutine-and-channel
+// handshake adds a sample per handoff — tens of thousands here, after
+// the histogram's own sampling.
+func TestSwitchStaysOutOfTheScheduler(t *testing.T) {
+	e := New()
+	pingPong(e, 50000)
+	before := schedLatencySamples()
+	e.Run()
+	if got := schedLatencySamples() - before; got >= 1000 {
+		t.Fatalf("100000 proc switches added %d scheduler latency samples, want < 1000: a switch is entering the Go scheduler", got)
+	}
+}
+
+// TestNestedEngines: a proc of one engine drives a second engine's Run
+// to completion and carries on, as a task region inside a parallel
+// construct does; both engines keep their own election order.
+func TestNestedEngines(t *testing.T) {
+	outer := New()
+	var order []string
+	var wl WaitList
+	outerClk := simtime.NewClock(1.0)
+	outer.Go("outer-a", 0, outerClk, func(p *Proc) {
+		inner := New()
+		for _, w := range []struct {
+			name string
+			at   simtime.Seconds
+		}{{"inner-late", 2.0}, {"inner-early", 1.0}} {
+			clk := simtime.NewClock(w.at)
+			inner.Go(w.name, 0, clk, func(ip *Proc) {
+				order = append(order, w.name)
+				clk.Advance(5.0)
+				ip.ParkOn(&wl, "own turn", nil)
+				order = append(order, w.name+" again")
+			})
+		}
+		inner.Run()
+		if outer.Running() != p || inner.Running() != nil {
+			t.Errorf("after the inner Run: outer running %v, inner running %v", outer.Running(), inner.Running())
+		}
+		outerClk.Advance(1.0)
+		p.ParkOn(&wl, "after the region", nil)
+		order = append(order, "outer-a")
+	})
+	outer.Go("outer-b", 1, simtime.NewClock(1.5), func(*Proc) {
+		order = append(order, "outer-b")
+	})
+	outer.Run()
+	want := "inner-early inner-late inner-early again inner-late again outer-b outer-a"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("execution order = %q, want %q", got, want)
+	}
+}
+
+// TestAbandonedEngineReleasesItsProcs: a recovered proc panic or a
+// recovered deadlock leaves no proc goroutine behind — parked procs
+// unwind through their deferred calls (even one that parks again), a
+// proc that never started is discarded — and a wait list that outlives
+// the engine holds none of them. Goroutines are counted against a
+// first, identical run: a proc that exited leaves its coroutine idle
+// for reuse, an abandoned one must not leave anything.
+func TestAbandonedEngineReleasesItsProcs(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		exploder   bool
+	}{
+		{"proc panic", "boom", true},
+		{"deadlock", "deadlock", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wl WaitList // outlives the engines, like a cluster lock's
+			abandon := func() {
+				unwound := 0
+				e := New()
+				for i := 0; i < 4; i++ {
+					e.Go(fmt.Sprintf("waiter %d", i), i, simtime.NewClock(0), func(p *Proc) {
+						defer func() {
+							unwound++
+							p.ParkOn(&wl, "deferred", never)
+						}()
+						p.ParkOn(&wl, "never", never)
+						t.Error("a parked proc of an abandoned engine resumed")
+					})
+				}
+				if tc.exploder {
+					e.Go("exploder", 4, simtime.NewClock(1.0), func(*Proc) { panic("boom") })
+					e.Go("unstarted", 5, simtime.NewClock(2.0), func(*Proc) {
+						t.Error("a proc behind the panic ran")
+					})
+				}
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+							t.Errorf("Run panicked with %q, want it to mention %q", msg, tc.want)
+						}
+					}()
+					e.Run()
+				}()
+				if unwound != 4 {
+					t.Errorf("%d of 4 parked procs ran their deferred calls", unwound)
+				}
+				if len(wl.procs) != 0 {
+					t.Errorf("%d abandoned procs still on the wait list", len(wl.procs))
+				}
+			}
+			abandon()
+			base := runtime.NumGoroutine()
+			abandon()
+			if got := runtime.NumGoroutine(); got > base {
+				t.Errorf("%d goroutines after the second recovered panic, %d after the first: abandoned procs leaked", got, base)
+			}
+		})
+	}
+}
+
+// TestIdleCoroutineKeepsNothingAlive: a coroutine waiting for its next
+// proc must not hold on to the last one — through it hang the engine,
+// the proc bodies' closures and the whole cluster they capture, and
+// the idle list lives as long as the process.
+func TestIdleCoroutineKeepsNothingAlive(t *testing.T) {
+	run := func() weak.Pointer[[1 << 16]byte] {
+		captured := new([1 << 16]byte)
+		e := New()
+		e.Go("holder", 0, simtime.NewClock(0), func(*Proc) { captured[0]++ })
+		e.Run()
+		return weak.Make(captured)
+	}
+	w := run()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("what a finished proc's body captured is still reachable: an idle coroutine kept its proc")
 	}
 }

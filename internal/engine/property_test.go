@@ -10,7 +10,7 @@ import (
 
 // The property test pins the heap/wait-list dispatcher to the engine's
 // specified semantics with an independent oracle: a randomized program
-// of computes, semaphore waits, signals and polled parks is executed
+// of computes, semaphore waits, signals and bare yields is executed
 // once on the real engine and once on a reference simulator that
 // re-implements the election as the naive linear scan the engine used
 // to perform — re-evaluate every parked proc's condition at every
@@ -33,7 +33,7 @@ const (
 	stepCompute stepKind = iota
 	stepWait             // park until sem[res] > 0, then consume one unit
 	stepSignal           // sem[res]++
-	stepPoll             // polled park: always ready at own clock
+	stepPoll             // yield: park on a list nobody notifies, ready at own clock
 )
 
 // genProgram builds one randomized program for n procs over k
@@ -91,6 +91,7 @@ func runEngine(prog [][]step, k int) []dispatchLog {
 	e := New()
 	sems := make([]int, k)
 	wls := make([]WaitList, k)
+	var idle WaitList // never notified: a poll re-enters by revalidation alone
 	var log []dispatchLog
 	for p := range prog {
 		p := p
@@ -116,7 +117,7 @@ func runEngine(prog [][]step, k int) []dispatchLog {
 					sems[st.res]++
 					wls[st.res].Notify()
 				case stepPoll:
-					ep.Park("poll", nil)
+					ep.ParkOn(&idle, "poll", nil)
 					log = append(log, dispatchLog{p, clk.Now()})
 				}
 			}
@@ -145,7 +146,7 @@ func runReference(prog [][]step, k int) (log []dispatchLog, ok bool) {
 	sems := make([]int, k)
 	procs := make([]*refProc, len(prog))
 	for p := range prog {
-		// Mirrors Go: every proc starts parked at a polled "start".
+		// Mirrors Go: every proc starts parked, ready at its own clock.
 		procs[p] = &refProc{id: p, order: p, parked: true, waitRes: -1}
 	}
 	live := len(procs)
@@ -236,33 +237,10 @@ func TestElectionMatchesLinearScanReference(t *testing.T) {
 }
 
 // BenchmarkDispatchPingPong measures the full park/elect/resume round
-// trip: two procs alternating via a pair of semaphores, so every park
-// is contended and the fast path never applies.
+// trip (see pingPong).
 func BenchmarkDispatchPingPong(b *testing.B) {
 	e := New()
-	var wls [2]WaitList
-	sems := [2]int{1, 0}
-	rounds := b.N
-	for p := 0; p < 2; p++ {
-		p := p
-		clk := simtime.NewClock(0)
-		e.Go(fmt.Sprintf("p%d", p), p, clk, func(ep *Proc) {
-			for i := 0; i < rounds; i++ {
-				mine, theirs := p, 1-p
-				at := clk.Now()
-				ep.ParkOn(&wls[mine], "turn", func() (simtime.Seconds, bool) {
-					if sems[mine] == 0 {
-						return 0, false
-					}
-					return at, true
-				})
-				sems[mine]--
-				clk.Advance(0.25)
-				sems[theirs]++
-				wls[theirs].Notify()
-			}
-		})
-	}
+	pingPong(e, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
@@ -270,15 +248,16 @@ func BenchmarkDispatchPingPong(b *testing.B) {
 
 // BenchmarkDispatchFastPath measures the uncontended repeated park of
 // a single running proc — the dynamic-loop chunk-claim pattern — which
-// the engine resolves in place with no goroutine switch.
+// the engine resolves in place with no coroutine switch.
 func BenchmarkDispatchFastPath(b *testing.B) {
 	e := New()
+	var wl WaitList
 	clk := simtime.NewClock(0)
 	rounds := b.N
 	e.Go("solo", 0, clk, func(ep *Proc) {
 		b.ResetTimer()
 		for i := 0; i < rounds; i++ {
-			ep.Park("claim", nil)
+			ep.ParkOn(&wl, "claim", nil)
 		}
 	})
 	b.ReportAllocs()

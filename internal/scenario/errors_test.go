@@ -2,7 +2,11 @@ package scenario
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+
+	"nowomp/internal/dsm"
 )
 
 // Error-path contract: Normalize's rejections carry stable messages.
@@ -103,5 +107,34 @@ func TestRunCheckedRecovers(t *testing.T) {
 	}
 	if res != direct {
 		t.Fatalf("RunChecked result differs from Run:\n%+v\nvs\n%+v", res, direct)
+	}
+}
+
+// TestRunCheckedReleasesAbandonedProcs: the runtime behind a recovered
+// panic is dead, but it must not linger — the engine stops the procs
+// still parked when one of them dies, so a farm worker that carries on
+// after a poisoned job keeps no goroutine (and none of the cluster
+// pages those procs' closures capture) per failure.
+func TestRunCheckedReleasesAbandonedProcs(t *testing.T) {
+	restore, err := dsm.InjectCoherenceMutation("fault-panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	s := Spec{Kernel: "jacobi", Scale: 0.03, Procs: 4, Hosts: 4}
+	// The first run warms the engine's idle coroutines (a proc that
+	// exits leaves its coroutine for reuse); from then on a failed run
+	// must not add a goroutine.
+	base := 0
+	for i := 0; i < 4; i++ {
+		if _, err := s.RunChecked(); err == nil || !strings.Contains(err.Error(), "injected fault-panic") {
+			t.Fatalf("run %d under fault-panic: err = %v, want the recovered panic", i, err)
+		}
+		if i == 0 {
+			base = runtime.NumGoroutine()
+		}
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after four recovered panics, %d after the first: abandoned procs leaked", got, base)
 	}
 }
