@@ -312,3 +312,113 @@ func TestWordRacePanicNamesRegionAndOffset(t *testing.T) {
 		c.Barrier([]HostID{0, 1}, []simtime.Seconds{clk0.Now(), clk1.Now()})
 	})
 }
+
+// policyFootprint is everything the per-page policy of the home-based
+// core can leave behind: the classifier census, home moves, elisions,
+// window fetches and retained-window storage.
+func policyFootprint(c *Cluster) [10]int64 {
+	st := c.Stats().Snapshot()
+	return [10]int64{
+		st.PagesSingleWriter, st.PagesProducerConsumer, st.PagesMigratory, st.PagesFalselyShared,
+		st.HomeMigrations, st.HomeMigrationBytes, st.ElidedTwins, st.ElidedDiffs,
+		st.DiffFetches, int64(c.proto.storageLocked()),
+	}
+}
+
+// TestHLRCIsTheNullPolicy drives the home-based core through every
+// path on which hybrid's policy acts — sole and concurrent barrier
+// closes with a dominant writer, dense lock-release flushes, a
+// stale-dirty upgrade at an acquire, and a leave/join with its forced
+// collection — and asserts that under HLRC the policy leaves no trace
+// at any stage, and no home moves except by the leave. The same drive
+// under hybrid must leave one, or the test has stopped reaching the
+// policy.
+func TestHLRCIsTheNullPolicy(t *testing.T) {
+	drive := func(t *testing.T, proto ProtocolKind, stage func(name string, c *Cluster, r *Region)) {
+		c, r := protoCluster(t, proto, 3, 6)
+		clks := []*simtime.Clock{simtime.NewClock(0), simtime.NewClock(0), simtime.NewClock(0)}
+		active := []HostID{0, 1, 2}
+		barrier := func() {
+			c.Barrier(active, []simtime.Seconds{clks[0].Now(), clks[1].Now(), clks[2].Now()})
+		}
+		word := func(id HostID, p, w int, v byte) {
+			c.Host(id).Write(r.ID, p*page.Size+w*page.WordBytes, bytes.Repeat([]byte{v}, page.WordBytes), clks[id])
+		}
+
+		// Barrier closes: page 0 (homed at 0) falsely shared by hosts 1
+		// and 2 with host 1 in every close; page 3 (homed at 0) densely
+		// rewritten by host 2 alone; page 4 (homed at 1) sparsely
+		// rewritten by its own home.
+		for round := byte(1); round <= 4; round++ {
+			word(1, 0, 1, round)
+			word(2, 0, 2, round)
+			c.Host(2).Write(r.ID, 3*page.Size, bytes.Repeat([]byte{round}, page.Size), clks[2])
+			word(1, 4, 0, round)
+			barrier()
+		}
+		stage("barrier closes", c, r)
+
+		// Lock-release flushes: a dense record passed host to host.
+		for round := byte(1); round <= 2; round++ {
+			for _, id := range active {
+				c.AcquireLock(7, c.Host(id), clks[id])
+				c.Host(id).Write(r.ID, 5*page.Size, bytes.Repeat([]byte{round + byte(id)}, page.Size), clks[id])
+				c.ReleaseLock(7, c.Host(id), clks[id])
+			}
+		}
+		stage("lock-release flushes", c, r)
+
+		// Stale-dirty upgrade: host 1 holds page 2 dirty while host 0
+		// commits another word of it under a lock; host 1's acquire must
+		// bring its dirty copy current without losing its own word.
+		word(1, 2, 1, 7)
+		c.AcquireLock(3, c.Host(0), clks[0])
+		word(0, 2, 0, 5)
+		c.ReleaseLock(3, c.Host(0), clks[0])
+		c.AcquireLock(3, c.Host(1), clks[1])
+		got := make([]byte, 2*page.WordBytes)
+		c.Host(1).Read(r.ID, 2*page.Size, got, clks[1])
+		c.ReleaseLock(3, c.Host(1), clks[1])
+		if got[0] != 5 || got[page.WordBytes] != 7 {
+			t.Fatalf("upgraded dirty page reads (%d, %d), want (5, 7)", got[0], got[page.WordBytes])
+		}
+		barrier()
+		stage("stale-dirty upgrade", c, r)
+
+		// Leave and rejoin, each behind its forced collection.
+		c.ForceGC(active)
+		if _, err := c.NormalLeave(2, LeaveViaMaster); err != nil {
+			t.Fatal(err)
+		}
+		c.ForceGC([]HostID{0, 1})
+		if _, err := c.Join(2); err != nil {
+			t.Fatal(err)
+		}
+		word(2, 0, 2, 9)
+		word(1, 0, 1, 9)
+		barrier()
+		stage("leave/join", c, r)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	drive(t, HLRC, func(name string, c *Cluster, r *Region) {
+		if got := policyFootprint(c); got != [10]int64{} {
+			t.Errorf("hlrc after %s: policy footprint %v, want all zero", name, got)
+		}
+		for p := 0; p < r.NPages; p++ {
+			home := c.PageOwner(r.ID, p)
+			if name != "leave/join" && home != HostID(p%3) {
+				t.Errorf("hlrc after %s: page %d homed at %d, want its round-robin home %d", name, p, home, p%3)
+			}
+		}
+	})
+	touched := false
+	drive(t, Hybrid, func(_ string, c *Cluster, _ *Region) {
+		touched = touched || policyFootprint(c) != [10]int64{}
+	})
+	if !touched {
+		t.Error("the same drive under hybrid left no policy footprint: it no longer exercises the policy")
+	}
+}
