@@ -18,22 +18,21 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt.ParallelFor("fill", 0, v.Len(), func(p *nowomp.Proc, lo, hi int) {
+	rt.For("fill", 0, v.Len(), func(p *nowomp.Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
 			buf[i] = 1
 		}
 		v.WriteRange(p.Mem(), lo, buf)
 	})
-	sum := rt.ParallelForReduce("sum", 0, v.Len(), 0,
-		func(a, b float64) float64 { return a + b },
-		func(p *nowomp.Proc, lo, hi int) float64 {
+	sum := rt.For("sum", 0, v.Len(),
+		func(p *nowomp.Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += v.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, nowomp.WithReduce(0, func(a, b float64) float64 { return a + b }))
 	fmt.Println(int(sum))
 	// Output: 1000
 }

@@ -67,17 +67,17 @@ func (r Result) MB() float64 { return float64(r.Bytes) / 1e6 }
 // the end of the computation (verification output is excluded, like
 // the paper's measurement window).
 func measure(rt *omp.Runtime, app string, procs int) Result {
-	stats := rt.Cluster().Stats().Snapshot()
+	stats := rt.Cluster().Stats()
 	net := rt.Cluster().Fabric().Snapshot()
 	return Result{
 		App:         app,
 		Procs:       procs,
 		Time:        rt.Now(),
 		SharedBytes: rt.Cluster().TotalSharedBytes(),
-		Pages:       stats.PageFetches,
+		Pages:       stats.PageFetches.Load(),
 		Bytes:       net.TotalBytes(),
 		Messages:    net.TotalMessages(),
-		Diffs:       stats.DiffFetches,
+		Diffs:       stats.DiffFetches.Load(),
 	}
 }
 

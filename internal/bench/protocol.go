@@ -412,17 +412,17 @@ func migratoryRun(opt Options, sc protoScenario, proto dsm.ProtocolKind) (ProtoR
 // fillProtoStats records a cell's mechanical signature (diff fetches,
 // home pushes) and its hybrid coherence record from the stats window.
 func fillProtoStats(row *ProtoRow, stats dsm.StatsSnapshot) {
-	row.Diffs = stats.DiffFetches
-	row.Flushes = stats.HomeFlushes
+	row.Diffs = stats.DiffFetches.Load()
+	row.Flushes = stats.HomeFlushes.Load()
 	row.Coherence = CoherenceStats{
-		PagesSingleWriter:     stats.PagesSingleWriter,
-		PagesProducerConsumer: stats.PagesProducerConsumer,
-		PagesMigratory:        stats.PagesMigratory,
-		PagesFalselyShared:    stats.PagesFalselyShared,
-		HomeMigrations:        stats.HomeMigrations,
-		HomeMigrationBytes:    stats.HomeMigrationBytes,
-		ElidedTwins:           stats.ElidedTwins,
-		ElidedDiffs:           stats.ElidedDiffs,
+		PagesSingleWriter:     stats.PagesSingleWriter.Load(),
+		PagesProducerConsumer: stats.PagesProducerConsumer.Load(),
+		PagesMigratory:        stats.PagesMigratory.Load(),
+		PagesFalselyShared:    stats.PagesFalselyShared.Load(),
+		HomeMigrations:        stats.HomeMigrations.Load(),
+		HomeMigrationBytes:    stats.HomeMigrationBytes.Load(),
+		ElidedTwins:           stats.ElidedTwins.Load(),
+		ElidedDiffs:           stats.ElidedDiffs.Load(),
 	}
 }
 

@@ -23,7 +23,7 @@ func buildAndRun(t *testing.T, rt *omp.Runtime, from, to int) float64 {
 		t.Fatal("test misuse: fresh runtime must start at 0")
 	}
 	for it := from; it < to; it++ {
-		rt.ParallelFor("step", 0, 2048, func(p *omp.Proc, lo, hi int) {
+		rt.For("step", 0, 2048, func(p *omp.Proc, lo, hi int) {
 			buf := make([]float64, hi-lo)
 			a.ReadRange(p.Mem(), lo, hi, buf)
 			for i := range buf {
@@ -32,15 +32,14 @@ func buildAndRun(t *testing.T, rt *omp.Runtime, from, to int) float64 {
 			a.WriteRange(p.Mem(), lo, buf)
 		})
 	}
-	return rt.ParallelForReduce("sum", 0, 2048, 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *omp.Proc, lo, hi int) float64 {
+	return rt.For("sum", 0, 2048,
+		func(p *omp.Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += a.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, omp.WithReduce(0, func(x, y float64) float64 { return x + y }))
 }
 
 func TestCheckpointRestartMatchesUninterruptedRun(t *testing.T) {
@@ -96,7 +95,7 @@ func buildAndRunNoSum(t *testing.T, rt *omp.Runtime, from, to int) float64 {
 		t.Fatal(err)
 	}
 	for it := from; it < to; it++ {
-		rt.ParallelFor("step", 0, 2048, func(p *omp.Proc, lo, hi int) {
+		rt.For("step", 0, 2048, func(p *omp.Proc, lo, hi int) {
 			buf := make([]float64, hi-lo)
 			a.ReadRange(p.Mem(), lo, hi, buf)
 			for i := range buf {
@@ -144,7 +143,7 @@ func TestRestoreSmallerTeamAfterLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := rt1.AllocFloat64("acc", 512)
-	rt1.ParallelFor("w", 0, 512, func(p *omp.Proc, lo, hi int) {
+	rt1.For("w", 0, 512, func(p *omp.Proc, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a.Set(p.Mem(), i, 1)
 		}

@@ -1,16 +1,303 @@
 package dsm
 
-// Per-page sharing-pattern classification for the hybrid protocol.
+import "nowomp/internal/page"
+
+// The per-page policy of the home-based core (home.go), and the
+// sharing-pattern classifier behind it.
 //
 // The classifier watches the events the protocol already sees — read
 // faults, first writes, and interval closes — and tags each page with
-// the sharing regime the history evidences. The hybrid protocol then
-// specializes its mechanics per class: homes migrate to dominant
-// writers, diff-vs-whole-page transfer switches on measured diff
-// density, and twin/diff work is elided for pages proven single-writer.
-// Classification state is heuristic only: it steers *where* data moves
-// and *how* it is encoded, never *what* values a reader observes, so a
+// the sharing regime the history evidences. The policy then specializes
+// the core's mechanics per page: homes migrate to dominant writers,
+// diff-vs-whole-page transfer switches on measured diff density, and
+// twin/diff work is elided for pages proven single-writer. Policy state
+// is heuristic only: it steers *where* data moves and *how* it is
+// encoded, never *what* values a reader observes, so a
 // misclassification costs traffic, not correctness.
+
+// pagePolicy is the dial on the home-based core: the classifier
+// history and the home-retained diff windows of every page, and the
+// rules that read them. Hybrid runs the core with a policy, HLRC with
+// none: every method is safe on a nil receiver and then does nothing
+// and answers "no" — no window, no home move, no elision — so the core
+// asks unconditionally and HLRC allocates no per-page policy state.
+type pagePolicy struct {
+	c *Cluster
+	// recs/chains are indexed like the directory ([region][page]).
+	recs   [][]classRec
+	chains [][]homeChain
+	// retained is the total wire size of all retained diffs, the
+	// policy's reclaimable storage.
+	retained int
+}
+
+func (pp *pagePolicy) addRegion(npages int) {
+	if pp == nil {
+		return
+	}
+	pp.recs = append(pp.recs, newClassRecs(npages))
+	pp.chains = append(pp.chains, make([]homeChain, npages))
+}
+
+// leaveStrategy: migrated homes sit at their writers like Tmk owners,
+// so the configured handoff is honoured; without migration a leaver's
+// pages always re-home round-robin across the remaining hosts.
+func (pp *pagePolicy) leaveStrategy(s LeaveStrategy) LeaveStrategy {
+	if pp == nil {
+		return LeaveDirectHandoff
+	}
+	return s
+}
+
+// storage reports the retained-window bytes.
+func (pp *pagePolicy) storage() int {
+	if pp == nil {
+		return 0
+	}
+	return pp.retained
+}
+
+// observeRead records that the page's home served a read fault by h.
+func (pp *pagePolicy) observeRead(pk pageKey, h HostID) {
+	if pp == nil {
+		return
+	}
+	cr := &pp.recs[pk.region][pk.page]
+	cr.observeRead(h)
+	cr.setClass(&pp.c.stats, cr.classify())
+}
+
+// observeClose records one interval close of the page with the given
+// concurrent writers.
+func (pp *pagePolicy) observeClose(pk pageKey, writers []HostID) {
+	if pp == nil {
+		return
+	}
+	cr := &pp.recs[pk.region][pk.page]
+	cr.observeClose(writers)
+	cr.setClass(&pp.c.stats, cr.classify())
+}
+
+// elide implements the single-writer elision decision for one
+// first-write fault: the page must be classified single-writer with h
+// as that writer, h must be its home, and no other host may hold a
+// valid copy. Counted; the page then goes dirty with no twin and its
+// close commits it without a diff.
+func (pp *pagePolicy) elide(h *Host, pk pageKey) bool {
+	if pp == nil {
+		return false
+	}
+	cr := &pp.recs[pk.region][pk.page]
+	if cr.class != classSingleWriter || cr.writerA != h.id {
+		return false
+	}
+	c := pp.c
+	if c.dir.meta(pk.region, pk.page).owner != h.id {
+		return false
+	}
+	for _, o := range c.hosts {
+		if o.id != h.id && o.pages[pk.region][pk.page].valid {
+			return false
+		}
+	}
+	c.stats.ElidedTwins.Add(1)
+	return true
+}
+
+// wantFlip reports whether the page's home should follow w, a current
+// sole writer closing with a diff of the given wire size: free when the
+// diff is dense (windows are worthless for this page) or the window
+// holds only w's own diffs (nothing is lost).
+func (pp *pagePolicy) wantFlip(pk pageKey, w HostID, wire int) bool {
+	if pp == nil {
+		return false
+	}
+	if wire >= denseFlipWire {
+		return true
+	}
+	for _, e := range pp.chains[pk.region][pk.page].entries {
+		if e.writer != w {
+			return false
+		}
+	}
+	return true
+}
+
+// dominant names the writer a falsely-shared page's home should
+// migrate to with a paid transfer: the one present in every one of the
+// last domMigrateRun closes.
+func (pp *pagePolicy) dominant(pk pageKey) (HostID, bool) {
+	if pp == nil {
+		return -1, false
+	}
+	cr := &pp.recs[pk.region][pk.page]
+	return cr.domWriter, cr.class == classFalselyShared && cr.domRun >= domMigrateRun
+}
+
+// homeMoved records that the page's home moved to w. The window moves
+// with it, keeping only w's own diffs (the new home never held the
+// others) and raising the floor past the drops. Reached only after
+// wantFlip or dominant said yes, so never on the null policy.
+func (pp *pagePolicy) homeMoved(pk pageKey, w HostID) {
+	pp.c.stats.HomeMigrations.Add(1)
+	ch := &pp.chains[pk.region][pk.page]
+	floor := ch.floor
+	for _, e := range ch.entries {
+		if e.writer != w && e.seq > floor {
+			floor = e.seq
+		}
+	}
+	if floor == ch.floor {
+		return
+	}
+	kept := ch.entries[:0]
+	bytes := 0
+	for _, e := range ch.entries {
+		if e.writer == w && e.seq > floor {
+			kept = append(kept, e)
+			bytes += e.wire
+		}
+	}
+	pp.retained += bytes - ch.bytes
+	ch.entries = kept
+	ch.bytes = bytes
+	ch.floor = floor
+}
+
+// chainEntry is one retained diff: the interval it committed, the
+// writer that authored it, its wire size (what the window bounds and
+// the transfer pricing count) and the diff itself. diff is nil for an
+// entry of a page or more on the wire: any window containing it is at
+// least a page too, and window transfers are only ever chosen below
+// one page, so its payload could never be served.
+type chainEntry struct {
+	seq    int32
+	writer HostID
+	wire   int
+	diff   *page.Diff
+}
+
+// homeChain is the home-retained diff window of one page. Invariant:
+// every interval committed to the page with sequence in (floor,
+// latest] is present as entries (commits that retained no diff raise
+// floor instead), so a copy with appliedSeq >= floor can be patched
+// current by applying the entries newer than it, in order.
+type homeChain struct {
+	floor   int32
+	entries []chainEntry
+	bytes   int
+}
+
+const (
+	// maxChainEntries/maxChainBytes bound one page's retained window;
+	// beyond either the oldest interval is dropped and the floor rises.
+	// The byte bound (one page per page: retaining more than a page of
+	// diffs can never beat re-sending the page) is the real storage cap;
+	// the entry bound only backstops degenerate empty-diff streams, and
+	// must stay deep enough that a slow host revisiting a sparsely
+	// written page after many closes still lands inside the window.
+	maxChainEntries = 64
+	maxChainBytes   = page.Size
+	// denseFlipWire: a sole writer whose close diff reaches half a page
+	// takes the home with it — faulters of so dense a page need whole
+	// pages anyway, so the push to a remote home buys nothing.
+	denseFlipWire = page.Size / 2
+	// domMigrateRun: consecutive closes one writer must dominate before
+	// a falsely-shared page's home migrates to it with a paid transfer.
+	domMigrateRun = 3
+)
+
+// retain appends a committed diff to the page's window, dropping the
+// oldest intervals when the bounds are exceeded. The payload is packed
+// from src, the writer's live page (see takeMask).
+func (pp *pagePolicy) retain(pk pageKey, seq int32, w HostID, m *page.Mask, src []byte) {
+	if pp == nil {
+		return
+	}
+	ch := &pp.chains[pk.region][pk.page]
+	e := chainEntry{seq: seq, writer: w, wire: m.WireSize()}
+	if e.wire < page.Size {
+		e.diff = m.Pack(src)
+	}
+	ch.entries = append(ch.entries, e)
+	ch.bytes += e.wire
+	pp.retained += e.wire
+	for len(ch.entries) > maxChainEntries || ch.bytes > maxChainBytes {
+		// Drop the oldest interval whole: the floor must never split
+		// the entries of one close. Never evict the interval being
+		// committed.
+		if ch.entries[0].seq == seq {
+			break
+		}
+		pp.dropThrough(ch, ch.entries[0].seq)
+	}
+}
+
+// advance commits interval seq without a retained diff: the floor
+// rises, and entries the floor passed are dropped.
+func (pp *pagePolicy) advance(pk pageKey, seq int32) {
+	if pp == nil {
+		return
+	}
+	if ch := &pp.chains[pk.region][pk.page]; seq > ch.floor {
+		pp.dropThrough(ch, seq)
+	}
+}
+
+// dropThrough raises the floor to seq, dropping the entries at or
+// below it from the front of the (ascending) window.
+func (pp *pagePolicy) dropThrough(ch *homeChain, seq int32) {
+	i := 0
+	for i < len(ch.entries) && ch.entries[i].seq <= seq {
+		ch.bytes -= ch.entries[i].wire
+		pp.retained -= ch.entries[i].wire
+		i++
+	}
+	ch.entries = append(ch.entries[:0], ch.entries[i:]...)
+	ch.floor = seq
+}
+
+// window returns the retained diffs that patch a copy with the given
+// appliedSeq current, and their total wire size — or nothing when the
+// copy is below the window's floor, nothing newer is retained, or the
+// gap is a page or more on the wire (the whole page is then cheaper).
+func (pp *pagePolicy) window(pk pageKey, after int32) ([]chainEntry, int) {
+	if pp == nil {
+		return nil, 0
+	}
+	ch := &pp.chains[pk.region][pk.page]
+	if after < ch.floor {
+		return nil, 0
+	}
+	i := 0
+	for i < len(ch.entries) && ch.entries[i].seq <= after {
+		i++
+	}
+	wire := 0
+	for _, e := range ch.entries[i:] {
+		wire += e.wire
+	}
+	if wire >= page.Size {
+		return nil, 0
+	}
+	return ch.entries[i:], wire
+}
+
+// reset returns the page to the unclassified state with an empty
+// window whose floor is gcSeq (collections and adaptation epochs: after
+// a team resize the old history describes a partition layout that no
+// longer exists).
+func (pp *pagePolicy) reset(pk pageKey, gcSeq int32) {
+	if pp == nil {
+		return
+	}
+	ch := &pp.chains[pk.region][pk.page]
+	pp.retained -= ch.bytes
+	*ch = homeChain{floor: gcSeq}
+	cr := &pp.recs[pk.region][pk.page]
+	cr.setClass(&pp.c.stats, classUnknown)
+	*cr = unclassified
+}
 
 // pageClass is the classifier's tag for one page's sharing pattern.
 type pageClass uint8
@@ -82,10 +369,13 @@ type classRec struct {
 	domRun    int
 }
 
+// unclassified is the record of a page with no history.
+var unclassified = classRec{writerA: -1, readerA: -1, readerB: -1, lastSole: -1, domWriter: -1}
+
 func newClassRecs(n int) []classRec {
 	recs := make([]classRec, n)
 	for i := range recs {
-		recs[i] = classRec{writerA: -1, readerA: -1, readerB: -1, lastSole: -1, domWriter: -1}
+		recs[i] = unclassified
 	}
 	return recs
 }
@@ -206,12 +496,4 @@ func (cr *classRec) setClass(s *Stats, pc pageClass) {
 		c.Add(1)
 	}
 	cr.class = pc
-}
-
-// reset returns the record to the unclassified state (adaptation
-// epochs: after a team resize the old history describes a partition
-// layout that no longer exists).
-func (cr *classRec) reset(s *Stats) {
-	cr.setClass(s, classUnknown)
-	*cr = classRec{writerA: -1, readerA: -1, readerB: -1, lastSole: -1, domWriter: -1}
 }

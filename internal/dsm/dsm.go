@@ -110,6 +110,10 @@ type Cluster struct {
 	regions []*Region
 	locks   *lockTable
 
+	// policy is the home-based core's per-page policy (classify.go):
+	// set under hybrid, nil — the null policy — under HLRC and Tmk.
+	policy *pagePolicy
+
 	// seq is the global interval sequence number. It advances at every
 	// barrier and lock release, always under the directory write lock.
 	seq int32

@@ -12,14 +12,39 @@ import (
 // barrier (for example a dynamic-schedule counter), and those writes
 // must flush before the collection discards twins. What the collection
 // itself does is protocol-specific: Tmk pulls every page's outstanding
-// diffs to its owner and discards all consistency metadata, while
-// HLRC — whose homes are always current — merely prunes stale copies
-// at zero cost.
+// diffs to its owner and discards all consistency metadata, while the
+// home-based protocols — whose homes are always current — merely prune
+// stale copies at zero cost. Both end with settlePage.
 func (c *Cluster) ForceGC(active []HostID) simtime.Seconds {
 	c.dir.mu.Lock()
 	defer c.dir.mu.Unlock()
 	c.closeOpenIntervalsLocked(active)
 	return c.proto.runGCLocked(active)
+}
+
+// settlePage is the per-page sweep every collection ends with, once
+// the page's owner is current: on every host, including hosts that
+// have left, the twin and dirty marking go, a copy that is the owner's
+// or valid and current is renumbered to gcSeq, and any other copy is
+// freed; then the page's write notices are discarded. Afterwards the
+// owner's copy is current and every other copy is current or absent —
+// the invariant the adaptation data movement relies on.
+func (c *Cluster) settlePage(r RegionID, p int, pm *pageMeta, gcSeq int32) {
+	latest := pm.latestSeq()
+	for _, h := range c.hosts {
+		st := &h.pages[r][p]
+		c.releasePage(st.twin)
+		st.twin = nil
+		st.dirty = false
+		if h.id == pm.owner || (st.valid && st.appliedSeq >= latest) {
+			st.appliedSeq = gcSeq
+		} else {
+			c.releasePage(st.data)
+			*st = pageState{}
+		}
+	}
+	pm.clearNotices()
+	pm.baseSeq = gcSeq
 }
 
 // closeOpenIntervalsLocked flushes any host's open interval exactly as

@@ -1,0 +1,524 @@
+package dsm
+
+import (
+	"fmt"
+
+	"nowomp/internal/page"
+	"nowomp/internal/simtime"
+)
+
+// homeProtocol is home-based lazy release consistency, the protocol
+// family later cluster-OpenMP systems adopted because homeless LRC's
+// diff accumulation and garbage-collection costs dominate at scale, and
+// it is both of this package's home-based protocols: HLRC is this core
+// with no per-page policy, hybrid is the same core with the policy of
+// classify.go switched on.
+//
+// The core, which is all of HLRC:
+//
+//   - Every page has a home host, assigned round-robin by page across
+//     the hosts active at allocation time (the directory owner field
+//     doubles as the home).
+//   - Writers twin on first write; when an interval closes (barrier,
+//     lock release, task handoff) each writer diffs against its twin
+//     and pushes the diff to the home eagerly, where it is applied at
+//     once. A collection therefore only prunes stale copies, at zero
+//     cost and zero traffic.
+//   - A fault pulls the whole page from the home in one round trip —
+//     no writer-by-writer diff chasing — which trades bytes for
+//     messages exactly the way the literature describes.
+//   - At an adaptation point a leaver's pages re-home across the
+//     remaining hosts; joiners receive the page-location map and fault
+//     pages in from their homes.
+//
+// What the policy adds, per page, wherever the core asks it:
+//
+//   - Home migration. A sole writer that is current at an interval
+//     close takes the page's home with it when that costs nothing —
+//     either its diff is dense (so future faulters need whole pages
+//     and the retained-diff window at the old home is worthless) or
+//     the window holds only the writer's own diffs (so nothing is
+//     lost by moving it). The flip is a directory update riding the
+//     existing close broadcast: no data moves, because the new home
+//     already holds the current page. A falsely-shared page whose
+//     recent closes are dominated by one writer migrates the hard
+//     way: the old home ships the merged page to the dominant writer,
+//     priced as a page transfer on the actual src→dst link — paid
+//     once, amortized by the dominance requirement.
+//   - Diff-density transfer switching. The home retains a bounded
+//     window of recently applied diffs. A faulting reader whose stale
+//     copy is inside the window pulls just the missing diffs in one
+//     message when they are sparse; a reader outside the window, or
+//     one whose gap is denser than a page, pulls the whole page.
+//     Sparse rotating writers (a claim counter) therefore cost
+//     Tmk-like bytes in HLRC-like message counts, while dense writers
+//     (a migratory record) keep HLRC's whole-page economics.
+//   - Single-writer elision. A page the classifier has proven
+//     single-writer (one historical writer, no remote readers), whose
+//     writer is its own home and with no other valid copy anywhere,
+//     skips twin creation and diff work entirely: with one writer
+//     there is no concurrent-writer race to evidence and no reader to
+//     serve, so the commit is a sequence-number update. A remote host
+//     touching the page later reclassifies it and the elision stops.
+//
+// Correctness never depends on the policy: with or without it the home
+// is current as of the last committed interval, and a retained window,
+// when there is one, covers every commit above its floor — so a
+// misclassified page pays extra traffic, never wrong data. The policy
+// legitimately reshapes traffic and timing, which is why HLRC and
+// hybrid each pin their own golden cells.
+//
+// All transfers are priced through the per-link machine.Costs layer,
+// so a slow link to a home, or a loaded home machine, bends these
+// costs differently from Tmk's — the divergence bench.Protocols
+// measures.
+type homeProtocol struct {
+	c *Cluster
+	// rr is the round-robin cursor for home assignment, advancing
+	// across regions so multi-region programs balance too.
+	rr int
+}
+
+// Kind identifies the protocol by whether the core runs a policy; it
+// feeds Cluster.Protocol and panic texts, never a decision.
+func (hp *homeProtocol) Kind() ProtocolKind {
+	if hp.c.policy == nil {
+		return HLRC
+	}
+	return Hybrid
+}
+
+// initRegion assigns each page a round-robin home among the active
+// hosts and materialises the zero-filled page there; the master keeps
+// a copy as well (it runs the sequential sections), which is current
+// because both are zero.
+func (hp *homeProtocol) initRegion(r *Region) {
+	c := hp.c
+	active := c.ActiveHosts()
+	m := c.Master()
+	for p := 0; p < r.NPages; p++ {
+		home := active[hp.rr%len(active)]
+		hp.rr++
+		c.dir.pages[r.ID][p].owner = home
+		hh := c.Host(home)
+		st := &hh.pages[r.ID][p]
+		st.data = c.newPage()
+		st.valid = true
+		if home != m.id {
+			st := &m.pages[r.ID][p]
+			st.data = c.newPage()
+			st.valid = true
+		}
+	}
+	c.policy.addRegion(r.NPages)
+}
+
+func (hp *homeProtocol) leaveStrategy(s LeaveStrategy) LeaveStrategy {
+	return hp.c.policy.leaveStrategy(s)
+}
+
+// storageLocked reports the retained-window bytes; past the threshold
+// the barrier triggers a (free) collection that resets the windows.
+// Without a policy no diff outlives its interval close, so there is
+// never reclaimable storage and the trigger never fires.
+func (hp *homeProtocol) storageLocked() int { return hp.c.policy.storage() }
+
+// fault makes the page readable on h: a copy inside the home's
+// retained window pulls just the missing diffs when they are sparse,
+// anything else pulls the whole page from the home in one round trip.
+func (hp *homeProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
+	c := hp.c
+	home := c.dir.meta(pk.region, pk.page).owner
+	if home == h.id {
+		panic(fmt.Sprintf("dsm: %s: home %d of page %d/%d has no valid copy", hp.Kind(), h.id, pk.region, pk.page))
+	}
+	c.policy.observeRead(pk, h.id)
+
+	st := &h.pages[pk.region][pk.page]
+	if st.data != nil {
+		if win, wire := c.policy.window(pk, st.appliedSeq); len(win) > 0 {
+			c.fetchWindow(h, c.Host(home), win, wire, clk)
+			for _, e := range win {
+				e.diff.Apply(st.data)
+			}
+			st.appliedSeq = c.Host(home).pages[pk.region][pk.page].appliedSeq
+			st.valid = true
+			return
+		}
+	}
+	data, applied := c.copyPageFrom(h, c.Host(home), pk, "home", clk)
+	c.releasePage(st.data)
+	st.data = data
+	st.appliedSeq = applied
+	st.valid = true
+}
+
+// fetchWindow prices one bundled diff-window transfer from the home:
+// one request, one response carrying every missing diff.
+func (c *Cluster) fetchWindow(h, src *Host, win []chainEntry, wire int, clk *simtime.Clock) {
+	c.fabric.Record(h.machine, src.machine, msgHeader)
+	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
+	clk.Advance(c.costs.DiffFetch(h.machine, src.machine, wire))
+	c.stats.DiffFetches.Add(int64(len(win)))
+	c.stats.DiffBytes.Add(int64(wire))
+}
+
+// pushToHome ships the diff a taken mask describes to the page's home
+// and applies it there, charging the one-way push to clk and recording
+// the push and the home's ack on the fabric. For a writer that is its
+// own home only the sequence commit remains: its copy already carries
+// the words.
+func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, s int32, clk *simtime.Clock) {
+	if home == h.id {
+		st := &h.pages[pk.region][pk.page]
+		st.appliedSeq = s
+		st.valid = true
+		return
+	}
+	hh := c.Host(home)
+	wire := m.WireSize()
+	c.fabric.Record(h.machine, hh.machine, wire+msgHeader)
+	c.fabric.Record(hh.machine, h.machine, msgHeader)
+	clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
+	c.stats.HomeFlushes.Add(1)
+	c.stats.HomeFlushBytes.Add(int64(wire))
+	c.applyAtHome(h, hh, pk, m, s)
+}
+
+// applyAtHome applies a pushed diff to the home's copy: the masked
+// words go straight from the writer's live page (see takeMask) into
+// the home's. If the home has the page dirty in its own open interval,
+// the incoming words must be disjoint from the home's own modified
+// words — an overlap is the sub-word race the Tmk paths panic on, and
+// must be caught *before* the apply destroys the evidence — and the
+// words go into the twin as well, so the home's eventual flush carries
+// only its own. A home holding the page elided (dirty, no twin) has no
+// diffable evidence — its sole-writer proof already failed if a remote
+// diff arrives — so the check is skipped and the words merge (they are
+// disjoint in a race-free program).
+func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32) {
+	st := &hh.pages[pk.region][pk.page]
+	if st.data == nil {
+		panic(fmt.Sprintf("dsm: %s: home %d of page %d/%d holds no copy", c.proto.Kind(), hh.id, pk.region, pk.page))
+	}
+	src := from.pages[pk.region][pk.page].data
+	if st.dirty && st.twin != nil {
+		own := page.Scan(st.twin, st.data)
+		if w, ok := m.FirstOverlap(&own); ok {
+			panic(c.wordRaceMessage(from.id, hh.id, pk, w, "without synchronisation"))
+		}
+		m.Copy(st.twin, src)
+	}
+	m.Copy(st.data, src)
+	st.appliedSeq = s
+	st.valid = true
+}
+
+// mergeOverHomePage brings a stale dirty copy current when no diff
+// window can patch it: the home's current page is fetched and becomes
+// both the new twin and the new copy, and the host's own modified
+// words are overlaid from the old copy (they are disjoint from the
+// committed words in a race-free program).
+func (c *Cluster) mergeOverHomePage(h *Host, pk pageKey, home HostID, clk *simtime.Clock) {
+	st := &h.pages[pk.region][pk.page]
+	old := st.data
+	own := page.Scan(st.twin, old)
+	c.releasePage(st.twin)
+
+	data, applied := c.copyPageFrom(h, c.Host(home), pk, "home", clk)
+	st.twin = c.pagePool.Copy(data)
+	st.data = data
+	own.Copy(st.data, old)
+	c.releasePage(old)
+	st.appliedSeq = applied
+}
+
+// elided reports whether st is dirty with no twin: a first write the
+// policy let skip its twin, to be committed without a diff.
+func (st *pageState) elided() bool { return st.dirty && st.twin == nil }
+
+// commitElided commits interval s for an elided page at its writer w,
+// which is its own home (the home cannot have moved while the page was
+// elided: every re-homing path refuses an elided home): no diff exists,
+// so the page is conservatively assumed changed, the commit is a
+// sequence update, and the window cannot cover the interval.
+func (hp *homeProtocol) commitElided(pk pageKey, pm *pageMeta, w HostID, s int32) {
+	if pm.owner != w {
+		panic(fmt.Sprintf("dsm: %s: elided page %d/%d closed by %d but homed at %d", hp.Kind(), pk.region, pk.page, w, pm.owner))
+	}
+	st := &hp.c.Host(w).pages[pk.region][pk.page]
+	st.dirty = false
+	st.appliedSeq = s
+	pm.baseSeq = s
+	hp.c.stats.ElidedDiffs.Add(1)
+	hp.c.policy.advance(pk, s)
+}
+
+// takeHome lets a current sole writer w, closing with a diff of the
+// given wire size, take the page's home with it when the policy says
+// that costs nothing. A home holding the page elided is never flipped
+// away from — its uncommitted words exist nowhere else.
+func (hp *homeProtocol) takeHome(pk pageKey, pm *pageMeta, w HostID, wire int) {
+	c := hp.c
+	if pm.owner == w || !c.policy.wantFlip(pk, w, wire) || c.Host(pm.owner).pages[pk.region][pk.page].elided() {
+		return
+	}
+	pm.owner = w
+	c.policy.homeMoved(pk, w)
+}
+
+// commitOwn commits interval s for a twinned page that h alone wrote.
+// The diff is taken first: a rewrite of the same values commits nothing
+// and invalidates nobody (under a shifting schedule another host's
+// still-current copy must survive an unchanged close), and the empty
+// mask is returned. Otherwise a writer whose pre-write copy was current
+// may take the home with it (see takeHome), and the diff is pushed to
+// the home and retained in its window. Both costs are charged to clk.
+func (hp *homeProtocol) commitOwn(h *Host, pk pageKey, pm *pageMeta, s int32, clk *simtime.Clock) (m page.Mask, wasCurrent bool) {
+	c := hp.c
+	st := &h.pages[pk.region][pk.page]
+	wasCurrent = st.appliedSeq >= pm.latestSeq()
+	m = c.takeMask(h, pk, clk)
+	if m.Empty() {
+		return m, wasCurrent
+	}
+	if wasCurrent {
+		hp.takeHome(pk, pm, h.id, m.WireSize())
+	}
+	c.pushToHome(h, pk, pm.owner, &m, s, clk)
+	c.policy.retain(pk, s, h.id, &m, st.data)
+	pm.baseSeq = s
+	return m, wasCurrent
+}
+
+// closePage commits interval s for one page at a barrier (or a forced
+// interval close), dispatching to the sole-writer or concurrent-writer
+// path.
+func (hp *homeProtocol) closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
+	c := hp.c
+	pm := c.dir.metaLocked(pk.region, pk.page)
+	c.policy.observeClose(pk, writers)
+	if len(writers) == 1 {
+		hp.closeSole(pk, pm, writers[0], s, active, flush)
+		return
+	}
+	hp.closeMulti(pk, pm, writers, s, active, flush)
+}
+
+// closeSole commits a close with exactly one writer.
+func (hp *homeProtocol) closeSole(pk pageKey, pm *pageMeta, w HostID, s int32, active []HostID, flush []simtime.Seconds) {
+	c := hp.c
+	h := c.Host(w)
+	st := &h.pages[pk.region][pk.page]
+	if st.elided() {
+		hp.commitElided(pk, pm, w, s)
+		hp.invalidateStale(pk, w, s, active)
+		return
+	}
+
+	clk := simtime.NewClock(flush[w])
+	m, wasCurrent := hp.commitOwn(h, pk, pm, s, clk)
+	flush[w] = clk.Now()
+	if m.Empty() {
+		return
+	}
+
+	// A writer that was current stays so (its copy equals the home's);
+	// one that missed interim commits lacks their words and goes
+	// invalid, and the home alone is current.
+	keep := w
+	if !wasCurrent {
+		st.valid = false
+		keep = pm.owner
+	}
+	hp.invalidateStale(pk, keep, s, active)
+}
+
+// closeMulti commits a close with concurrent writers: every diff is
+// taken first, word-disjointness is asserted while the evidence is
+// intact, only then is each diff pushed to (and retained at) the home,
+// and the dominance rule may migrate the home with a paid page
+// transfer.
+func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
+	c := hp.c
+	home := pm.owner
+	prevLatest := pm.latestSeq()
+
+	elided := false
+	var buf [4]writerMask // more concurrent writers of one page spill to the heap
+	made := buf[:0]
+	for _, w := range writers {
+		h := c.Host(w)
+		if h.pages[pk.region][pk.page].elided() {
+			// An elided home caught with a concurrent writer: its words
+			// are already in its own (the home's) copy; no evidence
+			// diff exists.
+			hp.commitElided(pk, pm, w, s)
+			elided = true
+			continue
+		}
+		clk := simtime.NewClock(0)
+		m := c.takeMask(h, pk, clk)
+		flush[w] += clk.Now()
+		if !m.Empty() {
+			made = append(made, writerMask{writer: w, mask: m})
+		}
+	}
+	c.checkWordRaces(pk, made)
+	if len(made) == 0 && !elided {
+		return // twins consumed, nothing changed
+	}
+	for i := range made {
+		wm := &made[i]
+		clk := simtime.NewClock(0)
+		c.pushToHome(c.Host(wm.writer), pk, home, &wm.mask, s, clk)
+		flush[wm.writer] += clk.Now()
+		if !elided {
+			c.policy.retain(pk, s, wm.writer, &wm.mask, c.Host(wm.writer).pages[pk.region][pk.page].data)
+		}
+	}
+	pm.baseSeq = s
+
+	// A sole diff from a writer whose pre-write copy was current leaves
+	// that writer current; every other non-home copy lacks words.
+	keep := home
+	if !elided && len(made) == 1 && c.Host(made[0].writer).pages[pk.region][pk.page].appliedSeq >= prevLatest {
+		keep = made[0].writer
+	}
+	hp.invalidateStale(pk, keep, s, active)
+
+	// Dominant-writer migration: the old home ships the merged page to
+	// the writer the policy names, across the actual link.
+	if dom, ok := c.policy.dominant(pk); ok && dom != home && c.Host(dom).active {
+		clk := simtime.NewClock(0)
+		data, applied := c.copyPageFrom(c.Host(dom), c.Host(home), pk, "home", clk)
+		flush[dom] += clk.Now()
+		dst := &c.Host(dom).pages[pk.region][pk.page]
+		c.releasePage(dst.data)
+		dst.data = data
+		dst.appliedSeq = applied
+		dst.valid = true
+		pm.owner = dom
+		c.policy.homeMoved(pk, dom)
+		c.stats.HomeMigrationBytes.Add(page.Size)
+	}
+}
+
+// invalidateStale invalidates every active copy other than keep's that
+// misses interval s. keep (the current sole writer or the home)
+// advances to s instead.
+func (hp *homeProtocol) invalidateStale(pk pageKey, keep HostID, s int32, active []HostID) {
+	for _, id := range active {
+		st := &hp.c.Host(id).pages[pk.region][pk.page]
+		if id == keep {
+			if st.valid {
+				st.appliedSeq = s
+			}
+		} else if st.valid && st.appliedSeq < s {
+			st.valid = false
+		}
+	}
+}
+
+// flushIntervalLocked commits h's open interval on a release path:
+// each written page's diff is pushed to its home (which a current
+// writer may first take with it, see takeHome) and retained in the
+// window, the page goes on the release log so later acquirers honour
+// the writes, and concurrent dirty peers are checked for sub-word
+// races. The caller holds the directory write lock.
+func (hp *homeProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
+	c := hp.c
+	c.seq++
+	s := c.seq
+	made := 0
+	soleWriter := [1]HostID{h.id}
+	for _, pk := range h.takeWritten() {
+		pm := c.dir.metaLocked(pk.region, pk.page)
+		c.policy.observeClose(pk, soleWriter[:])
+		st := &h.pages[pk.region][pk.page]
+		if st.elided() {
+			hp.commitElided(pk, pm, h.id, s)
+			c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
+			continue
+		}
+
+		m, wasCurrent := hp.commitOwn(h, pk, pm, s, clk)
+		if m.Empty() {
+			continue
+		}
+		if pm.owner != h.id {
+			if wasCurrent {
+				st.appliedSeq = s // current: old value plus own writes
+			} else {
+				st.valid = false // concurrent writers under other locks
+			}
+		}
+		c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
+		made++
+		c.checkDirtyPeerRaces(h.id, pk, &m)
+	}
+	if made > 0 && shouldPrune(len(c.releaseLog)) {
+		c.pruneReleaseLog()
+	}
+	return made
+}
+
+// upgradeOrInvalidate performs acquire-side consistency for one page:
+// a stale clean copy goes invalid (the next fault brings it current);
+// a stale dirty copy inside the home's window is patched in place
+// (diffs applied to data and twin, as the Tmk upgrade path does),
+// otherwise it is merged over a fresh home page (mergeOverHomePage).
+func (hp *homeProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
+	c := hp.c
+	meta := c.dir.meta(pk.region, pk.page)
+	latest := meta.latestSeq()
+	st := &h.pages[pk.region][pk.page]
+	if !st.valid || st.appliedSeq >= latest {
+		return
+	}
+	if !st.dirty {
+		st.valid = false
+		return
+	}
+	win, wire := c.policy.window(pk, st.appliedSeq)
+	if len(win) == 0 {
+		c.mergeOverHomePage(h, pk, meta.owner, clk)
+		return
+	}
+	c.fetchWindow(h, c.Host(meta.owner), win, wire, clk)
+	for _, e := range win {
+		e.diff.Apply(st.data)
+		if st.twin != nil {
+			// Committed remote words, not this host's: patch the twin
+			// too so the eventual close diff carries only the host's
+			// own writes.
+			e.diff.Apply(st.twin)
+		}
+	}
+	st.appliedSeq = latest
+}
+
+// runGCLocked is trivial for a home-based protocol: homes are always
+// current, so the pass only prunes stale copies and normalises sequence
+// numbers to restore the adaptation invariant (see settlePage) — no
+// pulls happen and no time or traffic is charged — and resets the
+// policy: an adaptation redraws the partition map, so the old sharing
+// history no longer describes the pages it tagged.
+func (hp *homeProtocol) runGCLocked(active []HostID) simtime.Seconds {
+	c := hp.c
+	gcSeq := c.seq
+	c.stats.GCs.Add(1)
+	for ri := range c.dir.pages {
+		r := RegionID(ri)
+		for p := range c.dir.pages[ri] {
+			pm := &c.dir.pages[ri][p]
+			if c.Host(pm.owner).pages[r][p].data == nil {
+				panic(fmt.Sprintf("dsm: %s: gc: home %d of page %d/%d holds no copy", hp.Kind(), pm.owner, r, p))
+			}
+			c.settlePage(r, p, pm, gcSeq)
+			c.policy.reset(pageKey{r, p}, gcSeq)
+		}
+	}
+	c.releaseLog = c.releaseLog[:0]
+	return 0
+}

@@ -278,10 +278,10 @@ func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock) {
 	h.ensureRead(r, p, clk)
 	st := &h.pages[r][p]
 	if !st.dirty {
-		if h.cluster.proto.elideTwin(h, pageKey{r, p}) {
-			// Single-writer elision (hybrid only): the page goes dirty
-			// with no twin — the protocol commits it without a diff —
-			// and the twin-copy cost vanishes.
+		if h.cluster.policy.elide(h, pageKey{r, p}) {
+			// Single-writer elision (hybrid's policy only): the page
+			// goes dirty with no twin — the protocol commits it without
+			// a diff — and the twin-copy cost vanishes.
 			st.dirty = true
 			h.written = append(h.written, pageKey{r, p})
 			h.cluster.stats.WriteFaults.Add(1)

@@ -96,7 +96,7 @@ func TestHybridWindowServing(t *testing.T) {
 	barrier()
 
 	// Host 1 commits a sparse write: the empty window makes the home
-	// flip free (onlyWriter holds vacuously), so no flush travels and
+	// flip free (wantFlip: no other writer in it), so no flush travels and
 	// no migration bytes are charged.
 	c.Host(1).Write(r.ID, 0, []byte{42, 0, 0, 0, 0, 0, 0, 0}, clks[1])
 	barrier()
@@ -154,7 +154,7 @@ func TestHybridPricedMigration(t *testing.T) {
 	if st.PagesFalselyShared != 1 {
 		t.Fatalf("census: %d falsely-shared pages, want 1", st.PagesFalselyShared)
 	}
-	if st.HomeMigrations != 1 || st.HomeMigrationBytes != int64(page.Size) {
+	if st.HomeMigrations != 1 || st.HomeMigrationBytes != page.Size {
 		t.Fatalf("priced migration = (%d migrations, %d bytes), want (1, %d)",
 			st.HomeMigrations, st.HomeMigrationBytes, page.Size)
 	}

@@ -25,13 +25,13 @@ const (
 	// adaptation points when its home leaves), writers push their
 	// diffs to the home eagerly when an interval closes, faults pull
 	// the whole page from the home, and garbage collection is trivial
-	// because no diff ever outlives its interval close.
+	// because no diff ever outlives its interval close (home.go).
 	HLRC
-	// Hybrid is the adaptive per-page protocol: an HLRC-style
-	// home-based baseline whose per-page classifier (classify.go)
+	// Hybrid is the adaptive per-page protocol: the same home-based
+	// core with its per-page policy (classify.go) switched on, which
 	// migrates homes to dominant writers, switches diff-vs-whole-page
 	// transfer on measured diff density, and elides twin/diff work for
-	// proven single-writer pages (hybrid.go).
+	// proven single-writer pages.
 	Hybrid
 )
 
@@ -71,9 +71,9 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 // and dispatches the protocol-specific steps through this interface.
 //
 // The interface is deliberately implementation-gated (unexported
-// methods): the two implementations live in this package (tmk.go,
-// hlrc.go) and share the Cluster's internals. The contract each must
-// honour:
+// methods): both implementations live in this package — tmk.go, and
+// the home-based core of home.go that HLRC and hybrid share — and use
+// the Cluster's internals. The contract each must honour:
 //
 //   - fault makes h's copy of the page readable and current as of the
 //     page's latest committed interval, charging the requester.
@@ -110,11 +110,6 @@ type Protocol interface {
 	storageLocked() int
 	initRegion(r *Region)
 	leaveStrategy(s LeaveStrategy) LeaveStrategy
-	// elideTwin lets the protocol skip twin creation for a first write:
-	// the page stays dirty with a nil twin and the protocol commits it
-	// without a diff. Tmk and HLRC never elide; hybrid does for proven
-	// single-writer pages.
-	elideTwin(h *Host, pk pageKey) bool
 }
 
 // newProtocol builds the configured protocol for a cluster.
@@ -123,9 +118,10 @@ func newProtocol(k ProtocolKind, c *Cluster) (Protocol, error) {
 	case Tmk:
 		return &tmkProtocol{c: c}, nil
 	case HLRC:
-		return &hlrcProtocol{c: c}, nil
+		return &homeProtocol{c: c}, nil
 	case Hybrid:
-		return &hybridProtocol{c: c}, nil
+		c.policy = &pagePolicy{c: c}
+		return &homeProtocol{c: c}, nil
 	}
 	return nil, fmt.Errorf("dsm: unknown protocol kind %d", int(k))
 }
@@ -133,7 +129,7 @@ func newProtocol(k ProtocolKind, c *Cluster) (Protocol, error) {
 // Protocol returns the cluster's coherence protocol kind.
 func (c *Cluster) Protocol() ProtocolKind { return c.proto.Kind() }
 
-// copyPageFrom is the whole-page transfer both protocols price the
+// copyPageFrom is the whole-page transfer every protocol prices the
 // same way: src's copy of the page is duplicated for h, the request
 // and payload are recorded on the fabric, the requester-observed
 // fetch cost is charged to clk, and the page-fetch counters advance.

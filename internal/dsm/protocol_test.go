@@ -316,12 +316,12 @@ func TestWordRacePanicNamesRegionAndOffset(t *testing.T) {
 // policyFootprint is everything the per-page policy of the home-based
 // core can leave behind: the classifier census, home moves, elisions,
 // window fetches and retained-window storage.
-func policyFootprint(c *Cluster) [10]int64 {
+func policyFootprint(c *Cluster) [10]Counter {
 	st := c.Stats().Snapshot()
-	return [10]int64{
+	return [10]Counter{
 		st.PagesSingleWriter, st.PagesProducerConsumer, st.PagesMigratory, st.PagesFalselyShared,
 		st.HomeMigrations, st.HomeMigrationBytes, st.ElidedTwins, st.ElidedDiffs,
-		st.DiffFetches, int64(c.proto.storageLocked()),
+		st.DiffFetches, Counter(c.proto.storageLocked()),
 	}
 }
 
@@ -404,7 +404,10 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 	}
 
 	drive(t, HLRC, func(name string, c *Cluster, r *Region) {
-		if got := policyFootprint(c); got != [10]int64{} {
+		if c.policy != nil {
+			t.Fatalf("hlrc after %s: the cluster holds a page policy", name)
+		}
+		if got := policyFootprint(c); got != [10]Counter{} {
 			t.Errorf("hlrc after %s: policy footprint %v, want all zero", name, got)
 		}
 		for p := 0; p < r.NPages; p++ {
@@ -416,7 +419,7 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 	})
 	touched := false
 	drive(t, Hybrid, func(_ string, c *Cluster, _ *Region) {
-		touched = touched || policyFootprint(c) != [10]int64{}
+		touched = touched || policyFootprint(c) != [10]Counter{}
 	})
 	if !touched {
 		t.Error("the same drive under hybrid left no policy footprint: it no longer exercises the policy")

@@ -1,9 +1,11 @@
 package dsm
 
+import "reflect"
+
 // Counter is a cluster-event counter. It keeps the Add/Load method
 // shape of atomic.Int64 but increments are plain stores: the engine
 // runs exactly one process of a cluster at a time and every process
-// switch is a channel handoff (a happens-before edge), so counters are
+// switch is a coroutine switch (a happens-before edge), so counters are
 // never touched concurrently. Fault-path increments sit right after
 // 4 KB twin/fetch copies, where an atomic's store-buffer drain costs
 // more than the bookkeeping itself at full scale.
@@ -16,10 +18,12 @@ func (c *Counter) Add(n int64) { *c += Counter(n) }
 func (c *Counter) Load() int64 { return int64(*c) }
 
 // Stats counts DSM protocol events. All counters are cumulative for the
-// lifetime of the cluster; use Snapshot and Delta to measure windows
+// lifetime of the cluster; use Snapshot and Sub to measure windows
 // (for example, the cost attributable to one adaptation). Byte and
 // message totals live on the network fabric; these counters track
-// protocol objects, matching the columns of Table 1.
+// protocol objects, matching the columns of Table 1. This is the one
+// list of counters: StatsSnapshot is this struct by value and Sub walks
+// its fields, so a new counter is declared here and nowhere else.
 type Stats struct {
 	PageFetches  Counter // full 4 KB page transfers
 	PageBytes    Counter // payload bytes of page transfers
@@ -56,87 +60,20 @@ type Stats struct {
 	ElidedDiffs Counter
 }
 
-// StatsSnapshot is an immutable copy of the counters.
-type StatsSnapshot struct {
-	PageFetches  int64
-	PageBytes    int64
-	DiffFetches  int64
-	DiffBytes    int64
-	DiffsCreated int64
-	TwinsCreated int64
-	// HomeFlushes/HomeFlushBytes are the HLRC home-push counters.
-	HomeFlushes    int64
-	HomeFlushBytes int64
-	Barriers       int64
-	LockAcquires   int64
-	GCs            int64
-	ReadFaults     int64
-	WriteFaults    int64
-	// Hybrid classification census and adaptation counters.
-	PagesSingleWriter     int64
-	PagesProducerConsumer int64
-	PagesMigratory        int64
-	PagesFalselyShared    int64
-	HomeMigrations        int64
-	HomeMigrationBytes    int64
-	ElidedTwins           int64
-	ElidedDiffs           int64
-}
+// StatsSnapshot is a copy of the counters at one instant.
+type StatsSnapshot Stats
 
 // Snapshot captures the current counter values.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		PageFetches:    s.PageFetches.Load(),
-		PageBytes:      s.PageBytes.Load(),
-		DiffFetches:    s.DiffFetches.Load(),
-		DiffBytes:      s.DiffBytes.Load(),
-		DiffsCreated:   s.DiffsCreated.Load(),
-		TwinsCreated:   s.TwinsCreated.Load(),
-		HomeFlushes:    s.HomeFlushes.Load(),
-		HomeFlushBytes: s.HomeFlushBytes.Load(),
-		Barriers:       s.Barriers.Load(),
-		LockAcquires:   s.LockAcquires.Load(),
-		GCs:            s.GCs.Load(),
-		ReadFaults:     s.ReadFaults.Load(),
-		WriteFaults:    s.WriteFaults.Load(),
+func (s *Stats) Snapshot() StatsSnapshot { return StatsSnapshot(*s) }
 
-		PagesSingleWriter:     s.PagesSingleWriter.Load(),
-		PagesProducerConsumer: s.PagesProducerConsumer.Load(),
-		PagesMigratory:        s.PagesMigratory.Load(),
-		PagesFalselyShared:    s.PagesFalselyShared.Load(),
-		HomeMigrations:        s.HomeMigrations.Load(),
-		HomeMigrationBytes:    s.HomeMigrationBytes.Load(),
-		ElidedTwins:           s.ElidedTwins.Load(),
-		ElidedDiffs:           s.ElidedDiffs.Load(),
-	}
-}
-
-// Sub returns the difference between this snapshot and an earlier one.
+// Sub returns the difference between this snapshot and an earlier one,
+// counter by counter.
 func (s StatsSnapshot) Sub(earlier StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		PageFetches:    s.PageFetches - earlier.PageFetches,
-		PageBytes:      s.PageBytes - earlier.PageBytes,
-		DiffFetches:    s.DiffFetches - earlier.DiffFetches,
-		DiffBytes:      s.DiffBytes - earlier.DiffBytes,
-		DiffsCreated:   s.DiffsCreated - earlier.DiffsCreated,
-		TwinsCreated:   s.TwinsCreated - earlier.TwinsCreated,
-		HomeFlushes:    s.HomeFlushes - earlier.HomeFlushes,
-		HomeFlushBytes: s.HomeFlushBytes - earlier.HomeFlushBytes,
-		Barriers:       s.Barriers - earlier.Barriers,
-		LockAcquires:   s.LockAcquires - earlier.LockAcquires,
-		GCs:            s.GCs - earlier.GCs,
-		ReadFaults:     s.ReadFaults - earlier.ReadFaults,
-		WriteFaults:    s.WriteFaults - earlier.WriteFaults,
-
-		PagesSingleWriter:     s.PagesSingleWriter - earlier.PagesSingleWriter,
-		PagesProducerConsumer: s.PagesProducerConsumer - earlier.PagesProducerConsumer,
-		PagesMigratory:        s.PagesMigratory - earlier.PagesMigratory,
-		PagesFalselyShared:    s.PagesFalselyShared - earlier.PagesFalselyShared,
-		HomeMigrations:        s.HomeMigrations - earlier.HomeMigrations,
-		HomeMigrationBytes:    s.HomeMigrationBytes - earlier.HomeMigrationBytes,
-		ElidedTwins:           s.ElidedTwins - earlier.ElidedTwins,
-		ElidedDiffs:           s.ElidedDiffs - earlier.ElidedDiffs,
+	d, e := reflect.ValueOf(&s).Elem(), reflect.ValueOf(earlier)
+	for i := 0; i < d.NumField(); i++ {
+		d.Field(i).SetInt(d.Field(i).Int() - e.Field(i).Int())
 	}
+	return s
 }
 
 // Stats returns the cluster-wide counters.

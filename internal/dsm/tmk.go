@@ -37,9 +37,6 @@ func (t *tmkProtocol) initRegion(r *Region) {
 // leaveStrategy: Tmk supports both handoffs as configured.
 func (t *tmkProtocol) leaveStrategy(s LeaveStrategy) LeaveStrategy { return s }
 
-// elideTwin: Tmk always twins on first write.
-func (t *tmkProtocol) elideTwin(*Host, pageKey) bool { return false }
-
 // storageLocked sums diff storage across hosts; the directory write
 // lock serialises it against interval closes.
 func (t *tmkProtocol) storageLocked() int {
@@ -357,30 +354,8 @@ func (t *tmkProtocol) runGCLocked(active []HostID) simtime.Seconds {
 			if len(pm.writers) > 0 || pm.mode == ModeMulti {
 				t.gcPage(r, p, pm, pull)
 			}
-			latest := pm.latestSeq()
-			// Prune copies on every host, including hosts that have
-			// left: valid-and-current copies survive, everything else
-			// is freed.
-			for _, h := range c.hosts {
-				st := &h.pages[r][p]
-				c.releasePage(st.twin)
-				st.twin = nil
-				st.dirty = false
-				switch {
-				case h.id == pm.owner:
-					st.appliedSeq = gcSeq
-				case st.valid && st.appliedSeq >= latest:
-					st.appliedSeq = gcSeq
-				default:
-					c.releasePage(st.data)
-					st.data = nil
-					st.valid = false
-					st.appliedSeq = 0
-				}
-			}
-			pm.clearNotices()
+			c.settlePage(r, p, pm, gcSeq)
 			pm.mode = ModeSingle
-			pm.baseSeq = gcSeq
 		}
 	}
 

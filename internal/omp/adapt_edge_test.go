@@ -14,7 +14,7 @@ import (
 func TestMultipleSimultaneousJoinsAndLeaves(t *testing.T) {
 	rt := newRT(t, 6, 4, true)
 	a, _ := rt.AllocFloat64("v", 8192)
-	rt.ParallelFor("w", 0, 8192, func(p *Proc, lo, hi int) {
+	rt.For("w", 0, 8192, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
 			buf[i] = 1
@@ -53,15 +53,14 @@ func TestMultipleSimultaneousJoinsAndLeaves(t *testing.T) {
 		t.Fatalf("GCs = %d, want 2 (one per batch)", gcs)
 	}
 	// All data still correct across the reshuffle.
-	sum := rt.ParallelForReduce("check", 0, 8192, 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *Proc, lo, hi int) float64 {
+	sum := rt.For("check", 0, 8192,
+		func(p *Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += a.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, WithReduce(0, func(x, y float64) float64 { return x + y }))
 	if sum != 8192 {
 		t.Fatalf("sum = %g, want 8192", sum)
 	}
@@ -72,7 +71,7 @@ func TestMultipleSimultaneousJoinsAndLeaves(t *testing.T) {
 func TestLeaveEverySlaveSequentially(t *testing.T) {
 	rt := newRT(t, 8, 8, true)
 	a, _ := rt.AllocFloat64("v", 16384)
-	rt.ParallelFor("init", 0, 16384, func(p *Proc, lo, hi int) {
+	rt.For("init", 0, 16384, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
 			buf[i] = float64(lo + i)
@@ -89,15 +88,14 @@ func TestLeaveEverySlaveSequentially(t *testing.T) {
 		}
 	}
 	// Master-only team still computes correctly.
-	sum := rt.ParallelForReduce("check", 0, 16384, 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *Proc, lo, hi int) float64 {
+	sum := rt.For("check", 0, 16384,
+		func(p *Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += a.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, WithReduce(0, func(x, y float64) float64 { return x + y }))
 	if want := float64(16383) * 16384 / 2; sum != want {
 		t.Fatalf("sum = %g, want %g", sum, want)
 	}
@@ -112,7 +110,7 @@ func TestAdaptationDuringDynamicSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		rt.ParallelForDynamic("dyn", 0, 4096, 256, func(p *Proc, lo, hi int) {
+		rt.For("dyn", 0, 4096, func(p *Proc, lo, hi int) {
 			buf := make([]float64, hi-lo)
 			a.ReadRange(p.Mem(), lo, hi, buf)
 			for i := range buf {
@@ -120,7 +118,7 @@ func TestAdaptationDuringDynamicSchedule(t *testing.T) {
 			}
 			a.WriteRange(p.Mem(), lo, buf)
 			p.ChargeUnits(hi-lo, simtime.Micros(0.2))
-		})
+		}, WithSchedule(Dynamic, 256))
 	}
 	if rt.NProcs() != 3 {
 		t.Fatalf("team = %d, want 3", rt.NProcs())

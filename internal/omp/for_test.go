@@ -46,77 +46,6 @@ func (l *rangeLog) assertTiles(t *testing.T, lo, hi int) {
 	}
 }
 
-func TestForStaticMatchesParallelFor(t *testing.T) {
-	const n = 509
-	runs := func(do func(rt *Runtime, hits *[n]int32)) ([n]int32, float64) {
-		rt := newRT(t, 4, 4, false)
-		var hits [n]int32
-		do(rt, &hits)
-		return hits, float64(rt.Now())
-	}
-	body := func(hits *[n]int32) func(p *Proc, lo, hi int) {
-		return func(p *Proc, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-			p.ChargeUnits(hi-lo, 1e-5)
-		}
-	}
-	legacyHits, legacyT := runs(func(rt *Runtime, hits *[n]int32) {
-		rt.ParallelFor("loop", 0, n, body(hits))
-	})
-	forHits, forT := runs(func(rt *Runtime, hits *[n]int32) {
-		rt.For("loop", 0, n, body(hits))
-	})
-	if legacyHits != forHits {
-		t.Fatal("For(Static) and ParallelFor covered different iterations")
-	}
-	for i, h := range forHits {
-		if h != 1 {
-			t.Fatalf("iteration %d executed %d times", i, h)
-		}
-	}
-	if legacyT != forT {
-		t.Fatalf("For(Static) virtual time %v differs from ParallelFor %v", forT, legacyT)
-	}
-}
-
-func TestForReduceMatchesParallelForReduce(t *testing.T) {
-	const n = 1000
-	sum := func(use func(rt *Runtime) float64) (float64, float64) {
-		rt := newRT(t, 4, 3, false)
-		if _, err := Alloc[float64](rt, "v", n); err != nil {
-			t.Fatal(err)
-		}
-		got := use(rt)
-		return got, float64(rt.Now())
-	}
-	blockSum := func(p *Proc, lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += float64(i)
-		}
-		p.ChargeUnits(hi-lo, 1e-6)
-		return s
-	}
-	legacy, legacyT := sum(func(rt *Runtime) float64 {
-		return rt.ParallelForReduce("sum", 0, n, 0,
-			func(a, b float64) float64 { return a + b }, blockSum)
-	})
-	unified, unifiedT := sum(func(rt *Runtime) float64 {
-		return rt.For("sum", 0, n, func(p *Proc, lo, hi int) {
-			p.Contribute(blockSum(p, lo, hi))
-		}, WithReduce(0, func(a, b float64) float64 { return a + b }))
-	})
-	want := float64(n-1) * float64(n) / 2
-	if legacy != want || unified != want {
-		t.Fatalf("sums legacy=%v unified=%v, want %v", legacy, unified, want)
-	}
-	if legacyT != unifiedT {
-		t.Fatalf("reduce virtual time unified %v differs from legacy %v", unifiedT, legacyT)
-	}
-}
-
 func TestForReduceMax(t *testing.T) {
 	rt := newRT(t, 3, 3, false)
 	got := rt.For("max", 0, 100, func(p *Proc, lo, hi int) {
@@ -206,22 +135,6 @@ func TestForGuidedUnderTeamResize(t *testing.T) {
 	}
 	if len(teamSizes) < 3 {
 		t.Fatalf("team never resized across rounds: sizes seen %v", teamSizes)
-	}
-}
-
-func TestForDynamicMatchesParallelForDynamic(t *testing.T) {
-	const n = 777
-	var hits [n]int32
-	rt := newRT(t, 4, 4, false)
-	rt.For("dyn", 0, n, func(p *Proc, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	}, WithSchedule(Dynamic, 32))
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("iteration %d executed %d times", i, h)
-		}
 	}
 }
 

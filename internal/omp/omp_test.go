@@ -71,7 +71,7 @@ func TestParallelForCoversIterationSpace(t *testing.T) {
 	rt := newRT(t, 4, 4, false)
 	const n = 1003
 	var hits [n]int32
-	rt.ParallelFor("cover", 0, n, func(p *Proc, lo, hi int) {
+	rt.For("cover", 0, n, func(p *Proc, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -90,11 +90,11 @@ func TestParallelForChunkCoversAndInterleaves(t *testing.T) {
 	for i := range owner {
 		owner[i] = -1
 	}
-	rt.ParallelForChunk("chunk", 0, n, 16, func(p *Proc, lo, hi int) {
+	rt.For("chunk", 0, n, func(p *Proc, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.StoreInt32(&owner[i], int32(p.ID))
 		}
-	})
+	}, WithSchedule(StaticChunk, 16))
 	for i := 0; i < n; i++ {
 		want := (i / 16) % 3
 		if owner[i] != int32(want) {
@@ -120,7 +120,7 @@ func TestSharedMemoryThroughRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.ParallelFor("fill", 0, 1024, func(p *Proc, lo, hi int) {
+	rt.For("fill", 0, 1024, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
 			buf[i] = float64(lo + i)
@@ -128,17 +128,16 @@ func TestSharedMemoryThroughRuntime(t *testing.T) {
 		a.WriteRange(p.Mem(), lo, buf)
 	})
 	// Sum in parallel with a different partition parity.
-	got := rt.ParallelForReduce("sum", 0, 1024, 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *Proc, lo, hi int) float64 {
+	got := rt.For("sum", 0, 1024,
+		func(p *Proc, lo, hi int) {
 			buf := make([]float64, hi-lo)
 			a.ReadRange(p.Mem(), lo, hi, buf)
 			s := 0.0
 			for _, v := range buf {
 				s += v
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, WithReduce(0, func(x, y float64) float64 { return x + y }))
 	want := float64(1023 * 1024 / 2)
 	if got != want {
 		t.Fatalf("sum = %g, want %g", got, want)
@@ -156,7 +155,7 @@ func TestNonAdaptiveRejectsEvents(t *testing.T) {
 func TestLeaveShrinksTeamAtNextFork(t *testing.T) {
 	rt := newRT(t, 4, 4, true)
 	a, _ := rt.AllocFloat64("v", 4096)
-	rt.ParallelFor("w", 0, 4096, func(p *Proc, lo, hi int) {
+	rt.For("w", 0, 4096, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
 			buf[i] = 1
@@ -168,7 +167,7 @@ func TestLeaveShrinksTeamAtNextFork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sizes []int
-	rt.ParallelFor("after", 0, 4096, func(p *Proc, lo, hi int) {
+	rt.For("after", 0, 4096, func(p *Proc, lo, hi int) {
 		if p.ID == 0 {
 			sizes = append(sizes, p.N)
 		}
@@ -190,15 +189,14 @@ func TestLeaveShrinksTeamAtNextFork(t *testing.T) {
 		t.Fatalf("adaptation cost not recorded: %+v", log[0])
 	}
 	// Data survives re-partitioning.
-	sum := rt.ParallelForReduce("check", 0, 4096, 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *Proc, lo, hi int) float64 {
+	sum := rt.For("check", 0, 4096,
+		func(p *Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += a.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, WithReduce(0, func(x, y float64) float64 { return x + y }))
 	if sum != 4096 {
 		t.Fatalf("post-leave sum = %g, want 4096", sum)
 	}
@@ -230,7 +228,7 @@ func TestUrgentLeaveThroughRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := rt.AllocFloat64("v", 2048)
-	rt.ParallelFor("warm", 0, 2048, func(p *Proc, lo, hi int) {
+	rt.For("warm", 0, 2048, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
 			buf[i] = 2
@@ -256,15 +254,14 @@ func TestUrgentLeaveThroughRuntime(t *testing.T) {
 		t.Fatalf("urgent leave must carry a migration plan, got %+v", plan)
 	}
 	// Data integrity after migration + leave.
-	sum := rt.ParallelForReduce("check", 0, 2048, 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *Proc, lo, hi int) float64 {
+	sum := rt.For("check", 0, 2048,
+		func(p *Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += a.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, WithReduce(0, func(x, y float64) float64 { return x + y }))
 	if sum != 4096 {
 		t.Fatalf("post-urgent-leave sum = %g, want 4096", sum)
 	}
@@ -277,7 +274,7 @@ func TestAdaptiveNoEventsMatchesNonAdaptive(t *testing.T) {
 		rt := newRT(t, 4, 4, adaptive)
 		a, _ := rt.AllocFloat64("v", 8192)
 		for it := 0; it < 5; it++ {
-			rt.ParallelFor("phase", 0, 8192, func(p *Proc, lo, hi int) {
+			rt.For("phase", 0, 8192, func(p *Proc, lo, hi int) {
 				buf := make([]float64, hi-lo)
 				a.ReadRange(p.Mem(), lo, hi, buf)
 				for i := range buf {
@@ -368,7 +365,7 @@ func TestInvariantsAfterFullAppLifecycle(t *testing.T) {
 		}
 	}
 	for it := 0; it < 12; it++ {
-		rt.ParallelFor("sweep", 0, 8192, func(p *Proc, lo, hi int) {
+		rt.For("sweep", 0, 8192, func(p *Proc, lo, hi int) {
 			buf := make([]float64, hi-lo)
 			a.ReadRange(p.Mem(), lo, hi, buf)
 			for i := range buf {
@@ -384,15 +381,14 @@ func TestInvariantsAfterFullAppLifecycle(t *testing.T) {
 	if got := appliedEvents(rt); got != 4 {
 		t.Fatalf("applied events = %d, want 4", got)
 	}
-	sum := rt.ParallelForReduce("check", 0, 8192, 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *Proc, lo, hi int) float64 {
+	sum := rt.For("check", 0, 8192,
+		func(p *Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += a.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, WithReduce(0, func(x, y float64) float64 { return x + y }))
 	if sum != 12*8192 {
 		t.Fatalf("sum = %g, want %d", sum, 12*8192)
 	}

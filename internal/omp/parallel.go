@@ -9,27 +9,6 @@ import (
 	"nowomp/internal/simtime"
 )
 
-// ParallelFor executes body over the iteration space [lo,hi) with the
-// OpenMP static schedule: each team process receives one contiguous
-// block computed from its (id, nprocs), recomputed at this fork — the
-// re-partitioning mechanism adaptation relies on. The construct forks,
-// runs, and joins at a barrier; the fork boundary is an adaptation
-// point where pending adapt events are applied first.
-//
-// Legacy wrapper over For with the default Static schedule.
-func (rt *Runtime) ParallelFor(name string, lo, hi int, body func(p *Proc, lo, hi int)) {
-	rt.For(name, lo, hi, body)
-}
-
-// ParallelForChunk executes body with a static cyclic schedule of the
-// given chunk size (OpenMP schedule(static, chunk)): process i runs
-// chunks i, i+N, i+2N, ... Body is invoked once per chunk.
-//
-// Legacy wrapper over For with WithSchedule(StaticChunk, chunk).
-func (rt *Runtime) ParallelForChunk(name string, lo, hi, chunk int, body func(p *Proc, lo, hi int)) {
-	rt.For(name, lo, hi, body, WithSchedule(StaticChunk, chunk))
-}
-
 // Parallel executes body once on every process of the team: the bare
 // parallel construct. The iteration partitioning, if any, is the
 // body's business via Proc.Block.
@@ -37,21 +16,6 @@ func (rt *Runtime) Parallel(name string, body func(p *Proc)) {
 	procs := rt.fork(name)
 	rt.run(procs, body)
 	rt.join(procs)
-}
-
-// ParallelForReduce is ParallelFor with a floating-point reduction:
-// each process folds its block into a partial starting from identity,
-// and the master combines the partials in process-id order at the
-// join (deterministic regardless of scheduling).
-//
-// Legacy wrapper over For with WithReduce; body's return value is the
-// process's contribution for its block.
-func (rt *Runtime) ParallelForReduce(name string, lo, hi int, identity float64,
-	op func(a, b float64) float64, body func(p *Proc, lo, hi int) float64) float64 {
-
-	return rt.For(name, lo, hi, func(p *Proc, lo, hi int) {
-		p.Contribute(body(p, lo, hi))
-	}, WithReduce(identity, op))
 }
 
 // fork applies pending adapt events (this is the adaptation point),

@@ -27,13 +27,13 @@ func (rt *Runtime) ParallelForTiled(name string, lo, hi, tiles int, body func(p 
 		tiles = total
 	}
 	if tiles <= 1 {
-		rt.ParallelFor(name, lo, hi, body)
+		rt.For(name, lo, hi, body)
 		return
 	}
 	for t := 0; t < tiles; t++ {
 		tlo := lo + t*total/tiles
 		thi := lo + (t+1)*total/tiles
-		rt.ParallelFor(fmt.Sprintf("%s.tile%d", name, t), tlo, thi, body)
+		rt.For(fmt.Sprintf("%s.tile%d", name, t), tlo, thi, body)
 	}
 }
 
@@ -55,17 +55,6 @@ func (rt *Runtime) ParallelSections(name string, sections ...func(p *Proc)) {
 // counter-based (Dynamic, Guided) schedules. Lock ids are a global
 // namespace managed by host 0; user code should avoid this id.
 const dynLock = 1 << 30
-
-// ParallelForDynamic executes body with the OpenMP dynamic schedule:
-// processes repeatedly claim the next chunk from a shared counter in
-// DSM memory, guarded by a Tmk lock, until the space is exhausted.
-// Claiming costs real lock and page traffic, exactly as it would on
-// the NOW — dynamic scheduling on a DSM is priced, not free.
-//
-// Legacy wrapper over For with WithSchedule(Dynamic, chunk).
-func (rt *Runtime) ParallelForDynamic(name string, lo, hi, chunk int, body func(p *Proc, lo, hi int)) {
-	rt.For(name, lo, hi, body, WithSchedule(Dynamic, chunk))
-}
 
 // dynCounter lazily allocates the shared chunk counter backing the
 // counter-based schedules: one page of int64 slots (slot 0 is the

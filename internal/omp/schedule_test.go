@@ -116,11 +116,11 @@ func TestParallelForDynamicCoversOnce(t *testing.T) {
 	rt := newRT(t, 4, 4, false)
 	const n = 777
 	var hits [n]int32
-	rt.ParallelForDynamic("dyn", 0, n, 32, func(p *Proc, lo, hi int) {
+	rt.For("dyn", 0, n, func(p *Proc, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
-	})
+	}, WithSchedule(Dynamic, 32))
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("iteration %d executed %d times", i, h)
@@ -140,12 +140,12 @@ func TestParallelForDynamicBalancesSkew(t *testing.T) {
 	}
 	rtS := newRT(t, 4, 4, false)
 	t0 := rtS.Now()
-	rtS.ParallelFor("static", 0, 1024, work)
+	rtS.For("static", 0, 1024, work)
 	static := rtS.Now() - t0
 
 	rtD := newRT(t, 4, 4, false)
 	t0 = rtD.Now()
-	rtD.ParallelForDynamic("dynamic", 0, 1024, 64, work)
+	rtD.For("dynamic", 0, 1024, work, WithSchedule(Dynamic, 64))
 	dynamic := rtD.Now() - t0
 
 	if dynamic >= static {
@@ -161,11 +161,11 @@ func TestParallelForDynamicRepeatedAndSequential(t *testing.T) {
 	var total int64
 	for round := 0; round < 3; round++ {
 		var sum int64
-		rt.ParallelForDynamic("dyn", 100, 200, 7, func(p *Proc, lo, hi int) {
+		rt.For("dyn", 100, 200, func(p *Proc, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt64(&sum, int64(i))
 			}
-		})
+		}, WithSchedule(Dynamic, 7))
 		total += sum
 	}
 	want := int64(3) * (199 + 100) * 100 / 2
@@ -181,5 +181,5 @@ func TestParallelForDynamicChunkValidation(t *testing.T) {
 			t.Fatal("chunk=0 must panic")
 		}
 	}()
-	rt.ParallelForDynamic("bad", 0, 10, 0, func(p *Proc, lo, hi int) {})
+	rt.For("bad", 0, 10, func(p *Proc, lo, hi int) {}, WithSchedule(Dynamic, 0))
 }

@@ -19,7 +19,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.ParallelFor("init", 0, a.Len(), func(p *nowomp.Proc, lo, hi int) {
+	rt.For("init", 0, a.Len(), func(p *nowomp.Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
 			buf[i] = float64(lo + i)
@@ -37,15 +37,14 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("team = %d, want 4 after join", rt.NProcs())
 	}
 
-	sum := rt.ParallelForReduce("sum", 0, a.Len(), 0,
-		func(x, y float64) float64 { return x + y },
-		func(p *nowomp.Proc, lo, hi int) float64 {
+	sum := rt.For("sum", 0, a.Len(),
+		func(p *nowomp.Proc, lo, hi int) {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += a.Get(p.Mem(), i)
 			}
-			return s
-		})
+			p.Contribute(s)
+		}, nowomp.WithReduce(0, func(x, y float64) float64 { return x + y }))
 	want := float64(4095) * 4096 / 2
 	if sum != want {
 		t.Fatalf("sum = %g, want %g", sum, want)
