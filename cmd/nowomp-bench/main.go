@@ -1,10 +1,9 @@
 // Command nowomp-bench regenerates the tables and figures of the
 // paper's evaluation section. Each experiment prints the same rows or
-// series the paper reports; EXPERIMENTS.md records a full run against
-// the published numbers. With -json the experiments that have natural
-// scenario rows (table1, tasking, hetero, protocols) also write a
-// machine-readable BENCH_*.json report so the performance trajectory
-// can be tracked across PRs.
+// series the paper reports. With -json the experiments that have
+// natural scenario rows (table1, tasking, hetero, protocols) also write
+// a machine-readable report of their simulated columns; the committed
+// BENCH_pr10.json is one, at scale 1.0.
 //
 // Every scenario cell is a self-contained deterministic simulation, so
 // -parallel N fans the table1/tasking/hetero/protocols matrices out
@@ -16,12 +15,14 @@
 //
 //	nowomp-bench -exp table1 -scale 0.15
 //	nowomp-bench -exp protocols -scale 0.1 -parallel 8
-//	nowomp-bench -exp all -json BENCH_pr5.json -parallel 0
+//	nowomp-bench -exp all -json bench.json -parallel 0
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -34,63 +35,147 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// experiment is one -exp choice: it regenerates its table, adds its
+// rows to the report when they are natural scenario rows, and returns
+// the printed text. On an error the rows are nil, so nothing is added.
+type experiment struct {
+	name string
+	run  func(opt bench.Options, report *bench.Report) (string, error)
+}
+
+// experiments lists the -exp choices in the order "all" runs them.
+var experiments = []experiment{
+	{"table1", func(opt bench.Options, report *bench.Report) (string, error) {
+		rows, err := bench.Table1(opt, nil)
+		report.AddTable1(rows)
+		return bench.FormatTable1(rows, opt.Scale), err
+	}},
+	{"table2", func(opt bench.Options, _ *bench.Report) (string, error) {
+		cells, err := bench.Table2(opt, nil)
+		return bench.FormatTable2(cells), err
+	}},
+	{"fig3", func(opt bench.Options, _ *bench.Report) (string, error) {
+		rows, err := bench.Fig3(opt, nil)
+		return bench.FormatFig3(rows), err
+	}},
+	{"migration", func(opt bench.Options, _ *bench.Report) (string, error) {
+		rows, err := bench.Migration(opt)
+		return bench.FormatMigration(rows), err
+	}},
+	{"micro", func(opt bench.Options, _ *bench.Report) (string, error) {
+		m, err := bench.Micro(opt)
+		return bench.FormatMicro(m), err
+	}},
+	{"ablation", func(opt bench.Options, _ *bench.Report) (string, error) {
+		a, err := bench.Ablation(opt)
+		return bench.FormatAblation(a), err
+	}},
+	{"tasking", func(opt bench.Options, report *bench.Report) (string, error) {
+		rows, err := bench.Tasking(opt)
+		report.AddTasking(rows)
+		return bench.FormatTasking(rows), err
+	}},
+	{"hetero", func(opt bench.Options, report *bench.Report) (string, error) {
+		rows, err := bench.Hetero(opt)
+		report.AddHetero(rows)
+		return bench.FormatHetero(rows), err
+	}},
+	{"protocols", func(opt bench.Options, report *bench.Report) (string, error) {
+		rows, err := bench.Protocols(opt)
+		report.AddProtocols(rows)
+		return bench.FormatProtocols(rows), err
+	}},
+}
+
+// experimentNames renders the -exp choices for the usage string and
+// the unknown-experiment error.
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ") + ", all"
+}
+
+// run is the whole command: parse args, regenerate the chosen
+// experiments onto stdout (progress and errors onto stderr) and return
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	// The heterogeneity/protocol surface is the shared scenario spec;
 	// bench-only knobs (-exp, -pairs, -json, -parallel) stay local, and
-	// the spec fields every experiment overrides per cell (kernel,
-	// procs, schedule) are not exposed. Procs 1 keeps Normalize's
-	// hosts >= procs check out of the way of small -hosts pools.
+	// the spec fields every experiment sets per cell (kernel, procs,
+	// schedule) are not exposed. Procs 1 keeps Normalize's hosts >=
+	// procs check out of the way of small -hosts pools; each cell's own
+	// spec makes that check against its own team.
+	fs := flag.NewFlagSet("nowomp-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	spec := scenario.Spec{
 		Kernel: "jacobi", Procs: 1, Hosts: 10, Scale: 0.15,
 		Grace: 3.0, Protocol: "tmk", Adaptive: true,
 	}
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, table2, fig3, migration, micro, ablation, tasking, hetero, protocols or all")
-		pairs    = flag.Int("pairs", 3, "leave/join pairs per Table 2 run")
-		jsonPath = flag.String("json", "", "write a machine-readable BENCH_*.json report to this path")
-		parallel = flag.Int("parallel", 1, "worker-pool size for independent scenario cells (0 = GOMAXPROCS); results are byte-identical at any level")
-		quiet    = flag.Bool("q", false, "suppress the per-cell progress/ETA ticks on stderr")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
-		memProf  = flag.String("memprofile", "", "write a pprof allocation profile taken at exit to this path")
+		exp      = fs.String("exp", "all", "experiment: "+experimentNames())
+		pairs    = fs.Int("pairs", 3, "leave/join pairs per Table 2 run")
+		jsonPath = fs.String("json", "", "write a machine-readable BENCH_*.json report to this path")
+		parallel = fs.Int("parallel", 1, "worker-pool size for independent scenario cells (0 = GOMAXPROCS); results are byte-identical at any level")
+		quiet    = fs.Bool("q", false, "suppress the per-cell progress/ETA ticks on stderr")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
+		memProf  = fs.String("memprofile", "", "write a pprof allocation profile taken at exit to this path")
 	)
-	flag.Float64Var(&spec.Scale, "scale", spec.Scale, "problem scale (1.0 = the paper's sizes; some experiments enforce larger floors)")
-	flag.IntVar(&spec.Hosts, "hosts", spec.Hosts, "workstation pool size")
-	flag.Float64Var(&spec.Grace, "grace", spec.Grace, "leave grace period in seconds")
-	flag.StringVar(&spec.Policy, "policy", spec.Policy, "load policy for the hetero custom scenario, e.g. \"high=1.5,low=0.25,dwell=2\"")
-	spec.BindHetero(flag.CommandLine)
-	spec.BindProtocol(flag.CommandLine)
-	flag.Parse()
+	fs.Float64Var(&spec.Scale, "scale", spec.Scale, "problem scale (1.0 = the paper's sizes; some experiments enforce larger floors)")
+	fs.IntVar(&spec.Hosts, "hosts", spec.Hosts, "workstation pool size")
+	fs.Float64Var(&spec.Grace, "grace", spec.Grace, "leave grace period in seconds")
+	fs.StringVar(&spec.Policy, "policy", spec.Policy, "load policy for the hetero custom scenario, e.g. \"high=1.5,low=0.25,dwell=2\"")
+	spec.BindHetero(fs)
+	spec.BindProtocol(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "nowomp-bench:", err)
+		return 1
+	}
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
-	opt, err := options(spec, *pairs, *parallel)
+	// Validate the flags once, up front, so a malformed one fails before
+	// any experiment runs — including the experiments it would not reach.
+	norm, err := spec.Normalize()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nowomp-bench:", err)
-		os.Exit(1)
+		return fail(err)
+	}
+	opt := bench.Options{
+		Scale: norm.Scale, Hosts: norm.Hosts, Pairs: *pairs, Grace: simtime.Seconds(norm.Grace),
+		Machines: norm.Machines, Loads: norm.Loads, Links: norm.Links,
+		Policy: norm.Policy, Protocol: norm.Protocol, Parallel: *parallel,
 	}
 	if !*quiet {
 		// Progress ticks are stderr-only so the deterministic stdout
 		// and -json contracts are unaffected.
-		opt.Progress = os.Stderr
+		opt.Progress = stderr
 	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := startProfiles(*cpuProf, *memProf, stdout, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nowomp-bench:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	if err := run(*exp, opt, *jsonPath); err != nil {
-		stopProf()
-		fmt.Fprintln(os.Stderr, "nowomp-bench:", err)
-		os.Exit(1)
+	defer stopProf()
+	if err := regenerate(*exp, opt, *jsonPath, stdout); err != nil {
+		return fail(err)
 	}
-	stopProf()
+	return 0
 }
 
 // startProfiles wires the optional pprof outputs: the CPU profile spans
 // the whole run, the allocation profile is an at-exit snapshot (taken
-// after a final GC so live objects are accurate). The returned stop
-// function is idempotent.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	stopped := false
+// after a final GC so live objects are accurate). The caller runs the
+// returned stop function once, on its way out.
+func startProfiles(cpuPath, memPath string, stdout, stderr io.Writer) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)
@@ -102,194 +187,56 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 		}
 	}
 	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
-			fmt.Printf("[cpu profile written to %s]\n", cpuPath)
+			fmt.Fprintf(stdout, "[cpu profile written to %s]\n", cpuPath)
 		}
 		if memPath != "" {
 			f, err := os.Create(memPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "nowomp-bench: -memprofile:", err)
+				fmt.Fprintln(stderr, "nowomp-bench: -memprofile:", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "nowomp-bench: -memprofile:", err)
+				fmt.Fprintln(stderr, "nowomp-bench: -memprofile:", err)
 			}
 			f.Close()
-			fmt.Printf("[mem profile written to %s]\n", memPath)
+			fmt.Fprintf(stdout, "[mem profile written to %s]\n", memPath)
 		}
 	}, nil
 }
 
-// options folds the scenario spec into the bench options: speeds and
-// loads build a machine model every experiment runs on, links bend
-// each run's fabric, the policy reaches the hetero experiment's custom
-// scenario, and the protocol applies everywhere (the protocols
-// experiment keeps its own tmk/hlrc/hybrid matrix regardless).
-func options(spec scenario.Spec, pairs, parallel int) (bench.Options, error) {
-	norm, err := spec.Normalize()
-	if err != nil {
-		return bench.Options{}, err
-	}
-	opt := bench.Options{
-		Scale: norm.Scale, Hosts: norm.Hosts, Pairs: pairs,
-		Grace:    simtime.Seconds(norm.Grace),
-		Parallel: parallel,
-	}
-	if opt.Machine, err = norm.MachineModel(); err != nil {
-		return bench.Options{}, err
-	}
-	if opt.Links, err = norm.LinksFunc(); err != nil {
-		return bench.Options{}, err
-	}
-	if opt.Policy, err = norm.LoadPolicy(); err != nil {
-		return bench.Options{}, err
-	}
-	if opt.Protocol, err = norm.ProtocolKind(); err != nil {
-		return bench.Options{}, err
-	}
-	return opt, nil
-}
-
-func run(exp string, opt bench.Options, jsonPath string) error {
-	all := exp == "all"
-	ran := false
+// regenerate runs the chosen experiment (or all of them, in table
+// order), printing each table and its real-time cost, and writes the
+// -json report when asked.
+func regenerate(exp string, opt bench.Options, jsonPath string, stdout io.Writer) error {
 	wallStart := time.Now()
-	var report *bench.Report
-	if jsonPath != "" {
-		report = bench.NewReport(opt)
-	}
-	step := func(name string, f func() error) error {
-		if !all && exp != name {
-			return nil
+	report := bench.NewReport(opt) // written only under -json
+	ran := false
+	for _, e := range experiments {
+		if exp != "all" && exp != e.name {
+			continue
 		}
 		ran = true
 		start := time.Now()
-		if err := f(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("[%s regenerated in %.1fs real time]\n\n", name, time.Since(start).Seconds())
-		return nil
-	}
-
-	if err := step("table1", func() error {
-		rows, err := bench.Table1(opt, nil)
+		text, err := e.run(opt, report)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		if report != nil {
-			report.AddTable1(rows)
-		}
-		fmt.Print(bench.FormatTable1(rows, opt.Scale))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("table2", func() error {
-		cells, err := bench.Table2(opt, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatTable2(cells))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("fig3", func() error {
-		rows, err := bench.Fig3(opt, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatFig3(rows))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("migration", func() error {
-		rows, err := bench.Migration(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatMigration(rows))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("micro", func() error {
-		m, err := bench.Micro(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatMicro(m))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("ablation", func() error {
-		a, err := bench.Ablation(opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAblation(a))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("tasking", func() error {
-		rows, err := bench.Tasking(opt)
-		if err != nil {
-			return err
-		}
-		if report != nil {
-			report.AddTasking(rows)
-		}
-		fmt.Print(bench.FormatTasking(rows))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("hetero", func() error {
-		rows, err := bench.Hetero(opt)
-		if err != nil {
-			return err
-		}
-		if report != nil {
-			report.AddHetero(rows)
-		}
-		fmt.Print(bench.FormatHetero(rows))
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := step("protocols", func() error {
-		rows, err := bench.Protocols(opt)
-		if err != nil {
-			return err
-		}
-		if report != nil {
-			report.AddProtocols(rows)
-		}
-		fmt.Print(bench.FormatProtocols(rows))
-		return nil
-	}); err != nil {
-		return err
+		fmt.Fprint(stdout, text)
+		fmt.Fprintf(stdout, "[%s regenerated in %.1fs real time]\n\n", e.name, time.Since(start).Seconds())
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want %s)", exp,
-			strings.Join([]string{"table1", "table2", "fig3", "migration", "micro", "ablation", "tasking", "hetero", "protocols", "all"}, ", "))
+		return fmt.Errorf("unknown experiment %q (want %s)", exp, experimentNames())
 	}
-	if report != nil {
+	if jsonPath != "" {
 		report.WallSeconds = time.Since(wallStart).Seconds()
 		if err := report.Write(jsonPath); err != nil {
 			return err
 		}
-		fmt.Printf("[json report written to %s]\n", jsonPath)
+		fmt.Fprintf(stdout, "[json report written to %s]\n", jsonPath)
 	}
 	return nil
 }

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"text/tabwriter"
@@ -28,59 +30,63 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: parse args, execute the scenario, print
+// the report onto stdout (errors onto stderr) and return the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nowomp-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	spec := scenario.Spec{
 		Kernel: "jacobi", Procs: 8, Hosts: 10, Scale: 0.2,
 		Grace: 3.0, Protocol: "tmk",
 	}
-	spec.BindAll(flag.CommandLine)
-	flag.BoolVar(&spec.Adaptive, "adaptive", true, "use the adaptive runtime variant")
-	flag.BoolVar(&spec.Verify, "verify", true, "check the result against the sequential reference")
-	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
-	flag.Parse()
+	spec.BindAll(fs)
+	fs.BoolVar(&spec.Adaptive, "adaptive", true, "use the adaptive runtime variant")
+	fs.BoolVar(&spec.Verify, "verify", true, "check the result against the sequential reference")
+	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "nowomp-run:", err)
+		return 1
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nowomp-run: -cpuprofile:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("-cpuprofile: %w", err))
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "nowomp-run: -cpuprofile:", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("-cpuprofile: %w", err))
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
-	if err := run(spec); err != nil {
-		fmt.Fprintln(os.Stderr, "nowomp-run:", err)
-		os.Exit(1)
+	if err := report(spec, stdout); err != nil {
+		return fail(err)
 	}
+	return 0
 }
 
-func run(spec scenario.Spec) error {
-	norm, err := spec.Normalize()
-	if err != nil {
-		return err
-	}
-	rt, derived, err := norm.Build()
+// report executes the scenario and prints its measurements, the
+// adaptation log and the verification verdict.
+func report(spec scenario.Spec, stdout io.Writer) error {
+	norm, res, rt, derived, err := spec.Execute(nil, nil)
 	if err != nil {
 		return err
 	}
 	if norm.Policy != "" {
-		fmt.Printf("policy %s derived %d events: %s\n\n",
+		fmt.Fprintf(stdout, "policy %s derived %d events: %s\n\n",
 			norm.Policy, len(derived), adapt.FormatSchedule(derived))
 	}
-	runner, err := norm.Runner()
-	if err != nil {
-		return err
-	}
-	res, err := runner.Run(rt, norm.Scale)
-	if err != nil {
-		return err
-	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintf(w, "app\t%s (scale %g)\n", res.App, norm.Scale)
 	fmt.Fprintf(w, "protocol\t%s\n", rt.Cluster().Protocol())
 	fmt.Fprintf(w, "team\t%d initial, %d final\n", res.Procs, rt.NProcs())
@@ -92,12 +98,12 @@ func run(spec scenario.Spec) error {
 	w.Flush()
 
 	if mgr := rt.Manager(); mgr != nil && mgr.PendingCount() > 0 {
-		fmt.Printf("\nnote: %d scheduled events never matured (run ended at t=%.2fs; schedule times are virtual seconds)\n",
+		fmt.Fprintf(stdout, "\nnote: %d scheduled events never matured (run ended at t=%.2fs; schedule times are virtual seconds)\n",
 			mgr.PendingCount(), float64(rt.Now()))
 	}
 	if log := rt.AdaptLog(); len(log) > 0 {
-		fmt.Println("\nadaptations:")
-		w = tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+		fmt.Fprintln(stdout, "\nadaptations:")
+		w = tabwriter.NewWriter(stdout, 2, 0, 2, ' ', 0)
 		fmt.Fprintln(w, "  at\tevent\thost\turgent\tcost\tpages moved\tmax-link bytes\tteam after")
 		for _, ap := range log {
 			for _, rec := range ap.Applied {
@@ -108,14 +114,8 @@ func run(spec scenario.Spec) error {
 		}
 		w.Flush()
 	}
-
-	if norm.Verify {
-		want := runner.Reference(norm.Scale)
-		if res.Checksum == want {
-			fmt.Println("\nverified: result matches the sequential reference bit for bit")
-		} else {
-			return fmt.Errorf("verification FAILED: checksum %g, reference %g", res.Checksum, want)
-		}
+	if norm.Verify { // Execute fails the run on a mismatch
+		fmt.Fprintln(stdout, "\nverified: result matches the sequential reference bit for bit")
 	}
 	return nil
 }

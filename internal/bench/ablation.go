@@ -67,32 +67,23 @@ func Ablation(opt Options) (AblationResult, error) {
 // partition into the hole, which the geometry predicts is *worse* —
 // reproducing why the paper calls better reassignment an open problem.
 func reassignAblation(opt Options) ([]ReassignRow, error) {
+	base, err := opt.baselines("jacobi", opt.Scale, 7, 8)
+	if err != nil {
+		return nil, err
+	}
 	var rows []ReassignRow
 	for _, strat := range []adapt.ReassignStrategy{adapt.ShiftDown, adapt.SwapLast} {
-		base := map[int]simtime.Seconds{}
-		for _, n := range []int{7, 8} {
-			res, _, err := runAppOpt(opt, "jacobi", opt.Scale, omp.Config{Hosts: opt.Hosts, Procs: n}, nil)
-			if err != nil {
-				return nil, err
-			}
-			base[n] = res.Time
-		}
-		fl := &forkLeaver{fires: map[int64][]int{8: {MiddleSlot(8)}}}
-		res, rt, err := runAppOpt(opt, "jacobi", opt.Scale, omp.Config{
-			Hosts: opt.Hosts, Procs: 8, Adaptive: true, Grace: opt.Grace, Reassign: strat,
-		}, fl.hook)
+		run, err := opt.adaptCost("jacobi", opt.Scale, 8, base,
+			func(cfg *omp.Config) { cfg.Reassign = strat }, forkLeaver(map[int64][]int{8: {MiddleSlot(8)}}))
 		if err != nil {
 			return nil, err
 		}
-		nbar := avgTeamSize(rt, 8, res.Time)
-		cost := res.Time - interpolateRef(nbar, 7, 8, base[7], base[8])
-		log := rt.AdaptLog()
-		if len(log) != 1 {
-			return nil, fmt.Errorf("bench: reassign ablation fired %d adaptations", len(log))
+		if n := len(run.RT.AdaptLog()); n != 1 {
+			return nil, fmt.Errorf("bench: reassign ablation fired %d adaptations", n)
 		}
 		rows = append(rows, ReassignRow{
 			Strategy:  strat.String(),
-			Cost:      cost,
+			Cost:      run.Cost,
 			MovedFrac: movedFraction(strat, MiddleSlot(8), 8),
 		})
 	}
@@ -118,29 +109,10 @@ func movedFraction(s adapt.ReassignStrategy, slot, t int) float64 {
 		default:
 			oldLo, oldHi = float64(p)/float64(t), float64(p+1)/float64(t)
 		}
-		lo := maxf(newLo, oldLo)
-		hi := minf(newHi, oldHi)
-		overlap := 0.0
-		if hi > lo {
-			overlap = hi - lo
-		}
+		overlap := max(0, min(newHi, oldHi)-max(newLo, oldLo))
 		frac += (newHi - newLo) - overlap
 	}
 	return frac
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // handoffAblation measures the leave's state-transfer under the
@@ -150,10 +122,8 @@ func minf(a, b float64) float64 {
 func handoffAblation(opt Options) ([]HandoffRow, error) {
 	var rows []HandoffRow
 	for _, strat := range []dsm.LeaveStrategy{dsm.LeaveViaMaster, dsm.LeaveDirectHandoff} {
-		fl := &forkLeaver{fires: map[int64][]int{8: {EndSlot(8)}}}
-		_, rt, err := runAppOpt(opt, "jacobi", opt.Scale, omp.Config{
-			Hosts: opt.Hosts, Procs: 8, Adaptive: true, Grace: opt.Grace, LeaveStrategy: strat,
-		}, fl.hook)
+		_, _, rt, _, err := opt.adaptive("jacobi", opt.Scale, 8).Execute(
+			func(cfg *omp.Config) { cfg.LeaveStrategy = strat }, forkLeaver(map[int64][]int{8: {EndSlot(8)}}))
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +147,9 @@ func handoffAblation(opt Options) ([]HandoffRow, error) {
 func graceAblation(opt Options) ([]GraceRow, error) {
 	var rows []GraceRow
 	for _, grace := range []simtime.Seconds{0.5, 2, 5, 30} {
-		rt, err := omp.New(omp.Config{Hosts: 4, Procs: 3, Adaptive: true, Grace: grace})
+		spec := opt.adaptive("", opt.Scale, 3) // the body below is the cell's own
+		spec.Grace = float64(grace)
+		_, rt, _, err := spec.Start(nil)
 		if err != nil {
 			return nil, err
 		}

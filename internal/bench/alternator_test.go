@@ -113,8 +113,7 @@ func TestForkLeaverSkipsInvalidSlots(t *testing.T) {
 	if _, err := rt.AllocFloat64("v", 64); err != nil {
 		t.Fatal(err)
 	}
-	fl := &forkLeaver{fires: map[int64][]int{1: {0, -1, 99, 2}}}
-	rt.SetForkHook(fl.hook)
+	rt.SetForkHook(forkLeaver(map[int64][]int{1: {0, -1, 99, 2}}))
 	rt.Parallel("a", func(p *omp.Proc) {})
 	rt.Parallel("b", func(p *omp.Proc) {})
 	if got := appliedEvents(rt); got != 1 {

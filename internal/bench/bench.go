@@ -4,7 +4,16 @@
 // per adaptation), Figure 3 (data movement vs leaving process id), the
 // section 5.3 migration what-if, the section 5.4 micro-analysis, and
 // the ablations the paper motivates (id reassignment, leave handoff,
-// grace periods).
+// grace periods), plus the tasking, heterogeneity and coherence-
+// protocol matrices.
+//
+// Every cell of every experiment is a scenario.Spec: Options.cell
+// derives it from the options, and the cell reaches its runtime through
+// scenario.Spec.Execute (registered kernels) or scenario.Spec.Start
+// (the synthetic loop, lock and task bodies written here) — the same
+// door nowomp-run, the farm and the fuzzer use. Nothing in this package
+// constructs a runtime itself; the golden-matrix tests do, on purpose,
+// as the reference that path is compared against.
 //
 // Experiments run at a configurable problem scale (1.0 = the paper's
 // sizes); shapes — who wins, by what factor, where crossovers fall —
@@ -18,13 +27,15 @@ import (
 	"nowomp/internal/adapt"
 	"nowomp/internal/apps"
 	"nowomp/internal/dsm"
-	"nowomp/internal/machine"
 	"nowomp/internal/omp"
-	"nowomp/internal/simnet"
+	"nowomp/internal/scenario"
 	"nowomp/internal/simtime"
 )
 
-// Options configures an experiment run.
+// Options configures an experiment run. The heterogeneity and protocol
+// fields are the scenario spec's own compact strings (see
+// scenario.Spec); they are validated when a cell's spec is normalized,
+// so a malformed one fails the first cell that runs.
 type Options struct {
 	// Scale is the linear problem scale; 1.0 reproduces the paper's
 	// sizes. The default 0.15 keeps a full regeneration under a few
@@ -36,25 +47,25 @@ type Options struct {
 	// Pairs is the number of leave/join pairs per adaptive run in
 	// Table 2-style experiments (default 3).
 	Pairs int
-	// Grace is the leave grace period (default: the paper's 3 s).
+	// Grace is the leave grace period (default: the paper's 3 s). The
+	// grace ablation sweeps its own values.
 	Grace simtime.Seconds
-	// Machine applies a per-machine speed/load model to every
-	// experiment run (nil = the homogeneous baseline); the tools'
-	// -machines/-load flags populate it. The hetero experiment keeps
-	// its built-in matrix on the baseline and runs the model as an
-	// appended "custom" scenario instead.
-	Machine *machine.Model
-	// Links configures per-link overrides on each run's fabric (nil =
-	// uniform links).
-	Links func(*simnet.Fabric) error
+	// Machines, Loads and Links are the per-machine speed, load-trace
+	// and per-link override specs (the tools' -machines/-load/-links
+	// flags; empty = the homogeneous baseline). They reach every cell
+	// of every experiment except the hetero and protocols matrices,
+	// whose axis is the NOW shape itself: those keep their built-in
+	// shapes on the baseline, and hetero appends the flags as a
+	// "custom" shape when any of these or Policy is set.
+	Machines, Loads, Links string
 	// Policy adds a load policy to the hetero experiment's custom
-	// scenario (requires Machine load traces); other experiments ignore
-	// it.
-	Policy *adapt.LoadPolicy
-	// Protocol selects the DSM coherence protocol every experiment runs
-	// on (default Tmk). The protocols experiment keeps its own
-	// tmk-vs-hlrc matrix regardless.
-	Protocol dsm.ProtocolKind
+	// shape (it needs Loads to watch); other experiments ignore it.
+	Policy string
+	// Protocol selects the DSM coherence protocol ("" = tmk) of every
+	// cell, with two exceptions: the protocols matrix keeps its own
+	// protocol axis, and hetero's built-in shapes stay on tmk (its
+	// custom shape follows the option).
+	Protocol string
 	// Parallel is the worker-pool size for independent scenario cells
 	// (<= 1 runs them sequentially). Each cell owns its engine, fabric
 	// and cluster, and the deterministic engine makes every cell
@@ -83,31 +94,90 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// runApp executes one application at the given scale and team size.
-func runApp(name string, scale float64, cfg omp.Config, hook func(*omp.Runtime)) (apps.Result, *omp.Runtime, error) {
-	runner, ok := apps.RunnerByName(name)
-	if !ok {
-		return apps.Result{}, nil, fmt.Errorf("bench: unknown application %q", name)
+// cell is the non-adaptive scenario of one experiment cell: the kernel,
+// scale and team are the cell's, everything else the options'.
+func (o Options) cell(kernel string, scale float64, procs int) scenario.Spec {
+	return scenario.Spec{
+		Kernel: kernel, Scale: scale, Procs: procs, Hosts: o.Hosts,
+		Grace: float64(o.Grace), Protocol: o.Protocol,
+		Machines: o.Machines, Loads: o.Loads, Links: o.Links,
 	}
-	rt, err := omp.New(cfg)
-	if err != nil {
-		return apps.Result{}, nil, err
-	}
-	if hook != nil {
-		rt.SetForkHook(hook)
-	}
-	res, err := runner.Run(rt, scale)
-	return res, rt, err
 }
 
-// runAppOpt is runApp with the Options-level machine model and link
-// overrides applied, the path every experiment shares so the tools'
-// heterogeneity flags reach all of them.
-func runAppOpt(opt Options, name string, scale float64, cfg omp.Config, hook func(*omp.Runtime)) (apps.Result, *omp.Runtime, error) {
-	cfg.Machine = opt.Machine
-	cfg.Links = opt.Links
-	cfg.Protocol = opt.Protocol
-	return runApp(name, scale, cfg, hook)
+// adaptive is cell with adapt-event processing on.
+func (o Options) adaptive(kernel string, scale float64, procs int) scenario.Spec {
+	s := o.cell(kernel, scale, procs)
+	s.Adaptive = true
+	return s
+}
+
+// measured is one work phase of a synthetic cell: virtual time, fabric
+// traffic and DSM counters between beginPhase and the call of the
+// function it returns, so allocation and initialisation stay out of the
+// numbers.
+type measured struct {
+	Time     simtime.Seconds
+	Bytes    int64
+	Messages int64
+	Stats    dsm.StatsSnapshot
+}
+
+func beginPhase(rt *omp.Runtime) (end func() measured) {
+	c := rt.Cluster()
+	t0, net0, st0 := rt.Now(), c.Fabric().Snapshot(), c.Stats().Snapshot()
+	return func() measured {
+		net := c.Fabric().Snapshot().Sub(net0)
+		return measured{Time: rt.Now() - t0, Bytes: net.TotalBytes(), Messages: net.TotalMessages(),
+			Stats: c.Stats().Snapshot().Sub(st0)}
+	}
+}
+
+// baselines runs the non-adaptive kernel at each team size and returns
+// the runtimes by size: the reference points of the paper's
+// adaptation-cost method.
+func (o Options) baselines(app string, scale float64, sizes ...int) (map[int]simtime.Seconds, error) {
+	base := make(map[int]simtime.Seconds, len(sizes))
+	for _, n := range sizes {
+		if n < 1 { // a zero team would mean "default" to the spec
+			return nil, fmt.Errorf("bench: %s baseline needs at least one process, got %d", app, n)
+		}
+		if _, done := base[n]; done {
+			continue
+		}
+		_, res, _, _, err := o.cell(app, scale, n).Execute(nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		base[n] = res.Time
+	}
+	return base, nil
+}
+
+// adaptRun is one adaptive run priced by adaptCost.
+type adaptRun struct {
+	Res apps.Result
+	RT  *omp.Runtime
+	// AvgNodes is the time-weighted average team size, Ref the
+	// non-adaptive runtime interpolated at it, Cost the adaptive
+	// runtime's excess over Ref (all adaptations together).
+	AvgNodes  float64
+	Ref, Cost simtime.Seconds
+}
+
+// adaptCost is the paper's adaptation-cost method (section 5.2): run
+// the kernel adaptively from n processes with hook injecting the adapt
+// events, and charge the adaptations the difference between that
+// runtime and the non-adaptive runtime interpolated, over the baselines
+// at the neighbouring team sizes, at the run's average node count.
+func (o Options) adaptCost(app string, scale float64, n int, base map[int]simtime.Seconds,
+	mod func(*omp.Config), hook func(*omp.Runtime)) (adaptRun, error) {
+	_, res, rt, _, err := o.adaptive(app, scale, n).Execute(mod, hook)
+	if err != nil {
+		return adaptRun{}, err
+	}
+	nbar := avgTeamSize(rt, n, res.Time)
+	ref := refPiecewise(nbar, base)
+	return adaptRun{Res: res, RT: rt, AvgNodes: nbar, Ref: ref, Cost: res.Time - ref}, nil
 }
 
 // avgTeamSize returns the time-weighted average team size of a run,

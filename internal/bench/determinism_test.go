@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nowomp/internal/dsm"
 	"nowomp/internal/omp"
 )
 
@@ -27,21 +26,21 @@ func detFingerprint(t *testing.T) string {
 	var b []byte
 	add := func(format string, args ...any) { b = fmt.Appendf(b, format+"\n", args...) }
 
-	for _, proto := range []dsm.ProtocolKind{dsm.Tmk, dsm.HLRC, dsm.Hybrid} {
-		row, err := migratoryRun(opt, protoScenario{name: "homog"}, proto)
+	for _, proto := range protoKinds {
+		row, err := migratoryRun(opt, nowShape{name: "homog"}, proto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		add("migratory/%s: %.17g %d %d %d %d", proto, float64(row.Time), row.Bytes, row.Messages, row.Diffs, row.Flushes)
 	}
 	for _, sched := range []omp.Schedule{omp.Dynamic, omp.Guided} {
-		row, err := heteroRun(opt, heteroScenario{name: "homog"}, sched, 0)
+		row, err := heteroRun(opt, nowShape{name: "homog"}, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
 		add("loop/%s: %.17g %d %d", row.Schedule, float64(row.Time), row.Bytes, row.Messages)
 	}
-	row, err := taskingPoint("skewed", taskingN(opt.Scale), 4, opt.Hosts)
+	row, err := taskingPoint(opt, "skewed", taskingN(opt.Scale), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // goroutine noise preempting the procs).
 func TestMigratoryInterleavingInvariance(t *testing.T) {
 	opt := Options{Scale: 0.06}.withDefaults()
-	base, err := migratoryRun(opt, protoScenario{name: "homog"}, dsm.Tmk)
+	base, err := migratoryRun(opt, nowShape{name: "homog"}, "tmk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestMigratoryInterleavingInvariance(t *testing.T) {
 
 	for seed := 1; seed < 50; seed++ {
 		runtime.GOMAXPROCS(1 + seed%4)
-		row, err := migratoryRun(opt, protoScenario{name: "homog"}, dsm.Tmk)
+		row, err := migratoryRun(opt, nowShape{name: "homog"}, "tmk")
 		if err != nil {
 			t.Fatal(err)
 		}

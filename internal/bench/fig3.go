@@ -70,10 +70,7 @@ func fig3Point(opt Options, slot int) (Fig3Row, error) {
 	// Page-granularity movement only resolves the partition geometry
 	// once each 1/56th-of-the-rows chunk spans several pages, so the
 	// figure has its own scale floor.
-	scale := opt.Scale
-	if scale < 0.3 {
-		scale = 0.3
-	}
+	scale := max(opt.Scale, 0.3)
 	cfg := apps.DefaultJacobi().Scaled(scale)
 	const (
 		warmupForks = 6 // init + sweeps to reach steady state
@@ -82,7 +79,9 @@ func fig3Point(opt Options, slot int) (Fig3Row, error) {
 	)
 	cfg.Iters = leaveFork + postSweeps + 2
 
-	rt, err := omp.New(omp.Config{Hosts: procs, Procs: procs, Adaptive: true, Grace: opt.Grace})
+	// The sweep count is the figure's own, so the cell starts the
+	// runtime and drives Jacobi itself.
+	_, rt, _, err := opt.adaptive("jacobi", scale, procs).Start(nil)
 	if err != nil {
 		return Fig3Row{}, err
 	}

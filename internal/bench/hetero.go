@@ -2,12 +2,15 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/machine"
 	"nowomp/internal/omp"
+	"nowomp/internal/scenario"
+	"nowomp/internal/shmem"
 	"nowomp/internal/simnet"
 	"nowomp/internal/simtime"
 )
@@ -58,14 +61,6 @@ type HeteroRow struct {
 // heteroUnit is the per-item compute charge of the synthetic loop.
 var heteroUnit = simtime.Micros(40)
 
-// heteroScenario describes one NOW shape.
-type heteroScenario struct {
-	name   string
-	model  func(hosts int) *machine.Model
-	links  func(*simnet.Fabric) error
-	policy *adapt.LoadPolicy
-}
-
 // heteroProcs is the team size of the matrix: four processes leave
 // room in the default 10-host pool for rejoin spares.
 const heteroProcs = 4
@@ -85,194 +80,131 @@ func heteroDims(scale float64) (n, iters int) {
 	return n, iters
 }
 
-// Hetero runs the matrix. The flash-load scenario derives its spike
-// and policy from the homogeneous Static baseline time, so the same
-// shape reproduces at any scale.
-func Hetero(opt Options) ([]HeteroRow, error) {
-	opt = opt.withDefaults()
-	if opt.Hosts <= heteroProcs {
-		return nil, fmt.Errorf("bench: hetero needs more than %d hosts, got %d", heteroProcs, opt.Hosts)
-	}
-
-	// Baseline first: the flash-load scenario is sized from its time.
-	base, err := heteroRun(opt, heteroScenario{name: "homog"}, omp.Static, 0)
-	if err != nil {
-		return nil, err
-	}
-	rows := []HeteroRow{base}
-
-	scenarios := heteroScenarios(opt, base.Time)
-	if opt.Machine != nil || opt.Links != nil || opt.Policy != nil {
-		// The tools' -machines/-load/-links/-policy flags land here as a
-		// custom scenario appended to the built-in matrix.
-		custom := heteroScenario{name: "custom", links: opt.Links, policy: opt.Policy}
-		if opt.Machine != nil {
-			custom.model = func(int) *machine.Model { return opt.Machine }
-		}
-		if custom.policy != nil && opt.Machine == nil {
-			return nil, fmt.Errorf("bench: a -policy needs -load traces to watch")
-		}
-		scenarios = append(scenarios, custom)
-	}
-
-	type cell struct {
-		sc    heteroScenario
-		sched omp.Schedule
-	}
-	var cells []cell
-	for _, sc := range scenarios {
-		for _, sched := range []omp.Schedule{omp.Static, omp.Dynamic, omp.Guided} {
-			if sc.name == "homog" && sched == omp.Static {
-				continue // already measured as the baseline
-			}
-			cells = append(cells, cell{sc, sched})
-		}
-	}
-	cellRows := make([]HeteroRow, len(cells))
-	err = opt.runMatrix("hetero", len(cells), func(i int) error {
-		row, err := heteroRun(opt, cells[i].sc, cells[i].sched, 0)
-		cellRows[i] = row
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, cellRows...)
-
-	// Enforce the bit-identity contract: unit factors must reproduce
-	// the baseline exactly, for every schedule. Under the old
-	// goroutine-race loop runtime the claim-based schedules carried a
-	// little real-time jitter in their fault traffic and compared only
-	// within a tolerance; on the discrete-event engine every schedule
-	// is fully deterministic, so any difference at all is a real
-	// cost-model divergence.
-	for _, r := range rows {
-		if r.Scenario != "unit-factors" {
-			continue
-		}
-		for _, b := range rows {
-			if b.Scenario != "homog" || b.Schedule != r.Schedule {
-				continue
-			}
-			if r.Time != b.Time || r.MB != b.MB {
-				return nil, fmt.Errorf(
-					"bench: unit-factors/%s diverged from homog: %.9fs vs %.9fs, %.6f MB vs %.6f MB",
-					r.Schedule, float64(r.Time), float64(b.Time), r.MB, b.MB)
-			}
-		}
-	}
-	return rows, nil
+// nowShape is one NOW shape of the hetero and protocols matrices: the
+// heterogeneity and adaptation fields of a scenario.Spec, under the
+// name the tables print. mod is set on the one shape a canonical spec
+// cannot express (see unitFactors); protocol on hetero's custom shape,
+// which follows Options.Protocol where the built-in shapes stay on tmk.
+type nowShape struct {
+	name                   string
+	machines, loads, links string
+	policy, schedule       string
+	protocol               string
+	mod                    func(*omp.Config)
 }
 
-// heteroScenarios builds the matrix for the given baseline time.
-func heteroScenarios(opt Options, baseTime simtime.Seconds) []heteroScenario {
-	spikeStart := baseTime * 0.2
-	spikeEnd := baseTime * 0.6
-	dwell := baseTime * 0.05
-	policy := adapt.LoadPolicy{High: 2, Low: 0.5, Dwell: dwell}
+// spec is the shape as a scenario: the matrix team on the options'
+// pool under the given protocol, adaptive when the shape brings a
+// policy or a schedule. The kernel is the cell's own body, so the
+// spec names none.
+func (sh nowShape) spec(opt Options, protocol string) scenario.Spec {
+	return scenario.Spec{
+		Procs: heteroProcs, Hosts: opt.Hosts, Grace: float64(opt.Grace), Protocol: protocol,
+		Machines: sh.machines, Loads: sh.loads, Links: sh.links,
+		Policy: sh.policy, Schedule: sh.schedule, Adaptive: sh.policy != "" || sh.schedule != "",
+	}
+}
 
-	return []heteroScenario{
+// loadedMachine3 is background load 2.0 (slowdown 3x) on machine 3 for
+// the whole run: hetero's one-loaded and, named for what machine 3 is
+// to a home-based protocol, the protocols matrix's loaded-home.
+const loadedMachine3 = "3=2@0"
+
+// nowShapes returns the named shapes, in the order asked, from the one
+// table both matrices draw on. The flash-load spike and the leave-join
+// schedule are sized from the loop's homogeneous baseline time, so the
+// same shapes reproduce at any scale; the sub-spec formats print the
+// shortest decimal that parses back to the same float, so baseTime*0.2
+// survives the string exactly.
+func nowShapes(baseTime simtime.Seconds, names ...string) []nowShape {
+	secs := func(t simtime.Seconds) string { return strconv.FormatFloat(float64(t), 'g', -1, 64) }
+	table := []nowShape{
 		{name: "homog"},
+		{name: "unit-factors", mod: unitFactors},
+		{name: "mixed-speed", machines: "2=0.5,3=0.5"},
+		{name: "one-loaded", loads: loadedMachine3},
+		{name: "loaded-home", loads: loadedMachine3},
+		{name: "slow-link", links: "0-3=lat:4,bw:0.25"},
 		{
-			name: "unit-factors",
-			model: func(hosts int) *machine.Model {
-				m := machine.New(hosts)
-				for i := 0; i < hosts; i++ {
-					m.SetSpeed(simnet.MachineID(i), 1)
-				}
-				return m
-			},
-			links: func(f *simnet.Fabric) error {
-				f.SetDuplexScale(0, 1, 1, 1)
-				return nil
-			},
+			// A load-4 spike on machine 3 from 0.2T to 0.6T; the policy
+			// sends it away once the spike outlives the dwell and brings
+			// it back after the spike ends.
+			name:   "flash-load",
+			loads:  "3=4@" + secs(baseTime*0.2) + ",0@" + secs(baseTime*0.6),
+			policy: adapt.FormatPolicy(adapt.LoadPolicy{High: 2, Low: 0.5, Dwell: baseTime * 0.05}),
 		},
-		{
-			name: "mixed-speed",
-			model: func(hosts int) *machine.Model {
-				m := machine.New(hosts)
-				m.SetSpeed(2, 0.5)
-				m.SetSpeed(3, 0.5)
-				return m
-			},
-		},
-		{
-			name: "one-loaded",
-			model: func(hosts int) *machine.Model {
-				m := machine.New(hosts)
-				tr, err := machine.NewTrace(machine.Step{At: 0, Load: 2})
-				if err != nil {
-					panic(err)
-				}
-				m.SetLoad(3, tr)
-				return m
-			},
-		},
-		{
-			name: "slow-link",
-			links: func(f *simnet.Fabric) error {
-				f.SetDuplexScale(0, 3, 4, 0.25)
-				return nil
-			},
-		},
-		{
-			name: "flash-load",
-			model: func(hosts int) *machine.Model {
-				m := machine.New(hosts)
-				tr, err := machine.NewTrace(
-					machine.Step{At: spikeStart, Load: 4},
-					machine.Step{At: spikeEnd, Load: 0})
-				if err != nil {
-					panic(err)
-				}
-				m.SetLoad(3, tr)
-				return m
-			},
-			policy: &policy,
-		},
+		{name: "leave-join", schedule: adapt.FormatSchedule([]adapt.Event{
+			{Kind: adapt.KindLeave, Host: 2, At: baseTime * 0.2},
+			{Kind: adapt.KindJoin, Host: 2, At: baseTime * 0.5},
+		})},
+	}
+	var out []nowShape
+	for _, name := range names {
+		for _, sh := range table {
+			if sh.name == name {
+				out = append(out, sh)
+			}
+		}
+	}
+	return out
+}
+
+// unitFactors is the unit-factors shape: an explicit all-1.0 machine
+// model and an explicitly configured unit link scale. It has to be a
+// config hook because the spec's canonical form is the empty string for
+// exactly this case — which is the contract the shape exists to check.
+func unitFactors(cfg *omp.Config) {
+	m := machine.New(cfg.Hosts)
+	for i := 0; i < cfg.Hosts; i++ {
+		m.SetSpeed(simnet.MachineID(i), 1)
+	}
+	cfg.Machine = m
+	cfg.Links = func(f *simnet.Fabric) error {
+		f.SetDuplexScale(0, 1, 1, 1)
+		return nil
 	}
 }
 
-// heteroRun measures one (scenario, schedule) cell. extraIters (tests
-// only) stretches the run.
-func heteroRun(opt Options, sc heteroScenario, sched omp.Schedule, extraIters int) (HeteroRow, error) {
-	n, iters := heteroDims(opt.Scale)
-	iters += extraIters
-	row := HeteroRow{Scenario: sc.name, Schedule: sched.String()}
-
-	var mm *machine.Model
-	if sc.model != nil {
-		mm = sc.model(opt.Hosts)
-	}
-	cfg := omp.Config{
-		Hosts:   opt.Hosts,
-		Procs:   heteroProcs,
-		Machine: mm,
-		Links:   sc.links,
-	}
-	if sc.policy != nil {
-		cfg.Adaptive = true
-		cfg.Grace = opt.Grace
-	}
-	rt, err := omp.New(cfg)
+// arrayCell is the frame every synthetic cell shares: start the spec's
+// runtime, allocate an n-item shared array, with zero set write it once
+// in a static loop so its pages start spread over the team, measure
+// work over it (allocation and that pass excluded) and check that item
+// i ended as want(i). It returns the window and the finished runtime;
+// label names the cell in a verification error.
+func arrayCell(label string, spec scenario.Spec, mod func(*omp.Config), n int, zero bool,
+	work func(rt *omp.Runtime, out *shmem.Array[float64]), want func(i int) float64) (measured, *omp.Runtime, error) {
+	_, rt, _, err := spec.Start(mod)
 	if err != nil {
-		return row, err
+		return measured{}, nil, err
 	}
-	if sc.policy != nil {
-		if _, err := rt.ApplyLoadPolicy(*sc.policy); err != nil {
-			return row, err
+	out, err := omp.Alloc[float64](rt, "cell.out", n)
+	if err != nil {
+		return measured{}, nil, err
+	}
+	if zero {
+		rt.For("cell.init", 0, n, func(p *omp.Proc, lo, hi int) {
+			out.WriteRange(p.Mem(), lo, make([]float64, hi-lo))
+		})
+	}
+	end := beginPhase(rt)
+	work(rt, out)
+	m := end()
+	buf := make([]float64, n)
+	out.ReadRange(rt.MasterProc().Mem(), 0, n, buf)
+	for i, v := range buf {
+		if v != want(i) {
+			return m, rt, fmt.Errorf("bench: %s item %d = %g, want %g", label, i, v, want(i))
 		}
 	}
+	return m, rt, nil
+}
 
-	out, err := omp.Alloc[float64](rt, "hetero.out", n)
-	if err != nil {
-		return row, err
-	}
-	rt.For("hetero.init", 0, n, func(p *omp.Proc, lo, hi int) {
-		buf := make([]float64, hi-lo)
-		out.WriteRange(p.Mem(), lo, buf)
-	})
-
+// loopCell measures the uniform synthetic loop — every item costs one
+// unit, so any divergence between cells is caused by the NOW shape, the
+// schedule or the protocol, not the workload — for one cell of either
+// matrix.
+func loopCell(opt Options, sh nowShape, sched omp.Schedule, protocol string) (measured, *omp.Runtime, error) {
+	n, iters := heteroDims(opt.Scale)
 	var opts []omp.ForOption
 	switch sched {
 	case omp.Dynamic:
@@ -280,21 +212,108 @@ func heteroRun(opt Options, sc heteroScenario, sched omp.Schedule, extraIters in
 	case omp.Guided:
 		opts = append(opts, omp.WithSchedule(omp.Guided, 16))
 	}
+	// The loop writes 1 unconditionally every sweep, so verification
+	// checks presence, not accumulation.
+	label := fmt.Sprintf("loop %s/%s/%s", sh.name, sched, protocol)
+	return arrayCell(label, sh.spec(opt, protocol), sh.mod, n, true, func(rt *omp.Runtime, out *shmem.Array[float64]) {
+		for it := 0; it < iters; it++ {
+			rt.For("loop.work", 0, n, func(p *omp.Proc, lo, hi int) {
+				fillOnes(out, p.Mem(), lo, hi)
+				p.ChargeUnits(hi-lo, heteroUnit)
+			}, opts...)
+		}
+	}, func(int) float64 { return 1 })
+}
 
-	t0 := rt.Now()
-	net0 := rt.Cluster().Fabric().Snapshot()
-	for it := 0; it < iters; it++ {
-		rt.For("hetero.work", 0, n, func(p *omp.Proc, lo, hi int) {
-			fillOnes(out, p.Mem(), lo, hi)
-			p.ChargeUnits(hi-lo, heteroUnit)
-		}, opts...)
+// fillOnes sets out[lo,hi) to 1 in place, span by span: the pages
+// write-fault and twin in the order a WriteRange of a staged slice
+// would take them, without allocating that slice on every claimed
+// chunk of the loop benches.
+func fillOnes(out *shmem.Array[float64], m shmem.Context, lo, hi int) {
+	for lo < hi {
+		span := out.WriteSpan(m, lo, hi)
+		for i := range span {
+			span[i] = 1
+		}
+		lo += len(span)
 	}
-	row.Time = rt.Now() - t0
-	window := rt.Cluster().Fabric().Snapshot().Sub(net0)
-	row.Bytes = window.TotalBytes()
-	row.Messages = window.TotalMessages()
-	row.MB = float64(row.Bytes) / 1e6
+}
 
+// Hetero runs the matrix. The flash-load shape derives its spike and
+// policy from the homogeneous Static baseline time, so the same shape
+// reproduces at any scale.
+func Hetero(opt Options) ([]HeteroRow, error) {
+	opt = opt.withDefaults()
+	if opt.Hosts <= heteroProcs {
+		return nil, fmt.Errorf("bench: hetero needs more than %d hosts, got %d", heteroProcs, opt.Hosts)
+	}
+
+	// Baseline first: the flash-load shape is sized from its time.
+	base, err := heteroRun(opt, nowShape{name: "homog"}, omp.Static)
+	if err != nil {
+		return nil, err
+	}
+	rows := []HeteroRow{base}
+
+	shapes := nowShapes(base.Time, "homog", "unit-factors", "mixed-speed", "one-loaded", "slow-link", "flash-load")
+	if opt.Machines != "" || opt.Loads != "" || opt.Links != "" || opt.Policy != "" {
+		// The tools' -machines/-load/-links/-policy flags land here as a
+		// custom shape appended to the built-in matrix.
+		shapes = append(shapes, nowShape{name: "custom", protocol: opt.Protocol,
+			machines: opt.Machines, loads: opt.Loads, links: opt.Links, policy: opt.Policy})
+	}
+
+	type cell struct {
+		sh    nowShape
+		sched omp.Schedule
+	}
+	var cells []cell
+	for _, sh := range shapes {
+		for _, sched := range []omp.Schedule{omp.Static, omp.Dynamic, omp.Guided} {
+			if sh.name == "homog" && sched == omp.Static {
+				continue // already measured as the baseline
+			}
+			cells = append(cells, cell{sh, sched})
+		}
+	}
+	rows = append(rows, make([]HeteroRow, len(cells))...)
+	err = opt.runMatrix("hetero", len(cells), func(i int) (err error) {
+		rows[1+i], err = heteroRun(opt, cells[i].sh, cells[i].sched)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Enforce the bit-identity contract: unit factors must reproduce
+	// the baseline exactly, for every schedule. On the discrete-event
+	// engine every schedule is fully deterministic, so any difference
+	// at all is a real cost-model divergence.
+	homog := map[string]HeteroRow{}
+	for _, r := range rows {
+		if r.Scenario == "homog" {
+			homog[r.Schedule] = r
+		}
+	}
+	for _, r := range rows {
+		if b := homog[r.Schedule]; r.Scenario == "unit-factors" && (r.Time != b.Time || r.MB != b.MB) {
+			return nil, fmt.Errorf(
+				"bench: unit-factors/%s diverged from homog: %.9fs vs %.9fs, %.6f MB vs %.6f MB",
+				r.Schedule, float64(r.Time), float64(b.Time), r.MB, b.MB)
+		}
+	}
+	return rows, nil
+}
+
+// heteroRun measures one (shape, schedule) cell.
+func heteroRun(opt Options, sh nowShape, sched omp.Schedule) (HeteroRow, error) {
+	row := HeteroRow{Scenario: sh.name, Schedule: sched.String()}
+	m, rt, err := loopCell(opt, sh, sched, sh.protocol)
+	if err != nil {
+		return row, err
+	}
+	row.Time, row.Bytes, row.Messages = m.Time, m.Bytes, m.Messages
+	row.MB = float64(row.Bytes) / 1e6
 	for _, ap := range rt.AdaptLog() {
 		for _, rec := range ap.Applied {
 			if rec.Event.Kind == adapt.KindLeave {
@@ -304,19 +323,7 @@ func heteroRun(opt Options, sc heteroScenario, sched omp.Schedule, extraIters in
 			}
 		}
 	}
-
-	// Every item must have been written exactly once per sweep by the
-	// last writer's schedule — the loop writes 1 unconditionally, so
-	// verification checks presence, not accumulation.
-	mp := rt.MasterProc()
-	buf := make([]float64, n)
-	out.ReadRange(mp.Mem(), 0, n, buf)
 	row.Verified = true
-	for i, v := range buf {
-		if v != 1 {
-			return row, fmt.Errorf("bench: hetero %s/%s item %d = %g, want 1", sc.name, sched, i, v)
-		}
-	}
 	return row, nil
 }
 

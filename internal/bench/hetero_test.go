@@ -8,6 +8,7 @@ import (
 	"nowomp/internal/dsm"
 	"nowomp/internal/machine"
 	"nowomp/internal/omp"
+	"nowomp/internal/scenario"
 	"nowomp/internal/simnet"
 	"nowomp/internal/simtime"
 )
@@ -82,28 +83,22 @@ func TestHeteroMatrixShapes(t *testing.T) {
 // produce the same virtual time, traffic and adaptation log.
 func TestHeteroPolicyDeterministic(t *testing.T) {
 	opt := heteroTiny().withDefaults()
-	base, err := heteroRun(opt, heteroScenario{name: "homog"}, omp.Static, 0)
+	base, err := heteroRun(opt, nowShape{name: "homog"}, omp.Static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scs := heteroScenarios(opt, base.Time)
-	var flash heteroScenario
-	for _, sc := range scs {
-		if sc.name == "flash-load" {
-			flash = sc
-		}
-	}
-	if flash.policy == nil {
-		t.Fatal("flash-load scenario lost its policy")
+	flash := nowShapes(base.Time, "flash-load")[0]
+	if flash.policy == "" {
+		t.Fatal("flash-load shape lost its policy")
 	}
 	// The static schedule is lock-free and therefore fully
 	// deterministic: two runs must agree bit for bit, adaptations
 	// included.
-	a, err := heteroRun(opt, flash, omp.Static, 0)
+	a, err := heteroRun(opt, flash, omp.Static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := heteroRun(opt, flash, omp.Static, 0)
+	b, err := heteroRun(opt, flash, omp.Static)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +111,11 @@ func TestHeteroPolicyDeterministic(t *testing.T) {
 	// The claim-based schedules are fully deterministic on the engine:
 	// two runs must agree bit for bit, lock-grant order included (under
 	// the old goroutine-race loop runtime this only held to ~1%).
-	d1, err := heteroRun(opt, flash, omp.Dynamic, 0)
+	d1, err := heteroRun(opt, flash, omp.Dynamic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := heteroRun(opt, flash, omp.Dynamic, 0)
+	d2, err := heteroRun(opt, flash, omp.Dynamic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +152,7 @@ func TestUnitFactorsBitIdenticalOnApps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, adaptive := range []bool{false, true} {
-		run := func(cfg omp.Config) fingerprint {
+		run := func(mod func(*omp.Config)) fingerprint {
 			var submitted bool
 			hook := func(rt *omp.Runtime) {
 				if submitted || !adaptive {
@@ -170,7 +165,8 @@ func TestUnitFactorsBitIdenticalOnApps(t *testing.T) {
 					}
 				}
 			}
-			res, rt, err := runApp("jacobi", 0.15, cfg, hook)
+			_, res, rt, _, err := scenario.Spec{Kernel: "jacobi", Scale: 0.15, Procs: 4, Hosts: 6, Adaptive: adaptive}.
+				Execute(mod, hook)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,11 +175,11 @@ func TestUnitFactorsBitIdenticalOnApps(t *testing.T) {
 			}
 			return fingerprint{res.Time, res.Bytes, res.Messages, res.Diffs, res.Checksum}
 		}
-		base := omp.Config{Hosts: 6, Procs: 4, Adaptive: adaptive}
-		unit := base
-		unit.Machine = machine.New(6)
-		unit.Links = unitLinks
-		got, want := run(unit), run(base)
+		unit := func(cfg *omp.Config) {
+			cfg.Machine = machine.New(6)
+			cfg.Links = unitLinks
+		}
+		got, want := run(unit), run(nil)
 		if got != want {
 			t.Errorf("adaptive=%v: unit-factor run diverged from baseline:\n%+v\n%+v", adaptive, got, want)
 		}
@@ -195,18 +191,20 @@ func TestUnitFactorsBitIdenticalOnApps(t *testing.T) {
 // can echo a policy's decisions back as an ordinary -schedule string.
 func TestHeteroPolicyScheduleRoundTrip(t *testing.T) {
 	opt := heteroTiny().withDefaults()
-	base, err := heteroRun(opt, heteroScenario{name: "homog"}, omp.Static, 0)
+	base, err := heteroRun(opt, nowShape{name: "homog"}, omp.Static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flash heteroScenario
-	for _, sc := range heteroScenarios(opt, base.Time) {
-		if sc.name == "flash-load" {
-			flash = sc
-		}
+	flash := nowShapes(base.Time, "flash-load")[0]
+	mm := machine.New(opt.Hosts)
+	if err := machine.ParseLoads(mm, flash.loads); err != nil {
+		t.Fatal(err)
 	}
-	mm := flash.model(opt.Hosts)
-	events, err := flash.policy.Derive(
+	policy, err := adapt.ParsePolicy(flash.policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := policy.Derive(
 		map[dsm.HostID]machine.Trace{3: mm.Load(3)}, []dsm.HostID{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)

@@ -143,8 +143,8 @@ func TestGoldenThroughSpec(t *testing.T) {
 		for i, g := range got {
 			w := tab.want[i]
 			if g.Name != w.Name || g.Time != w.Time || g.Bytes != w.Bytes || g.Messages != w.Messages {
-				t.Errorf("%s %s through scenario.Spec diverged from the golden table:\n  got  %s (%.17g s, %d B, %d msgs)\n  want %s (%.17g s, %d B, %d msgs)",
-					tab.proto, g.Name, g.Name, g.Time, g.Bytes, g.Messages, w.Name, w.Time, w.Bytes, w.Messages)
+				t.Errorf("%s through scenario.Spec diverged from the golden table:\n  got  %s (%.17g s, %d B, %d msgs)\n  want %s (%.17g s, %d B, %d msgs)",
+					tab.proto, g.Name, g.Time, g.Bytes, g.Messages, w.Name, w.Time, w.Bytes, w.Messages)
 			}
 		}
 	}

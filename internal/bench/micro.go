@@ -64,83 +64,88 @@ type MicroResult struct {
 	LinkCorr float64
 }
 
-// forkLeaver fires leave events at chosen fork indices; several slots
-// at one index model simultaneous adapt events.
-type forkLeaver struct {
-	fires map[int64][]int
-}
-
-func (f *forkLeaver) hook(rt *omp.Runtime) {
-	slots := f.fires[rt.Forks()]
-	if len(slots) == 0 {
-		return
-	}
-	team := rt.Team()
-	for _, s := range slots {
-		if s <= 0 || s >= len(team) {
-			continue
+// forkLeaver returns a fork hook that fires leave events at chosen fork
+// indices; several slots at one index model simultaneous adapt events.
+func forkLeaver(fires map[int64][]int) func(*omp.Runtime) {
+	return func(rt *omp.Runtime) {
+		team := rt.Team()
+		for _, s := range fires[rt.Forks()] {
+			if s <= 0 || s >= len(team) {
+				continue
+			}
+			_ = rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: team[s], At: rt.Now()})
 		}
-		_ = rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: team[s], At: rt.Now()})
 	}
 }
 
-// singleLeaveCost measures the cost of one leave (end slot) from procs
-// processes of Jacobi at the given scale, with the paper's baseline
-// methodology. It also returns the adaptation window's own cost and
-// max-link traffic, the pair whose proportionality section 5.4 claims.
-func singleLeaveCost(opt Options, scale float64, procs int) (cost simtime.Seconds, windowCost simtime.Seconds, maxLink int64, sharedMB float64, err error) {
-	base := map[int]simtime.Seconds{}
-	for _, n := range []int{procs, procs - 1} {
-		res, _, err := runAppOpt(opt, "jacobi", scale, omp.Config{Hosts: opt.Hosts, Procs: n}, nil)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		base[n] = res.Time
-	}
-	fl := &forkLeaver{fires: map[int64][]int{8: {procs - 1}}}
-	res, rt, err := runAppOpt(opt, "jacobi", scale, omp.Config{
-		Hosts: opt.Hosts, Procs: procs, Adaptive: true, Grace: opt.Grace,
-	}, fl.hook)
+// leavePoint is one single-leave measurement: the leave's cost by the
+// paper's baseline method, the adaptation window's own cost and
+// max-link traffic (the pair whose proportionality section 5.4 claims),
+// and the shared-memory size.
+type leavePoint struct {
+	cost, windowCost simtime.Seconds
+	maxLink          int64
+	sharedMB         float64
+}
+
+// singleLeaveCost measures one leave (end slot) from procs processes of
+// Jacobi at the given scale.
+func singleLeaveCost(opt Options, scale float64, procs int) (leavePoint, error) {
+	base, err := opt.baselines("jacobi", scale, procs, procs-1)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return leavePoint{}, err
 	}
-	log := rt.AdaptLog()
+	run, err := opt.adaptCost("jacobi", scale, procs, base, nil, forkLeaver(map[int64][]int{8: {procs - 1}}))
+	if err != nil {
+		return leavePoint{}, err
+	}
+	log := run.RT.AdaptLog()
 	if len(log) != 1 {
-		return 0, 0, 0, 0, fmt.Errorf("bench: single leave produced %d adaptations", len(log))
+		return leavePoint{}, fmt.Errorf("bench: single leave produced %d adaptations", len(log))
 	}
-	nbar := avgTeamSize(rt, procs, res.Time)
-	ref := interpolateRef(nbar, procs-1, procs, base[procs-1], base[procs])
-	sharedMB = float64(rt.Cluster().TotalSharedBytes()) / 1e6
-	return res.Time - ref, log[0].Elapsed, log[0].WindowMaxLink, sharedMB, nil
+	return leavePoint{
+		cost: run.Cost, windowCost: log[0].Elapsed, maxLink: log[0].WindowMaxLink,
+		sharedMB: float64(run.RT.Cluster().TotalSharedBytes()) / 1e6,
+	}, nil
 }
 
 // Micro runs the section 5.4 experiments.
 func Micro(opt Options) (MicroResult, error) {
 	opt = opt.withDefaults()
 	var out MicroResult
-
-	// M3: size sweep at 8 processes.
 	var linkX, linkY []float64
-	for _, mult := range []float64{1, 1.5, 2} {
-		scale := opt.Scale * mult
-		cost, windowCost, maxLink, shared, err := singleLeaveCost(opt, scale, 8)
+	link := func(p leavePoint) {
+		linkX = append(linkX, float64(p.maxLink))
+		linkY = append(linkY, float64(p.windowCost))
+	}
+
+	// M3: size sweep at 8 processes. Its middle point is also M4's
+	// 8-process point, measured once.
+	midScale := opt.Scale * 1.5
+	var mid leavePoint
+	for _, scale := range []float64{opt.Scale, midScale, opt.Scale * 2} {
+		p, err := singleLeaveCost(opt, scale, 8)
 		if err != nil {
 			return out, err
 		}
-		out.SizeSweep = append(out.SizeSweep, SizePoint{Scale: scale, SharedMB: shared, Cost: cost})
-		linkX = append(linkX, float64(maxLink))
-		linkY = append(linkY, float64(windowCost))
+		if scale == midScale {
+			mid = p
+		}
+		out.SizeSweep = append(out.SizeSweep, SizePoint{Scale: scale, SharedMB: p.sharedMB, Cost: p.cost})
+		link(p)
 	}
 
 	// M4: process-count sweep at fixed size.
 	for _, procs := range []int{4, 6, 8} {
-		cost, windowCost, maxLink, _, err := singleLeaveCost(opt, opt.Scale*1.5, procs)
-		if err != nil {
-			return out, err
+		p := mid
+		if procs != 8 {
+			var err error
+			if p, err = singleLeaveCost(opt, midScale, procs); err != nil {
+				return out, err
+			}
 		}
-		out.ProcSweep = append(out.ProcSweep, ProcPoint{Procs: procs, Cost: cost, MaxLinkBytes: maxLink})
-		linkX = append(linkX, float64(maxLink))
-		linkY = append(linkY, float64(windowCost))
+		out.ProcSweep = append(out.ProcSweep, ProcPoint{Procs: procs, Cost: p.cost, MaxLinkBytes: p.maxLink})
+		link(p)
 	}
 	out.LinkCorr = pearson(linkX, linkY)
 
@@ -163,28 +168,19 @@ func Micro(opt Options) (MicroResult, error) {
 
 func simultaneousVsSuccessive(opt Options) (SimulResult, error) {
 	scale := opt.Scale * 1.5
-	base := map[int]simtime.Seconds{}
-	for _, n := range []int{6, 7, 8} {
-		res, _, err := runAppOpt(opt, "jacobi", scale, omp.Config{Hosts: opt.Hosts, Procs: n}, nil)
-		if err != nil {
-			return SimulResult{}, err
-		}
-		base[n] = res.Time
+	base, err := opt.baselines("jacobi", scale, 6, 7, 8)
+	if err != nil {
+		return SimulResult{}, err
 	}
 	run := func(fires map[int64][]int) (simtime.Seconds, int, error) {
-		fl := &forkLeaver{fires: fires}
-		res, rt, err := runAppOpt(opt, "jacobi", scale, omp.Config{
-			Hosts: opt.Hosts, Procs: 8, Adaptive: true, Grace: opt.Grace,
-		}, fl.hook)
+		r, err := opt.adaptCost("jacobi", scale, 8, base, nil, forkLeaver(fires))
 		if err != nil {
 			return 0, 0, err
 		}
-		if got := appliedEvents(rt); got != 2 {
+		if got := appliedEvents(r.RT); got != 2 {
 			return 0, 0, fmt.Errorf("bench: expected 2 leaves, got %d", got)
 		}
-		nbar := avgTeamSize(rt, 8, res.Time)
-		ref := refPiecewise(nbar, base)
-		return res.Time - ref, int(rt.Cluster().Stats().GCs.Load()), nil
+		return r.Cost, int(r.RT.Cluster().Stats().GCs.Load()), nil
 	}
 	together, gcT, err := run(map[int64][]int{8: {7, 6}})
 	if err != nil {
@@ -201,18 +197,13 @@ func simultaneousVsSuccessive(opt Options) (SimulResult, error) {
 }
 
 func repeatedLeaves(opt Options) ([]RepeatPoint, error) {
-	scale := opt.Scale
-	if floor := table2Scales["nbf"]; scale < floor {
-		scale = floor
-	}
-	base, _, err := runAppOpt(opt, "nbf", scale, omp.Config{Hosts: opt.Hosts, Procs: 8}, nil)
+	scale := table2Scale(opt, "nbf")
+	base, err := opt.baselines("nbf", scale, 8)
 	if err != nil {
 		return nil, err
 	}
-	alt := newAlternator([]simtime.Seconds{base.Time * 0.3, base.Time * 0.7}, EndSlot)
-	_, rt, err := runAppOpt(opt, "nbf", scale, omp.Config{
-		Hosts: opt.Hosts, Procs: 8, Adaptive: true, Grace: opt.Grace,
-	}, alt.hook)
+	alt := newAlternator([]simtime.Seconds{base[8] * 0.3, base[8] * 0.7}, EndSlot)
+	_, _, rt, _, err := opt.adaptive("nbf", scale, 8).Execute(nil, alt.hook)
 	if err != nil {
 		return nil, err
 	}

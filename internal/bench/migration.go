@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"nowomp/internal/migrate"
-	"nowomp/internal/omp"
 	"nowomp/internal/simtime"
 )
 
@@ -57,14 +56,10 @@ func Migration(opt Options) ([]MigrationRow, error) {
 	var rows []MigrationRow
 	for _, app := range []string{"gauss", "jacobi", "fft3d", "nbf"} {
 		// A very small live run builds the cluster and its regions.
-		scale := opt.Scale
-		if scale > 0.1 {
-			scale = 0.1
-		}
 		// The full pool, like every other experiment: the extra idle
-		// hosts cost nothing, and the Options-level machine model (sized
-		// to the pool) stays applicable.
-		_, rt, err := runAppOpt(opt, app, scale, omp.Config{Hosts: opt.Hosts, Procs: procs}, nil)
+		// hosts cost nothing, and the options' machine specs (sized to
+		// the pool) stay applicable.
+		_, _, rt, _, err := opt.cell(app, min(opt.Scale, 0.1), procs).Execute(nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -5,13 +5,9 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"nowomp/internal/adapt"
-	"nowomp/internal/dsm"
-	"nowomp/internal/machine"
 	"nowomp/internal/omp"
 	"nowomp/internal/page"
 	"nowomp/internal/shmem"
-	"nowomp/internal/simnet"
 	"nowomp/internal/simtime"
 )
 
@@ -79,63 +75,17 @@ type ProtoRow struct {
 	Verified bool
 }
 
-// protoProcs is the team size of the matrix.
-const protoProcs = 4
+// protoProcs is the team size of the matrix: the hetero matrix's, whose
+// shapes and loop cell it shares.
+const protoProcs = heteroProcs
 
-// protoScenario is one NOW shape of the protocol matrix.
-type protoScenario struct {
-	name   string
-	model  func(hosts int) *machine.Model
-	links  func(*simnet.Fabric) error
-	events []adapt.Event
-}
-
-// protoScenarios builds the matrix shapes. The leave-join schedule is
-// sized from the loop kernel's homogeneous baseline time T so the
-// events mature at any scale.
-func protoScenarios(baseTime simtime.Seconds) []protoScenario {
-	return []protoScenario{
-		{name: "homog"},
-		{
-			name: "slow-link",
-			links: func(f *simnet.Fabric) error {
-				f.SetDuplexScale(0, 3, 4, 0.25)
-				return nil
-			},
-		},
-		{
-			name: "loaded-home",
-			model: func(hosts int) *machine.Model {
-				m := machine.New(hosts)
-				tr, err := machine.NewTrace(machine.Step{At: 0, Load: 2})
-				if err != nil {
-					panic(err)
-				}
-				m.SetLoad(3, tr)
-				return m
-			},
-		},
-		{
-			name: "mixed-speed",
-			model: func(hosts int) *machine.Model {
-				m := machine.New(hosts)
-				m.SetSpeed(2, 0.5)
-				m.SetSpeed(3, 0.5)
-				return m
-			},
-		},
-		{
-			name: "leave-join",
-			events: []adapt.Event{
-				{Kind: adapt.KindLeave, Host: 2, At: baseTime * 0.2},
-				{Kind: adapt.KindJoin, Host: 2, At: baseTime * 0.5},
-			},
-		},
-	}
-}
-
-// protoKinds is the matrix's protocol axis.
-var protoKinds = []dsm.ProtocolKind{dsm.Tmk, dsm.HLRC, dsm.Hybrid}
+// protoKinds is the matrix's protocol axis, protoShapes its NOW-shape
+// axis (see nowShapes; leave-join is sized from the loop kernel's
+// homogeneous baseline time so its events mature at any scale).
+var (
+	protoKinds  = []string{"tmk", "hlrc", "hybrid"}
+	protoShapes = []string{"homog", "slow-link", "loaded-home", "mixed-speed", "leave-join"}
+)
 
 // Protocols runs the protocol matrix and enforces the byte contracts:
 // on the migratory kernel HLRC must transfer fewer bytes than Tmk in
@@ -148,70 +98,57 @@ func Protocols(opt Options) ([]ProtoRow, error) {
 		return nil, fmt.Errorf("bench: protocols needs more than %d hosts, got %d", protoProcs, opt.Hosts)
 	}
 
+	// The loop rows run the hetero experiment's kernel, so the two
+	// matrices are comparable.
+	loop := func(sh nowShape, sched omp.Schedule, proto string) (ProtoRow, error) {
+		m, _, err := loopCell(opt, sh, sched, proto)
+		return protoRow("loop", sh, sched.String(), proto, m), err
+	}
 	// Baseline sizes the leave-join schedule; every other cell of the
 	// matrix is an independent run and fans out across Options.Parallel
 	// workers (this is the hottest table to regenerate, and the one the
 	// -parallel flag exists for).
-	base, err := protoLoopRun(opt, protoScenario{name: "homog"}, omp.Static, dsm.Tmk)
+	base, err := loop(nowShape{name: "homog"}, omp.Static, "tmk")
 	if err != nil {
 		return nil, err
 	}
 	rows := []ProtoRow{base}
 
-	type cell struct {
-		sc     protoScenario
-		sched  omp.Schedule
-		proto  dsm.ProtocolKind
-		kernel string
-	}
-	var cells []cell
-	for _, sc := range protoScenarios(base.Time) {
+	var cells []func() (ProtoRow, error)
+	shapes := nowShapes(base.Time, protoShapes...)
+	for _, sh := range shapes {
 		for _, sched := range []omp.Schedule{omp.Static, omp.Dynamic, omp.Guided} {
-			if len(sc.events) > 0 && sched != omp.Static {
-				continue // the adaptation scenario sticks to the deterministic schedule
+			if sh.schedule != "" && sched != omp.Static {
+				continue // the adaptation shape sticks to the deterministic schedule
 			}
 			for _, proto := range protoKinds {
-				if sc.name == "homog" && sched == omp.Static && proto == dsm.Tmk {
+				if sh.name == "homog" && sched == omp.Static && proto == "tmk" {
 					continue // already measured as the baseline
 				}
-				cells = append(cells, cell{sc: sc, sched: sched, proto: proto, kernel: "loop"})
+				cells = append(cells, func() (ProtoRow, error) { return loop(sh, sched, proto) })
 			}
 		}
 	}
 	// The sharing-pattern kernels, every protocol under each shape (the
 	// lock and stripe regions have no adaptation points).
-	for _, kernel := range []string{"migratory", "prodcons", "falseshare"} {
-		for _, sc := range protoScenarios(base.Time) {
-			if len(sc.events) > 0 {
+	for _, kernel := range []func(Options, nowShape, string) (ProtoRow, error){migratoryRun, prodConsRun, falseShareRun} {
+		for _, sh := range shapes {
+			if sh.schedule != "" {
 				continue
 			}
 			for _, proto := range protoKinds {
-				cells = append(cells, cell{sc: sc, proto: proto, kernel: kernel})
+				cells = append(cells, func() (ProtoRow, error) { return kernel(opt, sh, proto) })
 			}
 		}
 	}
-
-	cellRows := make([]ProtoRow, len(cells))
-	err = opt.runMatrix("protocols", len(cells), func(i int) error {
-		var row ProtoRow
-		var err error
-		switch cells[i].kernel {
-		case "loop":
-			row, err = protoLoopRun(opt, cells[i].sc, cells[i].sched, cells[i].proto)
-		case "migratory":
-			row, err = migratoryRun(opt, cells[i].sc, cells[i].proto)
-		case "prodcons":
-			row, err = prodConsRun(opt, cells[i].sc, cells[i].proto)
-		case "falseshare":
-			row, err = falseShareRun(opt, cells[i].sc, cells[i].proto)
-		}
-		cellRows[i] = row
+	rows = append(rows, make([]ProtoRow, len(cells))...)
+	err = opt.runMatrix("protocols", len(cells), func(i int) (err error) {
+		rows[1+i], err = cells[i]()
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, cellRows...)
 
 	// Assemble the per-(kernel, scenario, schedule) byte totals and
 	// enforce the contracts.
@@ -249,95 +186,26 @@ func Protocols(opt Options) ([]ProtoRow, error) {
 	return rows, nil
 }
 
-// fillOnes sets out[lo,hi) to 1 in place, span by span: the pages
-// write-fault and twin in the order a WriteRange of a staged slice
-// would take them, without allocating that slice on every claimed
-// chunk of the loop benches.
-func fillOnes(out *shmem.Array[float64], m shmem.Context, lo, hi int) {
-	for lo < hi {
-		span := out.WriteSpan(m, lo, hi)
-		for i := range span {
-			span[i] = 1
-		}
-		lo += len(span)
+// protoRow assembles a verified row from a cell's measurement window:
+// time and traffic, the mechanical signature (diff fetches, home
+// pushes) and the hybrid coherence record.
+func protoRow(kernel string, sh nowShape, sched, proto string, m measured) ProtoRow {
+	return ProtoRow{
+		Kernel: kernel, Scenario: sh.name, Schedule: sched, Protocol: proto,
+		Time: m.Time, Bytes: m.Bytes, Messages: m.Messages,
+		Diffs: m.Stats.DiffFetches.Load(), Flushes: m.Stats.HomeFlushes.Load(),
+		Coherence: CoherenceStats{
+			PagesSingleWriter:     m.Stats.PagesSingleWriter.Load(),
+			PagesProducerConsumer: m.Stats.PagesProducerConsumer.Load(),
+			PagesMigratory:        m.Stats.PagesMigratory.Load(),
+			PagesFalselyShared:    m.Stats.PagesFalselyShared.Load(),
+			HomeMigrations:        m.Stats.HomeMigrations.Load(),
+			HomeMigrationBytes:    m.Stats.HomeMigrationBytes.Load(),
+			ElidedTwins:           m.Stats.ElidedTwins.Load(),
+			ElidedDiffs:           m.Stats.ElidedDiffs.Load(),
+		},
+		Verified: true,
 	}
-}
-
-// protoLoopRun measures the uniform loop for one matrix cell,
-// mirroring the hetero experiment's kernel so the two matrices are
-// comparable.
-func protoLoopRun(opt Options, sc protoScenario, sched omp.Schedule, proto dsm.ProtocolKind) (ProtoRow, error) {
-	n, iters := heteroDims(opt.Scale)
-	row := ProtoRow{Kernel: "loop", Scenario: sc.name, Schedule: sched.String(), Protocol: proto.String()}
-
-	var mm *machine.Model
-	if sc.model != nil {
-		mm = sc.model(opt.Hosts)
-	}
-	cfg := omp.Config{
-		Hosts:    opt.Hosts,
-		Procs:    protoProcs,
-		Machine:  mm,
-		Links:    sc.links,
-		Protocol: proto,
-	}
-	if len(sc.events) > 0 {
-		cfg.Adaptive = true
-		cfg.Grace = opt.Grace
-	}
-	rt, err := omp.New(cfg)
-	if err != nil {
-		return row, err
-	}
-	for _, e := range sc.events {
-		if err := rt.Submit(e); err != nil {
-			return row, err
-		}
-	}
-
-	out, err := omp.Alloc[float64](rt, "proto.out", n)
-	if err != nil {
-		return row, err
-	}
-	rt.For("proto.init", 0, n, func(p *omp.Proc, lo, hi int) {
-		buf := make([]float64, hi-lo)
-		out.WriteRange(p.Mem(), lo, buf)
-	})
-
-	var opts []omp.ForOption
-	switch sched {
-	case omp.Dynamic:
-		opts = append(opts, omp.WithSchedule(omp.Dynamic, max(16, n/64)))
-	case omp.Guided:
-		opts = append(opts, omp.WithSchedule(omp.Guided, 16))
-	}
-
-	t0 := rt.Now()
-	net0 := rt.Cluster().Fabric().Snapshot()
-	st0 := rt.Cluster().Stats().Snapshot()
-	for it := 0; it < iters; it++ {
-		rt.For("proto.work", 0, n, func(p *omp.Proc, lo, hi int) {
-			fillOnes(out, p.Mem(), lo, hi)
-			p.ChargeUnits(hi-lo, heteroUnit)
-		}, opts...)
-	}
-	row.Time = rt.Now() - t0
-	window := rt.Cluster().Fabric().Snapshot().Sub(net0)
-	row.Bytes = window.TotalBytes()
-	row.Messages = window.TotalMessages()
-	fillProtoStats(&row, rt.Cluster().Stats().Snapshot().Sub(st0))
-
-	mp := rt.MasterProc()
-	buf := make([]float64, n)
-	out.ReadRange(mp.Mem(), 0, n, buf)
-	for i, v := range buf {
-		if v != 1 {
-			return row, fmt.Errorf("bench: proto loop %s/%s/%s item %d = %g, want 1",
-				sc.name, sched, proto, i, v)
-		}
-	}
-	row.Verified = true
-	return row, nil
 }
 
 // Migratory kernel parameters: each critical section rewrites migWords
@@ -349,81 +217,38 @@ const (
 	migLock   = 41
 )
 
-// migratoryRun measures the migratory-lock kernel for one cell.
-func migratoryRun(opt Options, sc protoScenario, proto dsm.ProtocolKind) (ProtoRow, error) {
-	row := ProtoRow{Kernel: "migratory", Scenario: sc.name, Schedule: "-", Protocol: proto.String()}
-
-	var mm *machine.Model
-	if sc.model != nil {
-		mm = sc.model(opt.Hosts)
-	}
-	rt, err := omp.New(omp.Config{
-		Hosts:    opt.Hosts,
-		Procs:    protoProcs,
-		Machine:  mm,
-		Links:    sc.links,
-		Protocol: proto,
-	})
-	if err != nil {
-		return row, err
-	}
-	rec, err := omp.Alloc[float64](rt, "mig.rec", 512)
-	if err != nil {
-		return row, err
-	}
-
-	t0 := rt.Now()
-	net0 := rt.Cluster().Fabric().Snapshot()
-	st0 := rt.Cluster().Stats().Snapshot()
-	rt.Parallel("mig.work", func(p *omp.Proc) {
-		buf := make([]float64, migWords)
-		for round := 0; round < migRounds; round++ {
-			p.Lock(migLock)
-			rec.ReadRange(p.Mem(), 0, migWords, buf)
-			for i := range buf {
-				buf[i]++
-			}
-			rec.WriteRange(p.Mem(), 0, buf)
-			p.ChargeUnits(migWords, simtime.Micros(1))
-			p.Unlock(migLock)
-		}
-	})
-	row.Time = rt.Now() - t0
-	window := rt.Cluster().Fabric().Snapshot().Sub(net0)
-	row.Bytes = window.TotalBytes()
-	row.Messages = window.TotalMessages()
-	fillProtoStats(&row, rt.Cluster().Stats().Snapshot().Sub(st0))
-
-	// Every process incremented every record word migRounds times.
-	want := float64(protoProcs * migRounds)
-	mp := rt.MasterProc()
-	buf := make([]float64, migWords)
-	rec.ReadRange(mp.Mem(), 0, migWords, buf)
-	for i, v := range buf {
-		if v != want {
-			return row, fmt.Errorf("bench: migratory %s/%s word %d = %g, want %g",
-				sc.name, proto, i, v, want)
-		}
-	}
-	row.Verified = true
-	return row, nil
+// sharingCell runs one sharing-pattern cell — work over a fresh n-word
+// region, no init pass, the final words checked against want — and
+// names its row.
+func sharingCell(opt Options, kernel string, sh nowShape, proto string, n int,
+	work func(rt *omp.Runtime, region *shmem.Array[float64]), want func(i int) float64) (ProtoRow, error) {
+	label := fmt.Sprintf("%s %s/%s", kernel, sh.name, proto)
+	m, _, err := arrayCell(label, sh.spec(opt, proto), nil, n, false, work, want)
+	return protoRow(kernel, sh, "-", proto, m), err
 }
 
-// fillProtoStats records a cell's mechanical signature (diff fetches,
-// home pushes) and its hybrid coherence record from the stats window.
-func fillProtoStats(row *ProtoRow, stats dsm.StatsSnapshot) {
-	row.Diffs = stats.DiffFetches.Load()
-	row.Flushes = stats.HomeFlushes.Load()
-	row.Coherence = CoherenceStats{
-		PagesSingleWriter:     stats.PagesSingleWriter.Load(),
-		PagesProducerConsumer: stats.PagesProducerConsumer.Load(),
-		PagesMigratory:        stats.PagesMigratory.Load(),
-		PagesFalselyShared:    stats.PagesFalselyShared.Load(),
-		HomeMigrations:        stats.HomeMigrations.Load(),
-		HomeMigrationBytes:    stats.HomeMigrationBytes.Load(),
-		ElidedTwins:           stats.ElidedTwins.Load(),
-		ElidedDiffs:           stats.ElidedDiffs.Load(),
-	}
+// migratoryRun measures the migratory-lock kernel for one cell.
+func migratoryRun(opt Options, sh nowShape, proto string) (ProtoRow, error) {
+	return sharingCell(opt, "migratory", sh, proto, pageWords, func(rt *omp.Runtime, rec *shmem.Array[float64]) {
+		rt.Parallel("mig.work", func(p *omp.Proc) {
+			buf := make([]float64, migWords)
+			for round := 0; round < migRounds; round++ {
+				p.Lock(migLock)
+				rec.ReadRange(p.Mem(), 0, migWords, buf)
+				for i := range buf {
+					buf[i]++
+				}
+				rec.WriteRange(p.Mem(), 0, buf)
+				p.ChargeUnits(migWords, simtime.Micros(1))
+				p.Unlock(migLock)
+			}
+		})
+	}, func(i int) float64 {
+		if i >= migWords {
+			return 0
+		}
+		return protoProcs * migRounds // every process incremented every record word migRounds times
+	})
 }
 
 // pageWords is the float64 capacity of one DSM page.
@@ -440,33 +265,13 @@ const (
 )
 
 // prodConsRun measures the producer-consumer kernel for one cell.
-func prodConsRun(opt Options, sc protoScenario, proto dsm.ProtocolKind) (ProtoRow, error) {
-	row := ProtoRow{Kernel: "prodcons", Scenario: sc.name, Schedule: "-", Protocol: proto.String()}
-
-	var mm *machine.Model
-	if sc.model != nil {
-		mm = sc.model(opt.Hosts)
-	}
-	rt, err := omp.New(omp.Config{
-		Hosts:    opt.Hosts,
-		Procs:    protoProcs,
-		Machine:  mm,
-		Links:    sc.links,
-		Protocol: proto,
-	})
-	if err != nil {
-		return row, err
-	}
+func prodConsRun(opt Options, sh nowShape, proto string) (ProtoRow, error) {
 	words := pcPages * pageWords
-	buf, err := omp.Alloc[float64](rt, "pc.buf", words)
-	if err != nil {
-		return row, err
-	}
-
 	// Sequential reference: the same update stream applied to a plain
 	// slice, summed the way the consumers sum.
 	ref := make([]float64, words)
 	wantSums := make([]float64, pcRounds)
+	var wantTotal float64
 	for round := 0; round < pcRounds; round++ {
 		for w := 0; w < words; w += pcStride {
 			ref[w] = float64(round*words + w + 1)
@@ -474,62 +279,51 @@ func prodConsRun(opt Options, sc protoScenario, proto dsm.ProtocolKind) (ProtoRo
 		for _, v := range ref {
 			wantSums[round] += v
 		}
+		wantTotal += wantSums[round]
 	}
 
 	sums := make([]float64, protoProcs) // per-consumer running checksum
-	t0 := rt.Now()
-	net0 := rt.Cluster().Fabric().Snapshot()
-	st0 := rt.Cluster().Stats().Snapshot()
-	for round := 0; round < pcRounds; round++ {
-		rt.Parallel("pc.produce", func(p *omp.Proc) {
-			if p.ID != 0 {
-				return
-			}
-			one := make([]float64, 1)
-			for w := 0; w < words; w += pcStride {
-				one[0] = float64(round*words + w + 1)
-				buf.WriteRange(p.Mem(), w, one)
-			}
-			p.ChargeUnits(words/pcStride, simtime.Micros(1))
-		})
-		rt.Parallel("pc.consume", func(p *omp.Proc) {
-			if p.ID == 0 {
-				return
-			}
-			chunk := make([]float64, pageWords)
-			sum := 0.0
-			for pg := 0; pg < pcPages; pg++ {
-				buf.ReadRange(p.Mem(), pg*pageWords, (pg+1)*pageWords, chunk)
-				for _, v := range chunk {
-					sum += v
+	row, err := sharingCell(opt, "prodcons", sh, proto, words, func(rt *omp.Runtime, buf *shmem.Array[float64]) {
+		for round := 0; round < pcRounds; round++ {
+			rt.Parallel("pc.produce", func(p *omp.Proc) {
+				if p.ID != 0 {
+					return
 				}
-			}
-			p.ChargeUnits(words, simtime.Micros(1)/8)
-			if sum != wantSums[round] {
-				panic(fmt.Sprintf("bench: prodcons %s/%s consumer %d round %d sum = %g, want %g",
-					sc.name, proto, p.ID, round, sum, wantSums[round]))
-			}
-			sums[p.ID] += sum
-		})
-	}
-	row.Time = rt.Now() - t0
-	window := rt.Cluster().Fabric().Snapshot().Sub(net0)
-	row.Bytes = window.TotalBytes()
-	row.Messages = window.TotalMessages()
-	fillProtoStats(&row, rt.Cluster().Stats().Snapshot().Sub(st0))
-
-	var wantTotal float64
-	for _, s := range wantSums {
-		wantTotal += s
-	}
-	for id := 1; id < protoProcs; id++ {
+				one := make([]float64, 1)
+				for w := 0; w < words; w += pcStride {
+					one[0] = float64(round*words + w + 1)
+					buf.WriteRange(p.Mem(), w, one)
+				}
+				p.ChargeUnits(words/pcStride, simtime.Micros(1))
+			})
+			rt.Parallel("pc.consume", func(p *omp.Proc) {
+				if p.ID == 0 {
+					return
+				}
+				chunk := make([]float64, pageWords)
+				sum := 0.0
+				for pg := 0; pg < pcPages; pg++ {
+					buf.ReadRange(p.Mem(), pg*pageWords, (pg+1)*pageWords, chunk)
+					for _, v := range chunk {
+						sum += v
+					}
+				}
+				p.ChargeUnits(words, simtime.Micros(1)/8)
+				if sum != wantSums[round] {
+					panic(fmt.Sprintf("bench: prodcons %s/%s consumer %d round %d sum = %g, want %g",
+						sh.name, proto, p.ID, round, sum, wantSums[round]))
+				}
+				sums[p.ID] += sum
+			})
+		}
+	}, func(i int) float64 { return ref[i] })
+	for id := 1; err == nil && id < protoProcs; id++ {
 		if sums[id] != wantTotal {
-			return row, fmt.Errorf("bench: prodcons %s/%s consumer %d total = %g, want %g",
-				sc.name, proto, id, sums[id], wantTotal)
+			err = fmt.Errorf("bench: prodcons %s/%s consumer %d total = %g, want %g",
+				sh.name, proto, id, sums[id], wantTotal)
 		}
 	}
-	row.Verified = true
-	return row, nil
+	return row, err
 }
 
 // False-sharing kernel parameters: the stripe region spans fsPages
@@ -543,29 +337,8 @@ const (
 )
 
 // falseShareRun measures the false-sharing kernel for one cell.
-func falseShareRun(opt Options, sc protoScenario, proto dsm.ProtocolKind) (ProtoRow, error) {
-	row := ProtoRow{Kernel: "falseshare", Scenario: sc.name, Schedule: "-", Protocol: proto.String()}
-
-	var mm *machine.Model
-	if sc.model != nil {
-		mm = sc.model(opt.Hosts)
-	}
-	rt, err := omp.New(omp.Config{
-		Hosts:    opt.Hosts,
-		Procs:    protoProcs,
-		Machine:  mm,
-		Links:    sc.links,
-		Protocol: proto,
-	})
-	if err != nil {
-		return row, err
-	}
+func falseShareRun(opt Options, sh nowShape, proto string) (ProtoRow, error) {
 	words := fsPages * pageWords
-	stripes, err := omp.Alloc[float64](rt, "fs.stripes", words)
-	if err != nil {
-		return row, err
-	}
-
 	// Sequential reference for the final state.
 	ref := make([]float64, words)
 	for round := 0; round < fsRounds; round++ {
@@ -575,41 +348,22 @@ func falseShareRun(opt Options, sc protoScenario, proto dsm.ProtocolKind) (Proto
 			}
 		}
 	}
-
-	t0 := rt.Now()
-	net0 := rt.Cluster().Fabric().Snapshot()
-	st0 := rt.Cluster().Stats().Snapshot()
-	for round := 0; round < fsRounds; round++ {
-		peer := 1 + round%(protoProcs-1)
-		rt.Parallel("fs.work", func(p *omp.Proc) {
-			if p.ID != 0 && p.ID != peer {
-				return
-			}
-			one := make([]float64, 1)
-			for w := p.ID; w < words; w += protoProcs {
-				one[0] = float64(round*words + w + 1)
-				stripes.WriteRange(p.Mem(), w, one)
-			}
-			p.ChargeUnits(words/protoProcs, simtime.Micros(1))
-		})
-	}
-	row.Time = rt.Now() - t0
-	window := rt.Cluster().Fabric().Snapshot().Sub(net0)
-	row.Bytes = window.TotalBytes()
-	row.Messages = window.TotalMessages()
-	fillProtoStats(&row, rt.Cluster().Stats().Snapshot().Sub(st0))
-
-	mp := rt.MasterProc()
-	got := make([]float64, words)
-	stripes.ReadRange(mp.Mem(), 0, words, got)
-	for w, v := range got {
-		if v != ref[w] {
-			return row, fmt.Errorf("bench: falseshare %s/%s word %d = %g, want %g",
-				sc.name, proto, w, v, ref[w])
+	return sharingCell(opt, "falseshare", sh, proto, words, func(rt *omp.Runtime, stripes *shmem.Array[float64]) {
+		for round := 0; round < fsRounds; round++ {
+			peer := 1 + round%(protoProcs-1)
+			rt.Parallel("fs.work", func(p *omp.Proc) {
+				if p.ID != 0 && p.ID != peer {
+					return
+				}
+				one := make([]float64, 1)
+				for w := p.ID; w < words; w += protoProcs {
+					one[0] = float64(round*words + w + 1)
+					stripes.WriteRange(p.Mem(), w, one)
+				}
+				p.ChargeUnits(words/protoProcs, simtime.Micros(1))
+			})
 		}
-	}
-	row.Verified = true
-	return row, nil
+	}, func(i int) float64 { return ref[i] })
 }
 
 // FormatProtocols renders the matrix.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nowomp/internal/omp"
 	"nowomp/internal/simtime"
 )
 
@@ -74,7 +75,7 @@ func TestProtocolsMatrix(t *testing.T) {
 	// protocols' shared machinery only when traffic patterns agree —
 	// not asserted. But the same protocol under the same scenario must
 	// be deterministic: re-run one cell and compare bit for bit.
-	again, err := protoLoopRun(Options{Scale: 0.06}.withDefaults(), protoScenario{name: "homog"}, 0, 0)
+	again, _, err := loopCell(Options{Scale: 0.06}.withDefaults(), nowShape{name: "homog"}, omp.Static, "tmk")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"nowomp/internal/omp"
 	"nowomp/internal/simtime"
 )
 
@@ -67,14 +66,11 @@ func Table1(opt Options, procCounts []int) ([]Table1Row, error) {
 }
 
 func table1Row(opt Options, app string, procs int) (Table1Row, error) {
-	if procs > opt.Hosts {
-		return Table1Row{}, fmt.Errorf("bench: %d procs exceed the %d-host pool", procs, opt.Hosts)
-	}
-	std, _, err := runAppOpt(opt, app, opt.Scale, omp.Config{Hosts: opt.Hosts, Procs: procs}, nil)
+	_, std, _, _, err := opt.cell(app, opt.Scale, procs).Execute(nil, nil)
 	if err != nil {
 		return Table1Row{}, fmt.Errorf("bench: %s/%d non-adaptive: %w", app, procs, err)
 	}
-	ada, _, err := runAppOpt(opt, app, opt.Scale, omp.Config{Hosts: opt.Hosts, Procs: procs, Adaptive: true, Grace: opt.Grace}, nil)
+	_, ada, _, _, err := opt.adaptive(app, opt.Scale, procs).Execute(nil, nil)
 	if err != nil {
 		return Table1Row{}, fmt.Errorf("bench: %s/%d adaptive: %w", app, procs, err)
 	}

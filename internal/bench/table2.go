@@ -5,7 +5,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"nowomp/internal/omp"
 	"nowomp/internal/simtime"
 )
 
@@ -59,17 +58,27 @@ func EndSlot(teamSize int) int { return teamSize - 1 }
 
 // Table2 reproduces Table 2: for each application and n in {8, 6},
 // leaves and joins alternate (at most one per adaptation point) with
-// the leaver at the end or middle process id.
+// the leaver at the end or middle process id. The non-adaptive
+// baselines at n and n-1 are measured once per application and shared
+// by both leavers.
 func Table2(opt Options, ns []int) ([]Table2Cell, error) {
 	opt = opt.withDefaults()
 	if len(ns) == 0 {
 		ns = []int{8, 6}
 	}
+	var sizes []int
+	for _, n := range ns {
+		sizes = append(sizes, n, n-1)
+	}
 	var cells []Table2Cell
 	for _, app := range []string{"gauss", "jacobi", "fft3d", "nbf"} {
+		base, err := opt.baselines(app, table2Scale(opt, app), sizes...)
+		if err != nil {
+			return nil, err
+		}
 		for _, leaver := range []string{"end", "middle"} {
 			for _, n := range ns {
-				cell, err := Table2Cell1(opt, app, n, leaver)
+				cell, err := table2Cell(opt, app, n, leaver, base)
 				if err != nil {
 					return nil, err
 				}
@@ -80,56 +89,45 @@ func Table2(opt Options, ns []int) ([]Table2Cell, error) {
 	return cells, nil
 }
 
-// Table2Cell1 measures one Table 2 cell.
+// table2Scale is the experiment scale raised to the application's floor.
+func table2Scale(opt Options, app string) float64 {
+	return max(opt.Scale, table2Scales[app])
+}
+
+// Table2Cell1 measures one Table 2 cell, baselines included.
 func Table2Cell1(opt Options, app string, n int, leaver string) (Table2Cell, error) {
 	opt = opt.withDefaults()
-	scale := opt.Scale
-	if floor := table2Scales[app]; scale < floor {
-		scale = floor
+	base, err := opt.baselines(app, table2Scale(opt, app), n, n-1)
+	if err != nil {
+		return Table2Cell{}, err
 	}
-	if n < 2 || n > opt.Hosts {
-		return Table2Cell{}, fmt.Errorf("bench: n=%d outside [2,%d]", n, opt.Hosts)
-	}
+	return table2Cell(opt, app, n, leaver, base)
+}
+
+// table2Cell runs the adaptive half of one cell against baselines that
+// cover n and n-1: alternating leaves and joins spread over the
+// expected runtime.
+func table2Cell(opt Options, app string, n int, leaver string, base map[int]simtime.Seconds) (Table2Cell, error) {
 	slot := EndSlot
 	if leaver == "middle" {
 		slot = MiddleSlot
 	}
-
-	// Non-adaptive baselines at n and n-1 processes.
-	baseN, _, err := runAppOpt(opt, app, scale, omp.Config{Hosts: opt.Hosts, Procs: n}, nil)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	baseN1, _, err := runAppOpt(opt, app, scale, omp.Config{Hosts: opt.Hosts, Procs: n - 1}, nil)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-
-	// Adaptive run with alternating leaves and joins, spread over the
-	// expected runtime.
 	leaveAt := make([]simtime.Seconds, opt.Pairs)
 	for i := range leaveAt {
-		leaveAt[i] = baseN.Time * simtime.Seconds(float64(i)+0.6) / simtime.Seconds(float64(opt.Pairs)+0.6)
+		leaveAt[i] = base[n] * simtime.Seconds(float64(i)+0.6) / simtime.Seconds(float64(opt.Pairs)+0.6)
 	}
-	alt := newAlternator(leaveAt, slot)
-	ada, rt, err := runAppOpt(opt, app, scale, omp.Config{
-		Hosts: opt.Hosts, Procs: n, Adaptive: true, Grace: opt.Grace,
-	}, alt.hook)
+	run, err := opt.adaptCost(app, table2Scale(opt, app), n, base, nil, newAlternator(leaveAt, slot).hook)
 	if err != nil {
 		return Table2Cell{}, err
 	}
-
-	events := appliedEvents(rt)
+	events := appliedEvents(run.RT)
 	if events == 0 {
-		return Table2Cell{}, fmt.Errorf("bench: %s n=%d %s: no adapt events fired (runtime %.2fs too short; raise scale)", app, n, leaver, float64(ada.Time))
+		return Table2Cell{}, fmt.Errorf("bench: %s n=%d %s: no adapt events fired (runtime %.2fs too short; raise scale)", app, n, leaver, float64(run.Res.Time))
 	}
-	nbar := avgTeamSize(rt, n, ada.Time)
-	ref := interpolateRef(nbar, n-1, n, baseN1.Time, baseN.Time)
-	cost := (ada.Time - ref) / simtime.Seconds(events)
 	return Table2Cell{
 		App: app, N: n, Leaver: leaver,
-		AvgCost: cost, Adaptations: events, AvgNodes: nbar,
-		AdaTime: ada.Time, RefTime: ref,
+		AvgCost: run.Cost / simtime.Seconds(events), Adaptations: events, AvgNodes: run.AvgNodes,
+		AdaTime: run.Res.Time, RefTime: run.Ref,
 	}, nil
 }
 

@@ -102,7 +102,7 @@ func Tasking(opt Options) ([]TaskingRow, error) {
 	}
 	rows := make([]TaskingRow, len(cells))
 	err := opt.runMatrix("tasking", len(cells), func(i int) error {
-		row, err := taskingPoint(cells[i].workload, n, cells[i].procs, opt.Hosts)
+		row, err := taskingPoint(opt, cells[i].workload, n, cells[i].procs)
 		rows[i] = row
 		return err
 	})
@@ -113,7 +113,7 @@ func Tasking(opt Options) ([]TaskingRow, error) {
 }
 
 // taskingPoint measures all four variants at one (workload, procs).
-func taskingPoint(workload string, n, procs, hosts int) (TaskingRow, error) {
+func taskingPoint(opt Options, workload string, n, procs int) (TaskingRow, error) {
 	skewed := workload == "skewed"
 	row := TaskingRow{Workload: workload, Procs: procs}
 
@@ -137,43 +137,6 @@ func taskingPoint(workload string, n, procs, hosts int) (TaskingRow, error) {
 	}
 	leaf := 8
 
-	type traffic struct {
-		bytes, msgs int64
-	}
-	measure := func(f func(rt *omp.Runtime, out *shmem.Float64Array) (int64, error)) (simtime.Seconds, traffic, int64, error) {
-		rt, err := omp.New(omp.Config{Hosts: hosts, Procs: procs})
-		if err != nil {
-			return 0, traffic{}, 0, err
-		}
-		out, err := omp.Alloc[float64](rt, "tasking.out", n)
-		if err != nil {
-			return 0, traffic{}, 0, err
-		}
-		rt.For("tasking.init", 0, n, func(p *omp.Proc, lo, hi int) {
-			buf := make([]float64, hi-lo)
-			out.WriteRange(p.Mem(), lo, buf)
-		})
-		t0 := rt.Now()
-		net0 := rt.Cluster().Fabric().Snapshot()
-		steals, err := f(rt, out)
-		if err != nil {
-			return 0, traffic{}, 0, err
-		}
-		elapsed := rt.Now() - t0
-		window := rt.Cluster().Fabric().Snapshot().Sub(net0)
-		tr := traffic{bytes: window.TotalBytes(), msgs: window.TotalMessages()}
-		// Verify the work happened exactly once per item.
-		mp := rt.MasterProc()
-		buf := make([]float64, n)
-		out.ReadRange(mp.Mem(), 0, n, buf)
-		for i, v := range buf {
-			if want := float64(taskingWeight(i, skewed)); v != want {
-				return 0, traffic{}, 0, fmt.Errorf("bench: tasking %s item %d = %g, want %g", workload, i, v, want)
-			}
-		}
-		return elapsed, tr, steals, nil
-	}
-
 	item := func(p *omp.Proc, out *shmem.Float64Array, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		units := 0
@@ -185,30 +148,21 @@ func taskingPoint(workload string, n, procs, hosts int) (TaskingRow, error) {
 		out.WriteRange(p.Mem(), lo, buf)
 		p.ChargeUnits(units, taskingUnit)
 	}
-
-	loop := func(opts ...omp.ForOption) func(rt *omp.Runtime, out *shmem.Float64Array) (int64, error) {
-		return func(rt *omp.Runtime, out *shmem.Float64Array) (int64, error) {
+	// Each variant is the cell's own body on a fresh runtime; the work
+	// must have happened exactly once per item.
+	measure := func(work func(rt *omp.Runtime, out *shmem.Float64Array)) (measured, error) {
+		m, _, err := arrayCell(fmt.Sprintf("tasking %s/%d", workload, procs), opt.cell("", opt.Scale, procs),
+			nil, n, true, work, func(i int) float64 { return float64(taskingWeight(i, skewed)) })
+		return m, err
+	}
+	loop := func(opts ...omp.ForOption) func(rt *omp.Runtime, out *shmem.Float64Array) {
+		return func(rt *omp.Runtime, out *shmem.Float64Array) {
 			rt.For("tasking.work", 0, n, func(p *omp.Proc, lo, hi int) {
 				item(p, out, lo, hi)
 			}, opts...)
-			return 0, nil
 		}
 	}
-
-	var err error
-	if row.Static, _, _, err = measure(loop()); err != nil {
-		return row, err
-	}
-	var dynTr traffic
-	if row.Dynamic, dynTr, _, err = measure(loop(omp.WithSchedule(omp.Dynamic, chunk))); err != nil {
-		return row, err
-	}
-	row.DynamicMB = float64(dynTr.bytes) / 1e6
-	if row.Guided, _, _, err = measure(loop(omp.WithSchedule(omp.Guided, fine))); err != nil {
-		return row, err
-	}
-
-	tasks := func(rt *omp.Runtime, out *shmem.Float64Array) (int64, error) {
+	tasks := func(rt *omp.Runtime, out *shmem.Float64Array) {
 		var rec func(tp *omp.TaskProc, lo, hi int)
 		rec = func(tp *omp.TaskProc, lo, hi int) {
 			if hi-lo <= leaf {
@@ -220,15 +174,29 @@ func taskingPoint(workload string, n, procs, hosts int) (TaskingRow, error) {
 			tp.Spawn(func(c *omp.TaskProc) { rec(c, mid, hi) })
 			tp.TaskWait()
 		}
-		stats := rt.Tasks("tasking.work", func(tp *omp.TaskProc) { rec(tp, 0, n) })
-		return stats.Steals, nil
+		row.Steals = rt.Tasks("tasking.work", func(tp *omp.TaskProc) { rec(tp, 0, n) }).Steals
 	}
-	var taskTr traffic
-	if row.Tasks, taskTr, row.Steals, err = measure(tasks); err != nil {
+
+	static, err := measure(loop())
+	if err != nil {
 		return row, err
 	}
-	row.TasksBytes, row.TasksMessages = taskTr.bytes, taskTr.msgs
-	row.TasksMB = float64(taskTr.bytes) / 1e6
+	dynamic, err := measure(loop(omp.WithSchedule(omp.Dynamic, chunk)))
+	if err != nil {
+		return row, err
+	}
+	guided, err := measure(loop(omp.WithSchedule(omp.Guided, fine)))
+	if err != nil {
+		return row, err
+	}
+	tasked, err := measure(tasks)
+	if err != nil {
+		return row, err
+	}
+	row.Static, row.Dynamic, row.Guided, row.Tasks = static.Time, dynamic.Time, guided.Time, tasked.Time
+	row.DynamicMB = float64(dynamic.Bytes) / 1e6
+	row.TasksBytes, row.TasksMessages = tasked.Bytes, tasked.Messages
+	row.TasksMB = float64(tasked.Bytes) / 1e6
 	return row, nil
 }
 

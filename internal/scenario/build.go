@@ -13,63 +13,9 @@ import (
 	"nowomp/internal/simtime"
 )
 
-// The build layer turns a Spec into runnable pieces — the omp.Config,
-// the machine model, the link configurer, the adapt events — and all
-// the way into a Result. Every cmd and the farm build through these
-// accessors instead of re-parsing flag strings.
-
-// ProtocolKind returns the spec's coherence protocol.
-func (s Spec) ProtocolKind() (dsm.ProtocolKind, error) {
-	return dsm.ParseProtocol(s.Protocol)
-}
-
-// MachineModel builds the per-machine speed/load model, or nil when
-// the spec is homogeneous.
-func (s Spec) MachineModel() (*machine.Model, error) {
-	if s.Machines == "" && s.Loads == "" {
-		return nil, nil
-	}
-	m := machine.New(s.Hosts)
-	if err := machine.ParseSpeeds(m, s.Machines); err != nil {
-		return nil, err
-	}
-	if err := machine.ParseLoads(m, s.Loads); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// LinksFunc returns the fabric configurer for the spec's link
-// overrides, or nil when every link is at the baseline. The spec is
-// validated eagerly against a throwaway fabric so errors surface here,
-// not mid-construction.
-func (s Spec) LinksFunc() (func(*simnet.Fabric) error, error) {
-	if s.Links == "" {
-		return nil, nil
-	}
-	if err := machine.ParseLinks(simnet.New(s.Hosts), s.Links); err != nil {
-		return nil, err
-	}
-	spec := s.Links
-	return func(f *simnet.Fabric) error { return machine.ParseLinks(f, spec) }, nil
-}
-
-// Events parses the hand-written adapt schedule.
-func (s Spec) Events() ([]adapt.Event, error) {
-	return adapt.ParseSchedule(s.Schedule)
-}
-
-// LoadPolicy parses the load policy, or nil when the spec has none.
-func (s Spec) LoadPolicy() (*adapt.LoadPolicy, error) {
-	if s.Policy == "" {
-		return nil, nil
-	}
-	p, err := adapt.ParsePolicy(s.Policy)
-	if err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
+// The build layer turns a Spec into its omp.Config and, through Start
+// and Execute, all the way into a Result. Every cmd, the farm and the bench
+// cells build through it instead of re-parsing flag strings.
 
 // Runner resolves the spec's kernel.
 func (s Spec) Runner() (apps.Runner, error) {
@@ -80,63 +26,122 @@ func (s Spec) Runner() (apps.Runner, error) {
 	return r, nil
 }
 
-// Config assembles the omp.Config the spec describes.
+// Config assembles the omp.Config the spec describes: a machine model
+// when the spec has speeds or loads (nil for a homogeneous pool), and a
+// fabric configurer when it has link overrides, validated here against
+// a throwaway fabric so errors surface now, not mid-construction.
 func (s Spec) Config() (omp.Config, error) {
-	proto, err := s.ProtocolKind()
+	proto, err := dsm.ParseProtocol(s.Protocol)
 	if err != nil {
 		return omp.Config{}, err
 	}
-	m, err := s.MachineModel()
-	if err != nil {
-		return omp.Config{}, err
-	}
-	links, err := s.LinksFunc()
-	if err != nil {
-		return omp.Config{}, err
-	}
-	return omp.Config{
+	cfg := omp.Config{
 		Hosts: s.Hosts, Procs: s.Procs, Adaptive: s.Adaptive,
 		Grace: simtime.Seconds(s.Grace), Protocol: proto,
-		Machine: m, Links: links,
-	}, nil
+	}
+	if s.Machines != "" || s.Loads != "" {
+		cfg.Machine = machine.New(s.Hosts)
+		if err := machine.ParseSpeeds(cfg.Machine, s.Machines); err != nil {
+			return omp.Config{}, err
+		}
+		if err := machine.ParseLoads(cfg.Machine, s.Loads); err != nil {
+			return omp.Config{}, err
+		}
+	}
+	if links := s.Links; links != "" {
+		if err := machine.ParseLinks(simnet.New(s.Hosts), links); err != nil {
+			return omp.Config{}, err
+		}
+		cfg.Links = func(f *simnet.Fabric) error { return machine.ParseLinks(f, links) }
+	}
+	return cfg, nil
 }
 
-// Build normalizes the spec, constructs the runtime, submits the
-// schedule's events, and applies the load policy. It returns the
-// ready-to-run runtime and the events the policy derived (nil without
-// a policy).
-func (s Spec) Build() (*omp.Runtime, []adapt.Event, error) {
+// Start is the one door from a spec to a runtime; Build, Execute and
+// through them every tool, the farm and every bench cell come through
+// it. It normalizes the spec — the only normalization on the path —
+// assembles the omp.Config, lets mod adjust it, constructs the runtime,
+// submits the schedule's events and applies the load policy. It returns
+// the canonical spec, the ready-to-run runtime and the events the
+// policy derived (nil without a policy).
+//
+// mod (nil for none) is for what a canonical spec cannot say: the
+// ablations' Reassign and LeaveStrategy, which are not scenario axes,
+// and an explicit all-1.0 machine model with unit link scales, which
+// FormatSpeeds and FormatLinks canonicalise to the empty string.
+func (s Spec) Start(mod func(*omp.Config)) (Spec, *omp.Runtime, []adapt.Event, error) {
 	norm, err := s.Normalize()
 	if err != nil {
-		return nil, nil, err
+		return Spec{}, nil, nil, err
 	}
 	cfg, err := norm.Config()
 	if err != nil {
-		return nil, nil, err
+		return Spec{}, nil, nil, err
+	}
+	if mod != nil {
+		mod(&cfg)
 	}
 	rt, err := omp.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return Spec{}, nil, nil, err
 	}
-	events, err := norm.Events()
+	events, err := adapt.ParseSchedule(norm.Schedule)
 	if err != nil {
-		return nil, nil, err
+		return Spec{}, nil, nil, err
 	}
 	for _, ev := range events {
 		if err := rt.Submit(ev); err != nil {
-			return nil, nil, err
+			return Spec{}, nil, nil, err
 		}
 	}
 	var derived []adapt.Event
-	if p, err := norm.LoadPolicy(); err != nil {
-		return nil, nil, err
-	} else if p != nil {
-		derived, err = rt.ApplyLoadPolicy(*p)
+	if norm.Policy != "" {
+		p, err := adapt.ParsePolicy(norm.Policy)
 		if err != nil {
-			return nil, nil, err
+			return Spec{}, nil, nil, err
+		}
+		if derived, err = rt.ApplyLoadPolicy(p); err != nil {
+			return Spec{}, nil, nil, err
 		}
 	}
-	return rt, derived, nil
+	return norm, rt, derived, nil
+}
+
+// Build is Start with no config hook, for callers that drive the
+// runtime themselves.
+func (s Spec) Build() (*omp.Runtime, []adapt.Event, error) {
+	_, rt, derived, err := s.Start(nil)
+	return rt, derived, err
+}
+
+// Execute is the execution primitive Run, nowomp-run and the bench
+// cells share: Start the runtime, install hook (nil for none) as its
+// fork hook, run the registered kernel and, when the spec asks, verify
+// the checksum against the sequential reference. It returns the
+// canonical spec, the kernel's measurements, the finished runtime and
+// the policy-derived events.
+func (s Spec) Execute(mod func(*omp.Config), hook func(*omp.Runtime)) (Spec, apps.Result, *omp.Runtime, []adapt.Event, error) {
+	norm, rt, derived, err := s.Start(mod)
+	if err != nil {
+		return Spec{}, apps.Result{}, nil, nil, err
+	}
+	if hook != nil {
+		rt.SetForkHook(hook)
+	}
+	runner, err := norm.Runner()
+	if err != nil {
+		return Spec{}, apps.Result{}, nil, nil, err
+	}
+	res, err := runner.Run(rt, norm.Scale)
+	if err != nil {
+		return Spec{}, apps.Result{}, nil, nil, err
+	}
+	if norm.Verify {
+		if want := runner.Reference(norm.Scale); res.Checksum != want {
+			return Spec{}, apps.Result{}, nil, nil, fmt.Errorf("scenario: verification failed: checksum %g, reference %g", res.Checksum, want)
+		}
+	}
+	return norm, res, rt, derived, nil
 }
 
 // Result is the outcome of one scenario run. Its leading fields —
@@ -199,35 +204,18 @@ func (s Spec) RunChecked() (res Result, err error) {
 	return s.Run()
 }
 
-// Run executes the scenario end to end: normalize, build, run the
-// kernel, verify if asked, and assemble the Result. The engine makes
-// the outcome a pure function of the spec, so concurrent Runs of
-// different (or identical) specs never interfere.
+// Run executes the scenario end to end — Execute, then the Result
+// assembled around the spec's content address. The engine makes the
+// outcome a pure function of the spec, so concurrent Runs of different
+// (or identical) specs never interfere.
 func (s Spec) Run() (Result, error) {
-	norm, err := s.Normalize()
+	norm, res, rt, _, err := s.Execute(nil, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	hash, err := norm.Hash()
+	data, err := norm.encode()
 	if err != nil {
 		return Result{}, err
-	}
-	rt, _, err := norm.Build()
-	if err != nil {
-		return Result{}, err
-	}
-	runner, err := norm.Runner()
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := runner.Run(rt, norm.Scale)
-	if err != nil {
-		return Result{}, err
-	}
-	if norm.Verify {
-		if want := runner.Reference(norm.Scale); res.Checksum != want {
-			return Result{}, fmt.Errorf("scenario: verification failed: checksum %g, reference %g", res.Checksum, want)
-		}
 	}
 	adaptations := 0
 	for _, ap := range rt.AdaptLog() {
@@ -238,7 +226,7 @@ func (s Spec) Run() (Result, error) {
 		Seconds:     float64(res.Time),
 		Bytes:       res.Bytes,
 		Messages:    res.Messages,
-		Hash:        hash,
+		Hash:        hashOf(data),
 		Spec:        norm,
 		Pages:       res.Pages,
 		Diffs:       res.Diffs,

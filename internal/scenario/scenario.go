@@ -197,7 +197,12 @@ func (s Spec) Canonical() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(norm)
+	return norm.encode()
+}
+
+// encode marshals a spec that is already in canonical form.
+func (s Spec) encode() ([]byte, error) {
+	data, err := json.Marshal(s)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: encode: %w", err)
 	}
@@ -213,8 +218,12 @@ func (s Spec) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return hashOf(data), nil
+}
+
+func hashOf(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	return hex.EncodeToString(sum[:])
 }
 
 // Decode parses a JSON scenario spec. Unknown fields are rejected so a
