@@ -231,3 +231,17 @@ func TestCloseAllocationPins(t *testing.T) {
 		t.Errorf("tmk lock-release flush allocates %v times per retained diff, want <= 2", n)
 	}
 }
+
+// TestBarrierAllocationPin pins a barrier nobody wrote before on an
+// 8-host cluster (the written-page lists, the flush times, the notice
+// accounting): the synchronisation cost is priced on every barrier, so
+// pricing it must not add an allocation.
+func TestBarrierAllocationPin(t *testing.T) {
+	c, _ := newTestCluster(t, 8, 8)
+	active := c.ActiveHosts()
+	arrivals := make([]simtime.Seconds, len(active))
+	c.Barrier(active, arrivals) // warm the per-barrier scratch
+	if n := testing.AllocsPerRun(200, func() { c.Barrier(active, arrivals) }); n > 3 {
+		t.Errorf("no-write barrier on 8 hosts allocates %v times, want <= 3", n)
+	}
+}

@@ -7,56 +7,87 @@ import (
 	"nowomp/internal/simtime"
 )
 
-// TestHomogeneousBitIdentity pins the refactor's core contract: with a
-// nil model and default links, every Costs method reproduces the
-// baseline CostModel arithmetic bit for bit — and an explicit all-unit
-// model prices identically to a nil one.
+// costCase pairs one pricing method of Costs with the
+// simtime.CostModel expression it must equal bit for bit wherever the
+// factors it reads are 1.0.
+type costCase struct {
+	name string
+	got  func(k *Costs) simtime.Seconds
+	want simtime.Seconds
+}
+
+// baselineCosts lists every pricing method of Costs. m names three
+// machines (requester or master, peer or manager, lock holder); the
+// team of Barrier and Fork is those three.
+func baselineCosts(base simtime.CostModel, m [3]simnet.MachineID, bytes int) []costCase {
+	team := m[:]
+	return []costCase{
+		{"Compute", func(k *Costs) simtime.Seconds { return k.Compute(m[0], 17, 0.125) }, 0.125},
+		{"Latency", func(k *Costs) simtime.Seconds { return k.Latency(m[0], m[1]) }, base.OneWayLatency},
+		{"RoundTrip", func(k *Costs) simtime.Seconds { return k.RoundTrip(m[0], m[1]) }, 2 * base.OneWayLatency},
+		{"Wire", func(k *Costs) simtime.Seconds { return k.Wire(m[0], m[1], bytes) }, base.Wire(bytes)},
+		{"PageFetch", func(k *Costs) simtime.Seconds { return k.PageFetch(m[0], m[1], bytes) }, base.PageFetch(bytes)},
+		{"DiffFetch", func(k *Costs) simtime.Seconds { return k.DiffFetch(m[0], m[1], bytes) }, base.DiffFetch(bytes)},
+		{"DiffFlush", func(k *Costs) simtime.Seconds { return k.DiffFlush(m[0], m[1], bytes) },
+			base.OneWayLatency + base.Wire(bytes) + base.MsgOverhead},
+		{"Twin", func(k *Costs) simtime.Seconds { return k.Twin(m[0]) }, base.TwinCost},
+		{"DiffCreate", func(k *Costs) simtime.Seconds { return k.DiffCreate(m[0], bytes) },
+			base.DiffCreateByteCost * simtime.Seconds(bytes)},
+		{"MsgOverhead", func(k *Costs) simtime.Seconds { return k.MsgOverhead(m[0]) }, base.MsgOverhead},
+		{"Lock", func(k *Costs) simtime.Seconds { return k.Lock(m[0], m[1], m[2], false) }, base.LockBase},
+		{"Lock forwarded", func(k *Costs) simtime.Seconds { return k.Lock(m[0], m[1], m[2], true) },
+			base.LockBase + base.LockForward},
+		{"Barrier", func(k *Costs) simtime.Seconds { return k.Barrier(m[0], team) }, base.Barrier(len(team))},
+		{"Fork", func(k *Costs) simtime.Seconds { return k.Fork(m[0], team) }, base.Fork(len(team))},
+		{"Migration", func(k *Costs) simtime.Seconds { return k.Migration(m[0], m[1], bytes<<10) }, base.Migration(bytes << 10)},
+		{"JoinMap", func(k *Costs) simtime.Seconds { return k.JoinMap(m[0], m[1], bytes) },
+			2*base.OneWayLatency + base.Wire(bytes) + base.MsgOverhead},
+	}
+}
+
+// TestHomogeneousBitIdentity is the cost layer's contract: a factor of
+// 1.0 changes no bit. Every Costs method equals the calibrated
+// CostModel arithmetic exactly — for a nil model, for an explicit
+// all-1.0 model, for a fabric whose link table exists but holds only
+// 1.0, and (locality) among the untouched machines of a NOW that is
+// heterogeneous elsewhere. It holds because x*1, x/1 and x+x are exact
+// in IEEE-754 and each formula keeps the baseline's association order;
+// reassociating any one of them turns this test red.
 func TestHomogeneousBitIdentity(t *testing.T) {
 	base := simtime.Default()
-	for _, m := range []*Model{nil, New(8)} {
-		f := simnet.New(8)
-		k := NewCosts(base, f, m)
-		if !k.Homogeneous() {
-			t.Fatal("unit setup must take the fast path")
-		}
-		for _, bytes := range []int{1, 100, 4096, 65536} {
-			if got, want := k.PageFetch(1, 2, bytes), base.PageFetch(bytes); got != want {
-				t.Errorf("PageFetch(%d) = %v, want %v", bytes, got, want)
+	touched := simnet.New(8)
+	touched.SetDuplexScale(0, 1, 1, 1)
+	elsewhere := New(8)
+	elsewhere.SetSpeed(5, 0.5)
+	load, err := NewTrace(Step{At: 0, Load: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elsewhere.SetLoad(5, load)
+	bent := simnet.New(8)
+	bent.SetDuplexScale(0, 1, 4, 0.25)
+
+	all := [][3]simnet.MachineID{{0, 1, 2}, {1, 0, 5}, {3, 4, 2}, {7, 5, 0}, {2, 2, 2}}
+	for _, tc := range []struct {
+		name     string
+		k        *Costs
+		machines [][3]simnet.MachineID
+	}{
+		{"nil model", NewCosts(base, simnet.New(8), nil), all},
+		{"unit model", NewCosts(base, simnet.New(8), New(8)), all},
+		{"unit link table", NewCosts(base, touched, New(8)), all},
+		{"slow machine 5 and bent link 0-1, among 2 3 4", NewCosts(base, bent, elsewhere),
+			[][3]simnet.MachineID{{2, 3, 4}, {4, 2, 3}, {3, 3, 4}}},
+	} {
+		for _, m := range tc.machines {
+			for _, bytes := range []int{0, 1, 100, 4096, 65536} {
+				for _, c := range baselineCosts(base, m, bytes) {
+					if got := c.got(tc.k); got != c.want {
+						t.Errorf("%s, machines %v, %d bytes: %s = %v, want the baseline %v exactly",
+							tc.name, m, bytes, c.name, got, c.want)
+					}
+				}
 			}
-			if got, want := k.DiffFetch(1, 2, bytes), base.DiffFetch(bytes); got != want {
-				t.Errorf("DiffFetch(%d) = %v, want %v", bytes, got, want)
-			}
-			if got, want := k.Wire(3, 4, bytes), base.Wire(bytes); got != want {
-				t.Errorf("Wire(%d) = %v, want %v", bytes, got, want)
-			}
-		}
-		if got, want := k.RoundTrip(0, 5), 2*base.OneWayLatency; got != want {
-			t.Errorf("RoundTrip = %v, want %v", got, want)
-		}
-		if got, want := k.Twin(3), base.TwinCost; got != want {
-			t.Errorf("Twin = %v, want %v", got, want)
-		}
-		if got, want := k.DiffCreate(3, 4096), base.DiffCreateByteCost*simtime.Seconds(4096); got != want {
-			t.Errorf("DiffCreate = %v, want %v", got, want)
-		}
-		if got, want := k.Lock(1, 0, 2, true), base.LockBase+base.LockForward; got != want {
-			t.Errorf("Lock forwarded = %v, want %v", got, want)
-		}
-		if got, want := k.Lock(1, 0, 2, false), base.LockBase; got != want {
-			t.Errorf("Lock = %v, want %v", got, want)
-		}
-		members := []simnet.MachineID{0, 1, 2, 3}
-		if got, want := k.Barrier(0, members), base.Barrier(4); got != want {
-			t.Errorf("Barrier = %v, want %v", got, want)
-		}
-		if got, want := k.Fork(0, members), base.Fork(4); got != want {
-			t.Errorf("Fork = %v, want %v", got, want)
-		}
-		if got, want := k.Migration(1, 2, 5<<20), base.Migration(5<<20); got != want {
-			t.Errorf("Migration = %v, want %v", got, want)
-		}
-		if got, want := k.Compute(2, 17, 0.125), simtime.Seconds(0.125); got != want {
-			t.Errorf("Compute = %v, want %v", got, want)
 		}
 	}
 }

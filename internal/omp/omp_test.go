@@ -2,6 +2,7 @@ package omp
 
 import (
 	"reflect"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -400,4 +401,24 @@ func appliedEvents(rt *Runtime) int {
 		n += len(ap.Applied)
 	}
 	return n
+}
+
+// TestEmptyParallelAllocationPin pins the host allocations of one empty
+// parallel construct on 8 procs (the procs, their clocks, the engine's
+// bookkeeping, the join barrier): fork and join are priced on every
+// construct, so pricing them must not add one.
+func TestEmptyParallelAllocationPin(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race runtime allocates a varying amount per coroutine switch")
+			}
+		}
+	}
+	rt := newRT(t, 8, 8, false)
+	body := func(*Proc) {}
+	rt.Parallel("warm", body)
+	if n := testing.AllocsPerRun(100, func() { rt.Parallel("pin", body) }); n > 53 {
+		t.Errorf("empty parallel on 8 procs allocates %v times, want <= 53", n)
+	}
 }
