@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nowomp/internal/ckpt"
@@ -27,6 +28,14 @@ const (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: parse args, run the demo with its progress
+// on stdout (errors onto stderr) and return the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nowomp-ckpt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	// The team/protocol surface is the shared scenario spec; the demo
 	// fixes its own workload, so only -procs and -protocol are bound.
 	spec := scenario.Spec{
@@ -34,39 +43,50 @@ func main() {
 		Grace: 3.0, Protocol: "tmk", Adaptive: true,
 	}
 	var (
-		file    = flag.String("file", "nowomp.ckpt", "checkpoint file")
-		restore = flag.Bool("restore", false, "resume from the checkpoint file")
-		crashAt = flag.Int("crash-at", 0, "simulate a crash before this iteration (0 = run to completion)")
+		file    = fs.String("file", "nowomp.ckpt", "checkpoint file")
+		restore = fs.Bool("restore", false, "resume from the checkpoint file")
+		crashAt = fs.Int("crash-at", 0, "simulate a crash before this iteration (0 = run to completion)")
 	)
-	flag.IntVar(&spec.Procs, "procs", spec.Procs, "team size")
-	spec.BindProtocol(flag.CommandLine)
-	flag.Parse()
-	if err := run(*file, *restore, *crashAt, spec); err != nil {
-		fmt.Fprintln(os.Stderr, "nowomp-ckpt:", err)
-		os.Exit(1)
+	fs.IntVar(&spec.Procs, "procs", spec.Procs, "team size")
+	spec.BindProtocol(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if err := demo(*file, *restore, *crashAt, spec, stdout); err != nil {
+		fmt.Fprintln(stderr, "nowomp-ckpt:", err)
+		return 1
+	}
+	return 0
 }
 
 var errCrash = errors.New("simulated crash (machine reboot)")
 
-func run(file string, restore bool, crashAt int, spec scenario.Spec) error {
+func demo(file string, restore bool, crashAt int, spec scenario.Spec, stdout io.Writer) error {
+	if spec.Procs < 1 {
+		return fmt.Errorf("-procs %d: the team needs at least one process", spec.Procs)
+	}
 	// One spare host beyond the team, as the fault-tolerance demo always
 	// ran; the save/restore cycle needs the same config on both sides.
 	spec.Hosts = spec.Procs + 1
-	norm, err := spec.Normalize()
-	if err != nil {
-		return err
-	}
-	cfg, err := norm.Config()
-	if err != nil {
-		return err
-	}
 
 	var (
 		rt    *omp.Runtime
 		start int
 	)
 	if restore {
+		// The one caller that needs the config rather than a started
+		// runtime: the checkpoint rebuilds the runtime from it.
+		norm, err := spec.Normalize()
+		if err != nil {
+			return err
+		}
+		cfg, err := norm.Config()
+		if err != nil {
+			return err
+		}
 		var restored *ckpt.Restored
 		rt, restored, err = ckpt.RestoreFile(cfg, file)
 		if err != nil {
@@ -75,11 +95,11 @@ func run(file string, restore bool, crashAt int, spec scenario.Spec) error {
 		if err := restored.State("iter", &start); err != nil {
 			return err
 		}
-		fmt.Printf("restored from %s: resuming at iteration %d, team %v, t=%.2fs\n",
+		fmt.Fprintf(stdout, "restored from %s: resuming at iteration %d, team %v, t=%.2fs\n",
 			file, start, rt.Team(), float64(rt.Now()))
 	} else {
-		rt, err = omp.New(cfg)
-		if err != nil {
+		var err error
+		if _, rt, _, err = spec.Start(nil); err != nil {
 			return err
 		}
 	}
@@ -112,9 +132,9 @@ func run(file string, restore bool, crashAt int, spec scenario.Spec) error {
 			if _, err := ckpt.SaveFile(rt, file, map[string]any{"iter": done}); err != nil {
 				return err
 			}
-			fmt.Printf("iteration %2d done, checkpointed to %s (t=%.2fs)\n", done, file, float64(rt.Now()))
+			fmt.Fprintf(stdout, "iteration %2d done, checkpointed to %s (t=%.2fs)\n", done, file, float64(rt.Now()))
 		} else {
-			fmt.Printf("iteration %2d done (t=%.2fs)\n", done, float64(rt.Now()))
+			fmt.Fprintf(stdout, "iteration %2d done (t=%.2fs)\n", done, float64(rt.Now()))
 		}
 	}
 
@@ -124,6 +144,6 @@ func run(file string, restore bool, crashAt int, spec scenario.Spec) error {
 	if got != want {
 		return fmt.Errorf("result %g, want %g", got, want)
 	}
-	fmt.Printf("completed %d iterations; result verified (%g per element)\n", iters, got)
+	fmt.Fprintf(stdout, "completed %d iterations; result verified (%g per element)\n", iters, got)
 	return nil
 }

@@ -23,8 +23,8 @@ import (
 //
 //   - homog:        the paper's uniform switched LAN (nil model).
 //   - unit-factors: an explicit all-1.0 model and explicit unit link
-//     scales. Hetero() fails unless this reproduces homog bit for bit —
-//     the refactor's core contract, enforced at bench time.
+//     scales, priced by the same formulas as homog's implied 1.0.
+//     Hetero() fails unless time, bytes and messages agree exactly.
 //   - mixed-speed:  half the team at half CPU speed. Static is pinned
 //     to the slowest block; Dynamic and Guided let fast machines claim
 //     more chunks.
@@ -83,8 +83,9 @@ func heteroDims(scale float64) (n, iters int) {
 // nowShape is one NOW shape of the hetero and protocols matrices: the
 // heterogeneity and adaptation fields of a scenario.Spec, under the
 // name the tables print. mod is set on the one shape a canonical spec
-// cannot express (see unitFactors); protocol on hetero's custom shape,
-// which follows Options.Protocol where the built-in shapes stay on tmk.
+// cannot express, explicit 1.0 factors (see unitFactors); protocol on
+// hetero's custom shape, which follows Options.Protocol where the
+// built-in shapes stay on tmk.
 type nowShape struct {
 	name                   string
 	machines, loads, links string
@@ -150,9 +151,10 @@ func nowShapes(baseTime simtime.Seconds, names ...string) []nowShape {
 }
 
 // unitFactors is the unit-factors shape: an explicit all-1.0 machine
-// model and an explicitly configured unit link scale. It has to be a
-// config hook because the spec's canonical form is the empty string for
-// exactly this case — which is the contract the shape exists to check.
+// model and an explicitly configured unit link scale, so every charge
+// multiplies by a looked-up 1.0 where homog's nil model implies it. It
+// is a config hook because the spec's canonical form of this case is
+// the empty string — the contract the shape exists to check.
 func unitFactors(cfg *omp.Config) {
 	m := machine.New(cfg.Hosts)
 	for i := 0; i < cfg.Hosts; i++ {
@@ -285,10 +287,10 @@ func Hetero(opt Options) ([]HeteroRow, error) {
 		return nil, err
 	}
 
-	// Enforce the bit-identity contract: unit factors must reproduce
-	// the baseline exactly, for every schedule. On the discrete-event
-	// engine every schedule is fully deterministic, so any difference
-	// at all is a real cost-model divergence.
+	// Enforce the unit-factor contract: explicit 1.0 factors must
+	// reproduce the nil-model baseline exactly, for every schedule. On
+	// the discrete-event engine every schedule is fully deterministic,
+	// so any difference at all is a real cost-model divergence.
 	homog := map[string]HeteroRow{}
 	for _, r := range rows {
 		if r.Scenario == "homog" {
@@ -296,10 +298,11 @@ func Hetero(opt Options) ([]HeteroRow, error) {
 		}
 	}
 	for _, r := range rows {
-		if b := homog[r.Schedule]; r.Scenario == "unit-factors" && (r.Time != b.Time || r.MB != b.MB) {
+		if b := homog[r.Schedule]; r.Scenario == "unit-factors" &&
+			(r.Time != b.Time || r.Bytes != b.Bytes || r.Messages != b.Messages) {
 			return nil, fmt.Errorf(
-				"bench: unit-factors/%s diverged from homog: %.9fs vs %.9fs, %.6f MB vs %.6f MB",
-				r.Schedule, float64(r.Time), float64(b.Time), r.MB, b.MB)
+				"bench: unit-factors/%s diverged from homog: %.9fs vs %.9fs, %d vs %d bytes, %d vs %d messages",
+				r.Schedule, float64(r.Time), float64(b.Time), r.Bytes, b.Bytes, r.Messages, b.Messages)
 		}
 	}
 	return rows, nil

@@ -124,13 +124,16 @@ func TestHeteroPolicyDeterministic(t *testing.T) {
 	}
 }
 
-// TestUnitFactorsBitIdenticalOnApps pins the acceptance criterion on a
+// TestUnitFactorsBitIdenticalOnApps pins the unit-factor contract on a
 // real kernel: an explicit all-unit machine model plus explicitly
 // configured unit link scales must reproduce the nil-model run of
 // jacobi exactly — virtual time, traffic counters and FP checksum, bit
-// for bit. Adaptive runs with a leave/join schedule are covered too,
-// so every refactored charge site in dsm, omp and adapt is on the
-// compared path.
+// for bit. Both runs go through the same formulas of machine.Costs;
+// what differs is whether each 1.0 is implied (nil model, no link
+// table) or looked up. Adaptive runs with a leave/join schedule are
+// covered too, so every charge site in dsm, omp and adapt is compared.
+// That those formulas equal the calibrated baseline is machine's
+// TestHomogeneousBitIdentity and the golden matrices.
 func TestUnitFactorsBitIdenticalOnApps(t *testing.T) {
 	type fingerprint struct {
 		Time     simtime.Seconds

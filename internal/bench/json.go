@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 
+	"nowomp/internal/dsm"
 	"nowomp/internal/simtime"
 )
 
@@ -28,21 +29,7 @@ type Record struct {
 	Messages int64 `json:"messages"`
 	// Coherence is the hybrid protocol's classification and adaptation
 	// record, present only on protocols cells that ran hybrid (schema 4).
-	Coherence *CoherenceStats `json:"coherence,omitempty"`
-}
-
-// CoherenceStats is the hybrid protocol's per-cell adaptation record:
-// the classifier's final page census, home-migration work, and the
-// twin/diff work elided for proven single-writer pages.
-type CoherenceStats struct {
-	PagesSingleWriter     int64 `json:"pages_single_writer"`
-	PagesProducerConsumer int64 `json:"pages_producer_consumer"`
-	PagesMigratory        int64 `json:"pages_migratory"`
-	PagesFalselyShared    int64 `json:"pages_falsely_shared"`
-	HomeMigrations        int64 `json:"home_migrations"`
-	HomeMigrationBytes    int64 `json:"home_migration_bytes"`
-	ElidedTwins           int64 `json:"elided_twins"`
-	ElidedDiffs           int64 `json:"elided_diffs"`
+	Coherence *dsm.HybridStats `json:"coherence,omitempty"`
 }
 
 // Report is the on-disk -json document.

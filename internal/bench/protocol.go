@@ -5,6 +5,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"nowomp/internal/dsm"
 	"nowomp/internal/omp"
 	"nowomp/internal/page"
 	"nowomp/internal/shmem"
@@ -70,7 +71,7 @@ type ProtoRow struct {
 	Flushes int64
 	// Coherence is the hybrid classification and adaptation record for
 	// the cell (all zero under Tmk and HLRC).
-	Coherence CoherenceStats
+	Coherence dsm.HybridStats
 	// Verified records that the kernel's result was checked.
 	Verified bool
 }
@@ -194,17 +195,8 @@ func protoRow(kernel string, sh nowShape, sched, proto string, m measured) Proto
 		Kernel: kernel, Scenario: sh.name, Schedule: sched, Protocol: proto,
 		Time: m.Time, Bytes: m.Bytes, Messages: m.Messages,
 		Diffs: m.Stats.DiffFetches.Load(), Flushes: m.Stats.HomeFlushes.Load(),
-		Coherence: CoherenceStats{
-			PagesSingleWriter:     m.Stats.PagesSingleWriter.Load(),
-			PagesProducerConsumer: m.Stats.PagesProducerConsumer.Load(),
-			PagesMigratory:        m.Stats.PagesMigratory.Load(),
-			PagesFalselyShared:    m.Stats.PagesFalselyShared.Load(),
-			HomeMigrations:        m.Stats.HomeMigrations.Load(),
-			HomeMigrationBytes:    m.Stats.HomeMigrationBytes.Load(),
-			ElidedTwins:           m.Stats.ElidedTwins.Load(),
-			ElidedDiffs:           m.Stats.ElidedDiffs.Load(),
-		},
-		Verified: true,
+		Coherence: m.Stats.HybridStats,
+		Verified:  true,
 	}
 }
 

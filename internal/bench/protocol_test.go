@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nowomp/internal/dsm"
 	"nowomp/internal/omp"
 	"nowomp/internal/simtime"
 )
@@ -35,7 +36,7 @@ func TestProtocolsMatrix(t *testing.T) {
 		if r.Protocol == "hlrc" && r.Diffs != 0 {
 			t.Errorf("%s/%s/%s: hlrc recorded %d diff fetches", r.Kernel, r.Scenario, r.Schedule, r.Diffs)
 		}
-		if r.Protocol != "hybrid" && r.Coherence != (CoherenceStats{}) {
+		if r.Protocol != "hybrid" && r.Coherence != (dsm.HybridStats{}) {
 			t.Errorf("%s/%s/%s/%s: parent protocol recorded coherence stats %+v",
 				r.Kernel, r.Scenario, r.Schedule, r.Protocol, r.Coherence)
 		}

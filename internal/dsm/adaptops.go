@@ -188,7 +188,7 @@ func (c *Cluster) Join(id HostID) (TransferReport, error) {
 		totalPages += r.NPages
 	}
 	master := c.Master()
-	bytes := msgHeader + c.model.PageMapEntryBytes*totalPages
+	bytes := msgHeader + c.costs.Base().PageMapEntryBytes*totalPages
 	c.fabric.Record(master.machine, h.machine, bytes)
 	c.fabric.Record(h.machine, master.machine, msgHeader)
 	return TransferReport{

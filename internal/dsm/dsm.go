@@ -70,8 +70,8 @@ type Config struct {
 	Model simtime.CostModel
 
 	// Machine describes per-machine heterogeneity (CPU speed factors,
-	// background-load traces); nil means a homogeneous pool, the
-	// baseline fast path.
+	// background-load traces); nil means a homogeneous pool, priced
+	// like an explicit model with every factor at 1.0.
 	Machine *machine.Model
 
 	// Links configures per-link latency/bandwidth overrides on the
@@ -101,7 +101,6 @@ const defaultGCThreshold = 4 << 20
 // Cluster is the DSM system spanning a pool of workstations.
 type Cluster struct {
 	cfg     Config
-	model   simtime.CostModel
 	costs   *machine.Costs
 	fabric  *simnet.Fabric
 	proto   Protocol
@@ -175,7 +174,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		model:  cfg.Model,
 		costs:  machine.NewCosts(cfg.Model, fabric, cfg.Machine),
 		fabric: fabric,
 		dir:    newDirectory(),
@@ -194,16 +192,12 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Model returns the cluster's baseline cost model.
-func (c *Cluster) Model() simtime.CostModel { return c.model }
+func (c *Cluster) Model() simtime.CostModel { return c.costs.Base() }
 
 // Costs returns the heterogeneity-aware cost layer every charge site
-// prices through. With a nil machine model and default links it
+// prices through. Wherever the factors a charge reads are 1.0 it
 // reproduces Model() bit for bit.
 func (c *Cluster) Costs() *machine.Costs { return c.costs }
-
-// MachineModel returns the per-machine speed/load model, or nil for a
-// homogeneous pool.
-func (c *Cluster) MachineModel() *machine.Model { return c.cfg.Machine }
 
 // Fabric exposes the network for traffic-window measurements.
 func (c *Cluster) Fabric() *simnet.Fabric { return c.fabric }

@@ -117,6 +117,9 @@ func TestHybridWindowServing(t *testing.T) {
 	if delta.DiffFetches != 1 || delta.PageFetches != 0 {
 		t.Fatalf("window fault = (%d diff fetches, %d page fetches), want (1, 0)", delta.DiffFetches, delta.PageFetches)
 	}
+	if delta.HomeMigrations != 0 {
+		t.Fatalf("window fault counted %d home migrations: Sub must reach the embedded hybrid counters", delta.HomeMigrations)
+	}
 	if moved := c.Fabric().Snapshot().Sub(fabBefore).TotalBytes(); moved >= page.Size {
 		t.Fatalf("window fault moved %d bytes, want under a page", moved)
 	}

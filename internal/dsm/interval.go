@@ -119,17 +119,9 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 			maxFlush = f
 		}
 	}
-	if c.costs.Homogeneous() {
-		// Fast path: skip the member-machine gather on the hottest
-		// synchronisation path (Costs.Barrier would ignore it anyway).
-		release += maxFlush + c.model.Barrier(len(active))
-	} else {
-		members := make([]simnet.MachineID, len(active))
-		for i, id := range active {
-			members[i] = c.Host(id).machine
-		}
-		release += maxFlush + c.costs.Barrier(c.Master().machine, members)
-	}
+	release += maxFlush + c.costs.Barrier(c.Master().machine, len(active), func(i int) simnet.MachineID {
+		return c.Host(active[i]).machine
+	})
 
 	res := BarrierResult{ReleaseTime: release, Seq: s}
 	if c.proto.storageLocked() > c.cfg.GCThresholdBytes {

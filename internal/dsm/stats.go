@@ -41,23 +41,28 @@ type Stats struct {
 	GCs            Counter
 	ReadFaults     Counter // page-granularity access misses
 	WriteFaults    Counter // first writes (twin events)
-	// Hybrid-protocol classification census: how many pages the
-	// classifier currently tags with each sharing pattern (a page moves
-	// between buckets as its access history evolves; unknown pages are
-	// in no bucket). Always zero under Tmk and HLRC.
-	PagesSingleWriter     Counter
-	PagesProducerConsumer Counter
-	PagesMigratory        Counter
-	PagesFalselyShared    Counter
+	HybridStats
+}
+
+// HybridStats is the hybrid protocol's adaptation record, always zero
+// under Tmk and HLRC; the tags are its names in the bench -json report.
+type HybridStats struct {
+	// Classification census: how many pages the classifier currently
+	// tags with each sharing pattern (a page moves between buckets as
+	// its access history evolves; unknown pages are in no bucket).
+	PagesSingleWriter     Counter `json:"pages_single_writer"`
+	PagesProducerConsumer Counter `json:"pages_producer_consumer"`
+	PagesMigratory        Counter `json:"pages_migratory"`
+	PagesFalselyShared    Counter `json:"pages_falsely_shared"`
 	// HomeMigrations counts hybrid home moves: free flips at a
 	// sole-writer close plus priced dominant-writer migrations, whose
 	// transferred bytes accumulate in HomeMigrationBytes.
-	HomeMigrations     Counter
-	HomeMigrationBytes Counter
+	HomeMigrations     Counter `json:"home_migrations"`
+	HomeMigrationBytes Counter `json:"home_migration_bytes"`
 	// ElidedTwins/ElidedDiffs count the twin copies and diff objects the
 	// hybrid protocol skipped for proven single-writer pages.
-	ElidedTwins Counter
-	ElidedDiffs Counter
+	ElidedTwins Counter `json:"elided_twins"`
+	ElidedDiffs Counter `json:"elided_diffs"`
 }
 
 // StatsSnapshot is a copy of the counters at one instant.
@@ -69,11 +74,19 @@ func (s *Stats) Snapshot() StatsSnapshot { return StatsSnapshot(*s) }
 // Sub returns the difference between this snapshot and an earlier one,
 // counter by counter.
 func (s StatsSnapshot) Sub(earlier StatsSnapshot) StatsSnapshot {
-	d, e := reflect.ValueOf(&s).Elem(), reflect.ValueOf(earlier)
-	for i := 0; i < d.NumField(); i++ {
-		d.Field(i).SetInt(d.Field(i).Int() - e.Field(i).Int())
-	}
+	subCounters(reflect.ValueOf(&s).Elem(), reflect.ValueOf(earlier))
 	return s
+}
+
+// subCounters subtracts e from d: a counter, or a struct of them.
+func subCounters(d, e reflect.Value) {
+	if d.Kind() == reflect.Int64 {
+		d.SetInt(d.Int() - e.Int())
+		return
+	}
+	for i := 0; i < d.NumField(); i++ {
+		subCounters(d.Field(i), e.Field(i))
+	}
 }
 
 // Stats returns the cluster-wide counters.

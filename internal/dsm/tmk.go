@@ -379,7 +379,8 @@ func (t *tmkProtocol) runGCLocked(active []HostID) simtime.Seconds {
 		c.fabric.Record(master.machine, h.machine, meta)
 	}
 
-	elapsed := c.model.GC(totalPages, len(active))
+	base := c.costs.Base()
+	elapsed := base.GC(totalPages, len(active))
 	var maxPull simtime.Seconds
 	for _, t := range pull {
 		if t > maxPull {

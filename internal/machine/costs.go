@@ -11,11 +11,12 @@ import (
 // bandwidth link by link, and the Model's speed factors scale the
 // software-side components by the executing machine's CPU.
 //
-// Every method has a homogeneous fast path that reproduces the
-// baseline arithmetic expression bit for bit, so a run with all
-// factors at 1.0 is numerically indistinguishable from one priced
-// straight off the CostModel. Heterogeneous pricing follows two
-// conventions:
+// Every method has one formula. It multiplies or divides the baseline
+// constants by the factors in the baseline expression's own association
+// order, and x*1, x/1 and x+x are exact in IEEE-754, so wherever the
+// factors a charge reads are 1.0 the charge equals the CostModel
+// arithmetic bit for bit (TestHomogeneousBitIdentity). Pricing follows
+// two conventions:
 //
 //   - Latency/wire components are priced on the actual directed link a
 //     message crosses (requests src -> dst, payloads dst -> src).
@@ -30,7 +31,6 @@ type Costs struct {
 	base simtime.CostModel
 	fab  *simnet.Fabric
 	m    *Model
-	hom  bool
 }
 
 // NewCosts builds the cost layer for one cluster. model may be nil
@@ -40,7 +40,6 @@ func NewCosts(base simtime.CostModel, fab *simnet.Fabric, model *Model) *Costs {
 		base: base,
 		fab:  fab,
 		m:    model,
-		hom:  model.Homogeneous() && !fab.Heterogeneous(),
 	}
 }
 
@@ -49,10 +48,6 @@ func (k *Costs) Base() simtime.CostModel { return k.base }
 
 // Model returns the machine model, possibly nil.
 func (k *Costs) Model() *Model { return k.m }
-
-// Homogeneous reports whether every factor is 1.0, i.e. the fast path
-// is active and all costs equal the baseline.
-func (k *Costs) Homogeneous() bool { return k.hom }
 
 // cpu returns the software-cost multiplier of machine id (1/speed).
 func (k *Costs) cpu(id simnet.MachineID) float64 {
@@ -65,34 +60,22 @@ func (k *Costs) cpu(id simnet.MachineID) float64 {
 // below, compute scales by the full slowdown (1+load)/speed,
 // integrated over the load trace.
 func (k *Costs) Compute(id simnet.MachineID, start, work simtime.Seconds) simtime.Seconds {
-	if k.hom {
-		return work
-	}
 	return k.m.Compute(id, start, work)
 }
 
 // Latency returns the one-way latency of the directed link src -> dst.
 func (k *Costs) Latency(src, dst simnet.MachineID) simtime.Seconds {
-	if k.hom {
-		return k.base.OneWayLatency
-	}
 	return k.base.OneWayLatency * simtime.Seconds(k.fab.LatencyScale(src, dst))
 }
 
 // RoundTrip returns request-plus-reply latency between two machines.
 func (k *Costs) RoundTrip(a, b simnet.MachineID) simtime.Seconds {
-	if k.hom {
-		return 2 * k.base.OneWayLatency
-	}
 	return k.Latency(a, b) + k.Latency(b, a)
 }
 
 // Wire returns the serialisation time of a payload on the directed
 // link src -> dst.
 func (k *Costs) Wire(src, dst simnet.MachineID, bytes int) simtime.Seconds {
-	if k.hom {
-		return k.base.Wire(bytes)
-	}
 	return simtime.Seconds(float64(bytes) / (k.base.LinkBandwidth * k.fab.BandwidthScale(src, dst)))
 }
 
@@ -100,9 +83,6 @@ func (k *Costs) Wire(src, dst simnet.MachineID, bytes int) simtime.Seconds {
 // page of the given payload size: request req -> owner, payload
 // owner -> req, software base scaled by the requester's CPU.
 func (k *Costs) PageFetch(req, owner simnet.MachineID, bytes int) simtime.Seconds {
-	if k.hom {
-		return k.base.PageFetch(bytes)
-	}
 	return k.RoundTrip(req, owner) +
 		k.base.PageFetchBase*simtime.Seconds(k.cpu(req)) +
 		k.Wire(owner, req, bytes)
@@ -112,9 +92,6 @@ func (k *Costs) PageFetch(req, owner simnet.MachineID, bytes int) simtime.Second
 // applying diffs totalling the given payload size from one writer.
 // The per-byte create/apply cost scales by the requester's CPU.
 func (k *Costs) DiffFetch(req, writer simnet.MachineID, bytes int) simtime.Seconds {
-	if k.hom {
-		return k.base.DiffFetch(bytes)
-	}
 	cpu := simtime.Seconds(k.cpu(req))
 	return k.RoundTrip(req, writer) +
 		k.base.DiffFetchBase*cpu +
@@ -129,35 +106,23 @@ func (k *Costs) DiffFetch(req, writer simnet.MachineID, bytes int) simtime.Secon
 // diff off the writer's critical path; the apply scan is folded into
 // the calibrated page-fetch base the next reader pays.
 func (k *Costs) DiffFlush(writer, home simnet.MachineID, bytes int) simtime.Seconds {
-	if k.hom {
-		return k.base.OneWayLatency + k.base.Wire(bytes) + k.base.MsgOverhead
-	}
 	return k.Latency(writer, home) + k.Wire(writer, home, bytes) + k.MsgOverhead(writer)
 }
 
 // Twin returns the local cost of twinning one page on machine id.
 func (k *Costs) Twin(id simnet.MachineID) simtime.Seconds {
-	if k.hom {
-		return k.base.TwinCost
-	}
 	return k.base.TwinCost * simtime.Seconds(k.cpu(id))
 }
 
 // DiffCreate returns the local cost of scanning `bytes` bytes of page
 // against twin on machine id when an interval closes.
 func (k *Costs) DiffCreate(id simnet.MachineID, bytes int) simtime.Seconds {
-	if k.hom {
-		return k.base.DiffCreateByteCost * simtime.Seconds(bytes)
-	}
 	return k.base.DiffCreateByteCost * simtime.Seconds(bytes) * simtime.Seconds(k.cpu(id))
 }
 
 // MsgOverhead returns the per-message software overhead executed on
 // machine id.
 func (k *Costs) MsgOverhead(id simnet.MachineID) simtime.Seconds {
-	if k.hom {
-		return k.base.MsgOverhead
-	}
 	return k.base.MsgOverhead * simtime.Seconds(k.cpu(id))
 }
 
@@ -174,13 +139,6 @@ func (k *Costs) rtScale(a, b simnet.MachineID) simtime.Seconds {
 // the LockForward increment (manager -> holder -> req) bends with the
 // mean of those two hops.
 func (k *Costs) Lock(req, manager, holder simnet.MachineID, forwarded bool) simtime.Seconds {
-	if k.hom {
-		cost := k.base.LockBase
-		if forwarded {
-			cost += k.base.LockForward
-		}
-		return cost
-	}
 	cost := k.base.LockBase * k.rtScale(req, manager)
 	if forwarded {
 		fwd := simtime.Seconds((k.fab.LatencyScale(manager, holder) + k.fab.LatencyScale(holder, req)) / 2)
@@ -189,47 +147,35 @@ func (k *Costs) Lock(req, manager, holder simnet.MachineID, forwarded bool) simt
 	return cost
 }
 
-// Barrier returns the synchronisation cost of a barrier across the
-// given machines with the manager on master, excluding the wait for
-// the slowest arrival. The calibrated base (two round trips) bends
-// with the worst master<->member pair.
-func (k *Costs) Barrier(master simnet.MachineID, members []simnet.MachineID) simtime.Seconds {
-	n := len(members)
+// Barrier returns the synchronisation cost of a barrier across n
+// processes, the i-th on machine member(i), with the manager on master,
+// excluding the wait for the slowest arrival. The calibrated base (two
+// round trips) bends with the worst master<->member pair. The team is
+// an accessor, not a slice, so the caller gathers nothing per barrier.
+func (k *Costs) Barrier(master simnet.MachineID, n int, member func(i int) simnet.MachineID) simtime.Seconds {
 	if n <= 1 {
 		return 0
 	}
-	if k.hom {
-		return k.base.Barrier(n)
-	}
 	worst := simtime.Seconds(1)
-	for _, m := range members {
-		if m == master {
-			continue
-		}
-		if s := k.rtScale(master, m); s > worst {
+	for i := 0; i < n; i++ {
+		if s := k.rtScale(master, member(i)); s > worst {
 			worst = s
 		}
 	}
 	return k.base.BarrierBase*worst + simtime.Seconds(n)*k.base.BarrierPerProc
 }
 
-// Fork returns the master's cost of broadcasting Tmk_fork to the team:
-// the latency of the slowest master -> slave link plus per-slave send
-// overhead on the master.
-func (k *Costs) Fork(master simnet.MachineID, members []simnet.MachineID) simtime.Seconds {
-	n := len(members)
+// Fork returns the master's cost of broadcasting Tmk_fork to a team of
+// n processes, the i-th on machine member(i): the latency of the
+// slowest master -> slave link plus per-slave send overhead on the
+// master.
+func (k *Costs) Fork(master simnet.MachineID, n int, member func(i int) simnet.MachineID) simtime.Seconds {
 	if n <= 1 {
 		return 0
 	}
-	if k.hom {
-		return k.base.Fork(n)
-	}
 	worst := k.base.OneWayLatency
-	for _, m := range members {
-		if m == master {
-			continue
-		}
-		if l := k.Latency(master, m); l > worst {
+	for i := 0; i < n; i++ {
+		if l := k.Latency(master, member(i)); l > worst {
 			worst = l
 		}
 	}
@@ -240,9 +186,6 @@ func (k *Costs) Fork(master simnet.MachineID, members []simnet.MachineID) simtim
 // dst: spawn, then image transfer at the measured libckpt rate — or at
 // the link's rate where an override makes the wire the bottleneck.
 func (k *Costs) Migration(src, dst simnet.MachineID, imageBytes int) simtime.Seconds {
-	if k.hom {
-		return k.base.Migration(imageBytes)
-	}
 	rate := k.base.MigrationBandwidth
 	if link := k.base.LinkBandwidth * k.fab.BandwidthScale(src, dst); link < rate {
 		rate = link
@@ -253,8 +196,5 @@ func (k *Costs) Migration(src, dst simnet.MachineID, imageBytes int) simtime.Sec
 // JoinMap returns the joiner-observed cost of receiving the page-
 // location map from the master at a join.
 func (k *Costs) JoinMap(master, joiner simnet.MachineID, bytes int) simtime.Seconds {
-	if k.hom {
-		return 2*k.base.OneWayLatency + k.base.Wire(bytes) + k.base.MsgOverhead
-	}
 	return k.RoundTrip(joiner, master) + k.Wire(master, joiner, bytes) + k.MsgOverhead(joiner)
 }

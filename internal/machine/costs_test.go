@@ -20,7 +20,7 @@ type costCase struct {
 // machines (requester or master, peer or manager, lock holder); the
 // team of Barrier and Fork is those three.
 func baselineCosts(base simtime.CostModel, m [3]simnet.MachineID, bytes int) []costCase {
-	team := m[:]
+	team := func(i int) simnet.MachineID { return m[i] }
 	return []costCase{
 		{"Compute", func(k *Costs) simtime.Seconds { return k.Compute(m[0], 17, 0.125) }, 0.125},
 		{"Latency", func(k *Costs) simtime.Seconds { return k.Latency(m[0], m[1]) }, base.OneWayLatency},
@@ -37,8 +37,8 @@ func baselineCosts(base simtime.CostModel, m [3]simnet.MachineID, bytes int) []c
 		{"Lock", func(k *Costs) simtime.Seconds { return k.Lock(m[0], m[1], m[2], false) }, base.LockBase},
 		{"Lock forwarded", func(k *Costs) simtime.Seconds { return k.Lock(m[0], m[1], m[2], true) },
 			base.LockBase + base.LockForward},
-		{"Barrier", func(k *Costs) simtime.Seconds { return k.Barrier(m[0], team) }, base.Barrier(len(team))},
-		{"Fork", func(k *Costs) simtime.Seconds { return k.Fork(m[0], team) }, base.Fork(len(team))},
+		{"Barrier", func(k *Costs) simtime.Seconds { return k.Barrier(m[0], len(m), team) }, base.Barrier(len(m))},
+		{"Fork", func(k *Costs) simtime.Seconds { return k.Fork(m[0], len(m), team) }, base.Fork(len(m))},
 		{"Migration", func(k *Costs) simtime.Seconds { return k.Migration(m[0], m[1], bytes<<10) }, base.Migration(bytes << 10)},
 		{"JoinMap", func(k *Costs) simtime.Seconds { return k.JoinMap(m[0], m[1], bytes) },
 			2*base.OneWayLatency + base.Wire(bytes) + base.MsgOverhead},
@@ -97,9 +97,6 @@ func TestLinkScalesBendTransfers(t *testing.T) {
 	f := simnet.New(4)
 	f.SetDuplexScale(0, 1, 4, 0.25)
 	k := NewCosts(base, f, nil)
-	if k.Homogeneous() {
-		t.Fatal("link override must disable the fast path")
-	}
 	if got, want := k.Latency(0, 1), 4*base.OneWayLatency; got != want {
 		t.Errorf("Latency over slow link = %v, want %v", got, want)
 	}
@@ -115,8 +112,7 @@ func TestLinkScalesBendTransfers(t *testing.T) {
 		t.Errorf("page fetch over slow link (%v) must cost more than default (%v)", slow, fast)
 	}
 	if fast != base.PageFetch(4096) {
-		// The default-link path still bends nothing, but it is computed
-		// through the heterogeneous arithmetic; allow only exactness.
+		// The default link bends nothing; allow only exactness.
 		t.Errorf("default-link fetch %v differs from baseline %v", fast, base.PageFetch(4096))
 	}
 }
@@ -174,15 +170,14 @@ func TestBarrierAndForkWorstLink(t *testing.T) {
 	f := simnet.New(4)
 	f.SetDuplexScale(0, 3, 5, 1)
 	k := NewCosts(base, f, nil)
-	members := []simnet.MachineID{0, 1, 2, 3}
-	if k.Barrier(0, members) <= base.Barrier(4) {
+	member := func(i int) simnet.MachineID { return simnet.MachineID(i) }
+	if k.Barrier(0, 4, member) <= base.Barrier(4) {
 		t.Error("barrier with one slow member must cost more than baseline")
 	}
-	if k.Fork(0, members) <= base.Fork(4) {
+	if k.Fork(0, 4, member) <= base.Fork(4) {
 		t.Error("fork with one slow member must cost more than baseline")
 	}
-	near := []simnet.MachineID{0, 1, 2}
-	if got, want := k.Barrier(0, near), base.Barrier(3); got != want {
+	if got, want := k.Barrier(0, 3, member), base.Barrier(3); got != want {
 		t.Errorf("barrier avoiding the slow link = %v, want %v", got, want)
 	}
 }

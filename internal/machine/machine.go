@@ -8,10 +8,11 @@
 // pools, machines slowed by their owners' work, and links of unequal
 // quality.
 //
-// The zero configuration (nil Model, no link overrides) is the fast
-// path: every cost reduces to exactly the baseline arithmetic, bit for
-// bit, so a homogeneous run through this layer is indistinguishable
-// from one that never heard of heterogeneity.
+// There is one arithmetic for every NOW. At unit factors (nil Model or
+// all speeds 1.0 with no load, no link overrides) it reduces to exactly
+// the baseline expressions, bit for bit, because multiplying or
+// dividing by 1.0 is exact: a homogeneous run through this layer is
+// indistinguishable from one that never heard of heterogeneity.
 //
 // Two scaling rules apply, chosen for determinism and fidelity:
 //
@@ -64,16 +65,6 @@ func NewTrace(steps ...Step) (Trace, error) {
 		}
 	}
 	return Trace{steps: append([]Step(nil), steps...)}, nil
-}
-
-// Empty reports whether the trace carries no load anywhere.
-func (tr Trace) Empty() bool {
-	for _, s := range tr.steps {
-		if s.Load != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Steps returns a copy of the trace's breakpoints.
@@ -153,26 +144,6 @@ func (m *Model) LoadAt(id simnet.MachineID, t simtime.Seconds) float64 {
 	return m.loads[id].At(t)
 }
 
-// Homogeneous reports whether the model is indistinguishable from the
-// baseline: every speed 1.0 and every load trace empty. Nil models are
-// homogeneous by definition.
-func (m *Model) Homogeneous() bool {
-	if m == nil {
-		return true
-	}
-	for _, s := range m.speeds {
-		if s != 1 {
-			return false
-		}
-	}
-	for _, tr := range m.loads {
-		if !tr.Empty() {
-			return false
-		}
-	}
-	return true
-}
-
 // Slowdown returns the compute-time multiplier of a machine at instant
 // t: (1 + load) / speed. A loaded half-speed machine runs user work at
 // slowdown (1+load)*2.
@@ -195,7 +166,7 @@ func (m *Model) CPUScale(id simnet.MachineID) float64 {
 // of computation started on machine id at instant `start`, integrating
 // the piecewise-constant slowdown across trace breakpoints: work done
 // while the owner's load is up takes proportionally longer. With speed
-// 1 and an empty trace it returns work exactly.
+// 1 and an empty trace it returns work exactly (work/1).
 func (m *Model) Compute(id simnet.MachineID, start, work simtime.Seconds) simtime.Seconds {
 	if m == nil {
 		return work
@@ -207,9 +178,6 @@ func (m *Model) Compute(id simnet.MachineID, start, work simtime.Seconds) simtim
 	speed := m.speeds[id]
 	tr := m.loads[id]
 	if len(tr.steps) == 0 {
-		if speed == 1 {
-			return work
-		}
 		return work / simtime.Seconds(speed)
 	}
 

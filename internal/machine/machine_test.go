@@ -38,34 +38,6 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
-func TestHomogeneous(t *testing.T) {
-	var nilModel *Model
-	if !nilModel.Homogeneous() {
-		t.Error("nil model must be homogeneous")
-	}
-	m := New(4)
-	if !m.Homogeneous() {
-		t.Error("fresh model must be homogeneous")
-	}
-	m.SetSpeed(2, 0.5)
-	if m.Homogeneous() {
-		t.Error("speed 0.5 still homogeneous")
-	}
-	m.SetSpeed(2, 1)
-	tr, _ := NewTrace(Step{At: 0, Load: 1})
-	m.SetLoad(1, tr)
-	if m.Homogeneous() {
-		t.Error("loaded machine still homogeneous")
-	}
-	// An all-zero trace carries no load and stays homogeneous.
-	zero, _ := NewTrace(Step{At: 3, Load: 0})
-	m2 := New(2)
-	m2.SetLoad(1, zero)
-	if !m2.Homogeneous() {
-		t.Error("zero-load trace must not break homogeneity")
-	}
-}
-
 func TestComputeIdentityFastPath(t *testing.T) {
 	var nilModel *Model
 	for _, w := range []simtime.Seconds{0, 1e-6, 0.125, 3.7} {
@@ -222,9 +194,6 @@ func TestParseLinks(t *testing.T) {
 	}
 	if got := f.LatencyScale(2, 3); got != 1 {
 		t.Errorf("lat scale 2->3 = %g, want default 1", got)
-	}
-	if !f.Heterogeneous() {
-		t.Error("fabric with overrides must report heterogeneous")
 	}
 	for _, spec := range []string{
 		"0-0=lat:2", "0=lat:2", "0-9=lat:2", "0-1=zap:2", "0-1=lat:0", "0-1=lat:-1", "0-1=lat",

@@ -184,7 +184,7 @@ func (rt *Runtime) Manager() *adapt.Manager { return rt.mgr }
 
 // MachineModel returns the per-machine speed/load model, or nil for a
 // homogeneous pool.
-func (rt *Runtime) MachineModel() *machine.Model { return rt.cluster.MachineModel() }
+func (rt *Runtime) MachineModel() *machine.Model { return rt.cluster.Costs().Model() }
 
 // ApplyLoadPolicy derives join/leave events from the machine model's
 // load traces under the given policy and submits them all: the

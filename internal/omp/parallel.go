@@ -30,17 +30,9 @@ func (rt *Runtime) fork(name string) []*Proc {
 
 	t := len(rt.team)
 	master := rt.cluster.Master()
-	costs := rt.cluster.Costs()
-	if costs.Homogeneous() {
-		model := rt.cluster.Model()
-		rt.master.Advance(model.Fork(t))
-	} else {
-		members := make([]simnet.MachineID, t)
-		for i, h := range rt.team {
-			members[i] = rt.cluster.Host(h).Machine()
-		}
-		rt.master.Advance(costs.Fork(master.Machine(), members))
-	}
+	rt.master.Advance(rt.cluster.Costs().Fork(master.Machine(), t, func(i int) simnet.MachineID {
+		return rt.cluster.Host(rt.team[i]).Machine()
+	}))
 	for _, h := range rt.team[1:] {
 		rt.cluster.Fabric().Record(master.Machine(), rt.cluster.Host(h).Machine(), msgHeader)
 	}

@@ -122,16 +122,6 @@ func (f *Fabric) BandwidthScale(src, dst MachineID) float64 {
 	return f.bwScale[int(src)*f.n+int(dst)]
 }
 
-// Heterogeneous reports whether any link carries a non-default scale.
-func (f *Fabric) Heterogeneous() bool {
-	for i := range f.latScale {
-		if f.latScale[i] != 1 || f.bwScale[i] != 1 {
-			return true
-		}
-	}
-	return false
-}
-
 func (f *Fabric) check(m MachineID) {
 	if m < 0 || int(m) >= f.n {
 		panic(fmt.Sprintf("simnet: machine %d out of range [0,%d)", m, f.n))
