@@ -3,6 +3,7 @@ package nowomp_test
 import (
 	"testing"
 
+	"nowomp/internal/apps"
 	"nowomp/internal/bench"
 )
 
@@ -105,4 +106,49 @@ func BenchmarkAblation(b *testing.B) {
 		}
 		b.ReportMetric(float64(a.Handoff[0].MaxLinkBytes)/float64(a.Handoff[1].MaxLinkBytes), "handoff-bottleneck-relief-x")
 	}
+}
+
+// BenchmarkAxpySub and BenchmarkStencil5 time the two float32 row
+// primitives under Gauss's elimination and Jacobi's stencil on one
+// page-sized chunk (1024 elements, L1-resident), the platform's
+// implementation beside the Go loop it is held to; ns/op over 1024 is
+// ns per element, and SetBytes counts the output row.
+func BenchmarkAxpySub(b *testing.B) {
+	for _, k := range []struct {
+		name string
+		f    func(dst, x []float32, a float32)
+	}{{"impl", apps.AxpySub}, {"go", apps.AxpySubGo}} {
+		b.Run(k.name, func(b *testing.B) {
+			dst, x := rowChunk(0), rowChunk(1)
+			b.SetBytes(int64(4 * len(dst)))
+			for b.Loop() {
+				// 1e-9 keeps dst finite for any b.N.
+				k.f(dst, x, 1e-9)
+			}
+		})
+	}
+}
+
+func BenchmarkStencil5(b *testing.B) {
+	for _, k := range []struct {
+		name string
+		f    func(out, up, down, mid []float32)
+	}{{"impl", apps.Stencil5}, {"go", apps.Stencil5Go}} {
+		b.Run(k.name, func(b *testing.B) {
+			out, up, down, mid := rowChunk(0), rowChunk(1), rowChunk(2), rowChunk(3)
+			b.SetBytes(int64(4 * len(out)))
+			for b.Loop() {
+				k.f(out, up, down, mid)
+			}
+		})
+	}
+}
+
+// rowChunk returns one page of finite, normal float32s.
+func rowChunk(seed int) []float32 {
+	v := make([]float32, 1024)
+	for i := range v {
+		v[i] = 1 + float32((i*31+seed*17)%97)/97
+	}
+	return v
 }

@@ -89,6 +89,9 @@ func RunGauss(rt *omp.Runtime, cfg GaussConfig) (Result, error) {
 		p.ChargeUnits((hi-lo)*n, InitCostPerElement)
 	})
 
+	// The staged pivot row is fully overwritten before it is read, every
+	// step, so it is reused across steps.
+	var pivots scratch[float32]
 	for k := 0; k < n-1; k++ {
 		k := k
 		rt.For("gauss.elim", 0, n, func(p *omp.Proc, lo, hi int) {
@@ -99,7 +102,7 @@ func RunGauss(rt *omp.Runtime, cfg GaussConfig) (Result, error) {
 				lo = k + 1
 			}
 			width := n - k
-			pivot := make([]float32, width)
+			pivot := pivots.get(width)
 			a.ReadRowRange(p.Mem(), k, k, n, pivot)
 			for i := lo; i < hi; i++ {
 				// Eliminate in place, span by span: WriteRowSpan faults
@@ -109,8 +112,6 @@ func RunGauss(rt *omp.Runtime, cfg GaussConfig) (Result, error) {
 				var m float32
 				for j := k; j < n; {
 					s := a.WriteRowSpan(p.Mem(), i, j, n)
-					// Slice the pivot window to exactly len(s) so the
-					// element loop runs without bounds checks.
 					pv := pivot[j-k : j-k+len(s)]
 					q := 0
 					if j == k {
@@ -118,14 +119,11 @@ func RunGauss(rt *omp.Runtime, cfg GaussConfig) (Result, error) {
 						s[0] = 0
 						q = 1
 					}
-					s2 := s[q:]
-					pv2 := pv[q:][:len(s2)]
-					for idx := range s2 {
-						s2[idx] -= m * pv2[idx]
-					}
+					axpySub(s[q:], pv[q:], m)
 					j += len(s)
 				}
 			}
+			pivots.put(pivot)
 			p.ChargeUnits((hi-lo)*width, cfg.CostPerElem)
 		})
 	}
@@ -152,16 +150,19 @@ func GaussReference(cfg GaussConfig) float64 {
 	n := cfg.N
 	a := make([]float32, n*n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a[i*n+j] = gaussInit(i, j, n)
+		row := a[i*n : (i+1)*n]
+		for j := range row {
+			row[j] = gaussInit(i, j, n)
 		}
 	}
 	for k := 0; k < n-1; k++ {
+		piv := a[k*n+k : (k+1)*n]
 		for i := k + 1; i < n; i++ {
-			m := a[i*n+k] / a[k*n+k]
-			a[i*n+k] = 0
-			for j := k + 1; j < n; j++ {
-				a[i*n+j] -= m * a[k*n+j]
+			row := a[i*n+k : (i+1)*n][:len(piv)]
+			m := row[0] / piv[0]
+			row[0] = 0
+			for j := 1; j < len(piv); j++ {
+				row[j] -= float32(m * piv[j])
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nowomp/internal/omp"
+	"nowomp/internal/page"
 	"nowomp/internal/shmem"
 	"nowomp/internal/simtime"
 )
@@ -83,6 +84,11 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 		p.ChargeUnits(2*(hi-lo)*n, InitCostPerElement)
 	})
 
+	// The four span lists are refilled row by row, so a process takes
+	// them at full capacity (a row crosses at most spanCap-1 page
+	// breaks) and reuses them across sweeps.
+	spanCap := n*4/page.Size + 2
+	var lists scratch[[]float32]
 	cur := 0
 	for it := 0; it < cfg.Iters; it++ {
 		src, dst := grids[cur], grids[1-cur]
@@ -105,7 +111,7 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 				}
 				return spans
 			}
-			var us, ms, ds, os [][]float32
+			us, ms, ds, os := lists.get(spanCap), lists.get(spanCap), lists.get(spanCap), lists.get(spanCap)
 			us = collectRead(us, lo-1)
 			ms = collectRead(ms, lo)
 			for i := lo; i < hi; i++ {
@@ -119,6 +125,7 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 				jacobiRowSpans(os, us, ms, ds, n)
 				us, ms, ds = ms, ds, us
 			}
+			lists.put(us, ms, ds, os)
 			p.ChargeUnits((hi-lo)*(n-2), cfg.CostPerElem)
 		})
 		cur = 1 - cur
@@ -145,9 +152,9 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 // span lists of the row above (us), the row itself (ms) and the row
 // below (ds) into the output span list (os). Chunks are bounded by the
 // nearest page break of any of the four rows; within a chunk all four
-// views are re-sliced to a common length so the hot loop runs with
-// every bounds check eliminated. The first and last grid columns copy
-// the mid value, exactly like the staged loop did.
+// views are re-sliced to a common length and the interior goes to
+// stencil5 in one call. The first and last grid columns copy the mid
+// value, exactly like the staged loop did.
 func jacobiRowSpans(os, us, ms, ds [][]float32, n int) {
 	oi, ui, mi, di := 0, 0, 0, 0
 	o, u, m, d := os[0], us[0], ms[0], ds[0]
@@ -181,16 +188,9 @@ func jacobiRowSpans(os, us, ms, ds [][]float32, n int) {
 			o2[L-1] = m2[L-1]
 			q1 = L - 1
 		}
-		lo2, hi2 := q0, q1
-		if lo2 < 1 {
-			lo2 = 1
-		}
-		if hi2 > L-1 {
-			hi2 = L - 1
-		}
-		for q := lo2; q < hi2; q++ {
-			o2[q] = 0.25 * (u2[q] + d2[q] + m2[q-1] + m2[q+1])
-		}
+		// Columns 1..L-2 have both neighbours inside the chunk; the two
+		// chunk-edge columns follow in scalar Go.
+		stencil5(o2, u2, d2, m2)
 		if q0 == 0 && q0 < q1 {
 			mr := right
 			if L > 1 {
@@ -234,16 +234,24 @@ func JacobiReference(cfg JacobiConfig) float64 {
 	a := make([]float32, n*n)
 	b := make([]float32, n*n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a[i*n+j] = jacobiInit(i, j, n)
-			b[i*n+j] = a[i*n+j]
+		row := a[i*n : (i+1)*n]
+		for j := range row {
+			row[j] = jacobiInit(i, j, n)
 		}
+		copy(b[i*n:(i+1)*n], row)
 	}
 	src, dst := a, b
 	for it := 0; it < cfg.Iters; it++ {
 		for i := 1; i < n-1; i++ {
-			for j := 1; j < n-1; j++ {
-				dst[i*n+j] = 0.25 * (src[(i-1)*n+j] + src[(i+1)*n+j] + src[i*n+j-1] + src[i*n+j+1])
+			// Views of the n-2 interior columns, all of one length, so
+			// the element loop carries no bounds check.
+			out := dst[i*n+1 : (i+1)*n-1]
+			up := src[(i-1)*n+1 : i*n-1][:len(out)]
+			down := src[(i+1)*n+1 : (i+2)*n-1][:len(out)]
+			left := src[i*n : (i+1)*n-2][:len(out)]
+			right := src[i*n+2 : (i+1)*n][:len(out)]
+			for j := range out {
+				out[j] = 0.25 * (up[j] + down[j] + left[j] + right[j])
 			}
 		}
 		src, dst = dst, src
