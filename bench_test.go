@@ -5,6 +5,7 @@ import (
 
 	"nowomp/internal/apps"
 	"nowomp/internal/bench"
+	"nowomp/internal/page"
 )
 
 // One benchmark per table and figure of the paper's evaluation
@@ -151,4 +152,53 @@ func rowChunk(seed int) []float32 {
 		v[i] = 1 + float32((i*31+seed*17)%97)/97
 	}
 	return v
+}
+
+// BenchmarkPageScanDense, Sparse and Clean time the twin-against-page
+// scan every interval close runs, the platform's implementation beside
+// the Go loop it is held to, with every word, one word per mask lane
+// and no word modified. "hot" rescans one L1-resident pair; "cold"
+// walks 4096 pairs (32 MB, past the last-level cache), which is nearer
+// what a barrier over a large region sees.
+func BenchmarkPageScanDense(b *testing.B)  { benchPageScan(b, 1) }
+func BenchmarkPageScanSparse(b *testing.B) { benchPageScan(b, 64) }
+func BenchmarkPageScanClean(b *testing.B)  { benchPageScan(b, page.Words) }
+
+var sinkMask page.Mask
+
+func benchPageScan(b *testing.B, step int) {
+	for _, k := range []struct {
+		name string
+		f    func(twin, current []byte) page.Mask
+	}{{"impl", page.Scan}, {"go", page.ScanGo}} {
+		for _, ws := range []struct {
+			name  string
+			pairs int
+		}{{"hot", 1}, {"cold", 4096}} {
+			b.Run(k.name+"/"+ws.name, func(b *testing.B) {
+				buf := make([]byte, 2*page.Size*ws.pairs)
+				for i := range buf {
+					buf[i] = byte(i * 131 >> 3)
+				}
+				pair := func(p int) (tw, cur []byte) {
+					return buf[2*p*page.Size:][:page.Size], buf[(2*p+1)*page.Size:][:page.Size]
+				}
+				for p := 0; p < ws.pairs; p++ {
+					tw, cur := pair(p)
+					copy(cur, tw)
+					for w := 0; w < page.Words; w += step {
+						cur[w*page.WordBytes] ^= 1
+					}
+				}
+				b.SetBytes(page.Size)
+				p := 0
+				for b.Loop() {
+					sinkMask = k.f(pair(p))
+					if p++; p == ws.pairs {
+						p = 0
+					}
+				}
+			})
+		}
+	}
 }

@@ -150,6 +150,11 @@ func (c *Cluster) deactivateLocked(h *Host) {
 	for ri := range h.pages {
 		for p := range h.pages[ri] {
 			st := &h.pages[ri][p]
+			if st.borrowed || st.lent != 0 {
+				// The other end of the borrow would dangle; a leave
+				// follows a collection, which leaves none.
+				panic(fmt.Sprintf("dsm: host %d deactivated with page %d/%d borrowed or lent", h.id, ri, p))
+			}
 			c.releasePage(st.data)
 			c.releasePage(st.twin)
 			*st = pageState{}

@@ -112,6 +112,9 @@ type Cluster struct {
 	// policy is the home-based core's per-page policy (classify.go):
 	// set under hybrid, nil — the null policy — under HLRC and Tmk.
 	policy *pagePolicy
+	// homeBased is set under HLRC and hybrid: every page has a home,
+	// whose clean copy a writer's twin may borrow (see borrow).
+	homeBased bool
 
 	// seq is the global interval sequence number. It advances at every
 	// barrier and lock release, always under the directory write lock.

@@ -36,6 +36,7 @@ func (c *Cluster) settlePage(r RegionID, p int, pm *pageMeta, gcSeq int32) {
 		c.releasePage(st.twin)
 		st.twin = nil
 		st.dirty = false
+		st.borrowed, st.lent = false, 0 // every host is swept, so both ends of a borrow go
 		if h.id == pm.owner || (st.valid && st.appliedSeq >= latest) {
 			st.appliedSeq = gcSeq
 		} else {

@@ -201,6 +201,9 @@ func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32)
 	if st.data == nil {
 		panic(fmt.Sprintf("dsm: %s: home %d of page %d/%d holds no copy", c.proto.Kind(), hh.id, pk.region, pk.page))
 	}
+	if st.lent > 0 {
+		c.recall(hh, pk) // last moment the copy is the borrowers' pre-image
+	}
 	src := from.pages[pk.region][pk.page].data
 	if st.dirty && st.twin != nil {
 		own := page.Scan(st.twin, st.data)
@@ -233,9 +236,47 @@ func (c *Cluster) mergeOverHomePage(h *Host, pk pageKey, home HostID, clk *simti
 	st.appliedSeq = applied
 }
 
-// elided reports whether st is dirty with no twin: a first write the
-// policy let skip its twin, to be committed without a diff.
-func (st *pageState) elided() bool { return st.dirty && st.twin == nil }
+// elided reports whether st is dirty with no twin, its own or
+// borrowed: a first write the policy let skip its twin, to be committed
+// without a diff.
+func (st *pageState) elided() bool { return st.dirty && st.twin == nil && !st.borrowed }
+
+// borrow decides whether h's first write to pk in this interval may use
+// the home's copy as its twin instead of copying its own page, and if
+// so marks st borrowed. The pre-image then has a second holder exactly
+// when h is not the home, h's copy is current, and the home's copy is
+// valid, current and clean: two clean current copies agree (the
+// invariant CheckInvariants asserts), and takeMask scans against the
+// home's. Everything that could change the home's copy, or make another
+// host the home, calls recall first. Tmk never borrows: a homeless page
+// has no second holder.
+func (c *Cluster) borrow(h *Host, pk pageKey, st *pageState) bool {
+	if !c.homeBased {
+		return false
+	}
+	pm := c.dir.meta(pk.region, pk.page)
+	latest := pm.latestSeq()
+	hst := &c.Host(pm.owner).pages[pk.region][pk.page]
+	if pm.owner == h.id || st.appliedSeq < latest || !hst.valid || hst.dirty || hst.appliedSeq < latest {
+		return false
+	}
+	st.borrowed = true
+	hst.lent++
+	return true
+}
+
+// recall gives every host borrowing hh's copy of pk a twin of its own,
+// copied from that copy while it is still the pre-image.
+func (c *Cluster) recall(hh *Host, pk pageKey) {
+	hst := &hh.pages[pk.region][pk.page]
+	for _, b := range c.hosts {
+		if st := &b.pages[pk.region][pk.page]; st.borrowed {
+			st.twin = c.pagePool.Copy(hst.data)
+			st.borrowed = false
+			hst.lent--
+		}
+	}
+}
 
 // commitElided commits interval s for an elided page at its writer w,
 // which is its own home (the home cannot have moved while the page was
@@ -260,8 +301,12 @@ func (hp *homeProtocol) commitElided(pk pageKey, pm *pageMeta, w HostID, s int32
 // away from — its uncommitted words exist nowhere else.
 func (hp *homeProtocol) takeHome(pk pageKey, pm *pageMeta, w HostID, wire int) {
 	c := hp.c
-	if pm.owner == w || !c.policy.wantFlip(pk, w, wire) || c.Host(pm.owner).pages[pk.region][pk.page].elided() {
+	old := c.Host(pm.owner)
+	if pm.owner == w || !c.policy.wantFlip(pk, w, wire) || old.pages[pk.region][pk.page].elided() {
 		return
+	}
+	if old.pages[pk.region][pk.page].lent > 0 {
+		c.recall(old, pk) // takeMask looks the pre-image up at the page's home
 	}
 	pm.owner = w
 	c.policy.homeMoved(pk, w)
@@ -390,6 +435,10 @@ func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, writers []HostID, s
 	// Dominant-writer migration: the old home ships the merged page to
 	// the writer the policy names, across the actual link.
 	if dom, ok := c.policy.dominant(pk); ok && dom != home && c.Host(dom).active {
+		if c.Host(home).pages[pk.region][pk.page].lent != 0 {
+			// Every writer's takeMask above returned its borrow.
+			panic(fmt.Sprintf("dsm: %s: page %d/%d migrates from home %d while lent", hp.Kind(), pk.region, pk.page, home))
+		}
 		clk := simtime.NewClock(0)
 		data, applied := c.copyPageFrom(c.Host(dom), c.Host(home), pk, "home", clk)
 		flush[dom] += clk.Now()

@@ -22,16 +22,22 @@ type seqDiff struct {
 	diff *page.Diff
 }
 
-// pageState is one host's view of one shared page.
+// pageState is one host's view of one shared page. It is 64 bytes, one
+// cache line (the flags sit beside appliedSeq to keep it so).
 type pageState struct {
-	data  []byte // nil when the host holds no copy
-	valid bool
-	twin  []byte // pristine copy while dirty in the open interval
-	dirty bool
+	data []byte // nil when the host holds no copy
+	twin []byte // pristine copy while dirty in the open interval, unless elided or borrowed
 	// appliedSeq is the newest interval sequence whose committed
 	// modifications are reflected in data (plus the host's own
 	// uncommitted writes while dirty).
 	appliedSeq int32
+	// lent counts the hosts borrowing this copy as their twin; only a
+	// page's home ever lends (see Cluster.borrow).
+	lent  int32
+	valid bool
+	dirty bool
+	// borrowed marks a dirty page whose twin is the home's copy.
+	borrowed bool
 }
 
 // Host is one logical process address space participating in the DSM.
@@ -272,24 +278,34 @@ func (h *Host) ensureRead(r RegionID, p int, clk *simtime.Clock) {
 
 // ensureWrite makes the page writable on h: readable first (TreadMarks
 // fetches on a write fault too), then twinned if this is the first
-// write of the open interval. Twinning is protocol-independent: Tmk
-// keeps the twin to diff lazily, HLRC to diff eagerly at the flush.
+// write of the open interval. Twinning is protocol-independent — Tmk
+// keeps the twin to diff lazily, HLRC to diff eagerly at the flush —
+// and so are its count and its simulated cost; only the host-side copy
+// is skipped where the home's copy can stand in (see Cluster.borrow).
 func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock) {
 	h.ensureRead(r, p, clk)
 	st := &h.pages[r][p]
 	if !st.dirty {
-		if h.cluster.policy.elide(h, pageKey{r, p}) {
+		pk := pageKey{r, p}
+		if st.lent > 0 {
+			// The home's own first write: its copy stops being anyone's
+			// pre-image.
+			h.cluster.recall(h, pk)
+		}
+		if h.cluster.policy.elide(h, pk) {
 			// Single-writer elision (hybrid's policy only): the page
 			// goes dirty with no twin — the protocol commits it without
 			// a diff — and the twin-copy cost vanishes.
 			st.dirty = true
-			h.written = append(h.written, pageKey{r, p})
+			h.written = append(h.written, pk)
 			h.cluster.stats.WriteFaults.Add(1)
 			return
 		}
-		st.twin = h.cluster.pagePool.Copy(st.data)
+		if !h.cluster.borrow(h, pk, st) {
+			st.twin = h.cluster.pagePool.Copy(st.data)
+		}
 		st.dirty = true
-		h.written = append(h.written, pageKey{r, p})
+		h.written = append(h.written, pk)
 		clk.Advance(h.cluster.costs.Twin(h.machine))
 		h.cluster.stats.TwinsCreated.Add(1)
 		h.cluster.stats.WriteFaults.Add(1)

@@ -16,8 +16,9 @@ import (
 //  1. Every page's directory owner is an active host.
 //  2. The owner either holds a copy, or — between the owner's write
 //     and its interval close — is the page's sole pending writer.
-//  3. No host holds a twin or dirty marking outside an open interval
-//     (callers must have closed all intervals, i.e. be at a barrier).
+//  3. No host holds a twin or dirty marking, and no page is borrowed
+//     or lent, outside an open interval (callers must have closed all
+//     intervals, i.e. be at a barrier).
 //  4. appliedSeq never exceeds the global interval sequence.
 //  5. Per-writer notice records are positive and never newer than the
 //     page's newest notice (which never exceeds the global sequence).
@@ -63,6 +64,8 @@ func (c *Cluster) CheckInvariants() error {
 					}
 				case st.dirty || st.twin != nil:
 					return fmt.Errorf("dsm: invariant: host %d has an open interval on page %d/%d (call at a barrier)", h.id, r, p)
+				case st.borrowed || st.lent != 0:
+					return fmt.Errorf("dsm: invariant: host %d page %d/%d borrowed or lent (%d) outside an open interval", h.id, r, p, st.lent)
 				case st.appliedSeq > c.seq:
 					return fmt.Errorf("dsm: invariant: host %d page %d/%d applied %d beyond global %d", h.id, r, p, st.appliedSeq, c.seq)
 				case st.valid && st.data == nil:

@@ -222,6 +222,12 @@ func (c *Cluster) checkDirtyPeerRaces(writer HostID, pk pageKey, m *page.Mask) {
 			continue
 		}
 		st2 := &h2.pages[pk.region][pk.page]
+		if st2.borrowed {
+			// The close that produced m recalled every borrow before it
+			// committed; a peer still borrowing would be scanned against
+			// a home copy that already holds m's words.
+			panic(fmt.Sprintf("dsm: host %d still borrows page %d/%d after host %d committed it", h2.id, pk.region, pk.page, writer))
+		}
 		if !st2.dirty || st2.twin == nil {
 			continue
 		}

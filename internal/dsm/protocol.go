@@ -114,6 +114,7 @@ type Protocol interface {
 
 // newProtocol builds the configured protocol for a cluster.
 func newProtocol(k ProtocolKind, c *Cluster) (Protocol, error) {
+	c.homeBased = k != Tmk
 	switch k {
 	case Tmk:
 		return &tmkProtocol{c: c}, nil

@@ -55,6 +55,7 @@ func (c *Cluster) InstallRegion(r *Region, data []byte) error {
 		st.dirty = false
 		c.releasePage(st.twin)
 		st.twin = nil
+		st.borrowed, st.lent = false, 0 // every other host's state is reset below
 		st.appliedSeq = c.seq
 	}
 	for p := 0; p < r.NPages; p++ {

@@ -14,16 +14,27 @@ import (
 // where a diff outlives the interval close that made it.
 type Mask [Words / 64]uint64
 
-// groupWords is how many words Scan compares per step: it loads them
+// groupWords is how many words scanGo compares per step: it loads them
 // through a fixed-size array pointer, so one length check covers all
 // the loads, and a group with no difference costs a single test.
 const groupWords = 8
 
 // Scan compares current against twin as 8-byte words in one pass and
 // returns the mask of the words that differ. Both slices must be
-// exactly one page; they need no alignment (the loads are
-// encoding/binary's, which compile to plain unaligned moves).
+// exactly one page; they need no alignment. The pass is scanPage: SSE2
+// assembly on amd64 (scan_amd64.s), scanGo elsewhere.
 func Scan(twin, current []byte) Mask {
+	mustPage(twin)
+	mustPage(current)
+	var m Mask
+	scanPage(&m, (*[Size]byte)(twin), (*[Size]byte)(current))
+	return m
+}
+
+// scanGo is Scan as a Go loop: the implementation off amd64 and the
+// oracle the assembly is tested against (its loads are
+// encoding/binary's, which compile to plain unaligned moves).
+func scanGo(twin, current []byte) Mask {
 	mustPage(twin)
 	mustPage(current)
 	tp, cp := (*[Size]byte)(twin), (*[Size]byte)(current)
@@ -199,3 +210,7 @@ func (d *Diff) Overlaps(o *Diff) bool {
 	_, ok := d.Mask.FirstOverlap(&o.Mask)
 	return ok
 }
+
+// ScanGo exports the Go-loop oracle for the root package's
+// assembly-versus-Go benchmarks.
+func ScanGo(twin, current []byte) Mask { return scanGo(twin, current) }
