@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -43,6 +44,12 @@ func checksum(rt *nowomp.Runtime, acc *nowomp.Array[float64]) float64 {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := nowomp.Config{Hosts: 4, Procs: 4, Adaptive: true}
 	path := filepath.Join(os.TempDir(), "nowomp-example.ckpt")
 	defer os.Remove(path)
@@ -50,11 +57,11 @@ func main() {
 	// Reference: an uninterrupted run.
 	ref, err := nowomp.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	refAcc, err := nowomp.Alloc[float64](ref, "acc", n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for it := 0; it < iters; it++ {
 		step(ref, refAcc, it)
@@ -64,44 +71,45 @@ func main() {
 	// Interrupted run: checkpoint at iteration 10, then "crash".
 	rt, err := nowomp.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	acc, err := nowomp.Alloc[float64](rt, "acc", n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	const crashAfter = 10
 	for it := 0; it < crashAfter; it++ {
 		step(rt, acc, it)
 	}
 	if err := nowomp.Checkpoint(rt, path, map[string]any{"iter": crashAfter}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("checkpointed at iteration %d (t=%.2fs); simulating a crash\n", crashAfter, float64(rt.Now()))
+	fmt.Fprintf(w, "checkpointed at iteration %d (t=%.2fs); simulating a crash\n", crashAfter, float64(rt.Now()))
 	rt, acc = nil, nil // the machine reboots; everything in memory is gone
 
 	// Recovery: restore the master from disk, replay allocations,
 	// resume the outer loop where the checkpoint left it.
 	rt2, restored, err := nowomp.Restore(cfg, path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var resume int
 	if err := restored.State("iter", &resume); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	acc2, err := nowomp.Alloc[float64](rt2, "acc", n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("restored: resuming at iteration %d with team %v\n", resume, rt2.Team())
+	fmt.Fprintf(w, "restored: resuming at iteration %d with team %v\n", resume, rt2.Team())
 	for it := resume; it < iters; it++ {
 		step(rt2, acc2, it)
 	}
 	got := checksum(rt2, acc2)
 
 	if got != want {
-		log.Fatalf("restart result %g differs from uninterrupted %g", got, want)
+		return fmt.Errorf("restart result %g differs from uninterrupted %g", got, want)
 	}
-	fmt.Printf("restarted run matches the uninterrupted run exactly (checksum %.6g)\n", got)
+	fmt.Fprintf(w, "restarted run matches the uninterrupted run exactly (checksum %.6g)\n", got)
+	return nil
 }

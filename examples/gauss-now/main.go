@@ -7,12 +7,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"nowomp"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	rt, err := nowomp.New(nowomp.Config{
 		Hosts: 8, Procs: 8, Adaptive: true,
 		// Direct handoff (the paper's future-work improvement) spreads
@@ -21,7 +29,7 @@ func main() {
 		LeaveStrategy: nowomp.LeaveDirectHandoff,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Owners return at intervals: per-workstation grace periods model
@@ -34,7 +42,7 @@ func main() {
 		{Kind: nowomp.Leave, Host: 4, At: 11.0, Grace: 1},
 	} {
 		if err := rt.Submit(ev); err != nil {
-			log.Fatalf("event %d: %v", i, err)
+			return fmt.Errorf("event %d: %w", i, err)
 		}
 	}
 
@@ -42,18 +50,19 @@ func main() {
 	cfg.N = 1024 // scaled down; 1.0 = 3072x3072
 	res, err := nowomp.RunGauss(rt, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("gauss %dx%d factorised while the NOW shrank 8 -> %d workstations\n",
+	fmt.Fprintf(w, "gauss %dx%d factorised while the NOW shrank 8 -> %d workstations\n",
 		cfg.N, cfg.N, rt.NProcs())
 	for _, ap := range rt.AdaptLog() {
 		for _, rec := range ap.Applied {
-			fmt.Printf("  t=%5.2fs  owner of host %d returned: %d pages handed off in %.3fs, team -> %v\n",
+			fmt.Fprintf(w, "  t=%5.2fs  owner of host %d returned: %d pages handed off in %.3fs, team -> %v\n",
 				float64(ap.When), rec.Event.Host, rec.Transfer.PagesMoved,
 				float64(ap.Elapsed), ap.TeamAfter)
 		}
 	}
-	fmt.Printf("virtual runtime %.2fs, traffic %.2f MB\n", float64(res.Time), res.MB())
-	fmt.Printf("checksum %.6g — identical on any team-size trajectory\n", res.Checksum)
+	fmt.Fprintf(w, "virtual runtime %.2fs, traffic %.2f MB\n", float64(res.Time), res.MB())
+	fmt.Fprintf(w, "checksum %.6g — identical on any team-size trajectory\n", res.Checksum)
+	return nil
 }

@@ -9,15 +9,17 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"nowomp"
 )
 
-func run(grace nowomp.Seconds) (*nowomp.Runtime, nowomp.AppResult) {
+func simulate(grace nowomp.Seconds) (*nowomp.Runtime, nowomp.AppResult, error) {
 	rt, err := nowomp.New(nowomp.Config{Hosts: 8, Procs: 8, Adaptive: true, Grace: grace})
 	if err != nil {
-		log.Fatal(err)
+		return nil, nowomp.AppResult{}, err
 	}
 	cfg := nowomp.DefaultNBF()
 	cfg.Atoms, cfg.Partners, cfg.Iters = 81920, 24, 8
@@ -26,25 +28,22 @@ func run(grace nowomp.Seconds) (*nowomp.Runtime, nowomp.AppResult) {
 	// the longest of the paper's applications (adaptation points ~2.5 s
 	// apart at full scale), which is exactly when grace periods bite.
 	if err := rt.Submit(nowomp.Event{Kind: nowomp.Leave, Host: 6, At: 3.0}); err != nil {
-		log.Fatal(err)
+		return nil, nowomp.AppResult{}, err
 	}
 	res, err := nowomp.RunNBF(rt, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return rt, res
+	return rt, res, err
 }
 
-func describe(label string, rt *nowomp.Runtime, res nowomp.AppResult) {
-	fmt.Printf("%s: runtime %.2fs, traffic %.2f MB\n", label, float64(res.Time), res.MB())
+func describe(w io.Writer, label string, rt *nowomp.Runtime, res nowomp.AppResult) {
+	fmt.Fprintf(w, "%s: runtime %.2fs, traffic %.2f MB\n", label, float64(res.Time), res.MB())
 	for _, ap := range rt.AdaptLog() {
 		for _, rec := range ap.Applied {
 			if rec.Urgent {
-				fmt.Printf("  URGENT leave of host %d: image %.1f MB migrated in %.2fs, then %d pages handed off\n",
+				fmt.Fprintf(w, "  URGENT leave of host %d: image %.1f MB migrated in %.2fs, then %d pages handed off\n",
 					rec.Event.Host, float64(rec.Plan.ImageBytes)/1e6,
 					float64(rec.Plan.Cost), rec.Transfer.PagesMoved)
 			} else {
-				fmt.Printf("  normal leave of host %d at t=%.2fs: %d pages handed off in %.3fs\n",
+				fmt.Fprintf(w, "  normal leave of host %d at t=%.2fs: %d pages handed off in %.3fs\n",
 					rec.Event.Host, float64(ap.When), rec.Transfer.PagesMoved, float64(ap.Elapsed))
 			}
 		}
@@ -52,16 +51,29 @@ func describe(label string, rt *nowomp.Runtime, res nowomp.AppResult) {
 }
 
 func main() {
-	rtN, resN := run(30.0) // generous grace: normal leave
-	rtU, resU := run(0.01) // tight grace: urgent leave
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	describe("grace 30s ", rtN, resN)
-	describe("grace 0.01s", rtU, resU)
+func run(w io.Writer) error {
+	rtN, resN, err := simulate(30.0) // generous grace: normal leave
+	if err != nil {
+		return err
+	}
+	rtU, resU, err := simulate(0.01) // tight grace: urgent leave
+	if err != nil {
+		return err
+	}
+
+	describe(w, "grace 30s ", rtN, resN)
+	describe(w, "grace 0.01s", rtU, resU)
 
 	if resN.Checksum != resU.Checksum {
-		log.Fatalf("results differ: %g vs %g", resN.Checksum, resU.Checksum)
+		return fmt.Errorf("results differ: %g vs %g", resN.Checksum, resU.Checksum)
 	}
-	fmt.Printf("\nboth runs produced identical results (checksum %.6g)\n", resN.Checksum)
-	fmt.Printf("urgent leave cost %.2fs more than the normal one — the premium the grace period avoids\n",
+	fmt.Fprintf(w, "\nboth runs produced identical results (checksum %.6g)\n", resN.Checksum)
+	fmt.Fprintf(w, "urgent leave cost %.2fs more than the normal one — the premium the grace period avoids\n",
 		float64(resU.Time-resN.Time))
+	return nil
 }

@@ -6,21 +6,29 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"nowomp"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	rt, err := nowomp.New(nowomp.Config{Hosts: 5, Procs: 4, Adaptive: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	const n = 1 << 16
 	v, err := nowomp.Alloc[float64](rt, "v", n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// #pragma omp parallel for — the body receives its block of the
@@ -32,13 +40,13 @@ func main() {
 		}
 		v.WriteRange(p.Mem(), lo, buf)
 	})
-	fmt.Printf("filled %d elements on %d processes\n", n, rt.NProcs())
+	fmt.Fprintf(w, "filled %d elements on %d processes\n", n, rt.NProcs())
 
 	// Workstation 4 becomes available. The join takes effect at the
 	// first adaptation point after its process has spawned (~0.75 s of
 	// virtual time).
 	if err := rt.Submit(nowomp.Event{Kind: nowomp.Join, Host: 4, At: rt.Now()}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rt.Parallel("work", func(p *nowomp.Proc) { p.Charge(1.0) })
 	rt.Parallel("work", func(p *nowomp.Proc) { p.Charge(1.0) })
@@ -56,7 +64,8 @@ func main() {
 		p.Contribute(s)
 	}, nowomp.WithReduce(0, func(a, b float64) float64 { return a + b }))
 
-	fmt.Printf("team grew to %d processes after the join\n", rt.NProcs())
-	fmt.Printf("sum = %.1f (want %.1f)\n", sum, 0.5*float64(n-1)*float64(n)/2)
-	fmt.Printf("virtual runtime %.2f s, adaptations: %d\n", float64(rt.Now()), len(rt.AdaptLog()))
+	fmt.Fprintf(w, "team grew to %d processes after the join\n", rt.NProcs())
+	fmt.Fprintf(w, "sum = %.1f (want %.1f)\n", sum, 0.5*float64(n-1)*float64(n)/2)
+	fmt.Fprintf(w, "virtual runtime %.2f s, adaptations: %d\n", float64(rt.Now()), len(rt.AdaptLog()))
+	return nil
 }

@@ -14,24 +14,32 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"nowomp"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	rt, err := nowomp.New(nowomp.Config{Hosts: 8, Procs: 4, Adaptive: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// An operational schedule: workstation 2 is reclaimed by its owner
 	// early on (generous grace), workstation 6 becomes available.
 	if err := rt.Submit(nowomp.Event{Kind: nowomp.Leave, Host: 2, At: 0.4, Grace: 60}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := rt.Submit(nowomp.Event{Kind: nowomp.Join, Host: 6, At: 0.1}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cfg := nowomp.DefaultSort().Scaled(0.25)
@@ -43,27 +51,26 @@ func main() {
 
 	res, err := nowomp.RunMergesort(rt, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("mergesort of %d keys on a pool of 8 workstations\n", cfg.N)
-	fmt.Printf("virtual runtime %.2f s, %.1f MB shared, %.2f MB network traffic, %d diffs\n",
+	fmt.Fprintf(w, "mergesort of %d keys on a pool of 8 workstations\n", cfg.N)
+	fmt.Fprintf(w, "virtual runtime %.2f s, %.1f MB shared, %.2f MB network traffic, %d diffs\n",
 		float64(res.Time), float64(res.SharedBytes)/1e6, res.MB(), res.Diffs)
 
 	for _, ap := range rt.AdaptLog() {
 		for _, rec := range ap.Applied {
-			fmt.Printf("  t=%5.2fs  %-5v host %d  cost %.3fs  %4d pages moved  team -> %v\n",
+			fmt.Fprintf(w, "  t=%5.2fs  %-5v host %d  cost %.3fs  %4d pages moved  team -> %v\n",
 				float64(ap.When), rec.Event.Kind, rec.Event.Host,
 				float64(ap.Elapsed), rec.Transfer.PagesMoved, ap.TeamAfter)
 		}
 	}
-	fmt.Printf("final team: %d processes\n", rt.NProcs())
+	fmt.Fprintf(w, "final team: %d processes\n", rt.NProcs())
 
-	if want := nowomp.MergesortReference(cfg); res.Checksum == want {
-		fmt.Println("verified: sorted result matches the sequential reference bit for bit")
-	} else {
-		log.Fatalf("verification FAILED: checksum %g, reference %g", res.Checksum, want)
+	if want := nowomp.MergesortReference(cfg); res.Checksum != want {
+		return fmt.Errorf("verification FAILED: checksum %g, reference %g", res.Checksum, want)
 	}
+	fmt.Fprintln(w, "verified: sorted result matches the sequential reference bit for bit")
 
 	// The same construct written by hand: a task region that sums the
 	// first n squares by recursive splitting. Spawned halves write
@@ -71,7 +78,7 @@ func main() {
 	// children, so l and r combine deterministically.
 	rt2, err := nowomp.New(nowomp.Config{Hosts: 4, Procs: 4, Adaptive: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	const n = 1 << 16
 	var total float64
@@ -93,6 +100,7 @@ func main() {
 		return l + r
 	}
 	stats := rt2.Tasks("squares", func(tp *nowomp.TaskProc) { total = rec(tp, 0, n) })
-	fmt.Printf("\nsum of squares below %d = %.0f (%d tasks, %d steals, %d migrated executions)\n",
+	fmt.Fprintf(w, "\nsum of squares below %d = %.0f (%d tasks, %d steals, %d migrated executions)\n",
 		n, total, stats.Executed, stats.Steals, stats.MigratedExec)
+	return nil
 }
