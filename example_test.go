@@ -14,7 +14,7 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, err := rt.AllocFloat64("v", 1000)
+	v, err := nowomp.Alloc[float64](rt, "v", 1000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func ExampleRuntime_Submit() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("v", 256); err != nil {
+	if _, err := nowomp.Alloc[float64](rt, "v", 256); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("team before:", rt.NProcs())
@@ -69,7 +69,7 @@ func ExampleRuntime_ParallelForTiled() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("v", 256); err != nil {
+	if _, err := nowomp.Alloc[float64](rt, "v", 256); err != nil {
 		log.Fatal(err)
 	}
 	if err := rt.Submit(nowomp.Event{Kind: nowomp.Leave, Host: 3, At: 0.001}); err != nil {

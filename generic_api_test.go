@@ -2,6 +2,8 @@ package nowomp_test
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"nowomp"
@@ -9,8 +11,7 @@ import (
 
 // TestGenericPublicAPI exercises the generic facade: Alloc[T],
 // AllocMatrix[T], the unified For with schedule and reduce options,
-// and the sentinel errors — the README migration-table surface, as a
-// test.
+// and the sentinel errors — the README's public surface, as a test.
 func TestGenericPublicAPI(t *testing.T) {
 	rt, err := nowomp.New(nowomp.Config{Hosts: 4, Procs: 4, Adaptive: true})
 	if err != nil {
@@ -60,16 +61,22 @@ func TestGenericPublicAPI(t *testing.T) {
 	if got := mx.Get(rt.MasterProc().Mem(), 3, 5); got != 8 {
 		t.Fatalf("mx(3,5) = %d, want 8", got)
 	}
+}
 
-	// A legacy alias handle is the same type as its generic view.
-	f64, err := rt.AllocFloat64("legacy", 8)
+// TestAllocRejectsOverflowingSize: a count whose byte size wraps int
+// (to 16 and to 4 bytes here, on a 32-bit and on a 64-bit int alike)
+// is an error at the public allocators, not a view that claims more
+// elements than its region holds.
+func TestAllocRejectsOverflowingSize(t *testing.T) {
+	rt, err := nowomp.New(nowomp.Config{Hosts: 1, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var asGeneric *nowomp.Array[float64] = f64
-	asGeneric.Set(rt.MasterProc().Mem(), 0, 2.5)
-	if got := f64.Get(rt.MasterProc().Mem(), 0); got != 2.5 {
-		t.Fatalf("alias read %v, want 2.5", got)
+	if _, err := nowomp.Alloc[complex128](rt, "v", math.MaxInt/8+2); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("Alloc: err = %v, want an overflow error", err)
+	}
+	if _, err := nowomp.AllocMatrix[uint8](rt, "m", math.MaxInt/2+2, 4); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("AllocMatrix: err = %v, want an overflow error", err)
 	}
 }
 

@@ -163,9 +163,7 @@ func TestUrgentLeaveMigratesAtJoin(t *testing.T) {
 	c := cluster(t, 3, 3)
 	r, _ := c.Alloc("a", 6*page.Size)
 	// Make host 2 resident on some pages so the image has a size.
-	clk := simtime.NewClock(0)
-	buf := make([]byte, 8)
-	c.Host(2).Read(r.ID, 0, buf, clk)
+	c.Host(2).ReadSpan(r.ID, 0, 8, simtime.NewClock(0))
 
 	m := NewManager(Config{DefaultGrace: 1.0})
 	if err := m.Submit(Event{Kind: KindLeave, Host: 2, At: 1.0}); err != nil {

@@ -17,7 +17,7 @@ func TestAlternatorCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("v", 1024); err != nil {
+	if _, err := omp.Alloc[float64](rt, "v", 1024); err != nil {
 		t.Fatal(err)
 	}
 	alt := newAlternator([]simtime.Seconds{1, 5}, EndSlot)
@@ -61,7 +61,7 @@ func TestAlternatorNeverLeavesMaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("v", 64); err != nil {
+	if _, err := omp.Alloc[float64](rt, "v", 64); err != nil {
 		t.Fatal(err)
 	}
 	alt := newAlternator([]simtime.Seconds{0}, EndSlot)
@@ -81,7 +81,7 @@ func TestAvgTeamSizeWeighting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("v", 64); err != nil {
+	if _, err := omp.Alloc[float64](rt, "v", 64); err != nil {
 		t.Fatal(err)
 	}
 	// No adaptations: the average is the team size.
@@ -110,7 +110,7 @@ func TestForkLeaverSkipsInvalidSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("v", 64); err != nil {
+	if _, err := omp.Alloc[float64](rt, "v", 64); err != nil {
 		t.Fatal(err)
 	}
 	rt.SetForkHook(forkLeaver(map[int64][]int{1: {0, -1, 99, 2}}))

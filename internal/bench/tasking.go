@@ -137,7 +137,7 @@ func taskingPoint(opt Options, workload string, n, procs int) (TaskingRow, error
 	}
 	leaf := 8
 
-	item := func(p *omp.Proc, out *shmem.Float64Array, lo, hi int) {
+	item := func(p *omp.Proc, out *shmem.Array[float64], lo, hi int) {
 		buf := make([]float64, hi-lo)
 		units := 0
 		for i := lo; i < hi; i++ {
@@ -150,19 +150,19 @@ func taskingPoint(opt Options, workload string, n, procs int) (TaskingRow, error
 	}
 	// Each variant is the cell's own body on a fresh runtime; the work
 	// must have happened exactly once per item.
-	measure := func(work func(rt *omp.Runtime, out *shmem.Float64Array)) (measured, error) {
+	measure := func(work func(rt *omp.Runtime, out *shmem.Array[float64])) (measured, error) {
 		m, _, err := arrayCell(fmt.Sprintf("tasking %s/%d", workload, procs), opt.cell("", opt.Scale, procs),
 			nil, n, true, work, func(i int) float64 { return float64(taskingWeight(i, skewed)) })
 		return m, err
 	}
-	loop := func(opts ...omp.ForOption) func(rt *omp.Runtime, out *shmem.Float64Array) {
-		return func(rt *omp.Runtime, out *shmem.Float64Array) {
+	loop := func(opts ...omp.ForOption) func(rt *omp.Runtime, out *shmem.Array[float64]) {
+		return func(rt *omp.Runtime, out *shmem.Array[float64]) {
 			rt.For("tasking.work", 0, n, func(p *omp.Proc, lo, hi int) {
 				item(p, out, lo, hi)
 			}, opts...)
 		}
 	}
-	tasks := func(rt *omp.Runtime, out *shmem.Float64Array) {
+	tasks := func(rt *omp.Runtime, out *shmem.Array[float64]) {
 		var rec func(tp *omp.TaskProc, lo, hi int)
 		rec = func(tp *omp.TaskProc, lo, hi int) {
 			if hi-lo <= leaf {

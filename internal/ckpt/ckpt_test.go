@@ -15,7 +15,7 @@ import (
 
 func buildAndRun(t *testing.T, rt *omp.Runtime, from, to int) float64 {
 	t.Helper()
-	a, err := rt.AllocFloat64("acc", 2048)
+	a, err := omp.Alloc[float64](rt, "acc", 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCheckpointRestartMatchesUninterruptedRun(t *testing.T) {
 
 func buildAndRunNoSum(t *testing.T, rt *omp.Runtime, from, to int) float64 {
 	t.Helper()
-	a, err := rt.AllocFloat64("acc", 2048)
+	a, err := omp.Alloc[float64](rt, "acc", 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRestoreSmallerTeamAfterLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := rt1.AllocFloat64("acc", 512)
+	a, _ := omp.Alloc[float64](rt1, "acc", 512)
 	rt1.For("w", 0, 512, func(p *omp.Proc, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a.Set(p.Mem(), i, 1)
@@ -214,7 +214,7 @@ func TestRestoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt1.AllocFloat64("acc", 128); err != nil {
+	if _, err := omp.Alloc[float64](rt1, "acc", 128); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -225,7 +225,7 @@ func TestRestoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt2.AllocFloat64("other-name", 128); !errors.Is(err, omp.ErrRestoreMismatch) {
+	if _, err := omp.Alloc[float64](rt2, "other-name", 128); !errors.Is(err, omp.ErrRestoreMismatch) {
 		t.Fatalf("mismatched allocation replay must fail with ErrRestoreMismatch, got %v", err)
 	}
 	// Missing state key.

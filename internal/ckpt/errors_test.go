@@ -14,7 +14,7 @@ func TestSaveRejectsUnencodableState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("a", 16); err != nil {
+	if _, err := omp.Alloc[float64](rt, "a", 16); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -65,7 +65,7 @@ func TestRestoredKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64("a", 16); err != nil {
+	if _, err := omp.Alloc[float64](rt, "a", 16); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

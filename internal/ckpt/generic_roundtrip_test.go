@@ -89,91 +89,3 @@ func TestRoundTripAllElementTypes(t *testing.T) {
 	roundTrip(t, func(i int) int64 { return int64(i)<<33 - 5 })
 	roundTrip(t, func(i int) uint8 { return uint8(i * 3) })
 }
-
-// TestRoundTripLegacyAliases saves through the legacy typed
-// allocators and replays through the generic ones (and vice versa),
-// pinning that the alias types share the generic codec and region
-// layout byte-for-byte.
-func TestRoundTripLegacyAliases(t *testing.T) {
-	cfg := omp.Config{Hosts: 2, Procs: 1, Adaptive: true}
-	rt, err := omp.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rt.MasterProc().Mem()
-
-	f64, err := rt.AllocFloat64("f64", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f64.WriteRange(m, 0, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f32, err := rt.AllocFloat32("f32", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32.WriteRange(m, 0, []float32{0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5})
-	z, err := rt.AllocComplex128("z", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z.WriteRange(m, 0, []complex128{1i, 2, 3 + 4i, -5})
-	i32, err := rt.AllocInt32("i32", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i32.WriteRange(m, 0, []int32{-1, 2, -3, 4, -5, 6, -7, 8})
-	m64, err := rt.AllocFloat64Matrix("m64", 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m64.WriteRow(m, 1, []float64{9, 8, 7, 6})
-	m32, err := rt.AllocFloat32Matrix("m32", 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m32.WriteRow(m, 0, []float32{1, 2, 3, 4})
-
-	var buf bytes.Buffer
-	if _, err := Save(rt, &buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	rt2, _, err := Restore(cfg, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay through the generic allocators: same names, same element
-	// sizes, so the byte-based replay must accept them.
-	gf64, err := omp.Alloc[float64](rt2, "f64", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := omp.Alloc[float32](rt2, "f32", 8); err != nil {
-		t.Fatal(err)
-	}
-	gz, err := omp.Alloc[complex128](rt2, "z", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := omp.Alloc[int32](rt2, "i32", 8); err != nil {
-		t.Fatal(err)
-	}
-	gm64, err := omp.AllocMatrix[float64](rt2, "m64", 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := omp.AllocMatrix[float32](rt2, "m32", 2, 4); err != nil {
-		t.Fatal(err)
-	}
-	m2 := rt2.MasterProc().Mem()
-	if v := gf64.Get(m2, 9); v != 10 {
-		t.Fatalf("f64[9] = %v, want 10", v)
-	}
-	if v := gz.Get(m2, 2); v != 3+4i {
-		t.Fatalf("z[2] = %v, want 3+4i", v)
-	}
-	rowBuf := make([]float64, 4)
-	gm64.ReadRow(m2, 1, rowBuf)
-	if rowBuf[0] != 9 || rowBuf[3] != 6 {
-		t.Fatalf("m64 row 1 = %v, want [9 8 7 6]", rowBuf)
-	}
-}

@@ -96,7 +96,7 @@ func (g *borrowRig) home(p int) HostID                { return g.c.dir.meta(g.r.
 // write stores v into the first byte of one word of page p at host h.
 func (g *borrowRig) write(h HostID, p, word int, v byte) {
 	off := p*page.Size + word*page.WordBytes
-	g.c.Host(h).Write(g.r.ID, off, []byte{v}, g.clks[h])
+	writeBytes(g.c.Host(h), g.r.ID, off, []byte{v}, g.clks[h])
 	g.want[off] = v
 	pk := pageKey{g.r.ID, p}
 	if g.wrote[h] == nil {
@@ -128,7 +128,7 @@ func (g *borrowRig) barrier() {
 	for h := HostID(0); h < 3; h++ {
 		for off, v := range g.want {
 			var got [1]byte
-			g.c.Host(h).Read(g.r.ID, off, got[:], g.clks[h])
+			readBytes(g.c.Host(h), g.r.ID, off, got[:], g.clks[h])
 			if got[0] != v {
 				g.t.Fatalf("host %d reads %d at offset %d, want %d", h, got[0], off, v)
 			}
@@ -426,11 +426,11 @@ func TestBorrowedIntervalAllocationPin(t *testing.T) {
 			t.Fatalf("Alloc: %v", err)
 		}
 		w, clk, word := c.Host(1), simtime.NewClock(0), make([]byte, page.WordBytes)
-		w.Read(r.ID, 0, word, clk) // page 0 is homed at host 0; the writer needs a copy
+		readBytes(w, r.ID, 0, word, clk) // page 0 is homed at host 0; the writer needs a copy
 		return func() {
 			c.pagePool = page.Freelist{}
 			word[0]++
-			w.Write(r.ID, 0, word, clk)
+			writeBytes(w, r.ID, 0, word, clk)
 			if proto != Tmk && !w.pages[r.ID][0].borrowed {
 				t.Fatal("the write did not borrow")
 			}

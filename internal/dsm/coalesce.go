@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -64,19 +63,6 @@ func SetCoalescing(mode CoalescingMode) (restore func()) {
 	prev := coalescingMode.Load()
 	coalescingMode.Store(int32(mode))
 	return func() { coalescingMode.Store(prev) }
-}
-
-// ParseCoalescingMode maps the flag spellings to a mode.
-func ParseCoalescingMode(s string) (CoalescingMode, error) {
-	switch s {
-	case "", "auto":
-		return CoalesceAuto, nil
-	case "off":
-		return CoalesceOff, nil
-	case "force":
-		return CoalesceForce, nil
-	}
-	return 0, fmt.Errorf("dsm: unknown coalescing mode %q (want auto, off or force)", s)
 }
 
 // shouldPrune reports whether a structure that has grown to n entries

@@ -38,12 +38,12 @@ func raceWrites(c *Cluster, r *Region, p int, a, b HostID, clks []*simtime.Clock
 	base := p * page.Size
 	word := func(w, byteInWord int) int { return base + w*page.WordBytes + byteInWord }
 	ha, hb := c.Host(a), c.Host(b)
-	ha.Write(r.ID, word(2, 0), []byte{1}, clks[a])
-	ha.Write(r.ID, word(7, 0), []byte{1, 2, 3, 4}, clks[a])
-	ha.Write(r.ID, word(300, 0), []byte{1, 2, 3, 4}, clks[a])
-	hb.Write(r.ID, word(3, 0), []byte{1}, clks[b])
-	hb.Write(r.ID, word(7, 4), []byte{5, 6, 7, 8}, clks[b])
-	hb.Write(r.ID, word(300, 4), []byte{5, 6, 7, 8}, clks[b])
+	writeBytes(ha, r.ID, word(2, 0), []byte{1}, clks[a])
+	writeBytes(ha, r.ID, word(7, 0), []byte{1, 2, 3, 4}, clks[a])
+	writeBytes(ha, r.ID, word(300, 0), []byte{1, 2, 3, 4}, clks[a])
+	writeBytes(hb, r.ID, word(3, 0), []byte{1}, clks[b])
+	writeBytes(hb, r.ID, word(7, 4), []byte{5, 6, 7, 8}, clks[b])
+	writeBytes(hb, r.ID, word(300, 4), []byte{5, 6, 7, 8}, clks[b])
 }
 
 // TestWordRaceDiagnostics provokes each word-race check under each
@@ -89,7 +89,7 @@ func TestWordRaceDiagnostics(t *testing.T) {
 			// host 2's diff, which is what later stops the home from
 			// following host 0's flush instead of receiving it. The
 			// expected text names the home each protocol must have.
-			c.Host(2).Write(r.ID, page.Size+100*page.WordBytes, []byte{9}, clks[2])
+			writeBytes(c.Host(2), r.ID, page.Size+100*page.WordBytes, []byte{9}, clks[2])
 			c.Barrier(all, now(clks))
 			hm := home(c, r, 1)
 			if hm == 0 {
@@ -132,7 +132,7 @@ func TestWordRaceDiagnostics(t *testing.T) {
 
 // dirtyWord puts h's copy of the page in the state a first write
 // leaves it in — twinned, dirty, one word changed — without going
-// through Host.Write, whose per-interval written-list growth is not
+// through Host.WriteSpan, whose per-interval written-list growth is not
 // part of what the pins below measure.
 func dirtyWord(c *Cluster, h *Host, pk pageKey, word int) {
 	st := &h.pages[pk.region][pk.page]
@@ -164,7 +164,7 @@ func TestCloseAllocationPins(t *testing.T) {
 		// Page 0 is homed at (tmk: owned by) host 0; host 1 is the
 		// remote writer and needs a copy to write to.
 		w := c.Host(1)
-		w.Read(r.ID, 0, make([]byte, 8), simtime.NewClock(0))
+		readBytes(w, r.ID, 0, make([]byte, 8), simtime.NewClock(0))
 		return c, w, pageKey{r.ID, 0}
 	}
 	active := []HostID{0, 1}
@@ -205,7 +205,7 @@ func TestCloseAllocationPins(t *testing.T) {
 	word := make([]byte, page.WordBytes)
 	if n := testing.AllocsPerRun(200, func() {
 		word[0]++
-		w.Write(pk.region, 0, word, clk)
+		writeBytes(w, pk.region, 0, word, clk)
 		if c.proto.flushIntervalLocked(w, clk) != 1 {
 			t.Fatal("flush made no diff")
 		}

@@ -41,15 +41,32 @@ func barrier(c *Cluster, clocks []*simtime.Clock) BarrierResult {
 	return res
 }
 
+// readBytes and writeBytes move a byte range of any length through the
+// span accessors, a page at a time: the tests reach shared memory by
+// the path the kernels use.
+func readBytes(h *Host, r RegionID, off int, dst []byte, clk *simtime.Clock) {
+	for len(dst) > 0 {
+		n := copy(dst, h.ReadSpan(r, off, len(dst), clk))
+		dst, off = dst[n:], off+n
+	}
+}
+
+func writeBytes(h *Host, r RegionID, off int, src []byte, clk *simtime.Clock) {
+	for len(src) > 0 {
+		n := copy(h.WriteSpan(r, off, len(src), clk), src)
+		src, off = src[n:], off+n
+	}
+}
+
 func putU64(c *Cluster, h HostID, r RegionID, off int, v uint64, clk *simtime.Clock) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	c.Host(h).Write(r, off, b[:], clk)
+	writeBytes(c.Host(h), r, off, b[:], clk)
 }
 
 func getU64(c *Cluster, h HostID, r RegionID, off int, clk *simtime.Clock) uint64 {
 	var b [8]byte
-	c.Host(h).Read(r, off, b[:], clk)
+	readBytes(c.Host(h), r, off, b[:], clk)
 	return binary.LittleEndian.Uint64(b[:])
 }
 
@@ -437,10 +454,10 @@ func TestCrossPageReadWrite(t *testing.T) {
 		src[i] = byte(i * 7)
 	}
 	off := page.Size / 2 // straddles two page boundaries
-	c.Host(0).Write(r.ID, off, src, clocks[0])
+	writeBytes(c.Host(0), r.ID, off, src, clocks[0])
 	barrier(c, clocks)
 	dst := make([]byte, len(src))
-	c.Host(1).Read(r.ID, off, dst, clocks[1])
+	readBytes(c.Host(1), r.ID, off, dst, clocks[1])
 	for i := range src {
 		if dst[i] != src[i] {
 			t.Fatalf("byte %d = %d, want %d", i, dst[i], src[i])
@@ -456,7 +473,7 @@ func TestOutOfRangeAccessPanics(t *testing.T) {
 			t.Fatal("out-of-range read must panic")
 		}
 	}()
-	c.Master().Read(r.ID, 96, make([]byte, 8), clocks[0])
+	readBytes(c.Master(), r.ID, 96, make([]byte, 8), clocks[0])
 }
 
 func TestVirtualTimeAdvancesOnFaults(t *testing.T) {

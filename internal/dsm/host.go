@@ -203,58 +203,6 @@ func (v *PageView) readPageSlow(p int) []byte {
 	return v.st[p].data
 }
 
-// Read copies len(dst) bytes starting at off in region r into dst,
-// faulting pages in as needed and charging fault costs to clk.
-func (h *Host) Read(r RegionID, off int, dst []byte, clk *simtime.Clock) {
-	h.checkRange(r, off, len(dst))
-	// Fast path: a one-page access to an already-valid page, the
-	// common case for element-granularity kernel loops.
-	p := off / page.Size
-	if po := off - p*page.Size; len(dst) != 0 && po+len(dst) <= page.Size {
-		if st := &h.pages[r][p]; st.valid {
-			copy(dst, st.data[po:po+len(dst)])
-			return
-		}
-	}
-	for n := 0; n < len(dst); {
-		p := (off + n) / page.Size
-		po := (off + n) % page.Size
-		chunk := page.Size - po
-		if rem := len(dst) - n; chunk > rem {
-			chunk = rem
-		}
-		h.ensureRead(r, p, clk)
-		copy(dst[n:n+chunk], h.pages[r][p].data[po:po+chunk])
-		n += chunk
-	}
-}
-
-// Write copies src into region r at off, faulting and twinning pages as
-// needed and charging fault costs to clk.
-func (h *Host) Write(r RegionID, off int, src []byte, clk *simtime.Clock) {
-	h.checkRange(r, off, len(src))
-	// Fast path: a one-page write to a page already twinned in this
-	// interval.
-	p := off / page.Size
-	if po := off - p*page.Size; len(src) != 0 && po+len(src) <= page.Size {
-		if st := &h.pages[r][p]; st.dirty && st.valid {
-			copy(st.data[po:po+len(src)], src)
-			return
-		}
-	}
-	for n := 0; n < len(src); {
-		p := (off + n) / page.Size
-		po := (off + n) % page.Size
-		chunk := page.Size - po
-		if rem := len(src) - n; chunk > rem {
-			chunk = rem
-		}
-		h.ensureWrite(r, p, clk)
-		copy(h.pages[r][p].data[po:po+chunk], src[n:n+chunk])
-		n += chunk
-	}
-}
-
 func (h *Host) checkRange(r RegionID, off, n int) {
 	if int(r) < 0 || int(r) >= len(h.cluster.regions) {
 		panic(fmt.Sprintf("dsm: host %d: unknown region %d", h.id, r))

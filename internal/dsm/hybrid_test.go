@@ -28,7 +28,7 @@ func TestHybridSingleWriterElision(t *testing.T) {
 
 	// First write: the page is unclassified, so the write twins as
 	// usual; the close proves it single-writer.
-	c.Host(0).Write(r.ID, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}, clk0)
+	writeBytes(c.Host(0), r.ID, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}, clk0)
 	barrier()
 	st := c.Stats().Snapshot()
 	if st.PagesSingleWriter != 1 {
@@ -41,7 +41,7 @@ func TestHybridSingleWriterElision(t *testing.T) {
 	// Second write: proven single-writer, writer is home, no other
 	// copy — the twin is elided and the close commits without a diff.
 	twinsBefore := st.TwinsCreated
-	c.Host(0).Write(r.ID, 8, []byte{9, 10, 11, 12, 13, 14, 15, 16}, clk0)
+	writeBytes(c.Host(0), r.ID, 8, []byte{9, 10, 11, 12, 13, 14, 15, 16}, clk0)
 	barrier()
 	st = c.Stats().Snapshot()
 	if st.ElidedTwins != 1 || st.ElidedDiffs != 1 {
@@ -55,7 +55,7 @@ func TestHybridSingleWriterElision(t *testing.T) {
 	// lost nothing — and demotes the page to producer-consumer, so the
 	// next write twins again.
 	got := make([]byte, 16)
-	c.Host(1).Read(r.ID, 0, got, clk1)
+	readBytes(c.Host(1), r.ID, 0, got, clk1)
 	for i := 0; i < 16; i++ {
 		if got[i] != byte(i+1) {
 			t.Fatalf("remote read byte %d = %d, want %d", i, got[i], i+1)
@@ -66,7 +66,7 @@ func TestHybridSingleWriterElision(t *testing.T) {
 		t.Fatalf("census after remote read: %d single-writer, %d producer-consumer, want 0 and 1",
 			st.PagesSingleWriter, st.PagesProducerConsumer)
 	}
-	c.Host(0).Write(r.ID, 16, []byte{1, 1, 1, 1, 1, 1, 1, 1}, clk0)
+	writeBytes(c.Host(0), r.ID, 16, []byte{1, 1, 1, 1, 1, 1, 1, 1}, clk0)
 	if now := c.Stats().Snapshot(); now.ElidedTwins != 1 {
 		t.Fatalf("write after reclassification still elided: %d elided twins", now.ElidedTwins)
 	}
@@ -91,14 +91,14 @@ func TestHybridWindowServing(t *testing.T) {
 	// Everyone reads the page so every host holds a (zero) copy.
 	buf := make([]byte, 8)
 	for _, id := range active {
-		c.Host(id).Read(r.ID, 0, buf, clks[id])
+		readBytes(c.Host(id), r.ID, 0, buf, clks[id])
 	}
 	barrier()
 
 	// Host 1 commits a sparse write: the empty window makes the home
 	// flip free (wantFlip: no other writer in it), so no flush travels and
 	// no migration bytes are charged.
-	c.Host(1).Write(r.ID, 0, []byte{42, 0, 0, 0, 0, 0, 0, 0}, clks[1])
+	writeBytes(c.Host(1), r.ID, 0, []byte{42, 0, 0, 0, 0, 0, 0, 0}, clks[1])
 	barrier()
 	st := c.Stats().Snapshot()
 	if st.HomeMigrations != 1 || st.HomeMigrationBytes != 0 {
@@ -112,7 +112,7 @@ func TestHybridWindowServing(t *testing.T) {
 	// served with the retained diff, not a page transfer.
 	before := c.Stats().Snapshot()
 	fabBefore := c.Fabric().Snapshot()
-	c.Host(2).Read(r.ID, 0, buf, clks[2])
+	readBytes(c.Host(2), r.ID, 0, buf, clks[2])
 	delta := c.Stats().Snapshot().Sub(before)
 	if delta.DiffFetches != 1 || delta.PageFetches != 0 {
 		t.Fatalf("window fault = (%d diff fetches, %d page fetches), want (1, 0)", delta.DiffFetches, delta.PageFetches)
@@ -148,8 +148,8 @@ func TestHybridPricedMigration(t *testing.T) {
 	// — the lowest concurrent writer — as the dominant writer.
 	off := page.Size
 	for round := 0; round < domMigrateRun; round++ {
-		c.Host(0).Write(r.ID, off, []byte{byte(round + 1), 0, 0, 0, 0, 0, 0, 0}, clks[0])
-		c.Host(1).Write(r.ID, off+8, []byte{byte(round + 101), 0, 0, 0, 0, 0, 0, 0}, clks[1])
+		writeBytes(c.Host(0), r.ID, off, []byte{byte(round + 1), 0, 0, 0, 0, 0, 0, 0}, clks[0])
+		writeBytes(c.Host(1), r.ID, off+8, []byte{byte(round + 101), 0, 0, 0, 0, 0, 0, 0}, clks[1])
 		barrier()
 	}
 
@@ -168,7 +168,7 @@ func TestHybridPricedMigration(t *testing.T) {
 	// The migrated home is current: a third host sees both writers'
 	// last words.
 	got := make([]byte, 16)
-	c.Host(2).Read(r.ID, off, got, clks[2])
+	readBytes(c.Host(2), r.ID, off, got, clks[2])
 	if got[0] != byte(domMigrateRun) || got[8] != byte(domMigrateRun+100) {
 		t.Fatalf("post-migration read = (%d, %d), want (%d, %d)",
 			got[0], got[8], domMigrateRun, domMigrateRun+100)
@@ -187,7 +187,7 @@ func TestHybridGCResetsClassifier(t *testing.T) {
 	active := []HostID{0, 1, 2}
 
 	for i, id := range active {
-		c.Host(id).Write(r.ID, i*page.Size, []byte{byte(i + 1), 2, 3, 4, 5, 6, 7, 8}, clks[i])
+		writeBytes(c.Host(id), r.ID, i*page.Size, []byte{byte(i + 1), 2, 3, 4, 5, 6, 7, 8}, clks[i])
 	}
 	c.Barrier(active, []simtime.Seconds{clks[0].Now(), clks[1].Now(), clks[2].Now()})
 	st := c.Stats().Snapshot()

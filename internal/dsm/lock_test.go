@@ -79,10 +79,10 @@ func TestLockMutualExclusion(t *testing.T) {
 			for i := 0; i < perHost; i++ {
 				c.AcquireLock(0, host, clk)
 				var b [8]byte
-				host.Read(r.ID, 0, b[:], clk)
+				readBytes(host, r.ID, 0, b[:], clk)
 				v := binary.LittleEndian.Uint64(b[:])
 				binary.LittleEndian.PutUint64(b[:], v+1)
-				host.Write(r.ID, 0, b[:], clk)
+				writeBytes(host, r.ID, 0, b[:], clk)
 				c.ReleaseLock(0, host, clk)
 			}
 		})

@@ -151,10 +151,10 @@ func TestBulkTransferConsistency(t *testing.T) {
 	src := make([]byte, n)
 	rng := rand.New(rand.NewSource(42))
 	rng.Read(src)
-	c.Host(0).Write(r.ID, 0, src, clocks[0])
+	writeBytes(c.Host(0), r.ID, 0, src, clocks[0])
 	barrier(c, clocks)
 	dst := make([]byte, n)
-	c.Host(1).Read(r.ID, 0, dst, clocks[1])
+	readBytes(c.Host(1), r.ID, 0, dst, clocks[1])
 	for i := range src {
 		if dst[i] != src[i] {
 			t.Fatalf("byte %d differs", i)

@@ -85,13 +85,13 @@ func TestProtocolBarrierPropagation(t *testing.T) {
 		// Each host writes one full page.
 		for i, id := range active {
 			buf := bytes.Repeat([]byte{byte(i + 1)}, page.Size)
-			c.Host(id).Write(r.ID, i*page.Size, buf, clks[i])
+			writeBytes(c.Host(id), r.ID, i*page.Size, buf, clks[i])
 		}
 		c.Barrier(active, []simtime.Seconds{clks[0].Now(), clks[1].Now(), clks[2].Now()})
 
 		for _, id := range active {
 			got := make([]byte, 3*page.Size)
-			c.Host(id).Read(r.ID, 0, got, clks[id])
+			readBytes(c.Host(id), r.ID, 0, got, clks[id])
 			for i := 0; i < 3; i++ {
 				if got[i*page.Size] != byte(i+1) || got[(i+1)*page.Size-1] != byte(i+1) {
 					t.Fatalf("host %d sees page %d = %d..%d, want %d",
@@ -119,9 +119,9 @@ func TestProtocolLockMigration(t *testing.T) {
 				h := c.Host(id)
 				c.AcquireLock(7, h, clks[i])
 				got := make([]byte, 8)
-				h.Read(r.ID, 0, got, clks[i])
+				readBytes(h, r.ID, 0, got, clks[i])
 				got[0]++
-				h.Write(r.ID, 0, got, clks[i])
+				writeBytes(h, r.ID, 0, got, clks[i])
 				c.ReleaseLock(7, h, clks[i])
 			}
 		}
@@ -129,7 +129,7 @@ func TestProtocolLockMigration(t *testing.T) {
 		// legitimately see a stale copy under LRC.
 		c.AcquireLock(7, c.Host(0), clks[0])
 		got := make([]byte, 8)
-		c.Host(0).Read(r.ID, 0, got, clks[0])
+		readBytes(c.Host(0), r.ID, 0, got, clks[0])
 		c.ReleaseLock(7, c.Host(0), clks[0])
 		if got[0] != 9 {
 			t.Fatalf("counter = %d after 9 lock-protected increments, want 9", got[0])
@@ -173,15 +173,15 @@ func TestGCUnderAdaptationKeepsUnflushedWrites(t *testing.T) {
 		// Establish shared state at a barrier.
 		for i, id := range active {
 			buf := bytes.Repeat([]byte{byte(10 * (i + 1))}, page.Size)
-			c.Host(id).Write(r.ID, i*page.Size, buf, clks[i])
+			writeBytes(c.Host(id), r.ID, i*page.Size, buf, clks[i])
 		}
 		c.Barrier(active, []simtime.Seconds{clks[0].Now(), clks[1].Now(), clks[2].Now()})
 
 		// Host 2 writes mid-interval — dirty pages, unflushed diffs —
 		// including a page it does not own, then leaves at an
 		// adaptation point: GC first, then the leave.
-		c.Host(2).Write(r.ID, 2*page.Size, bytes.Repeat([]byte{222}, 64), clks[2])
-		c.Host(2).Write(r.ID, 0, []byte{99, 98, 97, 96, 95, 94, 93, 92}, clks[2])
+		writeBytes(c.Host(2), r.ID, 2*page.Size, bytes.Repeat([]byte{222}, 64), clks[2])
+		writeBytes(c.Host(2), r.ID, 0, []byte{99, 98, 97, 96, 95, 94, 93, 92}, clks[2])
 
 		c.ForceGC(active)
 		if _, err := c.NormalLeave(2, LeaveViaMaster); err != nil {
@@ -193,7 +193,7 @@ func TestGCUnderAdaptationKeepsUnflushedWrites(t *testing.T) {
 
 		// The survivors must see every one of host 2's writes.
 		got := make([]byte, 3*page.Size)
-		c.Host(0).Read(r.ID, 0, got, clks[0])
+		readBytes(c.Host(0), r.ID, 0, got, clks[0])
 		if got[2*page.Size] != 222 || got[2*page.Size+63] != 222 {
 			t.Fatalf("%v: host 2's unflushed page-2 writes lost: got %d,%d",
 				proto, got[2*page.Size], got[2*page.Size+63])
@@ -216,7 +216,7 @@ func TestHLRCLeaveRehomesRoundRobin(t *testing.T) {
 	clk := simtime.NewClock(0)
 	active := []HostID{0, 1, 2}
 
-	c.Host(0).Write(r.ID, 0, bytes.Repeat([]byte{1}, 6*page.Size), clk)
+	writeBytes(c.Host(0), r.ID, 0, bytes.Repeat([]byte{1}, 6*page.Size), clk)
 	c.Barrier(active, []simtime.Seconds{clk.Now(), clk.Now(), clk.Now()})
 
 	c.ForceGC(active)
@@ -253,7 +253,7 @@ func TestHLRCGCIsTrivial(t *testing.T) {
 	clks := []*simtime.Clock{simtime.NewClock(0), simtime.NewClock(0), simtime.NewClock(0)}
 	active := []HostID{0, 1, 2}
 	for i, id := range active {
-		c.Host(id).Write(r.ID, i*page.Size, bytes.Repeat([]byte{7}, 128), clks[i])
+		writeBytes(c.Host(id), r.ID, i*page.Size, bytes.Repeat([]byte{7}, 128), clks[i])
 	}
 	c.Barrier(active, []simtime.Seconds{clks[0].Now(), clks[1].Now(), clks[2].Now()})
 
@@ -285,13 +285,13 @@ func TestWordRacePanicNamesRegionAndOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk0, clk1 := simtime.NewClock(0), simtime.NewClock(0)
-		c.Host(0).Write(r.ID, 0, make([]byte, 2*page.Size), clk0)
+		writeBytes(c.Host(0), r.ID, 0, make([]byte, 2*page.Size), clk0)
 		c.Barrier([]HostID{0, 1}, []simtime.Seconds{clk0.Now(), clk1.Now()})
 
 		// Conflicting sub-word writes within word 2 of page 1: bytes
 		// [16,20) and [20,24) at region offset page.Size+16.
-		c.Host(0).Write(r.ID, page.Size+16, []byte{1, 2, 3, 4}, clk0)
-		c.Host(1).Write(r.ID, page.Size+20, []byte{5, 6, 7, 8}, clk1)
+		writeBytes(c.Host(0), r.ID, page.Size+16, []byte{1, 2, 3, 4}, clk0)
+		writeBytes(c.Host(1), r.ID, page.Size+20, []byte{5, 6, 7, 8}, clk1)
 
 		defer func() {
 			v := recover()
@@ -342,7 +342,7 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 			c.Barrier(active, []simtime.Seconds{clks[0].Now(), clks[1].Now(), clks[2].Now()})
 		}
 		word := func(id HostID, p, w int, v byte) {
-			c.Host(id).Write(r.ID, p*page.Size+w*page.WordBytes, bytes.Repeat([]byte{v}, page.WordBytes), clks[id])
+			writeBytes(c.Host(id), r.ID, p*page.Size+w*page.WordBytes, bytes.Repeat([]byte{v}, page.WordBytes), clks[id])
 		}
 
 		// Barrier closes: page 0 (homed at 0) falsely shared by hosts 1
@@ -352,7 +352,7 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 		for round := byte(1); round <= 4; round++ {
 			word(1, 0, 1, round)
 			word(2, 0, 2, round)
-			c.Host(2).Write(r.ID, 3*page.Size, bytes.Repeat([]byte{round}, page.Size), clks[2])
+			writeBytes(c.Host(2), r.ID, 3*page.Size, bytes.Repeat([]byte{round}, page.Size), clks[2])
 			word(1, 4, 0, round)
 			barrier()
 		}
@@ -362,7 +362,7 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 		for round := byte(1); round <= 2; round++ {
 			for _, id := range active {
 				c.AcquireLock(7, c.Host(id), clks[id])
-				c.Host(id).Write(r.ID, 5*page.Size, bytes.Repeat([]byte{round + byte(id)}, page.Size), clks[id])
+				writeBytes(c.Host(id), r.ID, 5*page.Size, bytes.Repeat([]byte{round + byte(id)}, page.Size), clks[id])
 				c.ReleaseLock(7, c.Host(id), clks[id])
 			}
 		}
@@ -377,7 +377,7 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 		c.ReleaseLock(3, c.Host(0), clks[0])
 		c.AcquireLock(3, c.Host(1), clks[1])
 		got := make([]byte, 2*page.WordBytes)
-		c.Host(1).Read(r.ID, 2*page.Size, got, clks[1])
+		readBytes(c.Host(1), r.ID, 2*page.Size, got, clks[1])
 		c.ReleaseLock(3, c.Host(1), clks[1])
 		if got[0] != 5 || got[page.WordBytes] != 7 {
 			t.Fatalf("upgraded dirty page reads (%d, %d), want (5, 7)", got[0], got[page.WordBytes])

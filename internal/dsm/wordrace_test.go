@@ -34,13 +34,13 @@ func TestBarrierFlagsSubWordConcurrentWriters(t *testing.T) {
 	clk0, clk1 := simtime.NewClock(0), simtime.NewClock(0)
 
 	// Master seeds the page so both hosts start from a common base.
-	c.Host(0).Write(r.ID, 0, make([]byte, 16), clk0)
+	writeBytes(c.Host(0), r.ID, 0, make([]byte, 16), clk0)
 	c.Barrier([]HostID{0, 1}, []simtime.Seconds{clk0.Now(), clk1.Now()})
 
 	// Host 0 writes bytes [0,4), host 1 bytes [4,8): disjoint bytes,
 	// same word — a float32-adjacent-element layout.
-	c.Host(0).Write(r.ID, 0, []byte{1, 2, 3, 4}, clk0)
-	c.Host(1).Write(r.ID, 4, []byte{5, 6, 7, 8}, clk1)
+	writeBytes(c.Host(0), r.ID, 0, []byte{1, 2, 3, 4}, clk0)
+	writeBytes(c.Host(1), r.ID, 4, []byte{5, 6, 7, 8}, clk1)
 
 	defer func() {
 		v := recover()
@@ -61,16 +61,16 @@ func TestBarrierAcceptsWordDisjointWriters(t *testing.T) {
 	c, r := twoHostCluster(t)
 	clk0, clk1 := simtime.NewClock(0), simtime.NewClock(0)
 
-	c.Host(0).Write(r.ID, 0, make([]byte, 16), clk0)
+	writeBytes(c.Host(0), r.ID, 0, make([]byte, 16), clk0)
 	c.Barrier([]HostID{0, 1}, []simtime.Seconds{clk0.Now(), clk1.Now()})
 
-	c.Host(0).Write(r.ID, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}, clk0)
-	c.Host(1).Write(r.ID, 8, []byte{9, 10, 11, 12, 13, 14, 15, 16}, clk1)
+	writeBytes(c.Host(0), r.ID, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}, clk0)
+	writeBytes(c.Host(1), r.ID, 8, []byte{9, 10, 11, 12, 13, 14, 15, 16}, clk1)
 	c.Barrier([]HostID{0, 1}, []simtime.Seconds{clk0.Now(), clk1.Now()})
 
 	// Both writers' words survive the merge on a third read.
 	got := make([]byte, 16)
-	c.Host(0).Read(r.ID, 0, got, clk0)
+	readBytes(c.Host(0), r.ID, 0, got, clk0)
 	want := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	for i := range want {
 		if got[i] != want[i] {
@@ -86,11 +86,11 @@ func TestFlushFlagsSubWordConcurrentWriters(t *testing.T) {
 	c, r := twoHostCluster(t)
 	clk0, clk1 := simtime.NewClock(0), simtime.NewClock(0)
 
-	c.Host(0).Write(r.ID, 0, make([]byte, 16), clk0)
+	writeBytes(c.Host(0), r.ID, 0, make([]byte, 16), clk0)
 	c.Barrier([]HostID{0, 1}, []simtime.Seconds{clk0.Now(), clk1.Now()})
 
-	c.Host(0).Write(r.ID, 0, []byte{1, 2, 3, 4}, clk0)
-	c.Host(1).Write(r.ID, 4, []byte{5, 6, 7, 8}, clk1)
+	writeBytes(c.Host(0), r.ID, 0, []byte{1, 2, 3, 4}, clk0)
+	writeBytes(c.Host(1), r.ID, 4, []byte{5, 6, 7, 8}, clk1)
 
 	defer func() {
 		v := recover()
@@ -110,11 +110,11 @@ func TestFlushAcceptsWordDisjointWriters(t *testing.T) {
 	c, r := twoHostCluster(t)
 	clk0, clk1 := simtime.NewClock(0), simtime.NewClock(0)
 
-	c.Host(0).Write(r.ID, 0, make([]byte, 16), clk0)
+	writeBytes(c.Host(0), r.ID, 0, make([]byte, 16), clk0)
 	c.Barrier([]HostID{0, 1}, []simtime.Seconds{clk0.Now(), clk1.Now()})
 
-	c.Host(0).Write(r.ID, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}, clk0)
-	c.Host(1).Write(r.ID, 8, []byte{9, 10, 11, 12}, clk1)
+	writeBytes(c.Host(0), r.ID, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}, clk0)
+	writeBytes(c.Host(1), r.ID, 8, []byte{9, 10, 11, 12}, clk1)
 	if n := c.FlushInterval(c.Host(0), clk0); n != 1 {
 		t.Fatalf("flush created %d diffs, want 1", n)
 	}

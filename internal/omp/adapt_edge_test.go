@@ -13,7 +13,7 @@ import (
 // point and leave a consistent team.
 func TestMultipleSimultaneousJoinsAndLeaves(t *testing.T) {
 	rt := newRT(t, 6, 4, true)
-	a, _ := rt.AllocFloat64("v", 8192)
+	a, _ := Alloc[float64](rt, "v", 8192)
 	rt.For("w", 0, 8192, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
@@ -70,7 +70,7 @@ func TestMultipleSimultaneousJoinsAndLeaves(t *testing.T) {
 // the master, one leave per point, and the data survives.
 func TestLeaveEverySlaveSequentially(t *testing.T) {
 	rt := newRT(t, 8, 8, true)
-	a, _ := rt.AllocFloat64("v", 16384)
+	a, _ := Alloc[float64](rt, "v", 16384)
 	rt.For("init", 0, 16384, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
@@ -105,7 +105,7 @@ func TestLeaveEverySlaveSequentially(t *testing.T) {
 // adaptation interleave across constructs.
 func TestAdaptationDuringDynamicSchedule(t *testing.T) {
 	rt := newRT(t, 4, 4, true)
-	a, _ := rt.AllocFloat64("v", 4096)
+	a, _ := Alloc[float64](rt, "v", 4096)
 	if err := rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: 2, At: 0.0001}); err != nil {
 		t.Fatal(err)
 	}

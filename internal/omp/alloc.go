@@ -4,9 +4,8 @@ import "nowomp/internal/shmem"
 
 // Alloc allocates a shared vector of n elements of T; on a restored
 // runtime it rebinds to (and reloads) the checkpointed region instead.
-// Go has no generic methods, so the generic allocators are top-level
-// functions taking the runtime as their first argument; the legacy
-// Runtime.Alloc* methods are thin wrappers over them.
+// Go has no generic methods, so the allocators are top-level functions
+// taking the runtime as their first argument.
 func Alloc[T shmem.Element](rt *Runtime, name string, n int) (*shmem.Array[T], error) {
 	if err := rt.restoreCheck(name, n*shmem.Sizeof[T]()); err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func (rt *Runtime) For(name string, lo, hi int, body func(p *Proc, lo, hi int), 
 
 	// Counter-based schedules reset their shared counter in the
 	// sequential section, before the fork (and so before adaptation).
-	var ctr *shmem.Int64Array
+	var ctr *shmem.Array[int64]
 	if cfg.sched == Dynamic || cfg.sched == Guided {
 		ctr = rt.dynCounter()
 		ctr.Set(rt.MasterProc().Mem(), 0, int64(lo))
@@ -157,7 +157,7 @@ func (rt *Runtime) For(name string, lo, hi int, body func(p *Proc, lo, hi int), 
 
 // runSchedule drives body on one process under the configured
 // schedule.
-func runSchedule(cfg forConfig, ctr *shmem.Int64Array, lo, hi int, p *Proc, body func(p *Proc, lo, hi int)) {
+func runSchedule(cfg forConfig, ctr *shmem.Array[int64], lo, hi int, p *Proc, body func(p *Proc, lo, hi int)) {
 	switch cfg.sched {
 	case Static:
 		mylo, myhi := p.Block(lo, hi)

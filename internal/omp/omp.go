@@ -89,7 +89,7 @@ type Runtime struct {
 	phases   int64
 	adaptLog []AdaptationPoint
 	forkHook func(*Runtime)
-	dynCtr   *shmem.Int64Array
+	dynCtr   *shmem.Array[int64]
 
 	// restore payload, when the runtime was rebuilt from a checkpoint.
 	restoring  []RegionDump
@@ -246,39 +246,6 @@ func (rt *Runtime) Submit(e adapt.Event) error {
 // sequential sections (initialisation, verification, I/O).
 func (rt *Runtime) MasterProc() *Proc {
 	return &Proc{ID: 0, N: 1, rt: rt, host: rt.cluster.Master(), clk: rt.master}
-}
-
-// AllocFloat64 allocates a shared float64 vector; on a restored
-// runtime it rebinds to (and reloads) the checkpointed region instead.
-// Legacy wrapper over the generic Alloc.
-func (rt *Runtime) AllocFloat64(name string, n int) (*shmem.Float64Array, error) {
-	return Alloc[float64](rt, name, n)
-}
-
-// AllocFloat64Matrix allocates a shared matrix (see AllocFloat64).
-func (rt *Runtime) AllocFloat64Matrix(name string, rows, cols int) (*shmem.Float64Matrix, error) {
-	return AllocMatrix[float64](rt, name, rows, cols)
-}
-
-// AllocFloat32 allocates a shared float32 vector (see AllocFloat64).
-func (rt *Runtime) AllocFloat32(name string, n int) (*shmem.Float32Array, error) {
-	return Alloc[float32](rt, name, n)
-}
-
-// AllocFloat32Matrix allocates a shared float32 matrix (see
-// AllocFloat64).
-func (rt *Runtime) AllocFloat32Matrix(name string, rows, cols int) (*shmem.Float32Matrix, error) {
-	return AllocMatrix[float32](rt, name, rows, cols)
-}
-
-// AllocComplex128 allocates a shared complex vector (see AllocFloat64).
-func (rt *Runtime) AllocComplex128(name string, n int) (*shmem.Complex128Array, error) {
-	return Alloc[complex128](rt, name, n)
-}
-
-// AllocInt32 allocates a shared int32 vector (see AllocFloat64).
-func (rt *Runtime) AllocInt32(name string, n int) (*shmem.Int32Array, error) {
-	return Alloc[int32](rt, name, n)
 }
 
 // Restored reports whether this runtime was rebuilt from a checkpoint.

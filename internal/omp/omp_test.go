@@ -117,7 +117,7 @@ func TestParallelChargesAndJoinWaitsForSlowest(t *testing.T) {
 
 func TestSharedMemoryThroughRuntime(t *testing.T) {
 	rt := newRT(t, 4, 4, false)
-	a, err := rt.AllocFloat64("v", 1024)
+	a, err := Alloc[float64](rt, "v", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestNonAdaptiveRejectsEvents(t *testing.T) {
 
 func TestLeaveShrinksTeamAtNextFork(t *testing.T) {
 	rt := newRT(t, 4, 4, true)
-	a, _ := rt.AllocFloat64("v", 4096)
+	a, _ := Alloc[float64](rt, "v", 4096)
 	rt.For("w", 0, 4096, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
@@ -205,7 +205,7 @@ func TestLeaveShrinksTeamAtNextFork(t *testing.T) {
 
 func TestJoinGrowsTeamWhenSpawnCompletes(t *testing.T) {
 	rt := newRT(t, 4, 2, true)
-	rt.AllocFloat64("v", 512)
+	Alloc[float64](rt, "v", 512)
 	if err := rt.Submit(adapt.Event{Kind: adapt.KindJoin, Host: 2, At: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestUrgentLeaveThroughRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := rt.AllocFloat64("v", 2048)
+	a, _ := Alloc[float64](rt, "v", 2048)
 	rt.For("warm", 0, 2048, func(p *Proc, lo, hi int) {
 		buf := make([]float64, hi-lo)
 		for i := range buf {
@@ -273,7 +273,7 @@ func TestAdaptiveNoEventsMatchesNonAdaptive(t *testing.T) {
 	// system has virtually no overhead and identical network traffic.
 	run := func(adaptive bool) (int64, int64, simtime.Seconds, dsm.StatsSnapshot) {
 		rt := newRT(t, 4, 4, adaptive)
-		a, _ := rt.AllocFloat64("v", 8192)
+		a, _ := Alloc[float64](rt, "v", 8192)
 		for it := 0; it < 5; it++ {
 			rt.For("phase", 0, 8192, func(p *Proc, lo, hi int) {
 				buf := make([]float64, hi-lo)
@@ -303,7 +303,7 @@ func TestAdaptiveNoEventsMatchesNonAdaptive(t *testing.T) {
 
 func TestMasterProcSequentialAccess(t *testing.T) {
 	rt := newRT(t, 2, 2, false)
-	a, _ := rt.AllocFloat64("v", 100)
+	a, _ := Alloc[float64](rt, "v", 100)
 	mp := rt.MasterProc()
 	a.Set(mp.Mem(), 50, 3.5)
 	if got := a.Get(mp.Mem(), 50); got != 3.5 {
@@ -316,7 +316,7 @@ func TestMasterProcSequentialAccess(t *testing.T) {
 
 func TestForksCountAdaptationPoints(t *testing.T) {
 	rt := newRT(t, 2, 2, false)
-	rt.AllocFloat64("v", 64)
+	Alloc[float64](rt, "v", 64)
 	for i := 0; i < 7; i++ {
 		rt.Parallel("p", func(p *Proc) {})
 	}
@@ -327,7 +327,7 @@ func TestForksCountAdaptationPoints(t *testing.T) {
 
 func TestProcLockFromParallel(t *testing.T) {
 	rt := newRT(t, 4, 4, false)
-	a, _ := rt.AllocFloat64("v", 8)
+	a, _ := Alloc[float64](rt, "v", 8)
 	rt.Parallel("locked-sum", func(p *Proc) {
 		p.Lock(1)
 		a.Set(p.Mem(), 0, a.Get(p.Mem(), 0)+1)
@@ -353,7 +353,7 @@ func TestChargePanicsOnNegative(t *testing.T) {
 // DSM's global invariants at every adaptation point.
 func TestInvariantsAfterFullAppLifecycle(t *testing.T) {
 	rt := newRT(t, 5, 4, true)
-	a, _ := rt.AllocFloat64("v", 8192)
+	a, _ := Alloc[float64](rt, "v", 8192)
 	events := []adapt.Event{
 		{Kind: adapt.KindLeave, Host: 2, At: 0.5},
 		{Kind: adapt.KindJoin, Host: 4, At: 0.8},

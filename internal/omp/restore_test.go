@@ -23,21 +23,21 @@ func TestRestoreCheckMismatches(t *testing.T) {
 		t.Fatalf("restored forks = %d, want 7", rt.Forks())
 	}
 	// Wrong name.
-	if _, err := rt.AllocFloat64("b", 100); !errors.Is(err, ErrRestoreMismatch) {
+	if _, err := Alloc[float64](rt, "b", 100); !errors.Is(err, ErrRestoreMismatch) {
 		t.Fatalf("mismatched name must fail with ErrRestoreMismatch, got %v", err)
 	}
 	// Wrong size.
-	if _, err := rt.AllocFloat64("a", 50); !errors.Is(err, ErrRestoreMismatch) {
+	if _, err := Alloc[float64](rt, "a", 50); !errors.Is(err, ErrRestoreMismatch) {
 		t.Fatalf("mismatched size must fail with ErrRestoreMismatch, got %v", err)
 	}
 	// Correct replay succeeds and loads data.
-	a, err := rt.AllocFloat64("a", 100)
+	a, err := Alloc[float64](rt, "a", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = a
 	// A second allocation has no checkpointed region.
-	if _, err := rt.AllocFloat64("extra", 10); !errors.Is(err, ErrRestoreMismatch) {
+	if _, err := Alloc[float64](rt, "extra", 10); !errors.Is(err, ErrRestoreMismatch) {
 		t.Fatalf("extra allocation must fail with ErrRestoreMismatch, got %v", err)
 	}
 }
@@ -51,19 +51,19 @@ func TestRestoreCheckAllTypes(t *testing.T) {
 		{Name: "z", Bytes: 320, Data: make([]byte, 320)},
 		{Name: "i", Bytes: 40, Data: make([]byte, 40)},
 	}, 0, 0)
-	if _, err := rt.AllocFloat32("f32", 100); err != nil {
+	if _, err := Alloc[float32](rt, "f32", 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat32Matrix("m32", 10, 4); err != nil {
+	if _, err := AllocMatrix[float32](rt, "m32", 10, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocFloat64Matrix("m64", 10, 4); err != nil {
+	if _, err := AllocMatrix[float64](rt, "m64", 10, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocComplex128("z", 20); err != nil {
+	if _, err := Alloc[complex128](rt, "z", 20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.AllocInt32("i", 10); err != nil {
+	if _, err := Alloc[int32](rt, "i", 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +93,7 @@ func TestRestoreTeamValidation(t *testing.T) {
 
 func TestAdaptLogIsACopy(t *testing.T) {
 	rt := newRT(t, 3, 3, true)
-	rt.AllocFloat64("v", 64)
+	Alloc[float64](rt, "v", 64)
 	if err := rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: 2, At: rt.Now()}); err != nil {
 		t.Fatal(err)
 	}

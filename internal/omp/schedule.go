@@ -61,7 +61,7 @@ const dynLock = 1 << 30
 // counter), reset at every construct in the sequential section. Like
 // all shared allocation, the first use must happen master-side before
 // any adaptation, which For guarantees by allocating before the fork.
-func (rt *Runtime) dynCounter() *shmem.Int64Array {
+func (rt *Runtime) dynCounter() *shmem.Array[int64] {
 	if rt.dynCtr == nil {
 		a, err := Alloc[int64](rt, "omp.dynamic-counter", page.Size/8)
 		if err != nil {

@@ -33,7 +33,7 @@ func TestParallelForTiledReducesAdaptationLatency(t *testing.T) {
 	// after the whole loop; with tiles it shrinks after the next tile.
 	run := func(tiles int) (teamDuring []int) {
 		rt := newRT(t, 4, 4, true)
-		rt.AllocFloat64("v", 256)
+		Alloc[float64](rt, "v", 256)
 		if err := rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: 3, At: 0.001}); err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,10 @@ import (
 )
 
 // TestAccessorAllocationPins pins the element accessors to zero heap
-// allocations: Get/Set decode and encode straight against page memory
-// through Host.ReadSpan/WriteSpan, and the scalar codec (encodeOne/
-// decodeOne) must stay escape-analysis friendly — a change that boxes
-// the scalar or re-introduces a staging buffer fails here, not as a
-// GC regression in the bench matrix.
+// allocations: Get/Set load and store straight against page memory
+// through a one-element span — a change that boxes the scalar or
+// re-introduces a staging buffer fails here, not as a GC regression
+// in the bench matrix.
 func TestAccessorAllocationPins(t *testing.T) {
 	c, ctxs := testCluster(t, 1)
 	m := ctxs[0]
@@ -43,8 +42,8 @@ func TestAccessorAllocationPins(t *testing.T) {
 		t.Errorf("float32 Get allocates %v times per run, want 0", n)
 	}
 
-	// The bulk accessors stage nothing either: decode/encode runs page
-	// by page against the host's own buffers.
+	// The bulk accessors stage nothing either: the copy runs page by
+	// page against the host's own buffers.
 	dst := make([]float64, 1024)
 	if n := testing.AllocsPerRun(50, func() { af.ReadRange(m, 0, 1024, dst) }); n != 0 {
 		t.Errorf("ReadRange allocates %v times per run, want 0", n)

@@ -8,7 +8,7 @@ import (
 
 func TestFloat32ArrayRoundTrip(t *testing.T) {
 	c, ctxs := testCluster(t, 2)
-	a, err := AllocFloat32(c, "v", 2000)
+	a, err := Alloc[float32](c, "v", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFloat32ArrayRoundTrip(t *testing.T) {
 
 func TestFloat32SpecialValues(t *testing.T) {
 	c, ctxs := testCluster(t, 2)
-	a, _ := AllocFloat32(c, "v", 6)
+	a, _ := Alloc[float32](c, "v", 6)
 	inf := float32(math.Inf(1))
 	nan := float32(math.NaN())
 	vals := []float32{0, float32(math.Copysign(0, -1)), inf, -inf, nan, math.MaxFloat32}
@@ -51,7 +51,7 @@ func TestFloat32SpecialValues(t *testing.T) {
 
 func TestFloat32MatrixRowsAndRanges(t *testing.T) {
 	c, ctxs := testCluster(t, 3)
-	mx, err := AllocFloat32Matrix(c, "m", 16, 40)
+	mx, err := AllocMatrix[float32](c, "m", 16, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestFloat32MatrixRowsAndRanges(t *testing.T) {
 
 func TestFloat32Bounds(t *testing.T) {
 	c, ctxs := testCluster(t, 1)
-	a, _ := AllocFloat32(c, "v", 8)
-	mx, _ := AllocFloat32Matrix(c, "m", 4, 4)
+	a, _ := Alloc[float32](c, "v", 8)
+	mx, _ := AllocMatrix[float32](c, "m", 4, 4)
 	cases := []func(){
 		func() { a.Get(ctxs[0], 8) },
 		func() { a.Set(ctxs[0], -1, 0) },
@@ -115,11 +115,11 @@ func TestFloat32Bounds(t *testing.T) {
 			f()
 		}()
 	}
-	if _, err := AllocFloat32(c, "bad", 0); err == nil {
-		t.Fatal("AllocFloat32(0) must fail")
+	if _, err := Alloc[float32](c, "bad", 0); err == nil {
+		t.Fatal("Alloc[float32](0) must fail")
 	}
-	if _, err := AllocFloat32Matrix(c, "bad", 3, 0); err == nil {
-		t.Fatal("AllocFloat32Matrix(3,0) must fail")
+	if _, err := AllocMatrix[float32](c, "bad", 3, 0); err == nil {
+		t.Fatal("AllocMatrix[float32](3,0) must fail")
 	}
 }
 
@@ -127,7 +127,7 @@ func TestFloat32Bounds(t *testing.T) {
 // preserved through the byte encoding).
 func TestFloat32RoundTripProperty(t *testing.T) {
 	c, ctxs := testCluster(t, 1)
-	a, _ := AllocFloat32(c, "v", 1024)
+	a, _ := Alloc[float32](c, "v", 1024)
 	f := func(off uint16, raw []float32) bool {
 		lo := int(off) % 512
 		if len(raw) > 512 {
@@ -151,8 +151,8 @@ func TestFloat32RoundTripProperty(t *testing.T) {
 // The remaining view types' bounds checks.
 func TestComplexAndInt32Bounds(t *testing.T) {
 	c, ctxs := testCluster(t, 1)
-	z, _ := AllocComplex128(c, "z", 8)
-	n, _ := AllocInt32(c, "n", 8)
+	z, _ := Alloc[complex128](c, "z", 8)
+	n, _ := Alloc[int32](c, "n", 8)
 	cases := []func(){
 		func() { z.ReadRange(ctxs[0], 0, 9, make([]complex128, 9)) },
 		func() { z.ReadRange(ctxs[0], 0, 4, make([]complex128, 3)) },

@@ -1,7 +1,6 @@
 package shmem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"unsafe"
@@ -9,10 +8,11 @@ import (
 	"nowomp/internal/dsm"
 )
 
-// Element is the set of element types a shared view can hold. Every
-// element is marshalled little-endian into the byte-addressed DSM
-// region, so checkpoints and diffs are layout-stable across the
-// instantiations.
+// Element is the set of element types a shared view can hold. A
+// region holds its elements packed, each as its little-endian bit
+// pattern (a complex128 as real half then imaginary half): the
+// checkpoint file format, pinned by TestRegionBytesAreLittleEndian,
+// and the layout the typed spans of span.go alias in place.
 //
 // Caution: diffs merge at 8-byte word granularity, so for element
 // types smaller than a word two processes must not write within the
@@ -29,171 +29,6 @@ func Sizeof[T Element]() int {
 	return int(unsafe.Sizeof(z))
 }
 
-// encodeSlice marshals src into buf (little-endian bit patterns); buf
-// must hold len(src)*Sizeof[T] bytes. Together with decodeSlice it is
-// the single codec path shared by every Element instantiation. The
-// 4-byte loops re-slice buf to the exact length first (so the bounds
-// checks hoist out of the loop) and store element pairs as one 64-bit
-// word — this is the hottest code in the whole simulator, run once
-// per element of every bulk access.
-func encodeSlice[T Element](src []T, buf []byte) {
-	if nativeLE {
-		// The host's memory layout equals the codec's: the encode is a
-		// single typed memmove into page memory (see span.go for why
-		// the reinterpretation is sound).
-		copy(typedSpan[T](buf, Sizeof[T]())[:len(src)], src)
-		return
-	}
-	switch s := any(src).(type) {
-	case []float32:
-		buf = buf[:4*len(s)]
-		i := 0
-		for ; i+1 < len(s); i += 2 {
-			w := uint64(math.Float32bits(s[i])) | uint64(math.Float32bits(s[i+1]))<<32
-			binary.LittleEndian.PutUint64(buf[4*i:], w)
-		}
-		if i < len(s) {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(s[i]))
-		}
-	case []float64:
-		buf = buf[:8*len(s)]
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-		}
-	case []complex128:
-		buf = buf[:16*len(s)]
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(buf[16*i:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(buf[16*i+8:], math.Float64bits(imag(v)))
-		}
-	case []int32:
-		buf = buf[:4*len(s)]
-		i := 0
-		for ; i+1 < len(s); i += 2 {
-			w := uint64(uint32(s[i])) | uint64(uint32(s[i+1]))<<32
-			binary.LittleEndian.PutUint64(buf[4*i:], w)
-		}
-		if i < len(s) {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(s[i]))
-		}
-	case []int64:
-		buf = buf[:8*len(s)]
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-		}
-	case []uint8:
-		copy(buf, s)
-	}
-}
-
-// encodeOne marshals a single element into buf, the scalar fast path
-// behind Set: unlike encodeSlice it boxes a scalar rather than a
-// slice, which escape analysis keeps off the heap (pinned by an
-// AllocsPerRun test).
-func encodeOne[T Element](v T, buf []byte) {
-	if nativeLE {
-		_ = buf[unsafe.Sizeof(v)-1] // bounds check before the unsafe store
-		*(*T)(unsafe.Pointer(&buf[0])) = v
-		return
-	}
-	switch s := any(v).(type) {
-	case float32:
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(s))
-	case float64:
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(s))
-	case complex128:
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(real(s)))
-		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(imag(s)))
-	case int32:
-		binary.LittleEndian.PutUint32(buf, uint32(s))
-	case int64:
-		binary.LittleEndian.PutUint64(buf, uint64(s))
-	case uint8:
-		buf[0] = s
-	}
-}
-
-// decodeOne unmarshals a single element from buf, the scalar fast
-// path behind Get.
-func decodeOne[T Element](buf []byte) T {
-	if nativeLE {
-		var z T
-		_ = buf[unsafe.Sizeof(z)-1] // bounds check before the unsafe load
-		return *(*T)(unsafe.Pointer(&buf[0]))
-	}
-	var v T
-	switch d := any(&v).(type) {
-	case *float32:
-		*d = math.Float32frombits(binary.LittleEndian.Uint32(buf))
-	case *float64:
-		*d = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	case *complex128:
-		re := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-		*d = complex(re, im)
-	case *int32:
-		*d = int32(binary.LittleEndian.Uint32(buf))
-	case *int64:
-		*d = int64(binary.LittleEndian.Uint64(buf))
-	case *uint8:
-		*d = buf[0]
-	}
-	return v
-}
-
-// decodeSlice unmarshals buf into dst; buf must hold
-// len(dst)*Sizeof[T] bytes. Mirrors encodeSlice's loop structure for
-// the same reasons.
-func decodeSlice[T Element](buf []byte, dst []T) {
-	if nativeLE {
-		copy(dst, typedSpan[T](buf, Sizeof[T]())[:len(dst)])
-		return
-	}
-	switch d := any(dst).(type) {
-	case []float32:
-		buf = buf[:4*len(d)]
-		i := 0
-		for ; i+1 < len(d); i += 2 {
-			w := binary.LittleEndian.Uint64(buf[4*i:])
-			d[i] = math.Float32frombits(uint32(w))
-			d[i+1] = math.Float32frombits(uint32(w >> 32))
-		}
-		if i < len(d) {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	case []float64:
-		buf = buf[:8*len(d)]
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-	case []complex128:
-		buf = buf[:16*len(d)]
-		for i := range d {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(buf[16*i:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(buf[16*i+8:]))
-			d[i] = complex(re, im)
-		}
-	case []int32:
-		buf = buf[:4*len(d)]
-		i := 0
-		for ; i+1 < len(d); i += 2 {
-			w := binary.LittleEndian.Uint64(buf[4*i:])
-			d[i] = int32(uint32(w))
-			d[i+1] = int32(uint32(w >> 32))
-		}
-		if i < len(d) {
-			d[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	case []int64:
-		buf = buf[:8*len(d)]
-		for i := range d {
-			d[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-	case []uint8:
-		copy(d, buf)
-	}
-}
-
 // Array is a shared vector of T backed by one DSM region. The same
 // handle is shared by all processes (the Tmk_distribute idiom); faults
 // and costs accrue to the accessing process named by the Context.
@@ -208,21 +43,28 @@ func decodeSlice[T Element](buf []byte, dst []T) {
 type Array[T Element] struct {
 	region *dsm.Region
 	n      int
-	elem   int
 }
 
 // Alloc allocates a shared vector of n elements of T. Master-only,
-// before the first fork, like Tmk_malloc.
+// before the first fork, like Tmk_malloc. It is the one constructor of
+// an Array (AllocMatrix goes through it), so the byte-order check here
+// covers every accessor.
 func Alloc[T Element](c *dsm.Cluster, name string, n int) (*Array[T], error) {
+	if !nativeLE {
+		return nil, fmt.Errorf("shmem: array %q: shared memory needs a little-endian host: views alias page memory, whose layout is little-endian", name)
+	}
 	if n <= 0 {
 		return nil, fmt.Errorf("shmem: array %q must have positive length, got %d", name, n)
 	}
 	elem := Sizeof[T]()
+	if n > math.MaxInt/elem {
+		return nil, fmt.Errorf("shmem: array %q of %d %d-byte elements overflows the region size", name, n, elem)
+	}
 	r, err := c.Alloc(name, n*elem)
 	if err != nil {
 		return nil, err
 	}
-	return &Array[T]{region: r, n: n, elem: elem}, nil
+	return &Array[T]{region: r, n: n}, nil
 }
 
 // Len returns the number of elements.
@@ -238,26 +80,19 @@ func (a *Array[T]) check(lo, hi int) {
 	}
 }
 
-// Get reads element i, decoding straight out of page memory. An
-// element never straddles a page: arrays start at region offset 0 and
-// the page size is a multiple of every element size.
-func (a *Array[T]) Get(m Context, i int) T {
-	mustContext(m)
-	a.check(i, i+1)
-	return decodeOne[T](m.Host.ReadSpan(a.region.ID, i*a.elem, a.elem, m.Clock))
-}
+// Get reads element i: a one-element span, so it faults exactly when
+// a span over i would. An element never straddles a page: arrays start
+// at region offset 0 and the page size is a multiple of every element
+// size.
+func (a *Array[T]) Get(m Context, i int) T { return a.ReadSpan(m, i, i+1)[0] }
 
-// Set writes element i, encoding straight into page memory.
-func (a *Array[T]) Set(m Context, i int, v T) {
-	mustContext(m)
-	a.check(i, i+1)
-	encodeOne(v, m.Host.WriteSpan(a.region.ID, i*a.elem, a.elem, m.Clock))
-}
+// Set writes element i.
+func (a *Array[T]) Set(m Context, i int, v T) { a.WriteSpan(m, i, i+1)[0] = v }
 
 // ReadRange copies elements [lo,hi) into dst, which must have length
 // hi-lo. Bulk accessors amortise the page-granularity fault checks
 // over the whole range, which is how compiled OpenMP loop bodies
-// access shared arrays; elements decode page by page straight out of
+// access shared arrays; the copy runs page by page straight out of
 // page memory, with no staging buffer in between.
 func (a *Array[T]) ReadRange(m Context, lo, hi int, dst []T) {
 	mustContext(m)
@@ -265,28 +100,22 @@ func (a *Array[T]) ReadRange(m Context, lo, hi int, dst []T) {
 	if len(dst) != hi-lo {
 		panic(fmt.Sprintf("shmem: dst has %d elements, want %d", len(dst), hi-lo))
 	}
-	off := lo * a.elem
 	for len(dst) > 0 {
-		b := m.Host.ReadSpan(a.region.ID, off, len(dst)*a.elem, m.Clock)
-		k := len(b) / a.elem
-		decodeSlice(b, dst[:k])
+		k := copy(dst, a.ReadSpan(m, lo, hi))
 		dst = dst[k:]
-		off += len(b)
+		lo += k
 	}
 }
 
-// WriteRange copies src into elements [lo, lo+len(src)), encoding
-// page by page straight into page memory.
+// WriteRange copies src into elements [lo, lo+len(src)), page by page
+// straight into page memory.
 func (a *Array[T]) WriteRange(m Context, lo int, src []T) {
 	mustContext(m)
 	a.check(lo, lo+len(src))
-	off := lo * a.elem
 	for len(src) > 0 {
-		b := m.Host.WriteSpan(a.region.ID, off, len(src)*a.elem, m.Clock)
-		k := len(b) / a.elem
-		encodeSlice(src[:k], b)
+		k := copy(a.WriteSpan(m, lo, lo+len(src)), src)
 		src = src[k:]
-		off += len(b)
+		lo += k
 	}
 }
 
@@ -310,6 +139,9 @@ func AllocMatrix[T Element](c *dsm.Cluster, name string, rows, cols int) (*Matri
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("shmem: matrix %q needs positive dims, got %dx%d", name, rows, cols)
 	}
+	if rows > math.MaxInt/cols {
+		return nil, fmt.Errorf("shmem: matrix %q of %dx%d elements overflows the region size", name, rows, cols)
+	}
 	a, err := Alloc[T](c, name, rows*cols)
 	if err != nil {
 		return nil, err
@@ -329,6 +161,14 @@ func (mx *Matrix[T]) Region() *dsm.Region { return mx.arr.region }
 func (mx *Matrix[T]) checkRow(i int) {
 	if i < 0 || i >= mx.rows {
 		panic(fmt.Sprintf("shmem: row %d outside matrix %q with %d rows", i, mx.arr.region.Name, mx.rows))
+	}
+}
+
+// checkCols panics unless row i exists and holds columns [jlo,jhi).
+func (mx *Matrix[T]) checkCols(i, jlo, jhi int) {
+	mx.checkRow(i)
+	if jlo < 0 || jhi > mx.cols || jlo > jhi {
+		panic(fmt.Sprintf("shmem: columns [%d,%d) outside matrix with %d cols", jlo, jhi, mx.cols))
 	}
 }
 
@@ -368,18 +208,12 @@ func (mx *Matrix[T]) WriteRow(m Context, i int, src []T) {
 
 // ReadRowRange copies row i columns [jlo,jhi) into dst.
 func (mx *Matrix[T]) ReadRowRange(m Context, i, jlo, jhi int, dst []T) {
-	mx.checkRow(i)
-	if jlo < 0 || jhi > mx.cols || jlo > jhi {
-		panic(fmt.Sprintf("shmem: columns [%d,%d) outside matrix with %d cols", jlo, jhi, mx.cols))
-	}
+	mx.checkCols(i, jlo, jhi)
 	mx.arr.ReadRange(m, i*mx.cols+jlo, i*mx.cols+jhi, dst)
 }
 
 // WriteRowRange copies src into row i starting at column jlo.
 func (mx *Matrix[T]) WriteRowRange(m Context, i, jlo int, src []T) {
-	mx.checkRow(i)
-	if jlo < 0 || jlo+len(src) > mx.cols {
-		panic(fmt.Sprintf("shmem: columns [%d,%d) outside matrix with %d cols", jlo, jlo+len(src), mx.cols))
-	}
+	mx.checkCols(i, jlo, jlo+len(src))
 	mx.arr.WriteRange(m, i*mx.cols+jlo, src)
 }

@@ -108,31 +108,6 @@ func TestMatrixRoundTripAllElements(t *testing.T) {
 	roundTripMatrix(t, "mu8", 4, 8, func(i, j int) uint8 { return uint8(i*16 + j) })
 }
 
-// TestLegacyAliasesAreGenericViews pins the API contract that the
-// legacy typed names are aliases, not distinct types: a *Float64Array
-// must be assignable to *Array[float64] and vice versa.
-func TestLegacyAliasesAreGenericViews(t *testing.T) {
-	c, m := masterCluster(t)
-	legacy, err := AllocFloat64(c, "v", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var generic *Array[float64] = legacy
-	generic.Set(m, 3, 1.5)
-	if v := legacy.Get(m, 3); v != 1.5 {
-		t.Fatalf("aliased view read %v, want 1.5", v)
-	}
-	mx, err := AllocFloat32Matrix(c, "m", 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gmx *Matrix[float32] = mx
-	gmx.Set(m, 1, 2, 2.5)
-	if v := mx.Get(m, 1, 2); v != 2.5 {
-		t.Fatalf("aliased matrix read %v, want 2.5", v)
-	}
-}
-
 // TestMatrixColumnBounds pins that an out-of-range column panics
 // instead of silently reading the adjacent row (the flat index would
 // still be in range).

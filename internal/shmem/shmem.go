@@ -10,9 +10,9 @@
 // processes (the Tmk_distribute idiom) while faults and costs accrue to
 // the accessing process.
 //
-// The legacy typed views (Float64Array, Float32Matrix, ...) are
-// aliases of the generic ones and share a single accessor and codec
-// implementation; see generic.go.
+// Every accessor, element or bulk, goes through one path: the typed
+// page span of span.go, which aliases page memory in place. There is
+// no byte-order codec; Alloc refuses a big-endian host instead.
 package shmem
 
 import (
@@ -26,62 +26,8 @@ type Context struct {
 	Clock *simtime.Clock
 }
 
-func (m Context) valid() bool { return m.Host != nil && m.Clock != nil }
-
 func mustContext(m Context) {
-	if !m.valid() {
+	if m.Host == nil || m.Clock == nil {
 		panic("shmem: access with zero Context; use the Proc's Mem()")
 	}
-}
-
-// Legacy typed views, kept so existing kernels compile unchanged. Each
-// is an alias of the generic view, not a distinct type.
-type (
-	// Float64Array is a shared vector of float64.
-	Float64Array = Array[float64]
-	// Float64Matrix is a shared row-major float64 matrix.
-	Float64Matrix = Matrix[float64]
-	// Complex128Array is a shared vector of complex128, stored as
-	// interleaved real/imaginary float64 words.
-	Complex128Array = Array[complex128]
-	// Int32Array is a shared vector of int32 (partner lists,
-	// permutations).
-	Int32Array = Array[int32]
-	// Int64Array is a shared vector of int64 (counters, offsets).
-	Int64Array = Array[int64]
-	// ByteArray is a shared vector of raw bytes. Remember the 8-byte
-	// diff-word granularity: concurrent writers must stay 8 bytes
-	// apart within an interval.
-	ByteArray = Array[uint8]
-)
-
-// AllocFloat64 allocates a shared float64 vector. Master-only, before
-// the first fork, like Tmk_malloc.
-func AllocFloat64(c *dsm.Cluster, name string, n int) (*Float64Array, error) {
-	return Alloc[float64](c, name, n)
-}
-
-// AllocFloat64Matrix allocates a shared float64 matrix.
-func AllocFloat64Matrix(c *dsm.Cluster, name string, rows, cols int) (*Float64Matrix, error) {
-	return AllocMatrix[float64](c, name, rows, cols)
-}
-
-// AllocComplex128 allocates a shared complex vector.
-func AllocComplex128(c *dsm.Cluster, name string, n int) (*Complex128Array, error) {
-	return Alloc[complex128](c, name, n)
-}
-
-// AllocInt32 allocates a shared int32 vector.
-func AllocInt32(c *dsm.Cluster, name string, n int) (*Int32Array, error) {
-	return Alloc[int32](c, name, n)
-}
-
-// AllocInt64 allocates a shared int64 vector.
-func AllocInt64(c *dsm.Cluster, name string, n int) (*Int64Array, error) {
-	return Alloc[int64](c, name, n)
-}
-
-// AllocBytes allocates a shared byte vector.
-func AllocBytes(c *dsm.Cluster, name string, n int) (*ByteArray, error) {
-	return Alloc[uint8](c, name, n)
 }

@@ -3,6 +3,7 @@ package shmem
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -41,7 +42,7 @@ func syncAll(c *dsm.Cluster, ctxs []Context) {
 
 func TestFloat64ArrayRoundTrip(t *testing.T) {
 	c, ctxs := testCluster(t, 2)
-	a, err := AllocFloat64(c, "v", 1000)
+	a, err := Alloc[float64](c, "v", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFloat64ArrayRoundTrip(t *testing.T) {
 
 func TestFloat64SpecialValues(t *testing.T) {
 	c, ctxs := testCluster(t, 2)
-	a, _ := AllocFloat64(c, "v", 8)
+	a, _ := Alloc[float64](c, "v", 8)
 	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64, -1.25}
 	a.WriteRange(ctxs[0], 0, vals)
 	syncAll(c, ctxs)
@@ -79,7 +80,7 @@ func TestFloat64SpecialValues(t *testing.T) {
 
 func TestMatrixRows(t *testing.T) {
 	c, ctxs := testCluster(t, 3)
-	mx, err := AllocFloat64Matrix(c, "m", 20, 33)
+	mx, err := AllocMatrix[float64](c, "m", 20, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestMatrixRows(t *testing.T) {
 
 func TestComplexArray(t *testing.T) {
 	c, ctxs := testCluster(t, 2)
-	a, err := AllocComplex128(c, "z", 256)
+	a, err := Alloc[complex128](c, "z", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestComplexArray(t *testing.T) {
 
 func TestInt32Array(t *testing.T) {
 	c, ctxs := testCluster(t, 2)
-	a, err := AllocInt32(c, "idx", 513)
+	a, err := Alloc[int32](c, "idx", 513)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,11 @@ func TestInt32Array(t *testing.T) {
 
 func TestBoundsPanics(t *testing.T) {
 	c, ctxs := testCluster(t, 1)
-	a, _ := AllocFloat64(c, "v", 10)
-	mx, _ := AllocFloat64Matrix(c, "m", 4, 4)
+	a, _ := Alloc[float64](c, "v", 10)
+	mx, _ := AllocMatrix[float64](c, "m", 4, 4)
+	short, _ := Alloc[float64](c, "short", 9)
+	rd := a.Reader(ctxs[0])
+	rd3 := Readers3(ctxs[0], a, a, a)
 	cases := []func(){
 		func() { a.Get(ctxs[0], 10) },
 		func() { a.Set(ctxs[0], -1, 0) },
@@ -170,6 +174,16 @@ func TestBoundsPanics(t *testing.T) {
 		func() { mx.Get(ctxs[0], 4, 0) },
 		func() { mx.WriteRow(ctxs[0], 0, make([]float64, 3)) },
 		func() { a.Get(Context{}, 0) },
+		func() { a.ReadSpan(ctxs[0], 5, 11) },
+		func() { a.WriteSpan(ctxs[0], -1, 2) },
+		func() { mx.ReadRowSpan(ctxs[0], 0, 2, 5) },
+		func() { mx.WriteRowSpan(ctxs[0], 4, 0, 1) },
+		func() { mx.ReadRowRange(ctxs[0], 0, 3, 2, nil) },
+		func() { mx.WriteRowRange(ctxs[0], 0, 3, make([]float64, 2)) },
+		func() { rd.Get(10) },
+		func() { rd.Get(-1) },
+		func() { rd3.Get3(10) },
+		func() { Readers3(ctxs[0], a, a, short) },
 	}
 	for i, f := range cases {
 		func() {
@@ -181,21 +195,79 @@ func TestBoundsPanics(t *testing.T) {
 			f()
 		}()
 	}
+
+	// An empty span is in range anywhere up to and at the end of the
+	// array, is empty, and faults nothing in.
+	before := c.Stats().Snapshot()
+	if s := a.ReadSpan(ctxs[0], 10, 10); len(s) != 0 {
+		t.Fatalf("empty ReadSpan holds %d elements", len(s))
+	}
+	if s := a.WriteSpan(ctxs[0], 10, 10); len(s) != 0 {
+		t.Fatalf("empty WriteSpan holds %d elements", len(s))
+	}
+	if d := c.Stats().Snapshot().Sub(before); d.ReadFaults+d.WriteFaults != 0 {
+		t.Fatalf("empty spans faulted: %+v", d)
+	}
 }
 
 func TestAllocErrors(t *testing.T) {
 	c, _ := testCluster(t, 1)
-	if _, err := AllocFloat64(c, "bad", 0); err == nil {
-		t.Fatal("AllocFloat64(0) must fail")
+	if _, err := Alloc[float64](c, "bad", 0); err == nil {
+		t.Fatal("Alloc[float64](0) must fail")
 	}
-	if _, err := AllocFloat64Matrix(c, "bad", 0, 5); err == nil {
-		t.Fatal("AllocFloat64Matrix(0,5) must fail")
+	if _, err := AllocMatrix[float64](c, "bad", 0, 5); err == nil {
+		t.Fatal("AllocMatrix[float64](0,5) must fail")
 	}
-	if _, err := AllocComplex128(c, "bad", -1); err == nil {
-		t.Fatal("AllocComplex128(-1) must fail")
+	if _, err := Alloc[complex128](c, "bad", -1); err == nil {
+		t.Fatal("Alloc[complex128](-1) must fail")
 	}
-	if _, err := AllocInt32(c, "bad", 0); err == nil {
-		t.Fatal("AllocInt32(0) must fail")
+	if _, err := Alloc[int32](c, "bad", 0); err == nil {
+		t.Fatal("Alloc[int32](0) must fail")
+	}
+
+	// A count whose byte size wraps int must be refused, not served by
+	// the small region the wrapped product names: math.MaxInt/8+2
+	// complex128s wrap to 16 bytes, and (math.MaxInt/2+2)*4 to 4, on a
+	// 32-bit and on a 64-bit int alike.
+	before := len(c.Regions())
+	over := math.MaxInt/8 + 2
+	for name, alloc := range map[string]func() error{
+		"array": func() error { _, err := Alloc[complex128](c, "big", over); return err },
+		"matrix, rows*cols*size wraps": func() error {
+			_, err := AllocMatrix[complex128](c, "big", over, 1)
+			return err
+		},
+		"matrix, rows*cols wraps": func() error {
+			_, err := AllocMatrix[uint8](c, "big", math.MaxInt/2+2, 4)
+			return err
+		},
+	} {
+		if err := alloc(); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s: err = %v, want an overflow error", name, err)
+		}
+	}
+	if n := len(c.Regions()); n != before {
+		t.Fatalf("refused allocations left %d regions behind", n-before)
+	}
+}
+
+// TestAllocRefusesBigEndianHost reaches the one byte-order check the
+// only way hardware that CI has can: by flipping the package's
+// observation of the host. No view may come to exist there, because
+// every accessor aliases page memory as the host's own []T.
+func TestAllocRefusesBigEndianHost(t *testing.T) {
+	defer func(le bool) { nativeLE = le }(nativeLE)
+	nativeLE = false
+	c, _ := testCluster(t, 1)
+	_, err := Alloc[float64](c, "v", 8)
+	if err == nil || !strings.Contains(err.Error(), "needs a little-endian host") {
+		t.Fatalf("Alloc on a big-endian host: err = %v, want a refusal", err)
+	}
+	if _, err := AllocMatrix[int32](c, "m", 2, 2); err == nil {
+		t.Fatal("AllocMatrix on a big-endian host must be refused too")
+	}
+	if n := len(c.Regions()); n != 0 {
+		t.Fatalf("refused allocations left %d regions behind", n)
 	}
 }
 
@@ -203,7 +275,7 @@ func TestAllocErrors(t *testing.T) {
 // offsets and payloads (single host, no sync needed).
 func TestFloat64RangeRoundTripProperty(t *testing.T) {
 	c, ctxs := testCluster(t, 1)
-	a, _ := AllocFloat64(c, "v", 2048)
+	a, _ := Alloc[float64](c, "v", 2048)
 	f := func(off uint16, raw []float64) bool {
 		lo := int(off) % 1024
 		if len(raw) > 1024 {
@@ -229,7 +301,7 @@ func TestFloat64RangeRoundTripProperty(t *testing.T) {
 func TestStripedWritersProperty(t *testing.T) {
 	const n = 4096
 	c, ctxs := testCluster(t, 4)
-	a, _ := AllocFloat64(c, "v", n)
+	a, _ := Alloc[float64](c, "v", n)
 	rng := rand.New(rand.NewSource(99))
 	ref := make([]float64, n)
 	for round := 0; round < 5; round++ {

@@ -8,14 +8,17 @@ import (
 	"nowomp/internal/page"
 )
 
-// Typed zero-copy spans. The region codec stores elements as
-// little-endian bit patterns, so on a little-endian host a []byte page
-// span *is* a valid []T when reinterpreted in place: no per-element
-// decode, no staging buffer, just loads and stores at memory speed.
-// Three properties make the reinterpretation sound:
+// Typed spans: the one way this package touches page memory. A region
+// holds its elements as little-endian bit patterns (see Element), so on
+// a little-endian host a []byte page span *is* a valid []T when
+// reinterpreted in place: no per-element conversion, no staging
+// buffer, just loads and stores at memory speed. Three properties make
+// the reinterpretation sound:
 //
-//   - layout: the codec's little-endian byte order equals the host's,
-//     checked once at init (nativeLE);
+//   - layout: the region's byte order equals the host's. nativeLE
+//     observes it once at init and Alloc, the only constructor of a
+//     view, refuses a host where it does not hold — so no accessor
+//     re-checks it;
 //   - alignment: page buffers are whole heap-allocated 4 KB blocks, so
 //     they are at least 8-byte aligned — the natural alignment of every
 //     Element type (complex128 aligns to 8 in Go) — and spans start at
@@ -23,28 +26,15 @@ import (
 //     and page.Size is a multiple of every element size;
 //   - straddling: for the same reason an element never crosses a page
 //     boundary, so a span is always a whole number of elements.
-//
-// On a big-endian host the typed-span accessors refuse loudly rather
-// than serve byte-swapped values; the staged Range/Row accessors remain
-// correct everywhere.
 var nativeLE = func() bool {
 	x := uint32(0x01020304)
 	return *(*byte)(unsafe.Pointer(&x)) == 0x04
 }()
 
-func mustNativeLE() {
-	if !nativeLE {
-		panic("shmem: typed spans require a little-endian host; use the staged Range accessors")
-	}
-}
-
 // typedSpan reinterprets an element-aligned byte span as a []T of
-// len(b)/elem elements, in place.
-func typedSpan[T Element](b []byte, elem int) []T {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/elem)
+// len(b)/Sizeof[T]() elements, in place.
+func typedSpan[T Element](b []byte) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/Sizeof[T]())
 }
 
 // ReadSpan makes elements [lo,hi) readable and returns a typed
@@ -56,13 +46,12 @@ func typedSpan[T Element](b []byte, elem int) []T {
 // faults or synchronisation.
 func (a *Array[T]) ReadSpan(m Context, lo, hi int) []T {
 	mustContext(m)
-	mustNativeLE()
 	a.check(lo, hi)
 	if lo == hi {
 		return nil
 	}
-	b := m.Host.ReadSpan(a.region.ID, lo*a.elem, (hi-lo)*a.elem, m.Clock)
-	return typedSpan[T](b, a.elem)
+	elem := Sizeof[T]()
+	return typedSpan[T](m.Host.ReadSpan(a.region.ID, lo*elem, (hi-lo)*elem, m.Clock))
 }
 
 // WriteSpan makes elements [lo,hi) writable (faulted in and twinned)
@@ -72,30 +61,23 @@ func (a *Array[T]) ReadSpan(m Context, lo, hi int) []T {
 // ReadSpan.
 func (a *Array[T]) WriteSpan(m Context, lo, hi int) []T {
 	mustContext(m)
-	mustNativeLE()
 	a.check(lo, hi)
 	if lo == hi {
 		return nil
 	}
-	b := m.Host.WriteSpan(a.region.ID, lo*a.elem, (hi-lo)*a.elem, m.Clock)
-	return typedSpan[T](b, a.elem)
+	elem := Sizeof[T]()
+	return typedSpan[T](m.Host.WriteSpan(a.region.ID, lo*elem, (hi-lo)*elem, m.Clock))
 }
 
 // ReadRowSpan is ReadSpan over row i columns [jlo,jhi).
 func (mx *Matrix[T]) ReadRowSpan(m Context, i, jlo, jhi int) []T {
-	mx.checkRow(i)
-	if jlo < 0 || jhi > mx.cols || jlo > jhi {
-		panic(fmt.Sprintf("shmem: columns [%d,%d) outside matrix with %d cols", jlo, jhi, mx.cols))
-	}
+	mx.checkCols(i, jlo, jhi)
 	return mx.arr.ReadSpan(m, i*mx.cols+jlo, i*mx.cols+jhi)
 }
 
 // WriteRowSpan is WriteSpan over row i columns [jlo,jhi).
 func (mx *Matrix[T]) WriteRowSpan(m Context, i, jlo, jhi int) []T {
-	mx.checkRow(i)
-	if jlo < 0 || jhi > mx.cols || jlo > jhi {
-		panic(fmt.Sprintf("shmem: columns [%d,%d) outside matrix with %d cols", jlo, jhi, mx.cols))
-	}
+	mx.checkCols(i, jlo, jhi)
 	return mx.arr.WriteSpan(m, i*mx.cols+jlo, i*mx.cols+jhi)
 }
 
@@ -120,8 +102,8 @@ type Reader[T Element] struct {
 // process named by m.
 func (a *Array[T]) Reader(m Context) Reader[T] {
 	mustContext(m)
-	mustNativeLE()
-	perPage := page.Size / a.elem
+	elem := Sizeof[T]()
+	perPage := page.Size / elem
 	shift := uint(0)
 	for 1<<shift != perPage {
 		shift++
@@ -129,7 +111,7 @@ func (a *Array[T]) Reader(m Context) Reader[T] {
 	return Reader[T]{
 		pv:    m.Host.PageView(a.region.ID, m.Clock),
 		n:     a.n,
-		elem:  a.elem,
+		elem:  elem,
 		shift: shift,
 		mask:  perPage - 1,
 	}

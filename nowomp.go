@@ -161,8 +161,7 @@ func ParseSchedule(s string) ([]Event, error) { return adapt.ParseSchedule(s) }
 // FormatSchedule renders events back in ParseSchedule form.
 func FormatSchedule(events []Event) string { return adapt.FormatSchedule(events) }
 
-// Shared-memory views. Array and Matrix are the generic views; the
-// typed names are aliases kept for existing programs.
+// Shared-memory views: Array and Matrix over any Element type.
 type (
 	// Mem is the access context carried by a Proc.
 	Mem = shmem.Context
@@ -172,29 +171,12 @@ type (
 	Array[T Element] = shmem.Array[T]
 	// Matrix is a shared row-major matrix of T.
 	Matrix[T Element] = shmem.Matrix[T]
-	// Float64Array is a shared float64 vector.
-	Float64Array = shmem.Float64Array
-	// Float32Array is a shared float32 vector.
-	Float32Array = shmem.Float32Array
-	// Float64Matrix is a shared float64 matrix.
-	Float64Matrix = shmem.Float64Matrix
-	// Float32Matrix is a shared float32 matrix.
-	Float32Matrix = shmem.Float32Matrix
-	// Complex128Array is a shared complex vector.
-	Complex128Array = shmem.Complex128Array
-	// Int32Array is a shared int32 vector.
-	Int32Array = shmem.Int32Array
-	// Int64Array is a shared int64 vector.
-	Int64Array = shmem.Int64Array
-	// ByteArray is a shared byte vector.
-	ByteArray = shmem.ByteArray
 )
 
 // Alloc allocates a shared vector of n elements of T; on a restored
 // runtime it rebinds to (and reloads) the checkpointed region instead.
-// Go has no generic methods, so the generic allocators take the
-// runtime as their first argument; rt.AllocFloat64 and friends remain
-// as typed shorthands.
+// Go has no generic methods, so the allocators take the runtime as
+// their first argument.
 func Alloc[T Element](rt *Runtime, name string, n int) (*Array[T], error) {
 	return omp.Alloc[T](rt, name, n)
 }

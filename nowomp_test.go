@@ -15,7 +15,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := rt.AllocFloat64("v", 4096)
+	a, err := nowomp.Alloc[float64](rt, "v", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := restored.State("phase", &phase); err != nil || phase != 2 {
 		t.Fatalf("restored phase = %d, err = %v", phase, err)
 	}
-	b, err := rt2.AllocFloat64("v", 4096)
+	b, err := nowomp.Alloc[float64](rt2, "v", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
