@@ -79,11 +79,7 @@ func demo(file string, restore bool, crashAt int, spec scenario.Spec, stdout io.
 	if restore {
 		// The one caller that needs the config rather than a started
 		// runtime: the checkpoint rebuilds the runtime from it.
-		norm, err := spec.Normalize()
-		if err != nil {
-			return err
-		}
-		cfg, err := norm.Config()
+		cfg, err := spec.Config()
 		if err != nil {
 			return err
 		}

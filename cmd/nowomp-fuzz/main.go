@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,16 +20,28 @@ import (
 	"nowomp/internal/scenfuzz"
 )
 
-func main() {
-	seed := flag.Int64("seed", 1999, "generator seed (same seed, same specs, same verdicts)")
-	count := flag.Int("count", 25, "number of scenarios to generate and check")
-	budget := flag.Int("shrink-budget", 0, "oracle batteries per shrink (0 = default, negative = no shrinking)")
-	jsonOut := flag.String("json", "", "write the full report as JSON to this file")
-	quiet := flag.Bool("q", false, "suppress per-scenario progress lines")
-	fullScale := flag.Bool("fullscale", false, "mix near-1.0 scale points into the generator grid (slow: full-scale oracle batteries)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var progress io.Writer = os.Stdout
+// run is the command behind its exit status: 0 when every scenario
+// passed every oracle, 2 for a malformed command line, 1 when a scenario
+// failed or the report could not be written.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nowomp-fuzz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 1999, "generator seed (same seed, same specs, same verdicts)")
+	count := fs.Int("count", 25, "number of scenarios to generate and check")
+	budget := fs.Int("shrink-budget", 0, "oracle batteries per shrink (0 = default, negative = no shrinking)")
+	jsonOut := fs.String("json", "", "write the full report as JSON to this file")
+	quiet := fs.Bool("q", false, "suppress per-scenario progress lines")
+	fullScale := fs.Bool("fullscale", false, "mix near-1.0 scale points into the generator grid (slow: full-scale oracle batteries)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	progress := stdout
 	if *quiet {
 		progress = nil
 	}
@@ -39,24 +52,24 @@ func main() {
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nowomp-fuzz:", err)
-			os.Exit(1)
+		if err == nil {
+			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
 		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "nowomp-fuzz:", err)
-			os.Exit(1)
+		if err != nil {
+			fmt.Fprintln(stderr, "nowomp-fuzz:", err)
+			return 1
 		}
 	}
 
-	fmt.Printf("seed %d: %d/%d scenarios passed, %d failed\n",
+	fmt.Fprintf(stdout, "seed %d: %d/%d scenarios passed, %d failed\n",
 		rep.Seed, rep.Passed, rep.Count, len(rep.Failures))
 	for _, f := range rep.Failures {
 		min, _ := json.Marshal(f.Minimal)
-		fmt.Printf("FAIL spec %d oracle=%s hash=%s\n  detail: %s\n  minimal (%s): %s\n",
+		fmt.Fprintf(stdout, "FAIL spec %d oracle=%s hash=%s\n  detail: %s\n  minimal (%s): %s\n",
 			f.Index, f.Oracle, f.Hash, f.Detail, f.MinimalHash, min)
 	}
 	if len(rep.Failures) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

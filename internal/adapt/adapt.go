@@ -192,15 +192,6 @@ type PointResult struct {
 	GCElapsed simtime.Seconds
 }
 
-// AtAdaptationPoint applies all matured events at a fork boundary:
-// first one garbage collection (shared by every event processed here —
-// which is why simultaneous adapt events are cheaper than successive
-// ones, section 5.4), then normal leaves, then joins, then process-id
-// reassignment. All processes must be parked.
-func (m *Manager) AtAdaptationPoint(c *dsm.Cluster, team []dsm.HostID, now simtime.Seconds) (PointResult, error) {
-	return m.AtAdaptationPointWhere(c, team, now, nil)
-}
-
 // classify splits the pending queue into matured-and-eligible leaves
 // and joins plus the untouched remainder. eligible (nil = all) lets a
 // caller hold back specific events: the task runtime defers a leave
@@ -229,7 +220,7 @@ func (m *Manager) classify(model simtime.CostModel, team []dsm.HostID, now simti
 	return leaves, joins, rest
 }
 
-// HasEligible reports whether AtAdaptationPointWhere would apply at
+// HasEligible reports whether AtAdaptationPoint would apply at
 // least one event at virtual instant now under the given eligibility
 // filter. The task runtime polls it at every task scheduling point and
 // only pays for an adaptation (interval flushes, GC) when one will
@@ -241,10 +232,14 @@ func (m *Manager) HasEligible(c *dsm.Cluster, team []dsm.HostID, now simtime.Sec
 	return len(leaves) > 0 || len(joins) > 0
 }
 
-// AtAdaptationPointWhere is AtAdaptationPoint restricted to events the
-// eligibility filter accepts (nil accepts all). Ineligible events stay
-// queued for a later point.
-func (m *Manager) AtAdaptationPointWhere(c *dsm.Cluster, team []dsm.HostID, now simtime.Seconds,
+// AtAdaptationPoint applies the matured events the eligibility filter
+// accepts (nil accepts all; the others stay queued for a later point) at
+// a fork boundary or a task scheduling point: first one garbage
+// collection (shared by every event processed here — which is why
+// simultaneous adapt events are cheaper than successive ones, section
+// 5.4), then normal leaves, then joins, then process-id reassignment.
+// All processes must be parked.
+func (m *Manager) AtAdaptationPoint(c *dsm.Cluster, team []dsm.HostID, now simtime.Seconds,
 	eligible func(Event) bool) (PointResult, error) {
 
 	m.mu.Lock()

@@ -61,7 +61,7 @@ func TestNormalLeaveAtPoint(t *testing.T) {
 	if err := m.Submit(Event{Kind: KindLeave, Host: 2, At: 1.0}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.AtAdaptationPoint(c, team(4), 2.0)
+	res, err := m.AtAdaptationPoint(c, team(4), 2.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFutureEventsStayPending(t *testing.T) {
 	if err := m.Submit(Event{Kind: KindLeave, Host: 1, At: 100}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.AtAdaptationPoint(c, team(3), 1.0)
+	res, err := m.AtAdaptationPoint(c, team(3), 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestJoinWaitsForSpawn(t *testing.T) {
 	}
 	// Too early: spawn+connect not finished.
 	early := 1.0 + float64(model.SpawnTime)/2
-	res, err := m.AtAdaptationPoint(c, team(3), simtime.Seconds(early))
+	res, err := m.AtAdaptationPoint(c, team(3), simtime.Seconds(early), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestJoinWaitsForSpawn(t *testing.T) {
 	}
 	// Late enough.
 	ready := simtime.Seconds(1.0) + model.SpawnTime + model.ConnectSetupTime + 0.001
-	res, err = m.AtAdaptationPoint(c, team(3), ready)
+	res, err = m.AtAdaptationPoint(c, team(3), ready, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSimultaneousEventsShareOneGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	gcs0 := c.Stats().GCs.Load()
-	res, err := m.AtAdaptationPoint(c, team(6), 1.0)
+	res, err := m.AtAdaptationPoint(c, team(6), 1.0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestUrgentLeaveMigratesAtJoin(t *testing.T) {
 	}
 	// The leave then completes as a (recorded-urgent) leave at the
 	// adaptation point.
-	res, err := m.AtAdaptationPoint(c, tm, arr[2])
+	res, err := m.AtAdaptationPoint(c, tm, arr[2], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +288,13 @@ func TestLogAccumulates(t *testing.T) {
 	if err := m.Submit(Event{Kind: KindLeave, Host: 2, At: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AtAdaptationPoint(c, team(3), 1.0); err != nil {
+	if _, err := m.AtAdaptationPoint(c, team(3), 1.0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Submit(Event{Kind: KindJoin, Host: 2, At: 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AtAdaptationPoint(c, []dsm.HostID{0, 1}, 10.0); err != nil {
+	if _, err := m.AtAdaptationPoint(c, []dsm.HostID{0, 1}, 10.0, nil); err != nil {
 		t.Fatal(err)
 	}
 	log := m.Log()
@@ -309,7 +309,7 @@ func TestLogAccumulates(t *testing.T) {
 // The filtered adaptation entry point: ineligible events stay queued
 // while eligible ones apply, which is how the task runtime holds a
 // leave until the departing process holds no task state.
-func TestAtAdaptationPointWhereFiltersEvents(t *testing.T) {
+func TestAtAdaptationPointFiltersEvents(t *testing.T) {
 	c := cluster(t, 6, 4)
 	m := NewManager(Config{})
 	if err := m.Submit(Event{Kind: KindLeave, Host: 2, At: 1}); err != nil {
@@ -323,7 +323,7 @@ func TestAtAdaptationPointWhereFiltersEvents(t *testing.T) {
 	if !m.HasEligible(c, team(4), 10, holdHost3) {
 		t.Fatal("host 2's leave should be eligible")
 	}
-	res, err := m.AtAdaptationPointWhere(c, team(4), 10, holdHost3)
+	res, err := m.AtAdaptationPoint(c, team(4), 10, holdHost3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestAtAdaptationPointWhereFiltersEvents(t *testing.T) {
 	}
 
 	// Released filter: the held leave now applies.
-	res, err = m.AtAdaptationPointWhere(c, res.Team, 11, nil)
+	res, err = m.AtAdaptationPoint(c, res.Team, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func TestPolicyEventsDriveAdaptation(t *testing.T) {
 		}
 	}
 	team := []dsm.HostID{0, 1, 2}
-	res, err := m.AtAdaptationPoint(c, team, simtime.Seconds(3))
+	res, err := m.AtAdaptationPoint(c, team, simtime.Seconds(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestPolicyEventsDriveAdaptation(t *testing.T) {
 	if len(res.Team) != 2 {
 		t.Fatalf("team after leave: %v", res.Team)
 	}
-	res2, err := m.AtAdaptationPoint(c, res.Team, simtime.Seconds(20))
+	res2, err := m.AtAdaptationPoint(c, res.Team, simtime.Seconds(20), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,8 +161,7 @@ func (c *Cluster) deactivateLocked(h *Host) {
 		}
 	}
 	h.written = nil
-	h.diffs = make(map[pageKey][]seqDiff)
-	h.diffBytes = 0
+	h.dropDiffs()
 }
 
 // Join activates a host as a fresh process and sends it the page-
@@ -183,8 +182,7 @@ func (c *Cluster) Join(id HostID) (TransferReport, error) {
 		}
 	}
 	h.written = nil
-	h.diffs = make(map[pageKey][]seqDiff)
-	h.diffBytes = 0
+	h.dropDiffs()
 	h.syncSeq = c.seq
 	h.active = true
 

@@ -1,6 +1,10 @@
 package dsm
 
-import "nowomp/internal/page"
+import (
+	"math"
+
+	"nowomp/internal/page"
+)
 
 // The per-page policy of the home-based core (home.go), and the
 // sharing-pattern classifier behind it.
@@ -25,7 +29,7 @@ type pagePolicy struct {
 	c *Cluster
 	// recs/chains are indexed like the directory ([region][page]).
 	recs   [][]classRec
-	chains [][]homeChain
+	chains [][]diffChain
 	// retained is the total wire size of all retained diffs, the
 	// policy's reclaimable storage.
 	retained int
@@ -36,7 +40,7 @@ func (pp *pagePolicy) addRegion(npages int) {
 		return
 	}
 	pp.recs = append(pp.recs, newClassRecs(npages))
-	pp.chains = append(pp.chains, make([]homeChain, npages))
+	pp.chains = append(pp.chains, make([]diffChain, npages))
 }
 
 // leaveStrategy: migrated homes sit at their writers like Tmk owners,
@@ -141,51 +145,13 @@ func (pp *pagePolicy) dominant(pk pageKey) (HostID, bool) {
 func (pp *pagePolicy) homeMoved(pk pageKey, w HostID) {
 	pp.c.stats.HomeMigrations.Add(1)
 	ch := &pp.chains[pk.region][pk.page]
-	floor := ch.floor
+	var foreign int32 // the newest interval a writer other than w committed
 	for _, e := range ch.entries {
-		if e.writer != w && e.seq > floor {
-			floor = e.seq
+		if e.writer != w {
+			foreign = e.seq
 		}
 	}
-	if floor == ch.floor {
-		return
-	}
-	kept := ch.entries[:0]
-	bytes := 0
-	for _, e := range ch.entries {
-		if e.writer == w && e.seq > floor {
-			kept = append(kept, e)
-			bytes += e.wire
-		}
-	}
-	pp.retained += bytes - ch.bytes
-	ch.entries = kept
-	ch.bytes = bytes
-	ch.floor = floor
-}
-
-// chainEntry is one retained diff: the interval it committed, the
-// writer that authored it, its wire size (what the window bounds and
-// the transfer pricing count) and the diff itself. diff is nil for an
-// entry of a page or more on the wire: any window containing it is at
-// least a page too, and window transfers are only ever chosen below
-// one page, so its payload could never be served.
-type chainEntry struct {
-	seq    int32
-	writer HostID
-	wire   int
-	diff   *page.Diff
-}
-
-// homeChain is the home-retained diff window of one page. Invariant:
-// every interval committed to the page with sequence in (floor,
-// latest] is present as entries (commits that retained no diff raise
-// floor instead), so a copy with appliedSeq >= floor can be patched
-// current by applying the entries newer than it, in order.
-type homeChain struct {
-	floor   int32
-	entries []chainEntry
-	bytes   int
+	pp.retained -= ch.dropThrough(foreign)
 }
 
 const (
@@ -217,10 +183,9 @@ func (pp *pagePolicy) retain(pk pageKey, seq int32, w HostID, m *page.Mask, src 
 	ch := &pp.chains[pk.region][pk.page]
 	e := chainEntry{seq: seq, writer: w, wire: m.WireSize()}
 	if e.wire < page.Size {
-		e.diff = m.Pack(src)
+		e.diff = m.Pack(src) // a page or more is never served: see chainEntry
 	}
-	ch.entries = append(ch.entries, e)
-	ch.bytes += e.wire
+	ch.append(e)
 	pp.retained += e.wire
 	for len(ch.entries) > maxChainEntries || ch.bytes > maxChainBytes {
 		// Drop the oldest interval whole: the floor must never split
@@ -229,7 +194,7 @@ func (pp *pagePolicy) retain(pk pageKey, seq int32, w HostID, m *page.Mask, src 
 		if ch.entries[0].seq == seq {
 			break
 		}
-		pp.dropThrough(ch, ch.entries[0].seq)
+		pp.retained -= ch.dropThrough(ch.entries[0].seq)
 	}
 }
 
@@ -239,22 +204,7 @@ func (pp *pagePolicy) advance(pk pageKey, seq int32) {
 	if pp == nil {
 		return
 	}
-	if ch := &pp.chains[pk.region][pk.page]; seq > ch.floor {
-		pp.dropThrough(ch, seq)
-	}
-}
-
-// dropThrough raises the floor to seq, dropping the entries at or
-// below it from the front of the (ascending) window.
-func (pp *pagePolicy) dropThrough(ch *homeChain, seq int32) {
-	i := 0
-	for i < len(ch.entries) && ch.entries[i].seq <= seq {
-		ch.bytes -= ch.entries[i].wire
-		pp.retained -= ch.entries[i].wire
-		i++
-	}
-	ch.entries = append(ch.entries[:0], ch.entries[i:]...)
-	ch.floor = seq
+	pp.retained -= pp.chains[pk.region][pk.page].dropThrough(seq)
 }
 
 // window returns the retained diffs that patch a copy with the given
@@ -269,18 +219,12 @@ func (pp *pagePolicy) window(pk pageKey, after int32) ([]chainEntry, int) {
 	if after < ch.floor {
 		return nil, 0
 	}
-	i := 0
-	for i < len(ch.entries) && ch.entries[i].seq <= after {
-		i++
-	}
-	wire := 0
-	for _, e := range ch.entries[i:] {
-		wire += e.wire
-	}
+	win := ch.after(after, math.MaxInt32)
+	wire := wireOf(win)
 	if wire >= page.Size {
 		return nil, 0
 	}
-	return ch.entries[i:], wire
+	return win, wire
 }
 
 // reset returns the page to the unclassified state with an empty
@@ -293,7 +237,7 @@ func (pp *pagePolicy) reset(pk pageKey, gcSeq int32) {
 	}
 	ch := &pp.chains[pk.region][pk.page]
 	pp.retained -= ch.bytes
-	*ch = homeChain{floor: gcSeq}
+	*ch = diffChain{floor: gcSeq}
 	cr := &pp.recs[pk.region][pk.page]
 	cr.setClass(&pp.c.stats, classUnknown)
 	*cr = unclassified
@@ -318,20 +262,6 @@ const (
 	// concurrent writers — disjoint data cohabiting one page.
 	classFalselyShared
 )
-
-func (pc pageClass) String() string {
-	switch pc {
-	case classSingleWriter:
-		return "single-writer"
-	case classProducerConsumer:
-		return "producer-consumer"
-	case classMigratory:
-		return "migratory"
-	case classFalselyShared:
-		return "falsely-shared"
-	}
-	return "unknown"
-}
 
 // classRec is the classifier's per-page history. All fields are updated
 // under the engine's serialisation (fault paths) or the directory write

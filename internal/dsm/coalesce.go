@@ -9,8 +9,8 @@ import (
 // structures grow with interval count between full GCs and were
 // previously rescanned linearly on the hot synchronisation paths:
 //
-//   - each writer's per-page diff chain (Host.diffs), scanned on every
-//     fault, upgrade and GC pull;
+//   - each writer's per-page diff chain (Host.diffs, a diffChain),
+//     searched on every fault, upgrade and GC pull;
 //   - the cluster release log (Cluster.releaseLog), scanned on every
 //     lock acquire.
 //
@@ -20,10 +20,11 @@ import (
 // again (any future patch starts from some copy's appliedSeq, and a
 // base refetch starts from the owner's), and a release-log entry at or
 // below every active host's syncSeq has been honoured by everyone who
-// will ever look. Pruning those prefixes — plus binary-searching the
-// suffix instead of rescanning from the start — makes the amortised
-// per-operation metadata cost independent of how many intervals have
-// passed since the last full GC.
+// will ever look. Pruning those prefixes (diffChain.dropThrough at
+// diffFloor, in tmkProtocol.keepDiff; pruneReleaseLog) — plus
+// binary-searching the suffix instead of rescanning from the start —
+// makes the amortised per-operation metadata cost independent of how
+// many intervals have passed since the last full GC.
 //
 // Pruning is host-local bookkeeping only. It charges no virtual time,
 // records no fabric traffic, and deliberately does NOT lower
@@ -96,27 +97,6 @@ func (c *Cluster) diffFloor(pk pageKey) int32 {
 		}
 	}
 	return floor
-}
-
-// pruneDiffChain drops the covered prefix of h's diff chain for pk.
-// Entries are ascending by sequence; the prefix is released by zeroing
-// the dropped records (so the page diffs become collectable) and
-// re-slicing. diffBytes is intentionally left untouched — see the
-// package comment above.
-func (c *Cluster) pruneDiffChain(h *Host, pk pageKey) {
-	chain := h.diffs[pk]
-	if len(chain) == 0 {
-		return
-	}
-	floor := c.diffFloor(pk)
-	k := sort.Search(len(chain), func(i int) bool { return chain[i].seq > floor })
-	if k == 0 {
-		return
-	}
-	for i := 0; i < k; i++ {
-		chain[i] = seqDiff{}
-	}
-	h.diffs[pk] = chain[k:]
 }
 
 // pruneReleaseLog drops the release-log prefix already honoured by

@@ -29,8 +29,8 @@ func TestCoalescedMetadataBounded(t *testing.T) {
 		logLen = len(c.releaseLog)
 		for _, h := range c.hosts {
 			for _, chain := range h.diffs {
-				if len(chain) > maxChain {
-					maxChain = len(chain)
+				if len(chain.entries) > maxChain {
+					maxChain = len(chain.entries)
 				}
 			}
 		}

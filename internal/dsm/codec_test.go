@@ -185,7 +185,7 @@ func TestCloseAllocationPins(t *testing.T) {
 			dirtyWord(c, w, pk, 5)
 			written[0] = pk
 			w.written = written
-			if c.proto.flushIntervalLocked(w, clk) != 1 {
+			if c.flushIntervalLocked(w, clk) != 1 {
 				t.Fatal("flush made no diff")
 			}
 		}
@@ -206,7 +206,7 @@ func TestCloseAllocationPins(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		word[0]++
 		writeBytes(w, pk.region, 0, word, clk)
-		if c.proto.flushIntervalLocked(w, clk) != 1 {
+		if c.flushIntervalLocked(w, clk) != 1 {
 			t.Fatal("flush made no diff")
 		}
 	}); n != 0 {

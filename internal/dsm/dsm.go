@@ -218,9 +218,6 @@ func (c *Cluster) Host(id HostID) *Host {
 	return c.hosts[id]
 }
 
-// MaxHosts returns the size of the workstation pool.
-func (c *Cluster) MaxHosts() int { return len(c.hosts) }
-
 // ActiveHosts returns the ids of hosts currently participating, in
 // ascending order.
 func (c *Cluster) ActiveHosts() []HostID {
@@ -231,13 +228,6 @@ func (c *Cluster) ActiveHosts() []HostID {
 		}
 	}
 	return ids
-}
-
-// Seq returns the current global interval sequence number.
-func (c *Cluster) Seq() int32 {
-	c.dir.mu.RLock()
-	defer c.dir.mu.RUnlock()
-	return c.seq
 }
 
 // Regions returns the allocated shared regions in allocation order.

@@ -1,6 +1,8 @@
 package dsm
 
 import (
+	"fmt"
+
 	"nowomp/internal/simtime"
 )
 
@@ -13,23 +15,44 @@ import (
 // must flush before the collection discards twins. What the collection
 // itself does is protocol-specific: Tmk pulls every page's outstanding
 // diffs to its owner and discards all consistency metadata, while the
-// home-based protocols — whose homes are always current — merely prune
-// stale copies at zero cost. Both end with settlePage.
+// home-based protocols — whose homes are always current — have nothing
+// to do. Both end with the Cluster's sweep (settlePage).
 func (c *Cluster) ForceGC(active []HostID) simtime.Seconds {
 	c.dir.mu.Lock()
 	defer c.dir.mu.Unlock()
 	c.closeOpenIntervalsLocked(active)
-	return c.proto.runGCLocked(active)
+	return c.collectLocked(active)
+}
+
+// collectLocked is a collection: the protocol brings every page's
+// owner current (runGCLocked), then every page is settled and the
+// release log cleared — every copy an entry could still invalidate is
+// now current or gone.
+func (c *Cluster) collectLocked(active []HostID) simtime.Seconds {
+	c.stats.GCs.Add(1)
+	elapsed := c.proto.runGCLocked(active)
+	for ri := range c.dir.pages {
+		for p := range c.dir.pages[ri] {
+			c.settlePage(RegionID(ri), p, &c.dir.pages[ri][p], c.seq)
+		}
+	}
+	c.releaseLog = c.releaseLog[:0]
+	return elapsed
 }
 
 // settlePage is the per-page sweep every collection ends with, once
 // the page's owner is current: on every host, including hosts that
 // have left, the twin and dirty marking go, a copy that is the owner's
 // or valid and current is renumbered to gcSeq, and any other copy is
-// freed; then the page's write notices are discarded. Afterwards the
-// owner's copy is current and every other copy is current or absent —
-// the invariant the adaptation data movement relies on.
+// freed; then the page's write notices, its sharing mode and its policy
+// history are reset (an adaptation redraws the partition map, so the old
+// sharing history no longer describes the page). Afterwards the owner's
+// copy is current and every other copy is current or absent — the
+// invariant the adaptation data movement relies on.
 func (c *Cluster) settlePage(r RegionID, p int, pm *pageMeta, gcSeq int32) {
+	if c.Host(pm.owner).pages[r][p].data == nil {
+		panic(fmt.Sprintf("dsm: %s: gc: owner %d of page %d/%d holds no copy", c.proto.Kind(), pm.owner, r, p))
+	}
 	latest := pm.latestSeq()
 	for _, h := range c.hosts {
 		st := &h.pages[r][p]
@@ -46,6 +69,8 @@ func (c *Cluster) settlePage(r RegionID, p int, pm *pageMeta, gcSeq int32) {
 	}
 	pm.clearNotices()
 	pm.baseSeq = gcSeq
+	pm.mode = ModeSingle
+	c.policy.reset(pageKey{r, p}, gcSeq)
 }
 
 // closeOpenIntervalsLocked flushes any host's open interval exactly as

@@ -137,7 +137,7 @@ func (hp *homeProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 	st := &h.pages[pk.region][pk.page]
 	if st.data != nil {
 		if win, wire := c.policy.window(pk, st.appliedSeq); len(win) > 0 {
-			c.fetchWindow(h, c.Host(home), win, wire, clk)
+			clk.Advance(c.fetchDiffs(h, c.Host(home), wire, len(win)))
 			for _, e := range win {
 				e.diff.Apply(st.data)
 			}
@@ -151,16 +151,6 @@ func (hp *homeProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 	st.data = data
 	st.appliedSeq = applied
 	st.valid = true
-}
-
-// fetchWindow prices one bundled diff-window transfer from the home:
-// one request, one response carrying every missing diff.
-func (c *Cluster) fetchWindow(h, src *Host, win []chainEntry, wire int, clk *simtime.Clock) {
-	c.fabric.Record(h.machine, src.machine, msgHeader)
-	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
-	clk.Advance(c.costs.DiffFetch(h.machine, src.machine, wire))
-	c.stats.DiffFetches.Add(int64(len(win)))
-	c.stats.DiffBytes.Add(int64(wire))
 }
 
 // pushToHome ships the diff a taken mask describes to the page's home
@@ -469,105 +459,47 @@ func (hp *homeProtocol) invalidateStale(pk pageKey, keep HostID, s int32, active
 	}
 }
 
-// flushIntervalLocked commits h's open interval on a release path:
-// each written page's diff is pushed to its home (which a current
-// writer may first take with it, see takeHome) and retained in the
-// window, the page goes on the release log so later acquirers honour
-// the writes, and concurrent dirty peers are checked for sub-word
-// races. The caller holds the directory write lock.
-func (hp *homeProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
-	c := hp.c
-	c.seq++
-	s := c.seq
-	made := 0
+// commitRelease commits interval s for one page h wrote, on a release
+// path: an elided page by a sequence update, any other by pushing its
+// diff to the home (which a current writer may first take with it, see
+// takeHome) and retaining it in the window. A writer that is not the
+// home stays valid only if its copy was current before the write.
+func (hp *homeProtocol) commitRelease(h *Host, pk pageKey, pm *pageMeta, s int32, clk *simtime.Clock) (page.Mask, bool) {
 	soleWriter := [1]HostID{h.id}
-	for _, pk := range h.takeWritten() {
-		pm := c.dir.metaLocked(pk.region, pk.page)
-		c.policy.observeClose(pk, soleWriter[:])
-		st := &h.pages[pk.region][pk.page]
-		if st.elided() {
-			hp.commitElided(pk, pm, h.id, s)
-			c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
-			continue
-		}
-
-		m, wasCurrent := hp.commitOwn(h, pk, pm, s, clk)
-		if m.Empty() {
-			continue
-		}
-		if pm.owner != h.id {
-			if wasCurrent {
-				st.appliedSeq = s // current: old value plus own writes
-			} else {
-				st.valid = false // concurrent writers under other locks
-			}
-		}
-		c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
-		made++
-		c.checkDirtyPeerRaces(h.id, pk, &m)
+	hp.c.policy.observeClose(pk, soleWriter[:])
+	st := &h.pages[pk.region][pk.page]
+	if st.elided() {
+		hp.commitElided(pk, pm, h.id, s)
+		return page.Mask{}, true
 	}
-	if made > 0 && shouldPrune(len(c.releaseLog)) {
-		c.pruneReleaseLog()
+	m, wasCurrent := hp.commitOwn(h, pk, pm, s, clk)
+	if !m.Empty() && pm.owner != h.id {
+		if wasCurrent {
+			st.appliedSeq = s // current: old value plus own writes
+		} else {
+			st.valid = false // concurrent writers under other locks
+		}
 	}
-	return made
+	return m, false
 }
 
-// upgradeOrInvalidate performs acquire-side consistency for one page:
-// a stale clean copy goes invalid (the next fault brings it current);
-// a stale dirty copy inside the home's window is patched in place
-// (diffs applied to data and twin, as the Tmk upgrade path does),
-// otherwise it is merged over a fresh home page (mergeOverHomePage).
-func (hp *homeProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
+// missingDiffs serves an acquire-side upgrade of h's stale dirty copy
+// from the home's window in one priced message; when the window cannot
+// patch the copy there are no diffs to hand back, and the copy is merged
+// over a fresh home page instead (mergeOverHomePage).
+func (hp *homeProtocol) missingDiffs(h *Host, pk pageKey, meta *pageMeta, after, upTo int32, clk *simtime.Clock) []chainEntry {
 	c := hp.c
-	meta := c.dir.meta(pk.region, pk.page)
-	latest := meta.latestSeq()
-	st := &h.pages[pk.region][pk.page]
-	if !st.valid || st.appliedSeq >= latest {
-		return
-	}
-	if !st.dirty {
-		st.valid = false
-		return
-	}
-	win, wire := c.policy.window(pk, st.appliedSeq)
+	win, wire := c.policy.window(pk, after)
 	if len(win) == 0 {
 		c.mergeOverHomePage(h, pk, meta.owner, clk)
-		return
+		return nil
 	}
-	c.fetchWindow(h, c.Host(meta.owner), win, wire, clk)
-	for _, e := range win {
-		e.diff.Apply(st.data)
-		if st.twin != nil {
-			// Committed remote words, not this host's: patch the twin
-			// too so the eventual close diff carries only the host's
-			// own writes.
-			e.diff.Apply(st.twin)
-		}
-	}
-	st.appliedSeq = latest
+	clk.Advance(c.fetchDiffs(h, c.Host(meta.owner), wire, len(win)))
+	return win
 }
 
-// runGCLocked is trivial for a home-based protocol: homes are always
-// current, so the pass only prunes stale copies and normalises sequence
-// numbers to restore the adaptation invariant (see settlePage) — no
-// pulls happen and no time or traffic is charged — and resets the
-// policy: an adaptation redraws the partition map, so the old sharing
-// history no longer describes the pages it tagged.
-func (hp *homeProtocol) runGCLocked(active []HostID) simtime.Seconds {
-	c := hp.c
-	gcSeq := c.seq
-	c.stats.GCs.Add(1)
-	for ri := range c.dir.pages {
-		r := RegionID(ri)
-		for p := range c.dir.pages[ri] {
-			pm := &c.dir.pages[ri][p]
-			if c.Host(pm.owner).pages[r][p].data == nil {
-				panic(fmt.Sprintf("dsm: %s: gc: home %d of page %d/%d holds no copy", hp.Kind(), pm.owner, r, p))
-			}
-			c.settlePage(r, p, pm, gcSeq)
-			c.policy.reset(pageKey{r, p}, gcSeq)
-		}
-	}
-	c.releaseLog = c.releaseLog[:0]
-	return 0
-}
+// runGCLocked has nothing to do for a home-based protocol: homes are
+// always current, so the collection is the Cluster's sweep alone
+// (settlePage: stale copies pruned, sequence numbers normalised, the
+// policy reset) — no pulls happen and no time or traffic is charged.
+func (hp *homeProtocol) runGCLocked(active []HostID) simtime.Seconds { return 0 }

@@ -14,14 +14,6 @@ type pageKey struct {
 	page   int
 }
 
-// seqDiff is a diff produced when the interval with the given sequence
-// number closed. Diffs are immutable once created and may be shared by
-// reference between hosts.
-type seqDiff struct {
-	seq  int32
-	diff *page.Diff
-}
-
 // pageState is one host's view of one shared page. It is 64 bytes, one
 // cache line (the flags sit beside appliedSeq to keep it so).
 type pageState struct {
@@ -63,12 +55,14 @@ type Host struct {
 	// takeWritten).
 	written      []pageKey
 	writtenSpare []pageKey
-	// diffs holds the diffs this host created, keyed by page, ascending
-	// in seq (Tmk protocol only: the home-based protocols apply a diff
-	// at the page's home at interval close, straight from the writer's
-	// page, and the writer retains nothing). Readers fetch from here; GC
-	// clears it.
-	diffs     map[pageKey][]seqDiff
+	// diffs holds the diffs this host created, a chain per page (Tmk
+	// only: the home-based protocols apply a diff at the page's home at
+	// interval close, straight from the writer's page, and the writer
+	// retains nothing). Readers fetch from here; a collection, a leave
+	// and a join drop them all. diffBytes is their total wire size, the
+	// collection trigger's storage count, which pruning a chain's covered
+	// prefix deliberately leaves alone (see coalesce.go).
+	diffs     map[pageKey]*diffChain
 	diffBytes int
 	// syncSeq is the newest interval sequence this host has fully
 	// honoured (set at barriers and lock acquires).
@@ -76,7 +70,13 @@ type Host struct {
 }
 
 func newHost(c *Cluster, id HostID, m simnet.MachineID) *Host {
-	return &Host{id: id, cluster: c, machine: m, diffs: make(map[pageKey][]seqDiff)}
+	return &Host{id: id, cluster: c, machine: m, diffs: make(map[pageKey]*diffChain)}
+}
+
+// dropDiffs discards every diff the host retains.
+func (h *Host) dropDiffs() {
+	h.diffs = make(map[pageKey]*diffChain)
+	h.diffBytes = 0
 }
 
 // ID returns the host id.
@@ -258,10 +258,6 @@ func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock) {
 		h.cluster.stats.TwinsCreated.Add(1)
 		h.cluster.stats.WriteFaults.Add(1)
 	}
-}
-
-func (h *Host) localDiffs(pk pageKey) []seqDiff {
-	return h.diffs[pk]
 }
 
 // takeWritten consumes and returns the open interval's dirty-page list.

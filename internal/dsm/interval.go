@@ -125,7 +125,7 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 
 	res := BarrierResult{ReleaseTime: release, Seq: s}
 	if c.proto.storageLocked() > c.cfg.GCThresholdBytes {
-		res.ReleaseTime += c.proto.runGCLocked(active)
+		res.ReleaseTime += c.collectLocked(active)
 		res.GCRan = true
 	}
 	for _, id := range active {

@@ -114,11 +114,6 @@ func (lk *lockState) release(holder HostID, at simtime.Seconds) {
 	lk.wl.Notify()
 }
 
-// LockHeld reports whether lock id is currently held (diagnostics).
-func (c *Cluster) LockHeld(id int) bool {
-	return c.locks.get(id).held
-}
-
 type lockTable struct {
 	locks map[int]*lockState
 }
@@ -164,15 +159,18 @@ func (c *Cluster) AcquireLock(id int, h *Host, clk *simtime.Clock) {
 	}
 	c.fabric.Record(granter.machine, h.machine, msgHeader)
 
-	c.honourReleases(h, clk)
+	c.AcquireInterval(h, clk)
 }
 
-// honourReleases performs acquire-side consistency: every page touched
-// by a release interval the host has not yet synchronised with is
-// invalidated, or — if the host has it dirty in its own open interval —
-// upgraded in place by fetching and applying the missing diffs (the
-// words are disjoint in a race-free program).
-func (c *Cluster) honourReleases(h *Host, clk *simtime.Clock) {
+// AcquireInterval performs acquire-side consistency for h, as a lock
+// acquire does and as the task runtime does without a lock (on the thief
+// after a steal, on a waiting parent when a remotely executed child
+// completes): every page touched by a release interval the host has not
+// yet synchronised with is invalidated, or — if the host has it dirty in
+// its own open interval — upgraded in place. Upgrades charge their diff
+// fetches to clk; pages merely invalidated are repriced lazily at the
+// next fault.
+func (c *Cluster) AcquireInterval(h *Host, clk *simtime.Clock) {
 	c.dir.mu.RLock()
 	horizon := h.syncSeq
 	// The log is ascending by sequence: the unsynchronised entries are a
@@ -190,9 +188,45 @@ func (c *Cluster) honourReleases(h *Host, clk *simtime.Clock) {
 			continue
 		}
 		seen[e.pk] = true
-		c.proto.upgradeOrInvalidate(h, e.pk, clk)
+		c.upgradeOrInvalidate(h, e.pk, clk)
 	}
 	h.syncSeq = cur
+}
+
+// upgradeOrInvalidate performs acquire-side consistency for one page: a
+// stale clean copy goes invalid (the next fault brings it current); a
+// stale dirty copy is brought current in place, without losing the
+// host's own writes, by applying the committed diffs it lacks (the words
+// are disjoint in a race-free program), which the protocol supplies.
+func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
+	meta := c.dir.meta(pk.region, pk.page)
+	latest := meta.latestSeq()
+	st := &h.pages[pk.region][pk.page]
+	if !st.valid || st.appliedSeq >= latest {
+		return
+	}
+	if !st.dirty {
+		st.valid = false
+		return
+	}
+	for _, e := range c.proto.missingDiffs(h, pk, &meta, st.appliedSeq, latest, clk) {
+		e.diff.Apply(st.data)
+		if st.twin != nil {
+			// The patched words are committed remote writes, not this
+			// host's modifications: apply them to the twin too, so the
+			// diff created when this interval closes contains only the
+			// host's own writes. Leaving the twin stale re-broadcast
+			// other writers' words as this host's and tripped the
+			// word-race check on a race-free program whenever a dirty
+			// page was upgraded mid-interval (a latent pre-engine bug,
+			// exposed once the engine made the interleaving that hits
+			// this path deterministic).
+			e.diff.Apply(st.twin)
+		}
+	}
+	if st.appliedSeq < latest {
+		st.appliedSeq = latest
+	}
 }
 
 // ReleaseLock closes the host's open interval under the coherence
@@ -202,11 +236,41 @@ func (c *Cluster) ReleaseLock(id int, h *Host, clk *simtime.Clock) {
 	lk := c.locks.get(id)
 
 	c.dir.mu.Lock()
-	c.proto.flushIntervalLocked(h, clk)
+	c.flushIntervalLocked(h, clk)
 	c.dir.mu.Unlock()
 
 	clk.Advance(c.costs.MsgOverhead(h.machine))
 	lk.release(h.id, clk.Now())
+}
+
+// flushIntervalLocked closes h's open interval on a release path (lock
+// release, task handoff): the sequence advances, each page h wrote is
+// committed under the coherence protocol, its costs charged to clk, and
+// every page the commit changed goes on the release log, so later
+// acquirers (and the next barrier) honour the writes, and is checked
+// against peers holding it dirty. A page rewritten with the values it
+// held commits nothing and is not logged. Returns the number of diffs
+// created. The caller holds the directory write lock.
+func (c *Cluster) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
+	c.seq++
+	s := c.seq
+	made := 0
+	for _, pk := range h.takeWritten() {
+		m, elided := c.proto.commitRelease(h, pk, c.dir.metaLocked(pk.region, pk.page), s, clk)
+		if m.Empty() && !elided {
+			continue
+		}
+		c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
+		if elided {
+			continue // no diff: nothing made, no evidence to check
+		}
+		made++
+		c.checkDirtyPeerRaces(h.id, pk, &m)
+	}
+	if made > 0 && shouldPrune(len(c.releaseLog)) {
+		c.pruneReleaseLog()
+	}
+	return made
 }
 
 // checkDirtyPeerRaces extends the sub-word race check to flush-path

@@ -62,13 +62,15 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 	return Tmk, fmt.Errorf("dsm: unknown protocol %q (want tmk, hlrc or hybrid)", s)
 }
 
-// Protocol is the coherence machinery of a cluster: everything that
-// decides how a page becomes readable, what happens when an interval
-// closes, and how consistency state is reclaimed. The surrounding
-// Cluster owns the parts that are protocol-independent — region
-// bookkeeping, the interval sequence, the release log, barrier arrival
-// and write-notice traffic, locks, and the adaptation entry points —
-// and dispatches the protocol-specific steps through this interface.
+// Protocol is the decisions a coherence protocol makes; the mechanics
+// around them are the Cluster's: region bookkeeping, the interval
+// sequence, barrier arrival and write-notice traffic, locks, the
+// adaptation entry points, and the whole release/acquire path (lock.go)
+// — walking a releasing host's written pages, the release log (the
+// Cluster alone appends to, searches, prunes and clears it), the
+// dirty-peer check, the staleness test on acquire and the patch of a
+// stale dirty copy and its twin — plus the one chain type retained diffs
+// are kept in (chain.go) and the one priced diff transfer (fetchDiffs).
 //
 // The interface is deliberately implementation-gated (unexported
 // methods): both implementations live in this package — tmk.go, and
@@ -81,18 +83,25 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 //     return no listed writer holds a twin and every active host's
 //     copy is either invalid or current (writers' sub-word races must
 //     panic via Cluster.checkWordRaces).
-//   - flushIntervalLocked commits h's open interval on a release path
-//     (lock release, task handoff) under the directory write lock,
-//     appending affected pages to the release log.
-//   - upgradeOrInvalidate performs acquire-side consistency for one
-//     page: a stale clean copy goes invalid, a stale dirty copy is
-//     brought current in place without losing the host's own writes.
+//   - commitRelease commits interval s for one page h wrote, on a
+//     release path under the directory write lock: h's twin or elision
+//     is consumed, the words are where the protocol keeps committed
+//     words (h's chain; the home), and h's copy is current or invalid.
+//     It returns the mask of the diff it made — empty when nothing
+//     changed, and then nothing was committed — or elided when it
+//     committed the page without one.
+//   - missingDiffs hands an acquirer the committed diffs its stale dirty
+//     copy lacks, in interval order, fetched and charged to clk. A
+//     protocol that cannot supply them brings the copy current itself
+//     and returns none.
 //   - runGCLocked reclaims consistency state; afterwards every page's
 //     directory owner holds a valid current copy and every other copy
 //     is either valid-and-current or absent (the invariant the
-//     adaptation data movement relies on).
+//     adaptation data movement relies on). Every copy the release log
+//     could still invalidate is then current or gone, so the Cluster
+//     clears the log after it (collectLocked).
 //   - storageLocked reports the reclaimable consistency storage in
-//     bytes; the barrier triggers runGCLocked when it passes the
+//     bytes; the barrier triggers a collection when it passes the
 //     configured threshold.
 //   - initRegion materialises a freshly allocated region's pages and
 //     sets their directory owners.
@@ -104,8 +113,8 @@ type Protocol interface {
 
 	fault(h *Host, pk pageKey, clk *simtime.Clock)
 	closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds)
-	flushIntervalLocked(h *Host, clk *simtime.Clock) int
-	upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock)
+	commitRelease(h *Host, pk pageKey, pm *pageMeta, s int32, clk *simtime.Clock) (m page.Mask, elided bool)
+	missingDiffs(h *Host, pk pageKey, meta *pageMeta, after, upTo int32, clk *simtime.Clock) []chainEntry
 	runGCLocked(active []HostID) simtime.Seconds
 	storageLocked() int
 	initRegion(r *Region)
@@ -150,4 +159,19 @@ func (c *Cluster) copyPageFrom(h, src *Host, pk pageKey, role string, clk *simti
 	c.stats.PageFetches.Add(1)
 	c.stats.PageBytes.Add(page.Size)
 	return data, applied
+}
+
+// fetchDiffs is the diff transfer every protocol prices the same way:
+// one request from h, one response from src carrying wire bytes of
+// diffs, recorded on the fabric and counted; the requester-observed cost
+// is returned for the caller to charge (a faulting host's clock, a
+// collection's per-owner pull time). The caller says how many fetches
+// that was: a fault counts every diff it pulls, a collection one per
+// writer.
+func (c *Cluster) fetchDiffs(h, src *Host, wire, count int) simtime.Seconds {
+	c.fabric.Record(h.machine, src.machine, msgHeader)
+	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
+	c.stats.DiffFetches.Add(int64(count))
+	c.stats.DiffBytes.Add(int64(wire))
+	return c.costs.DiffFetch(h.machine, src.machine, wire)
 }

@@ -7,11 +7,11 @@ import "nowomp/internal/simtime"
 // shared-memory write that happened before the task became stealable.
 // The task runtime brackets each steal (and each remotely-consumed task
 // completion) with the same release/acquire pair the lock protocol
-// uses: FlushInterval is the release half, AcquireInterval the acquire
-// half. Both are priced — diff creation, invalidation and the later
-// refetches all charge virtual time and fabric traffic — which is what
-// makes the tasking-versus-loop-scheduling comparison meaningful:
-// steals on a DSM are not free.
+// uses: FlushInterval is the release half, AcquireInterval (lock.go)
+// the acquire half. Both are priced — diff creation, invalidation and
+// the later refetches all charge virtual time and fabric traffic —
+// which is what makes the tasking-versus-loop-scheduling comparison
+// meaningful: steals on a DSM are not free.
 
 // HasOpenInterval reports whether the host has written shared memory
 // since its interval last closed (at a barrier, lock release or flush).
@@ -32,16 +32,5 @@ func (c *Cluster) FlushInterval(h *Host, clk *simtime.Clock) int {
 	}
 	c.dir.mu.Lock()
 	defer c.dir.mu.Unlock()
-	return c.proto.flushIntervalLocked(h, clk)
-}
-
-// AcquireInterval performs acquire-side consistency for h without a
-// lock: every page touched by a release interval the host has not yet
-// synchronised with is invalidated or upgraded in place, exactly as a
-// lock acquire does. The task runtime calls it on the thief after a
-// steal and on a waiting parent when a remotely-executed child task
-// completes. Costs (diff fetches for dirty pages) charge to clk; pages
-// merely invalidated are repriced lazily at the next fault.
-func (c *Cluster) AcquireInterval(h *Host, clk *simtime.Clock) {
-	c.honourReleases(h, clk)
+	return c.flushIntervalLocked(h, clk)
 }

@@ -9,13 +9,11 @@ import (
 )
 
 // tmkProtocol is the TreadMarks homeless lazy-release-consistency
-// protocol, extracted unchanged from the original implementation:
-// writers retain their diffs, readers fetch a base copy from the
-// page's designated owner and patch it with diffs fetched writer by
+// protocol: writers retain their diffs, readers fetch a base copy from
+// the page's designated owner and patch it with diffs fetched writer by
 // writer, and garbage collection consolidates the accumulated diffs at
-// per-page owners. It is the default protocol and is bit-exact versus
-// the pre-refactor system (asserted by the golden kernel matrix in
-// internal/bench).
+// per-page owners. It is the default protocol, pinned bit for bit by the
+// golden kernel matrix in internal/bench.
 type tmkProtocol struct {
 	c *Cluster
 }
@@ -67,16 +65,7 @@ func (t *tmkProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 		applied = t.fetchBase(h, pk, meta.owner, clk)
 	}
 
-	// Gather missing diffs: own diffs locally (relevant after a base
-	// refetch replaced a copy that contained our writes), remote diffs
-	// one message per writer. pendingWriters returns ascending host
-	// order, the same deterministic order the grouped scan produced.
-	var pending []seqDiff
-	pending = append(pending, diffWindow(h.localDiffs(pk), applied, target)...)
-	for _, w := range pendingWriters(&meta, applied, h.id) {
-		pending = append(pending, t.fetchDiffs(h, pk, w, applied, target, clk)...)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
+	pending := t.missingDiffs(h, pk, &meta, applied, target, clk)
 	if activeMutation.Load() == mutationDropNewestDiff && len(pending) > 0 {
 		// Injected defect: silently skip the newest diff. appliedSeq
 		// still advances to target, so the staleness is never repaired —
@@ -85,9 +74,8 @@ func (t *tmkProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 		pending = pending[:len(pending)-1]
 	}
 
-	st = &h.pages[r][p]
-	for _, sd := range pending {
-		sd.diff.Apply(st.data)
+	for _, e := range pending {
+		e.diff.Apply(st.data)
 	}
 	if st.appliedSeq < target {
 		st.appliedSeq = target
@@ -99,54 +87,37 @@ func (t *tmkProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 // of the copy. The owner's copy may itself be behind on diffs; the
 // caller patches the remainder.
 func (t *tmkProtocol) fetchBase(h *Host, pk pageKey, owner HostID, clk *simtime.Clock) int32 {
-	c := t.c
+	st := &h.pages[pk.region][pk.page]
 	if owner == h.id {
 		// We are the designated owner: our copy is the base.
-		st := &h.pages[pk.region][pk.page]
 		if st.data == nil {
 			panic(fmt.Sprintf("dsm: host %d owns page %v but holds no copy", h.id, pk))
 		}
-		applied := st.appliedSeq
-		return applied
+		return st.appliedSeq
 	}
-	data, applied := c.copyPageFrom(h, c.Host(owner), pk, "owner", clk)
-
-	st := &h.pages[pk.region][pk.page]
-	c.releasePage(st.data)
-	st.data = data
-	st.appliedSeq = applied
+	data, applied := t.c.copyPageFrom(h, t.c.Host(owner), pk, "owner", clk)
+	t.c.releasePage(st.data)
+	st.data, st.appliedSeq = data, applied
 	return applied
 }
 
-// diffWindow returns the sub-chain of an ascending diff chain with
-// sequence in (after, upTo], found by binary search instead of a full
-// scan — chains between GCs hold one entry per interval, and the fault
-// path asks for a recent suffix.
-func diffWindow(chain []seqDiff, after, upTo int32) []seqDiff {
-	lo := sort.Search(len(chain), func(i int) bool { return chain[i].seq > after })
-	hi := lo + sort.Search(len(chain)-lo, func(i int) bool { return chain[lo+i].seq > upTo })
-	return chain[lo:hi]
-}
-
-// fetchDiffs retrieves from writer w its diffs for pk with sequence in
-// (after, upTo], charging one request to clk.
-func (t *tmkProtocol) fetchDiffs(h *Host, pk pageKey, w HostID, after, upTo int32, clk *simtime.Clock) []seqDiff {
-	c := t.c
-	src := c.Host(w)
-	got := diffWindow(src.diffs[pk], after, upTo)
-	wire := 0
-	for _, sd := range got {
-		wire += sd.diff.WireSize()
+// missingDiffs gathers, in interval order, the diffs that bring a copy
+// of pk at appliedSeq after up to upTo: h's own from its chain (there
+// are some only after a base refetch replaced a copy that held h's
+// writes; a valid copy always contains them), every other writer's in
+// one priced message per writer. pendingWriters returns ascending host
+// order, so the merge is deterministic.
+func (t *tmkProtocol) missingDiffs(h *Host, pk pageKey, meta *pageMeta, after, upTo int32, clk *simtime.Clock) []chainEntry {
+	pending := append([]chainEntry(nil), h.diffs[pk].after(after, upTo)...)
+	for _, w := range pendingWriters(meta, after, h.id) {
+		src := t.c.Host(w)
+		if got := src.diffs[pk].after(after, upTo); len(got) > 0 {
+			clk.Advance(t.c.fetchDiffs(h, src, wireOf(got), len(got)))
+			pending = append(pending, got...)
+		}
 	}
-	if len(got) == 0 {
-		return nil
-	}
-	c.fabric.Record(h.machine, src.machine, msgHeader)
-	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
-	clk.Advance(c.costs.DiffFetch(h.machine, src.machine, wire))
-	c.stats.DiffFetches.Add(int64(len(got)))
-	c.stats.DiffBytes.Add(int64(wire))
-	return got
+	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
+	return pending
 }
 
 // closePage closes the interval s for one page with the given writers.
@@ -234,115 +205,59 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 // chain — Tmk writers keep their diffs until a collection, so this is
 // where the payload is materialised — and posts the write notice.
 func (t *tmkProtocol) keepDiff(h *Host, pk pageKey, pm *pageMeta, m *page.Mask, s int32) {
-	c := t.c
-	h.diffs[pk] = append(h.diffs[pk], seqDiff{seq: s, diff: m.Pack(h.pages[pk.region][pk.page].data)})
-	h.diffBytes += m.WireSize()
+	ch := h.diffs[pk]
+	if ch == nil {
+		ch = new(diffChain)
+		h.diffs[pk] = ch
+	}
+	wire := m.WireSize()
+	ch.append(chainEntry{seq: s, writer: h.id, wire: wire, diff: m.Pack(h.pages[pk.region][pk.page].data)})
+	h.diffBytes += wire
 	pm.addNotice(h.id, s)
-	if shouldPrune(len(h.diffs[pk])) {
-		c.pruneDiffChain(h, pk)
+	if shouldPrune(len(ch.entries)) {
+		// The covered prefix: no copy of the page is older than the
+		// floor, so no fault, upgrade or collection can ask for it.
+		ch.dropThrough(t.c.diffFloor(pk))
 	}
 }
 
-// flushIntervalLocked closes h's open interval as a lock release does:
-// pages written since the interval opened become diffs with fresh write
-// notices, and affected pages go on the release log so later acquirers
-// (and the next barrier) honour the writes. Pages flushed this way are
-// diff-managed even if they previously had a single writer: without the
-// barrier's global conflict detection, full-page ownership transfers
-// would be unsound under concurrent readers. Diff-creation time is
-// charged to clk. Returns the number of diffs created. The caller holds
-// the directory write lock.
-func (t *tmkProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
-	c := t.c
-	c.seq++
-	s := c.seq
-	made := 0
-	for _, pk := range h.takeWritten() {
-		pm := c.dir.metaLocked(pk.region, pk.page)
-		prevLatest := pm.latestSeq()
-		if pm.mode == ModeSingle {
-			pm.baseSeq = prevLatest
-			pm.mode = ModeMulti
-		}
-		m := c.takeMask(h, pk, clk)
-		if m.Empty() {
-			continue
-		}
-		st := &h.pages[pk.region][pk.page]
-		if st.appliedSeq >= prevLatest {
-			st.appliedSeq = s // current: old value plus own writes
-		} else {
-			st.valid = false // concurrent writers under other locks
-		}
-		t.keepDiff(h, pk, pm, &m, s)
-		c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
-		made++
-		c.checkDirtyPeerRaces(h.id, pk, &m)
+// commitRelease commits interval s for one page h wrote, on a release
+// path. Pages released this way are diff-managed even if they
+// previously had a single writer: without the barrier's global conflict
+// detection, full-page ownership transfers would be unsound under
+// concurrent readers. The diff stays on h's chain; h's copy stays valid
+// only if it was current before the write.
+func (t *tmkProtocol) commitRelease(h *Host, pk pageKey, pm *pageMeta, s int32, clk *simtime.Clock) (page.Mask, bool) {
+	prevLatest := pm.latestSeq()
+	if pm.mode == ModeSingle {
+		pm.baseSeq = prevLatest
+		pm.mode = ModeMulti
 	}
-	if made > 0 && shouldPrune(len(c.releaseLog)) {
-		c.pruneReleaseLog()
+	m := t.c.takeMask(h, pk, clk)
+	if m.Empty() {
+		return m, false
 	}
-	return made
-}
-
-// upgradeOrInvalidate performs acquire-side consistency for one page:
-// a stale clean copy is invalidated, a stale dirty copy is upgraded in
-// place by fetching and applying the missing diffs (the words are
-// disjoint in a race-free program).
-func (t *tmkProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
-	c := t.c
-	meta := c.dir.meta(pk.region, pk.page)
-	latest := meta.latestSeq()
 	st := &h.pages[pk.region][pk.page]
-	if !st.valid || st.appliedSeq >= latest {
-		return
+	if st.appliedSeq >= prevLatest {
+		st.appliedSeq = s // current: old value plus own writes
+	} else {
+		st.valid = false // concurrent writers under other locks
 	}
-	if !st.dirty {
-		st.valid = false
-		return
-	}
-	applied := st.appliedSeq
-
-	// Dirty page: patch in place.
-	var pending []seqDiff
-	for _, w := range pendingWriters(&meta, applied, h.id) {
-		pending = append(pending, t.fetchDiffs(h, pk, w, applied, latest, clk)...)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
-	st = &h.pages[pk.region][pk.page]
-	for _, sd := range pending {
-		sd.diff.Apply(st.data)
-		if st.twin != nil {
-			// The patched words are committed remote writes, not this
-			// host's modifications: apply them to the twin too, so the
-			// diff created when this interval closes contains only the
-			// host's own writes. Leaving the twin stale re-broadcast
-			// other writers' words as this host's and tripped the
-			// word-race check on a race-free program whenever a dirty
-			// page was upgraded mid-interval (a latent pre-engine bug,
-			// exposed once the engine made the interleaving that hits
-			// this path deterministic).
-			sd.diff.Apply(st.twin)
-		}
-	}
-	if st.appliedSeq < latest {
-		st.appliedSeq = latest
-	}
+	t.keepDiff(h, pk, pm, &m, s)
+	return m, false
 }
 
 // runGCLocked implements the TreadMarks garbage collection: every
-// page's outstanding diffs are pulled to its designated owner, all
-// twins, diffs and write notices are discarded, and stale copies are
-// freed. Afterwards each page is either valid and up to date, or
-// invalid with the owner field pointing at a host with a valid copy —
-// the property that makes adaptation cheap. The caller holds the
+// page's outstanding diffs are pulled to its designated owner and all
+// retained diffs are discarded; the Cluster's sweep (settlePage) then
+// discards twins and write notices and frees stale copies. Afterwards
+// each page is either valid and up to date, or invalid with the owner
+// field pointing at a host with a valid copy — the property that makes
+// adaptation cheap. The caller holds the
 // directory write lock; the returned duration is the barrier-observed
 // GC cost (coordination plus the slowest host's diff pulls).
 func (t *tmkProtocol) runGCLocked(active []HostID) simtime.Seconds {
 	c := t.c
-	gcSeq := c.seq
-	c.stats.GCs.Add(1)
-
 	pull := make(map[HostID]simtime.Seconds)
 	totalPages := 0
 	for ri := range c.dir.pages {
@@ -354,17 +269,13 @@ func (t *tmkProtocol) runGCLocked(active []HostID) simtime.Seconds {
 			if len(pm.writers) > 0 || pm.mode == ModeMulti {
 				t.gcPage(r, p, pm, pull)
 			}
-			c.settlePage(r, p, pm, gcSeq)
-			pm.mode = ModeSingle
 		}
 	}
 
 	// All consistency information is gone.
 	for _, h := range c.hosts {
-		h.diffs = make(map[pageKey][]seqDiff)
-		h.diffBytes = 0
+		h.dropDiffs()
 	}
-	c.releaseLog = c.releaseLog[:0]
 
 	// Owner-table broadcast: the master tells everyone where the valid
 	// copies live.
@@ -407,36 +318,24 @@ func (t *tmkProtocol) gcPage(r RegionID, p int, pm *pageMeta, pull map[HostID]si
 		panic(fmt.Sprintf("dsm: gc: owner %d of page %d/%d holds no copy", pm.owner, r, p))
 	}
 	applied := st.appliedSeq
-	current := st.valid && applied >= latest
-	if current {
+	if st.valid && applied >= latest {
 		return
 	}
 
 	pk := pageKey{r, p}
-	var pending []seqDiff
-	pending = append(pending, diffWindow(owner.localDiffs(pk), applied, c.seq)...)
+	pending := append([]chainEntry(nil), owner.diffs[pk].after(applied, c.seq)...)
 	for _, w := range pendingWriters(pm, applied, pm.owner) {
 		src := c.Host(w)
-		got := diffWindow(src.diffs[pk], applied, latest)
-		wire := 0
-		for _, sd := range got {
-			pending = append(pending, sd)
-			wire += sd.diff.WireSize()
+		if got := src.diffs[pk].after(applied, latest); len(got) > 0 {
+			// One fetch per writer here, however many diffs it carries.
+			pull[pm.owner] += c.fetchDiffs(owner, src, wireOf(got), 1)
+			pending = append(pending, got...)
 		}
-		if wire == 0 {
-			continue
-		}
-		c.fabric.Record(owner.machine, src.machine, msgHeader)
-		c.fabric.Record(src.machine, owner.machine, wire+msgHeader)
-		pull[pm.owner] += c.costs.DiffFetch(owner.machine, src.machine, wire)
-		c.stats.DiffFetches.Add(1)
-		c.stats.DiffBytes.Add(int64(wire))
 	}
 	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
 
-	st = &owner.pages[r][p]
-	for _, sd := range pending {
-		sd.diff.Apply(st.data)
+	for _, e := range pending {
+		e.diff.Apply(st.data)
 	}
 	st.appliedSeq = latest
 	st.valid = true

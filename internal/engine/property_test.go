@@ -10,42 +10,50 @@ import (
 
 // The property test pins the heap/wait-list dispatcher to the engine's
 // specified semantics with an independent oracle: a randomized program
-// of computes, semaphore waits, signals and bare yields is executed
-// once on the real engine and once on a reference simulator that
-// re-implements the election as the naive linear scan the engine used
-// to perform — re-evaluate every parked proc's condition at every
-// dispatch, pick the minimum (wake instant, id, registration order).
-// The two dispatch logs must match event for event, which covers the
+// of computes, semaphore waits, signals, bare yields and waits on gates
+// that other procs push later is executed once on the real engine and
+// once on a reference simulator that re-implements the election as the
+// naive linear scan the engine used to perform — re-evaluate every
+// parked proc's condition at every dispatch, pick the minimum (wake
+// instant, id, registration order). The two dispatch logs must match event for event, which covers the
 // indexed heap, the notification plumbing and the park fast path at
 // once (a fast-path grant that differs from a full election, a missed
-// notification, or a stale heap key all reorder the log).
+// notification, or a stale heap key all reorder the log). The gates are
+// there for the re-sort: a proc parked on a gate sits in the heap under
+// the instant the gate stood at when it parked, and a raise moves its
+// true wake instant later — silently, which the election must catch when
+// the stale key reaches the top, or with a Notify, which drain must
+// re-key in place.
 
 // step is one instruction of a generated program.
 type step struct {
 	kind  stepKind
-	delta simtime.Seconds // compute: clock advance
-	res   int             // wait/signal: semaphore index
+	delta simtime.Seconds // compute: clock advance; raise: how much later the gate opens
+	res   int             // wait/signal: semaphore index; gate steps: gate index
 }
 
 type stepKind int
 
 const (
-	stepCompute stepKind = iota
-	stepWait             // park until sem[res] > 0, then consume one unit
-	stepSignal           // sem[res]++
-	stepPoll             // yield: park on a list nobody notifies, ready at own clock
+	stepCompute     stepKind = iota
+	stepWait                 // park until sem[res] > 0, then consume one unit
+	stepSignal               // sem[res]++
+	stepPoll                 // yield: park on a list nobody notifies, ready at own clock
+	stepGate                 // park until gate[res] opens (at once if it has), then move the clock there
+	stepRaise                // gate[res] opens delta later; its waiters are told nothing
+	stepRaiseNotify          // the same, and the gate's wait list is notified
 )
 
 // genProgram builds one randomized program for n procs over k
-// semaphores. Signals are generated in surplus and each semaphore
-// gets a final top-up from the last proc, so most programs complete;
-// the rest (the last proc stranded on a wait before its top-ups) are
+// semaphores and k gates. Signals are generated in surplus and each
+// semaphore gets a final top-up from the last proc, so most programs
+// complete; the rest (the last proc stranded on a wait before its top-ups) are
 // detected by the reference simulator and skipped.
 func genProgram(r *rand.Rand, n, k, steps int) [][]step {
 	prog := make([][]step, n)
 	for p := 0; p < n; p++ {
 		for s := 0; s < steps; s++ {
-			switch r.Intn(6) {
+			switch r.Intn(9) {
 			case 0, 1:
 				// Multiples of 0.25 keep virtual-time arithmetic exact,
 				// so log comparison is not at the mercy of float error.
@@ -56,6 +64,10 @@ func genProgram(r *rand.Rand, n, k, steps int) [][]step {
 				prog[p] = append(prog[p], step{kind: stepSignal, res: r.Intn(k)})
 			case 5:
 				prog[p] = append(prog[p], step{kind: stepPoll})
+			case 6:
+				prog[p] = append(prog[p], step{kind: stepGate, res: r.Intn(k)})
+			case 7, 8:
+				prog[p] = append(prog[p], step{kind: stepRaise + stepKind(r.Intn(2)), delta: simtime.Seconds(1+r.Intn(8)) * 0.25, res: r.Intn(k)})
 			}
 		}
 	}
@@ -91,6 +103,8 @@ func runEngine(prog [][]step, k int) []dispatchLog {
 	e := New()
 	sems := make([]int, k)
 	wls := make([]WaitList, k)
+	gates := make([]simtime.Seconds, k)
+	gwls := make([]WaitList, k)
 	var idle WaitList // never notified: a poll re-enters by revalidation alone
 	var log []dispatchLog
 	for p := range prog {
@@ -119,6 +133,19 @@ func runEngine(prog [][]step, k int) []dispatchLog {
 				case stepPoll:
 					ep.ParkOn(&idle, "poll", nil)
 					log = append(log, dispatchLog{p, clk.Now()})
+				case stepGate:
+					res := st.res
+					at := clk.Now()
+					ep.ParkOn(&gwls[res], "gate", func() (simtime.Seconds, bool) {
+						return max(at, gates[res]), true
+					})
+					clk.AdvanceTo(gates[res])
+					log = append(log, dispatchLog{p, clk.Now()})
+				case stepRaise, stepRaiseNotify:
+					gates[st.res] += st.delta
+					if st.kind == stepRaiseNotify {
+						gwls[st.res].Notify()
+					}
 				}
 			}
 		})
@@ -134,6 +161,7 @@ type refProc struct {
 	clk       simtime.Seconds
 	parked    bool
 	waitRes   int // semaphore index while parked on a wait; -1 for poll
+	gate      int // gate index while parked on a gate; -1 otherwise
 	waitAt    simtime.Seconds
 	done      bool
 }
@@ -144,10 +172,11 @@ type refProc struct {
 // prevent this).
 func runReference(prog [][]step, k int) (log []dispatchLog, ok bool) {
 	sems := make([]int, k)
+	gates := make([]simtime.Seconds, k)
 	procs := make([]*refProc, len(prog))
 	for p := range prog {
 		// Mirrors Go: every proc starts parked, ready at its own clock.
-		procs[p] = &refProc{id: p, order: p, parked: true, waitRes: -1}
+		procs[p] = &refProc{id: p, order: p, parked: true, waitRes: -1, gate: -1}
 	}
 	live := len(procs)
 	for live > 0 {
@@ -160,11 +189,14 @@ func runReference(prog [][]step, k int) (log []dispatchLog, ok bool) {
 				continue
 			}
 			at := rp.waitAt
-			if rp.waitRes >= 0 {
+			switch {
+			case rp.waitRes >= 0:
 				if sems[rp.waitRes] == 0 {
 					continue
 				}
-			} else {
+			case rp.gate >= 0:
+				at = max(at, gates[rp.gate]) // wherever the gate stands now
+			default:
 				at = rp.clk
 			}
 			if best == nil || at < bestAt ||
@@ -180,6 +212,10 @@ func runReference(prog [][]step, k int) (log []dispatchLog, ok bool) {
 			sems[best.waitRes]--
 		}
 		best.waitRes = -1
+		if best.gate >= 0 {
+			best.clk = max(best.clk, gates[best.gate])
+			best.gate = -1
+		}
 		log = append(log, dispatchLog{best.id, best.clk})
 		// Run the proc to its next park or exit.
 		for !best.parked && !best.done {
@@ -202,6 +238,12 @@ func runReference(prog [][]step, k int) (log []dispatchLog, ok bool) {
 			case stepPoll:
 				best.parked = true
 				best.waitRes = -1
+			case stepGate:
+				best.parked = true
+				best.gate = st.res
+				best.waitAt = best.clk
+			case stepRaise, stepRaiseNotify:
+				gates[st.res] += st.delta
 			}
 		}
 	}

@@ -277,6 +277,7 @@ func TestMalformedRequests(t *testing.T) {
 		"unknown field": `{"kernel":"jacobi","scael":0.1}`,
 		"bad kernel":    `{"kernel":"nope"}`,
 		"bad spec":      `{"kernel":"jacobi","procs":8,"hosts":2}`,
+		"two specs":     `{"kernel":"jacobi"} {"kernel":"gauss"} junk`,
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

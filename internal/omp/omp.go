@@ -33,9 +33,6 @@ type Config struct {
 	// switched LAN.
 	Links func(*simnet.Fabric) error
 
-	// GCThresholdBytes is the diff-storage GC trigger (0 = default).
-	GCThresholdBytes int
-
 	// Protocol selects the DSM coherence protocol; the zero value is
 	// dsm.Tmk, the TreadMarks homeless LRC of the paper. dsm.HLRC runs
 	// the same programs over home-based LRC.
@@ -113,13 +110,12 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("omp: Procs must be in [1,%d], got %d", cfg.Hosts, cfg.Procs)
 	}
 	cluster, err := dsm.New(dsm.Config{
-		MaxHosts:         cfg.Hosts,
-		Model:            cfg.Model,
-		Machine:          cfg.Machine,
-		Links:            cfg.Links,
-		GCThresholdBytes: cfg.GCThresholdBytes,
-		Protocol:         cfg.Protocol,
-		Adaptive:         cfg.Adaptive,
+		MaxHosts: cfg.Hosts,
+		Model:    cfg.Model,
+		Machine:  cfg.Machine,
+		Links:    cfg.Links,
+		Protocol: cfg.Protocol,
+		Adaptive: cfg.Adaptive,
 	})
 	if err != nil {
 		return nil, err
@@ -149,9 +145,6 @@ func New(cfg Config) (*Runtime, error) {
 
 // Cluster exposes the DSM substrate (measurement and checkpoint hook).
 func (rt *Runtime) Cluster() *dsm.Cluster { return rt.cluster }
-
-// Config returns the runtime's configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
 
 // NProcs returns the current team size. Like omp_get_num_threads, it
 // is only guaranteed constant within one parallel construct.

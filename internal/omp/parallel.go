@@ -3,6 +3,7 @@ package omp
 import (
 	"fmt"
 
+	"nowomp/internal/adapt"
 	"nowomp/internal/dsm"
 	"nowomp/internal/engine"
 	"nowomp/internal/simnet"
@@ -25,7 +26,10 @@ func (rt *Runtime) fork(name string) []*Proc {
 	if rt.forkHook != nil {
 		rt.forkHook(rt)
 	}
-	rt.atAdaptationPoint()
+	if rt.mgr != nil && rt.mgr.PendingCount() > 0 {
+		elapsed, _ := rt.adapt(rt.master.Now(), rt.forks, nil)
+		rt.master.Advance(elapsed)
+	}
 	rt.forks++
 
 	t := len(rt.team)
@@ -91,28 +95,29 @@ func (rt *Runtime) join(procs []*Proc) {
 	rt.phases++
 }
 
-// atAdaptationPoint drains matured adapt events, reshaping the team.
-func (rt *Runtime) atAdaptationPoint() {
-	if rt.mgr == nil || rt.mgr.PendingCount() == 0 {
-		return
-	}
-	now := rt.master.Now()
+// adapt is the adaptation transaction, at a fork and at a task
+// scheduling point alike: the manager applies the matured events the
+// filter accepts (nil = all) at virtual instant now, the team is
+// reshaped, and the point is logged — under index, the ordinal of the
+// construct it belongs to — with the traffic it caused. It returns the
+// time the adaptation added, for the caller to charge, and whether any
+// event applied.
+func (rt *Runtime) adapt(now simtime.Seconds, index int64, eligible func(adapt.Event) bool) (simtime.Seconds, bool) {
 	before := rt.cluster.Fabric().Snapshot()
-	res, err := rt.mgr.AtAdaptationPoint(rt.cluster, rt.team, now)
+	res, err := rt.mgr.AtAdaptationPoint(rt.cluster, rt.team, now, eligible)
 	if err != nil {
 		// Submit-time validation rejects ill-formed events; reaching
 		// here means the runtime state is corrupt.
 		panic(fmt.Sprintf("omp: adaptation failed: %v", err))
 	}
 	if len(res.Applied) == 0 {
-		return
+		return 0, false
 	}
-	rt.master.Advance(res.Elapsed)
+	rt.team = res.Team
 	window := rt.cluster.Fabric().Snapshot().Sub(before)
 	_, _, maxLink := window.MaxLink()
-	rt.team = res.Team
 	rt.adaptLog = append(rt.adaptLog, AdaptationPoint{
-		Index:         rt.forks,
+		Index:         index,
 		When:          now,
 		Elapsed:       res.Elapsed,
 		Applied:       res.Applied,
@@ -120,4 +125,5 @@ func (rt *Runtime) atAdaptationPoint() {
 		WindowBytes:   window.TotalBytes(),
 		WindowMaxLink: maxLink,
 	})
+	return res.Elapsed, true
 }

@@ -1,8 +1,6 @@
 package omp
 
 import (
-	"fmt"
-
 	"nowomp/internal/adapt"
 	"nowomp/internal/dsm"
 	"nowomp/internal/simtime"
@@ -35,25 +33,6 @@ func (tp *TaskProc) TaskWait() { tp.w.TaskWait() }
 // TaskStats reports the scheduling activity of one task region.
 type TaskStats = task.Stats
 
-// taskConfig collects TaskOption settings.
-type taskConfig struct {
-	closureBytes int
-}
-
-// TaskOption configures one Tasks region.
-type TaskOption func(*taskConfig)
-
-// WithClosureBytes sets the wire size charged for shipping one task
-// closure on a steal or re-home (default task.DefaultClosureBytes).
-// Size it like the outlined task struct a compiler would build: a
-// function pointer plus the captured firstprivate scalars.
-func WithClosureBytes(n int) TaskOption {
-	if n <= 0 {
-		panic(fmt.Sprintf("omp: closure size must be positive, got %d", n))
-	}
-	return func(c *taskConfig) { c.closureBytes = n }
-}
-
 // Tasks executes one task region as a parallel construct: the team
 // forks, the root task runs on the master, and processes pop, spawn
 // and steal tasks until the region drains, then join at a barrier.
@@ -64,11 +43,7 @@ func WithClosureBytes(n int) TaskOption {
 // absorbs team resizes mid-tree transparently. With no adapt events the
 // region adds zero adaptation overhead, and with a single process (or
 // no steals) it prices exactly like the same code hand-scheduled.
-func (rt *Runtime) Tasks(name string, root func(p *TaskProc), opts ...TaskOption) TaskStats {
-	cfg := taskConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func (rt *Runtime) Tasks(name string, root func(p *TaskProc)) TaskStats {
 	procs := rt.fork(name)
 	cur := procs
 
@@ -87,33 +62,11 @@ func (rt *Runtime) Tasks(name string, root func(p *TaskProc), opts ...TaskOption
 				return rt.mgr.HasEligible(rt.cluster, rt.team, now, eligible(stackless))
 			},
 			Apply: func(now simtime.Seconds, stackless func(dsm.HostID) bool) ([]dsm.HostID, simtime.Seconds, bool) {
-				before := rt.cluster.Fabric().Snapshot()
-				res, err := rt.mgr.AtAdaptationPointWhere(rt.cluster, rt.team, now, eligible(stackless))
-				if err != nil {
-					// Submit-time validation rejects ill-formed events;
-					// reaching here means the runtime state is corrupt.
-					panic(fmt.Sprintf("omp: adaptation failed: %v", err))
-				}
-				if len(res.Applied) == 0 {
-					return rt.team, 0, false
-				}
-				rt.team = res.Team
-				window := rt.cluster.Fabric().Snapshot().Sub(before)
-				_, _, maxLink := window.MaxLink()
-				// fork() has already counted this construct, so the
-				// current construct's ordinal is forks-1 — matching
-				// what a fork-boundary adaptation of this construct
-				// would have logged.
-				rt.adaptLog = append(rt.adaptLog, AdaptationPoint{
-					Index:         rt.forks - 1,
-					When:          now,
-					Elapsed:       res.Elapsed,
-					Applied:       res.Applied,
-					TeamAfter:     rt.Team(),
-					WindowBytes:   window.TotalBytes(),
-					WindowMaxLink: maxLink,
-				})
-				return res.Team, res.Elapsed, true
+				// fork() has already counted this construct, so its
+				// ordinal is forks-1 — what a fork-boundary adaptation
+				// of this construct would have logged.
+				elapsed, applied := rt.adapt(now, rt.forks-1, eligible(stackless))
+				return rt.team, elapsed, applied
 			},
 			Rebound: func(ws []*task.Worker) {
 				cur = make([]*Proc, len(ws))
@@ -131,11 +84,7 @@ func (rt *Runtime) Tasks(name string, root func(p *TaskProc), opts ...TaskOption
 		}
 	}
 
-	r := task.NewRunner(task.Config{
-		Cluster:      rt.cluster,
-		ClosureBytes: cfg.closureBytes,
-		Hooks:        hooks,
-	})
+	r := task.NewRunner(task.Config{Cluster: rt.cluster, Hooks: hooks})
 	for _, p := range procs {
 		w := r.AddWorker(p.host, p.clk)
 		w.Data = &TaskProc{Proc: p, w: w}

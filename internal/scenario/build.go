@@ -6,11 +6,7 @@ import (
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/apps"
-	"nowomp/internal/dsm"
-	"nowomp/internal/machine"
 	"nowomp/internal/omp"
-	"nowomp/internal/simnet"
-	"nowomp/internal/simtime"
 )
 
 // The build layer turns a Spec into its omp.Config and, through Start
@@ -26,85 +22,51 @@ func (s Spec) Runner() (apps.Runner, error) {
 	return r, nil
 }
 
-// Config assembles the omp.Config the spec describes: a machine model
-// when the spec has speeds or loads (nil for a homogeneous pool), and a
-// fabric configurer when it has link overrides, validated here against
-// a throwaway fabric so errors surface now, not mid-construction.
+// Config is the omp.Config the spec describes, for the one caller that
+// needs it rather than a started runtime: a restore rebuilds the
+// runtime from its checkpoint.
 func (s Spec) Config() (omp.Config, error) {
-	proto, err := dsm.ParseProtocol(s.Protocol)
-	if err != nil {
-		return omp.Config{}, err
-	}
-	cfg := omp.Config{
-		Hosts: s.Hosts, Procs: s.Procs, Adaptive: s.Adaptive,
-		Grace: simtime.Seconds(s.Grace), Protocol: proto,
-	}
-	if s.Machines != "" || s.Loads != "" {
-		cfg.Machine = machine.New(s.Hosts)
-		if err := machine.ParseSpeeds(cfg.Machine, s.Machines); err != nil {
-			return omp.Config{}, err
-		}
-		if err := machine.ParseLoads(cfg.Machine, s.Loads); err != nil {
-			return omp.Config{}, err
-		}
-	}
-	if links := s.Links; links != "" {
-		if err := machine.ParseLinks(simnet.New(s.Hosts), links); err != nil {
-			return omp.Config{}, err
-		}
-		cfg.Links = func(f *simnet.Fabric) error { return machine.ParseLinks(f, links) }
-	}
-	return cfg, nil
+	p, err := s.parse()
+	return p.cfg, err
 }
 
 // Start is the one door from a spec to a runtime; Build, Execute and
 // through them every tool, the farm and every bench cell come through
-// it. It normalizes the spec — the only normalization on the path —
-// assembles the omp.Config, lets mod adjust it, constructs the runtime,
-// submits the schedule's events and applies the load policy. It returns
-// the canonical spec, the ready-to-run runtime and the events the
-// policy derived (nil without a policy).
+// it. It parses the spec — the only normalization on the path, and the
+// only parse of its machines, loads, schedule and policy — assembles the
+// omp.Config, lets mod adjust it, constructs the runtime, submits the
+// schedule's events and applies the load policy. It returns the
+// canonical spec, the ready-to-run runtime and the events the policy
+// derived (nil without a policy).
 //
 // mod (nil for none) is for what a canonical spec cannot say: the
 // ablations' Reassign and LeaveStrategy, which are not scenario axes,
 // and an explicit all-1.0 machine model with unit link scales, which
 // FormatSpeeds and FormatLinks canonicalise to the empty string.
 func (s Spec) Start(mod func(*omp.Config)) (Spec, *omp.Runtime, []adapt.Event, error) {
-	norm, err := s.Normalize()
-	if err != nil {
-		return Spec{}, nil, nil, err
-	}
-	cfg, err := norm.Config()
+	p, err := s.parse()
 	if err != nil {
 		return Spec{}, nil, nil, err
 	}
 	if mod != nil {
-		mod(&cfg)
+		mod(&p.cfg)
 	}
-	rt, err := omp.New(cfg)
+	rt, err := omp.New(p.cfg)
 	if err != nil {
 		return Spec{}, nil, nil, err
 	}
-	events, err := adapt.ParseSchedule(norm.Schedule)
-	if err != nil {
-		return Spec{}, nil, nil, err
-	}
-	for _, ev := range events {
+	for _, ev := range p.events {
 		if err := rt.Submit(ev); err != nil {
 			return Spec{}, nil, nil, err
 		}
 	}
 	var derived []adapt.Event
-	if norm.Policy != "" {
-		p, err := adapt.ParsePolicy(norm.Policy)
-		if err != nil {
-			return Spec{}, nil, nil, err
-		}
-		if derived, err = rt.ApplyLoadPolicy(p); err != nil {
+	if p.norm.Policy != "" {
+		if derived, err = rt.ApplyLoadPolicy(p.policy); err != nil {
 			return Spec{}, nil, nil, err
 		}
 	}
-	return norm, rt, derived, nil
+	return p.norm, rt, derived, nil
 }
 
 // Build is Start with no config hook, for callers that drive the

@@ -23,13 +23,16 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/apps"
 	"nowomp/internal/dsm"
 	"nowomp/internal/machine"
+	"nowomp/internal/omp"
 	"nowomp/internal/simnet"
+	"nowomp/internal/simtime"
 )
 
 // Spec is the complete description of one simulation scenario. The
@@ -91,17 +94,36 @@ const MaxHosts = 64
 // compact formats cannot change the hash). Normalize is idempotent —
 // normalizing a normalized spec is the identity.
 func (s Spec) Normalize() (Spec, error) {
+	p, err := s.parse()
+	return p.norm, err
+}
+
+// parsed is a spec in canonical form together with what its sub-spec
+// strings built on the way there, so the road from a spec to a runtime
+// (Start) parses each of them once: the omp.Config (its machine model
+// nil for a homogeneous pool; its link configurer applying the
+// canonical string, validated here, to the runtime's own fabric), the
+// schedule's events, and the policy when norm.Policy is not empty.
+type parsed struct {
+	norm   Spec
+	cfg    omp.Config
+	events []adapt.Event
+	policy adapt.LoadPolicy
+}
+
+// parse is Normalize keeping what it parsed.
+func (s Spec) parse() (parsed, error) {
 	if s.Kernel == "" {
 		s.Kernel = "jacobi"
 	}
 	if _, ok := apps.RunnerByName(s.Kernel); !ok {
-		return Spec{}, fmt.Errorf("scenario: unknown kernel %q", s.Kernel)
+		return parsed{}, fmt.Errorf("scenario: unknown kernel %q", s.Kernel)
 	}
 	if s.Scale == 0 {
 		s.Scale = DefaultScale
 	}
 	if !(s.Scale > 0 && s.Scale <= 4) { // NaN fails both comparisons
-		return Spec{}, fmt.Errorf("scenario: scale %g out of range (0, 4]", s.Scale)
+		return parsed{}, fmt.Errorf("scenario: scale %g out of range (0, 4]", s.Scale)
 	}
 	if s.Procs == 0 {
 		s.Procs = DefaultProcs
@@ -110,82 +132,90 @@ func (s Spec) Normalize() (Spec, error) {
 		s.Hosts = DefaultHosts
 	}
 	if s.Procs < 1 {
-		return Spec{}, fmt.Errorf("scenario: procs %d must be at least 1", s.Procs)
+		return parsed{}, fmt.Errorf("scenario: procs %d must be at least 1", s.Procs)
 	}
 	if s.Hosts < s.Procs {
-		return Spec{}, fmt.Errorf("scenario: hosts %d must cover the team of %d", s.Hosts, s.Procs)
+		return parsed{}, fmt.Errorf("scenario: hosts %d must cover the team of %d", s.Hosts, s.Procs)
 	}
 	if s.Hosts > MaxHosts {
-		return Spec{}, fmt.Errorf("scenario: hosts %d exceeds the pool cap %d", s.Hosts, MaxHosts)
+		return parsed{}, fmt.Errorf("scenario: hosts %d exceeds the pool cap %d", s.Hosts, MaxHosts)
 	}
 	if s.Grace == 0 {
 		s.Grace = float64(adapt.DefaultGrace)
 	}
 	if !(s.Grace >= 0) || math.IsInf(s.Grace, 0) { // NaN fails the comparison
-		return Spec{}, fmt.Errorf("scenario: grace %g must be a non-negative finite number", s.Grace)
+		return parsed{}, fmt.Errorf("scenario: grace %g must be a non-negative finite number", s.Grace)
 	}
-	proto, err := dsm.ParseProtocol(s.Protocol)
-	if err != nil {
-		return Spec{}, err
+	var p parsed
+	var err error
+	if p.cfg.Protocol, err = dsm.ParseProtocol(s.Protocol); err != nil {
+		return parsed{}, err
 	}
-	s.Protocol = proto.String()
+	s.Protocol = p.cfg.Protocol.String()
 
 	// Round-trip the heterogeneity sub-specs through one model so the
 	// canonical strings are exactly what Format* emits.
 	if s.Machines != "" || s.Loads != "" {
 		m := machine.New(s.Hosts)
 		if err := machine.ParseSpeeds(m, s.Machines); err != nil {
-			return Spec{}, err
+			return parsed{}, err
 		}
 		if err := machine.ParseLoads(m, s.Loads); err != nil {
-			return Spec{}, err
+			return parsed{}, err
 		}
 		s.Machines = machine.FormatSpeeds(m)
 		s.Loads = machine.FormatLoads(m)
+		if s.Machines != "" || s.Loads != "" {
+			p.cfg.Machine = m
+		}
 	}
 	if s.Links != "" {
 		f := simnet.New(s.Hosts)
 		if err := machine.ParseLinks(f, s.Links); err != nil {
-			return Spec{}, err
+			return parsed{}, err
 		}
-		s.Links = machine.FormatLinks(f)
+		if s.Links = machine.FormatLinks(f); s.Links != "" {
+			links := s.Links
+			p.cfg.Links = func(f *simnet.Fabric) error { return machine.ParseLinks(f, links) }
+		}
 	}
 	if s.Policy != "" {
-		p, err := adapt.ParsePolicy(s.Policy)
-		if err != nil {
-			return Spec{}, err
+		if p.policy, err = adapt.ParsePolicy(s.Policy); err != nil {
+			return parsed{}, err
 		}
 		if !s.Adaptive {
-			return Spec{}, fmt.Errorf("scenario: a policy requires adaptive")
+			return parsed{}, fmt.Errorf("scenario: a policy requires adaptive")
 		}
 		if s.Loads == "" {
-			return Spec{}, fmt.Errorf("scenario: a policy needs load traces to watch")
+			return parsed{}, fmt.Errorf("scenario: a policy needs load traces to watch")
 		}
-		s.Policy = adapt.FormatPolicy(p)
+		s.Policy = adapt.FormatPolicy(p.policy)
 	}
 	if s.Schedule != "" {
-		events, err := adapt.ParseSchedule(s.Schedule)
-		if err != nil {
-			return Spec{}, err
+		if p.events, err = adapt.ParseSchedule(s.Schedule); err != nil {
+			return parsed{}, err
 		}
 		if !s.Adaptive {
-			return Spec{}, fmt.Errorf("scenario: a schedule requires adaptive")
+			return parsed{}, fmt.Errorf("scenario: a schedule requires adaptive")
 		}
 		// Validate every event against this scenario's pool: the adapt
 		// manager trusts event hosts (a join of a host outside the pool
 		// would panic mid-run), so the spec layer is where a bad host id
 		// must be rejected with a stable error.
-		for _, ev := range events {
+		for _, ev := range p.events {
 			if int(ev.Host) >= s.Hosts {
-				return Spec{}, fmt.Errorf("scenario: schedule event host %d not in pool [0,%d)", ev.Host, s.Hosts)
+				return parsed{}, fmt.Errorf("scenario: schedule event host %d not in pool [0,%d)", ev.Host, s.Hosts)
 			}
 			if ev.Kind == adapt.KindLeave && ev.Host == 0 {
-				return Spec{}, fmt.Errorf("scenario: schedule cannot leave host 0 (the master)")
+				return parsed{}, fmt.Errorf("scenario: schedule cannot leave host 0 (the master)")
 			}
 		}
-		s.Schedule = adapt.FormatSchedule(events)
+		s.Schedule = adapt.FormatSchedule(p.events)
 	}
-	return s, nil
+	p.cfg.Hosts, p.cfg.Procs = s.Hosts, s.Procs
+	p.cfg.Adaptive, p.cfg.Grace = s.Adaptive, simtime.Seconds(s.Grace)
+	p.norm = s
+	return p, nil
 }
 
 // Canonical returns the deterministic JSON encoding of the spec's
@@ -228,13 +258,18 @@ func hashOf(canonical []byte) string {
 
 // Decode parses a JSON scenario spec. Unknown fields are rejected so a
 // typoed field name fails loudly instead of silently meaning "default"
-// (and hashing as a different scenario than the client intended).
+// (and hashing as a different scenario than the client intended), and so
+// is anything but whitespace after the object: a body holding two specs
+// is not a request for the first.
 func Decode(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("scenario: decode: data after the spec object")
 	}
 	return s, nil
 }

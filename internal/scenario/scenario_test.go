@@ -113,6 +113,26 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A body is one spec: whatever follows the object, short of whitespace,
+// is not silently dropped.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"kernel":"jacobi"} {"kernel":"gauss"} junk`,
+		`{"kernel":"jacobi"}{"kernel":"gauss"}`,
+		`{"kernel":"jacobi"} junk`,
+		`{"kernel":"jacobi"}]`,
+		`{"kernel":"jacobi"} 0`,
+	} {
+		if s, err := Decode([]byte(body)); err == nil {
+			t.Errorf("Decode(%s) = %+v, want an error", body, s)
+		}
+	}
+	s, err := Decode([]byte("  {\"kernel\":\"jacobi\"} \n\t\r\n"))
+	if err != nil || s.Kernel != "jacobi" {
+		t.Errorf("Decode with surrounding whitespace = (%+v, %v), want jacobi", s, err)
+	}
+}
+
 func TestRunDeterministicAndVerified(t *testing.T) {
 	s := Spec{Kernel: "jacobi", Scale: 0.03, Procs: 4, Hosts: 6, Verify: true}
 	r1, err := s.Run()

@@ -12,11 +12,10 @@ import (
 // requests, closure shipments and completion notices.
 const msgHeader = dsm.MsgHeader
 
-// DefaultClosureBytes is the wire size assumed for a task closure when
-// the embedding runtime does not override it: a function pointer plus
-// a handful of captured scalars, as the SUIF-style outlining of a task
-// body would produce.
-const DefaultClosureBytes = 64
+// ClosureBytes is the wire size charged for one task closure shipped on
+// a steal or a re-home: a function pointer plus a handful of captured
+// scalars, as the SUIF-style outlining of a task body would produce.
+const ClosureBytes = 64
 
 // AdaptHooks connects the scheduler to the adaptation machinery of the
 // embedding runtime. All three callbacks run with every other worker
@@ -41,9 +40,6 @@ type AdaptHooks struct {
 type Config struct {
 	// Cluster is the DSM substrate tasks ship across.
 	Cluster *dsm.Cluster
-	// ClosureBytes is the wire size of one shipped task closure
-	// (0 = DefaultClosureBytes).
-	ClosureBytes int
 	// Hooks enables adaptation at task scheduling points; nil runs the
 	// region with a fixed team.
 	Hooks *AdaptHooks
@@ -77,9 +73,6 @@ type Runner struct {
 func NewRunner(cfg Config) *Runner {
 	if cfg.Cluster == nil {
 		panic("task: Config.Cluster is required")
-	}
-	if cfg.ClosureBytes <= 0 {
-		cfg.ClosureBytes = DefaultClosureBytes
 	}
 	return &Runner{
 		cfg:   cfg,
@@ -185,9 +178,9 @@ func (s *Runner) steal(w, v *Worker) *Task {
 	thief, victim := w.host.Machine(), v.host.Machine()
 	w.clk.AdvanceTo(t.at)
 	fab.Record(thief, victim, msgHeader)
-	fab.Record(victim, thief, s.cfg.ClosureBytes+msgHeader)
+	fab.Record(victim, thief, ClosureBytes+msgHeader)
 	w.clk.Advance(costs.RoundTrip(thief, victim) + 2*costs.MsgOverhead(thief) +
-		costs.Wire(victim, thief, s.cfg.ClosureBytes+msgHeader))
+		costs.Wire(victim, thief, ClosureBytes+msgHeader))
 
 	// Release on the victim (charged to the waiting thief), acquire on
 	// the thief: the task may read anything written before the steal.
@@ -195,7 +188,7 @@ func (s *Runner) steal(w, v *Worker) *Task {
 	s.cfg.Cluster.AcquireInterval(w.host, w.clk)
 
 	s.stats.Steals++
-	s.stats.StealBytes += int64(s.cfg.ClosureBytes)
+	s.stats.StealBytes += int64(ClosureBytes)
 	// Like popOwn: shortening v's deque can switch other thieves to an
 	// older victim task, moving their wake instants earlier.
 	s.wake.Notify()
@@ -311,14 +304,14 @@ func (s *Runner) rebind(team []dsm.HostID, at simtime.Seconds) {
 		for _, t := range w.deque {
 			dst := next[rr%len(next)]
 			rr++
-			fab.Record(w.host.Machine(), dst.host.Machine(), s.cfg.ClosureBytes+msgHeader)
+			fab.Record(w.host.Machine(), dst.host.Machine(), ClosureBytes+msgHeader)
 			dst.clk.Advance(costs.MsgOverhead(dst.host.Machine()) +
-				costs.Wire(w.host.Machine(), dst.host.Machine(), s.cfg.ClosureBytes+msgHeader))
+				costs.Wire(w.host.Machine(), dst.host.Machine(), ClosureBytes+msgHeader))
 			t.at = at
 			t.rehomed = true
 			dst.deque = append(dst.deque, t)
 			s.stats.Rehomed++
-			s.stats.RehomeBytes += int64(s.cfg.ClosureBytes)
+			s.stats.RehomeBytes += int64(ClosureBytes)
 		}
 		w.deque = nil
 		w.retired = true

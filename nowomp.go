@@ -214,7 +214,7 @@ func WithReduce(identity float64, op func(a, b float64) float64) ForOption {
 	return omp.WithReduce(identity, op)
 }
 
-// Tasking. rt.Tasks(name, root, opts...) runs one work-stealing task
+// Tasking. rt.Tasks(name, root) runs one work-stealing task
 // region: the root task executes on the master, task bodies spawn
 // children with p.Spawn and wait for them with p.TaskWait, and idle
 // processes steal — with steal traffic, closure shipping and the
@@ -225,16 +225,10 @@ func WithReduce(identity float64, op func(a, b float64) float64) ForOption {
 type (
 	// TaskProc is the per-process handle passed to task bodies.
 	TaskProc = omp.TaskProc
-	// TaskOption configures one Tasks region.
-	TaskOption = omp.TaskOption
 	// TaskStats reports a region's scheduling activity (steals,
 	// re-homed tasks, migrated executions, adaptations).
 	TaskStats = omp.TaskStats
 )
-
-// WithClosureBytes sets the wire size charged for one shipped task
-// closure on a steal or re-home.
-func WithClosureBytes(n int) TaskOption { return omp.WithClosureBytes(n) }
 
 // Sentinel errors for errors.Is.
 var (
