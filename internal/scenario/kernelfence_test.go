@@ -1,0 +1,129 @@
+package scenario
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestKernelFence pins the encoded Result of nbf and fft3d — simulated
+// seconds, bytes, messages, pages, diffs, checksum, team and
+// adaptations — under every protocol at 1, 3, 4 and 6 processes, each
+// steady, through a join/leave pair and on machines of mixed speeds,
+// plus nbf at 6 processes on the scales the benchmark's notes once said
+// trip the word-race check. Every case verifies against the sequential
+// reference. The golden was captured before the two kernels' host-side
+// arithmetic and partner gathering were rewritten; a host-time change
+// to either must reproduce it unedited.
+//
+// Regenerate with NOWOMP_REGEN_GOLDEN=kernels, and only for an intended
+// cost or protocol change.
+func TestKernelFence(t *testing.T) {
+	var out strings.Builder
+	for _, c := range kernelFenceCases() {
+		res, err := c.spec.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Adaptations != c.adaptations {
+			t.Fatalf("%s: %d adaptations, want %d", c.name, res.Adaptations, c.adaptations)
+		}
+		b, err := res.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "== %s\n%s", c.name, b)
+	}
+	got := out.String()
+	path := filepath.Join("testdata", "kernelfence.golden")
+	if os.Getenv("NOWOMP_REGEN_GOLDEN") == "kernels" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	name := ""
+	for i := range gl {
+		if strings.HasPrefix(gl[i], "== ") {
+			name = gl[i][3:]
+		}
+		if i >= len(wl) || gl[i] != wl[i] {
+			w := "<end of golden>"
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Fatalf("%s: case %s, first difference at line %d\n got: %s\nwant: %s", path, name, i+1, gl[i], w)
+		}
+	}
+	t.Fatalf("%s: transcript is %d lines, golden %d", path, len(gl), len(wl))
+}
+
+type fenceCase struct {
+	name        string
+	spec        Spec
+	adaptations int
+}
+
+// fenceSpeeds are the mixed machine speeds, machine i at fenceSpeeds[i].
+var fenceSpeeds = []string{"1", "0.5", "2", "0.75", "1.5", "0.6", "1.25"}
+
+// kernelFenceCases lists the fence. Each team runs on p+1 hosts, so a
+// spare host can join. A join matures 0.75 virtual seconds after it is
+// raised (spawn plus connection setup), longer than a full-speed run at
+// these scales, so the join/leave cases run on uniformly slow machines:
+// the spare joins at t=0 and host 1 (for p=1 the joined spare) leaves
+// at t=1, and both must apply.
+func kernelFenceCases() []fenceCase {
+	var cs []fenceCase
+	for _, kernel := range []string{"nbf", "fft3d"} {
+		for _, proto := range []string{"tmk", "hlrc", "hybrid"} {
+			for _, p := range []int{1, 3, 4, 6} {
+				base := Spec{Kernel: kernel, Scale: 0.06, Procs: p, Hosts: p + 1, Protocol: proto, Verify: true}
+				name := fmt.Sprintf("%s/%s/%dp", kernel, proto, p)
+				cs = append(cs, fenceCase{name: name + "/steady", spec: base})
+
+				adaptive := base
+				adaptive.Adaptive = true
+				adaptive.Machines = fenceMachines(p+1, func(int) string { return "0.05" })
+				adaptive.Schedule = fmt.Sprintf("0:join:%d,1:leave:1", p)
+				cs = append(cs, fenceCase{name: name + "/join-leave", spec: adaptive, adaptations: 2})
+
+				mixed := base
+				mixed.Machines = fenceMachines(p+1, func(i int) string { return fenceSpeeds[i] })
+				cs = append(cs, fenceCase{name: name + "/mixed-speeds", spec: mixed})
+			}
+		}
+	}
+	for _, proto := range []string{"tmk", "hlrc", "hybrid"} {
+		for _, scale := range []float64{0.065, 0.14, 0.17, 0.22} {
+			cs = append(cs, fenceCase{
+				name: fmt.Sprintf("nbf/%s/6p/scale-%g", proto, scale),
+				spec: Spec{Kernel: "nbf", Scale: scale, Procs: 6, Hosts: 6, Protocol: proto, Verify: true},
+			})
+		}
+	}
+	return cs
+}
+
+// fenceMachines renders a ParseSpeeds spec giving machine i of hosts
+// the speed speed(i).
+func fenceMachines(hosts int, speed func(int) string) string {
+	parts := make([]string, hosts)
+	for i := range parts {
+		parts[i] = fmt.Sprintf("%d=%s", i, speed(i))
+	}
+	return strings.Join(parts, ",")
+}
