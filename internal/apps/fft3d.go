@@ -100,10 +100,20 @@ func RunFFT3D(rt *omp.Runtime, cfg FFT3DConfig) (Result, error) {
 		p.ChargeUnits(hi-lo, InitCostPerElement)
 	})
 
+	// One transform plan per distinct dimension, shared by every pass
+	// and process of the run (plans are read-only once built).
+	plans := map[int]*fftPlan{}
+	for _, d := range []int{cfg.NX, cfg.NY, cfg.NZ} {
+		if plans[d] == nil {
+			plans[d] = newFFTPlan(d)
+		}
+	}
+
 	cur := 0
 	dx, dy, dz := cfg.NX, cfg.NY, cfg.NZ
 	for it := 0; it < cfg.Iters; it++ {
 		src, dst := arrs[cur], arrs[1-cur]
+		planX, planY, planZ := plans[dx], plans[dy], plans[dz]
 
 		// Passes 1 and 2: transform along z, then along y, inside each
 		// x-plane. Planes are contiguous and block-partitioned, so this
@@ -115,13 +125,13 @@ func RunFFT3D(rt *omp.Runtime, cfg FFT3DConfig) (Result, error) {
 			for x := lo; x < hi; x++ {
 				src.ReadRange(p.Mem(), x*dyz, (x+1)*dyz, plane)
 				for y := 0; y < dy; y++ {
-					fft1D(plane[y*dz : (y+1)*dz])
+					planZ.transform(plane[y*dz : (y+1)*dz])
 				}
 				for z := 0; z < dz; z++ {
 					for y := 0; y < dy; y++ {
 						col[y] = plane[y*dz+z]
 					}
-					fft1D(col)
+					planY.transform(col)
 					for y := 0; y < dy; y++ {
 						plane[y*dz+z] = col[y]
 					}
@@ -174,14 +184,14 @@ func RunFFT3D(rt *omp.Runtime, cfg FFT3DConfig) (Result, error) {
 				for y := 0; y < dy; y++ {
 					off := (z*dy + y) * dx
 					if s := dst.WriteSpan(p.Mem(), off, off+dx); len(s) == dx {
-						fft1D(s)
+						planX.transform(s)
 						continue
 					}
 					if row == nil {
 						row = make([]complex128, dx)
 					}
 					dst.ReadRange(p.Mem(), off, off+dx, row)
-					fft1D(row)
+					planX.transform(row)
 					dst.WriteRange(p.Mem(), off, row)
 				}
 			}

@@ -86,6 +86,69 @@ func TestFFTNonPow2Panics(t *testing.T) {
 	fft1D(make([]complex128, 12))
 }
 
+// fftSpecials are the special parts the plan test laces its inputs
+// with; the one NaN is the hardware's (see hwNaN64).
+var fftSpecials = []float64{
+	hwNaN64, math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.Float64frombits(0x000fffffffffffff),
+	math.MaxFloat64, -math.MaxFloat64,
+}
+
+// TestFFTPlanMatchesFFT1D holds a plan's transform to fft1D bit for
+// bit at every power-of-two length the kernel can meet, through the
+// same plan four times (a plan is reused and must keep no state): two
+// random inputs spread over many binades, one with a single element
+// special in both parts, one with about one part in eight special.
+func TestFFTPlanMatchesFFT1D(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := func() float64 { return fftSpecials[rng.Intn(len(fftSpecials))] }
+	for n := 1; n <= 4096; n *= 2 {
+		p := newFFTPlan(n)
+		for round := 0; round < 4; round++ {
+			x := make([]complex128, n)
+			one := rng.Intn(n)
+			for i := range x {
+				re, im := rng.NormFloat64()*math.Ldexp(1, rng.Intn(41)-20), rng.NormFloat64()
+				switch {
+				case round == 2 && i == one:
+					re, im = special(), special()
+				case round == 3 && rng.Intn(8) == 0:
+					re = special()
+				case round == 3 && rng.Intn(8) == 0:
+					im = special()
+				}
+				x[i] = complex(re, im)
+			}
+			want := append([]complex128(nil), x...)
+			fft1D(want)
+			p.transform(x)
+			for i := range x {
+				if math.Float64bits(real(x[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(x[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("n=%d round %d: plan[%d] = %v, fft1D %v", n, round, i, x[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestFFTPlanRejectsWrongLengths(t *testing.T) {
+	for _, f := range []func(){
+		func() { newFFTPlan(0) },
+		func() { newFFTPlan(12) },
+		func() { newFFTPlan(8).transform(make([]complex128, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want a panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestFFTLengthOne(t *testing.T) {
 	x := []complex128{3 + 4i}
 	fft1D(x)

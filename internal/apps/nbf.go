@@ -92,12 +92,15 @@ func nbfInitPos(i int, d int) float64 {
 	return float64((i*7+d*13)%1000)/1000 + float64(i)*1e-6
 }
 
-// nbfForce is the softened inverse-square pair interaction.
+// nbfForce is the softened inverse-square pair interaction. The
+// conversions round every product before it is added, so a compiler
+// that fuses a multiply into an add (arm64 and s390x today; GOAMD64=v3
+// is allowed to) computes the same bits as the unfused SSE2 nbfSum.
 func nbfForce(xi, yi, zi, xj, yj, zj float64) (fx, fy, fz float64) {
 	dx, dy, dz := xj-xi, yj-yi, zj-zi
-	r2 := dx*dx + dy*dy + dz*dz + 0.01
+	r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz) + 0.01
 	inv := 1 / (r2 * r2)
-	return dx * inv, dy * inv, dz * inv
+	return float64(dx * inv), float64(dy * inv), float64(dz * inv)
 }
 
 const nbfDT = 1e-7
@@ -166,48 +169,42 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 		p.ChargeUnits((hi-lo)*(k+6), InitCostPerElement)
 	})
 
-	// The force phase's seven work slices are fully overwritten before
-	// they are read, every iteration, so they are reused across
-	// iterations.
+	// The force phase's work slices and page table are fully
+	// overwritten before they are read, every iteration, so they are
+	// reused across iterations.
 	var floats scratch[float64]
 	var lists scratch[int32]
+	var tables scratch[shmem.PageRef]
 	for it := 0; it < cfg.Iters; it++ {
 		// Force phase: irregular reads of partner positions.
 		rt.For("nbf.force", 0, n, func(p *omp.Proc, lo, hi int) {
 			cnt := hi - lo
 			fx, fy, fz := floats.get(cnt), floats.get(cnt), floats.get(cnt)
 			px, py, pz := floats.get(cnt), floats.get(cnt), floats.get(cnt)
+			xs, ys, zs := floats.get(k), floats.get(k), floats.get(k)
 			pos[0].ReadRange(p.Mem(), lo, hi, px)
 			pos[1].ReadRange(p.Mem(), lo, hi, py)
 			pos[2].ReadRange(p.Mem(), lo, hi, pz)
 			plist := lists.get(cnt * stride)
 			partners.ReadRange(p.Mem(), lo*stride, hi*stride, plist)
-			// Partner positions are irregular random reads: the bundled
-			// fault-aware reader resolves each index once and serves all
-			// three components straight from page memory (faulting
-			// exactly when per-component Gets would) without the
-			// per-element accessor and decode overhead — the dominant
-			// cost of this kernel at full scale.
-			pv := shmem.Readers3(p.Mem(), pos[0], pos[1], pos[2])
+			// Partner positions are irregular random reads, the dominant
+			// cost of this kernel at full scale: each atom's partners are
+			// gathered through a page table this body resolves once per
+			// page (faulting exactly when per-element Gets would) and
+			// summed by nbfSum (on amd64, two partners a register).
+			table := tables.get(pos[0].Pages())
+			pv := shmem.Readers3(p.Mem(), pos[0], pos[1], pos[2], table)
 			for i := 0; i < cnt; i++ {
-				var sx, sy, sz float64
-				xi, yi, zi := px[i], py[i], pz[i]
-				row := plist[i*stride : i*stride+k]
-				for _, jj := range row {
-					xj, yj, zj := pv.Get3(int(jj))
-					dx, dy, dz := nbfForce(xi, yi, zi, xj, yj, zj)
-					sx += dx
-					sy += dy
-					sz += dz
-				}
-				fx[i], fy[i], fz[i] = sx, sy, sz
+				pv.Gather3(plist[i*stride:i*stride+k], xs, ys, zs)
+				fx[i], fy[i], fz[i] = nbfSum(px[i], py[i], pz[i], xs, ys, zs)
 			}
 			frc[0].WriteRange(p.Mem(), lo, fx)
 			frc[1].WriteRange(p.Mem(), lo, fy)
 			frc[2].WriteRange(p.Mem(), lo, fz)
 			p.ChargeUnits(cnt*k, cfg.PairCost)
-			floats.put(fx, fy, fz, px, py, pz)
+			floats.put(fx, fy, fz, px, py, pz, xs, ys, zs)
 			lists.put(plist)
+			tables.put(table)
 		})
 
 		// Integration phase: each process updates its own positions.

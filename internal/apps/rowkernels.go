@@ -1,19 +1,21 @@
 package apps
 
 // The two float32 row primitives under Gauss's elimination and
-// Jacobi's stencil. axpySub and stencil5 are Plan 9 assembly on amd64
+// Jacobi's stencil, and the float64 partner sum under NBF's force loop.
+// axpySub, stencil5 and nbfSum are Plan 9 assembly on amd64
 // (rowkernels_amd64.s, SSE2 only, which GOAMD64=v1 guarantees, so
 // nothing is probed or dispatched) and these Go loops on every other
 // GOARCH (rowkernels_other.go). The Go loops are compiled everywhere
 // under their own names as the oracle the assembly is held to bit for
-// bit (TestRowKernelsMatchGo): a packed IEEE single operation rounds
-// each lane exactly as its scalar form, nothing is fused and the
-// association order is the one written here.
+// bit (TestRowKernelsMatchGo, TestNBFSumMatchesGo): a packed IEEE
+// operation rounds each lane exactly as its scalar form, nothing is
+// fused and the association order is the one written here.
 //
 // All of them work on the common prefix of their arguments, so a short
 // argument shortens the call instead of reaching past a slice; dst and
 // out must not overlap an input. Kernels call them once per
-// page-bounded chunk (at most page.Size/4 elements, ~100 ns), which
+// page-bounded chunk (at most page.Size/4 elements, ~100 ns) or once
+// per atom (one partner list, 80 partners at the paper's size), which
 // keeps a NOSPLIT leaf from holding off a stop-the-world.
 
 // axpySubGo computes dst[i] -= a*x[i]. The conversion stops the
@@ -45,6 +47,20 @@ func stencil5Go(out, up, down, mid []float32) {
 	for q := range out {
 		out[q] = 0.25 * (up[q] + down[q] + left[q] + right[q])
 	}
+}
+
+// nbfSumGo returns the summed force of the partners at (xs[j], ys[j],
+// zs[j]) on the atom at (xi, yi, zi): nbfForce of each partner in
+// order, each axis summed from +0, j below the shortest length.
+func nbfSumGo(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64) {
+	n := min(len(xs), len(ys), len(zs))
+	for j := 0; j < n; j++ {
+		fx, fy, fz := nbfForce(xi, yi, zi, xs[j], ys[j], zs[j])
+		sx += fx
+		sy += fy
+		sz += fz
+	}
+	return sx, sy, sz
 }
 
 // AxpySub, AxpySubGo, Stencil5 and Stencil5Go name the primitives and

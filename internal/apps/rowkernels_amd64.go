@@ -13,3 +13,10 @@ func axpySub(dst, x []float32, a float32)
 //
 //go:noescape
 func stencil5(out, up, down, mid []float32)
+
+// nbfSum sums the forces of one atom's partners, two partners an
+// iteration. See rowkernels.go for the contract and nbfSumGo for the
+// oracle.
+//
+//go:noescape
+func nbfSum(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64)

@@ -1,12 +1,13 @@
 #include "textflag.h"
 
 // SSE2 only (the GOAMD64=v1 baseline): MOVUPS/MULPS/SUBPS/ADDPS and
-// their SS forms for the tail. Every load is unaligned, because a span
-// starts at any 4-byte offset into a page, and every memory operand
-// goes through MOVUPS first: a packed arithmetic instruction with a
-// memory source faults on an address that is not 16-byte aligned.
-// Operand order follows the Go oracles (rowkernels.go), one rounding
-// per operation, nothing fused.
+// their SS forms for the tail, and the PD/SD forms for nbfSum. Every
+// load is unaligned, because a span starts at any 4-byte offset into a
+// page (and a gathered partner list anywhere in its slice), and every
+// memory operand goes through MOVUPS/MOVUPD first: a packed arithmetic
+// instruction with a memory source faults on an address that is not
+// 16-byte aligned. Operand order follows the Go oracles
+// (rowkernels.go), one rounding per operation, nothing fused.
 
 // func axpySub(dst, x []float32, a float32)
 // dst[i] -= a*x[i] for i < min(len(dst), len(x)).
@@ -137,4 +138,113 @@ stenciltail:
 	JNZ   stenciltail
 
 stencildone:
+	RET
+
+// func nbfSum(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64)
+// For j < n, the shortest of the three lengths, d = (xs[j]-xi,
+// ys[j]-yi, zs[j]-zi), r2 = ((dx*dx + dy*dy) + dz*dz) + 0.01 and
+// inv = 1/(r2*r2); sx += dx*inv, sy += dy*inv, sz += dz*inv, from +0, in
+// j order. Two partners an iteration: one packed pass computes both
+// lanes' forces, then lane 0 and then lane 1 is added to each sum, so
+// the sums see the partners in order; a scalar step takes an odd last
+// one.
+TEXT ·nbfSum(SB), NOSPLIT, $0-120
+	MOVSD xi+0(FP), X0
+	UNPCKLPD X0, X0         // xi in both lanes
+	MOVSD yi+8(FP), X1
+	UNPCKLPD X1, X1
+	MOVSD zi+16(FP), X2
+	UNPCKLPD X2, X2
+	MOVQ $0x3f847ae147ae147b, AX // float64(0.01)
+	MOVQ AX, X3
+	UNPCKLPD X3, X3
+	MOVQ $0x3ff0000000000000, AX // float64(1)
+	MOVQ AX, X4
+	UNPCKLPD X4, X4
+	XORPS X5, X5            // sx = +0
+	XORPS X6, X6            // sy
+	XORPS X7, X7            // sz
+	MOVQ xs_base+24(FP), SI
+	MOVQ xs_len+32(FP), CX
+	MOVQ ys_base+48(FP), DI
+	MOVQ ys_len+56(FP), DX
+	CMPQ DX, CX
+	CMOVQLT DX, CX
+	MOVQ zs_base+72(FP), R8
+	MOVQ zs_len+80(FP), DX
+	CMPQ DX, CX
+	CMOVQLT DX, CX          // CX = n
+	MOVQ CX, BX
+	SHRQ $1, BX
+	JZ   nbf1
+
+nbf2:
+	MOVUPD (SI), X8
+	SUBPD  X0, X8           // dx = xj-xi
+	MOVUPD (DI), X9
+	SUBPD  X1, X9           // dy
+	MOVUPD (R8), X10
+	SUBPD  X2, X10          // dz
+	MOVAPD X8, X11
+	MULPD  X8, X11          // dx*dx
+	MOVAPD X9, X12
+	MULPD  X9, X12          // dy*dy
+	ADDPD  X12, X11         // dx*dx + dy*dy
+	MOVAPD X10, X12
+	MULPD  X10, X12         // dz*dz
+	ADDPD  X12, X11         // + dz*dz
+	ADDPD  X3, X11          // + 0.01 = r2
+	MULPD  X11, X11         // r2*r2
+	MOVAPD X4, X12
+	DIVPD  X11, X12         // inv = 1/(r2*r2)
+	MULPD  X12, X8          // dx*inv
+	MULPD  X12, X9          // dy*inv
+	MULPD  X12, X10         // dz*inv
+	ADDSD  X8, X5           // lane 0
+	ADDSD  X9, X6
+	ADDSD  X10, X7
+	UNPCKHPD X8, X8         // lane 1 down to lane 0
+	UNPCKHPD X9, X9
+	UNPCKHPD X10, X10
+	ADDSD  X8, X5           // lane 1
+	ADDSD  X9, X6
+	ADDSD  X10, X7
+	ADDQ   $16, SI
+	ADDQ   $16, DI
+	ADDQ   $16, R8
+	DECQ   BX
+	JNZ    nbf2
+
+nbf1:
+	ANDQ $1, CX
+	JZ   nbfdone
+	MOVSD (SI), X8
+	SUBSD X0, X8
+	MOVSD (DI), X9
+	SUBSD X1, X9
+	MOVSD (R8), X10
+	SUBSD X2, X10
+	MOVSD X8, X11
+	MULSD X8, X11
+	MOVSD X9, X12
+	MULSD X9, X12
+	ADDSD X12, X11
+	MOVSD X10, X12
+	MULSD X10, X12
+	ADDSD X12, X11
+	ADDSD X3, X11
+	MULSD X11, X11
+	MOVSD X4, X12
+	DIVSD X11, X12
+	MULSD X12, X8
+	MULSD X12, X9
+	MULSD X12, X10
+	ADDSD X8, X5
+	ADDSD X9, X6
+	ADDSD X10, X7
+
+nbfdone:
+	MOVSD X5, sx+96(FP)
+	MOVSD X6, sy+104(FP)
+	MOVSD X7, sz+112(FP)
 	RET

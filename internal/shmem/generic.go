@@ -73,6 +73,9 @@ func (a *Array[T]) Len() int { return a.n }
 // Region exposes the backing region (checkpoint and test hook).
 func (a *Array[T]) Region() *dsm.Region { return a.region }
 
+// Pages returns the number of DSM pages the array spans.
+func (a *Array[T]) Pages() int { return a.region.NPages }
+
 func (a *Array[T]) check(lo, hi int) {
 	if lo < 0 || hi > a.n || lo > hi {
 		panic(fmt.Sprintf("shmem: range [%d,%d) outside array %q of %d elements",

@@ -165,7 +165,9 @@ func TestBoundsPanics(t *testing.T) {
 	mx, _ := AllocMatrix[float64](c, "m", 4, 4)
 	short, _ := Alloc[float64](c, "short", 9)
 	rd := a.Reader(ctxs[0])
-	rd3 := Readers3(ctxs[0], a, a, a)
+	table := make([]PageRef, a.Pages())
+	rd3 := Readers3(ctxs[0], a, a, a, table)
+	one := make([]float64, 1)
 	cases := []func(){
 		func() { a.Get(ctxs[0], 10) },
 		func() { a.Set(ctxs[0], -1, 0) },
@@ -182,8 +184,11 @@ func TestBoundsPanics(t *testing.T) {
 		func() { mx.WriteRowRange(ctxs[0], 0, 3, make([]float64, 2)) },
 		func() { rd.Get(10) },
 		func() { rd.Get(-1) },
-		func() { rd3.Get3(10) },
-		func() { Readers3(ctxs[0], a, a, short) },
+		func() { rd3.Gather3([]int32{10}, one, one, one) },
+		func() { rd3.Gather3([]int32{-1}, one, one, one) },
+		func() { rd3.Gather3([]int32{0, 1}, one, one, one) }, // outputs too short
+		func() { Readers3(ctxs[0], a, a, short, table) },
+		func() { Readers3(ctxs[0], a, a, a, nil) }, // no table entry for page 0
 	}
 	for i, f := range cases {
 		func() {

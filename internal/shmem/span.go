@@ -134,22 +134,49 @@ func panicIndex(i, n int) {
 
 // Reader3 bundles three same-shape arrays — a structure-of-arrays
 // vector field, like the nbf position components — into one
-// fault-aware view: Get3 resolves the page index and in-page offset
-// once and serves all three components from it. Faults fire in
-// component order (first, second, third), exactly as three Gets would.
+// fault-aware gather view over a page table. The first time Gather3
+// meets a page it calls ReadPage on the first, second and third array
+// in that order, faulting exactly when and in the order three Gets of
+// that element would, and records the three pages' memory in the
+// table; every later element on that page loads straight through the
+// table, with no validity test.
+//
+// That is sound for one construct body and no longer: a page this
+// process has made valid stays valid, with its memory in place, until
+// the process next synchronises (only its own acquire or barrier
+// invalidates a page, and a fault replaces the memory of the faulting
+// page only). So a Reader3 must not outlive the body that made it.
 type Reader3[T Element] struct {
 	p0, p1, p2 dsm.PageView
 	n          int
 	elem       int
 	shift      uint
 	mask       int
+	table      []PageRef
 }
 
-// Readers3 returns a bundled view of three arrays of identical length.
-func Readers3[T Element](m Context, a0, a1, a2 *Array[T]) Reader3[T] {
+// PageRef is one entry of a Reader3's page table: the three arrays'
+// memory of one page, nil until the page is first touched. A kernel
+// keeps its tables in per-run scratch, so making a reader allocates
+// nothing.
+type PageRef struct {
+	p0, p1, p2 unsafe.Pointer
+}
+
+// Readers3 returns a bundled gather view of three arrays of identical
+// length. table must hold an entry for every page of an array
+// (Array.Pages); Readers3 clears them, and the view uses them until the
+// body that made it returns.
+func Readers3[T Element](m Context, a0, a1, a2 *Array[T], table []PageRef) Reader3[T] {
 	if a1.n != a0.n || a2.n != a0.n {
 		panic(fmt.Sprintf("shmem: Readers3 needs equal lengths, got %d/%d/%d", a0.n, a1.n, a2.n))
 	}
+	np := a0.Pages()
+	if len(table) < np {
+		panic(fmt.Sprintf("shmem: Readers3 table has %d entries, arrays span %d pages", len(table), np))
+	}
+	table = table[:np]
+	clear(table)
 	r0 := a0.Reader(m)
 	return Reader3[T]{
 		p0:    r0.pv,
@@ -159,20 +186,39 @@ func Readers3[T Element](m Context, a0, a1, a2 *Array[T]) Reader3[T] {
 		elem:  r0.elem,
 		shift: r0.shift,
 		mask:  r0.mask,
+		table: table,
 	}
 }
 
-// Get3 reads element i of all three arrays through the view.
-func (v *Reader3[T]) Get3(i int) (T, T, T) {
-	if uint(i) >= uint(v.n) {
-		panicIndex(i, v.n)
+// Gather3 loads element idx[k] of the three arrays into xs[k], ys[k]
+// and zs[k], for k in order. The outputs must be at least len(idx)
+// long. An index outside the arrays panics before that element, and
+// anything after it, is loaded — where the k-th Get would.
+func (v *Reader3[T]) Gather3(idx []int32, xs, ys, zs []T) {
+	xs, ys, zs = xs[:len(idx)], ys[:len(idx)], zs[:len(idx)]
+	for k, j := range idx {
+		i := int(j)
+		if uint(i) >= uint(v.n) {
+			panicIndex(i, v.n)
+		}
+		e := &v.table[i>>v.shift]
+		if e.p0 == nil {
+			v.resolve(i>>v.shift, e)
+		}
+		// The mask keeps the offset strictly inside the page, as in
+		// Reader.Get.
+		off := (i & v.mask) * v.elem
+		xs[k] = *(*T)(unsafe.Add(e.p0, off))
+		ys[k] = *(*T)(unsafe.Add(e.p1, off))
+		zs[k] = *(*T)(unsafe.Add(e.p2, off))
 	}
-	p := i >> v.shift
-	off := (i & v.mask) * v.elem
-	b0 := v.p0.ReadPage(p)
-	b1 := v.p1.ReadPage(p)
-	b2 := v.p2.ReadPage(p)
-	return *(*T)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(b0)), off)),
-		*(*T)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(b1)), off)),
-		*(*T)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(b2)), off))
+}
+
+// resolve is a page's first touch: the three ReadPages, in array order.
+//
+//go:noinline
+func (v *Reader3[T]) resolve(p int, e *PageRef) {
+	e.p0 = unsafe.Pointer(unsafe.SliceData(v.p0.ReadPage(p)))
+	e.p1 = unsafe.Pointer(unsafe.SliceData(v.p1.ReadPage(p)))
+	e.p2 = unsafe.Pointer(unsafe.SliceData(v.p2.ReadPage(p)))
 }

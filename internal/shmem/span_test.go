@@ -7,8 +7,8 @@ import (
 // TestSpanAllocationPins pins the span-level kernel fast paths to zero
 // heap allocations in steady state: a full sweep through ReadSpan or
 // WriteSpan (the loop shape every span kernel uses), random access
-// through a Reader, and the bundled Reader3 must all serve straight
-// out of page memory. A change that makes the typed reinterpretation
+// through a Reader, and a gather through the bundled Reader3 (made from
+// a caller-owned table) must all serve straight out of page memory. A change that makes the typed reinterpretation
 // or the fault-test escape fails here rather than as a throughput
 // regression in the scale-1.0 matrix.
 func TestSpanAllocationPins(t *testing.T) {
@@ -61,9 +61,14 @@ func TestSpanAllocationPins(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { _ = af.Reader(m) }); n != 0 {
 		t.Errorf("Reader construction allocates %v times per run, want 0", n)
 	}
-	r3 := Readers3(m, af, b0, b1)
-	if n := testing.AllocsPerRun(200, func() { _, _, _ = r3.Get3(33) }); n != 0 {
-		t.Errorf("Reader3.Get3 allocates %v times per run, want 0", n)
+	table := make([]PageRef, af.Pages())
+	idx := []int32{33, 1500, 34, 2047, 0}
+	xs, ys, zs := make([]float64, len(idx)), make([]float64, len(idx)), make([]float64, len(idx))
+	if n := testing.AllocsPerRun(200, func() {
+		r3 := Readers3(m, af, b0, b1, table)
+		r3.Gather3(idx, xs, ys, zs)
+	}); n != 0 {
+		t.Errorf("Readers3 plus Gather3 allocates %v times per run, want 0", n)
 	}
 }
 

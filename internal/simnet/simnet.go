@@ -9,7 +9,7 @@ package simnet
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 )
 
 // MachineID identifies a physical workstation on the fabric. Logical
@@ -18,11 +18,13 @@ import (
 // directions) until the next adaptation point.
 type MachineID int
 
-// Fabric is a switched network of n machines. All methods are safe for
-// concurrent use by the process goroutines of a running team. The
-// byte/message counters are per-link atomics: Record is called on
-// every protocol message, and a global mutex there would serialise
-// pure counter traffic across unrelated links.
+// Fabric is a switched network of n machines. A fabric belongs to one
+// run, and its per-link byte/message counters are plain integers: the
+// engine runs one process of a run at a time, and every switch between
+// them is a coroutine switch (a happens-before edge), so Record — called
+// on every protocol message — never meets a concurrent reader or
+// writer. Runs that execute concurrently (farm workers, the bench
+// pool) each own their fabric.
 //
 // Each directed link also carries optional latency/bandwidth scale
 // factors over the baseline cost model (1.0 = the paper's switched
@@ -31,8 +33,8 @@ type MachineID int
 // them when pricing transfers.
 type Fabric struct {
 	n     int
-	bytes []atomic.Int64 // [from*n+to] payload bytes, from != to
-	msgs  []atomic.Int64
+	bytes []int64 // [from*n+to] payload bytes, from != to
+	msgs  []int64
 
 	// latScale/bwScale are per-directed-link multipliers on the
 	// baseline one-way latency and bandwidth; nil means all 1.0.
@@ -45,7 +47,7 @@ func New(n int) *Fabric {
 	if n <= 0 {
 		panic(fmt.Sprintf("simnet: invalid machine count %d", n))
 	}
-	return &Fabric{n: n, bytes: make([]atomic.Int64, n*n), msgs: make([]atomic.Int64, n*n)}
+	return &Fabric{n: n, bytes: make([]int64, n*n), msgs: make([]int64, n*n)}
 }
 
 // Machines returns the number of machines on the fabric.
@@ -62,8 +64,8 @@ func (f *Fabric) Record(src, dst MachineID, payload int) {
 	f.check(src)
 	f.check(dst)
 	i := int(src)*f.n + int(dst)
-	f.bytes[i].Add(int64(payload))
-	f.msgs[i].Add(1)
+	f.bytes[i] += int64(payload)
+	f.msgs[i]++
 }
 
 // SetLinkScale overrides one directed link's latency and bandwidth
@@ -135,17 +137,9 @@ type Counters struct {
 	msgs  []int64
 }
 
-// Snapshot captures the current counters. Each link's pair is read
-// atomically but the snapshot as a whole is not a consistent cut;
-// measurement windows are taken with the team parked, where the
-// distinction cannot be observed.
+// Snapshot captures the current counters.
 func (f *Fabric) Snapshot() Counters {
-	c := Counters{n: f.n, bytes: make([]int64, len(f.bytes)), msgs: make([]int64, len(f.msgs))}
-	for i := range f.bytes {
-		c.bytes[i] = f.bytes[i].Load()
-		c.msgs[i] = f.msgs[i].Load()
-	}
-	return c
+	return Counters{n: f.n, bytes: slices.Clone(f.bytes), msgs: slices.Clone(f.msgs)}
 }
 
 // Sub returns the traffic accumulated between an earlier snapshot and

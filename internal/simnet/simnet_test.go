@@ -1,9 +1,11 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
+
+	"nowomp/internal/engine"
+	"nowomp/internal/simtime"
 )
 
 func TestRecordAndTotals(t *testing.T) {
@@ -80,28 +82,34 @@ func TestMachineBytes(t *testing.T) {
 	}
 }
 
-func TestConcurrentRecording(t *testing.T) {
+// TestRecordingFromEngineProcs pins the contract that lets the counters
+// be plain integers: procs of one engine each run on a coroutine of
+// their own, interleaved by virtual time, and the engine's switches
+// order every Record. Under -race a concurrent increment would be
+// reported here.
+func TestRecordingFromEngineProcs(t *testing.T) {
 	f := New(4)
-	var wg sync.WaitGroup
-	const workers, each = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := MachineID(w % 4)
-			dst := MachineID((w + 1) % 4)
+	e := engine.New()
+	var wl engine.WaitList
+	const procs, each = 8, 1000
+	for w := 0; w < procs; w++ {
+		clk := simtime.NewClock(0)
+		e.Go("recorder", w, clk, func(p *engine.Proc) {
+			src, dst := MachineID(w%4), MachineID((w+1)%4)
 			for i := 0; i < each; i++ {
 				f.Record(src, dst, 8)
+				clk.Advance(simtime.Seconds(w + 1))
+				p.ParkOn(&wl, "record", nil)
 			}
-		}(w)
+		})
 	}
-	wg.Wait()
+	e.Run()
 	c := f.Snapshot()
-	if got := c.TotalBytes(); got != workers*each*8 {
-		t.Fatalf("TotalBytes = %d, want %d", got, workers*each*8)
+	if got := c.TotalBytes(); got != procs*each*8 {
+		t.Fatalf("TotalBytes = %d, want %d", got, procs*each*8)
 	}
-	if got := c.TotalMessages(); got != workers*each {
-		t.Fatalf("TotalMessages = %d, want %d", got, workers*each)
+	if got := c.TotalMessages(); got != procs*each {
+		t.Fatalf("TotalMessages = %d, want %d", got, procs*each)
 	}
 }
 

@@ -1,48 +1,38 @@
 package simtime
 
-import (
-	"math"
-	"sync/atomic"
-)
-
-// Clock is the virtual clock of one logical process. Exactly one
-// goroutine advances a clock at a time, but another may read it later
-// (the discrete-event engine's scheduler goroutine evaluates wake
-// conditions between dispatches), so the instant is stored atomically
-// — the reads are already ordered by the engine's channel handshakes,
-// and the atomic keeps any future cross-goroutine observer safe too.
+// Clock is the virtual clock of one logical process. A clock belongs to
+// one run, whose engine runs one process at a time: the process
+// advances its own clock, and the engine reads it between dispatches,
+// after the coroutine switch that parked the process — a happens-before
+// edge. So the instant is a plain field, like dsm.Counter's count, and
+// runs that execute concurrently (farm workers, the bench pool) each
+// own their clocks.
 type Clock struct {
-	bits atomic.Uint64
+	at Seconds
 }
 
 // NewClock returns a clock set to the given instant.
 func NewClock(at Seconds) *Clock {
-	c := &Clock{}
-	c.bits.Store(math.Float64bits(float64(at)))
-	return c
+	return &Clock{at: at}
 }
 
 // Now returns the current virtual instant.
 func (c *Clock) Now() Seconds {
-	return Seconds(math.Float64frombits(c.bits.Load()))
-}
-
-func (c *Clock) set(at Seconds) {
-	c.bits.Store(math.Float64bits(float64(at)))
+	return c.at
 }
 
 // Advance moves the clock forward by d. Negative advances are ignored:
 // virtual time never runs backwards.
 func (c *Clock) Advance(d Seconds) {
 	if d > 0 {
-		c.set(c.Now() + d)
+		c.at += d
 	}
 }
 
 // AdvanceTo moves the clock forward to at if at is in the future.
 func (c *Clock) AdvanceTo(at Seconds) {
-	if at > c.Now() {
-		c.set(at)
+	if at > c.at {
+		c.at = at
 	}
 }
 
@@ -50,10 +40,10 @@ func (c *Clock) AdvanceTo(at Seconds) {
 // synchronous rendezvous. Both clocks must be quiescent (no concurrent
 // advancement).
 func Sync(a, b *Clock) {
-	if a.Now() > b.Now() {
-		b.set(a.Now())
+	if a.at > b.at {
+		b.at = a.at
 	} else {
-		a.set(b.Now())
+		a.at = b.at
 	}
 }
 
@@ -62,8 +52,8 @@ func Sync(a, b *Clock) {
 func Max(clocks ...*Clock) Seconds {
 	var m Seconds
 	for _, c := range clocks {
-		if c != nil && c.Now() > m {
-			m = c.Now()
+		if c != nil && c.at > m {
+			m = c.at
 		}
 	}
 	return m
