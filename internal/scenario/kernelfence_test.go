@@ -13,10 +13,11 @@ import (
 // adaptations — under every protocol at 1, 3, 4 and 6 processes, each
 // steady, through a join/leave pair and on machines of mixed speeds,
 // plus nbf at 6 processes on the scales the benchmark's notes once said
-// trip the word-race check. Every case verifies against the sequential
-// reference. The golden was captured before the two kernels' host-side
-// arithmetic and partner gathering were rewritten; a host-time change
-// to either must reproduce it unedited.
+// trip the word-race check, and the tasking kernels' cases listed in
+// taskFenceCases. Every case verifies against the sequential reference.
+// The golden was captured before each kernel's host-side arithmetic
+// was rewritten; a host-time change to any of them must reproduce it
+// unedited.
 //
 // Regenerate with NOWOMP_REGEN_GOLDEN=kernels, and only for an intended
 // cost or protocol change.
@@ -112,6 +113,47 @@ func kernelFenceCases() []fenceCase {
 			cs = append(cs, fenceCase{
 				name: fmt.Sprintf("nbf/%s/6p/scale-%g", proto, scale),
 				spec: Spec{Kernel: "nbf", Scale: scale, Procs: 6, Hosts: 6, Protocol: proto, Verify: true},
+			})
+		}
+	}
+	cs = append(cs, taskFenceCases()...)
+	return cs
+}
+
+// taskFenceCases are the tasking kernels' share of the fence: mergesort
+// and quadrature under every protocol at 1 to 4 processes, steady,
+// through a join/leave pair applied at task scheduling points inside
+// the tree (on machines slower than the other kernels', since a 1-process
+// mergesort at speed 0.05 finishes about when the leave matures), and
+// on mixed speeds, plus mergesort at N = 4096 and 2^14,
+// the two sizes at which SortConfig.Scaled shrinks the leaf cutoff
+// (to 1024 and 4096 keys).
+func taskFenceCases() []fenceCase {
+	var cs []fenceCase
+	for _, kernel := range []string{"mergesort", "quadrature"} {
+		for _, proto := range []string{"tmk", "hlrc", "hybrid"} {
+			for _, p := range []int{1, 2, 3, 4} {
+				base := Spec{Kernel: kernel, Scale: 0.06, Procs: p, Hosts: p + 1, Protocol: proto, Verify: true}
+				name := fmt.Sprintf("%s/%s/%dp", kernel, proto, p)
+				cs = append(cs, fenceCase{name: name + "/steady", spec: base})
+
+				adaptive := base
+				adaptive.Adaptive = true
+				adaptive.Machines = fenceMachines(p+1, func(int) string { return "0.02" })
+				adaptive.Schedule = fmt.Sprintf("0:join:%d,1:leave:1", p)
+				cs = append(cs, fenceCase{name: name + "/join-leave", spec: adaptive, adaptations: 2})
+
+				mixed := base
+				mixed.Machines = fenceMachines(p+1, func(i int) string { return fenceSpeeds[i] })
+				cs = append(cs, fenceCase{name: name + "/mixed-speeds", spec: mixed})
+			}
+		}
+	}
+	for _, proto := range []string{"tmk", "hlrc", "hybrid"} {
+		for _, n := range []int{1 << 12, 1 << 14} {
+			cs = append(cs, fenceCase{
+				name: fmt.Sprintf("mergesort/%s/4p/n-%d", proto, n),
+				spec: Spec{Kernel: "mergesort", Scale: float64(n) / (1 << 20), Procs: 4, Hosts: 4, Protocol: proto, Verify: true},
 			})
 		}
 	}
