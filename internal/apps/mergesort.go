@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -113,9 +114,11 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		return Result{}, err
 	}
 	procs := rt.NProcs()
+	tmp := make([]float64, n)
+	aux := make([]float64, min(cfg.Cutoff, n))
 
 	rt.For("msort.init", 0, n, func(p *omp.Proc, lo, hi int) {
-		buf := make([]float64, hi-lo)
+		buf := tmp[lo:hi]
 		for i := range buf {
 			buf[i] = sortValue(lo + i)
 		}
@@ -123,28 +126,27 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		p.ChargeUnits(hi-lo, InitCostPerElement)
 	})
 
-	// Leaves all sort one size, so they share work slices. A merge's
-	// halves are not shared: each size serves a few merges only, and a
-	// list holding every level to the end of the run outweighs the
-	// allocation it saves (+40 MB peak RSS at N = 2^21).
-	var leaves scratch[float64]
+	// One buffer serves the whole tree: a leaf or a merge of [lo,hi)
+	// stages its keys in tmp[lo:hi]. Task ranges nest and a merge starts
+	// only after its TaskWait, so no two live tasks ever share a slot,
+	// even across the yields a fault inside ReadRange or WriteSpan
+	// takes. aux is the radix sort's second array; the sort makes no
+	// DSM call and so never yields, which lets every leaf share it.
 	var rec func(tp *omp.TaskProc, lo, hi int)
 	rec = func(tp *omp.TaskProc, lo, hi int) {
 		if hi-lo <= cfg.Cutoff {
-			buf := leaves.get(hi - lo)
+			buf := tmp[lo:hi]
 			data.ReadRange(tp.Mem(), lo, hi, buf)
-			sort.Float64s(buf)
+			sortFloat64s(buf, aux[:hi-lo])
 			data.WriteRange(tp.Mem(), lo, buf)
 			tp.ChargeUnits((hi-lo)*log2ceil(hi-lo), cfg.CompareCost)
-			leaves.put(buf)
 			return
 		}
 		mid := lo + (hi-lo)/2
 		tp.Spawn(func(c *omp.TaskProc) { rec(c, lo, mid) })
 		tp.Spawn(func(c *omp.TaskProc) { rec(c, mid, hi) })
 		tp.TaskWait()
-		left := make([]float64, mid-lo)
-		right := make([]float64, hi-mid)
+		left, right := tmp[lo:mid], tmp[mid:hi]
 		data.ReadRange(tp.Mem(), lo, mid, left)
 		data.ReadRange(tp.Mem(), mid, hi, right)
 		// Merge straight into the pages, span by span: they write-fault
@@ -152,19 +154,7 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		i, j := 0, 0
 		for k := lo; k < hi; {
 			out := data.WriteSpan(tp.Mem(), k, hi)
-			for q := range out {
-				switch {
-				case i == len(left):
-					out[q] = right[j]
-					j++
-				case j == len(right) || left[i] <= right[j]:
-					out[q] = left[i]
-					i++
-				default:
-					out[q] = right[j]
-					j++
-				}
-			}
+			i, j = mergeSpan(out, left, right, i, j)
 			k += len(out)
 		}
 		tp.ChargeUnits(hi-lo, cfg.MergeCost)
@@ -173,14 +163,13 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 
 	res := measure(rt, "mergesort", procs)
 	mp := rt.MasterProc()
-	out := make([]float64, n)
-	data.ReadRange(mp.Mem(), 0, n, out)
+	data.ReadRange(mp.Mem(), 0, n, tmp)
 	for i := 1; i < n; i++ {
-		if out[i-1] > out[i] {
+		if tmp[i-1] > tmp[i] {
 			return res, fmt.Errorf("apps: mergesort output unsorted at %d", i)
 		}
 	}
-	res.Checksum = sortChecksum(out)
+	res.Checksum = sortChecksum(tmp)
 	return res, nil
 }
 
@@ -193,4 +182,104 @@ func MergesortReference(cfg SortConfig) float64 {
 	}
 	sort.Float64s(v)
 	return sortChecksum(v)
+}
+
+// Radix sort parameters: 11-bit digits, so six passes cover a key's 64
+// bits and the six histograms together fit in 48 KB of stack.
+const (
+	radixBits   = 11
+	radixDigits = (64 + radixBits - 1) / radixBits
+	radixMask   = 1<<radixBits - 1
+	// radixMaxKey is the bit pattern of +Inf. Every key the radix path
+	// accepts is at most this: a set sign bit (negatives, -0) or a NaN
+	// reads larger.
+	radixMaxKey = 0x7FF0000000000000
+)
+
+// sortFloat64s sorts a in increasing order with the result
+// sort.Float64s gives, bit for bit, using aux (len(aux) >= len(a)) as
+// scratch. Non-negative floats that are not NaN order exactly as their
+// IEEE bit patterns do, and equal values among them have equal bits,
+// so an LSD radix sort on the uint64 patterns reproduces the
+// comparison sort. Any key with the sign bit set (including -0) or any
+// NaN, where that equivalence fails, sends the whole slice to
+// sort.Float64s instead, untouched.
+//
+// All histograms are built in one pass over the keys, and a digit that
+// every key shares is skipped without a scatter.
+func sortFloat64s(a, aux []float64) {
+	n := len(a)
+	if n < 2 {
+		return
+	}
+	if uint64(n) > math.MaxUint32 {
+		sort.Float64s(a)
+		return
+	}
+	var counts [radixDigits][1 << radixBits]uint32
+	for _, x := range a {
+		b := math.Float64bits(x)
+		if b > radixMaxKey {
+			sort.Float64s(a)
+			return
+		}
+		for d := range counts {
+			counts[d][b>>(d*radixBits)&radixMask]++
+		}
+	}
+	src, dst := a, aux[:n]
+	for d := range counts {
+		c := &counts[d]
+		shift := d * radixBits
+		if c[math.Float64bits(src[0])>>shift&radixMask] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for k, m := range c {
+			c[k] = sum
+			sum += m
+		}
+		for _, x := range src {
+			k := math.Float64bits(x) >> shift & radixMask
+			dst[c[k]] = x
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+}
+
+// mergeSpan fills out with the merge of left[i:] and right[j:], taking
+// left[i] whenever left[i] <= right[j] (so ties go to the left, and a
+// NaN on either side to the right) and the rest of one side once the
+// other is exhausted. It returns the advanced cursors, for the next span to
+// continue from. The choice is made without a branch on the keys: on
+// random input either outcome is equally likely, so a branch would
+// mispredict half the time.
+func mergeSpan(out, left, right []float64, i, j int) (int, int) {
+	q := 0
+	for q < len(out) && i < len(left) && j < len(right) {
+		// The compiler turns this if into SETcc, but a select of the
+		// value itself back into a branch; the mask keeps it out.
+		l, r := left[i], right[j]
+		t := 0
+		if l <= r {
+			t = 1
+		}
+		lb, rb := math.Float64bits(l), math.Float64bits(r)
+		out[q] = math.Float64frombits(rb ^ (lb^rb)&-uint64(t))
+		i += t
+		j += 1 - t
+		q++
+	}
+	if q < len(out) {
+		if i < len(left) {
+			i += copy(out[q:], left[i:])
+		} else {
+			j += copy(out[q:], right[j:])
+		}
+	}
+	return i, j
 }

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nowomp/internal/engine"
@@ -23,8 +24,10 @@ import (
 // fully independent of the Go scheduler.
 type lockState struct {
 	held bool
-	// waiters maps ticket ids to virtual request times and requesters.
-	waiters     map[uint64]lockWaiter
+	// waiters is the queue of acquire requests in grant order: sorted by
+	// (virtual request time, host id, ticket), a strict total order, so
+	// the next grant always goes to waiters[0].
+	waiters     []lockWaiter
 	nextTicket  uint64
 	lastRelease simtime.Seconds
 	lastHolder  HostID
@@ -39,14 +42,25 @@ type lockState struct {
 
 // lockWaiter is one queued acquire request.
 type lockWaiter struct {
-	at   simtime.Seconds
-	host HostID
+	at     simtime.Seconds
+	host   HostID
+	ticket uint64
+}
+
+// before reports whether w is granted ahead of o.
+func (w lockWaiter) before(o lockWaiter) bool {
+	if w.at != o.at {
+		return w.at < o.at
+	}
+	if w.host != o.host {
+		return w.host < o.host
+	}
+	return w.ticket < o.ticket
 }
 
 func newLockState(id int) *lockState {
 	return &lockState{
 		lastHolder: -1,
-		waiters:    make(map[uint64]lockWaiter),
 		reason:     fmt.Sprintf("lock %d", id),
 	}
 }
@@ -70,38 +84,20 @@ func (lk *lockState) acquire(c *Cluster, id int, clk *simtime.Clock, host HostID
 		return
 	}
 	at := clk.Now()
-	ticket := lk.nextTicket
+	me := lockWaiter{at: at, host: host, ticket: lk.nextTicket}
 	lk.nextTicket++
-	lk.waiters[ticket] = lockWaiter{at: at, host: host}
+	k := sort.Search(len(lk.waiters), func(i int) bool { return me.before(lk.waiters[i]) })
+	lk.waiters = slices.Insert(lk.waiters, k, me)
 	p.ParkOn(&lk.wl, lk.reason, func() (simtime.Seconds, bool) {
-		if lk.held || !lk.isNext(ticket) {
+		if lk.held || lk.waiters[0].ticket != me.ticket {
 			return 0, false
 		}
 		return at, true
 	})
-	delete(lk.waiters, ticket)
+	// The election revalidates the wake before it resumes a proc, so
+	// the head is still this request.
+	lk.waiters = slices.Delete(lk.waiters, 0, 1)
 	lk.held = true
-}
-
-// isNext reports whether the ticket has the earliest (virtual time,
-// host id, ticket) key among current waiters.
-func (lk *lockState) isNext(ticket uint64) bool {
-	mine := lk.waiters[ticket]
-	for t, w := range lk.waiters {
-		switch {
-		case w.at != mine.at:
-			if w.at < mine.at {
-				return false
-			}
-		case w.host != mine.host:
-			if w.host < mine.host {
-				return false
-			}
-		case t < ticket:
-			return false
-		}
-	}
-	return true
 }
 
 // release frees the lock and notifies the parked waiters; the engine

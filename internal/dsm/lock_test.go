@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"nowomp/internal/engine"
@@ -186,5 +187,75 @@ func TestLocksThenBarrierConsistent(t *testing.T) {
 		if got := getU64(c, HostID(h), r.ID, 0, clocks[h]); got != 123 {
 			t.Fatalf("host %d read %d after barrier, want 123", h, got)
 		}
+	}
+}
+
+// TestLockGrantOrder pins the order in which parked acquirers are
+// granted a lock: by virtual request time, then host id, then the
+// order the requests were made (the ticket), whatever order the procs
+// were started in.
+func TestLockGrantOrder(t *testing.T) {
+	type requester struct {
+		name  string
+		host  HostID
+		start simtime.Seconds
+	}
+	const hold = simtime.Seconds(1e-3)
+	run := func(rs []requester, repeat int) []string {
+		c, _ := newTestCluster(t, 4, 4)
+		e := engine.New()
+		c.BeginPhase(e)
+		defer c.EndPhase()
+		var grants []string
+		for _, r := range rs {
+			clk := simtime.NewClock(r.start)
+			host := c.Host(r.host)
+			e.Go(r.name, int(r.host), clk, func(p *engine.Proc) {
+				for range repeat {
+					c.AcquireLock(0, host, clk)
+					grants = append(grants, r.name)
+					// Park through the hold, so every other requester
+					// queues behind this one before the release.
+					until := clk.Now() + hold
+					var sitOut engine.WaitList
+					p.ParkOn(&sitOut, "hold the lock", func() (simtime.Seconds, bool) { return until, true })
+					clk.AdvanceTo(until)
+					c.ReleaseLock(0, host, clk)
+				}
+			})
+		}
+		e.Run()
+		return grants
+	}
+	cases := []struct {
+		name   string
+		rs     []requester
+		repeat int
+		want   []string
+	}{
+		{
+			name:   "equal instants, several hosts",
+			rs:     []requester{{"h3", 3, 0}, {"h1", 1, 0}, {"h0", 0, 0}, {"h2", 2, 0}},
+			repeat: 1,
+			want:   []string{"h0", "h1", "h2", "h3"},
+		},
+		{
+			name:   "repeated requests from one host",
+			rs:     []requester{{"h2b", 2, 0}, {"h2a", 2, 0}, {"h1", 1, 0}, {"h3", 3, hold / 2}},
+			repeat: 3,
+			want: []string{
+				"h1", "h2b", "h2a", "h3",
+				"h1", "h2b", "h2a", "h3",
+				"h1", "h2b", "h2a", "h3",
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := run(tc.rs, tc.repeat)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("grants %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
