@@ -62,6 +62,105 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// The fence's goldens: every experiment's printed tables and the -json
+// report of `-exp all -scale 0.06`, with the lines that vary from run to
+// run dropped (see fenceText). Regenerate with
+// NOWOMP_REGEN_GOLDEN=experiments, and only for an intended change to a
+// table or a simulated number.
+const (
+	fenceStdoutPath = "testdata/experiments-0.06.txt"
+	fenceReportPath = "testdata/experiments-0.06.json"
+)
+
+// TestExperimentsFence pins the whole tool's output, not only the
+// simulated columns TestMatrixGolden holds: the text of all nine
+// experiments and the -json report, byte for byte, at -parallel 1 and
+// -parallel 4 against the same goldens.
+func TestExperimentsFence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates all nine experiments twice")
+	}
+	regen := os.Getenv("NOWOMP_REGEN_GOLDEN") == "experiments"
+	for _, parallel := range []string{"1", "4"} {
+		t.Run("parallel "+parallel, func(t *testing.T) {
+			jsonPath := filepath.Join(t.TempDir(), "bench.json")
+			var stdout, stderr bytes.Buffer
+			args := []string{"-exp", "all", "-scale", "0.06", "-parallel", parallel, "-q", "-json", jsonPath}
+			if got := run(args, &stdout, &stderr); got != 0 {
+				t.Fatalf("exited %d: %s", got, stderr.String())
+			}
+			report, err := os.ReadFile(jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := fenceText(strings.ReplaceAll(stdout.String(), jsonPath, "bench.json"), "regenerated in")
+			rep := fenceText(string(report), `"wall_seconds"`, `"parallel"`)
+			if regen {
+				if parallel == "1" {
+					writeGolden(t, fenceStdoutPath, text)
+					writeGolden(t, fenceReportPath, rep)
+				}
+				return
+			}
+			checkGolden(t, fenceStdoutPath, text)
+			checkGolden(t, fenceReportPath, rep)
+		})
+	}
+}
+
+// fenceText drops every line containing one of the markers: the wall
+// clock and the pool size, the only parts of the output that may vary.
+func fenceText(s string, markers ...string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(s, "\n") {
+		keep := true
+		for _, m := range markers {
+			keep = keep && !strings.Contains(line, m)
+		}
+		if keep {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+func writeGolden(t *testing.T, path, text string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", path)
+}
+
+// checkGolden compares text with the golden file and names the first
+// line that differs.
+func checkGolden(t *testing.T, path, text string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text == string(data) {
+		return
+	}
+	got, want := strings.Split(text, "\n"), strings.Split(string(data), "\n")
+	for i := 0; i < max(len(got), len(want)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("%s: line %d differs:\n  got  %q\n  want %q", path, i+1, g, w)
+		}
+	}
+}
+
 // TestExperimentTableDrivesUsage pins that the -exp usage string comes
 // from the same table the dispatcher walks.
 func TestExperimentTableDrivesUsage(t *testing.T) {
