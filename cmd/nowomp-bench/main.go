@@ -1,15 +1,14 @@
 // Command nowomp-bench regenerates the tables and figures of the
-// paper's evaluation section. Each experiment prints the same rows or
-// series the paper reports. With -json the experiments that have
-// natural scenario rows (table1, tasking, hetero, protocols) also write
-// a machine-readable report of their simulated columns; the committed
+// paper's evaluation section: it walks bench.Experiments, and each
+// experiment prints the same rows or series the paper reports. With
+// -json the experiments that have natural scenario rows also write a
+// machine-readable report of their simulated columns; the committed
 // BENCH_pr10.json is one, at scale 1.0.
 //
 // Every scenario cell is a self-contained deterministic simulation, so
-// -parallel N fans the table1/tasking/hetero/protocols matrices out
-// across N workers: the printed tables and the -json results are
-// byte-identical at any parallelism level, only the wall clock
-// changes.
+// -parallel N fans every experiment's cells out across N workers: the
+// printed tables and the -json results are byte-identical at any
+// parallelism level, only the wall clock changes.
 //
 // Examples:
 //
@@ -38,64 +37,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// experiment is one -exp choice: it regenerates its table, adds its
-// rows to the report when they are natural scenario rows, and returns
-// the printed text. On an error the rows are nil, so nothing is added.
-type experiment struct {
-	name string
-	run  func(opt bench.Options, report *bench.Report) (string, error)
-}
-
-// experiments lists the -exp choices in the order "all" runs them.
-var experiments = []experiment{
-	{"table1", func(opt bench.Options, report *bench.Report) (string, error) {
-		rows, err := bench.Table1(opt, nil)
-		report.AddTable1(rows)
-		return bench.FormatTable1(rows, opt.Scale), err
-	}},
-	{"table2", func(opt bench.Options, _ *bench.Report) (string, error) {
-		cells, err := bench.Table2(opt, nil)
-		return bench.FormatTable2(cells), err
-	}},
-	{"fig3", func(opt bench.Options, _ *bench.Report) (string, error) {
-		rows, err := bench.Fig3(opt, nil)
-		return bench.FormatFig3(rows), err
-	}},
-	{"migration", func(opt bench.Options, _ *bench.Report) (string, error) {
-		rows, err := bench.Migration(opt)
-		return bench.FormatMigration(rows), err
-	}},
-	{"micro", func(opt bench.Options, _ *bench.Report) (string, error) {
-		m, err := bench.Micro(opt)
-		return bench.FormatMicro(m), err
-	}},
-	{"ablation", func(opt bench.Options, _ *bench.Report) (string, error) {
-		a, err := bench.Ablation(opt)
-		return bench.FormatAblation(a), err
-	}},
-	{"tasking", func(opt bench.Options, report *bench.Report) (string, error) {
-		rows, err := bench.Tasking(opt)
-		report.AddTasking(rows)
-		return bench.FormatTasking(rows), err
-	}},
-	{"hetero", func(opt bench.Options, report *bench.Report) (string, error) {
-		rows, err := bench.Hetero(opt)
-		report.AddHetero(rows)
-		return bench.FormatHetero(rows), err
-	}},
-	{"protocols", func(opt bench.Options, report *bench.Report) (string, error) {
-		rows, err := bench.Protocols(opt)
-		report.AddProtocols(rows)
-		return bench.FormatProtocols(rows), err
-	}},
-}
-
 // experimentNames renders the -exp choices for the usage string and
 // the unknown-experiment error.
 func experimentNames() string {
-	names := make([]string, len(experiments))
-	for i, e := range experiments {
-		names[i] = e.name
+	names := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		names[i] = e.Name
 	}
 	return strings.Join(names, ", ") + ", all"
 }
@@ -146,6 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Validate the flags once, up front, so a malformed one fails before
 	// any experiment runs — including the experiments it would not reach.
+	if *pairs < 1 {
+		return fail(fmt.Errorf("-pairs %d: want at least 1", *pairs))
+	}
 	norm, err := spec.Normalize()
 	if err != nil {
 		return fail(err)
@@ -215,18 +165,19 @@ func regenerate(exp string, opt bench.Options, jsonPath string, stdout io.Writer
 	wallStart := time.Now()
 	report := bench.NewReport(opt) // written only under -json
 	ran := false
-	for _, e := range experiments {
-		if exp != "all" && exp != e.name {
+	for _, e := range bench.Experiments {
+		if exp != "all" && exp != e.Name {
 			continue
 		}
 		ran = true
 		start := time.Now()
-		text, err := e.run(opt, report)
+		out, err := e.Run(opt)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		fmt.Fprint(stdout, text)
-		fmt.Fprintf(stdout, "[%s regenerated in %.1fs real time]\n\n", e.name, time.Since(start).Seconds())
+		fmt.Fprint(stdout, out.Text)
+		report.Results = append(report.Results, out.Records...)
+		fmt.Fprintf(stdout, "[%s regenerated in %.1fs real time]\n\n", e.Name, time.Since(start).Seconds())
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (want %s)", exp, experimentNames())

@@ -26,6 +26,7 @@ func TestRun(t *testing.T) {
 		{"policy without loads", []string{"-exp", "hetero", "-policy", "high=2,low=0.5"}, 1, nil, "needs load traces"},
 		{"pool below the team", []string{"-exp", "table1", "-hosts", "4", "-q"}, 1, nil, "hosts 4 must cover the team of 8"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, nil, "flag provided but not defined"},
+		{"no pairs", []string{"-exp", "fig3", "-pairs", "0"}, 1, nil, "-pairs 0: want at least 1"},
 		{"fig3", []string{"-exp", "fig3", "-scale", "0.06", "-q"}, 0,
 			[]string{"Figure 3: data re-distribution", "leaver id", "[fig3 regenerated in"}, ""},
 		{"tasking with a report", []string{"-exp", "tasking", "-scale", "0.06", "-q", "-json", jsonPath}, 0,

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/dsm"
@@ -44,7 +42,7 @@ type GraceRow struct {
 	Migration simtime.Seconds // image-transfer cost, zero for normal leaves
 }
 
-// Ablation runs all three ablations.
+// Ablation runs all three ablations, each sweep a list of cells.
 func Ablation(opt Options) (AblationResult, error) {
 	opt = opt.withDefaults()
 	var out AblationResult
@@ -55,7 +53,8 @@ func Ablation(opt Options) (AblationResult, error) {
 	if out.Handoff, err = handoffAblation(opt); err != nil {
 		return out, err
 	}
-	if out.Grace, err = graceAblation(opt); err != nil {
+	if out.Grace, err = runMatrix(opt, "ablation grace", []simtime.Seconds{0.5, 2, 5, 30},
+		func(grace simtime.Seconds) (GraceRow, error) { return graceRun(opt, grace) }); err != nil {
 		return out, err
 	}
 	return out, nil
@@ -67,24 +66,29 @@ func Ablation(opt Options) (AblationResult, error) {
 // partition into the hole, which the geometry predicts is *worse* —
 // reproducing why the paper calls better reassignment an open problem.
 func reassignAblation(opt Options) ([]ReassignRow, error) {
-	base, err := opt.baselines("jacobi", opt.Scale, 7, 8)
+	base, err := opt.baselines("ablation baselines", []baseKey{{"jacobi", opt.Scale, 7}, {"jacobi", opt.Scale, 8}})
+	if err != nil {
+		return nil, err
+	}
+	strategies := []adapt.ReassignStrategy{adapt.ShiftDown, adapt.SwapLast}
+	var runs []adaptCell
+	for _, strat := range strategies {
+		runs = append(runs, adaptCell{app: "jacobi", scale: opt.Scale, procs: 8, base: base.sizes("jacobi", opt.Scale, 7, 8),
+			mod: func(cfg *omp.Config) { cfg.Reassign = strat }, hook: forkLeaver(map[int64][]int{8: {MiddleSlot(8)}})})
+	}
+	done, err := runMatrix(opt, "ablation reassign", runs, opt.adaptCost)
 	if err != nil {
 		return nil, err
 	}
 	var rows []ReassignRow
-	for _, strat := range []adapt.ReassignStrategy{adapt.ShiftDown, adapt.SwapLast} {
-		run, err := opt.adaptCost("jacobi", opt.Scale, 8, base,
-			func(cfg *omp.Config) { cfg.Reassign = strat }, forkLeaver(map[int64][]int{8: {MiddleSlot(8)}}))
-		if err != nil {
-			return nil, err
-		}
-		if n := len(run.RT.AdaptLog()); n != 1 {
+	for i, run := range done {
+		if n := len(run.Log); n != 1 {
 			return nil, fmt.Errorf("bench: reassign ablation fired %d adaptations", n)
 		}
 		rows = append(rows, ReassignRow{
-			Strategy:  strat.String(),
+			Strategy:  strategies[i].String(),
 			Cost:      run.Cost,
-			MovedFrac: movedFraction(strat, MiddleSlot(8), 8),
+			MovedFrac: movedFraction(strategies[i], MiddleSlot(8), 8),
 		})
 	}
 	return rows, nil
@@ -120,95 +124,84 @@ func movedFraction(s adapt.ReassignStrategy, slot, t int) float64 {
 // it suggests: spreading the leaver's pages over the remaining hosts
 // relieves the master-link bottleneck.
 func handoffAblation(opt Options) ([]HandoffRow, error) {
+	strategies := []dsm.LeaveStrategy{dsm.LeaveViaMaster, dsm.LeaveDirectHandoff}
+	var runs []adaptCell
+	for _, strat := range strategies {
+		runs = append(runs, adaptCell{app: "jacobi", scale: opt.Scale, procs: 8,
+			mod: func(cfg *omp.Config) { cfg.LeaveStrategy = strat }, hook: forkLeaver(map[int64][]int{8: {EndSlot(8)}})})
+	}
+	done, err := runMatrix(opt, "ablation handoff", runs, opt.adaptCost)
+	if err != nil {
+		return nil, err
+	}
 	var rows []HandoffRow
-	for _, strat := range []dsm.LeaveStrategy{dsm.LeaveViaMaster, dsm.LeaveDirectHandoff} {
-		_, _, rt, _, err := opt.adaptive("jacobi", opt.Scale, 8).Execute(
-			func(cfg *omp.Config) { cfg.LeaveStrategy = strat }, forkLeaver(map[int64][]int{8: {EndSlot(8)}}))
-		if err != nil {
-			return nil, err
-		}
-		log := rt.AdaptLog()
-		if len(log) != 1 {
-			return nil, fmt.Errorf("bench: handoff ablation fired %d adaptations", len(log))
+	for i, run := range done {
+		if len(run.Log) != 1 {
+			return nil, fmt.Errorf("bench: handoff ablation fired %d adaptations", len(run.Log))
 		}
 		rows = append(rows, HandoffRow{
-			Strategy:     strat.String(),
-			LeaveElapsed: log[0].Elapsed,
-			MaxLinkBytes: log[0].WindowMaxLink,
+			Strategy:     strategies[i].String(),
+			LeaveElapsed: run.Log[0].Elapsed,
+			MaxLinkBytes: run.Log[0].WindowMaxLink,
 		})
 	}
 	return rows, nil
 }
 
-// graceAblation sweeps the grace period against a fixed 10 s parallel
-// phase with a leave raised 1 s in: short grace periods force urgent
-// leaves (migration + multiplexing), long ones allow a normal leave at
-// the phase boundary — Figure 2's trichotomy made quantitative.
-func graceAblation(opt Options) ([]GraceRow, error) {
-	var rows []GraceRow
-	for _, grace := range []simtime.Seconds{0.5, 2, 5, 30} {
-		spec := opt.adaptive("", opt.Scale, 3) // the body below is the cell's own
-		spec.Grace = float64(grace)
-		_, rt, _, err := spec.Start(nil)
-		if err != nil {
-			return nil, err
-		}
-		a, err := omp.Alloc[float64](rt, "work", 64*1024)
-		if err != nil {
-			return nil, err
-		}
-		rt.For("warm", 0, a.Len(), func(p *omp.Proc, lo, hi int) {
-			buf := make([]float64, hi-lo)
-			for i := range buf {
-				buf[i] = 1
-			}
-			a.WriteRange(p.Mem(), lo, buf)
-		})
-		if err := rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: 2, At: rt.Now() + 1}); err != nil {
-			return nil, err
-		}
-		rt.Parallel("long-phase", func(p *omp.Proc) { p.Charge(10) })
-		rt.Parallel("after", func(p *omp.Proc) {})
-
-		log := rt.AdaptLog()
-		if len(log) != 1 || len(log[0].Applied) != 1 {
-			return nil, fmt.Errorf("bench: grace sweep %v fired %d adaptations", grace, len(log))
-		}
-		rec := log[0].Applied[0]
-		row := GraceRow{Grace: grace, Urgent: rec.Urgent, RunTime: rt.Now()}
-		if rec.Plan != nil {
-			row.Migration = rec.Plan.Cost
-		}
-		rows = append(rows, row)
+// graceRun is one point of the grace-period sweep against a fixed 10 s
+// parallel phase with a leave raised 1 s in: short grace periods force
+// urgent leaves (migration + multiplexing), long ones allow a normal
+// leave at the phase boundary — Figure 2's trichotomy made
+// quantitative.
+func graceRun(opt Options, grace simtime.Seconds) (GraceRow, error) {
+	spec := opt.adaptive("", opt.Scale, 3) // the body below is the cell's own
+	spec.Grace = float64(grace)
+	_, rt, _, err := spec.Start(nil)
+	if err != nil {
+		return GraceRow{}, err
 	}
-	return rows, nil
+	a, err := omp.Alloc[float64](rt, "work", 64*1024)
+	if err != nil {
+		return GraceRow{}, err
+	}
+	rt.For("warm", 0, a.Len(), func(p *omp.Proc, lo, hi int) {
+		buf := make([]float64, hi-lo)
+		for i := range buf {
+			buf[i] = 1
+		}
+		a.WriteRange(p.Mem(), lo, buf)
+	})
+	if err := rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: 2, At: rt.Now() + 1}); err != nil {
+		return GraceRow{}, err
+	}
+	rt.Parallel("long-phase", func(p *omp.Proc) { p.Charge(10) })
+	rt.Parallel("after", func(p *omp.Proc) {})
+
+	log := rt.AdaptLog()
+	if len(log) != 1 || len(log[0].Applied) != 1 {
+		return GraceRow{}, fmt.Errorf("bench: grace sweep %v fired %d adaptations", grace, len(log))
+	}
+	rec := log[0].Applied[0]
+	row := GraceRow{Grace: grace, Urgent: rec.Urgent, RunTime: rt.Now()}
+	if rec.Plan != nil {
+		row.Migration = rec.Plan.Cost
+	}
+	return row, nil
 }
 
-// FormatAblation renders the three ablations.
-func FormatAblation(a AblationResult) string {
-	var b strings.Builder
-	b.WriteString("Ablation A1: id reassignment for a middle leave (8-process Jacobi)\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "strategy\tcost\tpredicted moved fraction")
-	for _, r := range a.Reassign {
-		fmt.Fprintf(w, "%s\t%.3fs\t%.1f%%\n", r.Strategy, float64(r.Cost), 100*r.MovedFrac)
-	}
-	w.Flush()
+// writeAblation renders the three ablations.
+func writeAblation(s *sheet, _ Options, a AblationResult) {
+	s.WriteString("Ablation A1: id reassignment for a middle leave (8-process Jacobi)\n")
+	tabulate(s, "strategy\tcost\tpredicted moved fraction", "%s\t%.3fs\t%.1f%%", a.Reassign,
+		func(r ReassignRow) []any { return []any{r.Strategy, float64(r.Cost), 100 * r.MovedFrac} }, nil)
 
-	b.WriteString("\nAblation A2: leave state handoff (8-process Jacobi, end leave)\n")
-	w = tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "strategy\tleave elapsed\tmax-link bytes")
-	for _, r := range a.Handoff {
-		fmt.Fprintf(w, "%s\t%.3fs\t%d\n", r.Strategy, float64(r.LeaveElapsed), r.MaxLinkBytes)
-	}
-	w.Flush()
+	s.WriteString("\nAblation A2: leave state handoff (8-process Jacobi, end leave)\n")
+	tabulate(s, "strategy\tleave elapsed\tmax-link bytes", "%s\t%.3fs\t%d", a.Handoff,
+		func(r HandoffRow) []any { return []any{r.Strategy, float64(r.LeaveElapsed), r.MaxLinkBytes} }, nil)
 
-	b.WriteString("\nAblation A3: grace-period sweep (leave 1 s into a 10 s phase)\n")
-	w = tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "grace\turgent\trun time\tmigration cost")
-	for _, r := range a.Grace {
-		fmt.Fprintf(w, "%.1fs\t%v\t%.2fs\t%.2fs\n", float64(r.Grace), r.Urgent, float64(r.RunTime), float64(r.Migration))
-	}
-	w.Flush()
-	return b.String()
+	s.WriteString("\nAblation A3: grace-period sweep (leave 1 s into a 10 s phase)\n")
+	tabulate(s, "grace\turgent\trun time\tmigration cost", "%.1fs\t%v\t%.2fs\t%.2fs", a.Grace,
+		func(r GraceRow) []any {
+			return []any{float64(r.Grace), r.Urgent, float64(r.RunTime), float64(r.Migration)}
+		}, nil)
 }

@@ -69,7 +69,7 @@ func TestAlternatorNeverLeavesMaster(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rt.Parallel("tick", func(p *omp.Proc) { p.Charge(0.1) })
 	}
-	if got := appliedEvents(rt); got != 0 {
+	if got := appliedEvents(rt.AdaptLog()); got != 0 {
 		t.Fatalf("alternator fired %d events on a master-only team", got)
 	}
 }
@@ -116,7 +116,7 @@ func TestForkLeaverSkipsInvalidSlots(t *testing.T) {
 	rt.SetForkHook(forkLeaver(map[int64][]int{1: {0, -1, 99, 2}}))
 	rt.Parallel("a", func(p *omp.Proc) {})
 	rt.Parallel("b", func(p *omp.Proc) {})
-	if got := appliedEvents(rt); got != 1 {
+	if got := appliedEvents(rt.AdaptLog()); got != 1 {
 		t.Fatalf("applied = %d, want 1 (only slot 2 is valid)", got)
 	}
 	if rt.NProcs() != 2 {

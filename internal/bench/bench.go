@@ -25,7 +25,6 @@ import (
 	"io"
 
 	"nowomp/internal/adapt"
-	"nowomp/internal/apps"
 	"nowomp/internal/dsm"
 	"nowomp/internal/omp"
 	"nowomp/internal/scenario"
@@ -72,9 +71,10 @@ type Options struct {
 	// bit-reproducible in isolation, so results are byte-identical at
 	// any parallelism level — only the wall clock changes.
 	Parallel int
-	// Progress receives per-cell completion ticks with an ETA from the
-	// matrix experiments (nil = silent). The tool passes stderr; the
-	// stream is monitoring-only and never carries results.
+	// Progress receives per-cell completion ticks with an ETA from every
+	// cell list an experiment hands the pool (nil = silent). The tool
+	// passes stderr; the stream is monitoring-only and never carries
+	// results.
 	Progress io.Writer
 }
 
@@ -132,52 +132,104 @@ func beginPhase(rt *omp.Runtime) (end func() measured) {
 	}
 }
 
-// baselines runs the non-adaptive kernel at each team size and returns
-// the runtimes by size: the reference points of the paper's
+// baseKey names one non-adaptive reference run: a kernel at a scale
+// and a team size.
+type baseKey struct {
+	app   string
+	scale float64
+	procs int
+}
+
+// baseTimes are the runtimes of reference runs by key.
+type baseTimes map[baseKey]simtime.Seconds
+
+// baselines runs each distinct reference once, as cells of the pool,
+// and returns the runtimes: the reference points of the paper's
 // adaptation-cost method.
-func (o Options) baselines(app string, scale float64, sizes ...int) (map[int]simtime.Seconds, error) {
-	base := make(map[int]simtime.Seconds, len(sizes))
-	for _, n := range sizes {
-		if n < 1 { // a zero team would mean "default" to the spec
-			return nil, fmt.Errorf("bench: %s baseline needs at least one process, got %d", app, n)
+func (o Options) baselines(label string, keys []baseKey) (baseTimes, error) {
+	var runs []baseKey
+	seen := map[baseKey]bool{}
+	for _, k := range keys {
+		if k.procs < 1 { // a zero team would mean "default" to the spec
+			return nil, fmt.Errorf("bench: %s baseline needs at least one process, got %d", k.app, k.procs)
 		}
-		if _, done := base[n]; done {
-			continue
+		if !seen[k] {
+			seen[k] = true
+			runs = append(runs, k)
 		}
-		_, res, _, _, err := o.cell(app, scale, n).Execute(nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		base[n] = res.Time
+	}
+	times, err := runMatrix(o, label, runs, func(k baseKey) (simtime.Seconds, error) {
+		_, res, _, _, err := o.cell(k.app, k.scale, k.procs).Execute(nil, nil)
+		return res.Time, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	base := make(baseTimes, len(runs))
+	for i, k := range runs {
+		base[k] = times[i]
 	}
 	return base, nil
 }
 
-// adaptRun is one adaptive run priced by adaptCost.
+// sizes returns the runtimes of app at scale for the given team sizes,
+// by size: the points adaptCost interpolates over.
+func (b baseTimes) sizes(app string, scale float64, procs ...int) map[int]simtime.Seconds {
+	out := make(map[int]simtime.Seconds, len(procs))
+	for _, n := range procs {
+		out[n] = b[baseKey{app, scale, n}]
+	}
+	return out
+}
+
+// adaptCell is one adaptive run of an experiment: the kernel at scale
+// from procs processes, mod and hook as scenario.Spec.Execute takes
+// them (hook injects the adapt events), priced over base when it is
+// set.
+type adaptCell struct {
+	app   string
+	scale float64
+	procs int
+	base  map[int]simtime.Seconds
+	mod   func(*omp.Config)
+	hook  func(*omp.Runtime)
+}
+
+// adaptRun is what an experiment keeps of one adaptive run; the
+// runtime itself is dropped with the cell.
 type adaptRun struct {
-	Res apps.Result
-	RT  *omp.Runtime
+	Time simtime.Seconds
 	// AvgNodes is the time-weighted average team size, Ref the
 	// non-adaptive runtime interpolated at it, Cost the adaptive
-	// runtime's excess over Ref (all adaptations together).
+	// runtime's excess over Ref (all adaptations together); zero for a
+	// cell without baselines.
 	AvgNodes  float64
 	Ref, Cost simtime.Seconds
+	Log       []omp.AdaptationPoint
+	GCs       int
+	SharedMB  float64
 }
 
 // adaptCost is the paper's adaptation-cost method (section 5.2): run
-// the kernel adaptively from n processes with hook injecting the adapt
-// events, and charge the adaptations the difference between that
-// runtime and the non-adaptive runtime interpolated, over the baselines
-// at the neighbouring team sizes, at the run's average node count.
-func (o Options) adaptCost(app string, scale float64, n int, base map[int]simtime.Seconds,
-	mod func(*omp.Config), hook func(*omp.Runtime)) (adaptRun, error) {
-	_, res, rt, _, err := o.adaptive(app, scale, n).Execute(mod, hook)
+// the kernel adaptively, and charge the adaptations the difference
+// between its runtime and the non-adaptive runtime interpolated, over
+// the baselines at the neighbouring team sizes, at the run's average
+// node count.
+func (o Options) adaptCost(c adaptCell) (adaptRun, error) {
+	_, res, rt, _, err := o.adaptive(c.app, c.scale, c.procs).Execute(c.mod, c.hook)
 	if err != nil {
 		return adaptRun{}, err
 	}
-	nbar := avgTeamSize(rt, n, res.Time)
-	ref := refPiecewise(nbar, base)
-	return adaptRun{Res: res, RT: rt, AvgNodes: nbar, Ref: ref, Cost: res.Time - ref}, nil
+	run := adaptRun{
+		Time: res.Time, Log: rt.AdaptLog(), GCs: int(rt.Cluster().Stats().GCs.Load()),
+		SharedMB: float64(rt.Cluster().TotalSharedBytes()) / 1e6,
+	}
+	if c.base != nil {
+		run.AvgNodes = avgTeamSize(rt, c.procs, res.Time)
+		run.Ref = refPiecewise(run.AvgNodes, c.base)
+		run.Cost = res.Time - run.Ref
+	}
+	return run, nil
 }
 
 // avgTeamSize returns the time-weighted average team size of a run,
@@ -269,10 +321,10 @@ func (a *alternator) hook(rt *omp.Runtime) {
 	a.next++
 }
 
-// appliedEvents counts the adapt events recorded in the run.
-func appliedEvents(rt *omp.Runtime) int {
+// appliedEvents counts the adapt events recorded in an adaptation log.
+func appliedEvents(log []omp.AdaptationPoint) int {
 	n := 0
-	for _, ap := range rt.AdaptLog() {
+	for _, ap := range log {
 		n += len(ap.Applied)
 	}
 	return n

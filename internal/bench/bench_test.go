@@ -12,6 +12,14 @@ import (
 // they are robust at small scale, mechanics everywhere.
 func tiny() Options { return Options{Scale: 0.06, Hosts: 10} }
 
+// render is an experiment's printed text for a result: its entry's
+// writer, under tiny's options.
+func render[T any](write func(*sheet, Options, T), v T) string {
+	var s sheet
+	write(&s, tiny(), v)
+	return s.String()
+}
+
 func TestTable1ShapesAndParity(t *testing.T) {
 	rows, err := Table1(tiny(), []int{4, 2, 1})
 	if err != nil {
@@ -55,9 +63,9 @@ func TestTable1ShapesAndParity(t *testing.T) {
 			t.Errorf("%s fetched diffs, want 0", app)
 		}
 	}
-	text := FormatTable1(rows, 0.06)
-	if !strings.Contains(text, "jacobi") || !strings.Contains(text, "traffic identical") {
-		t.Error("FormatTable1 output malformed")
+	text := render(writeTable1, rows)
+	if !strings.Contains(text, "jacobi") || !strings.Contains(text, "traffic identical") || !strings.Contains(text, "(scale 0.06)") {
+		t.Error("table1 output malformed")
 	}
 }
 
@@ -86,9 +94,9 @@ func TestTable2CellMechanics(t *testing.T) {
 	if cell.AdaTime <= cell.RefTime {
 		t.Fatalf("adaptive run %.3fs must exceed baseline %.3fs", float64(cell.AdaTime), float64(cell.RefTime))
 	}
-	out := FormatTable2([]Table2Cell{cell})
+	out := render(writeTable2, []Table2Cell{cell})
 	if !strings.Contains(out, "nbf") {
-		t.Error("FormatTable2 output malformed")
+		t.Error("table2 output malformed")
 	}
 }
 
@@ -132,8 +140,8 @@ func TestFig3MeasurementTracksTheory(t *testing.T) {
 				r.LeaverSlot, 100*r.MovedFrac, 100*r.TheoryFrac)
 		}
 	}
-	if out := FormatFig3(rows); !strings.Contains(out, "leaver id") {
-		t.Error("FormatFig3 output malformed")
+	if out := render(writeFig3, rows); !strings.Contains(out, "leaver id") {
+		t.Error("fig3 output malformed")
 	}
 }
 
@@ -155,8 +163,8 @@ func TestMigrationWhatIf(t *testing.T) {
 				r.App, float64(r.FullScaleCost), float64(r.PaperCost), 100*rel)
 		}
 	}
-	if out := FormatMigration(rows); !strings.Contains(out, "8.1 MB/s") {
-		t.Error("FormatMigration output malformed")
+	if out := render(writeMigration, rows); !strings.Contains(out, "8.1 MB/s") {
+		t.Error("migration output malformed")
 	}
 }
 
@@ -199,8 +207,8 @@ func TestMicroShapes(t *testing.T) {
 	if len(m.Repeated) < 2 || m.Repeated[1].PagesMoved >= m.Repeated[0].PagesMoved {
 		t.Errorf("M6: repeated leaves should move fewer pages: %+v", m.Repeated)
 	}
-	if out := FormatMicro(m); !strings.Contains(out, "M5") {
-		t.Error("FormatMicro output malformed")
+	if out := render(writeMicro, m); !strings.Contains(out, "M5") {
+		t.Error("micro output malformed")
 	}
 }
 
@@ -250,8 +258,8 @@ func TestAblationShapes(t *testing.T) {
 		t.Errorf("A3: urgent run %.2fs must exceed normal run %.2fs",
 			float64(a.Grace[0].RunTime), float64(a.Grace[3].RunTime))
 	}
-	if out := FormatAblation(a); !strings.Contains(out, "A3") {
-		t.Error("FormatAblation output malformed")
+	if out := render(writeAblation, a); !strings.Contains(out, "A3") {
+		t.Error("ablation output malformed")
 	}
 }
 

@@ -40,7 +40,7 @@ func detFingerprint(t *testing.T) string {
 		}
 		add("loop/%s: %.17g %d %d", row.Schedule, float64(row.Time), row.Bytes, row.Messages)
 	}
-	row, err := taskingPoint(opt, "skewed", taskingN(opt.Scale), 4)
+	row, err := taskingPoint(opt, "skewed", loopItems(opt.Scale), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

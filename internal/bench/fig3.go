@@ -2,10 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
-	"nowomp/internal/adapt"
 	"nowomp/internal/apps"
 	"nowomp/internal/omp"
 	"nowomp/internal/simnet"
@@ -51,15 +48,7 @@ func Fig3(opt Options, slots []int) ([]Fig3Row, error) {
 	if len(slots) == 0 {
 		slots = []int{1, 2, 3, 4, 5, 6, 7}
 	}
-	var rows []Fig3Row
-	for _, slot := range slots {
-		row, err := fig3Point(opt, slot)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return runMatrix(opt, "fig3", slots, func(slot int) (Fig3Row, error) { return fig3Point(opt, slot) })
 }
 
 func fig3Point(opt Options, slot int) (Fig3Row, error) {
@@ -88,14 +77,11 @@ func fig3Point(opt Options, slot int) (Fig3Row, error) {
 	var (
 		snaps  = map[int64]simnet.Counters{}
 		fabric = rt.Cluster().Fabric()
+		leave  = forkLeaver(map[int64][]int{leaveFork: {slot}})
 	)
 	rt.SetForkHook(func(rt *omp.Runtime) {
-		f := rt.Forks() // forks completed so far; this hook precedes fork f+1
-		snaps[f] = fabric.Snapshot()
-		if f == leaveFork {
-			team := rt.Team()
-			_ = rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: team[slot], At: rt.Now()})
-		}
+		snaps[rt.Forks()] = fabric.Snapshot() // forks completed so far; this hook precedes the next
+		leave(rt)
 	})
 	if _, err := apps.RunJacobi(rt, cfg); err != nil {
 		return Fig3Row{}, err
@@ -122,15 +108,9 @@ func fig3Point(opt Options, slot int) (Fig3Row, error) {
 	}, nil
 }
 
-// FormatFig3 renders the sweep like the paper's Figure 3 caption.
-func FormatFig3(rows []Fig3Row) string {
-	var b strings.Builder
-	b.WriteString("Figure 3: data re-distribution vs leaving process id (8-process Jacobi)\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "leaver id\tmoved/data space\tpartition-geometry prediction")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.1f%%\t%.1f%%\n", r.LeaverSlot, 100*r.MovedFrac, 100*r.TheoryFrac)
-	}
-	w.Flush()
-	return b.String()
+// writeFig3 renders the sweep like the paper's Figure 3 caption.
+func writeFig3(s *sheet, _ Options, rows []Fig3Row) {
+	s.WriteString("Figure 3: data re-distribution vs leaving process id (8-process Jacobi)\n")
+	tabulate(s, "leaver id\tmoved/data space\tpartition-geometry prediction", "%d\t%.1f%%\t%.1f%%", rows,
+		func(r Fig3Row) []any { return []any{r.LeaverSlot, 100 * r.MovedFrac, 100 * r.TheoryFrac} }, nil)
 }

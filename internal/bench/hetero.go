@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"strconv"
-	"strings"
-	"text/tabwriter"
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/machine"
@@ -69,15 +67,11 @@ const heteroProcs = 4
 // scale; the sweeps give the run enough adaptation points (and enough
 // virtual seconds) for policy-driven events to mature mid-run.
 func heteroDims(scale float64) (n, iters int) {
-	n = 1 << 12
-	for float64(n) < 1<<14*scale {
-		n *= 2
-	}
 	iters = 40
 	for float64(iters) < 150*scale {
 		iters++
 	}
-	return n, iters
+	return loopItems(scale), iters
 }
 
 // nowShape is one NOW shape of the hetero and protocols matrices: the
@@ -250,12 +244,14 @@ func Hetero(opt Options) ([]HeteroRow, error) {
 		return nil, fmt.Errorf("bench: hetero needs more than %d hosts, got %d", heteroProcs, opt.Hosts)
 	}
 
-	// Baseline first: the flash-load shape is sized from its time.
-	base, err := heteroRun(opt, nowShape{name: "homog"}, omp.Static)
+	// Baseline first, as a cell of its own: the flash-load shape is
+	// sized from its time.
+	rows, err := runMatrix(opt, "hetero baseline", []nowShape{{name: "homog"}},
+		func(sh nowShape) (HeteroRow, error) { return heteroRun(opt, sh, omp.Static) })
 	if err != nil {
 		return nil, err
 	}
-	rows := []HeteroRow{base}
+	base := rows[0]
 
 	shapes := nowShapes(base.Time, "homog", "unit-factors", "mixed-speed", "one-loaded", "slow-link", "flash-load")
 	if opt.Machines != "" || opt.Loads != "" || opt.Links != "" || opt.Policy != "" {
@@ -278,14 +274,11 @@ func Hetero(opt Options) ([]HeteroRow, error) {
 			cells = append(cells, cell{sh, sched})
 		}
 	}
-	rows = append(rows, make([]HeteroRow, len(cells))...)
-	err = opt.runMatrix("hetero", len(cells), func(i int) (err error) {
-		rows[1+i], err = heteroRun(opt, cells[i].sh, cells[i].sched)
-		return err
-	})
+	matrix, err := runMatrix(opt, "hetero", cells, func(c cell) (HeteroRow, error) { return heteroRun(opt, c.sh, c.sched) })
 	if err != nil {
 		return nil, err
 	}
+	rows = append(rows, matrix...)
 
 	// Enforce the unit-factor contract: explicit 1.0 factors must
 	// reproduce the nil-model baseline exactly, for every schedule. On
@@ -330,17 +323,15 @@ func heteroRun(opt Options, sh nowShape, sched omp.Schedule) (HeteroRow, error) 
 	return row, nil
 }
 
-// FormatHetero renders the matrix.
-func FormatHetero(rows []HeteroRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Heterogeneous NOW matrix: uniform loop under three schedules")
-	fmt.Fprintln(&b, "(virtual work-loop time; leaves/joins are policy-driven adaptations)")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "scenario\tschedule\ttime\tMB\tleaves\tjoins\tverified")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.3fs\t%.3f\t%d\t%d\t%v\n",
-			r.Scenario, r.Schedule, float64(r.Time), r.MB, r.Leaves, r.Joins, r.Verified)
-	}
-	w.Flush()
-	return b.String()
+// writeHetero renders the matrix and records every cell.
+func writeHetero(s *sheet, _ Options, rows []HeteroRow) {
+	s.WriteString("Heterogeneous NOW matrix: uniform loop under three schedules\n")
+	s.WriteString("(virtual work-loop time; leaves/joins are policy-driven adaptations)\n")
+	tabulate(s, "scenario\tschedule\ttime\tMB\tleaves\tjoins\tverified", "%s\t%s\t%.3fs\t%.3f\t%d\t%d\t%v", rows,
+		func(r HeteroRow) []any {
+			return []any{r.Scenario, r.Schedule, float64(r.Time), r.MB, r.Leaves, r.Joins, r.Verified}
+		}, func(r HeteroRow) Record {
+			return Record{Scenario: fmt.Sprintf("hetero/%s/%s", r.Scenario, r.Schedule),
+				Seconds: float64(r.Time), Bytes: r.Bytes, Messages: r.Messages}
+		})
 }

@@ -72,9 +72,8 @@ func TestHeteroMatrixShapes(t *testing.T) {
 			t.Errorf("flash-load/%s: %d leaves, %d joins; want 1 and 1", sched, r.Leaves, r.Joins)
 		}
 	}
-	out := FormatHetero(rows)
-	if !strings.Contains(out, "flash-load") || !strings.Contains(out, "scenario") {
-		t.Errorf("FormatHetero output missing content:\n%s", out)
+	if out := render(writeHetero, rows); !strings.Contains(out, "flash-load") || !strings.Contains(out, "scenario") {
+		t.Errorf("hetero output missing content:\n%s", out)
 	}
 }
 
@@ -173,8 +172,8 @@ func TestUnitFactorsBitIdenticalOnApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if adaptive && appliedEvents(rt) != 2 {
-				t.Fatalf("schedule applied %d events, want 2", appliedEvents(rt))
+			if adaptive && appliedEvents(rt.AdaptLog()) != 2 {
+				t.Fatalf("schedule applied %d events, want 2", appliedEvents(rt.AdaptLog()))
 			}
 			return fingerprint{res.Time, res.Bytes, res.Messages, res.Diffs, res.Checksum}
 		}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"nowomp/internal/dsm"
-	"nowomp/internal/simtime"
 )
 
 // Machine-readable bench results (-json): one record per measured
@@ -125,51 +124,6 @@ func NewReport(opt Options) *Report {
 	// than null — consumers iterate it unconditionally.
 	return &Report{Schema: ReportSchema, Scale: opt.Scale, Hosts: opt.Hosts,
 		Parallel: parallel, Results: []Record{}}
-}
-
-// Add appends one scenario record.
-func (r *Report) Add(scenario string, t simtime.Seconds, bytes, messages int64) {
-	r.Results = append(r.Results, Record{
-		Scenario: scenario, Seconds: float64(t), Bytes: bytes, Messages: messages,
-	})
-}
-
-// AddTable1 contributes the Table 1 rows (adaptive-variant traffic).
-func (r *Report) AddTable1(rows []Table1Row) {
-	for _, row := range rows {
-		r.Add(fmt.Sprintf("table1/%s/%dp", row.App, row.Procs),
-			row.AdaTime, row.Bytes, row.Messages)
-	}
-}
-
-// AddHetero contributes the heterogeneity matrix.
-func (r *Report) AddHetero(rows []HeteroRow) {
-	for _, row := range rows {
-		r.Add(fmt.Sprintf("hetero/%s/%s", row.Scenario, row.Schedule),
-			row.Time, row.Bytes, row.Messages)
-	}
-}
-
-// AddTasking contributes the tasking comparison (the task variant's
-// time and traffic per workload and team size).
-func (r *Report) AddTasking(rows []TaskingRow) {
-	for _, row := range rows {
-		r.Add(fmt.Sprintf("tasking/%s/%dp", row.Workload, row.Procs),
-			row.Tasks, row.TasksBytes, row.TasksMessages)
-	}
-}
-
-// AddProtocols contributes the coherence-protocol matrix. Hybrid
-// cells carry their coherence record.
-func (r *Report) AddProtocols(rows []ProtoRow) {
-	for _, row := range rows {
-		r.Add(fmt.Sprintf("protocols/%s/%s/%s/%s", row.Kernel, row.Scenario, row.Schedule, row.Protocol),
-			row.Time, row.Bytes, row.Messages)
-		if row.Protocol == "hybrid" {
-			co := row.Coherence
-			r.Results[len(r.Results)-1].Coherence = &co
-		}
-	}
 }
 
 // Write renders the report, scenarios sorted for stable diffs, to

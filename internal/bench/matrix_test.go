@@ -20,34 +20,25 @@ import (
 // for an intentional cost change.
 const matrixGoldenPath = "testdata/matrix-0.06.json"
 
-// matrixRecords runs the four experiments the way `nowomp-bench -json`
-// does and returns the report's records in its on-disk order.
+// matrixRecords runs the four record-bearing experiments of the list
+// the way `nowomp-bench -json` does and returns their records in the
+// report's on-disk order.
 func matrixRecords(t *testing.T) []Record {
 	t.Helper()
 	opt := Options{Scale: 0.06, Hosts: 10}
-	rep := NewReport(opt)
-	t1, err := Table1(opt, nil)
-	if err != nil {
-		t.Fatal(err)
+	var recs []Record
+	for _, e := range Experiments {
+		switch e.Name {
+		case "table1", "tasking", "hetero", "protocols":
+			out, err := e.Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, out.Records...)
+		}
 	}
-	rep.AddTable1(t1)
-	tk, err := Tasking(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.AddTasking(tk)
-	ht, err := Hetero(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.AddHetero(ht)
-	pr, err := Protocols(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.AddProtocols(pr)
-	sort.Slice(rep.Results, func(i, j int) bool { return rep.Results[i].Scenario < rep.Results[j].Scenario })
-	return rep.Results
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Scenario < recs[j].Scenario })
+	return recs
 }
 
 // TestMatrixGolden asserts every record of the scale-0.06 matrix —

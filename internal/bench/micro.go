@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
-	"text/tabwriter"
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/omp"
@@ -78,147 +76,97 @@ func forkLeaver(fires map[int64][]int) func(*omp.Runtime) {
 	}
 }
 
-// leavePoint is one single-leave measurement: the leave's cost by the
-// paper's baseline method, the adaptation window's own cost and
-// max-link traffic (the pair whose proportionality section 5.4 claims),
-// and the shared-memory size.
-type leavePoint struct {
-	cost, windowCost simtime.Seconds
-	maxLink          int64
-	sharedMB         float64
-}
-
-// singleLeaveCost measures one leave (end slot) from procs processes of
-// Jacobi at the given scale.
-func singleLeaveCost(opt Options, scale float64, procs int) (leavePoint, error) {
-	base, err := opt.baselines("jacobi", scale, procs, procs-1)
-	if err != nil {
-		return leavePoint{}, err
-	}
-	run, err := opt.adaptCost("jacobi", scale, procs, base, nil, forkLeaver(map[int64][]int{8: {procs - 1}}))
-	if err != nil {
-		return leavePoint{}, err
-	}
-	log := run.RT.AdaptLog()
-	if len(log) != 1 {
-		return leavePoint{}, fmt.Errorf("bench: single leave produced %d adaptations", len(log))
-	}
-	return leavePoint{
-		cost: run.Cost, windowCost: log[0].Elapsed, maxLink: log[0].WindowMaxLink,
-		sharedMB: float64(run.RT.Cluster().TotalSharedBytes()) / 1e6,
-	}, nil
-}
-
-// Micro runs the section 5.4 experiments.
+// Micro runs the section 5.4 experiments: the baselines as one list of
+// cells, then every adaptive run as another.
 func Micro(opt Options) (MicroResult, error) {
 	opt = opt.withDefaults()
 	var out MicroResult
+
+	// The single leaves of Jacobi (the end slot, at fork 8): M3's
+	// size sweep at 8 processes, then M4's process-count sweep at the
+	// middle size, whose 8-process point is M3's middle one.
+	mid, nbfScale := opt.Scale*1.5, table2Scale(opt, "nbf")
+	type leave struct {
+		scale float64
+		procs int
+	}
+	leaves := []leave{{opt.Scale, 8}, {mid, 8}, {opt.Scale * 2, 8}, {mid, 4}, {mid, 6}}
+	// M5's baselines at 6, 7 and 8 processes of the middle size are
+	// among the leaves'; M6's schedule is sized from NBF's.
+	keys := []baseKey{{"nbf", nbfScale, 8}}
+	for _, l := range leaves {
+		keys = append(keys, baseKey{"jacobi", l.scale, l.procs}, baseKey{"jacobi", l.scale, l.procs - 1})
+	}
+	base, err := opt.baselines("micro baselines", keys)
+	if err != nil {
+		return out, err
+	}
+
+	var runs []adaptCell
+	for _, l := range leaves {
+		runs = append(runs, adaptCell{app: "jacobi", scale: l.scale, procs: l.procs,
+			base: base.sizes("jacobi", l.scale, l.procs, l.procs-1), hook: forkLeaver(map[int64][]int{8: {l.procs - 1}})})
+	}
+	// M5: two leaves together vs at successive adaptation points.
+	for _, fires := range []map[int64][]int{{8: {7, 6}}, {8: {7}, 9: {6}}} {
+		runs = append(runs, adaptCell{app: "jacobi", scale: mid, procs: 8,
+			base: base.sizes("jacobi", mid, 6, 7, 8), hook: forkLeaver(fires)})
+	}
+	// M6: repeated leave/rejoin of the same host (NBF: the read-only
+	// partner lists transfer only on the first leave).
+	nbf := base[baseKey{"nbf", nbfScale, 8}]
+	runs = append(runs, adaptCell{app: "nbf", scale: nbfScale, procs: 8,
+		hook: newAlternator([]simtime.Seconds{nbf * 0.3, nbf * 0.7}, EndSlot).hook})
+	done, err := runMatrix(opt, "micro", runs, opt.adaptCost)
+	if err != nil {
+		return out, err
+	}
+
+	// M2 correlates each single leave's adaptation window with its
+	// max-link traffic.
 	var linkX, linkY []float64
-	link := func(p leavePoint) {
-		linkX = append(linkX, float64(p.maxLink))
-		linkY = append(linkY, float64(p.windowCost))
+	link := func(r adaptRun) {
+		linkX = append(linkX, float64(r.Log[0].WindowMaxLink))
+		linkY = append(linkY, float64(r.Log[0].Elapsed))
 	}
-
-	// M3: size sweep at 8 processes. Its middle point is also M4's
-	// 8-process point, measured once.
-	midScale := opt.Scale * 1.5
-	var mid leavePoint
-	for _, scale := range []float64{opt.Scale, midScale, opt.Scale * 2} {
-		p, err := singleLeaveCost(opt, scale, 8)
-		if err != nil {
-			return out, err
+	for _, r := range done[:len(leaves)] {
+		if len(r.Log) != 1 {
+			return out, fmt.Errorf("bench: single leave produced %d adaptations", len(r.Log))
 		}
-		if scale == midScale {
-			mid = p
-		}
-		out.SizeSweep = append(out.SizeSweep, SizePoint{Scale: scale, SharedMB: p.sharedMB, Cost: p.cost})
-		link(p)
 	}
-
-	// M4: process-count sweep at fixed size.
-	for _, procs := range []int{4, 6, 8} {
-		p := mid
-		if procs != 8 {
-			var err error
-			if p, err = singleLeaveCost(opt, midScale, procs); err != nil {
-				return out, err
-			}
-		}
-		out.ProcSweep = append(out.ProcSweep, ProcPoint{Procs: procs, Cost: p.cost, MaxLinkBytes: p.maxLink})
-		link(p)
+	for i, r := range done[:3] {
+		out.SizeSweep = append(out.SizeSweep, SizePoint{Scale: leaves[i].scale, SharedMB: r.SharedMB, Cost: r.Cost})
+		link(r)
+	}
+	for _, i := range []int{3, 4, 1} { // 4, 6, then the shared 8-process point
+		r := done[i]
+		out.ProcSweep = append(out.ProcSweep, ProcPoint{Procs: leaves[i].procs, Cost: r.Cost, MaxLinkBytes: r.Log[0].WindowMaxLink})
+		link(r)
 	}
 	out.LinkCorr = pearson(linkX, linkY)
 
-	// M5: two leaves together vs at successive adaptation points.
-	simul, err := simultaneousVsSuccessive(opt)
-	if err != nil {
-		return out, err
-	}
-	out.Simultaneous = simul
-
-	// M6: repeated leave/rejoin of the same host (NBF: the read-only
-	// partner lists transfer only on the first leave).
-	rep, err := repeatedLeaves(opt)
-	if err != nil {
-		return out, err
-	}
-	out.Repeated = rep
-	return out, nil
-}
-
-func simultaneousVsSuccessive(opt Options) (SimulResult, error) {
-	scale := opt.Scale * 1.5
-	base, err := opt.baselines("jacobi", scale, 6, 7, 8)
-	if err != nil {
-		return SimulResult{}, err
-	}
-	run := func(fires map[int64][]int) (simtime.Seconds, int, error) {
-		r, err := opt.adaptCost("jacobi", scale, 8, base, nil, forkLeaver(fires))
-		if err != nil {
-			return 0, 0, err
+	together, successive := done[len(leaves)], done[len(leaves)+1]
+	for _, r := range []adaptRun{together, successive} {
+		if got := appliedEvents(r.Log); got != 2 {
+			return out, fmt.Errorf("bench: expected 2 leaves, got %d", got)
 		}
-		if got := appliedEvents(r.RT); got != 2 {
-			return 0, 0, fmt.Errorf("bench: expected 2 leaves, got %d", got)
-		}
-		return r.Cost, int(r.RT.Cluster().Stats().GCs.Load()), nil
 	}
-	together, gcT, err := run(map[int64][]int{8: {7, 6}})
-	if err != nil {
-		return SimulResult{}, err
+	out.Simultaneous = SimulResult{
+		TogetherCost: together.Cost, SuccessiveCost: successive.Cost,
+		TogetherGCs: together.GCs, SuccessiveGCs: successive.GCs,
 	}
-	successive, gcS, err := run(map[int64][]int{8: {7}, 9: {6}})
-	if err != nil {
-		return SimulResult{}, err
-	}
-	return SimulResult{
-		TogetherCost: together, SuccessiveCost: successive,
-		TogetherGCs: gcT, SuccessiveGCs: gcS,
-	}, nil
-}
 
-func repeatedLeaves(opt Options) ([]RepeatPoint, error) {
-	scale := table2Scale(opt, "nbf")
-	base, err := opt.baselines("nbf", scale, 8)
-	if err != nil {
-		return nil, err
-	}
-	alt := newAlternator([]simtime.Seconds{base[8] * 0.3, base[8] * 0.7}, EndSlot)
-	_, _, rt, _, err := opt.adaptive("nbf", scale, 8).Execute(nil, alt.hook)
-	if err != nil {
-		return nil, err
-	}
-	var points []RepeatPoint
-	for _, ap := range rt.AdaptLog() {
+	for _, ap := range done[len(done)-1].Log {
 		for _, rec := range ap.Applied {
 			if rec.Event.Kind == adapt.KindLeave {
-				points = append(points, RepeatPoint{Leave: len(points) + 1, PagesMoved: rec.Transfer.PagesMoved})
+				out.Repeated = append(out.Repeated, RepeatPoint{Leave: len(out.Repeated) + 1, PagesMoved: rec.Transfer.PagesMoved})
 			}
 		}
 	}
-	if len(points) < 2 {
-		return nil, fmt.Errorf("bench: repeated-leave run fired %d leaves, want 2", len(points))
+	if len(out.Repeated) < 2 {
+		return out, fmt.Errorf("bench: repeated-leave run fired %d leaves, want 2", len(out.Repeated))
 	}
-	return points, nil
+	return out, nil
 }
 
 // refPiecewise interpolates the baseline runtime piecewise-linearly
@@ -262,39 +210,25 @@ func pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// FormatMicro renders the section 5.4 results.
-func FormatMicro(m MicroResult) string {
-	var b strings.Builder
-	b.WriteString("Section 5.4 micro-analysis of adaptation costs (Jacobi unless noted)\n\n")
+// writeMicro renders the section 5.4 results.
+func writeMicro(s *sheet, _ Options, m MicroResult) {
+	s.WriteString("Section 5.4 micro-analysis of adaptation costs (Jacobi unless noted)\n\n")
 
-	b.WriteString("M3: cost vs problem size (single leave, 8 processes)\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "scale\tshared MB\tcost")
-	for _, p := range m.SizeSweep {
-		fmt.Fprintf(w, "%.2f\t%.1f\t%.3fs\n", p.Scale, p.SharedMB, float64(p.Cost))
-	}
-	w.Flush()
+	s.WriteString("M3: cost vs problem size (single leave, 8 processes)\n")
+	tabulate(s, "scale\tshared MB\tcost", "%.2f\t%.1f\t%.3fs", m.SizeSweep,
+		func(p SizePoint) []any { return []any{p.Scale, p.SharedMB, float64(p.Cost)} }, nil)
 
-	b.WriteString("\nM4: cost vs process count (single leave, fixed size)\n")
-	w = tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "procs\tcost\tmax-link bytes")
-	for _, p := range m.ProcSweep {
-		fmt.Fprintf(w, "%d\t%.3fs\t%d\n", p.Procs, float64(p.Cost), p.MaxLinkBytes)
-	}
-	w.Flush()
+	s.WriteString("\nM4: cost vs process count (single leave, fixed size)\n")
+	tabulate(s, "procs\tcost\tmax-link bytes", "%d\t%.3fs\t%d", m.ProcSweep,
+		func(p ProcPoint) []any { return []any{p.Procs, float64(p.Cost), p.MaxLinkBytes} }, nil)
 
-	fmt.Fprintf(&b, "\nM2: correlation(cost, max per-link traffic) = %.3f\n", m.LinkCorr)
+	fmt.Fprintf(s, "\nM2: correlation(cost, max per-link traffic) = %.3f\n", m.LinkCorr)
 
-	fmt.Fprintf(&b, "\nM5: two leaves together %.3fs vs successive %.3fs (GCs %d vs %d)\n",
+	fmt.Fprintf(s, "\nM5: two leaves together %.3fs vs successive %.3fs (GCs %d vs %d)\n",
 		float64(m.Simultaneous.TogetherCost), float64(m.Simultaneous.SuccessiveCost),
 		m.Simultaneous.TogetherGCs, m.Simultaneous.SuccessiveGCs)
 
-	b.WriteString("\nM6: repeated leave/rejoin of one host (NBF)\n")
-	w = tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "leave\tpages moved")
-	for _, p := range m.Repeated {
-		fmt.Fprintf(w, "%d\t%d\n", p.Leave, p.PagesMoved)
-	}
-	w.Flush()
-	return b.String()
+	s.WriteString("\nM6: repeated leave/rejoin of one host (NBF)\n")
+	tabulate(s, "leave\tpages moved", "%d\t%d", m.Repeated,
+		func(p RepeatPoint) []any { return []any{p.Leave, p.PagesMoved} }, nil)
 }

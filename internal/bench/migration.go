@@ -1,10 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"strings"
-	"text/tabwriter"
-
 	"nowomp/internal/migrate"
 	"nowomp/internal/simtime"
 )
@@ -53,41 +49,34 @@ var paperSharedBytes = map[string]int{
 func Migration(opt Options) ([]MigrationRow, error) {
 	opt = opt.withDefaults()
 	const procs = 4
-	var rows []MigrationRow
-	for _, app := range []string{"gauss", "jacobi", "fft3d", "nbf"} {
+	return runMatrix(opt, "migration", []string{"gauss", "jacobi", "fft3d", "nbf"}, func(app string) (MigrationRow, error) {
 		// A very small live run builds the cluster and its regions.
 		// The full pool, like every other experiment: the extra idle
 		// hosts cost nothing, and the options' machine specs (sized to
 		// the pool) stay applicable.
 		_, _, rt, _, err := opt.cell(app, min(opt.Scale, 0.1), procs).Execute(nil, nil)
 		if err != nil {
-			return nil, err
+			return MigrationRow{}, err
 		}
 		c := rt.Cluster()
 		plan := migrate.New(c, 1, 2, 0)
 		model := c.Model()
-		rows = append(rows, MigrationRow{
+		return MigrationRow{
 			App:           app,
 			SharedMB:      float64(c.TotalSharedBytes()) / 1e6,
 			Cost:          plan.Cost,
 			FullScaleCost: model.Migration(paperSharedBytes[app] + model.MigrationImageOverhead),
 			PaperCost:     paperMigrationCosts[app],
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
-// FormatMigration renders the what-if table.
-func FormatMigration(rows []MigrationRow) string {
-	var b strings.Builder
-	b.WriteString("Section 5.3 what-if: direct cost of adaptation by migration alone\n")
-	b.WriteString("(process creation 0.6-0.8 s + image at 8.1 MB/s)\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "app\tshared MB (scaled)\tmigration cost (scaled)\tfull-scale cost\tpaper")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.1f\t%.2fs\t%.2fs\t%.2fs\n",
-			r.App, r.SharedMB, float64(r.Cost), float64(r.FullScaleCost), float64(r.PaperCost))
-	}
-	w.Flush()
-	return b.String()
+// writeMigration renders the what-if table.
+func writeMigration(s *sheet, _ Options, rows []MigrationRow) {
+	s.WriteString("Section 5.3 what-if: direct cost of adaptation by migration alone\n")
+	s.WriteString("(process creation 0.6-0.8 s + image at 8.1 MB/s)\n")
+	tabulate(s, "app\tshared MB (scaled)\tmigration cost (scaled)\tfull-scale cost\tpaper", "%s\t%.1f\t%.2fs\t%.2fs\t%.2fs", rows,
+		func(r MigrationRow) []any {
+			return []any{r.App, r.SharedMB, float64(r.Cost), float64(r.FullScaleCost), float64(r.PaperCost)}
+		}, nil)
 }

@@ -7,14 +7,15 @@ import (
 	"time"
 )
 
-// The worker-pool driver for scenario matrices. Every cell of the
-// table1/tasking/hetero/protocols experiments is an independent
-// simulation — it owns its runtime, and with it its engine, fabric and
-// cluster — and the engine makes each one bit-reproducible in
-// isolation, so cells can fan out across real cores with no effect on
-// the results. Cells write into index-addressed slots, so the
-// assembled tables (and the -json report) are byte-identical at any
-// parallelism level; only the wall clock changes.
+// The worker pool the experiments run on. Every cell of every
+// experiment is an independent simulation — it owns its runtime, and
+// with it its engine, fabric and cluster — and the engine makes each
+// one bit-reproducible in isolation, so cells can fan out across real
+// cores with no effect on the results. Cells write into index-addressed
+// slots, so the assembled tables (and the -json report) are
+// byte-identical at any parallelism level; only the wall clock changes.
+// An experiment whose runs depend on earlier ones (a schedule sized from
+// a baseline) hands the pool one cell list per stage.
 
 // runCells executes n independent cells through a pool of at most
 // parallel workers (parallel <= 1 runs them inline, in order). The
@@ -96,13 +97,20 @@ func fmtDuration(d time.Duration) string {
 	return d.Round(time.Second).String()
 }
 
-// runMatrix is runCells with per-cell progress reporting to
-// opt.Progress, under the experiment's label.
-func (o Options) runMatrix(label string, n int, cell func(i int) error) error {
-	m := newProgressMeter(o.Progress, label, n)
-	return runCells(o.Parallel, n, func(i int) error {
-		err := cell(i)
+// runMatrix runs one cell per key through runCells, with per-cell
+// progress reporting to opt.Progress under the experiment's label, and
+// returns the results in key order. Every simulation of every
+// experiment runs inside one of its cells.
+func runMatrix[K, R any](opt Options, label string, keys []K, cell func(K) (R, error)) ([]R, error) {
+	m := newProgressMeter(opt.Progress, label, len(keys))
+	out := make([]R, len(keys))
+	err := runCells(opt.Parallel, len(keys), func(i int) (err error) {
+		out[i], err = cell(keys[i])
 		m.tick()
 		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

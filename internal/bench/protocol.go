@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"text/tabwriter"
 
 	"nowomp/internal/dsm"
 	"nowomp/internal/omp"
@@ -105,15 +104,16 @@ func Protocols(opt Options) ([]ProtoRow, error) {
 		m, _, err := loopCell(opt, sh, sched, proto)
 		return protoRow("loop", sh, sched.String(), proto, m), err
 	}
-	// Baseline sizes the leave-join schedule; every other cell of the
-	// matrix is an independent run and fans out across Options.Parallel
-	// workers (this is the hottest table to regenerate, and the one the
-	// -parallel flag exists for).
-	base, err := loop(nowShape{name: "homog"}, omp.Static, "tmk")
+	// Baseline first, as a cell of its own: it sizes the leave-join
+	// schedule. Every other cell of the matrix is an independent run and
+	// fans out across Options.Parallel workers (this is the hottest
+	// table to regenerate).
+	rows, err := runMatrix(opt, "protocols baseline", []nowShape{{name: "homog"}},
+		func(sh nowShape) (ProtoRow, error) { return loop(sh, omp.Static, "tmk") })
 	if err != nil {
 		return nil, err
 	}
-	rows := []ProtoRow{base}
+	base := rows[0]
 
 	var cells []func() (ProtoRow, error)
 	shapes := nowShapes(base.Time, protoShapes...)
@@ -142,14 +142,11 @@ func Protocols(opt Options) ([]ProtoRow, error) {
 			}
 		}
 	}
-	rows = append(rows, make([]ProtoRow, len(cells))...)
-	err = opt.runMatrix("protocols", len(cells), func(i int) (err error) {
-		rows[1+i], err = cells[i]()
-		return err
-	})
+	matrix, err := runMatrix(opt, "protocols", cells, func(cell func() (ProtoRow, error)) (ProtoRow, error) { return cell() })
 	if err != nil {
 		return nil, err
 	}
+	rows = append(rows, matrix...)
 
 	// Assemble the per-(kernel, scenario, schedule) byte totals and
 	// enforce the contracts.
@@ -360,16 +357,27 @@ func falseShareRun(opt Options, sh nowShape, proto string) (ProtoRow, error) {
 
 // FormatProtocols renders the matrix.
 func FormatProtocols(rows []ProtoRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Coherence-protocol matrix: Tmk homeless LRC vs HLRC home-based LRC vs adaptive hybrid")
-	fmt.Fprintln(&b, "(virtual work-phase time; diffs = diff fetches, flushes = home pushes)")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "kernel\tscenario\tschedule\tprotocol\ttime\tKB\tmsgs\tdiffs\tflushes\tverified")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.3fs\t%.1f\t%d\t%d\t%d\t%v\n",
-			r.Kernel, r.Scenario, r.Schedule, r.Protocol, float64(r.Time),
-			float64(r.Bytes)/1e3, r.Messages, r.Diffs, r.Flushes, r.Verified)
-	}
-	w.Flush()
-	return b.String()
+	var s sheet
+	writeProtocols(&s, Options{}, rows)
+	return s.String()
+}
+
+// writeProtocols renders the matrix and records every cell; hybrid
+// cells carry their coherence record.
+func writeProtocols(s *sheet, _ Options, rows []ProtoRow) {
+	s.WriteString("Coherence-protocol matrix: Tmk homeless LRC vs HLRC home-based LRC vs adaptive hybrid\n")
+	s.WriteString("(virtual work-phase time; diffs = diff fetches, flushes = home pushes)\n")
+	tabulate(s, "kernel\tscenario\tschedule\tprotocol\ttime\tKB\tmsgs\tdiffs\tflushes\tverified",
+		"%s\t%s\t%s\t%s\t%.3fs\t%.1f\t%d\t%d\t%d\t%v", rows, func(r ProtoRow) []any {
+			return []any{r.Kernel, r.Scenario, r.Schedule, r.Protocol, float64(r.Time),
+				float64(r.Bytes) / 1e3, r.Messages, r.Diffs, r.Flushes, r.Verified}
+		}, func(r ProtoRow) Record {
+			rec := Record{Scenario: fmt.Sprintf("protocols/%s/%s/%s/%s", r.Kernel, r.Scenario, r.Schedule, r.Protocol),
+				Seconds: float64(r.Time), Bytes: r.Bytes, Messages: r.Messages}
+			if r.Protocol == "hybrid" {
+				co := r.Coherence
+				rec.Coherence = &co
+			}
+			return rec
+		})
 }

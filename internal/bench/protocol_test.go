@@ -7,7 +7,6 @@ import (
 
 	"nowomp/internal/dsm"
 	"nowomp/internal/omp"
-	"nowomp/internal/simtime"
 )
 
 // TestProtocolsMatrix runs the full protocol matrix at a small scale.
@@ -94,8 +93,9 @@ func TestProtocolsMatrix(t *testing.T) {
 // come back sorted by scenario with the schema stamped.
 func TestReportRendersSortedJSON(t *testing.T) {
 	rep := NewReport(Options{Scale: 0.06})
-	rep.Add("b/later", simtime.Seconds(2), 20, 2)
-	rep.Add("a/earlier", simtime.Seconds(1), 10, 1)
+	rep.Results = append(rep.Results,
+		Record{Scenario: "b/later", Seconds: 2, Bytes: 20, Messages: 2},
+		Record{Scenario: "a/earlier", Seconds: 1, Bytes: 10, Messages: 1})
 	path := t.TempDir() + "/bench.json"
 	if err := rep.Write(path); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"nowomp/internal/simtime"
 )
@@ -53,16 +51,7 @@ func Table1(opt Options, procCounts []int) ([]Table1Row, error) {
 			cells = append(cells, cell{app, procs})
 		}
 	}
-	rows := make([]Table1Row, len(cells))
-	err := opt.runMatrix("table1", len(cells), func(i int) error {
-		row, err := table1Row(opt, cells[i].app, cells[i].procs)
-		rows[i] = row
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return runMatrix(opt, "table1", cells, func(c cell) (Table1Row, error) { return table1Row(opt, c.app, c.procs) })
 }
 
 func table1Row(opt Options, app string, procs int) (Table1Row, error) {
@@ -91,18 +80,16 @@ func table1Row(opt Options, app string, procs int) (Table1Row, error) {
 	}, nil
 }
 
-// FormatTable1 renders the rows like the paper's Table 1.
-func FormatTable1(rows []Table1Row, scale float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1: execution times and network traffic, no adapt events (scale %g)\n", scale)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "app\tprocs\tshared MB\tstd time\tadaptive time\tpages(4k)\tMB\tmessages\tdiffs\ttraffic identical\tverified")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%.2fs\t%.2fs\t%d\t%.2f\t%d\t%d\t%v\t%v\n",
-			r.App, r.Procs, float64(r.SharedBytes)/1e6,
-			float64(r.StdTime), float64(r.AdaTime),
-			r.Pages, r.MB, r.Messages, r.Diffs, r.TrafficIdentical, r.ChecksumOK)
-	}
-	w.Flush()
-	return b.String()
+// writeTable1 renders the rows like the paper's Table 1 and records
+// each row's adaptive-variant traffic.
+func writeTable1(s *sheet, opt Options, rows []Table1Row) {
+	fmt.Fprintf(s, "Table 1: execution times and network traffic, no adapt events (scale %g)\n", opt.Scale)
+	tabulate(s, "app\tprocs\tshared MB\tstd time\tadaptive time\tpages(4k)\tMB\tmessages\tdiffs\ttraffic identical\tverified",
+		"%s\t%d\t%.1f\t%.2fs\t%.2fs\t%d\t%.2f\t%d\t%d\t%v\t%v", rows, func(r Table1Row) []any {
+			return []any{r.App, r.Procs, float64(r.SharedBytes) / 1e6, float64(r.StdTime), float64(r.AdaTime),
+				r.Pages, r.MB, r.Messages, r.Diffs, r.TrafficIdentical, r.ChecksumOK}
+		}, func(r Table1Row) Record {
+			return Record{Scenario: fmt.Sprintf("table1/%s/%dp", r.App, r.Procs),
+				Seconds: float64(r.AdaTime), Bytes: r.Bytes, Messages: r.Messages}
+		})
 }

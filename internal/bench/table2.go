@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"nowomp/internal/simtime"
 )
@@ -62,29 +60,72 @@ func EndSlot(teamSize int) int { return teamSize - 1 }
 // baselines at n and n-1 are measured once per application and shared
 // by both leavers.
 func Table2(opt Options, ns []int) ([]Table2Cell, error) {
-	opt = opt.withDefaults()
 	if len(ns) == 0 {
 		ns = []int{8, 6}
 	}
+	return table2(opt.withDefaults(), []string{"gauss", "jacobi", "fft3d", "nbf"}, ns, []string{"end", "middle"})
+}
+
+// Table2Cell1 measures one Table 2 cell, baselines included.
+func Table2Cell1(opt Options, app string, n int, leaver string) (Table2Cell, error) {
+	cells, err := table2(opt.withDefaults(), []string{app}, []int{n}, []string{leaver})
+	if err != nil {
+		return Table2Cell{}, err
+	}
+	return cells[0], nil
+}
+
+// table2 measures the cells of every app, leaver and n, in that order:
+// the baselines at every n and n-1 first, then the adaptive runs, whose
+// alternating leaves and joins spread over the expected runtime.
+func table2(opt Options, apps []string, ns []int, leavers []string) ([]Table2Cell, error) {
 	var sizes []int
 	for _, n := range ns {
 		sizes = append(sizes, n, n-1)
 	}
-	var cells []Table2Cell
-	for _, app := range []string{"gauss", "jacobi", "fft3d", "nbf"} {
-		base, err := opt.baselines(app, table2Scale(opt, app), sizes...)
-		if err != nil {
-			return nil, err
+	var keys []baseKey
+	for _, app := range apps {
+		for _, n := range sizes {
+			keys = append(keys, baseKey{app, table2Scale(opt, app), n})
 		}
-		for _, leaver := range []string{"end", "middle"} {
+	}
+	base, err := opt.baselines("table2 baselines", keys)
+	if err != nil {
+		return nil, err
+	}
+	var cells []Table2Cell
+	var runs []adaptCell
+	for _, app := range apps {
+		scale := table2Scale(opt, app)
+		appBase := base.sizes(app, scale, sizes...)
+		for _, leaver := range leavers {
+			slot := EndSlot
+			if leaver == "middle" {
+				slot = MiddleSlot
+			}
 			for _, n := range ns {
-				cell, err := table2Cell(opt, app, n, leaver, base)
-				if err != nil {
-					return nil, err
+				leaveAt := make([]simtime.Seconds, opt.Pairs)
+				for i := range leaveAt {
+					leaveAt[i] = appBase[n] * simtime.Seconds(float64(i)+0.6) / simtime.Seconds(float64(opt.Pairs)+0.6)
 				}
-				cells = append(cells, cell)
+				cells = append(cells, Table2Cell{App: app, N: n, Leaver: leaver})
+				runs = append(runs, adaptCell{app: app, scale: scale, procs: n, base: appBase,
+					hook: newAlternator(leaveAt, slot).hook})
 			}
 		}
+	}
+	done, err := runMatrix(opt, "table2", runs, opt.adaptCost)
+	if err != nil {
+		return nil, err
+	}
+	for i, run := range done {
+		c := &cells[i]
+		events := appliedEvents(run.Log)
+		if events == 0 {
+			return nil, fmt.Errorf("bench: %s n=%d %s: no adapt events fired (runtime %.2fs too short; raise scale)", c.App, c.N, c.Leaver, float64(run.Time))
+		}
+		c.AvgCost, c.Adaptations, c.AvgNodes = run.Cost/simtime.Seconds(events), events, run.AvgNodes
+		c.AdaTime, c.RefTime = run.Time, run.Ref
 	}
 	return cells, nil
 }
@@ -94,54 +135,12 @@ func table2Scale(opt Options, app string) float64 {
 	return max(opt.Scale, table2Scales[app])
 }
 
-// Table2Cell1 measures one Table 2 cell, baselines included.
-func Table2Cell1(opt Options, app string, n int, leaver string) (Table2Cell, error) {
-	opt = opt.withDefaults()
-	base, err := opt.baselines(app, table2Scale(opt, app), n, n-1)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	return table2Cell(opt, app, n, leaver, base)
-}
-
-// table2Cell runs the adaptive half of one cell against baselines that
-// cover n and n-1: alternating leaves and joins spread over the
-// expected runtime.
-func table2Cell(opt Options, app string, n int, leaver string, base map[int]simtime.Seconds) (Table2Cell, error) {
-	slot := EndSlot
-	if leaver == "middle" {
-		slot = MiddleSlot
-	}
-	leaveAt := make([]simtime.Seconds, opt.Pairs)
-	for i := range leaveAt {
-		leaveAt[i] = base[n] * simtime.Seconds(float64(i)+0.6) / simtime.Seconds(float64(opt.Pairs)+0.6)
-	}
-	run, err := opt.adaptCost(app, table2Scale(opt, app), n, base, nil, newAlternator(leaveAt, slot).hook)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	events := appliedEvents(run.RT)
-	if events == 0 {
-		return Table2Cell{}, fmt.Errorf("bench: %s n=%d %s: no adapt events fired (runtime %.2fs too short; raise scale)", app, n, leaver, float64(run.Res.Time))
-	}
-	return Table2Cell{
-		App: app, N: n, Leaver: leaver,
-		AvgCost: run.Cost / simtime.Seconds(events), Adaptations: events, AvgNodes: run.AvgNodes,
-		AdaTime: run.Res.Time, RefTime: run.Ref,
-	}, nil
-}
-
-// FormatTable2 renders the cells like the paper's Table 2.
-func FormatTable2(cells []Table2Cell) string {
-	var b strings.Builder
-	b.WriteString("Table 2: average cost of repeated adaptations between n and n-1 processes\n")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "app\tleaver\tn\tavg cost/adaptation\tadaptations\tavg nodes\tadaptive\tbaseline")
-	for _, c := range cells {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%.2fs\t%d\t%.2f\t%.2fs\t%.2fs\n",
-			c.App, c.Leaver, c.N, float64(c.AvgCost), c.Adaptations, c.AvgNodes,
-			float64(c.AdaTime), float64(c.RefTime))
-	}
-	w.Flush()
-	return b.String()
+// writeTable2 renders the cells like the paper's Table 2.
+func writeTable2(s *sheet, _ Options, cells []Table2Cell) {
+	s.WriteString("Table 2: average cost of repeated adaptations between n and n-1 processes\n")
+	tabulate(s, "app\tleaver\tn\tavg cost/adaptation\tadaptations\tavg nodes\tadaptive\tbaseline",
+		"%s\t%s\t%d\t%.2fs\t%d\t%.2f\t%.2fs\t%.2fs", cells, func(c Table2Cell) []any {
+			return []any{c.App, c.Leaver, c.N, float64(c.AvgCost), c.Adaptations, c.AvgNodes,
+				float64(c.AdaTime), float64(c.RefTime)}
+		}, nil)
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"nowomp/internal/omp"
 	"nowomp/internal/shmem"
@@ -70,10 +68,10 @@ func taskingWeight(i int, skewed bool) int {
 	return 1
 }
 
-// taskingN picks the item count for the configured scale. The floor
-// keeps one-chunk-per-process partitions page-aligned (512 float64 per
-// page) up to 8 processes.
-func taskingN(scale float64) int {
+// loopItems is the item count of the tasking and hetero loops at the
+// configured scale. The floor keeps one-chunk-per-process partitions
+// page-aligned (512 float64 per page) up to 8 processes.
+func loopItems(scale float64) int {
 	n := 1 << 12
 	for float64(n) < 1<<14*scale {
 		n *= 2
@@ -86,7 +84,7 @@ func taskingN(scale float64) int {
 // workers.
 func Tasking(opt Options) ([]TaskingRow, error) {
 	opt = opt.withDefaults()
-	n := taskingN(opt.Scale)
+	n := loopItems(opt.Scale)
 	type cell struct {
 		workload string
 		procs    int
@@ -100,16 +98,7 @@ func Tasking(opt Options) ([]TaskingRow, error) {
 			cells = append(cells, cell{workload, procs})
 		}
 	}
-	rows := make([]TaskingRow, len(cells))
-	err := opt.runMatrix("tasking", len(cells), func(i int) error {
-		row, err := taskingPoint(opt, cells[i].workload, n, cells[i].procs)
-		rows[i] = row
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return runMatrix(opt, "tasking", cells, func(c cell) (TaskingRow, error) { return taskingPoint(opt, c.workload, n, c.procs) })
 }
 
 // taskingPoint measures all four variants at one (workload, procs).
@@ -200,22 +189,21 @@ func taskingPoint(opt Options, workload string, n, procs int) (TaskingRow, error
 	return row, nil
 }
 
-// FormatTasking renders the comparison.
-func FormatTasking(rows []TaskingRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Tasking vs loop schedules on uniform and skewed work")
-	fmt.Fprintln(&b, "(virtual construct time; traffic of the two claim-based variants)")
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "workload\tprocs\tstatic\tdynamic\tguided\ttasks\tdyn MB\ttask MB\tsteals\ttasks vs dynamic")
-	for _, r := range rows {
-		verdict := "loses"
-		if r.Tasks < r.Dynamic {
-			verdict = "wins"
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.3fs\t%.3fs\t%.3fs\t%.3fs\t%.3f\t%.3f\t%d\t%s\n",
-			r.Workload, r.Procs, float64(r.Static), float64(r.Dynamic),
-			float64(r.Guided), float64(r.Tasks), r.DynamicMB, r.TasksMB, r.Steals, verdict)
-	}
-	w.Flush()
-	return b.String()
+// writeTasking renders the comparison and records the task variant's
+// time and traffic per workload and team size.
+func writeTasking(s *sheet, _ Options, rows []TaskingRow) {
+	s.WriteString("Tasking vs loop schedules on uniform and skewed work\n")
+	s.WriteString("(virtual construct time; traffic of the two claim-based variants)\n")
+	tabulate(s, "workload\tprocs\tstatic\tdynamic\tguided\ttasks\tdyn MB\ttask MB\tsteals\ttasks vs dynamic",
+		"%s\t%d\t%.3fs\t%.3fs\t%.3fs\t%.3fs\t%.3f\t%.3f\t%d\t%s", rows, func(r TaskingRow) []any {
+			verdict := "loses"
+			if r.Tasks < r.Dynamic {
+				verdict = "wins"
+			}
+			return []any{r.Workload, r.Procs, float64(r.Static), float64(r.Dynamic),
+				float64(r.Guided), float64(r.Tasks), r.DynamicMB, r.TasksMB, r.Steals, verdict}
+		}, func(r TaskingRow) Record {
+			return Record{Scenario: fmt.Sprintf("tasking/%s/%dp", r.Workload, r.Procs),
+				Seconds: float64(r.Tasks), Bytes: r.TasksBytes, Messages: r.TasksMessages}
+		})
 }

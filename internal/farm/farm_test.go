@@ -272,20 +272,34 @@ func TestMalformedRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for name, body := range map[string]string{
-		"not json":      "{",
-		"unknown field": `{"kernel":"jacobi","scael":0.1}`,
-		"bad kernel":    `{"kernel":"nope"}`,
-		"bad spec":      `{"kernel":"jacobi","procs":8,"hosts":2}`,
-		"two specs":     `{"kernel":"jacobi"} {"kernel":"gauss"} junk`,
+	// A valid spec padded out to the body limit and then followed by a
+	// second spec: cut at the limit it would decode as the first alone.
+	const limit = 1 << 20
+	valid := `{"kernel":"jacobi"}`
+	overLimit := valid + strings.Repeat(" ", limit-len(valid)) + `{"kernel":"gauss"} junk`
+	for name, c := range map[string]struct {
+		body string
+		code int
+	}{
+		"not json":       {"{", http.StatusBadRequest},
+		"unknown field":  {`{"kernel":"jacobi","scael":0.1}`, http.StatusBadRequest},
+		"bad kernel":     {`{"kernel":"nope"}`, http.StatusBadRequest},
+		"bad spec":       {`{"kernel":"jacobi","procs":8,"hosts":2}`, http.StatusBadRequest},
+		"two specs":      {`{"kernel":"jacobi"} {"kernel":"gauss"} junk`, http.StatusBadRequest},
+		"over the limit": {overLimit, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var msg map[string]string
+		decodeErr := json.NewDecoder(resp.Body).Decode(&msg)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != c.code {
+			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, c.code)
+		}
+		if decodeErr != nil || msg["error"] == "" {
+			t.Errorf("%s: body is not a one-field JSON error: %v %v", name, msg, decodeErr)
 		}
 	}
 	if _, code := get(t, ts, "/v1/jobs/j-999999"); code != http.StatusNotFound {
@@ -296,6 +310,29 @@ func TestMalformedRequests(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Jobs.Submitted != 0 {
 		t.Errorf("malformed requests became jobs: %+v", st.Jobs)
+	}
+}
+
+// TestSpecAtTheBodyLimit: a spec padded with whitespace to exactly the
+// 1 MiB body limit is still a spec.
+func TestSpecAtTheBodyLimit(t *testing.T) {
+	srv := NewServer(Limits{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := `{"kernel":"jacobi","procs":2,"hosts":2,"scale":0.02}`
+	body := spec + strings.Repeat(" ", 1<<20-len(spec))
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs?wait=true", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if st := srv.Stats(); st.Jobs.Submitted != 1 {
+		t.Errorf("submitted %d jobs, want 1", st.Jobs.Submitted)
 	}
 }
 

@@ -304,11 +304,20 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a submitted spec body. A longer body is refused
+// whole, never cut short and decoded.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit is POST /v1/jobs: body is a scenario spec, the tenant
 // comes from the X-Tenant header (or ?tenant=), and ?wait=true blocks
 // until the job reaches a terminal state.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("spec body over %d bytes", tooLarge.Limit))
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

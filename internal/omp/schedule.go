@@ -37,20 +37,6 @@ func (rt *Runtime) ParallelForTiled(name string, lo, hi, tiles int, body func(p 
 	}
 }
 
-// ParallelSections executes each section on one process of the team,
-// assigned round-robin by section index — the OpenMP sections
-// construct. Processes without a section just join.
-func (rt *Runtime) ParallelSections(name string, sections ...func(p *Proc)) {
-	if len(sections) == 0 {
-		return
-	}
-	rt.Parallel(name, func(p *Proc) {
-		for s := p.ID; s < len(sections); s += p.N {
-			sections[s](p)
-		}
-	})
-}
-
 // dynLock is the Tmk lock guarding the shared chunk counter of the
 // counter-based (Dynamic, Guided) schedules. Lock ids are a global
 // namespace managed by host 0; user code should avoid this id.

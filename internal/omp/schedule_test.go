@@ -85,33 +85,6 @@ func TestParallelForTiledEdgeCases(t *testing.T) {
 	rt.ParallelForTiled("bad", 0, 10, 0, func(p *Proc, lo, hi int) {})
 }
 
-func TestParallelSectionsRoundRobin(t *testing.T) {
-	rt := newRT(t, 4, 3, false)
-	ran := make([]int32, 7)
-	var secs []func(p *Proc)
-	for i := range ran {
-		i := i
-		secs = append(secs, func(p *Proc) {
-			atomic.StoreInt32(&ran[i], int32(p.ID)+1)
-		})
-	}
-	rt.ParallelSections("secs", secs...)
-	for i, v := range ran {
-		if v == 0 {
-			t.Fatalf("section %d never ran", i)
-		}
-		if want := int32(i%3) + 1; v != want {
-			t.Fatalf("section %d ran on proc %d, want %d", i, v-1, want-1)
-		}
-	}
-	// No sections: a no-op, not a fork.
-	forks := rt.Forks()
-	rt.ParallelSections("empty")
-	if rt.Forks() != forks {
-		t.Fatal("empty sections must not fork")
-	}
-}
-
 func TestParallelForDynamicCoversOnce(t *testing.T) {
 	rt := newRT(t, 4, 4, false)
 	const n = 777
