@@ -12,6 +12,13 @@ import (
 // tasks charge skewed compute and write their range, interior tasks
 // merge-sum their halves after a taskwait. Returns the checksum.
 func taskTree(t *testing.T, rt *Runtime, n, leaf int) (float64, TaskStats) {
+	return observedTaskTree(t, rt, n, leaf, nil)
+}
+
+// observedTaskTree is taskTree with seen, when non-nil, called with the
+// executing process at the start of every task body and again after
+// every taskwait returns.
+func observedTaskTree(t *testing.T, rt *Runtime, n, leaf int, seen func(*TaskProc)) (float64, TaskStats) {
 	t.Helper()
 	a, err := Alloc[float64](rt, "tree.data", n)
 	if err != nil {
@@ -19,6 +26,9 @@ func taskTree(t *testing.T, rt *Runtime, n, leaf int) (float64, TaskStats) {
 	}
 	var rec func(tp *TaskProc, lo, hi int)
 	rec = func(tp *TaskProc, lo, hi int) {
+		if seen != nil {
+			seen(tp)
+		}
 		if hi-lo <= leaf {
 			buf := make([]float64, hi-lo)
 			for i := range buf {
@@ -37,6 +47,9 @@ func taskTree(t *testing.T, rt *Runtime, n, leaf int) (float64, TaskStats) {
 		tp.Spawn(func(c *TaskProc) { rec(c, lo, mid) })
 		tp.Spawn(func(c *TaskProc) { rec(c, mid, hi) })
 		tp.TaskWait()
+		if seen != nil {
+			seen(tp)
+		}
 	}
 	stats := rt.Tasks("tree", func(tp *TaskProc) { rec(tp, 0, n) })
 
@@ -254,6 +267,82 @@ func TestTasksLeaveAndJoinMidTree(t *testing.T) {
 	if stats.Spawned != stats.Executed {
 		t.Errorf("spawned %d != executed %d", stats.Spawned, stats.Executed)
 	}
+}
+
+// Through a join that matures mid-tree and a leave held until its
+// process is stackless, every task body sees its process as the team's
+// entry for its id and the team's current size, and the barrier that
+// ends the region receives the final team's processes. Every leaf
+// spawns a tail task nobody waits for, which charges ten seconds when
+// the joined host runs it: that host then arrives at the barrier long
+// after every other process, so a barrier handed any other process set
+// would release before it.
+func TestTaskProcsTrackTheTeam(t *testing.T) {
+	const joiner, leaver = 6, 2
+	rt, err := New(Config{Hosts: 8, Procs: 3, Adaptive: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, e := range []adapt.Event{
+		{Kind: adapt.KindLeave, Host: leaver, At: 0.4, Grace: 30},
+		{Kind: adapt.KindJoin, Host: joiner, At: 0.1},
+	} {
+		if err := rt.Submit(e); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	var joined *TaskProc
+	stats := tailedTree(rt, func(tp *TaskProc) {
+		team := rt.Team()
+		if tp.N != len(team) || tp.ID < 0 || tp.ID >= len(team) || team[tp.ID] != tp.Host() {
+			t.Errorf("host %d runs as process %d of %d; team %v", tp.Host(), tp.ID, tp.N, team)
+		}
+	}, func(tp *TaskProc) {
+		if tp.Host() == joiner {
+			tp.Charge(10)
+			joined = tp
+		}
+	})
+
+	if stats.Adaptations == 0 || rt.NProcs() != 3 {
+		t.Fatalf("%d adaptations, team %v; want the leave and the join applied", stats.Adaptations, rt.Team())
+	}
+	for _, h := range rt.Team() {
+		if h == leaver {
+			t.Fatalf("host %d still in team %v", leaver, rt.Team())
+		}
+	}
+	if joined == nil {
+		t.Fatalf("the joined host ran no tail task; executed by host %v", stats.ExecutedByHost)
+	}
+	if rt.Now() < joined.Now() {
+		t.Errorf("the region's barrier released at %v, before the joined process arrived at %v", rt.Now(), joined.Now())
+	}
+}
+
+// tailedTree runs a binary task tree of depth 6 whose 64 leaves each
+// charge 0.2 s and spawn a tail task that nobody waits for, so a
+// process returns to its top level with queued tasks; tail runs as the
+// tail's body. seen is called with the executing process at the start
+// of every task body and after every taskwait.
+func tailedTree(rt *Runtime, seen, tail func(*TaskProc)) TaskStats {
+	var rec func(tp *TaskProc, depth int)
+	rec = func(tp *TaskProc, depth int) {
+		seen(tp)
+		if depth == 0 {
+			tp.Charge(0.2)
+			tp.Spawn(func(c *TaskProc) {
+				seen(c)
+				tail(c)
+			})
+			return
+		}
+		tp.Spawn(func(c *TaskProc) { rec(c, depth-1) })
+		tp.Spawn(func(c *TaskProc) { rec(c, depth-1) })
+		tp.TaskWait()
+		seen(tp)
+	}
+	return rt.Tasks("tailed", func(tp *TaskProc) { rec(tp, 6) })
 }
 
 // Loop constructs still work after a task region (the runtime's team
