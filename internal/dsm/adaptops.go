@@ -83,11 +83,10 @@ func (c *Cluster) NormalLeave(leaver HostID, strategy LeaveStrategy) (TransferRe
 				dest = remaining[rr%len(remaining)]
 				rr++
 			}
-			moved := c.handoffPage(r, p, pm, leaver, dest)
-			if moved {
+			if cost, moved := c.handoffPage(r, p, leaver, dest); moved {
 				rep.PagesMoved++
 				rep.BytesMoved += page.Size
-				perDest[dest] += c.costs.PageFetch(c.Host(dest).machine, h.machine, page.Size)
+				perDest[dest] += cost
 			}
 			pm.owner = dest
 		}
@@ -116,33 +115,22 @@ func (c *Cluster) NormalLeave(leaver HostID, strategy LeaveStrategy) (TransferRe
 	return rep, nil
 }
 
-// handoffPage moves the single valid copy of a page from the leaver to
-// dest unless dest already holds a current copy. Post-GC invariant:
-// the owner's copy is valid and current, all other copies are either
-// valid-and-current or absent.
-func (c *Cluster) handoffPage(r RegionID, p int, pm *pageMeta, leaver, dest HostID) bool {
+// handoffPage moves the owner's copy of a page to dest through
+// copyPageFrom unless dest already holds a current copy, and returns
+// the transfer's requester-observed cost for the caller to combine.
+// Post-GC invariant: the owner's copy is valid and current, all other
+// copies are either valid-and-current or absent.
+func (c *Cluster) handoffPage(r RegionID, p int, owner, dest HostID) (simtime.Seconds, bool) {
 	d := c.Host(dest)
 	dst := &d.pages[r][p]
 	if dst.valid {
-		return false // destination already current; just flip ownership
+		return 0, false // destination already current; just flip ownership
 	}
-
-	src := c.Host(leaver)
-	sst := &src.pages[r][p]
-	if sst.data == nil {
-		panic(fmt.Sprintf("dsm: leave: owner %d of page %d/%d holds no copy", leaver, r, p))
-	}
-
-	c.fabric.Record(d.machine, src.machine, msgHeader)
-	c.fabric.Record(src.machine, d.machine, page.Size+msgHeader)
-	c.stats.PageFetches.Add(1)
-	c.stats.PageBytes.Add(page.Size)
-
+	clk := simtime.NewClock(0)
+	data, applied := c.copyPageFrom(d, c.Host(owner), pageKey{r, p}, "owner", clk)
 	c.releasePage(dst.data)
-	dst.data = c.pagePool.Copy(sst.data)
-	dst.appliedSeq = sst.appliedSeq
-	dst.valid = true
-	return true
+	dst.data, dst.appliedSeq, dst.valid = data, applied, true
+	return clk.Now(), true
 }
 
 func (c *Cluster) deactivateLocked(h *Host) {
@@ -217,11 +205,10 @@ func (c *Cluster) CollectToMaster() TransferReport {
 			if current || pm.owner == master.id {
 				continue
 			}
-			owner := pm.owner
-			if c.handoffPage(r, p, pm, owner, master.id) {
+			if cost, moved := c.handoffPage(r, p, pm.owner, master.id); moved {
 				rep.PagesMoved++
 				rep.BytesMoved += page.Size
-				rep.Elapsed += c.costs.PageFetch(master.machine, c.Host(owner).machine, page.Size)
+				rep.Elapsed += cost
 			}
 		}
 	}

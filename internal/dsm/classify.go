@@ -282,15 +282,9 @@ type classRec struct {
 	readerA, readerB HostID
 
 	// Close-shape history: closes with one writer vs several concurrent
-	// writers, and how often consecutive sole closes changed writer.
-	soleCloses   int
-	multiCloses  int
-	alternations int
-	lastSole     HostID
-
-	// streak counts consecutive sole closes by the same writer; the
-	// free home-flip rule consults it.
-	streak int
+	// writers.
+	soleCloses  int
+	multiCloses int
 
 	// domWriter/domRun track the writer present in every one of the
 	// last domRun closes — the dominance evidence the priced migration
@@ -300,7 +294,7 @@ type classRec struct {
 }
 
 // unclassified is the record of a page with no history.
-var unclassified = classRec{writerA: -1, readerA: -1, readerB: -1, lastSole: -1, domWriter: -1}
+var unclassified = classRec{writerA: -1, readerA: -1, readerB: -1, domWriter: -1}
 
 func newClassRecs(n int) []classRec {
 	recs := make([]classRec, n)
@@ -343,21 +337,9 @@ func (cr *classRec) observeClose(writers []HostID) {
 		cr.observeWrite(w)
 	}
 	if len(writers) == 1 {
-		w := writers[0]
 		cr.soleCloses++
-		if cr.lastSole >= 0 && cr.lastSole != w {
-			cr.alternations++
-		}
-		if cr.lastSole == w {
-			cr.streak++
-		} else {
-			cr.streak = 1
-		}
-		cr.lastSole = w
 	} else {
 		cr.multiCloses++
-		cr.streak = 0
-		cr.lastSole = -1
 	}
 	// Dominance: extend the run if the previous dominant writer wrote
 	// again this close, otherwise restart it at the lowest writer id
