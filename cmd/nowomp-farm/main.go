@@ -63,6 +63,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Validate the numeric flags up front: farm.Limits and the driver
+	// would otherwise replace a non-positive value with their default.
+	if err := validate(*queueCap, *inflight, *jobs, *tenants, *scale, *horizon); err != nil {
+		fmt.Fprintln(stderr, "nowomp-farm:", err)
+		return 1
+	}
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
@@ -86,6 +92,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// validate rejects the numeric flags that have no meaning below 1 or
+// at or below zero.
+func validate(queueCap, inflight, jobs, tenants int, scale float64, horizon time.Duration) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"queue", queueCap}, {"inflight", inflight}, {"jobs", jobs}, {"tenants", tenants}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	if !(scale > 0) {
+		return fmt.Errorf("-scale %g: want a positive value", scale)
+	}
+	if horizon <= 0 {
+		return fmt.Errorf("-horizon %v: want a positive duration", horizon)
+	}
+	return nil
 }
 
 // serve runs the server until the process is killed.

@@ -27,6 +27,16 @@ func TestRun(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, 2, nil, "flag provided but not defined"},
 		{"malformed duration", []string{"-drive", "-horizon", "soon"}, 2, nil, `invalid value "soon"`},
 		{"unknown trace", append([]string{"-trace", "tidal"}, tiny...), 1, nil, `unknown trace "tidal" (want poisson, diurnal or mix)`},
+		// An address that cannot be listened on keeps a missed rejection
+		// from serving forever.
+		{"zero queue", []string{"-addr", "127.0.0.1:99999", "-queue", "0"}, 1, nil, "-queue 0: want at least 1"},
+		{"negative inflight", []string{"-addr", "127.0.0.1:99999", "-inflight", "-3"}, 1, nil, "-inflight -3: want at least 1"},
+		{"zero jobs", []string{"-drive", "-jobs", "0"}, 1, nil, "-jobs 0: want at least 1"},
+		{"zero tenants", []string{"-drive", "-tenants", "0"}, 1, nil, "-tenants 0: want at least 1"},
+		{"zero scale", []string{"-drive", "-scale", "0"}, 1, nil, "-scale 0: want a positive value"},
+		{"negative scale", []string{"-drive", "-scale", "-0.5"}, 1, nil, "-scale -0.5: want a positive value"},
+		{"zero horizon", []string{"-drive", "-horizon", "0s"}, 1, nil, "-horizon 0s: want a positive duration"},
+		{"negative horizon", []string{"-drive", "-horizon", "-1s"}, 1, nil, "-horizon -1s: want a positive duration"},
 		{"unwritable report", append([]string{"-json", filepath.Join(dir, "no", "such", "dir", "farm.json")}, tiny...), 1,
 			[]string{"byte-identity true"}, "no such file or directory"},
 		{"address that cannot be listened on", []string{"-addr", "127.0.0.1:99999"}, 1,

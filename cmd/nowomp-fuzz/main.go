@@ -40,6 +40,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *count < 1 {
+		fmt.Fprintf(stderr, "nowomp-fuzz: -count %d: want at least 1\n", *count)
+		return 1
+	}
 
 	progress := stdout
 	if *quiet {

@@ -26,6 +26,8 @@ func TestRun(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, nil, 0, "flag provided but not defined"},
 		{"malformed count", []string{"-count", "many"}, 2, nil, 0, `invalid value "many"`},
+		{"zero count", []string{"-count", "0"}, 1, nil, 0, "-count 0: want at least 1"},
+		{"negative count", []string{"-count", "-5"}, 1, nil, 0, "-count -5: want at least 1"},
 		{"unwritable report", []string{"-count", "1", "-json", filepath.Join(dir, "no", "such", "dir", "fuzz.json")}, 1,
 			[]string{"spec   0 pass"}, 1, "no such file or directory"},
 		{"two scenarios", []string{"-count", "2", "-json", report}, 0,
