@@ -180,8 +180,8 @@ func scalePow2(n int, s float64, floor int) int {
 	return p
 }
 
-// evenDim rounds a dimension down to even, for word-aligned float32
-// rows.
+// evenDim rounds an odd dimension up to the next even one, for
+// word-aligned float32 rows.
 func evenDim(n int) int {
 	if n%2 == 1 {
 		return n + 1
