@@ -6,15 +6,16 @@
 // BENCH_pr10.json is one, at scale 1.0.
 //
 // Every scenario cell is a self-contained deterministic simulation, so
-// -parallel N fans every experiment's cells out across N workers: the
-// printed tables and the -json results are byte-identical at any
-// parallelism level, only the wall clock changes.
+// every experiment fans its cells out across -parallel workers (default
+// GOMAXPROCS; -parallel 1 runs them inline, for CPU profiles): the
+// printed tables and the -json results are byte-identical at any pool
+// size, only the wall clock changes.
 //
 // Examples:
 //
 //	nowomp-bench -exp table1 -scale 0.15
 //	nowomp-bench -exp protocols -scale 0.1 -parallel 8
-//	nowomp-bench -exp all -json bench.json -parallel 0
+//	nowomp-bench -exp all -json bench.json
 package main
 
 import (
@@ -67,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exp      = fs.String("exp", "all", "experiment: "+experimentNames())
 		pairs    = fs.Int("pairs", 3, "leave/join pairs per Table 2 run")
 		jsonPath = fs.String("json", "", "write a machine-readable BENCH_*.json report to this path")
-		parallel = fs.Int("parallel", 1, "worker-pool size for independent scenario cells (0 = GOMAXPROCS); results are byte-identical at any level")
+		parallel = fs.Int("parallel", 0, "worker-pool size for independent scenario cells (0 = GOMAXPROCS, 1 = inline); results are byte-identical at any size")
 		quiet    = fs.Bool("q", false, "suppress the per-cell progress/ETA ticks on stderr")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path")
 		memProf  = fs.String("memprofile", "", "write a pprof allocation profile taken at exit to this path")
@@ -88,13 +89,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "nowomp-bench:", err)
 		return 1
 	}
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
 	// Validate the flags once, up front, so a malformed one fails before
 	// any experiment runs — including the experiments it would not reach.
 	if *pairs < 1 {
 		return fail(fmt.Errorf("-pairs %d: want at least 1", *pairs))
+	}
+	if *parallel < 0 {
+		return fail(fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or more", *parallel))
 	}
 	norm, err := spec.Normalize()
 	if err != nil {

@@ -27,6 +27,7 @@ func TestRun(t *testing.T) {
 		{"pool below the team", []string{"-exp", "table1", "-hosts", "4", "-q"}, 1, nil, "hosts 4 must cover the team of 8"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, nil, "flag provided but not defined"},
 		{"no pairs", []string{"-exp", "fig3", "-pairs", "0"}, 1, nil, "-pairs 0: want at least 1"},
+		{"negative pool", []string{"-exp", "fig3", "-parallel", "-3"}, 1, nil, "-parallel -3: want 0 (GOMAXPROCS) or more"},
 		{"fig3", []string{"-exp", "fig3", "-scale", "0.06", "-q"}, 0,
 			[]string{"Figure 3: data re-distribution", "leaver id", "[fig3 regenerated in"}, ""},
 		{"tasking with a report", []string{"-exp", "tasking", "-scale", "0.06", "-q", "-json", jsonPath}, 0,
@@ -75,18 +76,22 @@ const (
 
 // TestExperimentsFence pins the whole tool's output, not only the
 // simulated columns TestMatrixGolden holds: the text of all nine
-// experiments and the -json report, byte for byte, at -parallel 1 and
-// -parallel 4 against the same goldens.
+// experiments and the -json report, byte for byte, at -parallel 1,
+// -parallel 4 and with -parallel omitted (the default pool) against
+// the same goldens.
 func TestExperimentsFence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates all nine experiments twice")
+		t.Skip("regenerates all nine experiments three times")
 	}
 	regen := os.Getenv("NOWOMP_REGEN_GOLDEN") == "experiments"
-	for _, parallel := range []string{"1", "4"} {
+	for _, parallel := range []string{"1", "4", "default"} {
 		t.Run("parallel "+parallel, func(t *testing.T) {
 			jsonPath := filepath.Join(t.TempDir(), "bench.json")
 			var stdout, stderr bytes.Buffer
-			args := []string{"-exp", "all", "-scale", "0.06", "-parallel", parallel, "-q", "-json", jsonPath}
+			args := []string{"-exp", "all", "-scale", "0.06", "-q", "-json", jsonPath}
+			if parallel != "default" {
+				args = append(args, "-parallel", parallel)
+			}
 			if got := run(args, &stdout, &stderr); got != 0 {
 				t.Fatalf("exited %d: %s", got, stderr.String())
 			}

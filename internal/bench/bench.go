@@ -23,6 +23,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/dsm"
@@ -66,10 +67,10 @@ type Options struct {
 	// custom shape follows the option).
 	Protocol string
 	// Parallel is the worker-pool size for independent scenario cells
-	// (<= 1 runs them sequentially). Each cell owns its engine, fabric
-	// and cluster, and the deterministic engine makes every cell
-	// bit-reproducible in isolation, so results are byte-identical at
-	// any parallelism level — only the wall clock changes.
+	// (default GOMAXPROCS; 1 runs them inline, in order). Each cell owns
+	// its engine, fabric and cluster, and the deterministic engine makes
+	// every cell bit-reproducible in isolation, so results are
+	// byte-identical at any pool size — only the wall clock changes.
 	Parallel int
 	// Progress receives per-cell completion ticks with an ETA from every
 	// cell list an experiment hands the pool (nil = silent). The tool
@@ -90,6 +91,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Grace <= 0 {
 		o.Grace = adapt.DefaultGrace
+	}
+	if o.Parallel <= 0 {
+		o.Parallel = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

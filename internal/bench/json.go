@@ -116,14 +116,10 @@ type FarmSection struct {
 // NewReport starts a report for one bench invocation.
 func NewReport(opt Options) *Report {
 	opt = opt.withDefaults()
-	parallel := opt.Parallel
-	if parallel < 1 {
-		parallel = 1
-	}
 	// Results starts non-nil so an empty report marshals as [] rather
 	// than null — consumers iterate it unconditionally.
 	return &Report{Schema: ReportSchema, Scale: opt.Scale, Hosts: opt.Hosts,
-		Parallel: parallel, Results: []Record{}}
+		Parallel: opt.Parallel, Results: []Record{}}
 }
 
 // Write renders the report, scenarios sorted for stable diffs, to

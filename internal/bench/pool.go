@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -17,10 +18,15 @@ import (
 // An experiment whose runs depend on earlier ones (a schedule sized from
 // a baseline) hands the pool one cell list per stage.
 
-// runCells executes n independent cells through a pool of at most
-// parallel workers (parallel <= 1 runs them inline, in order). The
-// returned error is the first failing cell's, by cell index, so error
-// reporting is as deterministic as the results.
+// runCells executes n independent cells on a pool of parallel workers
+// (parallel <= 1 runs them inline, in order, stopping at the first
+// failure). Each worker pulls the next cell index from a shared counter,
+// so cells start in index order. Once the pool drains, the lowest-index
+// failure wins, as it does inline: an error is returned, a panic is
+// re-raised with the cell's value on the caller's goroutine — left on a
+// worker, it would kill the process past any recover of the caller's.
+// (Panics from inside a simulation already carry the proc's stack in
+// their value; see engine.)
 func runCells(parallel, n int, cell func(i int) error) error {
 	if parallel <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -30,22 +36,32 @@ func runCells(parallel, n int, cell func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, parallel)
+	errs, panics := make([]error, n), make([]any, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for range min(parallel, n) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = cell(i)
-		}(i)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				func() {
+					defer func() { panics[i] = recover() }()
+					errs[i] = cell(i)
+				}()
+			}
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for i := range n {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if errs[i] != nil {
+			return errs[i]
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,8 +109,9 @@ func TestReportRendersSortedJSON(t *testing.T) {
 	if !strings.Contains(data, `"schema": 4`) {
 		t.Errorf("report missing schema stamp:\n%s", data)
 	}
-	// Run metadata (since schema 2): the worker-pool level and wall clock.
-	if !strings.Contains(data, `"parallel": 1`) || !strings.Contains(data, `"wall_seconds"`) {
+	// Run metadata (since schema 2): the worker-pool size, resolved from
+	// the zero value to GOMAXPROCS, and the wall clock.
+	if !strings.Contains(data, fmt.Sprintf(`"parallel": %d`, runtime.GOMAXPROCS(0))) || !strings.Contains(data, `"wall_seconds"`) {
 		t.Errorf("report missing schema-2 run metadata:\n%s", data)
 	}
 	if strings.Index(data, "a/earlier") > strings.Index(data, "b/later") {

@@ -53,6 +53,27 @@ func TestTwinIsIndependentCopy(t *testing.T) {
 	}
 }
 
+// TestFreelistZeroed: Zeroed hands out an all-zero page whether the
+// buffer is fresh (an empty freelist, no clear) or recycled from a
+// dirtied release.
+func TestFreelistZeroed(t *testing.T) {
+	zero := make([]byte, Size)
+	var fl Freelist
+	z := fl.Zeroed()
+	if !bytes.Equal(z, zero) {
+		t.Fatal("Zeroed from an empty freelist is not all zero")
+	}
+	fill(z, 3)
+	fl.Release(z)
+	r := fl.Zeroed()
+	if &r[0] != &z[0] {
+		t.Fatal("Zeroed did not recycle the released buffer")
+	}
+	if !bytes.Equal(r, zero) {
+		t.Fatal("Zeroed after a dirtied release is not all zero")
+	}
+}
+
 func TestMakeNilOnUnchanged(t *testing.T) {
 	p := make([]byte, Size)
 	fill(p, 2)

@@ -47,20 +47,22 @@ func mustPage(b []byte) {
 // whose events are serialised (the discrete-event engine runs exactly
 // one process at a time) recycles through a plain stack, with no
 // synchronisation. Recycling is invisible to the simulation — every
-// buffer handed out is immediately and fully overwritten (Copy copies
-// a whole page, Zeroed clears) — so results stay bit-exact no matter
-// which buffer comes back.
+// recycled buffer handed out is immediately and fully overwritten (Copy
+// copies a whole page, Zeroed clears) — so results stay bit-exact no
+// matter which buffer comes back.
 type Freelist struct {
 	free []*[Size]byte
 }
 
-func (f *Freelist) get() *[Size]byte {
+// get pops a recycled buffer, or allocates a fresh one (recycled
+// false), which is already zero.
+func (f *Freelist) get() (t *[Size]byte, recycled bool) {
 	if n := len(f.free); n > 0 {
-		t := f.free[n-1]
+		t = f.free[n-1]
 		f.free = f.free[:n-1]
-		return t
+		return t, true
 	}
-	return new([Size]byte)
+	return new([Size]byte), false
 }
 
 // Copy returns a recycled buffer holding a copy of the page: a twin
@@ -70,15 +72,18 @@ func (f *Freelist) get() *[Size]byte {
 // reference.
 func (f *Freelist) Copy(data []byte) []byte {
 	mustPage(data)
-	t := f.get()
+	t, _ := f.get()
 	copy(t[:], data)
 	return t[:]
 }
 
-// Zeroed returns a recycled zero-filled page.
+// Zeroed returns a zero-filled page. Only a recycled buffer is cleared:
+// a fresh one comes zeroed from the allocator.
 func (f *Freelist) Zeroed() []byte {
-	t := f.get()
-	clear(t[:])
+	t, recycled := f.get()
+	if recycled {
+		clear(t[:])
+	}
 	return t[:]
 }
 
