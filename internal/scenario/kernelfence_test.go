@@ -13,7 +13,8 @@ import (
 // adaptations — under every protocol at 1, 3, 4 and 6 processes, each
 // steady, through a join/leave pair and on machines of mixed speeds,
 // plus nbf at 6 processes on the scales the benchmark's notes once said
-// trip the word-race check, and the tasking kernels' cases listed in
+// trip the word-race check, the row kernels' cases listed in
+// rowFenceCases, and the tasking kernels' cases listed in
 // taskFenceCases. Every case verifies against the sequential reference.
 // The golden was captured before each kernel's host-side arithmetic
 // was rewritten; a host-time change to any of them must reproduce it
@@ -116,7 +117,46 @@ func kernelFenceCases() []fenceCase {
 			})
 		}
 	}
+	cs = append(cs, rowFenceCases()...)
 	cs = append(cs, taskFenceCases()...)
+	return cs
+}
+
+// rowFenceCases are the row kernels' share of the fence: jacobi and
+// gauss under every protocol at 1, 3, 4, 6 and 8 processes, steady,
+// through a join/leave pair and on mixed speeds. At scale 0.06 a
+// jacobi row is N = 150 floats, 600 bytes, so rows straddle page
+// breaks, and a gauss row is N = 512 floats, two rows a page; gauss
+// also runs at N = 1024, one row a page.
+func rowFenceCases() []fenceCase {
+	var cs []fenceCase
+	for _, kernel := range []string{"jacobi", "gauss"} {
+		for _, proto := range []string{"tmk", "hlrc", "hybrid"} {
+			for _, p := range []int{1, 3, 4, 6, 8} {
+				base := Spec{Kernel: kernel, Scale: 0.06, Procs: p, Hosts: p + 1, Protocol: proto, Verify: true}
+				name := fmt.Sprintf("%s/%s/%dp", kernel, proto, p)
+				cs = append(cs, fenceCase{name: name + "/steady", spec: base})
+
+				adaptive := base
+				adaptive.Adaptive = true
+				adaptive.Machines = fenceMachines(p+1, func(int) string { return "0.05" })
+				adaptive.Schedule = fmt.Sprintf("0:join:%d,1:leave:1", p)
+				cs = append(cs, fenceCase{name: name + "/join-leave", spec: adaptive, adaptations: 2})
+
+				mixed := base
+				mixed.Machines = fenceMachines(p+1, func(i int) string { return fenceSpeeds[i%len(fenceSpeeds)] })
+				cs = append(cs, fenceCase{name: name + "/mixed-speeds", spec: mixed})
+			}
+		}
+	}
+	for _, proto := range []string{"tmk", "hlrc", "hybrid"} {
+		for _, p := range []int{3, 8} {
+			cs = append(cs, fenceCase{
+				name: fmt.Sprintf("gauss/%s/%dp/n-1024", proto, p),
+				spec: Spec{Kernel: "gauss", Scale: 1.0 / 3, Procs: p, Hosts: p, Protocol: proto, Verify: true},
+			})
+		}
+	}
 	return cs
 }
 
