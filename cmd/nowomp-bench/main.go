@@ -97,6 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *parallel < 0 {
 		return fail(fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or more", *parallel))
 	}
+	if err := scenario.CheckPositive(fs); err != nil {
+		return fail(err)
+	}
 	norm, err := spec.Normalize()
 	if err != nil {
 		return fail(err)

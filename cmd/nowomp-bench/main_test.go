@@ -28,6 +28,11 @@ func TestRun(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, 2, nil, "flag provided but not defined"},
 		{"no pairs", []string{"-exp", "fig3", "-pairs", "0"}, 1, nil, "-pairs 0: want at least 1"},
 		{"negative pool", []string{"-exp", "fig3", "-parallel", "-3"}, 1, nil, "-parallel -3: want 0 (GOMAXPROCS) or more"},
+		// An explicit zero is not the default: Normalize would read it
+		// as one, so the flag check refuses it first.
+		{"zero scale", []string{"-exp", "table1", "-scale", "0", "-q"}, 1, nil, "-scale 0: want a positive value"},
+		{"zero hosts", []string{"-exp", "fig3", "-hosts", "0", "-q"}, 1, nil, "-hosts 0: want a positive value"},
+		{"zero grace", []string{"-exp", "fig3", "-grace", "0", "-q"}, 1, nil, "-grace 0: want a positive value"},
 		{"fig3", []string{"-exp", "fig3", "-scale", "0.06", "-q"}, 0,
 			[]string{"Figure 3: data re-distribution", "leaver id", "[fig3 regenerated in"}, ""},
 		{"tasking with a report", []string{"-exp", "tasking", "-scale", "0.06", "-q", "-json", jsonPath}, 0,

@@ -57,6 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "nowomp-run:", err)
 		return 1
 	}
+	if err := scenario.CheckPositive(fs); err != nil {
+		return fail(err)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

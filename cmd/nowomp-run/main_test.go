@@ -24,6 +24,12 @@ func TestRun(t *testing.T) {
 		{"pool below the team", []string{"-procs", "8", "-hosts", "4"}, 1, nil, "hosts 4 must cover the team of 8"},
 		{"schedule on the non-adaptive variant", []string{"-adaptive=false", "-schedule", "1:leave:3"}, 1, nil, "requires adaptive"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, nil, "flag provided but not defined"},
+		// An explicit zero is not the default: Normalize would read it
+		// as one, so the flag check refuses it first.
+		{"zero procs", []string{"-app", "gauss", "-procs", "0"}, 1, nil, "-procs 0: want a positive value"},
+		{"zero hosts", []string{"-hosts", "0"}, 1, nil, "-hosts 0: want a positive value"},
+		{"zero scale", []string{"-scale", "0"}, 1, nil, "-scale 0: want a positive value"},
+		{"zero grace", []string{"-grace", "0"}, 1, nil, "-grace 0: want a positive value"},
 		{"adaptive jacobi", []string{"-app", "jacobi", "-scale", "0.04", "-schedule", "0.02:leave:7:grace=0.01,0.05:join:7"}, 0,
 			[]string{"jacobi (scale 0.04)", "8 initial, 7 final", "1 scheduled events never matured",
 				"adaptations:", "[0 1 2 3 4 5 6]", "verified: result matches the sequential reference"}, ""},

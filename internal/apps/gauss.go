@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"nowomp/internal/omp"
 	"nowomp/internal/simtime"
@@ -105,21 +106,27 @@ func RunGauss(rt *omp.Runtime, cfg GaussConfig) (Result, error) {
 			pivot := pivots.get(width)
 			a.ReadRowRange(p.Mem(), k, k, n, pivot)
 			for i := lo; i < hi; i++ {
-				// Eliminate in place, span by span: WriteRowSpan faults
-				// the row in and twins it exactly as the staged
-				// read-then-write pair did, but the update runs directly
-				// on page memory with no decode/encode round trip.
+				// Eliminate in place, span by span, on page memory. Each
+				// element of the row is stored once per step, so the row
+				// goes through write-once spans: they fault the row in
+				// exactly as WriteRowSpan would, and the page's diff mask
+				// is the kernel's report of the elements it changed
+				// instead of a twin scan.
 				var m float32
 				for j := k; j < n; {
-					s := a.WriteRowSpan(p.Mem(), i, j, n)
+					s, ch := a.WriteRowSpanOnce(p.Mem(), i, j, n)
+					bits, at := ch.Bits()
 					pv := pivot[j-k : j-k+len(s)]
 					q := 0
 					if j == k {
 						m = s[0] / pv[0]
+						if math.Float32bits(s[0]) != 0 {
+							ch.Set(0)
+						}
 						s[0] = 0
 						q = 1
 					}
-					axpySub(s[q:], pv[q:], m)
+					axpySub(s[q:], pv[q:], m, bits, at+q)
 					j += len(s)
 				}
 			}

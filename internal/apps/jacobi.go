@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"nowomp/internal/omp"
 	"nowomp/internal/page"
@@ -84,11 +85,13 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 		p.ChargeUnits(2*(hi-lo)*n, InitCostPerElement)
 	})
 
-	// The four span lists are refilled row by row, so a process takes
-	// them at full capacity (a row crosses at most spanCap-1 page
-	// breaks) and reuses them across sweeps.
+	// The four span lists and the output spans' change reports are
+	// refilled row by row, so a process takes them at full capacity (a
+	// row crosses at most spanCap-1 page breaks) and reuses them across
+	// sweeps.
 	spanCap := n*4/page.Size + 2
 	var lists scratch[[]float32]
+	var reports scratch[shmem.Changes]
 	cur := 0
 	for it := 0; it < cfg.Iters; it++ {
 		src, dst := grids[cur], grids[1-cur]
@@ -101,6 +104,10 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 			// staging copy, no decode pass and no per-element accessor.
 			// Page events are identical to the staged loop: the same
 			// rows fault in and twin inside the same construct body.
+			// Each output element is stored once per sweep, so the
+			// output row goes through write-once spans, whose pages
+			// carry the stencil's report of the elements it changed as
+			// their diff mask instead of a twin.
 			mem := p.Mem()
 			collectRead := func(spans [][]float32, i int) [][]float32 {
 				spans = spans[:0]
@@ -112,20 +119,23 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 				return spans
 			}
 			us, ms, ds, os := lists.get(spanCap), lists.get(spanCap), lists.get(spanCap), lists.get(spanCap)
+			cs := reports.get(spanCap)
 			us = collectRead(us, lo-1)
 			ms = collectRead(ms, lo)
 			for i := lo; i < hi; i++ {
 				ds = collectRead(ds, i+1)
-				os = os[:0]
+				os, cs = os[:0], cs[:0]
 				for j := 0; j < n; {
-					s := dst.WriteRowSpan(mem, i, j, n)
+					s, ch := dst.WriteRowSpanOnce(mem, i, j, n)
 					os = append(os, s)
+					cs = append(cs, ch)
 					j += len(s)
 				}
-				jacobiRowSpans(os, us, ms, ds, n)
+				jacobiRowSpans(os, cs, us, ms, ds, n)
 				us, ms, ds = ms, ds, us
 			}
 			lists.put(us, ms, ds, os)
+			reports.put(cs)
 			p.ChargeUnits((hi-lo)*(n-2), cfg.CostPerElem)
 		})
 		cur = 1 - cur
@@ -150,12 +160,13 @@ func RunJacobi(rt *omp.Runtime, cfg JacobiConfig) (Result, error) {
 
 // jacobiRowSpans computes one output row of the 5-point stencil from
 // span lists of the row above (us), the row itself (ms) and the row
-// below (ds) into the output span list (os). Chunks are bounded by the
-// nearest page break of any of the four rows; within a chunk all four
-// views are re-sliced to a common length and the interior goes to
-// stencil5 in one call. The first and last grid columns copy the mid
-// value, exactly like the staged loop did.
-func jacobiRowSpans(os, us, ms, ds [][]float32, n int) {
+// below (ds) into the output span list (os), reporting every element
+// whose bits it changes to the output span's Changes (cs, parallel to
+// os). Chunks are bounded by the nearest page break of any of the four
+// rows; within a chunk all four views are re-sliced to a common length
+// and the interior goes to stencil5 in one call. The first and last
+// grid columns copy the mid value, exactly like the staged loop did.
+func jacobiRowSpans(os [][]float32, cs []shmem.Changes, us, ms, ds [][]float32, n int) {
 	oi, ui, mi, di := 0, 0, 0, 0
 	o, u, m, d := os[0], us[0], ms[0], ds[0]
 	var left float32 // mid[j-1], carried across chunk boundaries
@@ -171,6 +182,7 @@ func jacobiRowSpans(os, us, ms, ds [][]float32, n int) {
 			L = len(d)
 		}
 		o2, u2, m2, d2 := o[:L], u[:L], m[:L], d[:L]
+		ch, k := cs[oi], len(os[oi])-len(o) // o2[0] is element k of its span
 		// The right neighbour of the chunk's last column lives either
 		// later in the mid span or at the head of the next one.
 		var right float32
@@ -181,25 +193,32 @@ func jacobiRowSpans(os, us, ms, ds [][]float32, n int) {
 		}
 		q0, q1 := 0, L // columns of this chunk that hold stencil output
 		if j == 0 {
-			o2[0] = m2[0]
 			q0 = 1
 		}
 		if j+L == n {
-			o2[L-1] = m2[L-1]
 			q1 = L - 1
 		}
-		// Columns 1..L-2 have both neighbours inside the chunk; the two
-		// chunk-edge columns follow in scalar Go.
-		stencil5(o2, u2, d2, m2)
+		// Columns 1..L-2 have both neighbours inside the chunk. The two
+		// edge columns follow, once the stencil has brought their lines
+		// into cache for the compare: the grid's first and last columns
+		// copy the mid value, and a chunk edge is scalar Go.
+		bits, at := ch.Bits()
+		stencil5(o2, u2, d2, m2, bits, at+k+1)
+		if j == 0 {
+			storeOnce(o2, 0, m2[0], ch, k)
+		}
+		if j+L == n {
+			storeOnce(o2, L-1, m2[L-1], ch, k)
+		}
 		if q0 == 0 && q0 < q1 {
 			mr := right
 			if L > 1 {
 				mr = m2[1]
 			}
-			o2[0] = 0.25 * (u2[0] + d2[0] + left + mr)
+			storeOnce(o2, 0, 0.25*(u2[0]+d2[0]+left+mr), ch, k)
 		}
 		if q1 == L && L >= 2 && L-1 >= q0 {
-			o2[L-1] = 0.25 * (u2[L-1] + d2[L-1] + m2[L-2] + right)
+			storeOnce(o2, L-1, 0.25*(u2[L-1]+d2[L-1]+m2[L-2]+right), ch, k)
 		}
 		left = m2[L-1]
 		j += L
@@ -224,6 +243,15 @@ func jacobiRowSpans(os, us, ms, ds [][]float32, n int) {
 			d = ds[di]
 		}
 	}
+}
+
+// storeOnce stores v into s[q] through a write-once span, reporting
+// element k+q of the span to ch if its bits change.
+func storeOnce(s []float32, q int, v float32, ch shmem.Changes, k int) {
+	if math.Float32bits(v) != math.Float32bits(s[q]) {
+		ch.Set(k + q)
+	}
+	s[q] = v
 }
 
 // JacobiReference computes the checksum of an identical sequential

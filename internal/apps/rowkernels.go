@@ -1,5 +1,7 @@
 package apps
 
+import "math"
+
 // The two float32 row primitives under Gauss's elimination and
 // Jacobi's stencil, and the float64 partner sum under NBF's force loop.
 // axpySub, stencil5 and nbfSum are Plan 9 assembly on amd64
@@ -13,39 +15,63 @@ package apps
 //
 // All of them work on the common prefix of their arguments, so a short
 // argument shortens the call instead of reaching past a slice; dst and
-// out must not overlap an input. Kernels call them once per
+// out must not overlap an input.
+//
+// axpySub and stencil5 also report the elements they change, for the
+// write-once spans Gauss and Jacobi store through (dsm.Host.
+// WriteSpanOnce): bit at+k of chg is set when the k-th element the
+// call writes gets bits different from those it replaced. The compare
+// is of bits, not of floats — -0 replacing +0 is a change and a NaN
+// replacing the same NaN is not — because the report stands in for
+// page.Scan's word compare. Bits are only ever set, never cleared, and
+// chg bounds the call like any other argument: one element per bit
+// from at on. Kernels call them once per
 // page-bounded chunk (at most page.Size/4 elements, ~100 ns) or once
 // per atom (one partner list, 80 partners at the paper's size), which
 // keeps a NOSPLIT leaf from holding off a stop-the-world.
 
-// axpySubGo computes dst[i] -= a*x[i]. The conversion stops the
-// compiler fusing the multiply into the subtract on targets where it
-// does that (arm64, ppc64le, s390x today; GOAMD64=v3 is allowed to):
-// the product rounds to float32 first, as MULPS then SUBPS do, so every
-// GOARCH computes the same bits.
-func axpySubGo(dst, x []float32, a float32) {
-	if len(x) > len(dst) {
-		x = x[:len(dst)]
+// axpySubGo computes dst[i] -= a*x[i] for i below the shortest of
+// len(dst), len(x) and 64*len(chg)-at, setting bit at+i of chg when
+// dst[i]'s bits change. The conversion stops the compiler fusing the multiply
+// into the subtract on targets where it does that (arm64, ppc64le,
+// s390x today; GOAMD64=v3 is allowed to): the product rounds to float32
+// first, as MULPS then SUBPS do, so every GOARCH computes the same
+// bits.
+func axpySubGo(dst, x []float32, a float32, chg []uint64, at int) {
+	n := min(len(dst), len(x), 64*len(chg)-at)
+	if n <= 0 {
+		return
 	}
-	dst = dst[:len(x)]
+	dst, x = dst[:n], x[:n]
 	for i, v := range x {
-		dst[i] -= float32(a * v)
+		old := dst[i]
+		dst[i] = old - float32(a*v)
+		if math.Float32bits(dst[i]) != math.Float32bits(old) {
+			b := at + i
+			chg[b>>6] |= 1 << uint(b&63)
+		}
 	}
 }
 
 // stencil5Go computes out[q] = 0.25*(((up[q]+down[q])+mid[q-1])+mid[q+1])
-// for 1 <= q < n-1, n the shortest length; out[0] and out[n-1] are the
-// caller's (a grid edge or a chunk edge whose neighbour lives in
-// another span).
-func stencil5Go(out, up, down, mid []float32) {
-	n := min(len(out), len(up), len(down), len(mid))
+// for 1 <= q < n-1, n the shortest of the four lengths and
+// 64*len(chg)-at+2, setting bit at+q-1 of chg when out[q]'s bits
+// change; out[0] and out[n-1] are the caller's (a grid edge or a chunk
+// edge whose neighbour lives in another span).
+func stencil5Go(out, up, down, mid []float32, chg []uint64, at int) {
+	n := min(len(out), len(up), len(down), len(mid), 64*len(chg)-at+2)
 	if n < 3 {
 		return
 	}
 	out, up, down = out[1:n-1], up[1:n-1], down[1:n-1]
 	left, right := mid[:n-2], mid[2:n]
 	for q := range out {
+		old := out[q]
 		out[q] = 0.25 * (up[q] + down[q] + left[q] + right[q])
+		if math.Float32bits(out[q]) != math.Float32bits(old) {
+			b := at + q
+			chg[b>>6] |= 1 << uint(b&63)
+		}
 	}
 }
 
@@ -66,7 +92,13 @@ func nbfSumGo(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64) {
 // AxpySub, AxpySubGo, Stencil5 and Stencil5Go name the primitives and
 // their oracles for the root package's microbenchmarks, which cannot
 // reach unexported names.
-func AxpySub(dst, x []float32, a float32)     { axpySub(dst, x, a) }
-func AxpySubGo(dst, x []float32, a float32)   { axpySubGo(dst, x, a) }
-func Stencil5(out, up, down, mid []float32)   { stencil5(out, up, down, mid) }
-func Stencil5Go(out, up, down, mid []float32) { stencil5Go(out, up, down, mid) }
+func AxpySub(dst, x []float32, a float32, chg []uint64, at int) { axpySub(dst, x, a, chg, at) }
+func AxpySubGo(dst, x []float32, a float32, chg []uint64, at int) {
+	axpySubGo(dst, x, a, chg, at)
+}
+func Stencil5(out, up, down, mid []float32, chg []uint64, at int) {
+	stencil5(out, up, down, mid, chg, at)
+}
+func Stencil5Go(out, up, down, mid []float32, chg []uint64, at int) {
+	stencil5Go(out, up, down, mid, chg, at)
+}

@@ -8,19 +8,85 @@
 // instruction with a memory source faults on an address that is not
 // 16-byte aligned. Operand order follows the Go oracles
 // (rowkernels.go), one rounding per operation, nothing fused.
+//
+// axpySub and stencil5 also report which elements they changed: each
+// stored value is compared with the bits it replaces by PCMPEQL, a
+// bitwise compare (so -0 against +0 and two NaN payloads differ, as
+// in page.Scan, and a NaN equals its own bits).
 
-// func axpySub(dst, x []float32, a float32)
-// dst[i] -= a*x[i] for i < min(len(dst), len(x)).
-TEXT ·axpySub(SB), NOSPLIT, $0-52
+// The change bits of eight lanes — two PCMPEQL results, all-ones where
+// a lane kept its bits — are narrowed to one byte by PACKSSLW and
+// PACKSSWB (saturation keeps 0 and -1 apart), gathered by PMOVMSKB and
+// inverted; the byte is ORed into the bitmap, which on a little-endian
+// host holds bit b of a []uint64 in byte b/8. The eight-lane loop
+// therefore starts on a byte: single elements run first up to the byte
+// holding bit at's end (the head), and the 4-lane step and the single
+// elements after the loop (the tail) gather the last, partial byte. A
+// partial byte collects in DX, its next bit in CX, and is ORed in once
+// complete or at the end.
+
+// AXPY1 is one scalar element of axpySub: dst -= a*x, its change bit
+// into DX at bit CX, both pointers on, R12 (and the flags) down by one.
+// MOVSS from memory clears the upper lanes of X3 and X5 and the SS
+// operations keep them, so only lane 0 can differ.
+#define AXPY1 \
+	MOVSS (SI), X1; \
+	MULSS X0, X1; \
+	MOVSS (DI), X3; \
+	MOVAPS X3, X5; \
+	SUBSS X1, X3; \
+	MOVSS X3, (DI); \
+	PCMPEQL X3, X5; \
+	MOVMSKPS X5, AX; \
+	NOTL AX; \
+	ANDL $1, AX; \
+	SHLL CX, AX; \
+	ORL AX, DX; \
+	INCL CX; \
+	ADDQ $4, SI; \
+	ADDQ $4, DI; \
+	DECQ R12
+
+// func axpySub(dst, x []float32, a float32, chg []uint64, at int)
+// dst[i] -= a*x[i] for i < n = min(len(dst), len(x), 64*len(chg)-at),
+// and bit at+i of chg is set when that changed dst[i]'s bits.
+TEXT ·axpySub(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
+	MOVQ dst_len+8(FP), R12
 	MOVQ x_base+24(FP), SI
 	MOVQ x_len+32(FP), DX
-	CMPQ DX, CX
-	CMOVQLT DX, CX          // CX = min(len(dst), len(x))
+	CMPQ DX, R12
+	CMOVQLT DX, R12
+	MOVQ chg_base+56(FP), R10
+	MOVQ chg_len+64(FP), DX
+	MOVQ at+80(FP), R11
+	SHLQ $6, DX
+	SUBQ R11, DX            // the bits from at to the bitmap's end
+	CMPQ DX, R12
+	CMOVQLT DX, R12         // R12 = n
+	TESTQ R12, R12
+	JLE  axpydone
 	MOVSS a+48(FP), X0
 	SHUFPS $0, X0, X0       // a in all four lanes
-	MOVQ CX, BX
+	XORL DX, DX             // the partial byte
+	MOVQ R11, CX
+	SHRQ $3, R11
+	ADDQ R11, R10           // R10 = the byte holding bit at
+	ANDL $7, CX             // and its bit there
+	JZ   axpybody
+
+axpyhead:
+	AXPY1
+	JZ   axpyflush
+	CMPL CX, $8
+	JLT  axpyhead
+	ORB  DX, (R10)
+	INCQ R10
+	XORL DX, DX
+	XORL CX, CX
+
+axpybody:
+	MOVQ R12, BX
 	SHRQ $3, BX
 	JZ   axpy4
 
@@ -31,64 +97,108 @@ axpy8:
 	MULPS  X0, X2
 	MOVUPS (DI), X3
 	MOVUPS 16(DI), X4
+	MOVAPS X3, X5           // the bits replaced
+	MOVAPS X4, X6
 	SUBPS  X1, X3           // dst - a*x
 	SUBPS  X2, X4
 	MOVUPS X3, (DI)
 	MOVUPS X4, 16(DI)
+	PCMPEQL X3, X5
+	PCMPEQL X4, X6
+	PACKSSLW X6, X5
+	PACKSSWB X5, X5
+	PMOVMSKB X5, AX
+	NOTL   AX
+	ORB    AX, (R10)
+	INCQ   R10
 	ADDQ   $32, SI
 	ADDQ   $32, DI
 	DECQ   BX
 	JNZ    axpy8
 
 axpy4:
-	TESTQ $4, CX
+	TESTQ $4, R12
 	JZ    axpy1
 	MOVUPS (SI), X1
 	MULPS  X0, X1
 	MOVUPS (DI), X3
+	MOVAPS X3, X5
 	SUBPS  X1, X3
 	MOVUPS X3, (DI)
+	PCMPEQL X3, X5
+	MOVMSKPS X5, DX
+	XORL   $15, DX
+	MOVL   $4, CX
 	ADDQ   $16, SI
 	ADDQ   $16, DI
 
 axpy1:
-	ANDQ $3, CX
-	JZ   axpydone
+	ANDQ $3, R12
+	JZ   axpyflush
 
 axpytail:
-	MOVSS (SI), X1
-	MULSS X0, X1
-	MOVSS (DI), X3
-	SUBSS X1, X3
-	MOVSS X3, (DI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JNZ   axpytail
+	AXPY1
+	JNZ  axpytail
+
+axpyflush:
+	TESTL CX, CX
+	JZ    axpydone
+	ORB   DX, (R10)
 
 axpydone:
 	RET
 
-// func stencil5(out, up, down, mid []float32)
+// STENCIL1 is one scalar column of stencil5, as AXPY1 is of axpySub.
+#define STENCIL1 \
+	MOVSS (R8), X1; \
+	ADDSS (R9), X1; \
+	ADDSS (SI), X1; \
+	ADDSS 8(SI), X1; \
+	MULSS X0, X1; \
+	MOVSS (DI), X3; \
+	MOVSS X1, (DI); \
+	PCMPEQL X1, X3; \
+	MOVMSKPS X3, AX; \
+	NOTL AX; \
+	ANDL $1, AX; \
+	SHLL CX, AX; \
+	ORL AX, DX; \
+	INCL CX; \
+	ADDQ $4, DI; \
+	ADDQ $4, R8; \
+	ADDQ $4, R9; \
+	ADDQ $4, SI; \
+	DECQ R12
+
+// func stencil5(out, up, down, mid []float32, chg []uint64, at int)
 // out[q] = 0.25*(((up[q]+down[q])+mid[q-1])+mid[q+1]) for 1 <= q < n-1,
-// n the shortest of the four lengths; out[0] and out[n-1] are not
-// written.
-TEXT ·stencil5(SB), NOSPLIT, $0-96
+// n the shortest of the four lengths and 64*len(chg)-at+2; out[0] and
+// out[n-1] are not written. Bit at+q-1 of chg is set when out[q]'s
+// bits changed.
+TEXT ·stencil5(SB), NOSPLIT, $0-128
 	MOVQ out_base+0(FP), DI
-	MOVQ out_len+8(FP), CX
+	MOVQ out_len+8(FP), R12
 	MOVQ up_base+24(FP), R8
 	MOVQ up_len+32(FP), DX
-	CMPQ DX, CX
-	CMOVQLT DX, CX
+	CMPQ DX, R12
+	CMOVQLT DX, R12
 	MOVQ down_base+48(FP), R9
 	MOVQ down_len+56(FP), DX
-	CMPQ DX, CX
-	CMOVQLT DX, CX
+	CMPQ DX, R12
+	CMOVQLT DX, R12
 	MOVQ mid_base+72(FP), SI
 	MOVQ mid_len+80(FP), DX
-	CMPQ DX, CX
-	CMOVQLT DX, CX          // CX = n
-	SUBQ $2, CX             // interior columns
+	CMPQ DX, R12
+	CMOVQLT DX, R12         // R12 = n
+	SUBQ $2, R12            // interior columns
+	MOVQ chg_base+96(FP), R10
+	MOVQ chg_len+104(FP), DX
+	MOVQ at+120(FP), R11
+	SHLQ $6, DX
+	SUBQ R11, DX
+	CMPQ DX, R12
+	CMOVQLT DX, R12         // at most one column per chg bit from at
+	TESTQ R12, R12
 	JLE  stencildone
 	MOVL $0x3e800000, AX    // float32(0.25)
 	MOVL AX, X0
@@ -98,11 +208,29 @@ TEXT ·stencil5(SB), NOSPLIT, $0-96
 	ADDQ $4, DI
 	ADDQ $4, R8
 	ADDQ $4, R9
-	MOVQ CX, BX
-	SHRQ $2, BX
-	JZ   stencil1
+	XORL DX, DX             // the partial byte
+	MOVQ R11, CX
+	SHRQ $3, R11
+	ADDQ R11, R10           // R10 = the byte holding bit at
+	ANDL $7, CX             // and its bit there
+	JZ   stencilbody
 
-stencil4:
+stencilhead:
+	STENCIL1
+	JZ   stencilflush
+	CMPL CX, $8
+	JLT  stencilhead
+	ORB  DX, (R10)
+	INCQ R10
+	XORL DX, DX
+	XORL CX, CX
+
+stencilbody:
+	MOVQ R12, BX
+	SHRQ $3, BX
+	JZ   stencil4
+
+stencil8:
 	MOVUPS (R8), X1
 	MOVUPS (R9), X2
 	ADDPS  X2, X1           // up+down
@@ -111,31 +239,67 @@ stencil4:
 	MOVUPS 8(SI), X2
 	ADDPS  X2, X1           // +mid[q+1]
 	MULPS  X0, X1
+	MOVUPS 16(R8), X4       // the same for columns q+4 to q+7
+	MOVUPS 16(R9), X5
+	ADDPS  X5, X4
+	MOVUPS 16(SI), X5
+	ADDPS  X5, X4
+	MOVUPS 24(SI), X5
+	ADDPS  X5, X4
+	MULPS  X0, X4
+	MOVUPS (DI), X3         // the bits replaced
+	MOVUPS 16(DI), X6
 	MOVUPS X1, (DI)
+	MOVUPS X4, 16(DI)
+	PCMPEQL X1, X3
+	PCMPEQL X4, X6
+	PACKSSLW X6, X3
+	PACKSSWB X3, X3
+	PMOVMSKB X3, AX
+	NOTL   AX
+	ORB    AX, (R10)
+	INCQ   R10
+	ADDQ   $32, DI
+	ADDQ   $32, R8
+	ADDQ   $32, R9
+	ADDQ   $32, SI
+	DECQ   BX
+	JNZ    stencil8
+
+stencil4:
+	TESTQ $4, R12
+	JZ    stencil1
+	MOVUPS (R8), X1
+	MOVUPS (R9), X2
+	ADDPS  X2, X1
+	MOVUPS (SI), X2
+	ADDPS  X2, X1
+	MOVUPS 8(SI), X2
+	ADDPS  X2, X1
+	MULPS  X0, X1
+	MOVUPS (DI), X3
+	MOVUPS X1, (DI)
+	PCMPEQL X1, X3
+	MOVMSKPS X3, DX
+	XORL   $15, DX
+	MOVL   $4, CX
 	ADDQ   $16, DI
 	ADDQ   $16, R8
 	ADDQ   $16, R9
 	ADDQ   $16, SI
-	DECQ   BX
-	JNZ    stencil4
 
 stencil1:
-	ANDQ $3, CX
-	JZ   stencildone
+	ANDQ $3, R12
+	JZ   stencilflush
 
 stenciltail:
-	MOVSS (R8), X1
-	ADDSS (R9), X1
-	ADDSS (SI), X1
-	ADDSS 8(SI), X1
-	MULSS X0, X1
-	MOVSS X1, (DI)
-	ADDQ  $4, DI
-	ADDQ  $4, R8
-	ADDQ  $4, R9
-	ADDQ  $4, SI
-	DECQ  CX
-	JNZ   stenciltail
+	STENCIL1
+	JNZ  stenciltail
+
+stencilflush:
+	TESTL CX, CX
+	JZ    stencildone
+	ORB   DX, (R10)
 
 stencildone:
 	RET

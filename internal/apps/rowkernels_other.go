@@ -2,8 +2,10 @@
 
 package apps
 
-func axpySub(dst, x []float32, a float32)   { axpySubGo(dst, x, a) }
-func stencil5(out, up, down, mid []float32) { stencil5Go(out, up, down, mid) }
+func axpySub(dst, x []float32, a float32, chg []uint64, at int) { axpySubGo(dst, x, a, chg, at) }
+func stencil5(out, up, down, mid []float32, chg []uint64, at int) {
+	stencil5Go(out, up, down, mid, chg, at)
+}
 func nbfSum(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64) {
 	return nbfSumGo(xi, yi, zi, xs, ys, zs)
 }

@@ -88,17 +88,55 @@ func guardsIntact(back []float32, off, n int) bool {
 	return true
 }
 
+// chgGuard fills the change bitmaps the kernels are handed: they only
+// set bits, so every bit a call must leave alone keeps this pattern,
+// and a word past the bitmap's end is a guard.
+const chgGuard = 0x5a5a_c3c3_0ff0_9669
+
+// chgBitmap returns a change bitmap for n elements from bit at,
+// pre-set to chgGuard, and the backing with one guard word after it.
+func chgBitmap(at, n int) (back, chg []uint64) {
+	w := (at + n + 63) / 64
+	back = make([]uint64, w+1)
+	for i := range back {
+		back[i] = chgGuard
+	}
+	return back, back[:w:w]
+}
+
+// checkChanges holds a kernel's change bitmap (starting as chgGuard)
+// to the bits it stored: bit at+k must be chgGuard's bit or, where the
+// k-th written element's bits differ from before, set; every other
+// bit, and the guard word after the bitmap, must be untouched.
+func checkChanges(t testing.TB, name string, back []uint64, at int, before, after []float32, off int) {
+	t.Helper()
+	for b := 0; b < 64*len(back); b++ {
+		want := chgGuard>>uint(b%64)&1 != 0
+		k := b - at
+		if k >= 0 && k < len(before) && math.Float32bits(before[k]) != math.Float32bits(after[k]) {
+			want = true
+		}
+		if got := back[b/64]>>uint(b%64)&1 != 0; got != want {
+			t.Fatalf("%s n=%d off=%d at=%d: change bit %d (element %d) = %v, want %v",
+				name, len(before), off, at, b, k, got, want)
+		}
+	}
+}
+
 // checkAxpy runs axpySub and axpySubGo on identical copies of dst at
-// element offset off (x at a different offset) and fails on any
-// differing bit or touched guard.
-func checkAxpy(t testing.TB, dst, x []float32, a float32, off int) {
+// element offset off (x at a different offset), reporting from bit at,
+// and fails on any differing bit or touched guard, or on a change
+// bitmap that differs from the bits they stored.
+func checkAxpy(t testing.TB, dst, x []float32, a float32, off, at int) {
 	t.Helper()
 	n := len(dst)
 	gotBack, got := place(dst, off)
 	wantBack, want := place(dst, off)
 	xBack, xv := place(x, (off+1)%4)
-	axpySub(got, xv, a)
-	axpySubGo(want, xv, a)
+	gotChgBack, gotChg := chgBitmap(at, n)
+	wantChgBack, wantChg := chgBitmap(at, n)
+	axpySub(got, xv, a, gotChg, at)
+	axpySubGo(want, xv, a, wantChg, at)
 	if i := sameBits(gotBack, wantBack); i >= 0 {
 		t.Fatalf("axpySub n=%d off=%d a=%v: backing[%d] = %#08x, Go loop %#08x (dst index %d)",
 			n, off, a, i, math.Float32bits(gotBack[i]), math.Float32bits(wantBack[i]), i-4-off)
@@ -109,39 +147,47 @@ func checkAxpy(t testing.TB, dst, x []float32, a float32, off int) {
 	if i := sameBits(xv, x); i >= 0 {
 		t.Fatalf("axpySub n=%d off=%d: x[%d] modified", n, off, i)
 	}
+	checkChanges(t, "axpySub", gotChgBack, at, dst, got, off)
+	checkChanges(t, "axpySubGo", wantChgBack, at, dst, want, off)
 }
 
-// checkStencil does the same for stencil5 and stencil5Go. The output
-// starts as canaries, so out[0], out[n-1] and every out of a call too
-// short to have an interior are guards too.
-func checkStencil(t testing.TB, up, down, mid []float32, off int) {
+// checkStencil does the same for stencil5 and stencil5Go, on an output
+// that starts as out0 (nil: all canaries, so out[0], out[n-1] and every
+// out of a call too short to have an interior are guards too).
+func checkStencil(t testing.TB, up, down, mid, out0 []float32, off, at int) {
 	t.Helper()
 	n := len(mid)
-	blank := make([]float32, n)
-	for i := range blank {
-		blank[i] = rowCanary
+	if out0 == nil {
+		out0 = make([]float32, n)
+		for i := range out0 {
+			out0[i] = rowCanary
+		}
 	}
-	gotBack, got := place(blank, off)
-	wantBack, want := place(blank, off)
+	gotBack, got := place(out0, off)
+	wantBack, want := place(out0, off)
 	_, uv := place(up, (off+1)%4)
 	_, dv := place(down, (off+2)%4)
 	_, mv := place(mid, (off+3)%4)
-	stencil5(got, uv, dv, mv)
-	stencil5Go(want, uv, dv, mv)
-	if i := sameBits(gotBack, wantBack); i >= 0 {
-		t.Fatalf("stencil5 n=%d off=%d: backing[%d] = %#08x, Go loop %#08x (out index %d)",
-			n, off, i, math.Float32bits(gotBack[i]), math.Float32bits(wantBack[i]), i-4-off)
-	}
 	lo, hi := 1, n-1 // the interior: the only elements a call may write
 	if n < 3 {
 		lo, hi = 0, 0
 	}
-	if !guardsIntact(gotBack, off+lo, hi-lo) {
+	gotChgBack, gotChg := chgBitmap(at, hi-lo)
+	wantChgBack, wantChg := chgBitmap(at, hi-lo)
+	stencil5(got, uv, dv, mv, gotChg, at)
+	stencil5Go(want, uv, dv, mv, wantChg, at)
+	if i := sameBits(gotBack, wantBack); i >= 0 {
+		t.Fatalf("stencil5 n=%d off=%d: backing[%d] = %#08x, Go loop %#08x (out index %d)",
+			n, off, i, math.Float32bits(gotBack[i]), math.Float32bits(wantBack[i]), i-4-off)
+	}
+	if !guardsIntact(gotBack, off, n) || sameBits(got[:lo], out0[:lo]) >= 0 || sameBits(got[hi:], out0[hi:]) >= 0 {
 		t.Fatalf("stencil5 n=%d off=%d: wrote outside out[1:n-1]", n, off)
 	}
 	if sameBits(uv, up) >= 0 || sameBits(dv, down) >= 0 || sameBits(mv, mid) >= 0 {
 		t.Fatalf("stencil5 n=%d off=%d: an input was modified", n, off)
 	}
+	checkChanges(t, "stencil5", gotChgBack, at, out0[lo:hi], got[lo:hi], off)
+	checkChanges(t, "stencil5Go", wantChgBack, at, out0[lo:hi], want[lo:hi], off)
 }
 
 // axpyScalars are the multipliers the exhaustive test cycles through.
@@ -152,14 +198,79 @@ var axpyScalars = []float32{
 
 // TestRowKernelsMatchGo covers every length through two pages and
 // three elements (every combination of 8-lane body, 4-lane step and
-// scalar tail, twice over) at every start alignment.
+// scalar tail, twice over) at every start alignment, reporting from
+// every bit of a byte and across a word's end.
 func TestRowKernelsMatchGo(t *testing.T) {
 	for n := 0; n <= 2051; n++ {
 		dst, x := rowValues(n, 0), rowValues(n, 1)
 		up, down, mid := rowValues(n, 2), rowValues(n, 3), rowValues(n, 4)
 		for off := 0; off < 4; off++ {
-			checkAxpy(t, dst, x, axpyScalars[(n+off)%len(axpyScalars)], off)
-			checkStencil(t, up, down, mid, off)
+			at := (n + 5*off) % 72
+			checkAxpy(t, dst, x, axpyScalars[(n+off)%len(axpyScalars)], off, at)
+			checkStencil(t, up, down, mid, nil, off, at)
+		}
+	}
+}
+
+// TestRowKernelsReportChanges aims the change report at the values
+// where a float compare and a bit compare part ways, at every length
+// to 257 (four 64-bit words of report and a tail) and every alignment:
+// about a third of the elements are stored back unchanged, and the
+// rest include -0 replaced by +0 and the reverse, NaN replaced by the
+// same NaN (unchanged) and by another payload (changed), and
+// denormals.
+func TestRowKernelsReportChanges(t *testing.T) {
+	otherNaN := math.Float32frombits(0x7fc00001)
+	negZero := math.Float32frombits(0x80000000)
+	for n := 0; n <= 257; n++ {
+		// axpySub: x[i] = 0 leaves dst[i] as it was, except -0 - (-0)
+		// = +0, which a = -1 makes of every zero x against a -0 dst.
+		dst, x := rowValues(n, 10), rowValues(n, 11)
+		for i := range dst {
+			switch i % 7 {
+			case 0, 3:
+				x[i] = 0
+			case 1:
+				dst[i], x[i] = negZero, 0
+			case 2:
+				dst[i] = math.Float32frombits(0x00000003) // a denormal
+			case 5:
+				dst[i] = hwNaN
+			}
+		}
+		for off := 0; off < 4; off++ {
+			checkAxpy(t, dst, x, -1, off, 3*off)
+			checkAxpy(t, dst, x, 0.5, off, 60+off)
+		}
+
+		// stencil5: the output starts as the stencil's own result in
+		// a third of the columns, its opposite zero or another NaN
+		// payload in some, and arbitrary values elsewhere.
+		up, down, mid := rowValues(n, 12), rowValues(n, 13), rowValues(n, 14)
+		for i := range mid {
+			switch i % 10 {
+			case 0, 1, 2: // column 1 sums to +0
+				up[i], down[i], mid[i] = 0, negZero, 0
+			case 5, 6, 7: // column 6 sums to -0
+				up[i], down[i], mid[i] = negZero, negZero, negZero
+			}
+		}
+		res := make([]float32, n)
+		copy(res, rowValues(n, 15))
+		stencil5Go(res, up, down, mid, make([]uint64, (n+63)/64), 0)
+		out0 := rowValues(n, 16)
+		for q := range out0 {
+			switch {
+			case q%3 == 0:
+				out0[q] = res[q]
+			case res[q] == 0:
+				out0[q] = -res[q] // the other zero
+			case res[q] != res[q] && q%3 == 1:
+				out0[q] = otherNaN
+			}
+		}
+		for off := 0; off < 4; off++ {
+			checkStencil(t, up, down, mid, out0, off, 7*off)
 		}
 	}
 }
@@ -172,8 +283,8 @@ func TestRowKernelsCommonPrefix(t *testing.T) {
 		// dst longer than x: only dst[:n] may change.
 		back, dst := place(vals, 1)
 		ref := append([]float32(nil), vals...)
-		axpySub(dst, vals[:n], 2)
-		axpySubGo(ref, vals[:n], 2)
+		axpySub(dst, vals[:n], 2, make([]uint64, 1), 0)
+		axpySubGo(ref, vals[:n], 2, make([]uint64, 1), 0)
 		if i := sameBits(dst, ref); i >= 0 || !guardsIntact(back, 1, len(vals)) {
 			t.Fatalf("axpySub short x, n=%d: differs at %d or wrote outside dst", n, i)
 		}
@@ -183,10 +294,39 @@ func TestRowKernelsCommonPrefix(t *testing.T) {
 		// x longer than dst.
 		back, dst = place(vals[:n], 2)
 		ref = append([]float32(nil), vals[:n]...)
-		axpySub(dst, vals, 2)
-		axpySubGo(ref, vals, 2)
+		axpySub(dst, vals, 2, make([]uint64, 1), 0)
+		axpySubGo(ref, vals, 2, make([]uint64, 1), 0)
 		if i := sameBits(dst, ref); i >= 0 || !guardsIntact(back, 2, n) {
 			t.Fatalf("axpySub short dst, n=%d: differs at %d or wrote outside dst", n, i)
+		}
+		// The change bitmap bounds the call at its bits from at: one
+		// word from bit 0 or 20 at 64 or 44 elements, and an empty one,
+		// or one at does not reach into, stops it.
+		long := rowValues(n+70, 9)
+		for _, c := range []struct{ words, at int }{{0, 0}, {1, 0}, {1, 20}, {1, 64}, {1, 90}} {
+			lim := max(64*c.words-c.at, 0)
+			chg := make([]uint64, c.words)
+			back, dst = place(long, 3)
+			ref = append([]float32(nil), long...)
+			axpySub(dst, rowValues(n+70, 17), 2, chg, c.at)
+			axpySubGo(ref, rowValues(n+70, 17), 2, make([]uint64, c.words), c.at)
+			if i := sameBits(dst, ref); i >= 0 || !guardsIntact(back, 3, len(long)) {
+				t.Fatalf("axpySub %+v, n=%d: differs at %d or wrote outside dst", c, n, i)
+			}
+			if i := sameBits(dst[lim:], long[lim:]); i >= 0 {
+				t.Fatalf("axpySub %+v, n=%d: dst[%d] past the bitmap changed", c, n, lim+i)
+			}
+
+			out := rowValues(n+70, 18)
+			ref = append([]float32(nil), out...)
+			stencil5(out, long, rowValues(n+70, 19), rowValues(n+70, 20), chg, c.at)
+			stencil5Go(ref, long, rowValues(n+70, 19), rowValues(n+70, 20), make([]uint64, c.words), c.at)
+			if i := sameBits(out, ref); i >= 0 {
+				t.Fatalf("stencil5 %+v, n=%d: differs at %d", c, n, i)
+			}
+			if i := sameBits(out[lim+1:], rowValues(n+70, 18)[lim+1:]); i >= 0 {
+				t.Fatalf("stencil5 %+v, n=%d: out[%d] past the bitmap changed", c, n, lim+1+i)
+			}
 		}
 		// Each stencil argument in turn is the short one.
 		for short := 0; short < 4; short++ {
@@ -194,8 +334,8 @@ func TestRowKernelsCommonPrefix(t *testing.T) {
 			args[short] = args[short][:n]
 			back, out := place(args[0], 3)
 			ref := append([]float32(nil), args[0]...)
-			stencil5(out, args[1], args[2], args[3])
-			stencil5Go(ref, args[1], args[2], args[3])
+			stencil5(out, args[1], args[2], args[3], make([]uint64, 1), 0)
+			stencil5Go(ref, args[1], args[2], args[3], make([]uint64, 1), 0)
 			if i := sameBits(out, ref); i >= 0 || !guardsIntact(back, 3, len(out)) {
 				t.Fatalf("stencil5 short arg %d, n=%d: differs at %d or wrote outside out", short, n, i)
 			}
@@ -237,10 +377,14 @@ func fuzzBytes(n int, streams ...int) []byte {
 // fuzzSeedLengths straddle every loop boundary of the assembly.
 var fuzzSeedLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 1023, 1024, 1025, 2051}
 
+// The fuzzers' off byte picks the element alignment (off%4) and the
+// bit the change report starts at (off/4, 0 to 63).
+
 func FuzzAxpySub(f *testing.F) {
 	for i, n := range fuzzSeedLengths {
-		f.Add(fuzzBytes(n, 0, 1), uint8(i), math.Float32bits(axpyScalars[i%len(axpyScalars)]))
+		f.Add(fuzzBytes(n, 0, 1), uint8(i*37), math.Float32bits(axpyScalars[i%len(axpyScalars)]))
 	}
+	f.Add(fuzzBytes(9, 0, 1), uint8(5), uint32(0)) // a = 0: unchanged but for -0 - +0
 	f.Fuzz(func(t *testing.T, data []byte, off uint8, abits uint32) {
 		v := fuzzFloats(data, 2*2051)
 		n := len(v) / 2
@@ -248,17 +392,28 @@ func FuzzAxpySub(f *testing.F) {
 		if a != a {
 			a = hwNaN
 		}
-		checkAxpy(t, v[:n], v[n:2*n], a, int(off%4))
+		checkAxpy(t, v[:n], v[n:2*n], a, int(off%4), int(off/4))
 	})
 }
 
+// FuzzStencil5 also fuzzes the output's previous contents: where bit
+// q%64 of keep is set, out[q] starts as the value the stencil stores
+// there, so the report must leave it unchanged.
 func FuzzStencil5(f *testing.F) {
 	for i, n := range fuzzSeedLengths {
-		f.Add(fuzzBytes(n, 2, 3, 4), uint8(i))
+		f.Add(fuzzBytes(n, 2, 3, 4, 5), uint8(i*37), uint64(0x00ff0f0f_33335555)>>uint(i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
-		v := fuzzFloats(data, 3*2051)
-		n := len(v) / 3
-		checkStencil(t, v[:n], v[n:2*n], v[2*n:3*n], int(off%4))
+	f.Fuzz(func(t *testing.T, data []byte, off uint8, keep uint64) {
+		v := fuzzFloats(data, 4*2051)
+		n := len(v) / 4
+		up, down, mid, out0 := v[:n], v[n:2*n], v[2*n:3*n], v[3*n:4*n]
+		res := append([]float32(nil), out0...)
+		stencil5Go(res, up, down, mid, make([]uint64, (n+63)/64), 0)
+		for q := range out0 {
+			if keep>>uint(q%64)&1 != 0 {
+				out0[q] = res[q]
+			}
+		}
+		checkStencil(t, up, down, mid, out0, int(off%4), int(off/4))
 	})
 }

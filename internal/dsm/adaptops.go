@@ -145,6 +145,7 @@ func (c *Cluster) deactivateLocked(h *Host) {
 			}
 			c.releasePage(st.data)
 			c.releasePage(st.twin)
+			h.dropOnce(st)
 			*st = pageState{}
 		}
 	}

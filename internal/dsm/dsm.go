@@ -145,6 +145,10 @@ type Cluster struct {
 	eng *engine.Engine
 
 	stats Stats
+
+	// tookMask, when set, sees every mask takeMask returns: the tests
+	// that hold the write-once path to the twin path compare them.
+	tookMask func(HostID, pageKey, page.Mask)
 }
 
 // New creates a cluster of cfg.MaxHosts workstations with only host 0

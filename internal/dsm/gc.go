@@ -58,6 +58,7 @@ func (c *Cluster) settlePage(r RegionID, p int, pm *pageMeta, gcSeq int32) {
 		st := &h.pages[r][p]
 		c.releasePage(st.twin)
 		st.twin = nil
+		h.dropOnce(st)
 		st.dirty = false
 		st.borrowed, st.lent = false, 0 // every host is swept, so both ends of a borrow go
 		if h.id == pm.owner || (st.valid && st.appliedSeq >= latest) {

@@ -182,8 +182,9 @@ func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, s i
 // words — an overlap is the sub-word race the Tmk paths panic on, and
 // must be caught *before* the apply destroys the evidence — and the
 // words go into the twin as well, so the home's eventual flush carries
-// only its own. A home holding the page elided (dirty, no twin) has no
-// diffable evidence — its sole-writer proof already failed if a remote
+// only its own (a write-once home's changed units already lack them:
+// they are disjoint). A home holding the page elided (dirty, no twin)
+// has no diffable evidence — its sole-writer proof already failed if a remote
 // diff arrives — so the check is skipped and the words merge (they are
 // disjoint in a race-free program).
 func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32) {
@@ -195,12 +196,13 @@ func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32)
 		c.recall(hh, pk) // last moment the copy is the borrowers' pre-image
 	}
 	src := from.pages[pk.region][pk.page].data
-	if st.dirty && st.twin != nil {
-		own := page.Scan(st.twin, st.data)
+	if own, ok := hh.ownMask(st); ok {
 		if w, ok := m.FirstOverlap(&own); ok {
 			panic(c.wordRaceMessage(from.id, hh.id, pk, w, "without synchronisation"))
 		}
-		m.Copy(st.twin, src)
+		if st.twin != nil {
+			m.Copy(st.twin, src)
+		}
 	}
 	m.Copy(st.data, src)
 	st.appliedSeq = s
@@ -211,15 +213,18 @@ func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32)
 // window can patch it: the home's current page is fetched and becomes
 // both the new twin and the new copy, and the host's own modified
 // words are overlaid from the old copy (they are disjoint from the
-// committed words in a race-free program).
+// committed words in a race-free program). A write-once page keeps its
+// carried mask, which is those words, and takes no twin.
 func (c *Cluster) mergeOverHomePage(h *Host, pk pageKey, home HostID, clk *simtime.Clock) {
 	st := &h.pages[pk.region][pk.page]
 	old := st.data
-	own := page.Scan(st.twin, old)
-	c.releasePage(st.twin)
+	own, _ := h.ownMask(st)
 
 	data, applied := c.copyPageFrom(h, c.Host(home), pk, "home", clk)
-	st.twin = c.pagePool.Copy(data)
+	if st.twin != nil {
+		c.releasePage(st.twin)
+		st.twin = c.pagePool.Copy(data)
+	}
 	st.data = data
 	own.Copy(st.data, old)
 	c.releasePage(old)
@@ -227,9 +232,11 @@ func (c *Cluster) mergeOverHomePage(h *Host, pk pageKey, home HostID, clk *simti
 }
 
 // elided reports whether st is dirty with no twin, its own or
-// borrowed: a first write the policy let skip its twin, to be committed
-// without a diff.
-func (st *pageState) elided() bool { return st.dirty && st.twin == nil && !st.borrowed }
+// borrowed, and no carried mask: a first write the policy let skip its
+// twin, to be committed without a diff.
+func (st *pageState) elided() bool {
+	return st.dirty && st.twin == nil && !st.borrowed && st.once == 0
+}
 
 // borrow decides whether h's first write to pk in this interval may use
 // the home's copy as its twin instead of copying its own page, and if

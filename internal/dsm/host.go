@@ -18,14 +18,17 @@ type pageKey struct {
 // cache line (the flags sit beside appliedSeq to keep it so).
 type pageState struct {
 	data []byte // nil when the host holds no copy
-	twin []byte // pristine copy while dirty in the open interval, unless elided or borrowed
+	twin []byte // pristine copy while dirty in the open interval, unless elided, borrowed or write-once
 	// appliedSeq is the newest interval sequence whose committed
 	// modifications are reflected in data (plus the host's own
 	// uncommitted writes while dirty).
 	appliedSeq int32
 	// lent counts the hosts borrowing this copy as their twin; only a
 	// page's home ever lends (see Cluster.borrow).
-	lent  int32
+	lent int32
+	// once, when non-zero, marks a dirty page opened by WriteSpanOnce:
+	// Host.once[once-1] carries its diff mask in place of a twin.
+	once  int32
 	valid bool
 	dirty bool
 	// borrowed marks a dirty page whose twin is the home's copy.
@@ -67,6 +70,64 @@ type Host struct {
 	// syncSeq is the newest interval sequence this host has fully
 	// honoured (set at barriers and lock acquires).
 	syncSeq int32
+	// once holds the records of the pages WriteSpanOnce opened, indexed
+	// by pageState.once-1. onceNext is the next free record and
+	// onceOpen counts the records still in use; every page of an
+	// interval closes in the same close, so the count returns to zero
+	// there and the records are reused by the next interval.
+	once     []*onceRec
+	onceNext int
+	onceOpen int
+	// discard receives the change reports of write-once spans on pages
+	// that need none: twinned, or elided (see WriteSpanOnce).
+	discard page.Units
+}
+
+// onceRec is the write state of a page opened by WriteSpanOnce: the
+// 4-byte units claimed in the open interval, and those the writer
+// reported changed, whose words stand in for the close-time twin scan.
+type onceRec struct {
+	claimed page.Units
+	changed page.Units
+}
+
+// openOnce starts a page's write-once state on a cleared record and
+// returns its pageState.once value.
+func (h *Host) openOnce() int32 {
+	if h.onceNext == len(h.once) {
+		h.once = append(h.once, new(onceRec))
+	}
+	rec := h.once[h.onceNext]
+	*rec = onceRec{}
+	h.onceNext++
+	h.onceOpen++
+	return int32(h.onceNext)
+}
+
+// dropOnce ends st's write-once state, if it has one.
+func (h *Host) dropOnce(st *pageState) {
+	if st.once == 0 {
+		return
+	}
+	st.once = 0
+	h.onceOpen--
+	if h.onceOpen == 0 {
+		h.onceNext = 0
+	}
+}
+
+// ownMask returns the words h changed on a dirty page in the open
+// interval, and whether there is evidence of them: a twin to scan, or
+// the mask a write-once page carries. An elided page has neither, and
+// a borrowed one is only ever scanned by takeMask.
+func (h *Host) ownMask(st *pageState) (page.Mask, bool) {
+	switch {
+	case st.twin != nil:
+		return page.Scan(st.twin, st.data), true
+	case st.once != 0:
+		return h.once[st.once-1].changed.Words(), true
+	}
+	return page.Mask{}, false
 }
 
 func newHost(c *Cluster, id HostID, m simnet.MachineID) *Host {
@@ -149,6 +210,10 @@ func (h *Host) ReadSpan(r RegionID, off, n int, clk *simtime.Clock) []byte {
 // write path behind the shmem accessors. The span holds the page's
 // current contents (ensureWrite faults it in first), so a partial
 // overwrite is safe. Same aliasing rules as ReadSpan.
+//
+// A page WriteSpanOnce opened in the open interval panics here: its
+// diff is the writer's report, and a write through this span would go
+// unreported.
 func (h *Host) WriteSpan(r RegionID, off, n int, clk *simtime.Clock) []byte {
 	h.checkRange(r, off, n)
 	p := off / page.Size
@@ -157,10 +222,108 @@ func (h *Host) WriteSpan(r RegionID, off, n int, clk *simtime.Clock) []byte {
 		n = chunk
 	}
 	st := &h.pages[r][p]
-	if !st.dirty || !st.valid {
-		h.ensureWrite(r, p, clk)
+	if !st.dirty || !st.valid || st.once != 0 {
+		h.ensureWrite(r, p, clk, false)
 	}
 	return st.data[po : po+n]
+}
+
+// WriteSpanOnce is WriteSpan for a writer that stores each 4-byte unit
+// of the span at most once in the open interval and compares every
+// element it stores with the bits it replaces: it reports, through the
+// returned Changes, the elements whose bits it changed. A page first
+// opened this way carries those reports as its diff mask instead of a
+// twin. The simulated first write is WriteSpan's — the same elision
+// decision, twin cost and counts — but no pre-image is copied and none
+// is borrowed, and the interval close takes the carried mask with no
+// scan.
+//
+// The mask equals the scan a twin would give: a unit written once
+// differs from the pre-image exactly when its new bits differ from the
+// bits it replaced, an unwritten unit is unchanged, and an acquire
+// that patches the page mid-interval clears the patched words' bits
+// (see upgradeOrInvalidate), just as patching the twin removes them
+// from the scan. So each unit of a page may be claimed once per
+// interval: a second claim panics, naming the page, and so does a
+// WriteSpan on a page WriteSpanOnce opened in the same interval.
+//
+// A page WriteSpan opened first keeps its twin, and an elided page
+// needs no diff; in both the reports are discarded. elem is the
+// element size the reports count in, 4 or 8, and off and n must be
+// multiples of it. Same aliasing rules as ReadSpan; the Changes stays
+// valid until the interval closes.
+func (h *Host) WriteSpanOnce(r RegionID, off, n, elem int, clk *simtime.Clock) ([]byte, Changes) {
+	h.checkRange(r, off, n)
+	if (elem != 4 && elem != 8) || off%elem != 0 || n%elem != 0 {
+		panic(fmt.Sprintf("dsm: host %d: write-once span [%d,%d) of %d-byte elements", h.id, off, off+n, elem))
+	}
+	p := off / page.Size
+	po := off - p*page.Size
+	if chunk := page.Size - po; chunk < n {
+		n = chunk
+	}
+	st := &h.pages[r][p]
+	if !st.dirty || !st.valid {
+		h.ensureWrite(r, p, clk, true)
+	}
+	ch := Changes{units: &h.discard, unit: po / page.UnitBytes, elem: elem, n: n / elem}
+	if st.once != 0 {
+		rec := h.once[st.once-1]
+		if u, ok := rec.claimed.Claim(po/page.UnitBytes, (po+n)/page.UnitBytes); !ok {
+			panic(fmt.Sprintf("dsm: host %d claimed byte offset %d of region %q (page %d) twice in one interval; a write-once span writes each %d-byte unit at most once per interval",
+				h.id, p*page.Size+u*page.UnitBytes, h.cluster.regions[r].Name, p, page.UnitBytes))
+		}
+		ch.units = &rec.changed
+	}
+	return st.data[po : po+n], ch
+}
+
+// Changes is the report side of a write-once span (see
+// WriteSpanOnce): the writer marks which of the span's elements it
+// changed, and the marks land in the page's changed units, whose words
+// are the diff mask the page carries.
+type Changes struct {
+	units *page.Units
+	unit  int // the span's first unit
+	elem  int // element size, 4 or 8
+	n     int // the span's length in elements
+}
+
+// Mark records that element k0+k of the span changed, for every k < n
+// whose bit k of bits is set.
+func (c Changes) Mark(k0 int, bits []uint64, n int) {
+	if k0 < 0 || n < 0 || k0+n > c.n {
+		panic(fmt.Sprintf("dsm: change report for elements [%d,%d) of a %d-element span", k0, k0+n, c.n))
+	}
+	if c.elem == page.UnitBytes {
+		c.units.Mark(c.unit+k0, bits, n)
+	} else {
+		c.units.MarkPairs(c.unit+2*k0, bits, n)
+	}
+}
+
+// Bits returns the bitmap a kernel reports a 4-byte-element span's
+// changes into in place, and the bit of the span's first element: bit
+// at+k stands for element k. The kernel may only set bits, and only
+// those of elements it stores whose bits it changed.
+func (c Changes) Bits() (bits []uint64, at int) {
+	if c.elem != page.UnitBytes {
+		panic(fmt.Sprintf("dsm: in-place change report for %d-byte elements; want %d", c.elem, page.UnitBytes))
+	}
+	return c.units[:], c.unit
+}
+
+// Set records that element k of the span changed.
+func (c Changes) Set(k int) {
+	if k < 0 || k >= c.n {
+		panic(fmt.Sprintf("dsm: change report for element %d of a %d-element span", k, c.n))
+	}
+	if c.elem == page.UnitBytes {
+		c.units.Set(c.unit + k)
+	} else {
+		c.units.Set(c.unit + 2*k)
+		c.units.Set(c.unit + 2*k + 1)
+	}
 }
 
 // PageView is a fault-aware view of one region's page table on one
@@ -229,10 +392,16 @@ func (h *Host) ensureRead(r RegionID, p int, clk *simtime.Clock) {
 // write of the open interval. Twinning is protocol-independent — Tmk
 // keeps the twin to diff lazily, HLRC to diff eagerly at the flush —
 // and so are its count and its simulated cost; only the host-side copy
-// is skipped where the home's copy can stand in (see Cluster.borrow).
-func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock) {
-	h.ensureRead(r, p, clk)
+// is skipped where the home's copy can stand in (see Cluster.borrow),
+// or, for a write-once first write (once), where the writer's reports
+// stand in (see WriteSpanOnce).
+func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock, once bool) {
 	st := &h.pages[r][p]
+	if st.once != 0 {
+		panic(fmt.Sprintf("dsm: host %d: WriteSpan on page %d of region %q, which a write-once span opened in this interval",
+			h.id, p, h.cluster.regions[r].Name))
+	}
+	h.ensureRead(r, p, clk)
 	if !st.dirty {
 		pk := pageKey{r, p}
 		if st.lent > 0 {
@@ -249,7 +418,9 @@ func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock) {
 			h.cluster.stats.WriteFaults.Add(1)
 			return
 		}
-		if !h.cluster.borrow(h, pk, st) {
+		if once {
+			st.once = h.openOnce()
+		} else if !h.cluster.borrow(h, pk, st) {
 			st.twin = h.cluster.pagePool.Copy(st.data)
 		}
 		st.dirty = true

@@ -136,9 +136,10 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 
 // takeMask closes h's writes to one page: the page is scanned against
 // its twin (a borrowed page against the home's copy it borrowed, which
-// is then returned), the twin is released and the dirty state consumed,
-// and if any word changed the diff is counted and its creation charged
-// to clk.
+// is then returned) and the twin is released, or a write-once page
+// hands over the mask it carries with no scan; the dirty state is
+// consumed, and if any word changed the diff is counted and its
+// creation charged to clk.
 //
 // With the twin gone, the mask stands for the diff only as long as
 // nothing writes the page: whoever needs the words (Mask.Copy into the
@@ -151,17 +152,26 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 // by then proven disjoint from the mask.
 func (c *Cluster) takeMask(h *Host, pk pageKey, clk *simtime.Clock) page.Mask {
 	st := &h.pages[pk.region][pk.page]
-	pre := st.twin
-	if st.borrowed {
-		hst := &c.Host(c.dir.metaLocked(pk.region, pk.page).owner).pages[pk.region][pk.page]
-		pre = hst.data
-		hst.lent--
-		st.borrowed = false
+	var m page.Mask
+	if st.once != 0 {
+		m = h.once[st.once-1].changed.Words()
+		h.dropOnce(st)
+	} else {
+		pre := st.twin
+		if st.borrowed {
+			hst := &c.Host(c.dir.metaLocked(pk.region, pk.page).owner).pages[pk.region][pk.page]
+			pre = hst.data
+			hst.lent--
+			st.borrowed = false
+		}
+		m = page.Scan(pre, st.data)
+		c.releasePage(st.twin)
+		st.twin = nil
 	}
-	m := page.Scan(pre, st.data)
-	c.releasePage(st.twin)
-	st.twin = nil
 	st.dirty = false
+	if c.tookMask != nil {
+		c.tookMask(h.id, pk, m)
+	}
 	if !m.Empty() {
 		c.stats.DiffsCreated.Add(1)
 		clk.Advance(c.costs.DiffCreate(h.machine, page.Size))

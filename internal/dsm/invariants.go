@@ -16,9 +16,9 @@ import (
 //  1. Every page's directory owner is an active host.
 //  2. The owner either holds a copy, or — between the owner's write
 //     and its interval close — is the page's sole pending writer.
-//  3. No host holds a twin or dirty marking, and no page is borrowed
-//     or lent, outside an open interval (callers must have closed all
-//     intervals, i.e. be at a barrier).
+//  3. No host holds a twin, a write-once record or dirty marking, and
+//     no page is borrowed or lent, outside an open interval (callers
+//     must have closed all intervals, i.e. be at a barrier).
 //  4. appliedSeq never exceeds the global interval sequence.
 //  5. Per-writer notice records are positive and never newer than the
 //     page's newest notice (which never exceeds the global sequence).
@@ -33,6 +33,9 @@ func (c *Cluster) CheckInvariants() error {
 	for _, h := range c.hosts {
 		if h.active {
 			active[h.id] = true
+		}
+		if h.onceOpen != 0 {
+			return fmt.Errorf("dsm: invariant: host %d has %d write-once records open (call at a barrier)", h.id, h.onceOpen)
 		}
 	}
 
@@ -62,7 +65,7 @@ func (c *Cluster) CheckInvariants() error {
 					if st.data != nil {
 						return fmt.Errorf("dsm: invariant: inactive host %d holds page %d/%d", h.id, r, p)
 					}
-				case st.dirty || st.twin != nil:
+				case st.dirty || st.twin != nil || st.once != 0:
 					return fmt.Errorf("dsm: invariant: host %d has an open interval on page %d/%d (call at a barrier)", h.id, r, p)
 				case st.borrowed || st.lent != 0:
 					return fmt.Errorf("dsm: invariant: host %d page %d/%d borrowed or lent (%d) outside an open interval", h.id, r, p, st.lent)

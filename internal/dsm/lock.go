@@ -207,6 +207,13 @@ func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 	}
 	for _, e := range c.proto.missingDiffs(h, pk, &meta, st.appliedSeq, latest, clk) {
 		e.diff.Apply(st.data)
+		if st.once != 0 && e.diff != nil {
+			// The same for a write-once page: the patched words leave its
+			// changed units. A unit of them stored later marks its word
+			// again if it changes the patched bits — exactly what the
+			// scan of a patched twin would find.
+			h.once[st.once-1].changed.ClearWords(&e.diff.Mask)
+		}
 		if st.twin != nil {
 			// The patched words are committed remote writes, not this
 			// host's modifications: apply them to the twin too, so the
@@ -288,10 +295,13 @@ func (c *Cluster) checkDirtyPeerRaces(writer HostID, pk pageKey, m *page.Mask) {
 			// a home copy that already holds m's words.
 			panic(fmt.Sprintf("dsm: host %d still borrows page %d/%d after host %d committed it", h2.id, pk.region, pk.page, writer))
 		}
-		if !st2.dirty || st2.twin == nil {
+		if !st2.dirty {
 			continue
 		}
-		m2 := page.Scan(st2.twin, st2.data)
+		m2, ok := h2.ownMask(st2)
+		if !ok {
+			continue
+		}
 		if w, ok := m.FirstOverlap(&m2); ok {
 			panic(c.wordRaceMessage(writer, h2.id, pk, w, "without synchronisation"))
 		}

@@ -55,6 +55,7 @@ func (c *Cluster) InstallRegion(r *Region, data []byte) error {
 		st.dirty = false
 		c.releasePage(st.twin)
 		st.twin = nil
+		m.dropOnce(st)
 		st.borrowed, st.lent = false, 0 // every other host's state is reset below
 		st.appliedSeq = c.seq
 	}
@@ -72,6 +73,7 @@ func (c *Cluster) InstallRegion(r *Region, data []byte) error {
 			st := &h.pages[r.ID][p]
 			c.releasePage(st.data)
 			c.releasePage(st.twin)
+			h.dropOnce(st)
 			*st = pageState{}
 		}
 	}

@@ -155,6 +155,7 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 		st := &h.pages[pk.region][pk.page]
 		c.releasePage(st.twin)
 		st.twin = nil
+		h.dropOnce(st)
 		st.dirty = false
 		st.appliedSeq = s
 		pm.owner = w

@@ -2,6 +2,7 @@ package page
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 )
 
@@ -75,6 +76,122 @@ func (m *Mask) Empty() bool {
 		any |= lane
 	}
 	return any == 0
+}
+
+// UnitBytes is the granularity of a write-once span's claims and
+// change reports: the 4-byte element, half a word.
+const UnitBytes = 4
+
+// Units is a set of a page's 4-byte units, bit u%64 of lane u/64 for
+// unit u: a write-once span's claims, or the units it reported
+// changed, which Words folds into the diff mask a twin scan would give
+// (see dsm.Host.WriteSpanOnce).
+type Units [Size / UnitBytes / 64]uint64
+
+// Claim adds units [lo,hi) to the set. If one of them is already in
+// it, Claim returns that unit and false, and what it added up to there
+// is unspecified.
+func (s *Units) Claim(lo, hi int) (int, bool) {
+	if lo < 0 || hi > Size/UnitBytes {
+		panic(fmt.Sprintf("page: units [%d,%d) outside a page of %d", lo, hi, Size/UnitBytes))
+	}
+	if lo >= hi {
+		return 0, true
+	}
+	first, last := lo>>6, (hi-1)>>6
+	m := ^uint64(0) << uint(lo&63) // the current lane's units in [lo,hi)
+	for l := first; l <= last; l++ {
+		if l == last {
+			m &= ^uint64(0) >> uint(63-(hi-1)&63)
+		}
+		if s[l]&m != 0 {
+			return l<<6 | bits.TrailingZeros64(s[l]&m), false
+		}
+		s[l] |= m
+		m = ^uint64(0)
+	}
+	return 0, true
+}
+
+// Mark adds unit u0+k to the set for every k < n whose bit k of b is
+// set. b must hold n bits, and u0+n must not pass the page's last
+// unit.
+func (s *Units) Mark(u0 int, b []uint64, n int) {
+	if u0 < 0 || n < 0 || u0+n > Size/UnitBytes {
+		panic(fmt.Sprintf("page: units [%d,%d) outside a page of %d", u0, u0+n, Size/UnitBytes))
+	}
+	sh := uint(u0 & 63)
+	for k := 0; k < n; k += 64 {
+		x := b[k>>6]
+		if r := n - k; r < 64 {
+			x &= 1<<uint(r) - 1
+		}
+		l := (u0 + k) >> 6
+		s[l] |= x << sh
+		if hi := x >> (64 - sh); hi != 0 { // sh == 0 shifts everything out
+			s[l+1] |= hi
+		}
+	}
+}
+
+// MarkPairs is Mark for 8-byte elements: bit k of b adds units
+// u0+2k and u0+2k+1, u0 even.
+func (s *Units) MarkPairs(u0 int, b []uint64, n int) {
+	for k := 0; k < n; k += 32 { // 32 elements make one lane of units
+		w := min(n-k, 32)
+		pairs := [1]uint64{spreadPairs(uint32(b[k>>6] >> uint(k&32)))}
+		s.Mark(u0+2*k, pairs[:], 2*w)
+	}
+}
+
+// Set adds unit u to the set.
+func (s *Units) Set(u int) { s[u>>6] |= 1 << uint(u&63) }
+
+// Words returns the mask of the words holding a unit of the set.
+func (s *Units) Words() Mask {
+	var m Mask
+	for i := range m {
+		m[i] = uint64(foldPairs(s[2*i])) | uint64(foldPairs(s[2*i+1]))<<32
+	}
+	return m
+}
+
+// ClearWords removes from the set both units of every word of m.
+func (s *Units) ClearWords(m *Mask) {
+	for i, lane := range m {
+		s[2*i] &^= spreadPairs(uint32(lane))
+		s[2*i+1] &^= spreadPairs(uint32(lane >> 32))
+	}
+}
+
+// foldPairs returns the 32 bits whose bit i is set when bit 2i or bit
+// 2i+1 of x is.
+func foldPairs(x uint64) uint32 {
+	x = (x | x>>1) & 0x5555555555555555
+	switch x {
+	case 0:
+		return 0
+	case 0x5555555555555555: // every word: the common dense case
+		return ^uint32(0)
+	}
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	x = (x | x>>16) & 0x00000000ffffffff
+	return uint32(x)
+}
+
+// spreadPairs is foldPairs' inverse: bit i of x sets bits 2i and
+// 2i+1.
+func spreadPairs(x uint32) uint64 {
+	y := uint64(x)
+	y = (y | y<<16) & 0x0000ffff0000ffff
+	y = (y | y<<8) & 0x00ff00ff00ff00ff
+	y = (y | y<<4) & 0x0f0f0f0f0f0f0f0f
+	y = (y | y<<2) & 0x3333333333333333
+	y = (y | y<<1) & 0x5555555555555555
+	return y | y<<1
 }
 
 // runHeaderBytes is the wire size of a run header: word index plus word

@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -203,4 +204,118 @@ func FuzzMask(f *testing.F) {
 		apply(other, otherEdits)
 		checkAgainstReference(t, tw, cur, other, base)
 	})
+}
+
+// TestUnitsMatchReference holds Units to a bool per unit: Mark and
+// MarkPairs at every start unit and length around a lane break, with
+// random report bits and bits set past n (which must be ignored), ORed
+// into a random set; Words against the words holding a set unit;
+// ClearWords against clearing both units of each word; and Claim
+// against the units already claimed.
+func TestUnitsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const units = Size / UnitBytes
+	random := func() (s Units, ref [units]bool) {
+		for i := range s {
+			s[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+		}
+		for u := range ref {
+			ref[u] = s[u/64]>>(u%64)&1 != 0
+		}
+		return s, ref
+	}
+	check := func(what string, s *Units, ref *[units]bool) {
+		t.Helper()
+		for u := range ref {
+			if got := s[u/64]>>(u%64)&1 != 0; got != ref[u] {
+				t.Fatalf("%s: unit %d = %v, want %v", what, u, got, ref[u])
+			}
+		}
+		m := s.Words()
+		for w := 0; w < Words; w++ {
+			if got, want := m[w/64]>>(w%64)&1 != 0, ref[2*w] || ref[2*w+1]; got != want {
+				t.Fatalf("%s: Words() word %d = %v, want %v", what, w, got, want)
+			}
+		}
+	}
+	for _, u0 := range []int{0, 1, 2, 31, 32, 63, 64, 65, 127, 500, 961, units - 64, units - 1} {
+		for _, n := range []int{0, 1, 2, 3, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200, units} {
+			b := make([]uint64, (n+63)/64+1)
+			for i := range b {
+				b[i] = rng.Uint64()
+			}
+			if u0+n <= units {
+				s, ref := random()
+				s.Mark(u0, b, n)
+				for k := 0; k < n; k++ {
+					if b[k/64]>>(k%64)&1 != 0 {
+						ref[u0+k] = true
+					}
+				}
+				check(fmt.Sprintf("Mark(%d, n=%d)", u0, n), &s, &ref)
+			}
+			if p0 := u0 &^ 1; p0+2*n <= units {
+				s, ref := random()
+				s.MarkPairs(p0, b, n)
+				for k := 0; k < n; k++ {
+					if b[k/64]>>(k%64)&1 != 0 {
+						ref[p0+2*k], ref[p0+2*k+1] = true, true
+					}
+				}
+				check(fmt.Sprintf("MarkPairs(%d, n=%d)", p0, n), &s, &ref)
+			}
+		}
+	}
+
+	s, ref := random()
+	var m Mask
+	for i := range m {
+		m[i] = rng.Uint64()
+	}
+	s.ClearWords(&m)
+	for w := 0; w < Words; w++ {
+		if m[w/64]>>(w%64)&1 != 0 {
+			ref[2*w], ref[2*w+1] = false, false
+		}
+	}
+	check("ClearWords", &s, &ref)
+
+	for i := 0; i < 200; i++ {
+		s, ref := random()
+		lo := rng.Intn(units)
+		hi := lo + rng.Intn(units-lo+1)
+		first, dup := -1, false
+		for u := lo; u < hi; u++ {
+			if ref[u] {
+				first, dup = u, true
+				break
+			}
+		}
+		got, ok := s.Claim(lo, hi)
+		if ok == dup || (dup && got != first) {
+			t.Fatalf("Claim(%d, %d) = %d, %v; want the first claimed unit %d (claimed: %v)", lo, hi, got, ok, first, dup)
+		}
+		if ok {
+			for u := lo; u < hi; u++ {
+				ref[u] = true
+			}
+			check(fmt.Sprintf("Claim(%d, %d)", lo, hi), &s, &ref)
+		}
+	}
+
+	for _, f := range []func(){
+		func() { var s Units; s.Mark(units-1, make([]uint64, 1), 2) },
+		func() { var s Units; s.Mark(-1, make([]uint64, 1), 1) },
+		func() { var s Units; s.MarkPairs(units-2, make([]uint64, 1), 2) },
+		func() { var s Units; s.Claim(units-1, units+1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a report past the page did not panic")
+				}
+			}()
+			f()
+		}()
+	}
 }

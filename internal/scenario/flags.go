@@ -1,6 +1,10 @@
 package scenario
 
-import "flag"
+import (
+	"flag"
+	"fmt"
+	"strconv"
+)
 
 // Flag binding: every cmd registers its scenario flags straight onto a
 // Spec, replacing the per-cmd parse wiring that used to duplicate the
@@ -38,6 +42,27 @@ func (s *Spec) BindHetero(fs *flag.FlagSet) {
 // BindProtocol registers -protocol.
 func (s *Spec) BindProtocol(fs *flag.FlagSet) {
 	fs.StringVar(&s.Protocol, "protocol", s.Protocol, "DSM coherence protocol: tmk (TreadMarks homeless LRC), hlrc (home-based LRC) or hybrid (adaptive per-page)")
+}
+
+// CheckPositive rejects -procs, -hosts, -scale or -grace set explicitly
+// to zero or less. Normalize reads a zero in those fields as "use the
+// default", so without this check an explicit -procs 0 would run the
+// default team rather than fail. Call it once fs is parsed, before the
+// spec is normalized; flags left at their defaults are not checked.
+func CheckPositive(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "procs", "hosts", "scale", "grace":
+		default:
+			return
+		}
+		v, perr := strconv.ParseFloat(f.Value.String(), 64)
+		if err == nil && (perr != nil || !(v > 0)) {
+			err = fmt.Errorf("-%s %s: want a positive value", f.Name, f.Value)
+		}
+	})
+	return err
 }
 
 // BindAll registers the full scenario flag surface.

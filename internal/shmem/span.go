@@ -69,6 +69,33 @@ func (a *Array[T]) WriteSpan(m Context, lo, hi int) []T {
 	return typedSpan[T](m.Host.WriteSpan(a.region.ID, lo*elem, (hi-lo)*elem, m.Clock))
 }
 
+// WriteSpanOnce is WriteSpan for a writer that stores each element of
+// [lo,hi) at most once in the open interval, compares each value it
+// stores with the bits it replaces, and reports the elements whose
+// bits changed through the returned Changes, counting from the span's
+// first element: the page then carries that report as its diff mask
+// instead of a twin (see dsm.Host.WriteSpanOnce, which also says when
+// it panics). The view holds the elements' current values; the same
+// aliasing rules as ReadSpan apply, and the Changes stays usable until
+// the interval closes. T must be a 4- or 8-byte element type.
+func (a *Array[T]) WriteSpanOnce(m Context, lo, hi int) ([]T, Changes) {
+	mustContext(m)
+	a.check(lo, hi)
+	elem := Sizeof[T]()
+	if elem != 4 && elem != 8 {
+		panic(fmt.Sprintf("shmem: write-once span of %d-byte elements; want 4 or 8", elem))
+	}
+	if lo == hi {
+		return nil, Changes{}
+	}
+	b, ch := m.Host.WriteSpanOnce(a.region.ID, lo*elem, (hi-lo)*elem, elem, m.Clock)
+	return typedSpan[T](b), ch
+}
+
+// Changes is a write-once span's change report (see
+// Array.WriteSpanOnce).
+type Changes = dsm.Changes
+
 // ReadRowSpan is ReadSpan over row i columns [jlo,jhi).
 func (mx *Matrix[T]) ReadRowSpan(m Context, i, jlo, jhi int) []T {
 	mx.checkCols(i, jlo, jhi)
@@ -79,6 +106,12 @@ func (mx *Matrix[T]) ReadRowSpan(m Context, i, jlo, jhi int) []T {
 func (mx *Matrix[T]) WriteRowSpan(m Context, i, jlo, jhi int) []T {
 	mx.checkCols(i, jlo, jhi)
 	return mx.arr.WriteSpan(m, i*mx.cols+jlo, i*mx.cols+jhi)
+}
+
+// WriteRowSpanOnce is WriteSpanOnce over row i columns [jlo,jhi).
+func (mx *Matrix[T]) WriteRowSpanOnce(m Context, i, jlo, jhi int) ([]T, Changes) {
+	mx.checkCols(i, jlo, jhi)
+	return mx.arr.WriteSpanOnce(m, i*mx.cols+jlo, i*mx.cols+jhi)
 }
 
 // Reader is a reusable fault-aware random-access read view of one
