@@ -27,7 +27,8 @@ type pageState struct {
 	// page's home ever lends (see Cluster.borrow).
 	lent int32
 	// once, when non-zero, marks a dirty page opened by WriteSpanOnce:
-	// Host.once[once-1] carries its diff mask in place of a twin.
+	// Host.once[once-1] holds its claims and changed units, which stand
+	// in for a twin.
 	once  int32
 	valid bool
 	dirty bool
@@ -118,8 +119,8 @@ func (h *Host) dropOnce(st *pageState) {
 
 // ownMask returns the words h changed on a dirty page in the open
 // interval, and whether there is evidence of them: a twin to scan, or
-// the mask a write-once page carries. An elided page has neither, and
-// a borrowed one is only ever scanned by takeMask.
+// the changed units a write-once page carries. A clean or elided page
+// has neither, and a borrowed one is only ever scanned by takeMask.
 func (h *Host) ownMask(st *pageState) (page.Mask, bool) {
 	switch {
 	case st.twin != nil:
@@ -235,10 +236,10 @@ func (h *Host) WriteSpan(r RegionID, off, n int, clk *simtime.Clock) []byte {
 // opened this way carries those reports as its diff mask instead of a
 // twin. The simulated first write is WriteSpan's — the same elision
 // decision, twin cost and counts — but no pre-image is copied and none
-// is borrowed, and the interval close takes the carried mask with no
-// scan.
+// is borrowed, and the interval close folds the changed units into the
+// mask with no scan.
 //
-// The mask equals the scan a twin would give: a unit written once
+// That mask equals the scan a twin would give: a unit written once
 // differs from the pre-image exactly when its new bits differ from the
 // bits it replaced, an unwritten unit is unchanged, and an acquire
 // that patches the page mid-interval clears the patched words' bits
@@ -287,19 +288,6 @@ type Changes struct {
 	unit  int // the span's first unit
 	elem  int // element size, 4 or 8
 	n     int // the span's length in elements
-}
-
-// Mark records that element k0+k of the span changed, for every k < n
-// whose bit k of bits is set.
-func (c Changes) Mark(k0 int, bits []uint64, n int) {
-	if k0 < 0 || n < 0 || k0+n > c.n {
-		panic(fmt.Sprintf("dsm: change report for elements [%d,%d) of a %d-element span", k0, k0+n, c.n))
-	}
-	if c.elem == page.UnitBytes {
-		c.units.Mark(c.unit+k0, bits, n)
-	} else {
-		c.units.MarkPairs(c.unit+2*k0, bits, n)
-	}
 }
 
 // Bits returns the bitmap a kernel reports a 4-byte-element span's

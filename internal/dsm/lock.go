@@ -207,13 +207,6 @@ func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 	}
 	for _, e := range c.proto.missingDiffs(h, pk, &meta, st.appliedSeq, latest, clk) {
 		e.diff.Apply(st.data)
-		if st.once != 0 && e.diff != nil {
-			// The same for a write-once page: the patched words leave its
-			// changed units. A unit of them stored later marks its word
-			// again if it changes the patched bits — exactly what the
-			// scan of a patched twin would find.
-			h.once[st.once-1].changed.ClearWords(&e.diff.Mask)
-		}
 		if st.twin != nil {
 			// The patched words are committed remote writes, not this
 			// host's modifications: apply them to the twin too, so the
@@ -225,6 +218,12 @@ func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 			// exposed once the engine made the interleaving that hits
 			// this path deterministic).
 			e.diff.Apply(st.twin)
+		} else if st.once != 0 && e.diff != nil {
+			// A write-once page has no twin to patch: the patched words
+			// leave its changed units instead. A unit of them stored
+			// later marks its word again if it changes the patched bits
+			// — exactly what the scan of a patched twin would find.
+			h.once[st.once-1].changed.ClearWords(&e.diff.Mask)
 		}
 	}
 	if st.appliedSeq < latest {
@@ -294,9 +293,6 @@ func (c *Cluster) checkDirtyPeerRaces(writer HostID, pk pageKey, m *page.Mask) {
 			// committed; a peer still borrowing would be scanned against
 			// a home copy that already holds m's words.
 			panic(fmt.Sprintf("dsm: host %d still borrows page %d/%d after host %d committed it", h2.id, pk.region, pk.page, writer))
-		}
-		if !st2.dirty {
-			continue
 		}
 		m2, ok := h2.ownMask(st2)
 		if !ok {

@@ -34,7 +34,7 @@ func newOnceRig(t *testing.T, proto ProtocolKind) *onceRig {
 }
 
 // store writes vals into consecutive 4-byte units of page p, from unit
-// u, on host h; the write-once cluster's reports go through Mark for
+// u, on host h; the write-once cluster's reports go through Set for
 // odd units u and in place, as the kernels report, for even ones.
 func (r *onceRig) store(h HostID, p, u int, vals ...uint32) {
 	r.t.Helper()
@@ -59,7 +59,11 @@ func (r *onceRig) store(h HostID, p, u int, vals ...uint32) {
 			switch {
 			case i == 0:
 			case u%2 == 1:
-				ch.Mark(0, changed[:], n)
+				for k := 0; k < n; k++ {
+					if changed[k/64]>>(k%64)&1 != 0 {
+						ch.Set(k)
+					}
+				}
 			default:
 				bits, at := ch.Bits()
 				for k := 0; k < n; k++ {
@@ -333,10 +337,6 @@ func TestWriteSpanOncePanics(t *testing.T) {
 // longer touches the page, allocates nothing, and a release only the
 // diff it retains.
 func TestOnceAllocationPins(t *testing.T) {
-	all := make([]uint64, page.Size/page.UnitBytes/64)
-	for i := range all {
-		all[i] = ^uint64(0)
-	}
 	for _, proto := range []ProtocolKind{Tmk, HLRC} {
 		c, err := New(Config{MaxHosts: 2, Adaptive: true, Protocol: proto})
 		if err != nil {
@@ -358,10 +358,13 @@ func TestOnceAllocationPins(t *testing.T) {
 			// Every unit gets a new value, so every close has a diff.
 			v++
 			b, ch := w.WriteSpanOnce(r.ID, 0, page.Size, 4, clk)
+			bits, _ := ch.Bits()
 			for u := 0; u < len(b); u += 4 {
 				b[u] = v
 			}
-			ch.Mark(0, all, page.Size/page.UnitBytes)
+			for i := range bits {
+				bits[i] = ^uint64(0)
+			}
 		}
 		barrier := func() {
 			write()

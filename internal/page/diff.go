@@ -113,37 +113,6 @@ func (s *Units) Claim(lo, hi int) (int, bool) {
 	return 0, true
 }
 
-// Mark adds unit u0+k to the set for every k < n whose bit k of b is
-// set. b must hold n bits, and u0+n must not pass the page's last
-// unit.
-func (s *Units) Mark(u0 int, b []uint64, n int) {
-	if u0 < 0 || n < 0 || u0+n > Size/UnitBytes {
-		panic(fmt.Sprintf("page: units [%d,%d) outside a page of %d", u0, u0+n, Size/UnitBytes))
-	}
-	sh := uint(u0 & 63)
-	for k := 0; k < n; k += 64 {
-		x := b[k>>6]
-		if r := n - k; r < 64 {
-			x &= 1<<uint(r) - 1
-		}
-		l := (u0 + k) >> 6
-		s[l] |= x << sh
-		if hi := x >> (64 - sh); hi != 0 { // sh == 0 shifts everything out
-			s[l+1] |= hi
-		}
-	}
-}
-
-// MarkPairs is Mark for 8-byte elements: bit k of b adds units
-// u0+2k and u0+2k+1, u0 even.
-func (s *Units) MarkPairs(u0 int, b []uint64, n int) {
-	for k := 0; k < n; k += 32 { // 32 elements make one lane of units
-		w := min(n-k, 32)
-		pairs := [1]uint64{spreadPairs(uint32(b[k>>6] >> uint(k&32)))}
-		s.Mark(u0+2*k, pairs[:], 2*w)
-	}
-}
-
 // Set adds unit u to the set.
 func (s *Units) Set(u int) { s[u>>6] |= 1 << uint(u&63) }
 

@@ -206,12 +206,10 @@ func FuzzMask(f *testing.F) {
 	})
 }
 
-// TestUnitsMatchReference holds Units to a bool per unit: Mark and
-// MarkPairs at every start unit and length around a lane break, with
-// random report bits and bits set past n (which must be ignored), ORed
-// into a random set; Words against the words holding a set unit;
-// ClearWords against clearing both units of each word; and Claim
-// against the units already claimed.
+// TestUnitsMatchReference holds Units to a bool per unit: Set into a
+// random set; Words against the words holding a set unit; ClearWords
+// against clearing both units of each word; and Claim, at random
+// ranges, against the units already claimed.
 func TestUnitsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const units = Size / UnitBytes
@@ -238,34 +236,18 @@ func TestUnitsMatchReference(t *testing.T) {
 			}
 		}
 	}
-	for _, u0 := range []int{0, 1, 2, 31, 32, 63, 64, 65, 127, 500, 961, units - 64, units - 1} {
-		for _, n := range []int{0, 1, 2, 3, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200, units} {
-			b := make([]uint64, (n+63)/64+1)
-			for i := range b {
-				b[i] = rng.Uint64()
-			}
-			if u0+n <= units {
-				s, ref := random()
-				s.Mark(u0, b, n)
-				for k := 0; k < n; k++ {
-					if b[k/64]>>(k%64)&1 != 0 {
-						ref[u0+k] = true
-					}
-				}
-				check(fmt.Sprintf("Mark(%d, n=%d)", u0, n), &s, &ref)
-			}
-			if p0 := u0 &^ 1; p0+2*n <= units {
-				s, ref := random()
-				s.MarkPairs(p0, b, n)
-				for k := 0; k < n; k++ {
-					if b[k/64]>>(k%64)&1 != 0 {
-						ref[p0+2*k], ref[p0+2*k+1] = true, true
-					}
-				}
-				check(fmt.Sprintf("MarkPairs(%d, n=%d)", p0, n), &s, &ref)
-			}
-		}
+	for u := 0; u < units; u += 37 {
+		s, ref := random()
+		s.Set(u)
+		ref[u] = true
+		check(fmt.Sprintf("Set(%d)", u), &s, &ref)
 	}
+	full, fullRef := random() // a lane of every unit folds by the fast path
+	full[3] = ^uint64(0)
+	for u := 3 * 64; u < 4*64; u++ {
+		fullRef[u] = true
+	}
+	check("a full lane", &full, &fullRef)
 
 	s, ref := random()
 	var m Mask
@@ -282,6 +264,9 @@ func TestUnitsMatchReference(t *testing.T) {
 
 	for i := 0; i < 200; i++ {
 		s, ref := random()
+		if i%2 == 0 { // most claims of a real interval find no earlier one
+			s, ref = Units{}, [units]bool{}
+		}
 		lo := rng.Intn(units)
 		hi := lo + rng.Intn(units-lo+1)
 		first, dup := -1, false
@@ -304,15 +289,13 @@ func TestUnitsMatchReference(t *testing.T) {
 	}
 
 	for _, f := range []func(){
-		func() { var s Units; s.Mark(units-1, make([]uint64, 1), 2) },
-		func() { var s Units; s.Mark(-1, make([]uint64, 1), 1) },
-		func() { var s Units; s.MarkPairs(units-2, make([]uint64, 1), 2) },
 		func() { var s Units; s.Claim(units-1, units+1) },
+		func() { var s Units; s.Claim(-1, 1) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("a report past the page did not panic")
+					t.Error("a claim outside the page did not panic")
 				}
 			}()
 			f()

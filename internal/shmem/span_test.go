@@ -214,7 +214,7 @@ func TestWriteSpanOnceMatchesWriteSpan(t *testing.T) {
 				}
 			}
 			// Host 1 the first half of every page of the float64 array,
-			// host 2 the second, reporting a bitmap at once.
+			// host 2 the second.
 			for lo := 0; lo < w.a.Len(); lo += 256 {
 				m := w.ctxs[1+(lo/256)%2]
 				var s []float64
@@ -224,19 +224,15 @@ func TestWriteSpanOnceMatchesWriteSpan(t *testing.T) {
 				} else {
 					s, ch = w.a.WriteSpanOnce(m, lo, lo+256)
 				}
-				var bits [4]uint64
 				for k := range s {
 					v := float64(step*lo + k)
 					if k%3 == 0 {
 						v = s[k]
 					}
-					if math.Float64bits(v) != math.Float64bits(s[k]) {
-						bits[k/64] |= 1 << (k % 64)
+					if i == 1 && math.Float64bits(v) != math.Float64bits(s[k]) {
+						ch.Set(k)
 					}
 					s[k] = v
-				}
-				if i == 1 {
-					ch.Mark(0, bits[:], len(s))
 				}
 			}
 			syncAll(w.c, w.ctxs)
