@@ -15,7 +15,10 @@ import "math"
 //
 // All of them work on the common prefix of their arguments, so a short
 // argument shortens the call instead of reaching past a slice; dst and
-// out must not overlap an input.
+// out must not overlap an input. Kernels call them once per
+// page-bounded chunk (at most page.Size/4 elements, ~100 ns) or once
+// per atom (one partner list, 80 partners at the paper's size), which
+// keeps a NOSPLIT leaf from holding off a stop-the-world.
 //
 // axpySub and stencil5 also report the elements they change, for the
 // write-once spans Gauss and Jacobi store through (dsm.Host.
@@ -25,18 +28,15 @@ import "math"
 // replacing the same NaN is not — because the report stands in for
 // page.Scan's word compare. Bits are only ever set, never cleared, and
 // chg bounds the call like any other argument: one element per bit
-// from at on. Kernels call them once per
-// page-bounded chunk (at most page.Size/4 elements, ~100 ns) or once
-// per atom (one partner list, 80 partners at the paper's size), which
-// keeps a NOSPLIT leaf from holding off a stop-the-world.
+// from at on.
 
 // axpySubGo computes dst[i] -= a*x[i] for i below the shortest of
 // len(dst), len(x) and 64*len(chg)-at, setting bit at+i of chg when
-// dst[i]'s bits change. The conversion stops the compiler fusing the multiply
-// into the subtract on targets where it does that (arm64, ppc64le,
-// s390x today; GOAMD64=v3 is allowed to): the product rounds to float32
-// first, as MULPS then SUBPS do, so every GOARCH computes the same
-// bits.
+// dst[i]'s bits change. The conversion stops the compiler fusing the
+// multiply into the subtract on targets where it does that (arm64,
+// ppc64le, s390x today; GOAMD64=v3 is allowed to): the product rounds
+// to float32 first, as MULPS then SUBPS do, so every GOARCH computes
+// the same bits.
 func axpySubGo(dst, x []float32, a float32, chg []uint64, at int) {
 	n := min(len(dst), len(x), 64*len(chg)-at)
 	if n <= 0 {
