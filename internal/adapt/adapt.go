@@ -12,7 +12,8 @@ package adapt
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"slices"
 
 	"nowomp/internal/dsm"
 	"nowomp/internal/migrate"
@@ -80,12 +81,11 @@ type pending struct {
 }
 
 // Manager queues adapt events and applies them at adaptation points.
-// Submit may be called from any goroutine; the apply entry points are
-// called by the OpenMP runtime with all processes parked.
+// It belongs to one run: Submit is called from the master's goroutine,
+// and the apply entry points by the OpenMP runtime with all processes
+// parked.
 type Manager struct {
-	cfg Config
-
-	mu      sync.Mutex
+	cfg     Config
 	pending []*pending
 	log     []Record
 }
@@ -103,35 +103,30 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // Submit queues an event. Leave events for the master are rejected:
 // the master can migrate but cannot perform a normal leave (the
-// paper's current limitation, section 4.4).
+// paper's current limitation, section 4.4). So are the times and grace
+// periods ParseSchedule refuses: a negative or non-finite time, and a
+// negative or non-finite grace (zero means the default).
 func (m *Manager) Submit(e Event) error {
 	if e.Kind == KindLeave && e.Host == 0 {
 		return fmt.Errorf("adapt: the master process cannot leave")
 	}
-	if e.At < 0 {
-		return fmt.Errorf("adapt: event time %v is negative", e.At)
+	if e.At < 0 || !finite(e.At) {
+		return fmt.Errorf("adapt: event time %v is negative or not finite", e.At)
 	}
-	m.mu.Lock()
+	if e.Grace < 0 || !finite(e.Grace) {
+		return fmt.Errorf("adapt: grace period %v is negative or not finite", e.Grace)
+	}
 	m.pending = append(m.pending, &pending{ev: e})
-	m.mu.Unlock()
 	return nil
 }
 
+func finite(s simtime.Seconds) bool { return !math.IsNaN(float64(s)) && !math.IsInf(float64(s), 0) }
+
 // PendingCount returns the number of events not yet applied.
-func (m *Manager) PendingCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending)
-}
+func (m *Manager) PendingCount() int { return len(m.pending) }
 
 // Log returns the applied-event records in application order.
-func (m *Manager) Log() []Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Record, len(m.log))
-	copy(out, m.log)
-	return out
-}
+func (m *Manager) Log() []Record { return slices.Clone(m.log) }
 
 func (m *Manager) grace(e Event) simtime.Seconds {
 	if e.Grace > 0 {
@@ -147,9 +142,6 @@ func (m *Manager) grace(e Event) simtime.Seconds {
 // another team member's machine and the multiplexing model adjusts the
 // arrivals (Fig. 2c). Returns the executed migration plans.
 func (m *Manager) AdjustJoin(c *dsm.Cluster, team []dsm.HostID, arrivals []simtime.Seconds) []migrate.Plan {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	var plans []migrate.Plan
 	for _, p := range m.pending {
 		if p.ev.Kind != KindLeave || p.migrated {
@@ -196,7 +188,7 @@ type PointResult struct {
 // and joins plus the untouched remainder. eligible (nil = all) lets a
 // caller hold back specific events: the task runtime defers a leave
 // until the departing process holds no task state, while joins and
-// other leaves proceed. Caller holds m.mu.
+// other leaves proceed.
 func (m *Manager) classify(model simtime.CostModel, team []dsm.HostID, now simtime.Seconds,
 	eligible func(Event) bool) (leaves, joins, rest []*pending) {
 
@@ -226,8 +218,6 @@ func (m *Manager) classify(model simtime.CostModel, team []dsm.HostID, now simti
 // only pays for an adaptation (interval flushes, GC) when one will
 // actually happen.
 func (m *Manager) HasEligible(c *dsm.Cluster, team []dsm.HostID, now simtime.Seconds, eligible func(Event) bool) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	leaves, joins, _ := m.classify(c.Model(), team, now, eligible)
 	return len(leaves) > 0 || len(joins) > 0
 }
@@ -242,9 +232,6 @@ func (m *Manager) HasEligible(c *dsm.Cluster, team []dsm.HostID, now simtime.Sec
 func (m *Manager) AtAdaptationPoint(c *dsm.Cluster, team []dsm.HostID, now simtime.Seconds,
 	eligible func(Event) bool) (PointResult, error) {
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	leaves, joins, rest := m.classify(c.Model(), team, now, eligible)
 	if len(leaves) == 0 && len(joins) == 0 {
 		return PointResult{Team: team}, nil
@@ -252,7 +239,7 @@ func (m *Manager) AtAdaptationPoint(c *dsm.Cluster, team []dsm.HostID, now simti
 	m.pending = rest
 
 	res := PointResult{}
-	res.GCElapsed = c.ForceGC(hostSet(team))
+	res.GCElapsed = c.ForceGC(team)
 	res.Elapsed = res.GCElapsed
 
 	leaving := make(map[dsm.HostID]bool, len(leaves))
@@ -282,10 +269,4 @@ func (m *Manager) AtAdaptationPoint(c *dsm.Cluster, team []dsm.HostID, now simti
 
 	res.Team = Reassign(team, leaving, joiners, m.cfg.Reassign)
 	return res, nil
-}
-
-func hostSet(team []dsm.HostID) []dsm.HostID {
-	out := make([]dsm.HostID, len(team))
-	copy(out, team)
-	return out
 }

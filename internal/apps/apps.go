@@ -74,10 +74,10 @@ func measure(rt *omp.Runtime, app string, procs int) Result {
 		Procs:       procs,
 		Time:        rt.Now(),
 		SharedBytes: rt.Cluster().TotalSharedBytes(),
-		Pages:       stats.PageFetches.Load(),
+		Pages:       stats.PageFetches,
 		Bytes:       net.TotalBytes(),
 		Messages:    net.TotalMessages(),
-		Diffs:       stats.DiffFetches.Load(),
+		Diffs:       stats.DiffFetches,
 	}
 }
 

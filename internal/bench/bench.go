@@ -225,7 +225,7 @@ func (o Options) adaptCost(c adaptCell) (adaptRun, error) {
 		return adaptRun{}, err
 	}
 	run := adaptRun{
-		Time: res.Time, Log: rt.AdaptLog(), GCs: int(rt.Cluster().Stats().GCs.Load()),
+		Time: res.Time, Log: rt.AdaptLog(), GCs: int(rt.Cluster().Stats().GCs),
 		SharedMB: float64(rt.Cluster().TotalSharedBytes()) / 1e6,
 	}
 	if c.base != nil {

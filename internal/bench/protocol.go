@@ -191,7 +191,7 @@ func protoRow(kernel string, sh nowShape, sched, proto string, m measured) Proto
 	return ProtoRow{
 		Kernel: kernel, Scenario: sh.name, Schedule: sched, Protocol: proto,
 		Time: m.Time, Bytes: m.Bytes, Messages: m.Messages,
-		Diffs: m.Stats.DiffFetches.Load(), Flushes: m.Stats.HomeFlushes.Load(),
+		Diffs: m.Stats.DiffFetches, Flushes: m.Stats.HomeFlushes,
 		Coherence: m.Stats.HybridStats,
 		Verified:  true,
 	}

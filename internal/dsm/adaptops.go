@@ -53,8 +53,6 @@ func (c *Cluster) NormalLeave(leaver HostID, strategy LeaveStrategy) (TransferRe
 		// can migrate, but cannot perform a normal leave.
 		return TransferReport{}, fmt.Errorf("dsm: master cannot perform a normal leave")
 	}
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
 
 	// The protocol may constrain the handoff: HLRC always re-homes the
 	// leaver's pages round-robin across the remaining hosts, the same
@@ -71,10 +69,10 @@ func (c *Cluster) NormalLeave(leaver HostID, strategy LeaveStrategy) (TransferRe
 	var rep TransferReport
 	perDest := make(map[HostID]simtime.Seconds)
 	rr := 0
-	for ri := range c.dir.pages {
+	for ri := range c.dir {
 		r := RegionID(ri)
-		for p := range c.dir.pages[ri] {
-			pm := &c.dir.pages[ri][p]
+		for p := range c.dir[ri] {
+			pm := &c.dir[ri][p]
 			if pm.owner != leaver {
 				continue
 			}
@@ -111,7 +109,7 @@ func (c *Cluster) NormalLeave(leaver HostID, strategy LeaveStrategy) (TransferRe
 		c.fabric.Record(master.machine, c.Host(id).machine, ann)
 	}
 
-	c.deactivateLocked(h)
+	c.deactivate(h)
 	return rep, nil
 }
 
@@ -133,7 +131,7 @@ func (c *Cluster) handoffPage(r RegionID, p int, owner, dest HostID) (simtime.Se
 	return clk.Now(), true
 }
 
-func (c *Cluster) deactivateLocked(h *Host) {
+func (c *Cluster) deactivate(h *Host) {
 	h.active = false
 	for ri := range h.pages {
 		for p := range h.pages[ri] {
@@ -162,8 +160,6 @@ func (c *Cluster) Join(id HostID) (TransferReport, error) {
 	if h.active {
 		return TransferReport{}, fmt.Errorf("dsm: host %d is already active", id)
 	}
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
 
 	for ri := range h.pages {
 		for p := range h.pages[ri] {
@@ -193,15 +189,12 @@ func (c *Cluster) Join(id HostID) (TransferReport, error) {
 // master does not already hold, the data-gathering step of a
 // checkpoint (section 4.3). Ownership does not change.
 func (c *Cluster) CollectToMaster() TransferReport {
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
-
 	master := c.Master()
 	var rep TransferReport
-	for ri := range c.dir.pages {
+	for ri := range c.dir {
 		r := RegionID(ri)
-		for p := range c.dir.pages[ri] {
-			pm := &c.dir.pages[ri][p]
+		for p := range c.dir[ri] {
+			pm := &c.dir[ri][p]
 			current := master.pages[r][p].valid
 			if current || pm.owner == master.id {
 				continue
@@ -219,12 +212,10 @@ func (c *Cluster) CollectToMaster() TransferReport {
 // OwnedPages counts the pages whose directory owner is the given host:
 // the state that must move if that host leaves.
 func (c *Cluster) OwnedPages(id HostID) int {
-	c.dir.mu.RLock()
-	defer c.dir.mu.RUnlock()
 	n := 0
-	for ri := range c.dir.pages {
-		for p := range c.dir.pages[ri] {
-			if c.dir.pages[ri][p].owner == id {
+	for ri := range c.dir {
+		for p := range c.dir[ri] {
+			if c.dir[ri][p].owner == id {
 				n++
 			}
 		}
@@ -234,16 +225,12 @@ func (c *Cluster) OwnedPages(id HostID) int {
 
 // PageOwner returns the directory owner of a page (measurement hook).
 func (c *Cluster) PageOwner(r RegionID, p int) HostID {
-	c.dir.mu.RLock()
-	defer c.dir.mu.RUnlock()
-	return c.dir.pages[r][p].owner
+	return c.dir[r][p].owner
 }
 
 // PageMode returns the sharing mode of a page (measurement hook).
 func (c *Cluster) PageMode(r RegionID, p int) Mode {
-	c.dir.mu.RLock()
-	defer c.dir.mu.RUnlock()
-	return c.dir.pages[r][p].mode
+	return c.dir[r][p].mode
 }
 
 // SetMachine rebinds a host to a machine, modelling the co-location of

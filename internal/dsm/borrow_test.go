@@ -35,9 +35,9 @@ func TestPageStateIsOneCacheLine(t *testing.T) {
 // differs from the home's copy only in words the borrower wrote (wrote
 // returns what the test knows the host wrote to the page).
 func checkBorrows(c *Cluster, wrote func(HostID, pageKey) page.Mask) error {
-	for ri := range c.dir.pages {
-		for p := range c.dir.pages[ri] {
-			pm := &c.dir.pages[ri][p]
+	for ri := range c.dir {
+		for p := range c.dir[ri] {
+			pm := &c.dir[ri][p]
 			pk := pageKey{RegionID(ri), p}
 			latest := pm.latestSeq()
 			hst := &c.Host(pm.owner).pages[ri][p]
@@ -91,7 +91,7 @@ func newBorrowRig(t *testing.T, proto ProtocolKind) *borrowRig {
 }
 
 func (g *borrowRig) state(h HostID, p int) *pageState { return &g.c.Host(h).pages[g.r.ID][p] }
-func (g *borrowRig) home(p int) HostID                { return g.c.dir.meta(g.r.ID, p).owner }
+func (g *borrowRig) home(p int) HostID                { return g.c.meta(g.r.ID, p).owner }
 
 // write stores v into the first byte of one word of page p at host h.
 func (g *borrowRig) write(h HostID, p, word int, v byte) {
@@ -214,7 +214,7 @@ func TestBorrowConditions(t *testing.T) {
 			g.write(1, 2, 3, 33)
 			g.c.ReleaseLock(1, g.c.Host(1), g.clks[1])
 			clear(g.wrote[1])
-			if st, pm := g.state(0, 2), g.c.dir.meta(g.r.ID, 2); !st.valid || st.appliedSeq >= pm.latestSeq() {
+			if st, pm := g.state(0, 2), g.c.meta(g.r.ID, 2); !st.valid || st.appliedSeq >= pm.latestSeq() {
 				t.Fatalf("host 0's copy of page 2 is not valid and stale: %+v", *st)
 			}
 			pre := append([]byte(nil), g.state(0, 2).data...)
@@ -277,12 +277,12 @@ func TestRecallSites(t *testing.T) {
 				t.Fatalf("home lends %d times, want 2", g.state(hm, 1).lent)
 			}
 			g.check()
-			flushes := g.c.stats.HomeFlushes.Load()
+			flushes := g.c.stats.HomeFlushes
 			if n := g.c.FlushInterval(g.c.Host(a), g.clks[a]); n != 1 {
 				t.Fatalf("flush made %d diffs, want 1", n)
 			}
 			clear(g.wrote[a])
-			if g.home(1) != hm || g.c.stats.HomeFlushes.Load() != flushes+1 {
+			if g.home(1) != hm || g.c.stats.HomeFlushes != flushes+1 {
 				t.Fatalf("the flush was not applied at home %d", hm)
 			}
 			g.twinned(b, 1, pre)
@@ -341,9 +341,9 @@ func TestRecallSites(t *testing.T) {
 			g.write(0, 2, 5, 11)
 			g.write(1, 2, 9, 22)
 			g.check()
-			twins := g.c.stats.TwinsCreated.Load()
+			twins := g.c.stats.TwinsCreated
 			g.barrier()
-			if g.c.stats.TwinsCreated.Load() != twins {
+			if g.c.stats.TwinsCreated != twins {
 				t.Fatal("the barrier made a twin")
 			}
 		})

@@ -96,7 +96,7 @@ func (pp *pagePolicy) elide(h *Host, pk pageKey) bool {
 		return false
 	}
 	c := pp.c
-	if c.dir.meta(pk.region, pk.page).owner != h.id {
+	if c.meta(pk.region, pk.page).owner != h.id {
 		return false
 	}
 	for _, o := range c.hosts {
@@ -104,7 +104,7 @@ func (pp *pagePolicy) elide(h *Host, pk pageKey) bool {
 			return false
 		}
 	}
-	c.stats.ElidedTwins.Add(1)
+	c.stats.ElidedTwins++
 	return true
 }
 
@@ -143,7 +143,7 @@ func (pp *pagePolicy) dominant(pk pageKey) (HostID, bool) {
 // others) and raising the floor past the drops. Reached only after
 // wantFlip or dominant said yes, so never on the null policy.
 func (pp *pagePolicy) homeMoved(pk pageKey, w HostID) {
-	pp.c.stats.HomeMigrations.Add(1)
+	pp.c.stats.HomeMigrations++
 	ch := &pp.chains[pk.region][pk.page]
 	var foreign int32 // the newest interval a writer other than w committed
 	for _, e := range ch.entries {
@@ -263,10 +263,8 @@ const (
 	classFalselyShared
 )
 
-// classRec is the classifier's per-page history. All fields are updated
-// under the engine's serialisation (fault paths) or the directory write
-// lock (interval closes), so no synchronisation is needed beyond what
-// the protocol already holds.
+// classRec is the classifier's per-page history, updated on fault paths
+// and at interval closes.
 type classRec struct {
 	class pageClass
 
@@ -381,7 +379,7 @@ func (cr *classRec) classify() pageClass {
 
 // censusCounter returns the Stats census counter for a class, or nil
 // for classUnknown (unclassified pages are not counted).
-func censusCounter(s *Stats, pc pageClass) *Counter {
+func censusCounter(s *Stats, pc pageClass) *int64 {
 	switch pc {
 	case classSingleWriter:
 		return &s.PagesSingleWriter
@@ -402,10 +400,10 @@ func (cr *classRec) setClass(s *Stats, pc pageClass) {
 		return
 	}
 	if c := censusCounter(s, cr.class); c != nil {
-		c.Add(-1)
+		*c--
 	}
 	if c := censusCounter(s, pc); c != nil {
-		c.Add(1)
+		*c++
 	}
 	cr.class = pc
 }

@@ -83,8 +83,7 @@ func shouldPrune(n int) bool {
 // operation can request diffs of pk with sequence <= F: the minimum
 // appliedSeq over every copy of the page. Hosts without a copy start
 // from a base fetched off the owner, whose appliedSeq participates in
-// the minimum, so the floor covers them too. The caller holds the
-// directory write lock.
+// the minimum, so the floor covers them too.
 func (c *Cluster) diffFloor(pk pageKey) int32 {
 	floor := c.seq
 	for _, h := range c.hosts {
@@ -103,8 +102,7 @@ func (c *Cluster) diffFloor(pk pageKey) int32 {
 // every active host: entries ascending by sequence at or below the
 // minimum active syncSeq can never be selected by a future acquire
 // (joiners start synchronised to the joining barrier's sequence), and
-// barriers clear the whole log regardless. The caller holds the
-// directory write lock.
+// barriers clear the whole log regardless.
 func (c *Cluster) pruneReleaseLog() {
 	if len(c.releaseLog) == 0 {
 		return

@@ -56,7 +56,7 @@ func TestWordRaceDiagnostics(t *testing.T) {
 	now := func(clks []*simtime.Clock) []simtime.Seconds {
 		return []simtime.Seconds{clks[0].Now(), clks[1].Now(), clks[2].Now()}
 	}
-	home := func(c *Cluster, r *Region, p int) HostID { return c.dir.meta(r.ID, p).owner }
+	home := func(c *Cluster, r *Region, p int) HostID { return c.meta(r.ID, p).owner }
 
 	sites := []struct {
 		name string
@@ -185,7 +185,7 @@ func TestCloseAllocationPins(t *testing.T) {
 			dirtyWord(c, w, pk, 5)
 			written[0] = pk
 			w.written = written
-			if c.flushIntervalLocked(w, clk) != 1 {
+			if c.flushInterval(w, clk) != 1 {
 				t.Fatal("flush made no diff")
 			}
 		}
@@ -206,7 +206,7 @@ func TestCloseAllocationPins(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		word[0]++
 		writeBytes(w, pk.region, 0, word, clk)
-		if c.flushIntervalLocked(w, clk) != 1 {
+		if c.flushInterval(w, clk) != 1 {
 			t.Fatal("flush made no diff")
 		}
 	}); n != 0 {

@@ -1,9 +1,6 @@
 package dsm
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // noticeRec is the coalesced write-notice record for one writer of one
 // page: the newest interval sequence in which the writer produced a
@@ -82,42 +79,8 @@ func (pm *pageMeta) clearNotices() {
 	pm.lastWriter = 0
 }
 
-// directory is the cluster-wide page metadata table. The write lock is
-// held only by interval-close code paths (barriers, lock releases,
-// garbage collection, adaptation); fault handlers take the read lock.
-type directory struct {
-	mu    sync.RWMutex
-	pages [][]pageMeta // [region][page]
-}
-
-func newDirectory() *directory { return &directory{} }
-
-func (d *directory) addRegion(npages int, owner HostID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	metas := make([]pageMeta, npages)
-	for i := range metas {
-		metas[i].owner = owner
-	}
-	d.pages = append(d.pages, metas)
-}
-
-// meta returns a copy of the metadata for one page, taken under the
-// read lock. The writers slice is shared with the live record, which is
-// safe because the engine runs exactly one process at a time: interval
-// closes (which mutate writer records under the write lock) never
-// overlap a fault handler consuming the copy.
-func (d *directory) meta(r RegionID, p int) pageMeta {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.pages[r][p]
-}
-
-// metaLocked returns a pointer to the live metadata; the caller must
-// hold the write lock.
-func (d *directory) metaLocked(r RegionID, p int) *pageMeta {
-	return &d.pages[r][p]
-}
+// meta returns the live metadata record of one page.
+func (c *Cluster) meta(r RegionID, p int) *pageMeta { return &c.dir[r][p] }
 
 // pendingWriters returns, in ascending host order, the writers holding
 // diffs of the page newer than afterSeq, excluding the given host.

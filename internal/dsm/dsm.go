@@ -105,9 +105,12 @@ type Cluster struct {
 	fabric  *simnet.Fabric
 	proto   Protocol
 	hosts   []*Host
-	dir     *directory
 	regions []*Region
 	locks   *lockTable
+
+	// dir is the page directory, [region][page]: the replicated
+	// per-page metadata (see pageMeta).
+	dir [][]pageMeta
 
 	// policy is the home-based core's per-page policy (classify.go):
 	// set under hybrid, nil — the null policy — under HLRC and Tmk.
@@ -117,20 +120,20 @@ type Cluster struct {
 	homeBased bool
 
 	// seq is the global interval sequence number. It advances at every
-	// barrier and lock release, always under the directory write lock.
+	// barrier and lock release.
 	seq int32
 
 	// releaseLog records pages modified by lock-release intervals since
-	// the last barrier, guarded by the directory lock.
+	// the last barrier.
 	releaseLog []relEntry
 
 	// barrierStamp/barrierFirst are per-page barrier scratch, indexed
-	// like the directory ([region][page]) and guarded by the directory
-	// lock. A page whose stamp equals the closing barrier's sequence has
-	// been claimed this barrier, and barrierFirst names its first writer
-	// — replacing the per-barrier writtenBy map that dominated barrier
-	// cost at full scale. multiWriterScratch collects the (rare) pages
-	// with more than one writer.
+	// like the directory ([region][page]). A page whose stamp equals the
+	// closing barrier's sequence has been claimed this barrier, and
+	// barrierFirst names its first writer — replacing the per-barrier
+	// writtenBy map that dominated barrier cost at full scale.
+	// multiWriterScratch collects the (rare) pages with more than one
+	// writer.
 	barrierStamp       [][]int32
 	barrierFirst       [][]HostID
 	multiWriterScratch map[pageKey][]HostID
@@ -183,7 +186,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:    cfg,
 		costs:  machine.NewCosts(cfg.Model, fabric, cfg.Machine),
 		fabric: fabric,
-		dir:    newDirectory(),
 		locks:  newLockTable(),
 	}
 	proto, err := newProtocol(cfg.Protocol, c)
@@ -260,7 +262,11 @@ func (c *Cluster) Alloc(name string, bytes int) (*Region, error) {
 		NPages: pageCount(bytes),
 	}
 	c.regions = append(c.regions, r)
-	c.dir.addRegion(r.NPages, c.Master().id)
+	metas := make([]pageMeta, r.NPages)
+	for i := range metas {
+		metas[i].owner = c.Master().id
+	}
+	c.dir = append(c.dir, metas)
 	c.barrierStamp = append(c.barrierStamp, make([]int32, r.NPages))
 	c.barrierFirst = append(c.barrierFirst, make([]HostID, r.NPages))
 	for _, h := range c.hosts {

@@ -18,22 +18,20 @@ import (
 // home-based protocols — whose homes are always current — have nothing
 // to do. Both end with the Cluster's sweep (settlePage).
 func (c *Cluster) ForceGC(active []HostID) simtime.Seconds {
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
-	c.closeOpenIntervalsLocked(active)
-	return c.collectLocked(active)
+	c.closeOpenIntervals(active)
+	return c.collect(active)
 }
 
-// collectLocked is a collection: the protocol brings every page's
-// owner current (runGCLocked), then every page is settled and the
-// release log cleared — every copy an entry could still invalidate is
-// now current or gone.
-func (c *Cluster) collectLocked(active []HostID) simtime.Seconds {
-	c.stats.GCs.Add(1)
-	elapsed := c.proto.runGCLocked(active)
-	for ri := range c.dir.pages {
-		for p := range c.dir.pages[ri] {
-			c.settlePage(RegionID(ri), p, &c.dir.pages[ri][p], c.seq)
+// collect is a collection: the protocol brings every page's owner
+// current (runGC), then every page is settled and the release log
+// cleared — every copy an entry could still invalidate is now current
+// or gone. All processes are parked.
+func (c *Cluster) collect(active []HostID) simtime.Seconds {
+	c.stats.GCs++
+	elapsed := c.proto.runGC(active)
+	for ri := range c.dir {
+		for p := range c.dir[ri] {
+			c.settlePage(RegionID(ri), p, &c.dir[ri][p], c.seq)
 		}
 	}
 	c.releaseLog = c.releaseLog[:0]
@@ -74,10 +72,10 @@ func (c *Cluster) settlePage(r RegionID, p int, pm *pageMeta, gcSeq int32) {
 	c.policy.reset(pageKey{r, p}, gcSeq)
 }
 
-// closeOpenIntervalsLocked flushes any host's open interval exactly as
-// a barrier would. At an adaptation point only the master can have
-// one, so each dirty page has a single writer.
-func (c *Cluster) closeOpenIntervalsLocked(active []HostID) {
+// closeOpenIntervals flushes any host's open interval exactly as a
+// barrier would. At an adaptation point only the master can have one,
+// so each dirty page has a single writer.
+func (c *Cluster) closeOpenIntervals(active []HostID) {
 	flush := make([]simtime.Seconds, len(c.hosts))
 	for _, id := range active {
 		h := c.Host(id)

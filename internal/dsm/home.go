@@ -99,7 +99,7 @@ func (hp *homeProtocol) initRegion(r *Region) {
 	for p := 0; p < r.NPages; p++ {
 		home := active[hp.rr%len(active)]
 		hp.rr++
-		c.dir.pages[r.ID][p].owner = home
+		c.dir[r.ID][p].owner = home
 		hh := c.Host(home)
 		st := &hh.pages[r.ID][p]
 		st.data = c.newPage()
@@ -117,18 +117,18 @@ func (hp *homeProtocol) leaveStrategy(s LeaveStrategy) LeaveStrategy {
 	return hp.c.policy.leaveStrategy(s)
 }
 
-// storageLocked reports the retained-window bytes; past the threshold
-// the barrier triggers a (free) collection that resets the windows.
+// storage reports the retained-window bytes; past the threshold the
+// barrier triggers a (free) collection that resets the windows.
 // Without a policy no diff outlives its interval close, so there is
 // never reclaimable storage and the trigger never fires.
-func (hp *homeProtocol) storageLocked() int { return hp.c.policy.storage() }
+func (hp *homeProtocol) storage() int { return hp.c.policy.storage() }
 
 // fault makes the page readable on h: a copy inside the home's
 // retained window pulls just the missing diffs when they are sparse,
 // anything else pulls the whole page from the home in one round trip.
 func (hp *homeProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 	c := hp.c
-	home := c.dir.meta(pk.region, pk.page).owner
+	home := c.meta(pk.region, pk.page).owner
 	if home == h.id {
 		panic(fmt.Sprintf("dsm: %s: home %d of page %d/%d has no valid copy", hp.Kind(), h.id, pk.region, pk.page))
 	}
@@ -170,8 +170,8 @@ func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, s i
 	c.fabric.Record(h.machine, hh.machine, wire+msgHeader)
 	c.fabric.Record(hh.machine, h.machine, msgHeader)
 	clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
-	c.stats.HomeFlushes.Add(1)
-	c.stats.HomeFlushBytes.Add(int64(wire))
+	c.stats.HomeFlushes++
+	c.stats.HomeFlushBytes += int64(wire)
 	c.applyAtHome(h, hh, pk, m, s)
 }
 
@@ -251,7 +251,7 @@ func (c *Cluster) borrow(h *Host, pk pageKey, st *pageState) bool {
 	if !c.homeBased {
 		return false
 	}
-	pm := c.dir.meta(pk.region, pk.page)
+	pm := c.meta(pk.region, pk.page)
 	latest := pm.latestSeq()
 	hst := &c.Host(pm.owner).pages[pk.region][pk.page]
 	if pm.owner == h.id || st.appliedSeq < latest || !hst.valid || hst.dirty || hst.appliedSeq < latest {
@@ -288,7 +288,7 @@ func (hp *homeProtocol) commitElided(pk pageKey, pm *pageMeta, w HostID, s int32
 	st.dirty = false
 	st.appliedSeq = s
 	pm.baseSeq = s
-	hp.c.stats.ElidedDiffs.Add(1)
+	hp.c.stats.ElidedDiffs++
 	hp.c.policy.advance(pk, s)
 }
 
@@ -338,7 +338,7 @@ func (hp *homeProtocol) commitOwn(h *Host, pk pageKey, pm *pageMeta, s int32, cl
 // path.
 func (hp *homeProtocol) closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
 	c := hp.c
-	pm := c.dir.metaLocked(pk.region, pk.page)
+	pm := c.meta(pk.region, pk.page)
 	c.policy.observeClose(pk, writers)
 	if len(writers) == 1 {
 		hp.closeSole(pk, pm, writers[0], s, active, flush)
@@ -446,7 +446,7 @@ func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, writers []HostID, s
 		dst.valid = true
 		pm.owner = dom
 		c.policy.homeMoved(pk, dom)
-		c.stats.HomeMigrationBytes.Add(page.Size)
+		c.stats.HomeMigrationBytes += page.Size
 	}
 }
 
@@ -505,8 +505,8 @@ func (hp *homeProtocol) missingDiffs(h *Host, pk pageKey, meta *pageMeta, after,
 	return win
 }
 
-// runGCLocked has nothing to do for a home-based protocol: homes are
-// always current, so the collection is the Cluster's sweep alone
+// runGC has nothing to do for a home-based protocol: homes are always
+// current, so the collection is the Cluster's sweep alone
 // (settlePage: stale copies pruned, sequence numbers normalised, the
 // policy reset) — no pulls happen and no time or traffic is charged.
-func (hp *homeProtocol) runGCLocked(active []HostID) simtime.Seconds { return 0 }
+func (hp *homeProtocol) runGC(active []HostID) simtime.Seconds { return 0 }

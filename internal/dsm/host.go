@@ -371,7 +371,7 @@ func (h *Host) ensureRead(r RegionID, p int, clk *simtime.Clock) {
 	if valid {
 		return
 	}
-	h.cluster.stats.ReadFaults.Add(1)
+	h.cluster.stats.ReadFaults++
 	h.cluster.proto.fault(h, pageKey{r, p}, clk)
 }
 
@@ -403,7 +403,7 @@ func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock, once bool) {
 			// a diff — and the twin-copy cost vanishes.
 			st.dirty = true
 			h.written = append(h.written, pk)
-			h.cluster.stats.WriteFaults.Add(1)
+			h.cluster.stats.WriteFaults++
 			return
 		}
 		if once {
@@ -414,14 +414,13 @@ func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock, once bool) {
 		st.dirty = true
 		h.written = append(h.written, pk)
 		clk.Advance(h.cluster.costs.Twin(h.machine))
-		h.cluster.stats.TwinsCreated.Add(1)
-		h.cluster.stats.WriteFaults.Add(1)
+		h.cluster.stats.TwinsCreated++
+		h.cluster.stats.WriteFaults++
 	}
 }
 
 // takeWritten consumes and returns the open interval's dirty-page list.
-// Called by interval-close code with the directory write lock held and
-// the host's process parked. The two lists alternate, so the next
+// Called by interval-close code with the host's process parked. The two lists alternate, so the next
 // interval's write faults append into capacity that is already there;
 // the returned list is the caller's until the host's next close.
 func (h *Host) takeWritten() []pageKey {

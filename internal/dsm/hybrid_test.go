@@ -194,7 +194,7 @@ func TestHybridGCResetsClassifier(t *testing.T) {
 	if st.PagesSingleWriter+st.PagesProducerConsumer+st.PagesMigratory+st.PagesFalselyShared == 0 {
 		t.Fatal("no page classified before the collection")
 	}
-	if c.proto.storageLocked() == 0 {
+	if c.proto.storage() == 0 {
 		t.Fatal("no retained window bytes before the collection")
 	}
 
@@ -203,7 +203,7 @@ func TestHybridGCResetsClassifier(t *testing.T) {
 	if n := st.PagesSingleWriter + st.PagesProducerConsumer + st.PagesMigratory + st.PagesFalselyShared; n != 0 {
 		t.Fatalf("census still counts %d pages after the collection", n)
 	}
-	if got := c.proto.storageLocked(); got != 0 {
+	if got := c.proto.storage(); got != 0 {
 		t.Fatalf("retained windows hold %d bytes after the collection", got)
 	}
 	if err := c.CheckInvariants(); err != nil {

@@ -39,12 +39,10 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 	if len(active) != len(arrivals) {
 		panic(fmt.Sprintf("dsm: %d active hosts but %d arrival times", len(active), len(arrivals)))
 	}
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
 
 	c.seq++
 	s := c.seq
-	c.stats.Barriers.Add(1)
+	c.stats.Barriers++
 
 	var release simtime.Seconds
 	for _, t := range arrivals {
@@ -124,8 +122,8 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 	})
 
 	res := BarrierResult{ReleaseTime: release, Seq: s}
-	if c.proto.storageLocked() > c.cfg.GCThresholdBytes {
-		res.ReleaseTime += c.collectLocked(active)
+	if c.proto.storage() > c.cfg.GCThresholdBytes {
+		res.ReleaseTime += c.collect(active)
 		res.GCRan = true
 	}
 	for _, id := range active {
@@ -159,7 +157,7 @@ func (c *Cluster) takeMask(h *Host, pk pageKey, clk *simtime.Clock) page.Mask {
 	} else {
 		pre := st.twin
 		if st.borrowed {
-			hst := &c.Host(c.dir.metaLocked(pk.region, pk.page).owner).pages[pk.region][pk.page]
+			hst := &c.Host(c.meta(pk.region, pk.page).owner).pages[pk.region][pk.page]
 			pre = hst.data
 			hst.lent--
 			st.borrowed = false
@@ -173,7 +171,7 @@ func (c *Cluster) takeMask(h *Host, pk pageKey, clk *simtime.Clock) page.Mask {
 		c.tookMask(h.id, pk, m)
 	}
 	if !m.Empty() {
-		c.stats.DiffsCreated.Add(1)
+		c.stats.DiffsCreated++
 		clk.Advance(c.costs.DiffCreate(h.machine, page.Size))
 	}
 	return m
@@ -220,7 +218,7 @@ func (c *Cluster) wordRaceMessage(a, b HostID, pk pageKey, word int, when string
 // intervals since the last barrier, then clears the log.
 func (c *Cluster) applyReleaseLog(active []HostID) {
 	for _, e := range c.releaseLog {
-		pm := c.dir.metaLocked(e.pk.region, e.pk.page)
+		pm := c.meta(e.pk.region, e.pk.page)
 		latest := pm.latestSeq()
 		for _, id := range active {
 			h := c.Host(id)

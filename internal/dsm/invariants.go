@@ -7,7 +7,7 @@ import (
 
 // CheckInvariants validates the DSM's global invariants. It must be
 // called with every process parked (between constructs, after a
-// barrier); it takes the directory write lock and inspects every host.
+// barrier); it inspects every host.
 // Intended for tests and debugging — it is O(hosts x pages) and reads
 // page contents.
 //
@@ -26,9 +26,6 @@ import (
 //     latest notice) has identical contents to every other such copy.
 //  7. Inactive hosts hold no page data.
 func (c *Cluster) CheckInvariants() error {
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
-
 	active := make(map[HostID]bool)
 	for _, h := range c.hosts {
 		if h.active {
@@ -39,10 +36,10 @@ func (c *Cluster) CheckInvariants() error {
 		}
 	}
 
-	for ri := range c.dir.pages {
+	for ri := range c.dir {
 		r := RegionID(ri)
-		for p := range c.dir.pages[ri] {
-			pm := &c.dir.pages[ri][p]
+		for p := range c.dir[ri] {
+			pm := &c.dir[ri][p]
 			if !active[pm.owner] {
 				return fmt.Errorf("dsm: invariant: page %d/%d owned by inactive host %d", r, p, pm.owner)
 			}

@@ -19,9 +19,8 @@ import (
 // request time, host id) key among the registered waiters. Because the
 // engine always wakes the runnable proc with the lowest virtual time,
 // a grant at instant T can never be pre-empted by a later-arriving
-// request from before T — the conservative rule the old spin-and-
-// reelect scheduler approximated is now exact, and grant order is
-// fully independent of the Go scheduler.
+// request from before T, and grant order is independent of the Go
+// scheduler.
 type lockState struct {
 	held bool
 	// waiters is the queue of acquire requests in grant order: sorted by
@@ -143,7 +142,7 @@ func (c *Cluster) AcquireLock(id int, h *Host, clk *simtime.Clock) {
 		holderMachine = c.Host(lk.lastHolder).machine
 	}
 	clk.Advance(c.costs.Lock(h.machine, manager.machine, holderMachine, forwarded))
-	c.stats.LockAcquires.Add(1)
+	c.stats.LockAcquires++
 
 	// Request to the manager; grant from manager or forwarded holder.
 	c.fabric.Record(h.machine, manager.machine, msgHeader)
@@ -167,26 +166,17 @@ func (c *Cluster) AcquireLock(id int, h *Host, clk *simtime.Clock) {
 // fetches to clk; pages merely invalidated are repriced lazily at the
 // next fault.
 func (c *Cluster) AcquireInterval(h *Host, clk *simtime.Clock) {
-	c.dir.mu.RLock()
-	horizon := h.syncSeq
 	// The log is ascending by sequence: the unsynchronised entries are a
 	// suffix, found by binary search instead of rescanning the whole log
-	// on every acquire.
+	// on every acquire. Nothing below appends to the log or clears it,
+	// and a page listed twice is a no-op the second time (its copy is
+	// then invalid or current).
 	log := c.releaseLog
-	lo := sort.Search(len(log), func(i int) bool { return log[i].seq > horizon })
-	stale := append([]relEntry(nil), log[lo:]...)
-	cur := c.seq
-	c.dir.mu.RUnlock()
-
-	seen := make(map[pageKey]bool, len(stale))
-	for _, e := range stale {
-		if seen[e.pk] {
-			continue
-		}
-		seen[e.pk] = true
+	lo := sort.Search(len(log), func(i int) bool { return log[i].seq > h.syncSeq })
+	for _, e := range log[lo:] {
 		c.upgradeOrInvalidate(h, e.pk, clk)
 	}
-	h.syncSeq = cur
+	h.syncSeq = c.seq
 }
 
 // upgradeOrInvalidate performs acquire-side consistency for one page: a
@@ -195,8 +185,8 @@ func (c *Cluster) AcquireInterval(h *Host, clk *simtime.Clock) {
 // host's own writes, by applying the committed diffs it lacks (the words
 // are disjoint in a race-free program), which the protocol supplies.
 func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
-	meta := c.dir.meta(pk.region, pk.page)
-	latest := meta.latestSeq()
+	pm := c.meta(pk.region, pk.page)
+	latest := pm.latestSeq()
 	st := &h.pages[pk.region][pk.page]
 	if !st.valid || st.appliedSeq >= latest {
 		return
@@ -205,7 +195,7 @@ func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 		st.valid = false
 		return
 	}
-	for _, e := range c.proto.missingDiffs(h, pk, &meta, st.appliedSeq, latest, clk) {
+	for _, e := range c.proto.missingDiffs(h, pk, pm, st.appliedSeq, latest, clk) {
 		e.diff.Apply(st.data)
 		if st.twin != nil {
 			// The patched words are committed remote writes, not this
@@ -236,29 +226,26 @@ func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 // fresh write notices) and releases lock id.
 func (c *Cluster) ReleaseLock(id int, h *Host, clk *simtime.Clock) {
 	lk := c.locks.get(id)
-
-	c.dir.mu.Lock()
-	c.flushIntervalLocked(h, clk)
-	c.dir.mu.Unlock()
+	c.flushInterval(h, clk)
 
 	clk.Advance(c.costs.MsgOverhead(h.machine))
 	lk.release(h.id, clk.Now())
 }
 
-// flushIntervalLocked closes h's open interval on a release path (lock
+// flushInterval closes h's open interval on a release path (lock
 // release, task handoff): the sequence advances, each page h wrote is
 // committed under the coherence protocol, its costs charged to clk, and
 // every page the commit changed goes on the release log, so later
 // acquirers (and the next barrier) honour the writes, and is checked
 // against peers holding it dirty. A page rewritten with the values it
 // held commits nothing and is not logged. Returns the number of diffs
-// created. The caller holds the directory write lock.
-func (c *Cluster) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
+// created.
+func (c *Cluster) flushInterval(h *Host, clk *simtime.Clock) int {
 	c.seq++
 	s := c.seq
 	made := 0
 	for _, pk := range h.takeWritten() {
-		m, elided := c.proto.commitRelease(h, pk, c.dir.metaLocked(pk.region, pk.page), s, clk)
+		m, elided := c.proto.commitRelease(h, pk, c.meta(pk.region, pk.page), s, clk)
 		if m.Empty() && !elided {
 			continue
 		}
@@ -279,9 +266,7 @@ func (c *Cluster) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 // interval closes (lock releases and task handoffs): a peer host that
 // currently holds the same page dirty wrote it concurrently with the
 // interval just closed — no synchronisation orders the two — so any
-// common modified word is a lost update in the making. The caller
-// holds the directory write lock, which serialises all interval
-// closes.
+// common modified word is a lost update in the making.
 func (c *Cluster) checkDirtyPeerRaces(writer HostID, pk pageKey, m *page.Mask) {
 	for _, h2 := range c.hosts {
 		if h2.id == writer || !h2.active {

@@ -97,7 +97,7 @@ func TestLockMutualExclusion(t *testing.T) {
 	if got != 4*perHost {
 		t.Fatalf("counter = %d, want %d", got, 4*perHost)
 	}
-	if n := c.Stats().LockAcquires.Load(); n != 4*perHost+1 {
+	if n := c.Stats().LockAcquires; n != 4*perHost+1 {
 		t.Fatalf("LockAcquires = %d, want %d", n, 4*perHost+1)
 	}
 }
@@ -257,5 +257,36 @@ func TestLockGrantOrder(t *testing.T) {
 				t.Errorf("grants %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestAcquireAllocationPin: acquire-side consistency walks the release
+// log's unsynchronised suffix in place and reads each page's live
+// directory record, so an acquire over four released pages allocates
+// nothing.
+func TestAcquireAllocationPin(t *testing.T) {
+	c, clocks := newTestCluster(t, 2, 2)
+	r, _ := c.Alloc("a", 4*page.Size)
+	h1 := c.Host(1)
+	for p := 0; p < 4; p++ {
+		getU64(c, 1, r.ID, p*page.Size, clocks[1])
+	}
+	c.AcquireLock(0, c.Host(0), clocks[0])
+	for p := 0; p < 4; p++ {
+		putU64(c, 0, r.ID, p*page.Size, uint64(p)+1, clocks[0])
+	}
+	c.ReleaseLock(0, c.Host(0), clocks[0])
+	c.AcquireLock(0, h1, clocks[1])
+	if n := len(c.releaseLog); n != 4 {
+		t.Fatalf("release log holds %d entries, want 4", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		h1.syncSeq = 0
+		c.AcquireInterval(h1, clocks[1])
+	}); n != 0 {
+		t.Fatalf("AcquireInterval over a 4-page stale suffix: %v allocations, want 0", n)
+	}
+	if got := getU64(c, 1, r.ID, 3*page.Size, clocks[1]); got != 4 {
+		t.Fatalf("host 1 reads %d after the acquire, want 4", got)
 	}
 }

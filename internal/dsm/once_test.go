@@ -101,7 +101,7 @@ func pending(g *fenceRig, h HostID, p int) (page.Mask, bool) {
 	case !st.dirty:
 		return page.Mask{}, false
 	case st.borrowed:
-		home := g.c.dir.pages[g.r.ID][p].owner
+		home := g.c.dir[g.r.ID][p].owner
 		return page.Scan(g.c.Host(home).pages[g.r.ID][p].data, st.data), true
 	}
 	return g.c.Host(h).ownMask(st)
@@ -126,7 +126,7 @@ func (r *onceRig) same(step string) {
 	}
 	check("interval sequences", a.c.seq, b.c.seq)
 	check("release logs", a.c.releaseLog, b.c.releaseLog)
-	check("directories", a.c.dir.pages, b.c.dir.pages)
+	check("directories", a.c.dir, b.c.dir)
 	check("taken masks", r.took[0], r.took[1])
 	r.took[0], r.took[1] = nil, nil
 	for id := range a.c.hosts {
@@ -375,7 +375,7 @@ func TestOnceAllocationPins(t *testing.T) {
 		}
 		release := func() {
 			write()
-			if c.flushIntervalLocked(w, clk) != 1 {
+			if c.flushInterval(w, clk) != 1 {
 				t.Fatal("flush made no diff")
 			}
 		}

@@ -9,13 +9,6 @@ import "nowomp/internal/engine"
 // the runnable proc with the lowest virtual time. The cluster only
 // needs to know which engine is driving the current construct so that
 // blocking primitives (lock acquires) can park the calling proc on it.
-//
-// This replaces the old phase registry, which let a conservative lock
-// scheduler observe the clocks of concurrently running goroutines: the
-// engine's lowest-virtual-time wake rule subsumes it exactly (a lock
-// request at instant T is elected only once no other proc can still
-// act before T), with none of the spin-and-reelect machinery — and
-// with the grant order fully independent of the Go scheduler.
 
 // BeginPhase attaches the engine driving the parallel construct that
 // is about to run. Called by the OpenMP runtime at fork (and by the

@@ -84,9 +84,9 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 //     copy is either invalid or current (writers' sub-word races must
 //     panic via Cluster.checkWordRaces).
 //   - commitRelease commits interval s for one page h wrote, on a
-//     release path under the directory write lock: h's twin or elision
-//     is consumed, the words are where the protocol keeps committed
-//     words (h's chain; the home), and h's copy is current or invalid.
+//     release path: h's twin or elision is consumed, the words are
+//     where the protocol keeps committed words (h's chain; the home),
+//     and h's copy is current or invalid.
 //     It returns the mask of the diff it made — empty when nothing
 //     changed, and then nothing was committed — or elided when it
 //     committed the page without one.
@@ -94,15 +94,15 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 //     copy lacks, in interval order, fetched and charged to clk. A
 //     protocol that cannot supply them brings the copy current itself
 //     and returns none.
-//   - runGCLocked reclaims consistency state; afterwards every page's
+//   - runGC reclaims consistency state; afterwards every page's
 //     directory owner holds a valid current copy and every other copy
 //     is either valid-and-current or absent (the invariant the
 //     adaptation data movement relies on). Every copy the release log
 //     could still invalidate is then current or gone, so the Cluster
-//     clears the log after it (collectLocked).
-//   - storageLocked reports the reclaimable consistency storage in
-//     bytes; the barrier triggers a collection when it passes the
-//     configured threshold.
+//     clears the log after it (collect).
+//   - storage reports the reclaimable consistency storage in bytes;
+//     the barrier triggers a collection when it passes the configured
+//     threshold.
 //   - initRegion materialises a freshly allocated region's pages and
 //     sets their directory owners.
 //   - leaveStrategy maps the configured normal-leave handoff onto what
@@ -115,8 +115,8 @@ type Protocol interface {
 	closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds)
 	commitRelease(h *Host, pk pageKey, pm *pageMeta, s int32, clk *simtime.Clock) (m page.Mask, elided bool)
 	missingDiffs(h *Host, pk pageKey, meta *pageMeta, after, upTo int32, clk *simtime.Clock) []chainEntry
-	runGCLocked(active []HostID) simtime.Seconds
-	storageLocked() int
+	runGC(active []HostID) simtime.Seconds
+	storage() int
 	initRegion(r *Region)
 	leaveStrategy(s LeaveStrategy) LeaveStrategy
 }
@@ -156,8 +156,8 @@ func (c *Cluster) copyPageFrom(h, src *Host, pk pageKey, role string, clk *simti
 	c.fabric.Record(h.machine, src.machine, msgHeader)
 	c.fabric.Record(src.machine, h.machine, page.Size+msgHeader)
 	clk.Advance(c.costs.PageFetch(h.machine, src.machine, page.Size))
-	c.stats.PageFetches.Add(1)
-	c.stats.PageBytes.Add(page.Size)
+	c.stats.PageFetches++
+	c.stats.PageBytes += page.Size
 	return data, applied
 }
 
@@ -171,7 +171,7 @@ func (c *Cluster) copyPageFrom(h, src *Host, pk pageKey, role string, clk *simti
 func (c *Cluster) fetchDiffs(h, src *Host, wire, count int) simtime.Seconds {
 	c.fabric.Record(h.machine, src.machine, msgHeader)
 	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
-	c.stats.DiffFetches.Add(int64(count))
-	c.stats.DiffBytes.Add(int64(wire))
+	c.stats.DiffFetches += int64(count)
+	c.stats.DiffBytes += int64(wire)
 	return c.costs.DiffFetch(h.machine, src.machine, wire)
 }

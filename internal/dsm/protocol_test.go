@@ -316,12 +316,12 @@ func TestWordRacePanicNamesRegionAndOffset(t *testing.T) {
 // policyFootprint is everything the per-page policy of the home-based
 // core can leave behind: the classifier census, home moves, elisions,
 // window fetches and retained-window storage.
-func policyFootprint(c *Cluster) [10]Counter {
+func policyFootprint(c *Cluster) [10]int64 {
 	st := c.Stats().Snapshot()
-	return [10]Counter{
+	return [10]int64{
 		st.PagesSingleWriter, st.PagesProducerConsumer, st.PagesMigratory, st.PagesFalselyShared,
 		st.HomeMigrations, st.HomeMigrationBytes, st.ElidedTwins, st.ElidedDiffs,
-		st.DiffFetches, Counter(c.proto.storageLocked()),
+		st.DiffFetches, int64(c.proto.storage()),
 	}
 }
 
@@ -407,7 +407,7 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 		if c.policy != nil {
 			t.Fatalf("hlrc after %s: the cluster holds a page policy", name)
 		}
-		if got := policyFootprint(c); got != [10]Counter{} {
+		if got := policyFootprint(c); got != [10]int64{} {
 			t.Errorf("hlrc after %s: policy footprint %v, want all zero", name, got)
 		}
 		for p := 0; p < r.NPages; p++ {
@@ -419,7 +419,7 @@ func TestHLRCIsTheNullPolicy(t *testing.T) {
 	})
 	touched := false
 	drive(t, Hybrid, func(_ string, c *Cluster, _ *Region) {
-		touched = touched || policyFootprint(c) != [10]Counter{}
+		touched = touched || policyFootprint(c) != [10]int64{}
 	})
 	if !touched {
 		t.Error("the same drive under hybrid left no policy footprint: it no longer exercises the policy")

@@ -37,8 +37,6 @@ func (c *Cluster) InstallRegion(r *Region, data []byte) error {
 	if len(data) != r.Bytes {
 		return fmt.Errorf("dsm: install %q: got %d bytes, want %d", r.Name, len(data), r.Bytes)
 	}
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
 	m := c.Master()
 	for p := 0; p < r.NPages; p++ {
 		st := &m.pages[r.ID][p]
@@ -60,7 +58,7 @@ func (c *Cluster) InstallRegion(r *Region, data []byte) error {
 		st.appliedSeq = c.seq
 	}
 	for p := 0; p < r.NPages; p++ {
-		pm := c.dir.metaLocked(r.ID, p)
+		pm := c.meta(r.ID, p)
 		pm.owner = m.id
 		pm.mode = ModeSingle
 		pm.clearNotices()

@@ -149,7 +149,7 @@ func (g *fenceRig) pin(step string) {
 	}
 	fmt.Fprintf(&g.out, "\n  seq %d releaseLog %d owners", c.seq, len(c.releaseLog))
 	for p := 0; p < g.r.NPages; p++ {
-		fmt.Fprintf(&g.out, " %d", c.dir.pages[g.r.ID][p].owner)
+		fmt.Fprintf(&g.out, " %d", c.dir[g.r.ID][p].owner)
 	}
 	g.out.WriteString("\n  copies")
 	for _, h := range c.hosts {

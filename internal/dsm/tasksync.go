@@ -30,7 +30,5 @@ func (c *Cluster) FlushInterval(h *Host, clk *simtime.Clock) int {
 	if !h.HasOpenInterval() {
 		return 0
 	}
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
-	return c.flushIntervalLocked(h, clk)
+	return c.flushInterval(h, clk)
 }

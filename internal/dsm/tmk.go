@@ -35,9 +35,8 @@ func (t *tmkProtocol) initRegion(r *Region) {
 // leaveStrategy: Tmk supports both handoffs as configured.
 func (t *tmkProtocol) leaveStrategy(s LeaveStrategy) LeaveStrategy { return s }
 
-// storageLocked sums diff storage across hosts; the directory write
-// lock serialises it against interval closes.
-func (t *tmkProtocol) storageLocked() int {
+// storage sums diff storage across hosts.
+func (t *tmkProtocol) storage() int {
 	n := 0
 	for _, h := range t.c.hosts {
 		n += h.diffBytes
@@ -54,18 +53,18 @@ func (t *tmkProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 	}
 	c := t.c
 	r, p := pk.region, pk.page
-	meta := c.dir.meta(r, p)
-	target := meta.latestSeq()
+	pm := c.meta(r, p)
+	target := pm.latestSeq()
 
 	st := &h.pages[r][p]
-	needBase := st.data == nil || st.appliedSeq < meta.baseSeq
+	needBase := st.data == nil || st.appliedSeq < pm.baseSeq
 	applied := st.appliedSeq
 
 	if needBase {
-		applied = t.fetchBase(h, pk, meta.owner, clk)
+		applied = t.fetchBase(h, pk, pm.owner, clk)
 	}
 
-	pending := t.missingDiffs(h, pk, &meta, applied, target, clk)
+	pending := t.missingDiffs(h, pk, pm, applied, target, clk)
 	if activeMutation.Load() == mutationDropNewestDiff && len(pending) > 0 {
 		// Injected defect: silently skip the newest diff. appliedSeq
 		// still advances to target, so the staleness is never repaired —
@@ -121,10 +120,10 @@ func (t *tmkProtocol) missingDiffs(h *Host, pk pageKey, meta *pageMeta, after, u
 }
 
 // closePage closes the interval s for one page with the given writers.
-// Callers hold the directory write lock and all processes are parked.
+// All processes are parked.
 func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
 	c := t.c
-	pm := c.dir.metaLocked(pk.region, pk.page)
+	pm := c.meta(pk.region, pk.page)
 
 	multi := pm.mode == ModeMulti || len(writers) > 1
 	if multi && pm.mode == ModeSingle {
@@ -248,22 +247,22 @@ func (t *tmkProtocol) commitRelease(h *Host, pk pageKey, pm *pageMeta, s int32, 
 	return m, false
 }
 
-// runGCLocked implements the TreadMarks garbage collection: every
-// page's outstanding diffs are pulled to its designated owner and all
-// retained diffs are discarded; the Cluster's sweep (settlePage) then
-// discards twins and write notices and frees stale copies. Afterwards
-// each page is either valid and up to date, or invalid with the owner
-// field pointing at a host with a valid copy — the property that makes
-// adaptation cheap. The caller holds the
-// directory write lock; the returned duration is the barrier-observed
-// GC cost (coordination plus the slowest host's diff pulls).
-func (t *tmkProtocol) runGCLocked(active []HostID) simtime.Seconds {
+// runGC implements the TreadMarks garbage collection: every page's
+// outstanding diffs are pulled to its designated owner and all retained
+// diffs are discarded; the Cluster's sweep (settlePage) then discards
+// twins and write notices and frees stale copies. Afterwards each page
+// is either valid and up to date, or invalid with the owner field
+// pointing at a host with a valid copy — the property that makes
+// adaptation cheap. All processes are parked; the returned duration is
+// the barrier-observed GC cost (coordination plus the slowest host's
+// diff pulls).
+func (t *tmkProtocol) runGC(active []HostID) simtime.Seconds {
 	c := t.c
 	pull := make(map[HostID]simtime.Seconds)
 	totalPages := 0
-	for ri := range c.dir.pages {
+	for ri := range c.dir {
 		r := RegionID(ri)
-		metas := c.dir.pages[ri]
+		metas := c.dir[ri]
 		totalPages += len(metas)
 		for p := range metas {
 			pm := &metas[p]

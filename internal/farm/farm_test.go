@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nowomp/internal/dsm"
 	"nowomp/internal/scenario"
@@ -193,6 +194,63 @@ func TestStatsCountersAddUp(t *testing.T) {
 	if ten.Submitted != 4 || ten.Completed != 4 || ten.MaxQueueDepth < 1 {
 		t.Fatalf("tenant: %+v", ten)
 	}
+}
+
+// TestStatsCountOutcomeBeforeDone: a client woken by a job's Done finds
+// the job counted in Stats, on the fresh, dedup and hit paths alike.
+// Each path submits under its own tenant, so each count is exact.
+func TestStatsCountOutcomeBeforeDone(t *testing.T) {
+	// The worker starts only after both first submissions, so the first
+	// is still queued when the second arrives: a dedup, not a hit.
+	srv := &Server{limits: Limits{Workers: 1}.withDefaults(), store: NewStore(), jobs: map[string]*Job{}}
+	srv.disp = newDispatcher(srv.limits)
+	defer srv.Close()
+	spec := scenario.Spec{Kernel: "jacobi", Scale: 0.05, Procs: 2, Hosts: 4}
+	submit := func(tenant string, want Disposition) *Job {
+		t.Helper()
+		j, _, err := srv.Submit(tenant, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Cache != want {
+			t.Fatalf("%s submission: disposition %v, want %v", tenant, j.Cache, want)
+		}
+		return j
+	}
+	counted := func(tenant string, j *Job) {
+		t.Helper()
+		<-j.Done
+		if ten := srv.Stats().Tenants[tenant]; ten.Submitted != 1 || ten.Completed != 1 {
+			t.Fatalf("%s job done but counted %+v", tenant, ten)
+		}
+	}
+	fresh := submit("fresh", Fresh)
+	dedup := submit("dedup", Dedup)
+	srv.wg.Add(1)
+	go srv.worker()
+
+	// Done closes under the server lock. Held from the moment the fresh
+	// job leaves the queue, it keeps both jobs short of Done, and both
+	// outcomes must still get counted.
+	for srv.view(fresh).State == "queued" {
+		time.Sleep(time.Millisecond)
+	}
+	srv.mu.Lock()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		ten := srv.disp.stats()
+		if ten["fresh"].Completed == 1 && ten["dedup"].Completed == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			srv.mu.Unlock()
+			t.Fatalf("outcomes not counted before Done can close: %+v", ten)
+		}
+	}
+	srv.mu.Unlock()
+
+	counted("fresh", fresh)
+	counted("dedup", dedup)
+	counted("hit", submit("hit", Hit))
 }
 
 // TestAdmissionRejectsWith429 fills one tenant's queue and checks the

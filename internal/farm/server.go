@@ -135,10 +135,10 @@ func (s *Server) Submit(tenantName string, spec scenario.Spec) (*Job, int, error
 		_ = data // the stored bytes are served via /v1/results/{hash}
 		j.State = "done"
 		j.started, j.finished = now, now
+		s.disp.recordServed(tenantName, false)
 		close(j.Done)
 		s.jobs[j.ID] = j
 		s.mu.Unlock()
-		s.disp.recordServed(tenantName, false)
 	case Dedup:
 		j.flight = flight
 		s.jobs[j.ID] = j
@@ -182,8 +182,8 @@ func (s *Server) worker() {
 			body, err = res.Encode()
 		}
 		s.store.Complete(j.Hash, j.flight, body, err)
-		s.finalize(j, err)
 		s.disp.finish(j, err != nil)
+		s.finalize(j, err)
 		s.mu.Lock()
 		s.busy--
 		s.mu.Unlock()
@@ -194,14 +194,15 @@ func (s *Server) worker() {
 func (s *Server) awaitFlight(j *Job) {
 	<-j.flight.Done
 	err := j.flight.Err
+	s.disp.recordServed(j.Tenant, err != nil)
 	s.mu.Lock()
 	j.started = time.Now() // a dedup job never occupies a worker
 	s.mu.Unlock()
 	s.finalize(j, err)
-	s.disp.recordServed(j.Tenant, err != nil)
 }
 
-// finalize moves a job to its terminal state.
+// finalize moves a job to its terminal state. The caller has counted
+// the outcome already, so a client woken by Done finds it in Stats.
 func (s *Server) finalize(j *Job, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -49,7 +49,7 @@ func TestMultipleSimultaneousJoinsAndLeaves(t *testing.T) {
 	if len(log[0].Applied) != 2 || len(log[1].Applied) != 2 {
 		t.Fatalf("batch sizes = %d, %d, want 2 and 2", len(log[0].Applied), len(log[1].Applied))
 	}
-	if gcs := rt.Cluster().Stats().GCs.Load(); gcs != 2 {
+	if gcs := rt.Cluster().Stats().GCs; gcs != 2 {
 		t.Fatalf("GCs = %d, want 2 (one per batch)", gcs)
 	}
 	// All data still correct across the reshuffle.

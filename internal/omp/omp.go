@@ -197,7 +197,7 @@ func (rt *Runtime) ApplyLoadPolicy(p adapt.LoadPolicy) ([]adapt.Event, error) {
 		return nil, err
 	}
 	for _, e := range events {
-		if err := rt.mgr.Submit(e); err != nil {
+		if err := rt.Submit(e); err != nil {
 			return nil, err
 		}
 	}
@@ -227,10 +227,14 @@ func loadTraces(mm *machine.Model) map[dsm.HostID]machine.Trace {
 func (rt *Runtime) SetForkHook(hook func(*Runtime)) { rt.forkHook = hook }
 
 // Submit queues an adapt event (adaptive runtimes only). On a
-// non-adaptive runtime the error matches ErrNotAdaptive.
+// non-adaptive runtime the error matches ErrNotAdaptive; an event for a
+// host outside the pool [0, Config.Hosts) is refused.
 func (rt *Runtime) Submit(e adapt.Event) error {
 	if rt.mgr == nil {
 		return fmt.Errorf("%w; set Config.Adaptive", ErrNotAdaptive)
+	}
+	if e.Host < 0 || int(e.Host) >= rt.cfg.Hosts {
+		return fmt.Errorf("omp: %s of host %d: the pool has hosts [0,%d)", e.Kind, e.Host, rt.cfg.Hosts)
 	}
 	return rt.mgr.Submit(e)
 }

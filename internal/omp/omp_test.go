@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"math"
 	"reflect"
 	"runtime/debug"
 	"sync/atomic"
@@ -150,6 +151,36 @@ func TestNonAdaptiveRejectsEvents(t *testing.T) {
 	err := rt.Submit(adapt.Event{Kind: adapt.KindLeave, Host: 1, At: 0})
 	if err == nil {
 		t.Fatal("non-adaptive runtime must reject adapt events")
+	}
+}
+
+// TestSubmitRejectsUnappliableEvents: an event the runtime can never
+// apply is a returned error at Submit, not a panic at a later fork or
+// an entry pending forever.
+func TestSubmitRejectsUnappliableEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   adapt.Event
+	}{
+		{"join of a host past the pool", adapt.Event{Kind: adapt.KindJoin, Host: 99}},
+		{"leave of a host past the pool", adapt.Event{Kind: adapt.KindLeave, Host: 99}},
+		{"leave of a negative host", adapt.Event{Kind: adapt.KindLeave, Host: -1}},
+		{"NaN time", adapt.Event{Kind: adapt.KindJoin, Host: 3, At: simtime.Seconds(math.NaN())}},
+		{"infinite time", adapt.Event{Kind: adapt.KindJoin, Host: 3, At: simtime.Seconds(math.Inf(1))}},
+		{"NaN grace", adapt.Event{Kind: adapt.KindLeave, Host: 2, Grace: simtime.Seconds(math.NaN())}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRT(t, 4, 3, true)
+			if err := rt.Submit(tc.ev); err == nil {
+				t.Fatalf("Submit(%+v) = nil, want an error", tc.ev)
+			}
+			for i := 0; i < 3; i++ {
+				rt.For("fork", 0, 64, func(p *Proc, lo, hi int) {})
+			}
+			if n := rt.Manager().PendingCount(); n != 0 || len(rt.AdaptLog()) != 0 {
+				t.Fatalf("after three forks: %d pending, %d adaptation points; want none", n, len(rt.AdaptLog()))
+			}
+		})
 	}
 }
 

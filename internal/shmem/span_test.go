@@ -256,7 +256,7 @@ func TestWriteSpanOnceMatchesWriteSpan(t *testing.T) {
 			}
 		}
 	}
-	if a, b := ws[0].c.Stats().Snapshot(), ws[1].c.Stats().Snapshot(); a != b || a.DiffsCreated.Load() == 0 {
+	if a, b := ws[0].c.Stats().Snapshot(), ws[1].c.Stats().Snapshot(); a != b || a.DiffsCreated == 0 {
 		t.Fatalf("stats differ or made no diffs\nWriteSpan:     %+v\nWriteSpanOnce: %+v", a, b)
 	}
 

@@ -4,9 +4,8 @@ package simtime
 // one run, whose engine runs one process at a time: the process
 // advances its own clock, and the engine reads it between dispatches,
 // after the coroutine switch that parked the process — a happens-before
-// edge. So the instant is a plain field, like dsm.Counter's count, and
-// runs that execute concurrently (farm workers, the bench pool) each
-// own their clocks.
+// edge. So the instant is a plain field, and runs that execute
+// concurrently (farm workers, the bench pool) each own their clocks.
 type Clock struct {
 	at Seconds
 }
@@ -34,27 +33,4 @@ func (c *Clock) AdvanceTo(at Seconds) {
 	if at > c.at {
 		c.at = at
 	}
-}
-
-// Sync sets both clocks to the later of the two instants, modelling a
-// synchronous rendezvous. Both clocks must be quiescent (no concurrent
-// advancement).
-func Sync(a, b *Clock) {
-	if a.at > b.at {
-		b.at = a.at
-	} else {
-		a.at = b.at
-	}
-}
-
-// Max returns the latest instant among the given clocks, or zero if
-// none are given.
-func Max(clocks ...*Clock) Seconds {
-	var m Seconds
-	for _, c := range clocks {
-		if c != nil && c.at > m {
-			m = c.at
-		}
-	}
-	return m
 }

@@ -89,23 +89,6 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
-func TestSyncMeets(t *testing.T) {
-	a, b := NewClock(1), NewClock(4)
-	Sync(a, b)
-	if a.Now() != 4 || b.Now() != 4 {
-		t.Fatalf("sync: got %v, %v, want both 4", a.Now(), b.Now())
-	}
-}
-
-func TestMaxClocks(t *testing.T) {
-	if got := Max(); got != 0 {
-		t.Fatalf("Max() = %v, want 0", got)
-	}
-	if got := Max(NewClock(2), nil, NewClock(7), NewClock(3)); got != 7 {
-		t.Fatalf("Max = %v, want 7", got)
-	}
-}
-
 func TestAdvancePropertyMonotone(t *testing.T) {
 	f := func(steps []float64) bool {
 		c := NewClock(0)
