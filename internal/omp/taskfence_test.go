@@ -24,6 +24,10 @@ import (
 // tails re-home), and the lock held across a scheduling point. The golden
 // was captured before the task scheduler moved into this package; a
 // change to the task runtime's mechanics must reproduce it unedited.
+// The claims cases pin the counter-based schedules the same way, per
+// protocol, through a leave and a join that mature mid-loop, once with
+// a WriteSpan body and once with a WriteSpanOnce body (see
+// fenceClaimsCase).
 //
 // Regenerate with NOWOMP_REGEN_GOLDEN=tasks, and only for an intended
 // cost or schedule change.
@@ -57,6 +61,9 @@ func TestTaskFence(t *testing.T) {
 			[]adapt.Event{{Kind: adapt.KindLeave, Host: 2, At: 0.4, Grace: 30}, {Kind: adapt.KindJoin, Host: 6, At: 0.1}}, tailed)
 		fenceTaskCase(t, &out, fmt.Sprintf("lock/%v", proto),
 			Config{Hosts: 2, Procs: 2, Protocol: proto}, nil, lockedRegion)
+		for _, once := range []bool{false, true} {
+			fenceClaimsCase(t, &out, proto, once)
+		}
 	}
 	got := out.String()
 	path := filepath.Join("testdata", "taskfence.golden")
@@ -135,6 +142,101 @@ func fenceTaskCase(t *testing.T, out *strings.Builder, name string, cfg Config, 
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 	for _, h := range hosts {
 		fmt.Fprintf(out, "host %d executed %d clock %s\n", h, stats.ExecutedByHost[h], sec(seen[h].Now()))
+	}
+	for _, p := range rt.AdaptLog() {
+		fmt.Fprintf(out, "adapt fork %d at %s elapsed %s window %d B max link %d B team %v\n",
+			p.Index, sec(p.When), sec(p.Elapsed), p.WindowBytes, p.WindowMaxLink, p.TeamAfter)
+		for _, r := range p.Applied {
+			fmt.Fprintf(out, "  %v host %d raised %s urgent %v\n", r.Event.Kind, r.Event.Host, sec(r.Event.At), r.Urgent)
+		}
+	}
+}
+
+// fenceClaimsCase runs six sweeps of a loop over a shared array,
+// alternating Dynamic and Guided, with a leave and a join that mature
+// mid-loop and apply at later forks, and appends the transcript: clock,
+// team, fabric, the whole dsm.Stats, the items each host ran and every
+// adaptation point. Item i of sweep s stores i + s/2, so every other
+// sweep stores the values already there; with once, the body stores
+// through write-once spans and reports only the elements it changed.
+func fenceClaimsCase(t *testing.T, out *strings.Builder, proto dsm.ProtocolKind, once bool) {
+	t.Helper()
+	name := fmt.Sprintf("claims/%v/write-span", proto)
+	if once {
+		name = fmt.Sprintf("claims/%v/write-span-once", proto)
+	}
+	rt, err := New(Config{Hosts: 6, Procs: 4, Adaptive: true, Protocol: proto})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	events := []adapt.Event{{Kind: adapt.KindLeave, Host: 2, At: 0.5, Grace: 30}, {Kind: adapt.KindJoin, Host: 5, At: 0.2}}
+	for _, e := range events {
+		if err := rt.Submit(e); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	const n = 3000
+	v, err := Alloc[float64](rt, "claims.v", n)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ran := map[dsm.HostID]int{}
+	for sweep := 1; sweep <= 6; sweep++ {
+		sched := WithSchedule(Dynamic, 40)
+		if sweep%2 == 0 {
+			sched = WithSchedule(Guided, 16)
+		}
+		want := float64(sweep / 2)
+		rt.For("claims", 0, n, func(p *Proc, lo, hi int) {
+			ran[p.Host()] += hi - lo
+			for i := lo; i < hi; {
+				if once {
+					span, ch := v.WriteSpanOnce(p.Mem(), i, hi)
+					for k := range span {
+						if x := float64(i+k) + want; span[k] != x {
+							span[k] = x
+							ch.Set(k)
+						}
+					}
+					i += len(span)
+				} else {
+					span := v.WriteSpan(p.Mem(), i, hi)
+					for k := range span {
+						span[k] = float64(i+k) + want
+					}
+					i += len(span)
+				}
+			}
+			p.ChargeUnits(hi-lo, 1e-3)
+		}, sched)
+	}
+	got := make([]float64, n)
+	v.ReadRange(rt.MasterProc().Mem(), 0, n, got)
+	for i, x := range got {
+		if x != float64(i)+3 {
+			t.Fatalf("%s: item %d = %g, want %d", name, i, x, i+3)
+		}
+	}
+	applied := 0
+	for _, p := range rt.AdaptLog() {
+		applied += len(p.Applied)
+	}
+	if applied != len(events) || len(rt.AdaptLog()) != len(events) {
+		t.Fatalf("%s: %d of %d events applied at %d adaptation points", name, applied, len(events), len(rt.AdaptLog()))
+	}
+
+	sec := func(s simtime.Seconds) string { return strconv.FormatFloat(float64(s), 'g', -1, 64) }
+	fab := rt.Cluster().Fabric().Snapshot()
+	fmt.Fprintf(out, "== %s\n", name)
+	fmt.Fprintf(out, "now %s team %v fabric %d bytes %d msgs\n", sec(rt.Now()), rt.Team(), fab.TotalBytes(), fab.TotalMessages())
+	fmt.Fprintf(out, "stats %+v\n", rt.Cluster().Stats().Snapshot())
+	hosts := make([]dsm.HostID, 0, len(ran))
+	for h := range ran {
+		hosts = append(hosts, h)
+	}
+	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	for _, h := range hosts {
+		fmt.Fprintf(out, "host %d ran %d items\n", h, ran[h])
 	}
 	for _, p := range rt.AdaptLog() {
 		fmt.Fprintf(out, "adapt fork %d at %s elapsed %s window %d B max link %d B team %v\n",
