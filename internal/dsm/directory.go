@@ -1,7 +1,5 @@
 package dsm
 
-import "sort"
-
 // noticeRec is the coalesced write-notice record for one writer of one
 // page: the newest interval sequence in which the writer produced a
 // diff. Fault and GC planning only ever need to know *which* writers
@@ -82,17 +80,18 @@ func (pm *pageMeta) clearNotices() {
 // meta returns the live metadata record of one page.
 func (c *Cluster) meta(r RegionID, p int) *pageMeta { return &c.dir[r][p] }
 
-// pendingWriters returns, in ascending host order, the writers holding
-// diffs of the page newer than afterSeq, excluding the given host.
-// Callers fetch each writer's diffs in one message; the writer's own
-// chain supplies the per-interval sequences.
-func pendingWriters(pm *pageMeta, afterSeq int32, self HostID) []HostID {
-	var ws []HostID
+// nextWriter returns the lowest host id above prev, other than self,
+// of a writer holding diffs of the page newer than afterSeq, or -1 when
+// there is none. Stepping from prev = -1 visits the pending writers in
+// ascending host order without gathering them: callers fetch each
+// writer's diffs in one message, and the writer's own chain supplies
+// the per-interval sequences.
+func (pm *pageMeta) nextWriter(afterSeq int32, self, prev HostID) HostID {
+	next := HostID(-1)
 	for _, rec := range pm.writers {
-		if rec.max > afterSeq && rec.writer != self {
-			ws = append(ws, rec.writer)
+		if w := rec.writer; rec.max > afterSeq && w != self && w > prev && (next < 0 || w < next) {
+			next = w
 		}
 	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	return ws
+	return next
 }

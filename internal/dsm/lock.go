@@ -23,10 +23,16 @@ import (
 // scheduler.
 type lockState struct {
 	held bool
+	// holder is the host granted the lock, meaningful while held: only
+	// it may release.
+	holder HostID
 	// waiters is the queue of acquire requests in grant order: sorted by
 	// (virtual request time, host id, ticket), a strict total order, so
 	// the next grant always goes to waiters[0].
-	waiters     []lockWaiter
+	waiters []*lockRequest
+	// spare holds granted requests for reuse, so a contended acquire in a
+	// hot loop allocates neither a request nor its wake condition.
+	spare       []*lockRequest
 	nextTicket  uint64
 	lastRelease simtime.Seconds
 	lastHolder  HostID
@@ -39,22 +45,25 @@ type lockState struct {
 	reason string
 }
 
-// lockWaiter is one queued acquire request.
-type lockWaiter struct {
+// lockRequest is one queued acquire request. wake is its park
+// condition, bound to the request once when it is made: the request is
+// granted when the lock is free and it heads the queue.
+type lockRequest struct {
 	at     simtime.Seconds
 	host   HostID
 	ticket uint64
+	wake   engine.WakeFunc
 }
 
-// before reports whether w is granted ahead of o.
-func (w lockWaiter) before(o lockWaiter) bool {
-	if w.at != o.at {
-		return w.at < o.at
+// before reports whether r is granted ahead of o.
+func (r *lockRequest) before(o *lockRequest) bool {
+	if r.at != o.at {
+		return r.at < o.at
 	}
-	if w.host != o.host {
-		return w.host < o.host
+	if r.host != o.host {
+		return r.host < o.host
 	}
-	return w.ticket < o.ticket
+	return r.ticket < o.ticket
 }
 
 func newLockState(id int) *lockState {
@@ -62,6 +71,27 @@ func newLockState(id int) *lockState {
 		lastHolder: -1,
 		reason:     fmt.Sprintf("lock %d", id),
 	}
+}
+
+// request returns a request of host at instant at with the next
+// ticket, reusing a spare one when there is one.
+func (lk *lockState) request(at simtime.Seconds, host HostID) *lockRequest {
+	var r *lockRequest
+	if n := len(lk.spare); n > 0 {
+		r = lk.spare[n-1]
+		lk.spare = lk.spare[:n-1]
+	} else {
+		r = new(lockRequest)
+		r.wake = func() (simtime.Seconds, bool) {
+			if lk.held || lk.waiters[0] != r {
+				return 0, false
+			}
+			return r.at, true
+		}
+	}
+	r.at, r.host, r.ticket = at, host, lk.nextTicket
+	lk.nextTicket++
+	return r
 }
 
 // acquire blocks until the calling proc holds the lock. Grants follow
@@ -79,24 +109,31 @@ func (lk *lockState) acquire(c *Cluster, id int, clk *simtime.Clock, host HostID
 		if lk.held {
 			panic(fmt.Sprintf("dsm: lock %d acquired while held, outside any engine-driven construct (self-deadlock)", id))
 		}
-		lk.held = true
+		lk.held, lk.holder = true, host
 		return
 	}
-	at := clk.Now()
-	me := lockWaiter{at: at, host: host, ticket: lk.nextTicket}
-	lk.nextTicket++
-	k := sort.Search(len(lk.waiters), func(i int) bool { return me.before(lk.waiters[i]) })
-	lk.waiters = slices.Insert(lk.waiters, k, me)
-	p.ParkOn(&lk.wl, lk.reason, func() (simtime.Seconds, bool) {
-		if lk.held || lk.waiters[0].ticket != me.ticket {
-			return 0, false
-		}
-		return at, true
-	})
+	r := lk.request(clk.Now(), host)
+	k := sort.Search(len(lk.waiters), func(i int) bool { return r.before(lk.waiters[i]) })
+	lk.waiters = slices.Insert(lk.waiters, k, r)
+	p.ParkOn(&lk.wl, lk.reason, r.wake)
 	// The election revalidates the wake before it resumes a proc, so
 	// the head is still this request.
 	lk.waiters = slices.Delete(lk.waiters, 0, 1)
-	lk.held = true
+	lk.spare = append(lk.spare, r)
+	lk.held, lk.holder = true, host
+}
+
+// checkRelease panics unless host holds the lock: a release by any
+// other host would break mutual exclusion for the holder, and a
+// release of a free lock would price the next grant as forwarded from
+// a host that never held it.
+func (lk *lockState) checkRelease(id int, host HostID) {
+	if !lk.held {
+		panic(fmt.Sprintf("dsm: host %d released lock %d, which no host holds", host, id))
+	}
+	if lk.holder != host {
+		panic(fmt.Sprintf("dsm: host %d released lock %d, which host %d holds", host, id, lk.holder))
+	}
 }
 
 // release frees the lock and notifies the parked waiters; the engine
@@ -223,9 +260,12 @@ func (c *Cluster) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 
 // ReleaseLock closes the host's open interval under the coherence
 // protocol (its writes under the lock become committed diffs with
-// fresh write notices) and releases lock id.
+// fresh write notices) and releases lock id. Only the holder may
+// release: a release of a free lock, or by another host, panics naming
+// the lock, the releaser and the holder.
 func (c *Cluster) ReleaseLock(id int, h *Host, clk *simtime.Clock) {
 	lk := c.locks.get(id)
+	lk.checkRelease(id, h.id)
 	c.flushInterval(h, clk)
 
 	clk.Advance(c.costs.MsgOverhead(h.machine))

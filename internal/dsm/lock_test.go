@@ -2,7 +2,9 @@ package dsm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"nowomp/internal/engine"
@@ -288,5 +290,149 @@ func TestAcquireAllocationPin(t *testing.T) {
 	}
 	if got := getU64(c, 1, r.ID, 3*page.Size, clocks[1]); got != 4 {
 		t.Fatalf("host 1 reads %d after the acquire, want 4", got)
+	}
+}
+
+// TestReleaseLockByNonHolderPanics: only the host granted a lock may
+// release it. A release of a free lock would price the next grant as
+// forwarded from the releaser; a release by another host would let a
+// third host in beside the holder. Both panic naming the lock, the
+// releaser and the holder, outside and inside an engine-driven
+// construct, and leave the lock as it was.
+func TestReleaseLockByNonHolderPanics(t *testing.T) {
+	released := func(t *testing.T, run func(), want string) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Fatalf("panic %q, want it to contain %q", msg, want)
+			}
+		}()
+		run()
+	}
+	t.Run("outside a construct", func(t *testing.T) {
+		c, clocks := newTestCluster(t, 3, 3)
+		released(t, func() { c.ReleaseLock(5, c.Host(1), clocks[1]) }, "host 1 released lock 5, which no host holds")
+		c.AcquireLock(5, c.Host(0), clocks[0])
+		released(t, func() { c.ReleaseLock(5, c.Host(2), clocks[2]) }, "host 2 released lock 5, which host 0 holds")
+		// The holder still holds it and releases it; the next grant comes
+		// from the manager (host 0, the last holder), not forwarded from
+		// host 2: a request and a grant.
+		c.ReleaseLock(5, c.Host(0), clocks[0])
+		released(t, func() { c.ReleaseLock(5, c.Host(0), clocks[0]) }, "host 0 released lock 5, which no host holds")
+		msgs := c.Fabric().Snapshot().TotalMessages()
+		c.AcquireLock(5, c.Host(1), clocks[1])
+		if d := c.Fabric().Snapshot().TotalMessages() - msgs; d != 2 {
+			t.Fatalf("acquire after the refused releases sent %d messages, want 2 (not forwarded)", d)
+		}
+		c.ReleaseLock(5, c.Host(1), clocks[1])
+	})
+	t.Run("inside a construct", func(t *testing.T) {
+		c, _ := newTestCluster(t, 2, 2)
+		e := engine.New()
+		c.BeginPhase(e)
+		defer c.EndPhase()
+		clk0, clk1 := simtime.NewClock(0), simtime.NewClock(1e-3)
+		e.Go("holder", 0, clk0, func(p *engine.Proc) {
+			c.AcquireLock(2, c.Host(0), clk0)
+			var sitOut engine.WaitList
+			p.ParkOn(&sitOut, "hold the lock", func() (simtime.Seconds, bool) { return 1, true })
+			c.ReleaseLock(2, c.Host(0), clk0)
+		})
+		e.Go("intruder", 1, clk1, func(*engine.Proc) {
+			c.ReleaseLock(2, c.Host(1), clk1)
+		})
+		released(t, e.Run, "host 1 released lock 2, which host 0 holds")
+	})
+}
+
+// TestLockCycleAllocationPin: a Tmk acquire, one changed word and the
+// release allocate only the retained diff's header and payload, which
+// outlive the interval on the writer's chain.
+func TestLockCycleAllocationPin(t *testing.T) {
+	c, clocks := newTestCluster(t, 2, 2)
+	r, _ := c.Alloc("a", page.Size)
+	h0 := c.Host(0)
+	v := uint64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		v++
+		c.AcquireLock(0, h0, clocks[0])
+		putU64(c, 0, r.ID, 0, v, clocks[0])
+		c.ReleaseLock(0, h0, clocks[0])
+	}); n > 2 {
+		t.Fatalf("Tmk lock cycle over one changed word: %v allocations, want at most 2", n)
+	}
+	if got := getU64(c, 1, r.ID, 0, clocks[1]); got != v {
+		t.Fatalf("host 1 reads %d, want %d", got, v)
+	}
+}
+
+// TestContendedGrantAllocationPin: in steady state an engine-driven
+// grant of a contended lock allocates nothing — the request and its
+// wake condition are reused. Two procs alternate on one lock for 100
+// and for 1100 rounds; the longer run may not allocate more.
+func TestContendedGrantAllocationPin(t *testing.T) {
+	c, _ := newTestCluster(t, 2, 2)
+	grants := [2]int{}
+	contend := func(rounds int) {
+		e := engine.New()
+		c.BeginPhase(e)
+		defer c.EndPhase()
+		for h := range 2 {
+			clk := simtime.NewClock(0)
+			host := c.Host(HostID(h))
+			e.Go("contender", h, clk, func(*engine.Proc) {
+				for range rounds {
+					c.AcquireLock(3, host, clk)
+					grants[h]++
+					c.ReleaseLock(3, host, clk)
+				}
+			})
+		}
+		e.Run()
+	}
+	short := testing.AllocsPerRun(5, func() { contend(100) })
+	long := testing.AllocsPerRun(5, func() { contend(1100) })
+	if long > short {
+		t.Fatalf("2000 more contended grants allocated %v more times", long-short)
+	}
+	if grants[0] != grants[1] || grants[0] == 0 {
+		t.Fatalf("grants per host %v, want equal and non-zero", grants)
+	}
+}
+
+// TestTmkFaultAllocationPin: a Tmk read fault that patches a copy
+// with diffs from three writers of one barrier interval gathers and
+// orders them in the protocol's scratch buffer, allocating nothing.
+func TestTmkFaultAllocationPin(t *testing.T) {
+	c, clocks := newTestCluster(t, 4, 4)
+	r, _ := c.Alloc("a", page.Size)
+	for h := range 4 {
+		getU64(c, HostID(h), r.ID, 0, clocks[h])
+	}
+	for w := 1; w <= 3; w++ {
+		putU64(c, HostID(w), r.ID, 8*w, uint64(w), clocks[w])
+	}
+	barrier(c, clocks)
+	h0 := c.Host(0)
+	st := &h0.pages[r.ID][0]
+	if st.valid {
+		t.Fatal("host 0's copy survived the barrier valid")
+	}
+	applied := st.appliedSeq
+	before := c.stats.DiffFetches
+	if n := testing.AllocsPerRun(200, func() {
+		st.valid, st.appliedSeq = false, applied
+		getU64(c, 0, r.ID, 0, clocks[0])
+	}); n != 0 {
+		t.Fatalf("Tmk fault over three pending writers: %v allocations, want 0", n)
+	}
+	if d := c.stats.DiffFetches - before; d != 3*201 {
+		t.Fatalf("%d diff fetches over 201 faults, want 3 a fault", d)
+	}
+	for w := 1; w <= 3; w++ {
+		if got := getU64(c, 0, r.ID, 8*w, clocks[0]); got != uint64(w) {
+			t.Fatalf("host 0 reads word %d as %d, want %d", w, got, w)
+		}
 	}
 }

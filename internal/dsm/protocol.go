@@ -93,7 +93,8 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 //   - missingDiffs hands an acquirer the committed diffs its stale dirty
 //     copy lacks, in interval order, fetched and charged to clk. A
 //     protocol that cannot supply them brings the copy current itself
-//     and returns none.
+//     and returns none. The result may alias protocol state: it is
+//     valid until the next call.
 //   - runGC reclaims consistency state; afterwards every page's
 //     directory owner holds a valid current copy and every other copy
 //     is either valid-and-current or absent (the invariant the

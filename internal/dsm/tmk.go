@@ -1,8 +1,9 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nowomp/internal/page"
 	"nowomp/internal/simtime"
@@ -16,6 +17,10 @@ import (
 // golden kernel matrix in internal/bench.
 type tmkProtocol struct {
 	c *Cluster
+	// scratch is the run-wide buffer gather collects into: the slice
+	// missingDiffs returns, and gcPage's, is valid until the next call
+	// of either.
+	scratch []chainEntry
 }
 
 // Kind identifies the protocol.
@@ -104,18 +109,33 @@ func (t *tmkProtocol) fetchBase(h *Host, pk pageKey, owner HostID, clk *simtime.
 // of pk at appliedSeq after up to upTo: h's own from its chain (there
 // are some only after a base refetch replaced a copy that held h's
 // writes; a valid copy always contains them), every other writer's in
-// one priced message per writer. pendingWriters returns ascending host
-// order, so the merge is deterministic.
+// one priced message per writer, in ascending host order. The result
+// is valid until the next call.
 func (t *tmkProtocol) missingDiffs(h *Host, pk pageKey, meta *pageMeta, after, upTo int32, clk *simtime.Clock) []chainEntry {
-	pending := append([]chainEntry(nil), h.diffs[pk].after(after, upTo)...)
-	for _, w := range pendingWriters(meta, after, h.id) {
+	return t.gather(h, pk, meta, after, upTo, upTo, func(src *Host, got []chainEntry) {
+		clk.Advance(t.c.fetchDiffs(h, src, wireOf(got), len(got)))
+	})
+}
+
+// gather collects into the scratch buffer the diffs of pk with
+// sequence above after that h lacks: its own through ownUpTo, then each
+// other pending writer's through upTo, in ascending host order, calling
+// fetch once per writer that has some. It then orders them by sequence
+// with a stable sort, so tied entries keep that own-then-host order.
+// Ties are the concurrent writers of one barrier interval, whose words
+// checkWordRaces proved disjoint, so the order they are applied in
+// cannot change a byte.
+func (t *tmkProtocol) gather(h *Host, pk pageKey, pm *pageMeta, after, ownUpTo, upTo int32, fetch func(src *Host, got []chainEntry)) []chainEntry {
+	pending := append(t.scratch[:0], h.diffs[pk].after(after, ownUpTo)...)
+	for w := pm.nextWriter(after, h.id, -1); w >= 0; w = pm.nextWriter(after, h.id, w) {
 		src := t.c.Host(w)
 		if got := src.diffs[pk].after(after, upTo); len(got) > 0 {
-			clk.Advance(t.c.fetchDiffs(h, src, wireOf(got), len(got)))
+			fetch(src, got)
 			pending = append(pending, got...)
 		}
 	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
+	slices.SortStableFunc(pending, func(a, b chainEntry) int { return cmp.Compare(a.seq, b.seq) })
+	t.scratch = pending
 	return pending
 }
 
@@ -322,18 +342,10 @@ func (t *tmkProtocol) gcPage(r RegionID, p int, pm *pageMeta, pull map[HostID]si
 		return
 	}
 
-	pk := pageKey{r, p}
-	pending := append([]chainEntry(nil), owner.diffs[pk].after(applied, c.seq)...)
-	for _, w := range pendingWriters(pm, applied, pm.owner) {
-		src := c.Host(w)
-		if got := src.diffs[pk].after(applied, latest); len(got) > 0 {
-			// One fetch per writer here, however many diffs it carries.
-			pull[pm.owner] += c.fetchDiffs(owner, src, wireOf(got), 1)
-			pending = append(pending, got...)
-		}
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
-
+	pending := t.gather(owner, pageKey{r, p}, pm, applied, c.seq, latest, func(src *Host, got []chainEntry) {
+		// One fetch per writer here, however many diffs it carries.
+		pull[pm.owner] += c.fetchDiffs(owner, src, wireOf(got), 1)
+	})
 	for _, e := range pending {
 		e.diff.Apply(st.data)
 	}

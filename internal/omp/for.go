@@ -170,8 +170,9 @@ func runSchedule(cfg forConfig, ctr *shmem.Array[int64], lo, hi int, p *Proc, bo
 			body(p, start, end)
 		}
 	case Dynamic, Guided:
+		cl := p.rt.cluster
 		for {
-			p.Lock(dynLock)
+			cl.AcquireLock(dynLock, p.host, p.clk)
 			next := int(ctr.Get(p.Mem(), 0))
 			var end int
 			if next < hi {
@@ -182,9 +183,17 @@ func runSchedule(cfg forConfig, ctr *shmem.Array[int64], lo, hi int, p *Proc, bo
 					}
 				}
 				end = min(next+c, hi)
-				ctr.Set(p.Mem(), 0, int64(end))
+				// The claim stores slot 0 once per lock interval (the
+				// release below closes it, and runSchedule is dynLock's
+				// only user), so the counter page carries the claim's
+				// report instead of a twin.
+				slot, ch := ctr.WriteSpanOnce(p.Mem(), 0, 1)
+				if slot[0] != int64(end) {
+					slot[0] = int64(end)
+					ch.Set(0)
+				}
 			}
-			p.Unlock(dynLock)
+			cl.ReleaseLock(dynLock, p.host, p.clk)
 			if next >= hi {
 				return
 			}

@@ -84,13 +84,27 @@ func (p *Proc) ChargeUnits(n int, perUnit simtime.Seconds) {
 // resumes the holder before granting the waiter. A genuine cycle (a
 // process re-acquiring a lock its own host already holds, with no
 // runnable process left) panics with the engine's deadlock diagnostic
-// naming every parked process and its wait reason.
+// naming every parked process and its wait reason. The id dynLock
+// (1<<30) is reserved for the dynamic schedules' chunk counter and
+// panics.
 func (p *Proc) Lock(id int) {
+	checkUserLock(id)
 	p.rt.cluster.AcquireLock(id, p.host, p.clk)
 }
 
-// Unlock releases the numbered Tmk lock.
-func (p *Proc) Unlock(id int) { p.rt.cluster.ReleaseLock(id, p.host, p.clk) }
+// Unlock releases the numbered Tmk lock. Only the host holding it may
+// release it; the reserved id panics as in Lock.
+func (p *Proc) Unlock(id int) {
+	checkUserLock(id)
+	p.rt.cluster.ReleaseLock(id, p.host, p.clk)
+}
+
+// checkUserLock refuses the lock id the runtime reserves.
+func checkUserLock(id int) {
+	if id == dynLock {
+		panic(fmt.Sprintf("omp: lock id %d is reserved for the dynamic and guided schedules' chunk counter", id))
+	}
+}
 
 // Block returns this process's static block partition of [lo,hi):
 // iteration i goes to the process with id i*N/n. This is the partition

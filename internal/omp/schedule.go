@@ -39,7 +39,9 @@ func (rt *Runtime) ParallelForTiled(name string, lo, hi, tiles int, body func(p 
 
 // dynLock is the Tmk lock guarding the shared chunk counter of the
 // counter-based (Dynamic, Guided) schedules. Lock ids are a global
-// namespace managed by host 0; user code should avoid this id.
+// namespace managed by host 0, and runSchedule is this id's only user:
+// Proc.Lock and Proc.Unlock refuse it. The claim's write-once store
+// relies on that (see runSchedule).
 const dynLock = 1 << 30
 
 // dynCounter lazily allocates the shared chunk counter backing the

@@ -1,6 +1,8 @@
 package omp
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -155,4 +157,45 @@ func TestParallelForDynamicChunkValidation(t *testing.T) {
 		}
 	}()
 	rt.For("bad", 0, 10, func(p *Proc, lo, hi int) {}, WithSchedule(Dynamic, 0))
+}
+
+// TestReservedLockIDPanics: the dynamic schedules' counter lock is the
+// runtime's alone — their claims store the counter through a write-once
+// span, sound only while runSchedule is that lock's one user — so
+// Proc.Lock and Proc.Unlock refuse its id, naming it.
+func TestReservedLockIDPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		use  func(p *Proc)
+	}{
+		{"lock", func(p *Proc) { p.Lock(dynLock) }},
+		{"unlock", func(p *Proc) { p.Unlock(dynLock) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRT(t, 2, 2, false)
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "omp: lock id 1073741824 is reserved") {
+					t.Fatalf("panic %q, want the reserved-id refusal", msg)
+				}
+			}()
+			rt.Parallel("reserved", tc.use)
+		})
+	}
+	// Any other id still works, beside a dynamic loop.
+	rt := newRT(t, 2, 2, false)
+	rt.Parallel("user lock", func(p *Proc) {
+		p.Lock(dynLock - 1)
+		p.Unlock(dynLock - 1)
+	})
+	var hits [64]int32
+	rt.For("dyn", 0, len(hits), func(p *Proc, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hits[i]++
+		}
+	}, WithSchedule(Dynamic, 5))
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("iteration %d ran %d times", i, h)
+		}
+	}
 }

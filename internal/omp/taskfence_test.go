@@ -128,7 +128,6 @@ func fenceTaskCase(t *testing.T, out *strings.Builder, name string, cfg Config, 
 			name, applied, len(events), len(rt.AdaptLog()), stats.Adaptations)
 	}
 
-	sec := func(s simtime.Seconds) string { return strconv.FormatFloat(float64(s), 'g', -1, 64) }
 	fab := rt.Cluster().Fabric().Snapshot()
 	fmt.Fprintf(out, "== %s\n", name)
 	fmt.Fprintf(out, "now %s team %v fabric %d bytes %d msgs\n", sec(rt.Now()), rt.Team(), fab.TotalBytes(), fab.TotalMessages())
@@ -143,13 +142,7 @@ func fenceTaskCase(t *testing.T, out *strings.Builder, name string, cfg Config, 
 	for _, h := range hosts {
 		fmt.Fprintf(out, "host %d executed %d clock %s\n", h, stats.ExecutedByHost[h], sec(seen[h].Now()))
 	}
-	for _, p := range rt.AdaptLog() {
-		fmt.Fprintf(out, "adapt fork %d at %s elapsed %s window %d B max link %d B team %v\n",
-			p.Index, sec(p.When), sec(p.Elapsed), p.WindowBytes, p.WindowMaxLink, p.TeamAfter)
-		for _, r := range p.Applied {
-			fmt.Fprintf(out, "  %v host %d raised %s urgent %v\n", r.Event.Kind, r.Event.Host, sec(r.Event.At), r.Urgent)
-		}
-	}
+	fenceAdaptLog(out, rt)
 }
 
 // fenceClaimsCase runs six sweeps of a loop over a shared array,
@@ -225,7 +218,6 @@ func fenceClaimsCase(t *testing.T, out *strings.Builder, proto dsm.ProtocolKind,
 		t.Fatalf("%s: %d of %d events applied at %d adaptation points", name, applied, len(events), len(rt.AdaptLog()))
 	}
 
-	sec := func(s simtime.Seconds) string { return strconv.FormatFloat(float64(s), 'g', -1, 64) }
 	fab := rt.Cluster().Fabric().Snapshot()
 	fmt.Fprintf(out, "== %s\n", name)
 	fmt.Fprintf(out, "now %s team %v fabric %d bytes %d msgs\n", sec(rt.Now()), rt.Team(), fab.TotalBytes(), fab.TotalMessages())
@@ -238,6 +230,15 @@ func fenceClaimsCase(t *testing.T, out *strings.Builder, proto dsm.ProtocolKind,
 	for _, h := range hosts {
 		fmt.Fprintf(out, "host %d ran %d items\n", h, ran[h])
 	}
+	fenceAdaptLog(out, rt)
+}
+
+// sec prints a virtual time exactly.
+func sec(s simtime.Seconds) string { return strconv.FormatFloat(float64(s), 'g', -1, 64) }
+
+// fenceAdaptLog appends every adaptation point of rt and the events it
+// applied.
+func fenceAdaptLog(out *strings.Builder, rt *Runtime) {
 	for _, p := range rt.AdaptLog() {
 		fmt.Fprintf(out, "adapt fork %d at %s elapsed %s window %d B max link %d B team %v\n",
 			p.Index, sec(p.When), sec(p.Elapsed), p.WindowBytes, p.WindowMaxLink, p.TeamAfter)
