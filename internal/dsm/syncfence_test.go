@@ -347,5 +347,128 @@ func walkSyncPaths(t *testing.T, proto ProtocolKind) string {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A sole writer behind a locked commit: host 0 writes page 2 word 1
+	// outside any lock while host 1 commits word 0 under lock 4. At the
+	// barrier host 0 is the page's only writer, but it never applied
+	// host 1's diff, so its copy must not stay current.
+	g.write(0, 2, 1, 41)
+	g.acquire(4, 1)
+	g.write(1, 2, 0, 40)
+	g.release(4, 1)
+	g.barrier()
+	g.pin("host 0 wrote page 2 word 1, host 1 wrote word 0 under lock 4, barrier")
+	for h := HostID(0); h < 3; h++ {
+		if got := g.read(h, 2, 0); got != 40 {
+			t.Fatalf("host %d reads %d in page 2 word 0 after the barrier, want host 1's locked 40", h, got)
+		}
+		if got := g.read(h, 2, 1); got != 41 {
+			t.Fatalf("host %d reads %d in page 2 word 1 after the barrier, want host 0's 41", h, got)
+		}
+	}
+	g.pin("every host read page 2 words 0 and 1")
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	return g.out.String()
+}
+
+// TestLockedCommitBeforeAClose runs the shape of TestSyncPathFence's
+// last step at every place that declares a copy current after a close
+// or a collection: one host writes a word of a page outside any lock,
+// another commits a different word of it under a lock, and then the
+// interval closes. The unordered writer never applied the locked
+// commit, so whatever the close decides, every host must read both
+// words afterwards. Page p is homed at host p%3 under the home-based
+// protocols; the barrier row runs with the home at each host.
+func TestLockedCommitBeforeAClose(t *testing.T) {
+	// race writes word 1 of page p on host a outside any lock and word
+	// 0 on host b under lock 5.
+	race := func(g *fenceRig, p int, a, b HostID) {
+		g.write(a, p, 1, 51)
+		g.acquire(5, b)
+		g.write(b, p, 0, 50)
+		g.release(5, b)
+	}
+	// check reads both words of page p on every host in hosts.
+	check := func(t *testing.T, g *fenceRig, p int, hosts ...HostID) {
+		t.Helper()
+		for _, h := range hosts {
+			if got := g.read(h, p, 0); got != 50 {
+				t.Errorf("host %d reads %d in page %d word 0, want the locked commit's 50", h, got, p)
+			}
+			if got := g.read(h, p, 1); got != 51 {
+				t.Errorf("host %d reads %d in page %d word 1, want the unordered write's 51", h, got, p)
+			}
+		}
+		if err := g.c.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+	// shared has every host read every page and closes a barrier.
+	shared := func(g *fenceRig) {
+		for h := HostID(0); h < 3; h++ {
+			for p := 0; p < g.r.NPages; p++ {
+				g.read(h, p, 0)
+			}
+		}
+		g.barrier()
+	}
+	rows := []struct {
+		name string
+		run  func(t *testing.T, g *fenceRig)
+	}{
+		{"barrier close", func(t *testing.T, g *fenceRig) {
+			shared(g)
+			for p := 0; p < 3; p++ {
+				race(g, p, 1, 2)
+			}
+			g.barrier()
+			for p := 0; p < 3; p++ {
+				check(t, g, p, 0, 1, 2)
+			}
+		}},
+		{"elided home", func(t *testing.T, g *fenceRig) {
+			// Page 1 is homed at host 1; two barriers with host 1 its
+			// only writer make it, under hybrid, a proven single-writer
+			// page valid nowhere else, whose next write is elided.
+			g.write(1, 1, 3, 7)
+			g.barrier()
+			g.write(1, 1, 3, 8)
+			g.barrier()
+			g.write(1, 1, 1, 51)
+			if g.c.proto.Kind() == Hybrid && !g.c.Host(1).pages[g.r.ID][1].elided() {
+				t.Fatal("host 1's write to page 1 was not elided")
+			}
+			g.acquire(5, 2)
+			g.write(2, 1, 0, 50)
+			g.release(5, 2)
+			g.barrier()
+			check(t, g, 1, 0, 1, 2)
+		}},
+		{"collection", func(t *testing.T, g *fenceRig) {
+			shared(g)
+			race(g, 2, 1, 0)
+			g.c.ForceGC([]HostID{0, 1, 2})
+			check(t, g, 2, 0, 1, 2)
+		}},
+		{"leave handoff", func(t *testing.T, g *fenceRig) {
+			// The unordered writer leaves after the collection, handing
+			// its pages to the master.
+			shared(g)
+			race(g, 2, 2, 1)
+			g.c.ForceGC([]HostID{0, 1, 2})
+			if _, err := g.c.NormalLeave(2, LeaveViaMaster); err != nil {
+				t.Fatal(err)
+			}
+			check(t, g, 2, 0, 1)
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			eachProtocol(t, func(t *testing.T, proto ProtocolKind) {
+				row.run(t, newFenceRig(t, proto))
+			})
+		})
+	}
 }

@@ -144,6 +144,7 @@ func (t *tmkProtocol) gather(h *Host, pk pageKey, pm *pageMeta, after, ownUpTo, 
 func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
 	c := t.c
 	pm := c.meta(pk.region, pk.page)
+	prevLatest := pm.latestSeq()
 
 	multi := pm.mode == ModeMulti || len(writers) > 1
 	if multi && pm.mode == ModeSingle {
@@ -185,10 +186,12 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 	}
 
 	// Invalidate stale copies. A sole writer that produced a notice is
-	// current; concurrent writers each lack the others' words and go
-	// invalid too (their own diffs are local, so revalidation is a
-	// diff exchange away). In the multi path "produced a notice" means
-	// a diff was made this close — membership in made.
+	// current if its copy was before the write (the rule commitRelease
+	// applies): one behind a commit made under a lock lacks its words.
+	// Concurrent writers each lack the others' words and go invalid too
+	// (their own diffs are local, so revalidation is a diff exchange
+	// away). In the multi path "produced a notice" means a diff was
+	// made this close — membership in made.
 	noticed := func(id HostID) bool {
 		for i := range made {
 			if made[i].writer == id {
@@ -198,7 +201,7 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 		return false
 	}
 	soleCurrent := HostID(-1)
-	if len(writers) == 1 && (!multi || noticed(writers[0])) {
+	if len(writers) == 1 && (!multi || noticed(writers[0]) && c.Host(writers[0]).pages[pk.region][pk.page].appliedSeq >= prevLatest) {
 		soleCurrent = writers[0]
 	}
 	for _, id := range active {
