@@ -1,6 +1,9 @@
 package nowomp_test
 
 import (
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"nowomp/internal/apps"
@@ -146,6 +149,62 @@ func BenchmarkStencil5(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMergeSpan times mergesort's merge of two sorted runs of
+// 256 Ki keys in [0,1), cut into 512-key page spans as the kernel's
+// WriteSpan loop cuts them: the bit-pattern merge beside the float
+// merge it is held to. ns/op over 512 Ki is ns per key.
+func BenchmarkMergeSpan(b *testing.B) {
+	const half = 1 << 18
+	left, right := sortKeys(half, 1), sortKeys(half, 2)
+	slices.Sort(left)
+	slices.Sort(right)
+	out := make([]float64, 2*half)
+	for _, k := range []struct {
+		name string
+		f    func(out, left, right []float64, i, j int) (int, int)
+	}{{"impl", apps.MergeBits}, {"go", apps.MergeSpan}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(out)))
+			for b.Loop() {
+				i, j := 0, 0
+				for q := 0; q < len(out); q += 512 {
+					i, j = k.f(out[q:q+512], left, right, i, j)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSortLeaf times one mergesort leaf, 8 Ki keys in [0,1)
+// copied in and sorted: the radix sort beside sort.Float64s, whose
+// bits it reproduces.
+func BenchmarkSortLeaf(b *testing.B) {
+	keys := sortKeys(1<<13, 3)
+	buf, aux := make([]float64, len(keys)), make([]float64, len(keys))
+	for _, k := range []struct {
+		name string
+		f    func(a []float64)
+	}{{"impl", func(a []float64) { apps.SortFloat64s(a, aux) }}, {"sort", sort.Float64s}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(buf)))
+			for b.Loop() {
+				copy(buf, keys)
+				k.f(buf)
+			}
+		})
+	}
+}
+
+// sortKeys returns n keys in [0,1) from a fixed seed.
+func sortKeys(n int, seed uint64) []float64 {
+	r := rand.New(rand.NewPCG(seed, 0))
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = r.Float64()
+	}
+	return v
 }
 
 // rowChunk returns one page of finite, normal float32s.

@@ -114,8 +114,8 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		return Result{}, err
 	}
 	procs := rt.NProcs()
-	tmp := make([]float64, n)
-	aux := make([]float64, min(cfg.Cutoff, n))
+	run := newSortRun(n, cfg.Cutoff)
+	tmp := run.tmp
 
 	rt.For("msort.init", 0, n, func(p *omp.Proc, lo, hi int) {
 		buf := tmp[lo:hi]
@@ -126,18 +126,12 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		p.ChargeUnits(hi-lo, InitCostPerElement)
 	})
 
-	// One buffer serves the whole tree: a leaf or a merge of [lo,hi)
-	// stages its keys in tmp[lo:hi]. Task ranges nest and a merge starts
-	// only after its TaskWait, so no two live tasks ever share a slot,
-	// even across the yields a fault inside ReadRange or WriteSpan
-	// takes. aux is the radix sort's second array; the sort makes no
-	// DSM call and so never yields, which lets every leaf share it.
 	var rec func(tp *omp.TaskProc, lo, hi int)
 	rec = func(tp *omp.TaskProc, lo, hi int) {
 		if hi-lo <= cfg.Cutoff {
 			buf := tmp[lo:hi]
 			data.ReadRange(tp.Mem(), lo, hi, buf)
-			sortFloat64s(buf, aux[:hi-lo])
+			run.sortLeaf(buf)
 			data.WriteRange(tp.Mem(), lo, buf)
 			tp.ChargeUnits((hi-lo)*log2ceil(hi-lo), cfg.CompareCost)
 			return
@@ -154,7 +148,7 @@ func RunMergesort(rt *omp.Runtime, cfg SortConfig) (Result, error) {
 		i, j := 0, 0
 		for k := lo; k < hi; {
 			out := data.WriteSpan(tp.Mem(), k, hi)
-			i, j = mergeSpan(out, left, right, i, j)
+			i, j = run.merge(out, left, right, i, j)
 			k += len(out)
 		}
 		tp.ChargeUnits(hi-lo, cfg.MergeCost)
@@ -184,10 +178,53 @@ func MergesortReference(cfg SortConfig) float64 {
 	return sortChecksum(v)
 }
 
-// Radix sort parameters: 11-bit digits, so six passes cover a key's 64
-// bits and the six histograms together fit in 48 KB of stack.
+// sortRun is one mergesort run's host-side state. One buffer serves
+// the whole tree: a leaf or a merge of [lo,hi) stages its keys in
+// tmp[lo:hi]. Task ranges nest and a merge starts only after its
+// TaskWait, so no two live tasks ever share a slot, even across the
+// yields a fault inside ReadRange or WriteSpan takes. aux is the radix
+// sort's second array; the sort makes no DSM call and so never yields,
+// which lets every leaf share it.
+//
+// bits stays true while every leaf the run has sorted took the radix
+// path. A merge of [lo,hi) runs after every leaf inside the range, so
+// while bits holds its keys are non-negative and not NaN, and they
+// order as their bit patterns: the merge may compare those (mergeBits).
+// The first leaf that falls back clears it for the rest of the run.
+// It is a field of the run, not package state, because farm workers
+// run kernels concurrently.
+type sortRun struct {
+	tmp, aux []float64
+	bits     bool
+}
+
+func newSortRun(n, cutoff int) *sortRun {
+	return &sortRun{tmp: make([]float64, n), aux: make([]float64, min(cutoff, n)), bits: true}
+}
+
+// sortLeaf sorts one leaf's keys in place.
+func (r *sortRun) sortLeaf(buf []float64) {
+	if !sortFloat64s(buf, r.aux[:len(buf)]) {
+		r.bits = false
+	}
+}
+
+// merge is mergeSpan, through mergeBits while every leaf so far took
+// the radix path.
+func (r *sortRun) merge(out, left, right []float64, i, j int) (int, int) {
+	if r.bits {
+		return mergeBits(out, left, right, i, j)
+	}
+	return mergeSpan(out, left, right, i, j)
+}
+
+// Radix sort parameters: 8-bit digits, so eight passes cover a key's 64
+// bits and the eight histograms together take 8 KB of stack, which
+// stays in a 32 KB L1 data cache beside the keys being scattered.
+// (11-bit digits need one pass fewer but 48 KB of histograms, and the
+// scatter's counter increments then miss L1.)
 const (
-	radixBits   = 11
+	radixBits   = 8
 	radixDigits = (64 + radixBits - 1) / radixBits
 	radixMask   = 1<<radixBits - 1
 	// radixMaxKey is the bit pattern of +Inf. Every key the radix path
@@ -198,34 +235,43 @@ const (
 
 // sortFloat64s sorts a in increasing order with the result
 // sort.Float64s gives, bit for bit, using aux (len(aux) >= len(a)) as
-// scratch. Non-negative floats that are not NaN order exactly as their
-// IEEE bit patterns do, and equal values among them have equal bits,
-// so an LSD radix sort on the uint64 patterns reproduces the
-// comparison sort. Any key with the sign bit set (including -0) or any
-// NaN, where that equivalence fails, sends the whole slice to
-// sort.Float64s instead, untouched.
+// scratch, and reports whether it took the radix path. Non-negative
+// floats that are not NaN order exactly as their IEEE bit patterns do,
+// and equal values among them have equal bits, so an LSD radix sort on
+// the uint64 patterns reproduces the comparison sort. Any key with the
+// sign bit set (including -0) or any NaN, where that equivalence fails,
+// sends the whole slice to sort.Float64s instead, untouched, and the
+// result is false. An empty slice or a single key that the radix path
+// would accept reports true.
 //
 // All histograms are built in one pass over the keys, and a digit that
 // every key shares is skipped without a scatter.
-func sortFloat64s(a, aux []float64) {
+func sortFloat64s(a, aux []float64) bool {
 	n := len(a)
 	if n < 2 {
-		return
+		return n == 0 || math.Float64bits(a[0]) <= radixMaxKey
 	}
 	if uint64(n) > math.MaxUint32 {
 		sort.Float64s(a)
-		return
+		return false
 	}
 	var counts [radixDigits][1 << radixBits]uint32
 	for _, x := range a {
 		b := math.Float64bits(x)
 		if b > radixMaxKey {
 			sort.Float64s(a)
-			return
+			return false
 		}
-		for d := range counts {
-			counts[d][b>>(d*radixBits)&radixMask]++
-		}
+		// One byte a digit, written out: a loop over d shifts by a
+		// variable and costs as much as the increments.
+		counts[0][uint8(b)]++
+		counts[1][uint8(b>>8)]++
+		counts[2][uint8(b>>16)]++
+		counts[3][uint8(b>>24)]++
+		counts[4][uint8(b>>32)]++
+		counts[5][uint8(b>>40)]++
+		counts[6][uint8(b>>48)]++
+		counts[7][uint8(b>>56)]++
 	}
 	src, dst := a, aux[:n]
 	for d := range counts {
@@ -249,6 +295,7 @@ func sortFloat64s(a, aux []float64) {
 	if &src[0] != &a[0] {
 		copy(a, src)
 	}
+	return true
 }
 
 // mergeSpan fills out with the merge of left[i:] and right[j:], taking
@@ -258,6 +305,10 @@ func sortFloat64s(a, aux []float64) {
 // continue from. The choice is made without a branch on the keys: on
 // random input either outcome is equally likely, so a branch would
 // mispredict half the time.
+//
+// mergeSpan is the oracle mergeBits is held to, the merge of a run
+// after any of its leaves fell back to sort.Float64s, and the only
+// merge off amd64.
 func mergeSpan(out, left, right []float64, i, j int) (int, int) {
 	q := 0
 	for q < len(out) && i < len(left) && j < len(right) {

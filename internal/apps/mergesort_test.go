@@ -13,8 +13,9 @@ import (
 	"nowomp/internal/omp"
 )
 
-// sortFloat64s is held to sort.Float64s and mergeSpan to the
-// three-case merge the kernel used before, bit for bit.
+// sortFloat64s is held to sort.Float64s, mergeSpan to the three-case
+// merge the kernel used before, and mergeBits to mergeSpan, bit for
+// bit.
 
 // sortCanary fills aux; the fallback path must leave it alone.
 var sortCanary = math.Float64frombits(0xc0de1234c0de1234)
@@ -31,7 +32,9 @@ func checkSortFloat64s(t testing.TB, in []float64, radix bool) {
 	for i := range aux {
 		aux[i] = sortCanary
 	}
-	sortFloat64s(got, aux)
+	if took := sortFloat64s(got, aux); took != radix {
+		t.Fatalf("n=%d: sortFloat64s reports the radix path %v, want %v", len(in), took, radix)
+	}
 	if !sameBits64(got, want) {
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -82,6 +85,16 @@ func sortInputs(family string, n int) []float64 {
 			if i == n-1 {
 				v[i] = math.NaN()
 			}
+		case "one digit":
+			// Keys that differ in one radix digit only, a different
+			// digit for each length: every other digit is skipped. The
+			// top digit keeps the sign bit clear.
+			d := n % radixDigits
+			k := uint64(u * (1 << radixBits))
+			if d == radixDigits-1 {
+				k >>= 1
+			}
+			v[i] = math.Float64frombits(0x3FE5555555555555&^(radixMask<<(d*radixBits)) | k<<(d*radixBits))
 		default:
 			panic(family)
 		}
@@ -90,11 +103,15 @@ func sortInputs(family string, n int) []float64 {
 }
 
 func TestSortFloat64sMatchesSort(t *testing.T) {
-	lengths := []int{0, 1, 2, 3, 511, 512, 513, 1 << 11, DefaultSort().Cutoff}
+	lengths := []int{0, 1, 2, 3, 255, 256, 257, 511, 512, 513, 1 << 11, DefaultSort().Cutoff}
 	for _, family := range []string{"uniform", "duplicates", "binades", "specials"} {
 		for _, n := range lengths {
 			checkSortFloat64s(t, sortInputs(family, n), true)
 		}
+	}
+	// Each digit alone varies: at lengths 256..263 n%8 names the digit.
+	for n := 256; n < 256+radixDigits; n++ {
+		checkSortFloat64s(t, sortInputs("one digit", n), true)
 	}
 	for _, family := range []string{"negative zero", "negatives", "nan"} {
 		for _, n := range lengths[1:] {
@@ -127,25 +144,47 @@ func mergeSpanSwitch(out, left, right []float64, i, j int) (int, int) {
 	return i, j
 }
 
+// radixOrdered reports whether every key orders as its bit pattern:
+// the keys sortFloat64s radix-sorts, and mergeBits may merge.
+func radixOrdered(v []float64) bool {
+	for _, x := range v {
+		if math.Float64bits(x) > radixMaxKey {
+			return false
+		}
+	}
+	return true
+}
+
 // checkMerge merges left and right into spans the way the kernel's
 // WriteSpan loop cuts them for a range starting at element lo (spans
 // end at 512-element page boundaries), with mergeSpan and the oracle,
-// and compares the bits and the cursors after every span.
+// and compares the bits and the cursors after every span. When every
+// key is radix-ordered it holds mergeBits to mergeSpan the same way.
 func checkMerge(t testing.TB, left, right []float64, lo int) {
+	t.Helper()
+	checkMergeWith(t, "mergeSpan", mergeSpan, "the switch", mergeSpanSwitch, left, right, lo)
+	if radixOrdered(left) && radixOrdered(right) {
+		checkMergeWith(t, "mergeBits", mergeBits, "mergeSpan", mergeSpan, left, right, lo)
+	}
+}
+
+type mergeFunc func(out, left, right []float64, i, j int) (int, int)
+
+func checkMergeWith(t testing.TB, name string, merge mergeFunc, oracleName string, oracle mergeFunc, left, right []float64, lo int) {
 	t.Helper()
 	n := len(left) + len(right)
 	got, want := make([]float64, n), make([]float64, n)
 	gi, gj, wi, wj := 0, 0, 0, 0
 	for k := 0; k < n; {
 		end := min(n, (lo+k)/512*512+512-lo)
-		gi, gj = mergeSpan(got[k:end], left, right, gi, gj)
-		wi, wj = mergeSpanSwitch(want[k:end], left, right, wi, wj)
+		gi, gj = merge(got[k:end], left, right, gi, gj)
+		wi, wj = oracle(want[k:end], left, right, wi, wj)
 		if gi != wi || gj != wj {
-			t.Fatalf("after span [%d,%d) of %d+%d at lo=%d: cursors %d,%d, oracle %d,%d",
-				k, end, len(left), len(right), lo, gi, gj, wi, wj)
+			t.Fatalf("%s: after span [%d,%d) of %d+%d at lo=%d: cursors %d,%d, %s has %d,%d",
+				name, k, end, len(left), len(right), lo, gi, gj, oracleName, wi, wj)
 		}
 		if !sameBits64(got[k:end], want[k:end]) {
-			t.Fatalf("span [%d,%d) of %d+%d at lo=%d differs from the oracle", k, end, len(left), len(right), lo)
+			t.Fatalf("%s: span [%d,%d) of %d+%d at lo=%d differs from %s", name, k, end, len(left), len(right), lo, oracleName)
 		}
 		k = end
 	}
@@ -157,8 +196,10 @@ func TestMergeSpanMatchesSwitch(t *testing.T) {
 		sort.Float64s(v)
 		return v
 	}
+	// uniform, duplicates and specials (+0, subnormals, MaxFloat64 and
+	// +Inf among them) are radix-ordered, so mergeBits runs on them too.
 	for _, lo := range []int{0, 1, 255, 511} {
-		for _, n := range []int{0, 1, 2, 300, 512, 1024, 1500} {
+		for _, n := range []int{0, 1, 2, 3, 300, 512, 1024, 1500} {
 			for _, family := range []string{"uniform", "duplicates", "specials", "negative zero", "negatives", "nan"} {
 				checkMerge(t, sorted(family, n, 0), sorted(family, n, 3), lo)
 				checkMerge(t, sorted(family, n, 0), sorted(family, n/3, 5), lo)
@@ -171,6 +212,14 @@ func TestMergeSpanMatchesSwitch(t *testing.T) {
 			}
 			checkMerge(t, low, high, lo)
 			checkMerge(t, high, low, lo)
+			// The two sides interleave in runs of duplicates, so the
+			// merge changes sides on ties and between them.
+			steps, flat := make([]float64, n), make([]float64, n)
+			for i := range steps {
+				steps[i], flat[i] = float64(i/7), float64(i/5)
+			}
+			checkMerge(t, steps, flat, lo)
+			checkMerge(t, flat, steps, lo)
 			// Ties go to the left, including +0 against -0.
 			zeros := make([]float64, n)
 			negZeros := make([]float64, n)
@@ -213,22 +262,29 @@ func FuzzSortFloat64s(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, radix bool) {
 		v := fuzzRawFloat64s(data, 2048)
 		if radix {
-			// Fold the input onto the radix path: clear every sign
-			// bit and turn NaNs into +Inf.
-			for i, x := range v {
-				if x != x {
-					x = math.Inf(1)
-				}
-				v[i] = math.Abs(x)
-			}
+			foldRadix(v)
 		}
 		want := append([]float64(nil), v...)
 		sort.Float64s(want)
-		sortFloat64s(v, make([]float64, len(v)))
+		ordered := radixOrdered(v)
+		if took := sortFloat64s(v, make([]float64, len(v))); took != ordered {
+			t.Fatalf("%d keys: sortFloat64s reports the radix path %v, want %v", len(v), took, ordered)
+		}
 		if !sameBits64(v, want) {
 			t.Fatalf("%d keys: radix sort differs from sort.Float64s", len(v))
 		}
 	})
+}
+
+// foldRadix moves keys onto the radix path: it clears every sign bit
+// and turns NaNs into +Inf.
+func foldRadix(v []float64) {
+	for i, x := range v {
+		if x != x {
+			x = math.Inf(1)
+		}
+		v[i] = math.Abs(x)
+	}
 }
 
 func FuzzMerge(f *testing.F) {
@@ -247,7 +303,67 @@ func FuzzMerge(f *testing.F) {
 			sort.Float64s(right)
 		}
 		checkMerge(t, left, right, int(lo)%512)
+		// The same keys folded onto the radix path, which mergeBits
+		// merges: folding keeps each side sorted only where it was
+		// non-negative, and the equivalence holds unsorted too.
+		foldRadix(left)
+		foldRadix(right)
+		if sorted {
+			sort.Float64s(left)
+			sort.Float64s(right)
+		}
+		checkMerge(t, left, right, int(lo)%512)
 	})
+}
+
+// TestSortRunSelectsTheMerge tests the run's choice between the merges.
+// The kernel's own keys never leave the radix path, so every merge of a
+// run at the default size compares bit patterns. Once one leaf falls
+// back to sort.Float64s, every later merge of the run is mergeSpan's:
+// on negative keys the two merges disagree, and the run's output must
+// be mergeSpan's.
+func TestSortRunSelectsTheMerge(t *testing.T) {
+	cfg := DefaultSort()
+	run := newSortRun(cfg.N, cfg.Cutoff)
+	for i := range run.tmp {
+		run.tmp[i] = sortValue(i)
+	}
+	for lo := 0; lo < cfg.N; lo += cfg.Cutoff {
+		run.sortLeaf(run.tmp[lo : lo+cfg.Cutoff])
+		if !run.bits {
+			t.Fatalf("the leaf at %d of a default run fell back to sort.Float64s", lo)
+		}
+	}
+
+	left, right := sortInputs("negatives", 700), sortInputs("negatives", 701)[1:]
+	sort.Float64s(left)
+	sort.Float64s(right)
+	want := make([]float64, 1400)
+	mergeSpan(want, left, right, 0, 0)
+	if runtime.GOARCH == "amd64" {
+		bits := make([]float64, 1400)
+		mergeBits(bits, left, right, 0, 0)
+		if sameBits64(bits, want) {
+			t.Fatal("mergeBits and mergeSpan agree on negative keys: the test below cannot tell them apart")
+		}
+	}
+	run = newSortRun(1400, 700)
+	run.sortLeaf(append([]float64(nil), left...))
+	if run.bits {
+		t.Fatal("a leaf of negative keys left the run on the radix path")
+	}
+	run.sortLeaf(sortInputs("uniform", 700))
+	if run.bits {
+		t.Fatal("a radix leaf after a fallback put the run back on the radix path")
+	}
+	got := make([]float64, 1400)
+	i, j := 0, 0
+	for k := 0; k < len(got); k += 512 {
+		i, j = run.merge(got[k:min(k+512, len(got))], left, right, i, j)
+	}
+	if !sameBits64(got, want) {
+		t.Fatal("a merge after a fallback leaf did not go through mergeSpan")
+	}
 }
 
 // TestMergesortAllocationPin holds one run's host allocations to its

@@ -29,6 +29,10 @@ import "math"
 // page.Scan's word compare. Bits are only ever set, never cleared, and
 // chg bounds the call like any other argument: one element per bit
 // from at on.
+//
+// Mergesort's merge has an amd64 loop too, mergeBits
+// (rowkernels_amd64.go), which compares keys as bit patterns; its
+// oracle, and the merge everywhere else, is mergeSpan (mergesort.go).
 
 // axpySubGo computes dst[i] -= a*x[i] for i below the shortest of
 // len(dst), len(x) and 64*len(chg)-at, setting bit at+i of chg when
@@ -102,3 +106,14 @@ func Stencil5(out, up, down, mid []float32, chg []uint64, at int) {
 func Stencil5Go(out, up, down, mid []float32, chg []uint64, at int) {
 	stencil5Go(out, up, down, mid, chg, at)
 }
+
+// MergeBits, MergeSpan and SortFloat64s name mergesort's bit-pattern
+// merge, the float merge it is held to and its radix leaf sort for the
+// same microbenchmarks.
+func MergeBits(out, left, right []float64, i, j int) (int, int) {
+	return mergeBits(out, left, right, i, j)
+}
+func MergeSpan(out, left, right []float64, i, j int) (int, int) {
+	return mergeSpan(out, left, right, i, j)
+}
+func SortFloat64s(a, aux []float64) bool { return sortFloat64s(a, aux) }

@@ -8,6 +8,8 @@
 // instruction with a memory source faults on an address that is not
 // 16-byte aligned. Operand order follows the Go oracles
 // (rowkernels.go), one rounding per operation, nothing fused.
+// mergeBitsLoop, mergesort's merge, uses general-purpose registers
+// only: CMPQ and CMOVQ, which every amd64 has.
 //
 // axpySub and stencil5 also report which elements they changed: each
 // stored value is compared with the bits it replaces by PCMPEQL, a
@@ -411,4 +413,105 @@ nbfdone:
 	MOVSD X5, sx+96(FP)
 	MOVSD X6, sy+104(FP)
 	MOVSD X7, sz+112(FP)
+	RET
+
+// func mergeBitsLoop(out, left, right []float64) (a, b int)
+// Merges until out is full or a side is exhausted; a and b are the
+// keys taken from left and right. The keys are compared as bit
+// patterns: CMPQ BX, AX sets the carry exactly when right's pattern is
+// below left's, so a clear carry takes left (ties go to the left) and
+// a set one takes right. On non-negative, non-NaN keys that is the
+// order of their values. The carry conditions read one flag, so each
+// CMOV on them is one micro-op; BE and A, the obvious pair, read two.
+// Pointers walk all three slices; R10 and R11 hold left's and right's
+// ends.
+//
+// The main loop keeps both current keys in AX and BX and loads the key
+// after each into R13 and R14 before the compare, so no load waits on
+// it: the select moves the taken side's next key and cursor in by
+// CMOV, and the chain from one compare to the next is one CMOV. A
+// batch of R12 steps may read one key past each current key, so R12 is
+// the fewest of out's room and each side's keys after its current one;
+// batches repeat until that is zero, and the single steps of the tail
+// load both keys afresh with every bound checked.
+TEXT ·mergeBitsLoop(SB), NOSPLIT, $0-88
+	MOVQ out_base+0(FP), DI
+	MOVQ left_base+24(FP), SI
+	MOVQ left_len+32(FP), R10
+	LEAQ (SI)(R10*8), R10   // left's end
+	MOVQ right_base+48(FP), DX
+	MOVQ right_len+56(FP), R11
+	LEAQ (DX)(R11*8), R11   // right's end
+
+mergebatch:
+	MOVQ out_len+8(FP), R12
+	SHLQ $3, R12
+	ADDQ out_base+0(FP), R12
+	SUBQ DI, R12            // out's room, in bytes
+	MOVQ R10, R13
+	SUBQ SI, R13
+	SUBQ $8, R13            // left's keys after the current one
+	CMPQ R13, R12
+	CMOVQLT R13, R12
+	MOVQ R11, R13
+	SUBQ DX, R13
+	SUBQ $8, R13            // right's
+	CMPQ R13, R12
+	CMOVQLT R13, R12
+	SARQ $3, R12            // in keys
+	TESTQ R12, R12
+	JLE  mergetail
+	MOVQ (SI), AX
+	MOVQ (DX), BX
+
+mergeloop:
+	MOVQ 8(SI), R13         // the key after each current one
+	MOVQ 8(DX), R14
+	LEAQ 8(SI), R8          // and each cursor one on
+	LEAQ 8(DX), R9
+	MOVQ AX, CX
+	CMPQ BX, AX
+	CMOVQCS BX, CX          // the smaller key, ties to the left
+	CMOVQCC R8, SI          // the side taken moves on
+	CMOVQCS R9, DX
+	CMOVQCC R13, AX
+	CMOVQCS R14, BX
+	MOVQ CX, (DI)
+	ADDQ $8, DI
+	DECQ R12
+	JNZ  mergeloop
+	JMP  mergebatch
+
+mergetail:
+	MOVQ out_len+8(FP), CX
+	SHLQ $3, CX
+	ADDQ out_base+0(FP), CX // out's end
+
+mergestep:
+	CMPQ DI, CX
+	JAE  mergedone
+	CMPQ SI, R10
+	JAE  mergedone
+	CMPQ DX, R11
+	JAE  mergedone
+	MOVQ (SI), AX
+	MOVQ (DX), BX
+	LEAQ 8(SI), R8
+	LEAQ 8(DX), R9
+	MOVQ AX, R13
+	CMPQ BX, AX
+	CMOVQCS BX, R13
+	CMOVQCC R8, SI
+	CMOVQCS R9, DX
+	MOVQ R13, (DI)
+	ADDQ $8, DI
+	JMP  mergestep
+
+mergedone:
+	SUBQ left_base+24(FP), SI
+	SHRQ $3, SI
+	MOVQ SI, a+72(FP)
+	SUBQ right_base+48(FP), DX
+	SHRQ $3, DX
+	MOVQ DX, b+80(FP)
 	RET

@@ -9,3 +9,9 @@ func stencil5(out, up, down, mid []float32, chg []uint64, at int) {
 func nbfSum(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64) {
 	return nbfSumGo(xi, yi, zi, xs, ys, zs)
 }
+
+// mergeBits has no integer loop off amd64: the float merge gives the
+// same bits on the keys it is called with.
+func mergeBits(out, left, right []float64, i, j int) (int, int) {
+	return mergeSpan(out, left, right, i, j)
+}
