@@ -220,9 +220,10 @@ func (r *sortRun) merge(out, left, right []float64, i, j int) (int, int) {
 
 // Radix sort parameters: 8-bit digits, so eight passes cover a key's 64
 // bits and the eight histograms together take 8 KB of stack, which
-// stays in a 32 KB L1 data cache beside the keys being scattered.
-// (11-bit digits need one pass fewer but 48 KB of histograms, and the
-// scatter's counter increments then miss L1.)
+// stays in L1 beside the keys being scattered. 11-bit digits need one
+// pass fewer but 48 KB of histograms, a whole 48 KB L1d, and the
+// scatter's counter increments then miss it. sortFloat64s's histogram
+// pass is written out for byte digits.
 const (
 	radixBits   = 8
 	radixDigits = (64 + radixBits - 1) / radixBits
