@@ -73,7 +73,7 @@ func (c NBFConfig) window() int {
 // nbfPartner deterministically picks partner m of atom i within the
 // window: irregular but reproducible.
 func nbfPartner(i, m, atoms, window int) int32 {
-	h := uint32(i*2654435761) ^ uint32(m*40503)
+	h := uint32(i)*2654435761 ^ uint32(m*40503)
 	h ^= h >> 13
 	h *= 2246822519
 	h ^= h >> 16
@@ -169,11 +169,12 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 		p.ChargeUnits((hi-lo)*(k+6), InitCostPerElement)
 	})
 
-	// The force phase's work slices and page table are fully
+	// The force phase's work slices, span list and page table are fully
 	// overwritten before they are read, every iteration, so they are
 	// reused across iterations.
 	var floats scratch[float64]
 	var lists scratch[int32]
+	var spans scratch[[]int32]
 	var tables scratch[shmem.PageRef]
 	for it := 0; it < cfg.Iters; it++ {
 		// Force phase: irregular reads of partner positions.
@@ -185,8 +186,18 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			pos[0].ReadRange(p.Mem(), lo, hi, px)
 			pos[1].ReadRange(p.Mem(), lo, hi, py)
 			pos[2].ReadRange(p.Mem(), lo, hi, pz)
-			plist := lists.get(cnt * stride)
-			partners.ReadRange(p.Mem(), lo*stride, hi*stride, plist)
+			// The partner lists are read in place: the loop ReadRange
+			// would copy them with, its faults in the same order, keeps
+			// the in-page views instead. They stay valid through the
+			// gathers below, which fault position pages only (see
+			// shmem.Reader3).
+			pl := partnerLists{spans: spans.get(partners.Pages())[:0]}
+			for e := lo * stride; e < hi*stride; {
+				v := partners.ReadSpan(p.Mem(), e, hi*stride)
+				pl.spans = append(pl.spans, v)
+				e += len(v)
+			}
+			views, straddle := pl.spans, lists.get(stride)
 			// Partner positions are irregular random reads, the dominant
 			// cost of this kernel at full scale: each atom's partners are
 			// gathered through a page table this body resolves once per
@@ -195,7 +206,7 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			table := tables.get(pos[0].Pages())
 			pv := shmem.Readers3(p.Mem(), pos[0], pos[1], pos[2], table)
 			for i := 0; i < cnt; i++ {
-				pv.Gather3(plist[i*stride:i*stride+k], xs, ys, zs)
+				pv.Gather3(pl.list(i*stride, k, straddle), xs, ys, zs)
 				fx[i], fy[i], fz[i] = nbfSum(px[i], py[i], pz[i], xs, ys, zs)
 			}
 			frc[0].WriteRange(p.Mem(), lo, fx)
@@ -203,7 +214,9 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 			frc[2].WriteRange(p.Mem(), lo, fz)
 			p.ChargeUnits(cnt*k, cfg.PairCost)
 			floats.put(fx, fy, fz, px, py, pz, xs, ys, zs)
-			lists.put(plist)
+			lists.put(straddle)
+			clear(views) // page memory is not the scratch's to keep
+			spans.put(views)
 			tables.put(table)
 		})
 
@@ -241,6 +254,38 @@ func RunNBF(rt *omp.Runtime, cfg NBFConfig) (Result, error) {
 	}
 	res.Checksum = sum
 	return res, nil
+}
+
+// partnerLists walks one force body's partner lists where they lie:
+// spans are the in-page views of the body's lists, back to back, the
+// first starting at the body's first list.
+type partnerLists struct {
+	spans [][]int32
+	base  int // the body-relative element spans[0] starts at
+}
+
+// list returns elements [e, e+k) of the body's lists, e counted from
+// the body's first element and never below the previous call's: a view
+// into one span or, for a list that straddles a page break, buf (at
+// least k long) holding a copy.
+func (l *partnerLists) list(e, k int, buf []int32) []int32 {
+	for e >= l.base+len(l.spans[0]) {
+		l.base += len(l.spans[0])
+		l.spans = l.spans[1:]
+	}
+	v := l.spans[0][e-l.base:]
+	if len(v) >= k {
+		return v[:k]
+	}
+	buf = buf[:k]
+	c := copy(buf, v)
+	for _, v := range l.spans[1:] {
+		if c == k {
+			break
+		}
+		c += copy(buf[c:], v)
+	}
+	return buf
 }
 
 // NBFReference computes the checksum of the identical sequential run.

@@ -5,6 +5,10 @@ import (
 	"math"
 	"runtime/debug"
 	"testing"
+
+	"nowomp/internal/dsm"
+	"nowomp/internal/omp"
+	"nowomp/internal/page"
 )
 
 // nbfSum is held to nbfSumGo bit for bit, like the row kernels of
@@ -222,5 +226,50 @@ func TestNBFAllocationPin(t *testing.T) {
 	}
 	if perIter := (run(10) - run(2)) / 8; perIter > 68.25 {
 		t.Errorf("an NBF iteration on 4 procs allocates %v times, want <= 68.25", perIter)
+	}
+}
+
+// TestNBFPartnerListsStraddlePages runs the force body's in-place
+// partner lists where they break across pages: an odd Partners pads
+// the stride (11 partners in a stride of 12, which does not divide the
+// 1024 int32s of a page), and 1041 partners (a stride of 1042) put
+// every list across one page break and some across two. Three
+// processes put the block boundaries on odd atoms. Every run must
+// equal NBFReference bit for bit.
+func TestNBFPartnerListsStraddlePages(t *testing.T) {
+	const perPage = page.Size / 4
+	for _, c := range []struct{ atoms, partners, iters int }{{4096, 11, 3}, {192, 1041, 2}} {
+		cfg := DefaultNBF()
+		cfg.Atoms, cfg.Partners, cfg.Iters = c.atoms, c.partners, c.iters
+		stride := c.partners + c.partners%2
+		straddles, twice := 0, 0
+		for i := 0; i < c.atoms; i++ {
+			breaks := (i*stride+c.partners-1)/perPage - i*stride/perPage
+			if breaks > 0 {
+				straddles++
+			}
+			if breaks > 1 {
+				twice++
+			}
+		}
+		if straddles == 0 || (c.partners > perPage && twice == 0) {
+			t.Fatalf("%+v: %d lists straddle a page break, %d two: the case misses its point", c, straddles, twice)
+		}
+		want := NBFReference(cfg)
+		for _, procs := range []int{1, 3} {
+			for _, proto := range []dsm.ProtocolKind{dsm.Tmk, dsm.HLRC} {
+				rt, err := omp.New(omp.Config{Hosts: 4, Procs: procs, Protocol: proto})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunNBF(rt, cfg)
+				if err != nil {
+					t.Fatalf("%+v on %d procs, %s: %v", c, procs, proto, err)
+				}
+				if res.Checksum != want {
+					t.Errorf("%+v on %d procs, %s: checksum %v, want %v", c, procs, proto, res.Checksum, want)
+				}
+			}
+		}
 	}
 }

@@ -4,10 +4,13 @@ import "math"
 
 // The two float32 row primitives under Gauss's elimination and
 // Jacobi's stencil, and the float64 partner sum under NBF's force loop.
-// axpySub, stencil5 and nbfSum are Plan 9 assembly on amd64
-// (rowkernels_amd64.s, SSE2 only, which GOAMD64=v1 guarantees, so
-// nothing is probed or dispatched) and these Go loops on every other
-// GOARCH (rowkernels_other.go). The Go loops are compiled everywhere
+// On amd64, axpySub and stencil5 are AVX2 assembly (rowkernels_amd64.s,
+// sixteen lanes an iteration) where a CPUID probe at package init finds
+// AVX2 and an OS that saves its registers, and these Go loops where it
+// does not; nbfSum is SSE2 assembly on every amd64 (the GOAMD64=v1
+// baseline), because a four-lane AVX2 sum measured no faster: its
+// divide has the same throughput per lane. Every other GOARCH runs the
+// Go loops (rowkernels_other.go). The Go loops are compiled everywhere
 // under their own names as the oracle the assembly is held to bit for
 // bit (TestRowKernelsMatchGo, TestNBFSumMatchesGo): a packed IEEE
 // operation rounds each lane exactly as its scalar form, nothing is
@@ -31,7 +34,8 @@ import "math"
 // from at on.
 //
 // Mergesort's merge has an amd64 loop too, mergeBits
-// (rowkernels_amd64.go), which compares keys as bit patterns; its
+// (rowkernels_amd64.go), which compares keys as bit patterns in
+// general-purpose registers, so no vector width bears on it; its
 // oracle, and the merge everywhere else, is mergeSpan (mergesort.go).
 
 // axpySubGo computes dst[i] -= a*x[i] for i below the shortest of

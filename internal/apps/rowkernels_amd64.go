@@ -1,19 +1,62 @@
 package apps
 
-// axpySub computes dst[i] -= a*x[i] over the common prefix of dst, x
-// and chg's bits from at, eight lanes an iteration, and reports the
-// elements it changed in chg. See rowkernels.go for the contract and
-// axpySubGo for the oracle.
+// useAVX2 routes axpySub and stencil5 to the AVX2 assembly. The CPU
+// probe sets it once at package init; on an amd64 without AVX2 (or
+// whose OS does not save the YMM registers) it stays false and the
+// kernels run their Go oracles, the code every other GOARCH runs. Only
+// the tests write it, to drive the fallback dispatch on an AVX2 host.
+var useAVX2 = cpuHasAVX2()
+
+// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the
+// registers it uses: CPUID leaf 1 sets OSXSAVE and AVX, XCR0 enables
+// the SSE and AVX state (bits 1 and 2), and leaf 7 sets AVX2 (EBX bit
+// 5).
+func cpuHasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xgetbv()&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax uint32)
+
+func axpySub(dst, x []float32, a float32, chg []uint64, at int) {
+	if useAVX2 {
+		axpySubAVX2(dst, x, a, chg, at)
+		return
+	}
+	axpySubGo(dst, x, a, chg, at)
+}
+
+func stencil5(out, up, down, mid []float32, chg []uint64, at int) {
+	if useAVX2 {
+		stencil5AVX2(out, up, down, mid, chg, at)
+		return
+	}
+	stencil5Go(out, up, down, mid, chg, at)
+}
+
+// axpySubAVX2 is axpySub sixteen lanes an iteration, then an 8-lane
+// and a 4-lane step and single elements. See rowkernels.go for the
+// contract and axpySubGo for the oracle.
 //
 //go:noescape
-func axpySub(dst, x []float32, a float32, chg []uint64, at int)
+func axpySubAVX2(dst, x []float32, a float32, chg []uint64, at int)
 
-// stencil5 computes the interior of one 5-point stencil chunk, eight
-// lanes an iteration, and reports the elements it changed in chg. See
+// stencil5AVX2 is stencil5 in the same steps as axpySubAVX2. See
 // rowkernels.go for the contract and stencil5Go for the oracle.
 //
 //go:noescape
-func stencil5(out, up, down, mid []float32, chg []uint64, at int)
+func stencil5AVX2(out, up, down, mid []float32, chg []uint64, at int)
 
 // nbfSum sums the forces of one atom's partners, two partners an
 // iteration. See rowkernels.go for the contract and nbfSumGo for the

@@ -1,45 +1,53 @@
 #include "textflag.h"
 
-// SSE2 only (the GOAMD64=v1 baseline): MOVUPS/MULPS/SUBPS/ADDPS and
-// their SS forms for the tail, and the PD/SD forms for nbfSum. Every
-// load is unaligned, because a span starts at any 4-byte offset into a
-// page (and a gathered partner list anywhere in its slice), and every
-// memory operand goes through MOVUPS/MOVUPD first: a packed arithmetic
-// instruction with a memory source faults on an address that is not
-// 16-byte aligned. Operand order follows the Go oracles
-// (rowkernels.go), one rounding per operation, nothing fused.
-// mergeBitsLoop, mergesort's merge, uses general-purpose registers
-// only: CMPQ and CMOVQ, which every amd64 has.
+// axpySubAVX2 and stencil5AVX2 are AVX2 and VEX-encoded throughout,
+// their scalar head and tail included, so no legacy-SSE instruction
+// meets a dirty upper register half; each ends in VZEROUPPER before
+// RET, because the Go code around them, nbfSum and page.Scan are
+// legacy SSE. They run only where cpuHasAVX2 (below) said yes at
+// package init; see rowkernels_amd64.go. Every load is unaligned (a
+// span starts at any 4-byte offset into a page): VMOVUPS, and VEX
+// arithmetic may take an unaligned memory operand. Operand order
+// follows the Go oracles (rowkernels.go) and the SSE2 kernels these
+// replace: one rounding per operation, nothing fused (no FMA), and the
+// first source of every VEX operation is the one the SSE2 code had as
+// its destination, so when both operands are NaNs the result carries
+// the same payload (TestRowKernelsNaNPayloads).
 //
-// axpySub and stencil5 also report which elements they changed: each
-// stored value is compared with the bits it replaces by PCMPEQL, a
-// bitwise compare (so -0 against +0 and two NaN payloads differ, as
-// in page.Scan, and a NaN equals its own bits).
+// nbfSum stays SSE2 (the GOAMD64=v1 baseline, two partners a
+// register): a four-partner AVX2 sum measured no faster, because
+// VDIVPD has DIVPD's throughput per lane. mergeBitsLoop, mergesort's
+// merge, uses general-purpose registers only: CMPQ and CMOVQ, which
+// every amd64 has.
+//
+// axpySubAVX2 and stencil5AVX2 also report which elements they
+// changed: each stored value is compared with the bits it replaces by
+// VPCMPEQD, a bitwise compare (so -0 against +0 and two NaN payloads
+// differ, as in page.Scan, and a NaN equals its own bits).
 
-// The change bits of eight lanes — two PCMPEQL results, all-ones where
-// a lane kept its bits — are narrowed to one byte by PACKSSLW and
-// PACKSSWB (saturation keeps 0 and -1 apart), gathered by PMOVMSKB and
-// inverted; the byte is ORed into the bitmap, which on a little-endian
-// host holds bit b of a []uint64 in byte b/8. The eight-lane loop
-// therefore starts on a byte: single elements run first up to the byte
-// holding bit at's end (the head), and the 4-lane step and the single
-// elements after the loop (the tail) gather the last, partial byte. A
-// partial byte collects in DX, its next bit in CX, and is ORed in once
-// complete or at the end.
+// The change bits of eight lanes — one VPCMPEQD result, all-ones where
+// a lane kept its bits — are gathered by VMOVMSKPS and inverted into
+// one byte of the bitmap, which on a little-endian host holds bit b of
+// a []uint64 in byte b/8; the sixteen-lane loop ORs two such bytes in
+// as one word. The vector steps therefore start on a byte: single
+// elements run first up to the byte holding bit at's end (the head),
+// and the 4-lane step and the single elements after the vector steps
+// (the tail) gather the last, partial byte. A partial byte collects in
+// DX, its next bit in CX, and is ORed in once complete or at the end.
 
-// AXPY1 is one scalar element of axpySub: dst -= a*x, its change bit
-// into DX at bit CX, both pointers on, R12 (and the flags) down by one.
-// MOVSS from memory clears the upper lanes of X3 and X5 and the SS
-// operations keep them, so only lane 0 can differ.
+// AXPY1 is one scalar element of axpySubAVX2: dst -= a*x, its change
+// bit into DX at bit CX, both pointers on, R12 (and the flags) down by
+// one. VMOVSS from memory clears lanes 1 to 3 of X1 and X3, and a VEX
+// scalar operation copies them from its first source, so only lane 0
+// can differ.
 #define AXPY1 \
-	MOVSS (SI), X1; \
-	MULSS X0, X1; \
-	MOVSS (DI), X3; \
-	MOVAPS X3, X5; \
-	SUBSS X1, X3; \
-	MOVSS X3, (DI); \
-	PCMPEQL X3, X5; \
-	MOVMSKPS X5, AX; \
+	VMOVSS (SI), X1; \
+	VMULSS X0, X1, X1; \
+	VMOVSS (DI), X3; \
+	VSUBSS X1, X3, X5; \
+	VMOVSS X5, (DI); \
+	VPCMPEQD X5, X3, X3; \
+	VMOVMSKPS X3, AX; \
 	NOTL AX; \
 	ANDL $1, AX; \
 	SHLL CX, AX; \
@@ -49,10 +57,10 @@
 	ADDQ $4, DI; \
 	DECQ R12
 
-// func axpySub(dst, x []float32, a float32, chg []uint64, at int)
+// func axpySubAVX2(dst, x []float32, a float32, chg []uint64, at int)
 // dst[i] -= a*x[i] for i < n = min(len(dst), len(x), 64*len(chg)-at),
 // and bit at+i of chg is set when that changed dst[i]'s bits.
-TEXT ·axpySub(SB), NOSPLIT, $0-88
+TEXT ·axpySubAVX2(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), R12
 	MOVQ x_base+24(FP), SI
@@ -68,8 +76,7 @@ TEXT ·axpySub(SB), NOSPLIT, $0-88
 	CMOVQLT DX, R12         // R12 = n
 	TESTQ R12, R12
 	JLE  axpydone
-	MOVSS a+48(FP), X0
-	SHUFPS $0, X0, X0       // a in all four lanes
+	VBROADCASTSS a+48(FP), Y0 // a in all eight lanes
 	XORL DX, DX             // the partial byte
 	MOVQ R11, CX
 	SHRQ $3, R11
@@ -89,46 +96,60 @@ axpyhead:
 
 axpybody:
 	MOVQ R12, BX
-	SHRQ $3, BX
-	JZ   axpy4
+	SHRQ $4, BX
+	JZ   axpy8
+
+axpy16:
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMULPS  Y0, Y1, Y1      // x*a
+	VMULPS  Y0, Y2, Y2
+	VMOVUPS (DI), Y3        // the bits replaced
+	VMOVUPS 32(DI), Y4
+	VSUBPS  Y1, Y3, Y1      // dst - a*x
+	VSUBPS  Y2, Y4, Y2
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VPCMPEQD Y1, Y3, Y3
+	VPCMPEQD Y2, Y4, Y4
+	VMOVMSKPS Y3, AX
+	VMOVMSKPS Y4, R13
+	SHLL   $8, R13
+	ORL    R13, AX
+	NOTL   AX
+	ORW    AX, (R10)
+	ADDQ   $2, R10
+	ADDQ   $64, SI
+	ADDQ   $64, DI
+	DECQ   BX
+	JNZ    axpy16
 
 axpy8:
-	MOVUPS (SI), X1
-	MOVUPS 16(SI), X2
-	MULPS  X0, X1           // a*x
-	MULPS  X0, X2
-	MOVUPS (DI), X3
-	MOVUPS 16(DI), X4
-	MOVAPS X3, X5           // the bits replaced
-	MOVAPS X4, X6
-	SUBPS  X1, X3           // dst - a*x
-	SUBPS  X2, X4
-	MOVUPS X3, (DI)
-	MOVUPS X4, 16(DI)
-	PCMPEQL X3, X5
-	PCMPEQL X4, X6
-	PACKSSLW X6, X5
-	PACKSSWB X5, X5
-	PMOVMSKB X5, AX
+	TESTQ $8, R12
+	JZ    axpy4
+	VMOVUPS (SI), Y1
+	VMULPS  Y0, Y1, Y1
+	VMOVUPS (DI), Y3
+	VSUBPS  Y1, Y3, Y1
+	VMOVUPS Y1, (DI)
+	VPCMPEQD Y1, Y3, Y3
+	VMOVMSKPS Y3, AX
 	NOTL   AX
 	ORB    AX, (R10)
 	INCQ   R10
 	ADDQ   $32, SI
 	ADDQ   $32, DI
-	DECQ   BX
-	JNZ    axpy8
 
 axpy4:
 	TESTQ $4, R12
 	JZ    axpy1
-	MOVUPS (SI), X1
-	MULPS  X0, X1
-	MOVUPS (DI), X3
-	MOVAPS X3, X5
-	SUBPS  X1, X3
-	MOVUPS X3, (DI)
-	PCMPEQL X3, X5
-	MOVMSKPS X5, DX
+	VMOVUPS (SI), X1
+	VMULPS  X0, X1, X1
+	VMOVUPS (DI), X3
+	VSUBPS  X1, X3, X1
+	VMOVUPS X1, (DI)
+	VPCMPEQD X1, X3, X3
+	VMOVMSKPS X3, DX
 	XORL   $15, DX
 	MOVL   $4, CX
 	ADDQ   $16, SI
@@ -148,19 +169,21 @@ axpyflush:
 	ORB   DX, (R10)
 
 axpydone:
+	VZEROUPPER
 	RET
 
-// STENCIL1 is one scalar column of stencil5, as AXPY1 is of axpySub.
+// STENCIL1 is one scalar column of stencil5AVX2, as AXPY1 is of
+// axpySubAVX2.
 #define STENCIL1 \
-	MOVSS (R8), X1; \
-	ADDSS (R9), X1; \
-	ADDSS (SI), X1; \
-	ADDSS 8(SI), X1; \
-	MULSS X0, X1; \
-	MOVSS (DI), X3; \
-	MOVSS X1, (DI); \
-	PCMPEQL X1, X3; \
-	MOVMSKPS X3, AX; \
+	VMOVSS (R8), X1; \
+	VADDSS (R9), X1, X1; \
+	VADDSS (SI), X1, X1; \
+	VADDSS 8(SI), X1, X1; \
+	VMULSS X0, X1, X1; \
+	VMOVSS (DI), X3; \
+	VMOVSS X1, (DI); \
+	VPCMPEQD X1, X3, X3; \
+	VMOVMSKPS X3, AX; \
 	NOTL AX; \
 	ANDL $1, AX; \
 	SHLL CX, AX; \
@@ -172,12 +195,12 @@ axpydone:
 	ADDQ $4, SI; \
 	DECQ R12
 
-// func stencil5(out, up, down, mid []float32, chg []uint64, at int)
+// func stencil5AVX2(out, up, down, mid []float32, chg []uint64, at int)
 // out[q] = 0.25*(((up[q]+down[q])+mid[q-1])+mid[q+1]) for 1 <= q < n-1,
 // n the shortest of the four lengths and 64*len(chg)-at+2; out[0] and
 // out[n-1] are not written. Bit at+q-1 of chg is set when out[q]'s
 // bits changed.
-TEXT ·stencil5(SB), NOSPLIT, $0-128
+TEXT ·stencil5AVX2(SB), NOSPLIT, $0-128
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), R12
 	MOVQ up_base+24(FP), R8
@@ -203,8 +226,8 @@ TEXT ·stencil5(SB), NOSPLIT, $0-128
 	TESTQ R12, R12
 	JLE  stencildone
 	MOVL $0x3e800000, AX    // float32(0.25)
-	MOVL AX, X0
-	SHUFPS $0, X0, X0
+	VMOVD AX, X0
+	VBROADCASTSS X0, Y0
 	// DI, R8, R9 point at column 1; SI stays at column 0, so the left
 	// neighbours are at (SI) and the right ones at 8(SI).
 	ADDQ $4, DI
@@ -229,35 +252,52 @@ stencilhead:
 
 stencilbody:
 	MOVQ R12, BX
-	SHRQ $3, BX
-	JZ   stencil4
+	SHRQ $4, BX
+	JZ   stencil8
+
+stencil16:
+	VMOVUPS (R8), Y1
+	VADDPS  (R9), Y1, Y1    // up+down
+	VADDPS  (SI), Y1, Y1    // +mid[q-1]
+	VADDPS  8(SI), Y1, Y1   // +mid[q+1]
+	VMULPS  Y0, Y1, Y1
+	VMOVUPS 32(R8), Y2      // the same for columns q+8 to q+15
+	VADDPS  32(R9), Y2, Y2
+	VADDPS  32(SI), Y2, Y2
+	VADDPS  40(SI), Y2, Y2
+	VMULPS  Y0, Y2, Y2
+	VMOVUPS (DI), Y3        // the bits replaced
+	VMOVUPS 32(DI), Y4
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VPCMPEQD Y1, Y3, Y3
+	VPCMPEQD Y2, Y4, Y4
+	VMOVMSKPS Y3, AX
+	VMOVMSKPS Y4, R13
+	SHLL   $8, R13
+	ORL    R13, AX
+	NOTL   AX
+	ORW    AX, (R10)
+	ADDQ   $2, R10
+	ADDQ   $64, DI
+	ADDQ   $64, R8
+	ADDQ   $64, R9
+	ADDQ   $64, SI
+	DECQ   BX
+	JNZ    stencil16
 
 stencil8:
-	MOVUPS (R8), X1
-	MOVUPS (R9), X2
-	ADDPS  X2, X1           // up+down
-	MOVUPS (SI), X2
-	ADDPS  X2, X1           // +mid[q-1]
-	MOVUPS 8(SI), X2
-	ADDPS  X2, X1           // +mid[q+1]
-	MULPS  X0, X1
-	MOVUPS 16(R8), X4       // the same for columns q+4 to q+7
-	MOVUPS 16(R9), X5
-	ADDPS  X5, X4
-	MOVUPS 16(SI), X5
-	ADDPS  X5, X4
-	MOVUPS 24(SI), X5
-	ADDPS  X5, X4
-	MULPS  X0, X4
-	MOVUPS (DI), X3         // the bits replaced
-	MOVUPS 16(DI), X6
-	MOVUPS X1, (DI)
-	MOVUPS X4, 16(DI)
-	PCMPEQL X1, X3
-	PCMPEQL X4, X6
-	PACKSSLW X6, X3
-	PACKSSWB X3, X3
-	PMOVMSKB X3, AX
+	TESTQ $8, R12
+	JZ    stencil4
+	VMOVUPS (R8), Y1
+	VADDPS  (R9), Y1, Y1
+	VADDPS  (SI), Y1, Y1
+	VADDPS  8(SI), Y1, Y1
+	VMULPS  Y0, Y1, Y1
+	VMOVUPS (DI), Y3
+	VMOVUPS Y1, (DI)
+	VPCMPEQD Y1, Y3, Y3
+	VMOVMSKPS Y3, AX
 	NOTL   AX
 	ORB    AX, (R10)
 	INCQ   R10
@@ -265,24 +305,19 @@ stencil8:
 	ADDQ   $32, R8
 	ADDQ   $32, R9
 	ADDQ   $32, SI
-	DECQ   BX
-	JNZ    stencil8
 
 stencil4:
 	TESTQ $4, R12
 	JZ    stencil1
-	MOVUPS (R8), X1
-	MOVUPS (R9), X2
-	ADDPS  X2, X1
-	MOVUPS (SI), X2
-	ADDPS  X2, X1
-	MOVUPS 8(SI), X2
-	ADDPS  X2, X1
-	MULPS  X0, X1
-	MOVUPS (DI), X3
-	MOVUPS X1, (DI)
-	PCMPEQL X1, X3
-	MOVMSKPS X3, DX
+	VMOVUPS (R8), X1
+	VADDPS  (R9), X1, X1
+	VADDPS  (SI), X1, X1
+	VADDPS  8(SI), X1, X1
+	VMULPS  X0, X1, X1
+	VMOVUPS (DI), X3
+	VMOVUPS X1, (DI)
+	VPCMPEQD X1, X3, X3
+	VMOVMSKPS X3, DX
 	XORL   $15, DX
 	MOVL   $4, CX
 	ADDQ   $16, DI
@@ -304,6 +339,26 @@ stencilflush:
 	ORB   DX, (R10)
 
 stencildone:
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+// The low half of XCR0; only valid where CPUID says OSXSAVE.
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
 	RET
 
 // func nbfSum(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64)

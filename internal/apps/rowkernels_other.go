@@ -2,6 +2,9 @@
 
 package apps
 
+// useAVX2 is never set off amd64; the tests' AVX2 subtests skip.
+var useAVX2 bool
+
 func axpySub(dst, x []float32, a float32, chg []uint64, at int) { axpySubGo(dst, x, a, chg, at) }
 func stencil5(out, up, down, mid []float32, chg []uint64, at int) {
 	stencil5Go(out, up, down, mid, chg, at)

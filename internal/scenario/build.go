@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"nowomp/internal/adapt"
 	"nowomp/internal/apps"
@@ -99,11 +100,63 @@ func (s Spec) Execute(mod func(*omp.Config), hook func(*omp.Runtime)) (Spec, app
 		return Spec{}, apps.Result{}, nil, nil, err
 	}
 	if norm.Verify {
-		if want := runner.Reference(norm.Scale); res.Checksum != want {
-			return Spec{}, apps.Result{}, nil, nil, fmt.Errorf("scenario: verification failed: checksum %g, reference %g", res.Checksum, want)
+		if err := verify(runner, norm.Scale, res.Checksum); err != nil {
+			return Spec{}, apps.Result{}, nil, nil, err
 		}
 	}
 	return norm, res, rt, derived, nil
+}
+
+// verify holds a run's checksum to the sequential reference of its
+// kernel at its scale, looked up in references.
+func verify(runner apps.Runner, scale, checksum float64) error {
+	if want := references.get(runner, scale); checksum != want {
+		return fmt.Errorf("scenario: verification failed: checksum %g, reference %g", checksum, want)
+	}
+	return nil
+}
+
+// references memoises sequential reference checksums. A reference is
+// a function of the kernel and the scale alone (Runner.Reference reads
+// nothing else), and verified specs that differ in procs, protocol,
+// machines or schedule share it, so it is computed once for all of
+// them; every run still compares its own checksum. The farm runs
+// verified runs side by side, so the memo is locked, but not while a
+// reference is computed: two runs that miss together both compute it,
+// which wastes time and nothing else. It holds at most
+// referenceMemoCap entries and is cleared when full.
+var references = referenceMemo{m: map[referenceKey]float64{}}
+
+const referenceMemoCap = 64
+
+type referenceKey struct {
+	kernel string
+	scale  float64
+}
+
+type referenceMemo struct {
+	mu sync.Mutex
+	m  map[referenceKey]float64
+}
+
+// get returns runner's reference checksum at scale, computing and
+// storing it on a miss.
+func (r *referenceMemo) get(runner apps.Runner, scale float64) float64 {
+	key := referenceKey{runner.Name, scale}
+	r.mu.Lock()
+	want, ok := r.m[key]
+	r.mu.Unlock()
+	if ok {
+		return want
+	}
+	want = runner.Reference(scale)
+	r.mu.Lock()
+	if len(r.m) >= referenceMemoCap {
+		clear(r.m)
+	}
+	r.m[key] = want
+	r.mu.Unlock()
+	return want
 }
 
 // Result is the outcome of one scenario run. Its leading fields —
