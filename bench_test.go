@@ -8,7 +8,9 @@ import (
 
 	"nowomp/internal/apps"
 	"nowomp/internal/bench"
+	"nowomp/internal/dsm"
 	"nowomp/internal/page"
+	"nowomp/internal/simtime"
 )
 
 // One benchmark per table and figure of the paper's evaluation
@@ -175,6 +177,46 @@ func BenchmarkMergeSpan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHomeClose times an HLRC barrier closing 256 pages, each
+// changed in one word through a write-once span by a host that is not
+// its home: the write fault, the take, and the priced push the home
+// commits. The home's copy settles the pushed words only when something
+// reads it, which nothing here does, so the loop is what the close
+// costs a writer whose home is a reader of last resort — the shape of
+// a kernel's rows. ns/page is per page closed.
+func BenchmarkHomeClose(b *testing.B) {
+	const pages = 256
+	c, err := dsm.New(dsm.Config{MaxHosts: 2, Protocol: dsm.HLRC})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Join(1); err != nil {
+		b.Fatal(err)
+	}
+	r, err := c.Alloc("close", 2*pages*page.Size) // page p is homed at host p%2
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, clk := c.Host(1), simtime.NewClock(0)
+	for p := 0; p < 2*pages; p += 2 {
+		w.ReadSpan(r.ID, p*page.Size, page.WordBytes, clk) // the writer's copies of host 0's pages
+	}
+	active, arrivals := []dsm.HostID{0, 1}, make([]simtime.Seconds, 2)
+	closes := 0
+	for b.Loop() {
+		word := closes % page.Words
+		for p := 0; p < 2*pages; p += 2 {
+			span, ch := w.WriteSpanOnce(r.ID, p*page.Size+word*page.WordBytes, page.WordBytes, page.WordBytes, clk)
+			span[0]++
+			ch.Set(0)
+		}
+		arrivals[1] = clk.Now()
+		c.Barrier(active, arrivals)
+		closes++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(closes*pages), "ns/page")
 }
 
 // BenchmarkSortLeaf times one mergesort leaf, 8 Ki keys in [0,1)

@@ -141,6 +141,7 @@ func (c *Cluster) deactivate(h *Host) {
 				// follows a collection, which leaves none.
 				panic(fmt.Sprintf("dsm: host %d deactivated with page %d/%d borrowed or lent", h.id, ri, p))
 			}
+			c.settleFrom(h, pageKey{RegionID(ri), p}) // a home may still need words only h's copy holds
 			c.releasePage(st.data)
 			c.releasePage(st.twin)
 			h.dropOnce(st)

@@ -62,15 +62,21 @@ func (ch *diffChain) after(seq, upTo int32) []chainEntry {
 
 // dropThrough raises the floor to seq, dropping the entries at or below
 // it, and returns the wire bytes dropped; a seq at or below the floor
-// changes nothing. The dropped records are zeroed so their diffs become
-// collectable.
-func (ch *diffChain) dropThrough(seq int32) int {
+// changes nothing. The dropped diffs go back to pool when it is not nil
+// (a hybrid window's, which nothing references once dropped), and the
+// dropped records are zeroed so their diffs become collectable.
+func (ch *diffChain) dropThrough(seq int32, pool *page.DiffPool) int {
 	if seq <= ch.floor {
 		return 0
 	}
 	ch.floor = seq
 	e := ch.entries
 	k := sort.Search(len(e), func(i int) bool { return e[i].seq > seq })
+	if pool != nil {
+		for i := range e[:k] {
+			pool.Release(e[i].diff)
+		}
+	}
 	dropped := wireOf(e[:k])
 	n := copy(e, e[k:])
 	clear(e[n:])

@@ -46,13 +46,13 @@ func TestDiffChain(t *testing.T) {
 		t.Errorf("a nil chain returned %v", got)
 	}
 
-	if dropped := ch.dropThrough(4); dropped != 100 || ch.floor != 4 || ch.bytes != 160 || !slices.Equal(seqs(ch.entries), []int32{7, 9}) {
+	if dropped := ch.dropThrough(4, nil); dropped != 100 || ch.floor != 4 || ch.bytes != 160 || !slices.Equal(seqs(ch.entries), []int32{7, 9}) {
 		t.Fatalf("dropThrough(4) dropped %d bytes and left floor %d, bytes %d, entries %v", dropped, ch.floor, ch.bytes, seqs(ch.entries))
 	}
-	if dropped := ch.dropThrough(3); dropped != 0 || ch.floor != 4 {
+	if dropped := ch.dropThrough(3, nil); dropped != 0 || ch.floor != 4 {
 		t.Fatalf("dropThrough below the floor dropped %d bytes and left floor %d", dropped, ch.floor)
 	}
-	if dropped := ch.dropThrough(6); dropped != 0 || ch.floor != 6 || len(ch.entries) != 2 {
+	if dropped := ch.dropThrough(6, nil); dropped != 0 || ch.floor != 6 || len(ch.entries) != 2 {
 		t.Fatalf("dropThrough(6), between entries, dropped %d bytes and left floor %d, %d entries", dropped, ch.floor, len(ch.entries))
 	}
 	if got := seqs(ch.after(6, 9)); !slices.Equal(got, []int32{7, 9}) {

@@ -151,7 +151,7 @@ func (pp *pagePolicy) homeMoved(pk pageKey, w HostID) {
 			foreign = e.seq
 		}
 	}
-	pp.retained -= ch.dropThrough(foreign)
+	pp.retained -= ch.dropThrough(foreign, &pp.c.diffPool)
 }
 
 const (
@@ -173,17 +173,19 @@ const (
 	domMigrateRun = 3
 )
 
-// retain appends a committed diff to the page's window, dropping the
-// oldest intervals when the bounds are exceeded. The payload is packed
-// from src, the writer's live page (see takeMask).
-func (pp *pagePolicy) retain(pk pageKey, seq int32, w HostID, m *page.Mask, src []byte) {
+// retain appends a committed diff of the given wire size to the page's
+// window, dropping the oldest intervals when the bounds are exceeded.
+// The payload is packed from src, the writer's live page (see
+// takeMask), into a diff from the cluster's pool, to which the window
+// returns it when it drops the entry.
+func (pp *pagePolicy) retain(pk pageKey, seq int32, w HostID, m *page.Mask, wire int, src []byte) {
 	if pp == nil {
 		return
 	}
 	ch := &pp.chains[pk.region][pk.page]
-	e := chainEntry{seq: seq, writer: w, wire: m.WireSize()}
+	e := chainEntry{seq: seq, writer: w, wire: wire}
 	if e.wire < page.Size {
-		e.diff = m.Pack(src) // a page or more is never served: see chainEntry
+		e.diff = pp.c.diffPool.Pack(m, src) // a page or more is never served: see chainEntry
 	}
 	ch.append(e)
 	pp.retained += e.wire
@@ -194,7 +196,7 @@ func (pp *pagePolicy) retain(pk pageKey, seq int32, w HostID, m *page.Mask, src 
 		if ch.entries[0].seq == seq {
 			break
 		}
-		pp.retained -= ch.dropThrough(ch.entries[0].seq)
+		pp.retained -= ch.dropThrough(ch.entries[0].seq, &pp.c.diffPool)
 	}
 }
 
@@ -204,7 +206,7 @@ func (pp *pagePolicy) advance(pk pageKey, seq int32) {
 	if pp == nil {
 		return
 	}
-	pp.retained -= pp.chains[pk.region][pk.page].dropThrough(seq)
+	pp.retained -= pp.chains[pk.region][pk.page].dropThrough(seq, &pp.c.diffPool)
 }
 
 // window returns the retained diffs that patch a copy with the given
@@ -230,14 +232,19 @@ func (pp *pagePolicy) window(pk pageKey, after int32) ([]chainEntry, int) {
 // reset returns the page to the unclassified state with an empty
 // window whose floor is gcSeq (collections and adaptation epochs: after
 // a team resize the old history describes a partition layout that no
-// longer exists).
+// longer exists). The window's diffs go back to the pool; its entries
+// array stays for the next window.
 func (pp *pagePolicy) reset(pk pageKey, gcSeq int32) {
 	if pp == nil {
 		return
 	}
 	ch := &pp.chains[pk.region][pk.page]
 	pp.retained -= ch.bytes
-	*ch = diffChain{floor: gcSeq}
+	for i := range ch.entries {
+		pp.c.diffPool.Release(ch.entries[i].diff)
+	}
+	clear(ch.entries)
+	*ch = diffChain{floor: gcSeq, entries: ch.entries[:0]}
 	cr := &pp.recs[pk.region][pk.page]
 	cr.setClass(&pp.c.stats, classUnknown)
 	*cr = unclassified

@@ -142,12 +142,15 @@ func dirtyWord(c *Cluster, h *Host, pk pageKey, word int) {
 }
 
 // TestCloseAllocationPins pins the heap cost of closing a written
-// page. Under HLRC a diff is scanned, priced and applied at the home
-// straight from the writer's page: nothing outlives the close, so
-// nothing may be allocated — on the barrier path, on the lock-release
-// path, on the write fault that opens the next interval, or applying
-// onto a home that is itself dirty. Under Tmk the writer keeps the
-// diff: its header and its one payload buffer.
+// page. Under HLRC a diff is scanned, priced and committed at the home,
+// whose copy takes the words from the writer's page when it settles:
+// nothing outlives the close, so nothing may be allocated — on the
+// barrier path, on the lock-release path, on the write fault that opens
+// the next interval, or applying onto a home that is itself dirty. A
+// hybrid close retains its diff in the home's window; in the steady
+// state, with the window at its bound, the diff the close drops is the
+// one its pack reuses, so nothing is allocated there either. Under Tmk
+// the writer keeps the diff: its header and its one payload buffer.
 func TestCloseAllocationPins(t *testing.T) {
 	setup := func(proto ProtocolKind) (*Cluster, *Host, pageKey) {
 		c, err := New(Config{MaxHosts: 2, Adaptive: true, Protocol: proto})
@@ -219,6 +222,18 @@ func TestCloseAllocationPins(t *testing.T) {
 	m := page.Scan(w.pages[pk.region][pk.page].twin, w.pages[pk.region][pk.page].data)
 	if n := testing.AllocsPerRun(200, func() { c.applyAtHome(w, home, pk, &m, 1) }); n != 0 {
 		t.Errorf("applyAtHome onto a dirty home allocates %v times, want 0", n)
+	}
+
+	c, w, pk = setup(Hybrid)
+	closeOne := barrier(c, w, pk)
+	for i := 0; i < 2*maxChainEntries; i++ {
+		closeOne()
+	}
+	if n := len(c.policy.chains[pk.region][pk.page].entries); n != maxChainEntries {
+		t.Fatalf("the hybrid window holds %d entries after %d closes, want its bound %d", n, 2*maxChainEntries, maxChainEntries)
+	}
+	if n := testing.AllocsPerRun(200, closeOne); n != 0 {
+		t.Errorf("hybrid steady-state close retaining a window entry allocates %v times per page, want 0", n)
 	}
 
 	c, w, pk = setup(Tmk)

@@ -139,8 +139,15 @@ type Cluster struct {
 	multiWriterScratch map[pageKey][]HostID
 
 	// pagePool recycles page buffers for this cluster's serialised
-	// events without the shared pool's synchronisation.
+	// events without the shared pool's synchronisation; diffPool does the
+	// same for the diffs a hybrid home retains in its windows.
 	pagePool page.Freelist
+	diffPool page.DiffPool
+
+	// pend is the home-based protocols' record, per page ([region][page]),
+	// of the pushed words the page's home has not copied yet: valid while
+	// the home's pageState.pending is set (see settle). Nil under Tmk.
+	pend [][]pendingDiff
 
 	// eng is the discrete-event engine driving the current parallel
 	// construct (nil between constructs); blocking primitives park the
@@ -267,6 +274,9 @@ func (c *Cluster) Alloc(name string, bytes int) (*Region, error) {
 		metas[i].owner = c.Master().id
 	}
 	c.dir = append(c.dir, metas)
+	if c.homeBased {
+		c.pend = append(c.pend, make([]pendingDiff, r.NPages))
+	}
 	c.barrierStamp = append(c.barrierStamp, make([]int32, r.NPages))
 	c.barrierFirst = append(c.barrierFirst, make([]HostID, r.NPages))
 	for _, h := range c.hosts {

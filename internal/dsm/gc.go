@@ -48,9 +48,11 @@ func (c *Cluster) collect(active []HostID) simtime.Seconds {
 // copy is current and every other copy is current or absent — the
 // invariant the adaptation data movement relies on.
 func (c *Cluster) settlePage(r RegionID, p int, pm *pageMeta, gcSeq int32) {
-	if c.Host(pm.owner).pages[r][p].data == nil {
+	owner := c.Host(pm.owner)
+	if owner.pages[r][p].data == nil {
 		panic(fmt.Sprintf("dsm: %s: gc: owner %d of page %d/%d holds no copy", c.proto.Kind(), pm.owner, r, p))
 	}
+	c.settle(owner, pageKey{r, p}) // before the sweep frees the source's copy
 	latest := pm.latestSeq()
 	for _, h := range c.hosts {
 		st := &h.pages[r][p]

@@ -21,9 +21,11 @@ import (
 //     doubles as the home).
 //   - Writers twin on first write; when an interval closes (barrier,
 //     lock release, task handoff) each writer diffs against its twin
-//     and pushes the diff to the home eagerly, where it is applied at
-//     once. A collection therefore only prunes stale copies, at zero
-//     cost and zero traffic.
+//     and pushes the diff to the home eagerly, where it is committed at
+//     once — priced, counted and race-checked — while its words are
+//     copied into the home's copy only when something first needs them
+//     there (settle). A collection therefore only prunes stale copies,
+//     at zero cost and zero traffic.
 //   - A fault pulls the whole page from the home in one round trip —
 //     no writer-by-writer diff chasing — which trades bytes for
 //     messages exactly the way the literature describes.
@@ -153,12 +155,12 @@ func (hp *homeProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 	st.valid = true
 }
 
-// pushToHome ships the diff a taken mask describes to the page's home
-// and applies it there, charging the one-way push to clk and recording
-// the push and the home's ack on the fabric. For a writer that is its
-// own home only the sequence commit remains: its copy already carries
-// the words.
-func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, s int32, clk *simtime.Clock) {
+// pushToHome ships the diff a taken mask describes, of the given wire
+// size, to the page's home and commits it there, charging the one-way
+// push to clk and recording the push and the home's ack on the fabric.
+// For a writer that is its own home only the sequence commit remains:
+// its copy already carries the words.
+func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, wire int, s int32, clk *simtime.Clock) {
 	if home == h.id {
 		st := &h.pages[pk.region][pk.page]
 		st.appliedSeq = s
@@ -166,7 +168,6 @@ func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, s i
 		return
 	}
 	hh := c.Host(home)
-	wire := m.WireSize()
 	c.fabric.Record(h.machine, hh.machine, wire+msgHeader)
 	c.fabric.Record(hh.machine, h.machine, msgHeader)
 	clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
@@ -175,18 +176,23 @@ func (c *Cluster) pushToHome(h *Host, pk pageKey, home HostID, m *page.Mask, s i
 	c.applyAtHome(h, hh, pk, m, s)
 }
 
-// applyAtHome applies a pushed diff to the home's copy: the masked
-// words go straight from the writer's live page (see takeMask) into
-// the home's. If the home has the page dirty in its own open interval,
-// the incoming words must be disjoint from the home's own modified
-// words — an overlap is the sub-word race the Tmk paths panic on, and
-// must be caught *before* the apply destroys the evidence — and the
-// words go into the twin as well, so the home's eventual flush carries
-// only its own (a write-once home's changed units already lack them:
-// they are disjoint). A home holding the page elided (dirty, no twin)
-// has no diffable evidence — its sole-writer proof already failed if a remote
+// applyAtHome commits a pushed diff at the home. A clean home copies
+// nothing: it records the writer as the source of its pending words
+// (the masked words of the writer's live page, see takeMask) — adding
+// the mask to the source's earlier pending words, or first settling
+// another source's — and settle copies them when something needs them.
+//
+// A home with the page dirty in its own open interval takes the words
+// at once. They must be disjoint from the home's own modified words —
+// an overlap is the sub-word race the Tmk paths panic on, and must be
+// caught *before* the copy destroys the evidence — and they go into the
+// twin as well, so the home's eventual flush carries only its own (a
+// write-once home's changed units already lack them: they are
+// disjoint). A home holding the page elided (dirty, no twin) has no
+// diffable evidence — its sole-writer proof already failed if a remote
 // diff arrives — so the check is skipped and the words merge (they are
-// disjoint in a race-free program).
+// disjoint in a race-free program). A dirty home has no pending words:
+// its first write settled them.
 func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32) {
 	st := &hh.pages[pk.region][pk.page]
 	if st.data == nil {
@@ -195,18 +201,79 @@ func (c *Cluster) applyAtHome(from, hh *Host, pk pageKey, m *page.Mask, s int32)
 	if st.lent > 0 {
 		c.recall(hh, pk) // last moment the copy is the borrowers' pre-image
 	}
-	src := from.pages[pk.region][pk.page].data
-	if own, ok := hh.ownMask(st); ok {
-		if w, ok := m.FirstOverlap(&own); ok {
-			panic(c.wordRaceMessage(from.id, hh.id, pk, w, "without synchronisation"))
+	switch pd := &c.pend[pk.region][pk.page]; {
+	case st.dirty:
+		src := from.pages[pk.region][pk.page].data
+		if own, ok := hh.ownMask(st); ok {
+			if w, ok := m.FirstOverlap(&own); ok {
+				panic(c.wordRaceMessage(from.id, hh.id, pk, w, "without synchronisation"))
+			}
+			if st.twin != nil {
+				m.Copy(st.twin, src)
+			}
 		}
-		if st.twin != nil {
-			m.Copy(st.twin, src)
+		m.Copy(st.data, src)
+	case st.pending && pd.src == from.id:
+		for i := range pd.mask {
+			pd.mask[i] |= m[i]
 		}
+	default:
+		c.settle(hh, pk)
+		pd.src, pd.mask = from.id, *m
+		st.pending = true
 	}
-	m.Copy(st.data, src)
 	st.appliedSeq = s
 	st.valid = true
+}
+
+// pendingDiff names the words a home's copy of one page lacks: the
+// union of the masks its source pushed since the copy was last settled.
+// Their values are in the source's live page.
+type pendingDiff struct {
+	src  HostID
+	mask page.Mask
+}
+
+// settle copies the pending words of hh's copy of pk, which hh must be
+// the home of, from the source's live page, at no simulated cost: the
+// push that sent them was priced and counted. It runs before anything
+// reads or writes the home's copy, and before anything other than the
+// source's own write-once stores changes or frees the source's copy
+// (DESIGN.md "Home settlement"). Until then the source's page holds the
+// committed value of every pending word, except words the source has
+// since stored through a write-once span in its open interval, which no
+// race-free reader reads before the source's next commit pushes them
+// again.
+func (c *Cluster) settle(hh *Host, pk pageKey) {
+	st := &hh.pages[pk.region][pk.page]
+	if !st.pending {
+		return
+	}
+	if home := c.meta(pk.region, pk.page).owner; home != hh.id {
+		panic(fmt.Sprintf("dsm: %s: host %d holds pending words of page %d/%d, homed at %d", c.proto.Kind(), hh.id, pk.region, pk.page, home))
+	}
+	pd := &c.pend[pk.region][pk.page]
+	pd.mask.Copy(st.data, c.Host(pd.src).pages[pk.region][pk.page].data)
+	st.pending = false
+}
+
+// settleHome settles the copy of pk's home.
+func (c *Cluster) settleHome(pk pageKey) {
+	if c.homeBased {
+		c.settle(c.Host(c.meta(pk.region, pk.page).owner), pk)
+	}
+}
+
+// settleFrom settles the copy of pk's home if h is the source of its
+// pending words.
+func (c *Cluster) settleFrom(h *Host, pk pageKey) {
+	if !c.homeBased {
+		return
+	}
+	hh := c.Host(c.meta(pk.region, pk.page).owner)
+	if hh.pages[pk.region][pk.page].pending && c.pend[pk.region][pk.page].src == h.id {
+		c.settle(hh, pk)
+	}
 }
 
 // mergeOverHomePage brings a stale dirty copy current when no diff
@@ -305,6 +372,7 @@ func (hp *homeProtocol) takeHome(pk pageKey, pm *pageMeta, w HostID, wire int) {
 	if old.pages[pk.region][pk.page].lent > 0 {
 		c.recall(old, pk) // takeMask looks the pre-image up at the page's home
 	}
+	c.settle(old, pk) // pending words live only at the page's home
 	pm.owner = w
 	c.policy.homeMoved(pk, w)
 }
@@ -324,11 +392,12 @@ func (hp *homeProtocol) commitOwn(h *Host, pk pageKey, pm *pageMeta, s int32, cl
 	if m.Empty() {
 		return m, wasCurrent
 	}
+	wire := m.WireSize()
 	if wasCurrent {
-		hp.takeHome(pk, pm, h.id, m.WireSize())
+		hp.takeHome(pk, pm, h.id, wire)
 	}
-	c.pushToHome(h, pk, pm.owner, &m, s, clk)
-	c.policy.retain(pk, s, h.id, &m, st.data)
+	c.pushToHome(h, pk, pm.owner, &m, wire, s, clk)
+	c.policy.retain(pk, s, h.id, &m, wire, st.data)
 	pm.baseSeq = s
 	return m, wasCurrent
 }
@@ -413,10 +482,11 @@ func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, writers []HostID, s
 	for i := range made {
 		wm := &made[i]
 		clk := simtime.NewClock(0)
-		c.pushToHome(c.Host(wm.writer), pk, home, &wm.mask, s, clk)
+		wire := wm.mask.WireSize()
+		c.pushToHome(c.Host(wm.writer), pk, home, &wm.mask, wire, s, clk)
 		flush[wm.writer] += clk.Now()
 		if !elided {
-			c.policy.retain(pk, s, wm.writer, &wm.mask, c.Host(wm.writer).pages[pk.region][pk.page].data)
+			c.policy.retain(pk, s, wm.writer, &wm.mask, wire, c.Host(wm.writer).pages[pk.region][pk.page].data)
 		}
 	}
 	pm.baseSeq = s

@@ -34,6 +34,9 @@ type pageState struct {
 	dirty bool
 	// borrowed marks a dirty page whose twin is the home's copy.
 	borrowed bool
+	// pending marks a home's copy that lacks the words of the diffs it
+	// took last, which Cluster.pend names; see Cluster.settle.
+	pending bool
 }
 
 // Host is one logical process address space participating in the DSM.
@@ -60,12 +63,13 @@ type Host struct {
 	written      []pageKey
 	writtenSpare []pageKey
 	// diffs holds the diffs this host created, a chain per page (Tmk
-	// only: the home-based protocols apply a diff at the page's home at
-	// interval close, straight from the writer's page, and the writer
-	// retains nothing). Readers fetch from here; a collection, a leave
-	// and a join drop them all. diffBytes is their total wire size, the
-	// collection trigger's storage count, which pruning a chain's covered
-	// prefix deliberately leaves alone (see coalesce.go).
+	// only: the home-based protocols commit a diff at the page's home at
+	// interval close, whose copy takes the words from the writer's page
+	// when it settles, and the writer retains nothing). Readers fetch
+	// from here; a collection, a leave and a join drop them all.
+	// diffBytes is their total wire size, the collection trigger's
+	// storage count, which pruning a chain's covered prefix deliberately
+	// leaves alone (see coalesce.go).
 	diffs     map[pageKey]*diffChain
 	diffBytes int
 	// syncSeq is the newest interval sequence this host has fully
@@ -199,7 +203,7 @@ func (h *Host) ReadSpan(r RegionID, off, n int, clk *simtime.Clock) []byte {
 		n = chunk
 	}
 	st := &h.pages[r][p]
-	if !st.valid {
+	if !st.valid || st.pending {
 		h.ensureRead(r, p, clk)
 	}
 	return st.data[po : po+n]
@@ -223,7 +227,7 @@ func (h *Host) WriteSpan(r RegionID, off, n int, clk *simtime.Clock) []byte {
 		n = chunk
 	}
 	st := &h.pages[r][p]
-	if !st.dirty || !st.valid || st.once != 0 {
+	if !st.dirty || !st.valid || st.once != 0 { // a pending home copy is clean: it settles in ensureWrite
 		h.ensureWrite(r, p, clk, false)
 	}
 	return st.data[po : po+n]
@@ -342,7 +346,7 @@ func (h *Host) PageView(r RegionID, clk *simtime.Clock) PageView {
 // enough to inline into callers' loops; the fault path is outlined.
 func (v *PageView) ReadPage(p int) []byte {
 	st := &v.st[p]
-	if st.valid {
+	if st.valid && !st.pending {
 		return st.data
 	}
 	return v.readPageSlow(p)
@@ -364,11 +368,15 @@ func (h *Host) checkRange(r RegionID, off, n int) {
 	}
 }
 
-// ensureRead makes the page readable on h, invoking the protocol's
-// read-fault handling if the local copy is missing or invalid.
+// ensureRead makes the page readable on h: a home's copy that lacks
+// pushed words is settled, and a copy that is missing or invalid goes
+// through the protocol's read-fault handling.
 func (h *Host) ensureRead(r RegionID, p int, clk *simtime.Clock) {
-	valid := h.pages[r][p].valid
-	if valid {
+	st := &h.pages[r][p]
+	if st.pending {
+		h.cluster.settle(h, pageKey{r, p})
+	}
+	if st.valid {
 		return
 	}
 	h.cluster.stats.ReadFaults++
@@ -408,8 +416,15 @@ func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock, once bool) {
 		}
 		if once {
 			st.once = h.openOnce()
-		} else if !h.cluster.borrow(h, pk, st) {
-			st.twin = h.cluster.pagePool.Copy(st.data)
+		} else {
+			// A twin is a pre-image: the home's copy, which this write may
+			// borrow, must hold every committed word, and a writer whose
+			// pushed words the home still lacks may change one of them and
+			// restore it, which its diff would never carry.
+			h.cluster.settleHome(pk)
+			if !h.cluster.borrow(h, pk, st) {
+				st.twin = h.cluster.pagePool.Copy(st.data)
+			}
 		}
 		st.dirty = true
 		h.written = append(h.written, pk)

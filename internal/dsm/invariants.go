@@ -9,7 +9,8 @@ import (
 // called with every process parked (between constructs, after a
 // barrier); it inspects every host.
 // Intended for tests and debugging — it is O(hosts x pages) and reads
-// page contents.
+// page contents, so it settles every home's pending words (Cluster.settle)
+// once it has checked them, which changes no simulated number.
 //
 // The invariants checked:
 //
@@ -25,6 +26,8 @@ import (
 //  6. Every valid copy that claims to be fully current (appliedSeq ==
 //     latest notice) has identical contents to every other such copy.
 //  7. Inactive hosts hold no page data.
+//  8. Pending words sit only at a page's home, on a clean copy, and
+//     their source is another active host that holds a copy.
 func (c *Cluster) CheckInvariants() error {
 	active := make(map[HostID]bool)
 	for _, h := range c.hosts {
@@ -51,6 +54,19 @@ func (c *Cluster) CheckInvariants() error {
 				if rec.max < 1 || rec.max > pm.last {
 					return fmt.Errorf("dsm: invariant: page %d/%d writer %d notice seq %d outside (0, %d]", r, p, rec.writer, rec.max, pm.last)
 				}
+			}
+
+			for _, h := range c.hosts {
+				if !h.pages[r][p].pending {
+					continue
+				}
+				src := c.pend[r][p].src
+				sst := &c.Host(src).pages[r][p]
+				if h.id != pm.owner || h.pages[r][p].dirty || src == h.id || !c.Host(src).active || sst.data == nil {
+					return fmt.Errorf("dsm: invariant: host %d holds pending words of page %d/%d from host %d (home %d, dirty %v, source active %v with a copy %v)",
+						h.id, r, p, src, pm.owner, h.pages[r][p].dirty, c.Host(src).active, sst.data != nil)
+				}
+				c.settle(h, pageKey{r, p})
 			}
 
 			var current []byte

@@ -145,11 +145,16 @@ func (c *Cluster) Protocol() ProtocolKind { return c.proto.Kind() }
 // and payload are recorded on the fabric, the requester-observed
 // fetch cost is charged to clk, and the page-fetch counters advance.
 // role names src's protocol role ("owner", "home") in the panic when
-// it holds no copy. Returns the copied data and its appliedSeq.
+// it holds no copy. A home's copy is settled first; the caller frees
+// h's old copy only after the transfer, so a source h still has the
+// words. Returns the copied data and its appliedSeq.
 func (c *Cluster) copyPageFrom(h, src *Host, pk pageKey, role string, clk *simtime.Clock) ([]byte, int32) {
 	sst := &src.pages[pk.region][pk.page]
 	if sst.data == nil {
 		panic(fmt.Sprintf("dsm: %s %d of page %d/%d holds no copy", role, src.id, pk.region, pk.page))
+	}
+	if sst.pending {
+		c.settle(src, pk)
 	}
 	data := c.pagePool.Copy(sst.data)
 	applied := sst.appliedSeq

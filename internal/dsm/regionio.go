@@ -18,6 +18,7 @@ func (c *Cluster) DumpRegion(r *Region) ([]byte, error) {
 		if !st.valid || st.data == nil {
 			return nil, fmt.Errorf("dsm: dump %q: master lacks a valid copy of page %d (run CollectToMaster first)", r.Name, p)
 		}
+		c.settle(m, pageKey{r.ID, p})
 		lo := p * page.Size
 		hi := lo + page.Size
 		if hi > r.Bytes {
@@ -49,6 +50,7 @@ func (c *Cluster) InstallRegion(r *Region, data []byte) error {
 			hi = r.Bytes
 		}
 		copy(st.data[:hi-lo], data[lo:hi])
+		st.pending = false // the install overwrote every word the master lacked
 		st.valid = true
 		st.dirty = false
 		c.releasePage(st.twin)

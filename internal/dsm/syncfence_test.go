@@ -3,7 +3,6 @@ package dsm
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -33,34 +32,7 @@ import (
 func TestSyncPathFence(t *testing.T) {
 	eachProtocol(t, func(t *testing.T, proto ProtocolKind) {
 		got := walkSyncPaths(t, proto)
-		path := filepath.Join("testdata", "syncfence-"+proto.String()+".golden")
-		if os.Getenv("NOWOMP_REGEN_GOLDEN") == "fence" {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == string(want) {
-			return
-		}
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				w := "<end of golden>"
-				if i < len(wl) {
-					w = wl[i]
-				}
-				t.Fatalf("%s: first difference at line %d\n got: %s\nwant: %s", path, i+1, gl[i], w)
-			}
-		}
-		t.Fatalf("%s: transcript is %d lines, golden %d", path, len(gl), len(wl))
+		checkGolden(t, filepath.Join("testdata", "syncfence-"+proto.String()+".golden"), got, "fence")
 	})
 }
 

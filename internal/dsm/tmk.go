@@ -240,7 +240,7 @@ func (t *tmkProtocol) keepDiff(h *Host, pk pageKey, pm *pageMeta, m *page.Mask, 
 	if shouldPrune(len(ch.entries)) {
 		// The covered prefix: no copy of the page is older than the
 		// floor, so no fault, upgrade or collection can ask for it.
-		ch.dropThrough(t.c.diffFloor(pk))
+		ch.dropThrough(t.c.diffFloor(pk), nil) // keepDiff packs with Mask.Pack: nothing to recycle
 	}
 }
 

@@ -238,11 +238,65 @@ func (m *Mask) Copy(dst, src []byte) {
 // Pack materialises the diff: the masked words of src (exactly one
 // page), concatenated in ascending order into one buffer.
 func (m *Mask) Pack(src []byte) *Diff {
+	d := &Diff{payload: make([]byte, m.DataBytes())}
+	d.pack(m, src)
+	return d
+}
+
+// pack fills d, whose payload is already m.DataBytes() long, with the
+// mask and the masked words of src.
+func (d *Diff) pack(m *Mask, src []byte) {
 	mustPage(src)
-	payload := make([]byte, m.DataBytes())
+	d.Mask = *m
 	off := 0
-	m.eachRun(func(lo, hi int) { off += copy(payload[off:], src[lo:hi]) })
-	return &Diff{Mask: *m, payload: payload}
+	m.eachRun(func(lo, hi int) { off += copy(d.payload[off:], src[lo:hi]) })
+}
+
+// diffClasses is the number of payload size classes a DiffPool keeps:
+// class k holds payloads of capacity WordBytes<<k, from one word to a
+// page.
+const diffClasses = 10
+
+// diffClass returns the smallest class whose capacity holds n bytes.
+func diffClass(n int) int {
+	return bits.Len(uint(max(n, 1)-1) / WordBytes)
+}
+
+// DiffPool is a single-owner recycler of packed diffs, by payload size
+// class: a diff retained for a bounded time (a hybrid home's window)
+// goes back to the pool when it is dropped, and the next Pack of its
+// class reuses the header and the payload buffer. Like Freelist it has
+// no synchronisation: its owner's events are serialised. The zero value
+// is an empty pool.
+type DiffPool struct {
+	free [diffClasses][]*Diff
+}
+
+// Pack is Mask.Pack into a recycled diff when one of the payload's
+// class is free.
+func (p *DiffPool) Pack(m *Mask, src []byte) *Diff {
+	n := m.DataBytes()
+	k := diffClass(n)
+	var d *Diff
+	if fl := p.free[k]; len(fl) > 0 {
+		d = fl[len(fl)-1]
+		p.free[k] = fl[:len(fl)-1]
+	} else {
+		d = &Diff{payload: make([]byte, 0, WordBytes<<k)}
+	}
+	d.payload = d.payload[:n]
+	d.pack(m, src)
+	return d
+}
+
+// Release returns a diff the pool packed to it; nil is a no-op. The
+// caller must hold the only remaining reference.
+func (p *DiffPool) Release(d *Diff) {
+	if d == nil {
+		return
+	}
+	k := diffClass(cap(d.payload))
+	p.free[k] = append(p.free[k], d)
 }
 
 // Diff is a materialised diff: the mask of modified words and their

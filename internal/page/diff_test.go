@@ -359,6 +359,9 @@ func TestHotPathAllocationPins(t *testing.T) {
 	dst := twin(tw)
 	d := Make(tw, mod)
 	od := Make(tw, other)
+	var pool DiffPool
+	pm := Scan(tw, mod)
+	pool.Release(pool.Pack(&pm, mod))
 
 	pins := []struct {
 		name string
@@ -373,10 +376,54 @@ func TestHotPathAllocationPins(t *testing.T) {
 		{"Diff.Overlaps", 0, func() { d.Overlaps(od) }},
 		// A materialised diff is its header and one payload buffer.
 		{"Make", 2, func() { sinkDiff = Make(tw, mod) }},
+		// A pooled diff of a class the pool holds reuses both.
+		{"DiffPool.Pack", 0, func() { pool.Release(pool.Pack(&pm, mod)) }},
 	}
 	for _, pin := range pins {
 		if n := testing.AllocsPerRun(200, pin.f); n > pin.max {
 			t.Errorf("%s allocates %v times per run, want <= %v", pin.name, n, pin.max)
+		}
+	}
+}
+
+// TestDiffPoolClasses: every payload length from one word to a page
+// packs into a class that holds it with less than twice the room, a
+// released diff is reused by the next Pack of its class whatever the
+// length, and the reused diff carries exactly the new mask and words.
+func TestDiffPoolClasses(t *testing.T) {
+	var pool DiffPool
+	src := make([]byte, Size)
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	for words := 1; words <= Words; words++ {
+		var m Mask
+		for w := 0; w < words; w++ {
+			m[w/64] |= 1 << (w % 64)
+		}
+		d := pool.Pack(&m, src)
+		if c := cap(d.payload); c < words*WordBytes || c >= 2*words*WordBytes && words > 1 {
+			t.Fatalf("%d words pack into a payload of capacity %d", words, c)
+		}
+		want := m.Pack(src)
+		if d.Mask != want.Mask || !bytes.Equal(d.payload, want.payload) {
+			t.Fatalf("%d words: the pooled diff differs from Mask.Pack", words)
+		}
+		pool.Release(d)
+		// A shorter mask of the same class reuses the diff.
+		if words > 1 && diffClass((words-1)*WordBytes) == diffClass(words*WordBytes) {
+			var short Mask
+			for w := 1; w < words; w++ {
+				short[w/64] |= 1 << (w % 64)
+			}
+			again := pool.Pack(&short, src)
+			if again != d {
+				t.Fatalf("%d words: the next Pack of the class did not reuse the released diff", words-1)
+			}
+			if want := short.Pack(src); again.Mask != want.Mask || !bytes.Equal(again.payload, want.payload) {
+				t.Fatalf("%d words: the reused diff differs from Mask.Pack", words-1)
+			}
+			pool.Release(again)
 		}
 	}
 }

@@ -104,6 +104,14 @@ func checkAgainstReference(t *testing.T, tw, cur, other, base []byte) {
 	if md := Make(tw, cur); (md == nil) != m.Empty() || (md != nil && (md.Mask != m || !bytes.Equal(md.payload, d.payload))) {
 		t.Fatal("Make is not Scan+Pack")
 	}
+	var pool DiffPool
+	for range 2 { // the second Pack reuses the diff the first released
+		pd := pool.Pack(&m, cur)
+		if pd.Mask != m || !bytes.Equal(pd.payload, d.payload) {
+			t.Fatal("DiffPool.Pack is not Mask.Pack")
+		}
+		pool.Release(pd)
+	}
 }
 
 // shapes are the modification patterns the property test draws from:
