@@ -140,7 +140,9 @@ func (m *Manager) grace(e Event) simtime.Seconds {
 // whose grace period expires before their process reaches the
 // adaptation point become urgent: the process image migrates to
 // another team member's machine and the multiplexing model adjusts the
-// arrivals (Fig. 2c). Returns the executed migration plans.
+// arrivals (Fig. 2c). A host migrates once: a second urgent leave of a
+// host that has migrated is left to classify, which drops it. Returns
+// the executed migration plans.
 func (m *Manager) AdjustJoin(c *dsm.Cluster, team []dsm.HostID, arrivals []simtime.Seconds) []migrate.Plan {
 	var plans []migrate.Plan
 	for _, p := range m.pending {
@@ -160,6 +162,9 @@ func (m *Manager) AdjustJoin(c *dsm.Cluster, team []dsm.HostID, arrivals []simti
 		if p.ev.At > arrivals[idx] || deadline >= arrivals[idx] {
 			continue // event in the future, or the point is reached in time
 		}
+		if m.migrated(p.ev.Host) {
+			continue
+		}
 		target := team[(idx+1)%len(team)]
 		plan := migrate.New(c, p.ev.Host, target, deadline)
 		plan.Execute(c)
@@ -169,6 +174,11 @@ func (m *Manager) AdjustJoin(c *dsm.Cluster, team []dsm.HostID, arrivals []simti
 		plans = append(plans, plan)
 	}
 	return plans
+}
+
+// migrated reports whether a pending leave has migrated host h.
+func (m *Manager) migrated(h dsm.HostID) bool {
+	return slices.ContainsFunc(m.pending, func(p *pending) bool { return p.migrated && p.ev.Host == h })
 }
 
 // PointResult reports what an adaptation point did.
@@ -188,7 +198,11 @@ type PointResult struct {
 // and joins plus the untouched remainder. eligible (nil = all) lets a
 // caller hold back specific events: the task runtime defers a leave
 // until the departing process holds no task state, while joins and
-// other leaves proceed.
+// other leaves proceed. A host leaves or joins at most once a point: of
+// two matured events of one kind for one host, the first in submission
+// order is kept — unless the later one migrated the host, which makes it
+// the urgent leave the point applies — and the other is dropped, in
+// neither the result nor the remainder.
 func (m *Manager) classify(model simtime.CostModel, team []dsm.HostID, now simtime.Seconds,
 	eligible func(Event) bool) (leaves, joins, rest []*pending) {
 
@@ -198,13 +212,22 @@ func (m *Manager) classify(model simtime.CostModel, team []dsm.HostID, now simti
 	}
 	for _, p := range m.pending {
 		ok := eligible == nil || eligible(p.ev)
+		same := func(q *pending) bool { return q.ev.Host == p.ev.Host }
 		switch {
 		case ok && p.ev.Kind == KindLeave && p.ev.At <= now && inTeam[p.ev.Host]:
+			if i := slices.IndexFunc(leaves, same); i >= 0 {
+				if p.migrated {
+					leaves[i] = p
+				}
+				continue
+			}
 			leaves = append(leaves, p)
 		case ok && p.ev.Kind == KindJoin && p.ev.At+model.SpawnTime+model.ConnectSetupTime <= now && !inTeam[p.ev.Host]:
 			// The new process was spawned asynchronously when the event
 			// arrived; it is ready once its connections are set up.
-			joins = append(joins, p)
+			if !slices.ContainsFunc(joins, same) {
+				joins = append(joins, p)
+			}
 		default:
 			rest = append(rest, p)
 		}

@@ -204,6 +204,71 @@ func TestUrgentLeaveMigratesAtJoin(t *testing.T) {
 	}
 }
 
+// TestDuplicateEventsApplyOnce: a host leaves or joins at most once at
+// an adaptation point. Of two matured events of one kind for one host
+// the first submitted is applied, unless a later leave migrated the
+// host, which then is the urgent leave applied; a host migrates once
+// whatever the number of urgent leaves. The duplicates leave the queue
+// unapplied and unlogged.
+func TestDuplicateEventsApplyOnce(t *testing.T) {
+	point := func(t *testing.T, m *Manager, c *dsm.Cluster, tm []dsm.HostID, now simtime.Seconds) Record {
+		t.Helper()
+		res, err := m.AtAdaptationPoint(c, tm, now, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Applied) != 1 || len(m.Log()) != 1 || m.PendingCount() != 0 {
+			t.Fatalf("applied %+v, log %d, pending %d: want one event applied and logged, none pending",
+				res.Applied, len(m.Log()), m.PendingCount())
+		}
+		return res.Applied[0]
+	}
+	t.Run("two normal leaves", func(t *testing.T) {
+		c := cluster(t, 4, 4)
+		c.Alloc("a", 4*page.Size)
+		m := NewManager(Config{})
+		for _, at := range []simtime.Seconds{1.0, 1.5} {
+			if err := m.Submit(Event{Kind: KindLeave, Host: 2, At: at}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rec := point(t, m, c, team(4), 2.0); rec.Event.At != 1.0 || rec.Urgent {
+			t.Fatalf("applied %+v, want the first leave, normal", rec)
+		}
+	})
+	t.Run("the leave that migrated", func(t *testing.T) {
+		c := cluster(t, 3, 3)
+		c.Alloc("a", 4*page.Size)
+		m := NewManager(Config{DefaultGrace: 100})
+		for _, g := range []simtime.Seconds{0, 0.5, 0.25} {
+			if err := m.Submit(Event{Kind: KindLeave, Host: 2, At: 1.0, Grace: g}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tm := team(3)
+		arr := []simtime.Seconds{5, 5, 10}
+		if plans := m.AdjustJoin(c, tm, arr); len(plans) != 1 {
+			t.Fatalf("plans = %d, want 1: a host migrates once", len(plans))
+		}
+		rec := point(t, m, c, tm, arr[2])
+		if rec.Event.Grace != 0.5 || !rec.Urgent || rec.Plan == nil {
+			t.Fatalf("applied %+v, want the urgent leave with grace 0.5 and its plan", rec)
+		}
+	})
+	t.Run("two joins", func(t *testing.T) {
+		c := cluster(t, 4, 3)
+		m := NewManager(Config{})
+		for _, at := range []simtime.Seconds{0, 0.5} {
+			if err := m.Submit(Event{Kind: KindJoin, Host: 3, At: at}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rec := point(t, m, c, team(3), 10); rec.Event.At != 0 {
+			t.Fatalf("applied %+v, want the first join", rec)
+		}
+	})
+}
+
 func TestGraceLongEnoughAvoidsMigration(t *testing.T) {
 	c := cluster(t, 3, 3)
 	c.Alloc("a", 2*page.Size)

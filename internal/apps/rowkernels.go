@@ -96,28 +96,3 @@ func nbfSumGo(xi, yi, zi float64, xs, ys, zs []float64) (sx, sy, sz float64) {
 	}
 	return sx, sy, sz
 }
-
-// AxpySub, AxpySubGo, Stencil5 and Stencil5Go name the primitives and
-// their oracles for the root package's microbenchmarks, which cannot
-// reach unexported names.
-func AxpySub(dst, x []float32, a float32, chg []uint64, at int) { axpySub(dst, x, a, chg, at) }
-func AxpySubGo(dst, x []float32, a float32, chg []uint64, at int) {
-	axpySubGo(dst, x, a, chg, at)
-}
-func Stencil5(out, up, down, mid []float32, chg []uint64, at int) {
-	stencil5(out, up, down, mid, chg, at)
-}
-func Stencil5Go(out, up, down, mid []float32, chg []uint64, at int) {
-	stencil5Go(out, up, down, mid, chg, at)
-}
-
-// MergeBits, MergeSpan and SortFloat64s name mergesort's bit-pattern
-// merge, the float merge it is held to and its radix leaf sort for the
-// same microbenchmarks.
-func MergeBits(out, left, right []float64, i, j int) (int, int) {
-	return mergeBits(out, left, right, i, j)
-}
-func MergeSpan(out, left, right []float64, i, j int) (int, int) {
-	return mergeSpan(out, left, right, i, j)
-}
-func SortFloat64s(a, aux []float64) bool { return sortFloat64s(a, aux) }

@@ -1,9 +1,6 @@
 package dsm
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // Covered-prefix garbage collection of consistency metadata. Two
 // structures grow with interval count between full GCs and were
@@ -30,54 +27,21 @@ import (
 // records no fabric traffic, and deliberately does NOT lower
 // Host.diffBytes: the GC-trigger accounting must see exactly the
 // storage the unpruned protocol would, so GC fires at the same
-// barriers and every scenario record stays byte-identical. The
-// differential suite in internal/bench asserts that force-enabled and
-// disabled pruning produce identical encodings.
+// barriers and every scenario record stays byte-identical. Both
+// structures keep the floor they were pruned through and check it where
+// they are read: diffChain.after panics on a request from below a
+// chain's floor, and AcquireInterval on an acquirer synchronised below
+// Cluster.releaseFloor, so an over-prune fails at the first read that
+// needed what it dropped instead of silently missing it.
 
-// CoalescingMode selects how eagerly metadata prefixes are pruned.
-type CoalescingMode int32
-
-const (
-	// CoalesceAuto prunes opportunistically every coalesceStride
-	// appends: amortised O(1) per append, the production default.
-	CoalesceAuto CoalescingMode = iota
-	// CoalesceOff never prunes: metadata accumulates until the next
-	// full GC exactly as it did before prefix pruning existed. The
-	// differential baseline.
-	CoalesceOff
-	// CoalesceForce prunes on every append: maximally eager, used by
-	// the differential suite to surface any observable divergence.
-	CoalesceForce
-)
-
-// coalesceStride is the append interval between prune attempts under
-// CoalesceAuto: frequent enough that chains stay short, rare enough
-// that the O(hosts) floor computation amortises away.
+// coalesceStride is the append interval between prune attempts:
+// frequent enough that chains stay short, rare enough that the
+// O(hosts) floor computation amortises away.
 const coalesceStride = 32
-
-var coalescingMode atomic.Int32
-
-// SetCoalescing selects the metadata-pruning mode and returns a
-// restore function. Like the coherence-mutation hook, it is for
-// sequential test use and must not be toggled mid-simulation.
-func SetCoalescing(mode CoalescingMode) (restore func()) {
-	prev := coalescingMode.Load()
-	coalescingMode.Store(int32(mode))
-	return func() { coalescingMode.Store(prev) }
-}
 
 // shouldPrune reports whether a structure that has grown to n entries
 // should attempt a prune now.
-func shouldPrune(n int) bool {
-	switch CoalescingMode(coalescingMode.Load()) {
-	case CoalesceOff:
-		return false
-	case CoalesceForce:
-		return true
-	default:
-		return n%coalesceStride == 0
-	}
-}
+func shouldPrune(n int) bool { return n%coalesceStride == 0 }
 
 // diffFloor returns the highest sequence F such that no future
 // operation can request diffs of pk with sequence <= F: the minimum
@@ -102,7 +66,8 @@ func (c *Cluster) diffFloor(pk pageKey) int32 {
 // every active host: entries ascending by sequence at or below the
 // minimum active syncSeq can never be selected by a future acquire
 // (joiners start synchronised to the joining barrier's sequence), and
-// barriers clear the whole log regardless.
+// barriers clear the whole log regardless. The highest sequence dropped
+// becomes the log's floor.
 func (c *Cluster) pruneReleaseLog() {
 	if len(c.releaseLog) == 0 {
 		return
@@ -118,6 +83,7 @@ func (c *Cluster) pruneReleaseLog() {
 	if k == 0 {
 		return
 	}
+	c.releaseFloor = log[k-1].seq
 	copy(log, log[k:])
 	c.releaseLog = log[:len(log)-k]
 }

@@ -79,12 +79,6 @@ type Config struct {
 	// the baseline. The hook runs once inside New.
 	Links func(*simnet.Fabric) error
 
-	// GCThresholdBytes triggers a garbage collection at the next
-	// barrier once accumulated diff storage exceeds it. Zero means the
-	// default of 4 MB. Adaptation points force GC regardless. HLRC
-	// retains no diffs, so the threshold never trips there.
-	GCThresholdBytes int
-
 	// Protocol selects the coherence protocol; the zero value is Tmk,
 	// the TreadMarks homeless LRC the paper's system uses.
 	Protocol ProtocolKind
@@ -124,8 +118,17 @@ type Cluster struct {
 	seq int32
 
 	// releaseLog records pages modified by lock-release intervals since
-	// the last barrier.
-	releaseLog []relEntry
+	// the last barrier. releaseFloor is the highest sequence
+	// pruneReleaseLog has dropped from it: an acquirer synchronised below
+	// it would miss entries, and AcquireInterval panics.
+	releaseLog   []relEntry
+	releaseFloor int32
+
+	// gcThreshold triggers a garbage collection at the next barrier once
+	// accumulated diff storage exceeds it (defaultGCThreshold; a test
+	// lowers it). Adaptation points force GC regardless. HLRC retains no
+	// diffs, so the threshold never trips there.
+	gcThreshold int
 
 	// barrierStamp/barrierFirst are per-page barrier scratch, indexed
 	// like the directory ([region][page]). A page whose stamp equals the
@@ -173,9 +176,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.GCThresholdBytes <= 0 {
-		cfg.GCThresholdBytes = defaultGCThreshold
-	}
 	// A model spanning more machines than the pool is fine (the extras
 	// are simply unused); one spanning fewer would panic at the first
 	// lookup, so reject it here with a diagnosable error.
@@ -190,10 +190,11 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c := &Cluster{
-		cfg:    cfg,
-		costs:  machine.NewCosts(cfg.Model, fabric, cfg.Machine),
-		fabric: fabric,
-		locks:  newLockTable(),
+		cfg:         cfg,
+		costs:       machine.NewCosts(cfg.Model, fabric, cfg.Machine),
+		fabric:      fabric,
+		locks:       newLockTable(),
+		gcThreshold: defaultGCThreshold,
 	}
 	proto, err := newProtocol(cfg.Protocol, c)
 	if err != nil {

@@ -275,10 +275,11 @@ func TestGCResetsConsistencyState(t *testing.T) {
 }
 
 func TestGCThresholdTriggersAtBarrier(t *testing.T) {
-	c, err := New(Config{MaxHosts: 2, GCThresholdBytes: 64})
+	c, err := New(Config{MaxHosts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.gcThreshold = 64
 	if _, err := c.Join(1); err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 	})
 
 	res := BarrierResult{ReleaseTime: release, Seq: s}
-	if c.proto.storage() > c.cfg.GCThresholdBytes {
+	if c.proto.storage() > c.gcThreshold {
 		res.ReleaseTime += c.collect(active)
 		res.GCRan = true
 	}

@@ -203,6 +203,10 @@ func (c *Cluster) AcquireLock(id int, h *Host, clk *simtime.Clock) {
 // fetches to clk; pages merely invalidated are repriced lazily at the
 // next fault.
 func (c *Cluster) AcquireInterval(h *Host, clk *simtime.Clock) {
+	if h.syncSeq < c.releaseFloor {
+		panic(fmt.Sprintf("dsm: acquire by host %d synchronised through interval %d from a release log pruned through %d",
+			h.id, h.syncSeq, c.releaseFloor))
+	}
 	// The log is ascending by sequence: the unsynchronised entries are a
 	// suffix, found by binary search instead of rescanning the whole log
 	// on every acquire. Nothing below appends to the log or clears it,

@@ -144,14 +144,6 @@ func (m *Model) LoadAt(id simnet.MachineID, t simtime.Seconds) float64 {
 	return m.loads[id].At(t)
 }
 
-// Slowdown returns the compute-time multiplier of a machine at instant
-// t: (1 + load) / speed. A loaded half-speed machine runs user work at
-// slowdown (1+load)*2.
-func (m *Model) Slowdown(id simnet.MachineID, t simtime.Seconds) float64 {
-	m.check(id)
-	return (1 + m.loads[id].At(t)) / m.speeds[id]
-}
-
 // CPUScale returns the multiplier for short kernel-side software costs
 // (twinning, diff scans, message handling): 1/speed, load-independent.
 func (m *Model) CPUScale(id simnet.MachineID) float64 {

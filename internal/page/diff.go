@@ -350,7 +350,3 @@ func (d *Diff) Overlaps(o *Diff) bool {
 	_, ok := d.Mask.FirstOverlap(&o.Mask)
 	return ok
 }
-
-// ScanGo exports the Go-loop oracle for the root package's
-// assembly-versus-Go benchmarks.
-func ScanGo(twin, current []byte) Mask { return scanGo(twin, current) }

@@ -128,3 +128,50 @@ func FuzzScan(f *testing.F) {
 		checkScan(t, tw, cur)
 	})
 }
+
+// BenchmarkPageScanDense, Sparse and Clean time the twin-against-page
+// scan every interval close runs, the platform's implementation beside
+// the Go loop it is held to, with every word, one word per mask lane
+// and no word modified. "hot" rescans one L1-resident pair; "cold"
+// walks 4096 pairs (32 MB, past the last-level cache), which is nearer
+// what a barrier over a large region sees.
+func BenchmarkPageScanDense(b *testing.B)  { benchPageScan(b, 1) }
+func BenchmarkPageScanSparse(b *testing.B) { benchPageScan(b, 64) }
+func BenchmarkPageScanClean(b *testing.B)  { benchPageScan(b, Words) }
+
+func benchPageScan(b *testing.B, step int) {
+	for _, k := range []struct {
+		name string
+		f    func(twin, current []byte) Mask
+	}{{"impl", Scan}, {"go", scanGo}} {
+		for _, ws := range []struct {
+			name  string
+			pairs int
+		}{{"hot", 1}, {"cold", 4096}} {
+			b.Run(k.name+"/"+ws.name, func(b *testing.B) {
+				buf := make([]byte, 2*Size*ws.pairs)
+				for i := range buf {
+					buf[i] = byte(i * 131 >> 3)
+				}
+				pair := func(p int) (tw, cur []byte) {
+					return buf[2*p*Size:][:Size], buf[(2*p+1)*Size:][:Size]
+				}
+				for p := 0; p < ws.pairs; p++ {
+					tw, cur := pair(p)
+					copy(cur, tw)
+					for w := 0; w < Words; w += step {
+						cur[w*WordBytes] ^= 1
+					}
+				}
+				b.SetBytes(Size)
+				p := 0
+				for b.Loop() {
+					sinkMask = k.f(pair(p))
+					if p++; p == ws.pairs {
+						p = 0
+					}
+				}
+			})
+		}
+	}
+}

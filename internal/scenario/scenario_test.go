@@ -181,6 +181,33 @@ func TestRunAppliesScheduleAndPolicy(t *testing.T) {
 	}
 }
 
+// TestDuplicateAdaptEventsApplyOnce runs two schedules that name one
+// host twice at one adaptation point: two leaves of host 1 (one with its
+// own grace) and two joins of host 2. Each applies one event and the run
+// completes; both once panicked in dsm (a normal leave of an inactive
+// host, a join of an active one). Both results match the sequential
+// reference.
+func TestDuplicateAdaptEventsApplyOnce(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		team int
+	}{
+		{Spec{Kernel: "jacobi", Scale: 0.08, Procs: 2, Hosts: 2, Adaptive: true, Grace: 3, Protocol: "tmk",
+			Schedule: "0.4:leave:1:grace=0.5,0.4:leave:1", Verify: true}, 1},
+		{Spec{Kernel: "jacobi", Scale: 0.3, Procs: 2, Hosts: 3, Adaptive: true,
+			Schedule: "0.1:join:2,0.1:join:2", Verify: true}, 3},
+	} {
+		r, err := c.spec.RunChecked()
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec.Schedule, err)
+		}
+		if r.Adaptations != 1 || r.TeamFinal != c.team {
+			t.Errorf("%s: %d events applied, final team %d; want 1 and %d",
+				c.spec.Schedule, r.Adaptations, r.TeamFinal, c.team)
+		}
+	}
+}
+
 func TestCanonicalIsValidJSONRoundTrip(t *testing.T) {
 	s := Spec{Kernel: "gauss", Scale: 0.05, Procs: 2, Hosts: 4, Protocol: "hlrc"}
 	data, err := s.Canonical()
