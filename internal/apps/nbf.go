@@ -93,9 +93,10 @@ func nbfInitPos(i int, d int) float64 {
 }
 
 // nbfForce is the softened inverse-square pair interaction. The
-// conversions round every product before it is added, so a compiler
-// that fuses a multiply into an add (arm64 and s390x today; GOAMD64=v3
-// is allowed to) computes the same bits as the unfused SSE2 nbfSum.
+// conversions round every product before it is added, so where go1.24
+// fuses a multiply into an add (arm64) or may (ppc64le, s390x) it
+// computes the same bits as the unfused SSE2 nbfSum; on amd64 it fuses
+// nothing, at GOAMD64=v1 or v3.
 func nbfForce(xi, yi, zi, xj, yj, zj float64) (fx, fy, fz float64) {
 	dx, dy, dz := xj-xi, yj-yi, zj-zi
 	r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz) + 0.01

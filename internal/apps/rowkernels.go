@@ -41,10 +41,10 @@ import "math"
 // axpySubGo computes dst[i] -= a*x[i] for i below the shortest of
 // len(dst), len(x) and 64*len(chg)-at, setting bit at+i of chg when
 // dst[i]'s bits change. The conversion stops the compiler fusing the
-// multiply into the subtract on targets where it does that (arm64,
-// ppc64le, s390x today; GOAMD64=v3 is allowed to): the product rounds
-// to float32 first, as MULPS then SUBPS do, so every GOARCH computes
-// the same bits.
+// multiply into the subtract on the targets where go1.24 fuses (arm64)
+// or may (ppc64le, s390x); on amd64 it fuses nothing, at GOAMD64=v1 or
+// v3. The product rounds to float32 first, as MULPS then SUBPS do, so
+// every GOARCH computes the same bits.
 func axpySubGo(dst, x []float32, a float32, chg []uint64, at int) {
 	n := min(len(dst), len(x), 64*len(chg)-at)
 	if n <= 0 {

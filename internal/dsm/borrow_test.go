@@ -433,7 +433,7 @@ func TestBorrowedIntervalAllocationPin(t *testing.T) {
 		w, clk, word := c.Host(1), simtime.NewClock(0), make([]byte, page.WordBytes)
 		readBytes(w, r.ID, 0, word, clk) // page 0 is homed at host 0; the writer needs a copy
 		return func() {
-			c.pagePool = page.Freelist{}
+			*c.pagePool = page.Freelist{}
 			word[0]++
 			writeBytes(w, r.ID, 0, word, clk)
 			if proto != Tmk && !w.pages[r.ID][0].borrowed {

@@ -88,6 +88,13 @@ type Config struct {
 	// cost and identical traffic when no adapt events occur; the flag
 	// exists so both variants can be measured side by side.
 	Adaptive bool
+
+	// Pages, when set, is the freelist the cluster draws its page and
+	// twin buffers from, and Recycle hands them back to: a worker that
+	// runs one simulation after another passes the same one to each
+	// (see scenario.Workspace). Nil gives the cluster a private one. A
+	// freelist serves one cluster at a time.
+	Pages *page.Freelist
 }
 
 const defaultGCThreshold = 4 << 20
@@ -142,9 +149,10 @@ type Cluster struct {
 	multiWriterScratch map[pageKey][]HostID
 
 	// pagePool recycles page buffers for this cluster's serialised
-	// events without the shared pool's synchronisation; diffPool does the
-	// same for the diffs a hybrid home retains in its windows.
-	pagePool page.Freelist
+	// events without synchronisation: Config.Pages, or a private
+	// freelist. diffPool does the same for the diffs a hybrid home
+	// retains in its windows.
+	pagePool *page.Freelist
 	diffPool page.DiffPool
 
 	// pend is the home-based protocols' record, per page ([region][page]),
@@ -195,6 +203,10 @@ func New(cfg Config) (*Cluster, error) {
 		fabric:      fabric,
 		locks:       newLockTable(),
 		gcThreshold: defaultGCThreshold,
+		pagePool:    cfg.Pages,
+	}
+	if c.pagePool == nil {
+		c.pagePool = new(page.Freelist)
 	}
 	proto, err := newProtocol(cfg.Protocol, c)
 	if err != nil {

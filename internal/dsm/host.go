@@ -160,8 +160,30 @@ func (h *Host) addRegion(npages int) {
 
 // newPage and releasePage recycle page buffers through the cluster's
 // single-owner freelist; all callers run serialised by the engine.
+// Every releasePage call swaps a replacement (another buffer, or nil)
+// into the field that held the buffer, so a released buffer has no
+// holder left in the cluster.
 func (c *Cluster) newPage() []byte      { return c.pagePool.Zeroed() }
 func (c *Cluster) releasePage(b []byte) { c.pagePool.Release(b) }
+
+// Recycle hands every page and twin buffer the cluster's hosts hold
+// back to its freelist, for the next cluster that draws from it. Each
+// pageState owns its data and its twin (a borrowed twin is nil: the
+// buffer is the home's data), so each buffer goes back exactly once.
+// The cluster holds no shared memory afterwards and must not be used
+// again: only the caller that built it may recycle it, once nothing
+// reads it any more.
+func (c *Cluster) Recycle() {
+	for _, h := range c.hosts {
+		for _, reg := range h.pages {
+			for i := range reg {
+				c.releasePage(reg[i].data)
+				c.releasePage(reg[i].twin)
+				reg[i] = pageState{}
+			}
+		}
+	}
+}
 
 func pageCount(bytes int) int { return page.Count(bytes) }
 

@@ -476,11 +476,59 @@ func TestFailedJobPath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || good.State != "done" {
 		t.Fatalf("server did not survive the panic: %d %+v", resp.StatusCode, good)
 	}
+	// The poisoned job left no trace in the worker: its next job serves
+	// the bytes of a fresh run of the same spec.
+	served, code := get(t, ts, good.ResultURL)
+	if code != http.StatusOK {
+		t.Fatalf("result fetch status %d", code)
+	}
+	if fresh := encodeFresh(t, testSpec()); !bytes.Equal(served, fresh) {
+		t.Errorf("the job after the failure differs from a fresh run:\nserved: %s\nfresh:  %s", served, fresh)
+	}
 	if _, code := get(t, ts, "/v1/results/"+v.Hash); code != http.StatusNotFound {
 		t.Errorf("failed job cached a result: %d", code)
 	}
 	st := srv.Stats()
 	if st.Jobs.Failed != 1 {
 		t.Errorf("failed counter: %+v", st.Jobs)
+	}
+}
+
+// encodeFresh is the body a fresh Spec.Run of s encodes.
+func encodeFresh(t *testing.T, s scenario.Spec) []byte {
+	t.Helper()
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := res.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestCatalogueWarmEqualsCold: one worker runs the whole catalogue at
+// two scales, each job in the workspace the jobs before it used, and
+// serves for every spec the bytes of a fresh Spec.Run of it.
+func TestCatalogueWarmEqualsCold(t *testing.T) {
+	srv := NewServer(Limits{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, scale := range []float64{0.02, 0.22} {
+		for i, spec := range Catalogue(scale) {
+			v, resp := post(t, ts, "warm", spec, true)
+			if resp.StatusCode != http.StatusOK || v.State != "done" {
+				t.Fatalf("scale %g catalogue[%d]: status %d, state %q, error %q", scale, i, resp.StatusCode, v.State, v.Error)
+			}
+			served, code := get(t, ts, v.ResultURL)
+			if code != http.StatusOK {
+				t.Fatalf("scale %g catalogue[%d]: result fetch status %d", scale, i, code)
+			}
+			if fresh := encodeFresh(t, spec); !bytes.Equal(served, fresh) {
+				t.Errorf("scale %g catalogue[%d]: served differs from a fresh run:\nserved: %s\nfresh:  %s", scale, i, served, fresh)
+			}
+		}
 	}
 }

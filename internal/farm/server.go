@@ -159,9 +159,11 @@ func (s *Server) Submit(tenantName string, spec scenario.Spec) (*Job, int, error
 	return j, 0, nil
 }
 
-// worker drains the dispatcher: claim, simulate, store, finalize.
+// worker drains the dispatcher: claim, simulate, store, finalize. Its
+// workspace keeps the page buffers of one run for the next.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var ws scenario.Workspace
 	for {
 		j := s.disp.next()
 		if j == nil {
@@ -175,8 +177,9 @@ func (s *Server) worker() {
 
 		// RunChecked keeps a poisoned scenario from unwinding the worker:
 		// a panicking simulation becomes one failed job, not a dead
-		// service.
-		res, err := j.Spec.RunChecked()
+		// service, and the workspace drops the buffers it may have left
+		// shared.
+		res, err := ws.RunChecked(j.Spec)
 		var body []byte
 		if err == nil {
 			body, err = res.Encode()

@@ -6,6 +6,7 @@ import (
 	"nowomp/internal/adapt"
 	"nowomp/internal/dsm"
 	"nowomp/internal/machine"
+	"nowomp/internal/page"
 	"nowomp/internal/shmem"
 	"nowomp/internal/simnet"
 	"nowomp/internal/simtime"
@@ -52,6 +53,10 @@ type Config struct {
 
 	// Reassign selects the process-id reassignment strategy.
 	Reassign adapt.ReassignStrategy
+
+	// Pages is the page-buffer freelist the cluster draws from (see
+	// dsm.Config.Pages); nil gives the cluster a private one.
+	Pages *page.Freelist
 }
 
 // AdaptationPoint records what happened at one adaptation point where
@@ -116,6 +121,7 @@ func New(cfg Config) (*Runtime, error) {
 		Links:    cfg.Links,
 		Protocol: cfg.Protocol,
 		Adaptive: cfg.Adaptive,
+		Pages:    cfg.Pages,
 	})
 	if err != nil {
 		return nil, err

@@ -74,6 +74,40 @@ func TestFreelistZeroed(t *testing.T) {
 	}
 }
 
+// TestFreelistTrimAndFresh: Fresh counts allocations, not recycled
+// gets; Trim keeps at most n free buffers and the survivors still
+// recycle.
+func TestFreelistTrimAndFresh(t *testing.T) {
+	var fl Freelist
+	bufs := make([][]byte, 5)
+	for i := range bufs {
+		bufs[i] = fl.Zeroed()
+	}
+	if fl.Fresh() != 5 || len(fl.free) != 0 {
+		t.Fatalf("after five gets: fresh %d, len %d; want 5, 0", fl.Fresh(), len(fl.free))
+	}
+	for _, b := range bufs {
+		fl.Release(b)
+	}
+	fl.Trim(8)
+	if len(fl.free) != 5 {
+		t.Fatalf("Trim above the length dropped buffers: len %d", len(fl.free))
+	}
+	fl.Trim(2)
+	if len(fl.free) != 2 {
+		t.Fatalf("after Trim(2): len %d", len(fl.free))
+	}
+	fl.Copy(bufs[0])
+	fl.Zeroed()
+	if fl.Fresh() != 5 || len(fl.free) != 0 {
+		t.Fatalf("two gets after Trim(2): fresh %d, len %d; want 5, 0", fl.Fresh(), len(fl.free))
+	}
+	fl.Zeroed()
+	if fl.Fresh() != 6 {
+		t.Fatalf("a get from an empty list: fresh %d, want 6", fl.Fresh())
+	}
+}
+
 func TestMakeNilOnUnchanged(t *testing.T) {
 	p := make([]byte, Size)
 	fill(p, 2)

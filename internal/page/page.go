@@ -49,9 +49,13 @@ func mustPage(b []byte) {
 // synchronisation. Recycling is invisible to the simulation — every
 // recycled buffer handed out is immediately and fully overwritten (Copy
 // copies a whole page, Zeroed clears) — so results stay bit-exact no
-// matter which buffer comes back.
+// matter which buffer comes back. One freelist may serve run after run
+// (see scenario.Workspace), so a recycled buffer may hold another
+// simulation's bytes: that is why the overwrite is the contract.
 type Freelist struct {
 	free []*[Size]byte
+	// fresh counts the buffers get allocated rather than recycled.
+	fresh int
 }
 
 // get pops a recycled buffer, or allocates a fresh one (recycled
@@ -62,7 +66,22 @@ func (f *Freelist) get() (t *[Size]byte, recycled bool) {
 		f.free = f.free[:n-1]
 		return t, true
 	}
+	f.fresh++
 	return new([Size]byte), false
+}
+
+// Fresh returns how many buffers the freelist has allocated, rather
+// than recycled, over its lifetime.
+func (f *Freelist) Fresh() int { return f.fresh }
+
+// Trim keeps at most n free buffers and lets the rest go to the garbage
+// collector.
+func (f *Freelist) Trim(n int) {
+	if len(f.free) <= n {
+		return
+	}
+	clear(f.free[n:])
+	f.free = f.free[:n]
 }
 
 // Copy returns a recycled buffer holding a copy of the page: a twin

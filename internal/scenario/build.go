@@ -205,50 +205,20 @@ func (r Result) Encode() ([]byte, error) {
 // RunChecked is Run behind a panic barrier: a panic anywhere in the
 // simulation — a word-race check firing, the engine's deadlock
 // diagnostic, a protocol invariant violation — comes back as an error
-// instead of unwinding the caller. The farm's workers run jobs through
-// it so one poisoned scenario fails one job rather than the whole
-// service, and the fuzzer's oracles use it to turn "no panics on
-// race-free kernels" into a checkable verdict. The runtime behind a
-// recovered panic is abandoned, never reused.
-func (s Spec) RunChecked() (res Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("scenario: run panicked: %v", v)
-		}
-	}()
-	return s.Run()
+// instead of unwinding the caller. The fuzzer's oracles use it to turn
+// "no panics on race-free kernels" into a checkable verdict; the farm's
+// workers run jobs through a Workspace's RunChecked, the same barrier,
+// so one poisoned scenario fails one job rather than the whole service.
+// The runtime behind a recovered panic is abandoned, never reused.
+func (s Spec) RunChecked() (Result, error) {
+	return (*Workspace)(nil).RunChecked(s)
 }
 
 // Run executes the scenario end to end — Execute, then the Result
 // assembled around the spec's content address. The engine makes the
 // outcome a pure function of the spec, so concurrent Runs of different
-// (or identical) specs never interfere.
+// (or identical) specs never interfere. It is a Workspace's Run without
+// a workspace: the run's cluster allocates its own page buffers.
 func (s Spec) Run() (Result, error) {
-	norm, res, rt, _, err := s.Execute(nil, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	data, err := norm.encode()
-	if err != nil {
-		return Result{}, err
-	}
-	adaptations := 0
-	for _, ap := range rt.AdaptLog() {
-		adaptations += len(ap.Applied)
-	}
-	return Result{
-		Scenario:    fmt.Sprintf("farm/%s/%dp", norm.Kernel, norm.Procs),
-		Seconds:     float64(res.Time),
-		Bytes:       res.Bytes,
-		Messages:    res.Messages,
-		Hash:        hashOf(data),
-		Spec:        norm,
-		Pages:       res.Pages,
-		Diffs:       res.Diffs,
-		SharedBytes: res.SharedBytes,
-		Checksum:    res.Checksum,
-		Verified:    norm.Verify,
-		TeamFinal:   rt.NProcs(),
-		Adaptations: adaptations,
-	}, nil
+	return (*Workspace)(nil).Run(s)
 }

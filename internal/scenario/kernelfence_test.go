@@ -23,9 +23,37 @@ import (
 // Regenerate with NOWOMP_REGEN_GOLDEN=kernels, and only for an intended
 // cost or protocol change.
 func TestKernelFence(t *testing.T) {
+	got := fenceTranscript(t, Spec.Run)
+	path := filepath.Join("testdata", "kernelfence.golden")
+	if os.Getenv("NOWOMP_REGEN_GOLDEN") == "kernels" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	checkFenceGolden(t, path, got)
+}
+
+// TestKernelFenceWarm runs the fence's cases one after another in one
+// Workspace, so every case after the first draws page buffers that
+// other cases wrote, and holds the transcript to the same golden: a
+// spec run in a reused workspace encodes the bytes of the same spec run
+// fresh — traffic, messages and simulated time, not only the checksum.
+func TestKernelFenceWarm(t *testing.T) {
+	var ws Workspace
+	checkFenceGolden(t, filepath.Join("testdata", "kernelfence.golden"), fenceTranscript(t, ws.RunChecked))
+}
+
+// fenceTranscript runs every fence case through run and returns the
+// transcript of their encoded Results.
+func fenceTranscript(t *testing.T, run func(Spec) (Result, error)) string {
+	t.Helper()
 	var out strings.Builder
 	for _, c := range kernelFenceCases() {
-		res, err := c.spec.Run()
+		res, err := run(c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -38,17 +66,13 @@ func TestKernelFence(t *testing.T) {
 		}
 		fmt.Fprintf(&out, "== %s\n%s", c.name, b)
 	}
-	got := out.String()
-	path := filepath.Join("testdata", "kernelfence.golden")
-	if os.Getenv("NOWOMP_REGEN_GOLDEN") == "kernels" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	return out.String()
+}
+
+// checkFenceGolden compares a fence transcript with the golden at path
+// and names the first differing case and line.
+func checkFenceGolden(t *testing.T, path, got string) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,8 @@
 //     the non-adaptive run's program output;
 //   - reference: the parallel checksum equals the sequential
 //     reference's, bit for bit;
+//   - warm equals cold: the spec run in a scenario.Workspace that has
+//     just run other specs encodes the bytes of its fresh run;
 //   - no panics: race-free kernels never trip a word-race check or the
 //     engine's deadlock diagnostic.
 //

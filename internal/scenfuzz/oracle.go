@@ -19,6 +19,7 @@ const (
 	OracleDeterminism   = "determinism"    // Result bytes differ across GOMAXPROCS or reruns
 	OracleReference     = "reference"      // checksum differs from the sequential reference
 	OracleCrossProtocol = "cross-protocol" // Tmk, HLRC and hybrid disagree on program output
+	OracleWarm          = "warm"           // a run in a reused workspace differs from the fresh run
 	OracleTransparency  = "transparency"   // adaptive run disagrees with non-adaptive output
 )
 
@@ -38,11 +39,12 @@ func (v Verdict) Failed() bool { return v.Oracle != "" }
 // sweeps, mirroring the CI fingerprint gate's -cpu 1,4,16.
 var gomaxprocsLevels = []int{1, 4, 16}
 
-// runEncoded runs the spec behind the panic barrier and returns the
-// Result with its canonical encoding — the bytes the determinism
-// oracle compares and the farm would serve.
-func runEncoded(s scenario.Spec) (scenario.Result, []byte, error) {
-	res, err := s.RunChecked()
+// runEncoded runs the spec behind the panic barrier, in ws (nil for a
+// fresh run), and returns the Result with its canonical encoding — the
+// bytes the determinism and warm oracles compare and the farm would
+// serve.
+func runEncoded(ws *scenario.Workspace, s scenario.Spec) (scenario.Result, []byte, error) {
+	res, err := ws.RunChecked(s)
 	if err != nil {
 		return scenario.Result{}, nil, err
 	}
@@ -71,11 +73,11 @@ func sameBits(a, b float64) bool {
 
 // Check runs one spec under the full differential-oracle battery:
 // determinism across GOMAXPROCS and reruns, checksum versus the
-// sequential reference, cross-protocol output equivalence, and — for
-// adaptive specs — transparency against the non-adaptive run. It
-// normalizes the spec first and reports a run-error verdict if the
-// spec is invalid (the generator never produces one; arbitrary fuzz
-// inputs are filtered by the caller).
+// sequential reference, cross-protocol output equivalence, warm equals
+// cold, and — for adaptive specs — transparency against the
+// non-adaptive run. It normalizes the spec first and reports a
+// run-error verdict if the spec is invalid (the generator never
+// produces one; arbitrary fuzz inputs are filtered by the caller).
 func Check(spec scenario.Spec) Verdict {
 	v := Verdict{Spec: spec}
 	norm, err := spec.Normalize()
@@ -91,7 +93,7 @@ func Check(spec scenario.Spec) Verdict {
 		return v
 	}
 
-	base, baseBytes, err := runEncoded(norm)
+	base, baseBytes, err := runEncoded(nil, norm)
 	if err != nil {
 		failure(&v, err)
 		return v
@@ -103,7 +105,7 @@ func Check(spec scenario.Spec) Verdict {
 	defer runtime.GOMAXPROCS(prev)
 	for _, gmp := range gomaxprocsLevels {
 		runtime.GOMAXPROCS(gmp)
-		_, again, err := runEncoded(norm)
+		_, again, err := runEncoded(nil, norm)
 		if err != nil {
 			failure(&v, fmt.Errorf("rerun at GOMAXPROCS=%d: %w", gmp, err))
 			return v
@@ -132,13 +134,16 @@ func Check(spec scenario.Spec) Verdict {
 	// detail — traffic and virtual times may differ, program output may
 	// not. The equivalence is three-way: whatever protocol the spec
 	// names, both counterparts must reproduce its checksum bit for bit.
+	// The counterparts run in one workspace, which the warm oracle
+	// reuses.
+	var ws scenario.Workspace
 	for _, proto := range []string{"tmk", "hlrc", "hybrid"} {
 		if proto == norm.Protocol {
 			continue
 		}
 		other := norm
 		other.Protocol = proto
-		otherRes, _, err := runEncoded(other)
+		otherRes, _, err := runEncoded(&ws, other)
 		if err != nil {
 			failure(&v, fmt.Errorf("%s counterpart: %w", other.Protocol, err))
 			return v
@@ -151,13 +156,28 @@ func Check(spec scenario.Spec) Verdict {
 		}
 	}
 
+	// Warm equals cold: run in the workspace its two counterparts used,
+	// the spec must encode the bytes of its fresh run — traffic,
+	// messages and times, not only the checksum. Only memory crosses
+	// runs, never simulated state.
+	_, warm, err := runEncoded(&ws, norm)
+	if err != nil {
+		failure(&v, fmt.Errorf("warm run: %w", err))
+		return v
+	}
+	if !bytes.Equal(baseBytes, warm) {
+		v.Oracle = OracleWarm
+		v.Detail = "Result bytes of a run in a reused workspace differ from the fresh run's"
+		return v
+	}
+
 	// Transparency: team churn must not show in the program's output.
 	if norm.Adaptive {
 		steady := norm
 		steady.Adaptive = false
 		steady.Schedule = ""
 		steady.Policy = ""
-		steadyRes, _, err := runEncoded(steady)
+		steadyRes, _, err := runEncoded(nil, steady)
 		if err != nil {
 			failure(&v, fmt.Errorf("non-adaptive counterpart: %w", err))
 			return v
